@@ -1,13 +1,14 @@
 """Run the benchmark over several seeds and report each metric's median and spread.
 
-    python3 perfbench/repeat.py --seeds 1-10 [--workloads verdict_map,oracle_fine]
-        [--seconds 15] [--trace 0] [--out perfbench/baseline.json]
+    python3 perfbench/repeat.py --seeds 1-10 [--trace 0] [--out perfbench/baseline.json]
 
-Runs one workload at a time, one seed at a time, each in its own process,
-as ``run.py`` is meant to be run.  The spread of a metric is the distance
-between the first and third quartiles of its values
-(``statistics.quantiles(values, n=4)``) as a share of their median.
-``--out`` writes the medians, spreads, seeds and the machine description.
+Runs every workload that BENCHMARK.json lists, for its ``run_seconds``, one
+seed at a time, each in its own process, as ``run.py`` is meant to be run.
+The spread of a metric is the distance between the first and third
+quartiles of its values (``statistics.quantiles(values, n=4)``) as a share
+of their median.  Untraced runs also report the unscaled wall-time values
+from the detail line.  ``--out`` writes the medians, spreads, seeds and the
+machine description.
 """
 
 from __future__ import annotations
@@ -53,20 +54,18 @@ def spread(values: list[float]) -> float:
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default="1-10")
-    ap.add_argument("--workloads", default=",".join(names))
-    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
+    seconds = bench["run_seconds"]
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
 
-    record = {"seeds": _seeds(args.seeds), "seconds": args.seconds, "trace": args.trace,
+    record = {"seeds": _seeds(args.seeds), "seconds": seconds, "trace": args.trace,
               "workloads": {}}
-    for workload in args.workloads.split(","):
-        runs = [run_once(workload, seed, args.seconds, args.trace) for seed in record["seeds"]]
+    for workload in (w["name"] for w in bench["workloads"]):
+        runs = [run_once(workload, seed, seconds, args.trace) for seed in record["seeds"]]
         record["machine"] = runs[-1][0]["machine"]
         metrics = {}
         for name in runs[0][1]["metrics"]:
@@ -83,14 +82,22 @@ def main(argv=None) -> int:
             "failed": [r[1]["failed"] for r in runs],
             "correct": all(r[1]["correct"] for r in runs),
         }
+        if not args.trace:
+            record["workloads"][workload]["wall"] = {
+                name: {"median": statistics.median(v), "spread": spread(v), "values": v}
+                for name, v in ((name, [r[0]["wall"][name] for r in runs])
+                                for name in runs[0][0]["wall"])
+            }
         print(f"== {workload}  correct={record['workloads'][workload]['correct']}")
         for name, m in metrics.items():
             bound = bounds.get(name)
             flag = ""
-            if bound is not None and name != "setup_s":
+            if bound is not None:
                 flag = "  OK" if m["spread"] < bound / 3 else "  WIDE"
             print(f"  {name:40s} median {m['median']:.6g} {m['unit']:6s} spread {m['spread']:.4f}"
                   f"{'' if bound is None else f'  bound {bound}'}{flag}")
+        for name, m in record["workloads"][workload].get("wall", {}).items():
+            print(f"  wall {name:35s} median {m['median']:.6g}        spread {m['spread']:.4f}")
         sys.stdout.flush()
     if args.out:
         with open(args.out, "w") as fh:

@@ -9,10 +9,13 @@ workload until ``--seconds`` have passed.  Each operation is a call a user
 makes, issued only after the previous one returned.  Every output is checked
 against its closed form.
 
-``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` alternates
-untraced and traced rounds, checks that both give identical outputs, and
-prints the per-layer metrics of the traced rounds per round, the tracing
-overhead and the share of traced time that no layer span covers.
+``--trace 0`` prints the end-to-end metrics.  Their timings are wall times
+scaled to a reference machine speed by a calibration loop run around each
+timed operation (see ``workloads``); the detail keeps the wall times.
+``--trace 1`` alternates untraced and traced rounds, checks that both give
+identical outputs, and prints the per-layer metrics of the traced rounds per
+round, the tracing overhead and the share of traced time that no layer span
+covers.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  The line before it
@@ -38,7 +41,7 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 
 #: fresh processes that each import the package and build the inputs
-SETUP_PROBES = 5
+SETUP_PROBES = 9
 SETUP_PROBE_TIMEOUT_S = 60
 
 END_TO_END = {
@@ -127,6 +130,7 @@ def _blas() -> dict:
 def machine() -> dict:
     import mpmath
     import numpy as np
+    import workloads
 
     nproc = os.cpu_count() or 1
     cpu = platform.processor() or "unknown"
@@ -145,8 +149,10 @@ def machine() -> dict:
         "numpy": np.__version__,
         "mpmath": mpmath.__version__,
         "blas": _blas(),
-        # ThreadPoolExecutor's default, as run_sweep uses it: program behaviour
-        "sweep_pool_threads": min(32, nproc + 4),
+        # the pool verdict_map's sweeps run on, and ThreadPoolExecutor's
+        # default, which the CLI's sweep runs on
+        "sweep_workers": workloads.SWEEP_WORKERS,
+        "cli_sweep_pool_threads": min(32, nproc + 4),
     }
 
 
@@ -154,16 +160,31 @@ def machine() -> dict:
 # statistics
 
 
-def tail(samples: list) -> tuple[float, float]:
-    """(percentile, value): the highest of 99.9/99/95/90/75 with at least ten
-    samples beyond it, or the median when there are fewer than 40 samples."""
+#: a round that times at least this many distinct inputs takes its tail over
+#: the inputs' medians
+TAIL_OVER_INPUTS = 40
+
+
+def tail(samples: list, keys: list) -> tuple[float, float, str, int]:
+    """(percentile, value, over, count): the highest of 99.9/99/95/90/75 with
+    at least ten samples beyond it, or the median when there are fewer than
+    40 samples.  When the rounds time at least ``TAIL_OVER_INPUTS`` distinct
+    inputs, a sample is one input's median over the rounds, so that a
+    scheduler stall on a millisecond operation does not make a tail of its
+    own; otherwise a sample is one operation."""
     import numpy as np
 
+    by_input: dict = {}
+    for key, value in zip(keys, samples):
+        by_input.setdefault(key, []).append(value)
+    over = "operations"
+    if len(by_input) >= TAIL_OVER_INPUTS:
+        samples, over = [statistics.median(v) for v in by_input.values()], "inputs"
     n = len(samples)
     for q in (99.9, 99.0, 95.0, 90.0, 75.0):
-        if n * (1.0 - q / 100.0) >= 10.0:
-            return q, float(np.percentile(samples, q))
-    return 50.0, float(statistics.median(samples))
+        if n * (100.0 - q) >= 1000.0 - 1e-6:
+            return q, float(np.percentile(samples, q)), over, n
+    return 50.0, float(statistics.median(samples)), over, n
 
 
 def peak_rss_mb() -> float:
@@ -175,28 +196,28 @@ def peak_rss_mb() -> float:
 
 
 def setup_probe(workload: str, seed: int) -> None:
-    """Child process: time the package import plus building the inputs."""
+    """Child process: time the package import plus building the inputs, then
+    the machine's speed right after, by three calibration loops."""
     t0 = perf_counter()
     import_package()
     import workloads
 
     workloads.WORKLOADS[workload].build(seed)
-    print(repr(perf_counter() - t0))
+    setup = perf_counter() - t0
+    workloads.calibration()
+    print(json.dumps({"setup_s": setup, "speed": workloads.calibrated_speed(samples=3)}))
 
 
-def measure_setup(workload: str, seed: int) -> list:
-    times = []
-    for _ in range(SETUP_PROBES):
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--setup-probe",
-             "--workload", workload, "--seed", str(seed)],
-            capture_output=True, text=True, timeout=SETUP_PROBE_TIMEOUT_S, cwd=ROOT,
-        )
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            raise SystemExit(f"setup probe failed with exit code {proc.returncode}")
-        times.append(float(proc.stdout.strip().splitlines()[-1]))
-    return times
+def measure_setup(workload: str, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--setup-probe",
+         "--workload", workload, "--seed", str(seed)],
+        capture_output=True, text=True, timeout=SETUP_PROBE_TIMEOUT_S, cwd=ROOT,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"setup probe failed with exit code {proc.returncode}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def run_plain(wl, inputs, seconds: float, rec) -> None:
@@ -207,25 +228,40 @@ def run_plain(wl, inputs, seconds: float, rec) -> None:
             return
 
 
-def end_to_end(wl, rec, setup_times: list) -> tuple[dict, dict]:
-    q, tail_value = tail(rec.latency)
-    rates = [items / secs for items, secs in rec.rounds if secs > 0]
+def end_to_end(wl, rec, probes: list) -> tuple[dict, dict]:
+    q, tail_value, tail_over, tail_samples = tail(rec.latency, rec.latency_keys)
+    wall_tail = tail(rec.wall_latency, rec.latency_keys)[1]
     values = {
-        "setup_s": statistics.median(setup_times),
+        "setup_s": statistics.median(p["setup_s"] / p["speed"] for p in probes),
         "peak_rss_mb": peak_rss_mb(),
         "latency_s_p50": statistics.median(rec.latency),
         "latency_s_tail": tail_value,
-        "throughput_per_s": statistics.median(rates),
+        "throughput_per_s": sum(r[0] for r in rec.rounds) / sum(r[1] for r in rec.rounds),
     }
     own = OWN_NAMES[wl.name]
     detail = {
         own[0]: values["latency_s_p50"],
         own[1]: values["latency_s_tail"],
         "tail_percentile": q,
+        "tail_over": tail_over,
+        "tail_samples": tail_samples,
         "latency_samples": len(rec.latency),
         own[2]: values["throughput_per_s"],
         "rounds": len(rec.rounds),
-        "setup_s_samples": setup_times,
+        "wall": {
+            "setup_s": statistics.median(p["setup_s"] for p in probes),
+            "latency_s_p50": statistics.median(rec.wall_latency),
+            "latency_s_tail": wall_tail,
+            "throughput_per_s": sum(r[0] for r in rec.rounds) / sum(r[2] for r in rec.rounds),
+        },
+        "speed": {
+            "p50": statistics.median(rec.speeds),
+            "min": min(rec.speeds),
+            "max": max(rec.speeds),
+            "samples": len(rec.speeds),
+            "setup_p50": statistics.median(p["speed"] for p in probes),
+        },
+        "setup_probes": probes,
     }
     for key, samples in sorted(rec.detail.items()):
         if isinstance(samples, list) and samples:
@@ -311,20 +347,22 @@ def main(argv=None) -> int:
     if args.workload not in workloads.WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; one of {', '.join(workloads.WORKLOADS)}")
     wl = workloads.WORKLOADS[args.workload]
-    setup_times = [] if args.trace else measure_setup(args.workload, args.seed)
     inputs = wl.build(args.seed)
     wl.warmup(inputs)
-    rec = workloads.Recorder()
     if args.trace:
+        rec = workloads.Recorder()
         metrics, detail = run_traced(wl, inputs, args.seconds, rec)
     else:
+        probes = [measure_setup(args.workload, args.seed) for _ in range(SETUP_PROBES)]
+        workloads.calibration()  # mpmath.quad makes its nodes on first use
+        rec = workloads.Recorder(calibrate=True)
         run_plain(wl, inputs, args.seconds, rec)
-        if not rec.latency or not rec.rounds:
+        if not rec.latency or not sum(r[1] for r in rec.rounds):
             print(json.dumps({"detail": {"workload": wl.name, "seed": args.seed,
                                          "failures": rec.failures}}))
             sys.stderr.write("no operation completed; see the failures above\n")
             return 1
-        metrics, detail = end_to_end(wl, rec, setup_times)
+        metrics, detail = end_to_end(wl, rec, probes)
     detail.update({
         "workload": wl.name,
         "seed": args.seed,

@@ -16,15 +16,24 @@ benchmark repeats whole rounds, so every run does the same mix of work and
 per-round counts repeat exactly.  Each operation is timed around the public
 call a user makes and its output is checked; a failure is recorded with its
 inputs, never dropped.
+
+The machine's speed drifts by 20% to 40% within seconds, because other
+tenants share its cores.  A measured run therefore times a fixed
+calibration loop just before and just after each timed operation (or batch
+of short ones) and scales the operation's wall time to the reference speed:
+``wall * CALIBRATION_REFERENCE_S / calibration``, with the mean of the two
+calibrations.  Both the wall times and the scaled times are kept.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 import traceback
 from dataclasses import dataclass, field
 from time import perf_counter
 
+import mpmath
 import numpy as np
 
 from dissipext import cli_io, criteria, oracle
@@ -37,14 +46,20 @@ SIGN_BAND = 1e-9
 MARGIN_RTOL = 1e-8
 #: acceptance 5: oracle instances are redrawn until |margin| > 0.05
 ORACLE_BAND = 0.05
-#: distance below which verdict_general's sign is not compared with decide's:
-#: shirley uses the rule of test_general_sign_agreement_on_draws; on the
-#: half-line and first-order scenarios the 24-element test span is coarser
-#: (its margin differs from decide's by up to about 0.4 and 0.04)
-GENERAL_BAND = {"shirley": 1e-3, "potsdam": 0.5, "konzert": 0.05}
+#: distance below which verdict_general's sign is not compared with decide's,
+#: the rule of test_general_sign_agreement_on_draws, on every scenario
+GENERAL_BAND = 1e-3
 GENERAL_BASIS_DIM = 24
 #: failures listed with their inputs; the rest are only counted
 MAX_LISTED_FAILURES = 50
+#: run_sweep's pool size in verdict_map.  The CLI passes none, which gives
+#: min(32, nproc + 4) threads; on the 2-core machine of baseline.json that
+#: pool's time per sweep, scaled, spread by 0.2 between 20-second blocks
+#: while one worker's spread by 0.06 to 0.09, alternating in one process
+SWEEP_WORKERS = 1
+#: a round figure near the calibration loop's median time on the 2-core
+#: machine of baseline.json; scaled times are wall times at this speed
+CALIBRATION_REFERENCE_S = 0.010
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +175,31 @@ def build(d: Draw):
 
 
 # ---------------------------------------------------------------------------
+# machine speed
+
+
+def calibration() -> float:
+    """Wall time of a fixed loop of the kinds of work the package does:
+    interpreted arithmetic, small numpy array operations and one
+    ``mpmath.quad``.  It calls no package code, so no change to the package
+    moves it."""
+    t0 = perf_counter()
+    acc = 0.0
+    for i in range(100_000):
+        acc += i * 0.5
+    mpmath.quad(lambda x: mpmath.exp(-x) * mpmath.sqrt(x), [0, 1])
+    a = np.arange(2000.0)
+    for _ in range(100):
+        a = np.sqrt(a * a + 1.0)
+    return perf_counter() - t0
+
+
+def calibrated_speed(samples: int = 1) -> float:
+    """Time per reference time of the calibration loop: 1.2 means 20% slow."""
+    return statistics.median(calibration() for _ in range(samples)) / CALIBRATION_REFERENCE_S
+
+
+# ---------------------------------------------------------------------------
 # recording
 
 
@@ -167,11 +207,19 @@ def build(d: Draw):
 class Recorder:
     """Timings and check results of one run.
 
-    ``latency`` holds one wall time per latency-timed operation; ``rounds``
-    holds, per round, the items of bulk work done and the seconds they took.
+    ``latency`` holds one time per latency-timed operation, scaled to the
+    reference speed, ``wall_latency`` the same as measured and
+    ``latency_keys`` the operation's input (its config text); ``rounds``
+    holds, per round, the items of bulk work done and the scaled and wall
+    seconds they took.  With ``calibrate`` off, as in traced rounds, no
+    calibration loop runs and scaled times equal wall times.
     """
 
+    calibrate: bool = False
     latency: list = field(default_factory=list)
+    wall_latency: list = field(default_factory=list)
+    latency_keys: list = field(default_factory=list)
+    speeds: list = field(default_factory=list)
     rounds: list = field(default_factory=list)
     detail: dict = field(default_factory=dict)
     attempted: int = 0
@@ -194,6 +242,28 @@ class Recorder:
         self.failed += 1
         if len(self.failures) < MAX_LISTED_FAILURES:
             self.failures.append({"check": what, "inputs": inputs, "got": got})
+
+    def speed(self, samples: int = 1) -> float:
+        """The machine's speed right now, by calibration loops (1.0 when off)."""
+        if not self.calibrate:
+            return 1.0
+        speed = calibrated_speed(samples)
+        self.speeds.append(speed)
+        return speed
+
+    def timed(self, fn, *args, samples: int = 1, **kwargs):
+        """``fn(*args, **kwargs)`` and its (wall, scaled) seconds.  The speed is
+        the mean of the calibrations just before and just after the call."""
+        before = self.speed(samples)
+        t0 = perf_counter()
+        result = fn(*args, **kwargs)
+        wall = perf_counter() - t0
+        return result, wall, 2.0 * wall / (before + self.speed(samples))
+
+    def add_latency(self, key: str, wall: float, scaled: float) -> None:
+        self.latency_keys.append(key)
+        self.wall_latency.append(wall)
+        self.latency.append(scaled)
 
     def count(self, key: str, n: int = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + n
@@ -233,7 +303,7 @@ class VerdictMap(Workload):
     name = "verdict_map"
     why = ("parse+check of seeded configs of every scenario, then the 41x41 Potsdam, a Shirley "
            "and a Schroedinger sweep: criteria, forms, catalog, grid; no eigensolver")
-    configs_per_kind = 10
+    configs_per_kind = 20
     sweeps = (
         ("potsdam", (-1.0, 1.0, 0.05), (-1.0, 1.0, 0.05)),
         ("shirley", (-0.6, 1.6, 0.1), (-0.8, 0.8, 0.1)),
@@ -258,11 +328,15 @@ class VerdictMap(Workload):
     def run_round(self, inputs, rec: Recorder) -> list:
         checks, sweeps = inputs
         out = []
+        # a check is far shorter than a calibration loop, so the batch, not
+        # each check, is bracketed by calibrations
+        before = rec.speed(samples=3)
+        walls = []
         for d, text in checks:
             try:
                 t0 = perf_counter()
                 code, payload = cli_io.run_check(cli_io.parse_config(text))
-                rec.latency.append(perf_counter() - t0)
+                walls.append((text, perf_counter() - t0))
             except Exception:
                 rec.error("run_check raised", text)
                 continue
@@ -273,21 +347,24 @@ class VerdictMap(Workload):
             rec.check(ok, f"check margin {expect!r}", text, got)
             rec.skipped += abs(expect) <= SIGN_BAND
             out.append(got)
+        speed = (before + rec.speed(samples=3)) / 2.0
+        for text, wall in walls:
+            rec.add_latency(text, wall, wall / speed)
         points = 0
-        elapsed = 0.0
+        elapsed = elapsed_wall = 0.0
         for d, cfg, re_axis, im_axis in sweeps:
             inputs_txt = f"{d.config()} re={re_axis} im={im_axis}"
             try:
-                t0 = perf_counter()
-                payload = cli_io.run_sweep(cfg, re_axis, im_axis)
-                dt = perf_counter() - t0
+                payload, wall, scaled = rec.timed(cli_io.run_sweep, cfg, re_axis, im_axis,
+                                                  max_workers=SWEEP_WORKERS, samples=3)
             except Exception:
                 rec.error("run_sweep raised", inputs_txt)
                 continue
             rows = payload["rows"]
-            elapsed += dt
+            elapsed += scaled
+            elapsed_wall += wall
             points += len(rows)
-            rec.time_list(f"sweep_s.{d.kind}").append(dt)
+            rec.time_list(f"sweep_s.{d.kind}").append(scaled)
             n_re = int(math.floor((re_axis[1] - re_axis[0]) / re_axis[2] + 1e-9)) + 1
             n_im = int(math.floor((im_axis[1] - im_axis[0]) / im_axis[2] + 1e-9)) + 1
             rec.check(len(rows) == n_re * n_im, "sweep row count", inputs_txt, len(rows))
@@ -298,7 +375,7 @@ class VerdictMap(Workload):
                 rec.check(ok, f"sweep row margin {expect!r}", f"{inputs_txt} at {bp!r}", row)
                 rec.skipped += abs(expect) <= SIGN_BAND
             out.append(tuple((row["margin"], row["dissipative"]) for row in rows))
-        rec.rounds.append((points, elapsed))
+        rec.rounds.append((points, elapsed, elapsed_wall))
         return out
 
 
@@ -324,19 +401,17 @@ class OracleCoarse(Workload):
         rec.detail["redrawn_near_boundary"] = redrawn
         out = []
         done = 0
-        elapsed = 0.0
+        elapsed = elapsed_wall = 0.0
         for d, problem in instances:
             text = d.config()
             try:
-                t0 = perf_counter()
-                verdict = criteria.decide(problem)
-                report = oracle.cross_validate(problem, verdict, meshes=self.meshes)
-                dt = perf_counter() - t0
+                (verdict, report), wall, scaled = rec.timed(self._one, problem)
             except Exception:
                 rec.error("decide/cross_validate raised", text)
                 continue
-            rec.latency.append(dt)
-            elapsed += dt
+            rec.add_latency(text, wall, scaled)
+            elapsed += scaled
+            elapsed_wall += wall
             done += 1
             expect = d.margin()
             if verdict.dissipative:
@@ -352,8 +427,12 @@ class OracleCoarse(Workload):
             rec.count("oracle.agree_or_limited", int(bool(report.agree) or report.resolution_limited))
             out.append((verdict.margin, verdict.dissipative, report.infima,
                         report.extrapolated, report.agree, report.resolution_limited))
-        rec.rounds.append((done, elapsed))
+        rec.rounds.append((done, elapsed, elapsed_wall))
         return out
+
+    def _one(self, problem):
+        verdict = criteria.decide(problem)
+        return verdict, oracle.cross_validate(problem, verdict, meshes=self.meshes)
 
 
 class GeneralSpan(Workload):
@@ -388,30 +467,28 @@ class GeneralSpan(Workload):
     def run_round(self, inputs, rec: Recorder) -> list:
         out = []
         calls = 0
-        elapsed = 0.0
+        elapsed = elapsed_wall = 0.0
         for d, problem, ref in inputs:
             text = d.config()
             try:
-                t0 = perf_counter()
-                vg = criteria.verdict_general(problem, basis_dim=GENERAL_BASIS_DIM)
-                dt = perf_counter() - t0
+                vg, wall, scaled = rec.timed(criteria.verdict_general, problem,
+                                             basis_dim=GENERAL_BASIS_DIM)
             except Exception:
                 rec.error("verdict_general raised", text)
                 continue
-            elapsed += dt
+            elapsed += scaled
+            elapsed_wall += wall
             calls += 1
-            rec.time_list(f"general_s.{d.kind}").append(dt)
+            rec.time_list(f"general_s.{d.kind}").append(scaled)
             if d.kind == self.special:
-                rec.latency.append(dt)
-            if abs(ref.margin) <= GENERAL_BAND[d.kind]:
+                rec.add_latency(text, wall, scaled)
+            if abs(ref.margin) <= GENERAL_BAND:
                 rec.skipped += 1
-                rec.count("general.band_disagreements", int(vg.dissipative is not ref.dissipative))
-                rec.check(vg.dissipative is not None, "verdict_general gave a verdict", text, vg)
             else:
                 rec.check(vg.dissipative is ref.dissipative,
                           f"verdict_general sign vs decide margin {ref.margin!r}", text, vg)
             out.append((vg.margin, vg.dissipative))
-        rec.rounds.append((calls, elapsed))
+        rec.rounds.append((calls, elapsed, elapsed_wall))
         return out
 
 
