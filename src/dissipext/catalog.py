@@ -49,8 +49,6 @@ __all__ = [
     "build_shirley",
     "build_konzert",
     "build_halfline_schrodinger",
-    "support_violation",
-    "mult_inverse_norm_sq",
     "split_dual_pair",
     "shirley_margin_exact",
     "SHIRLEY_GAMMA_MIN",
@@ -427,10 +425,6 @@ def build_halfline_schrodinger(
         reference_margin=margin,
         reference_dissipative=None if margin is None else margin >= -1e-12,
     )
-
-
-support_violation = forms.support_violation
-mult_inverse_norm_sq = forms.mult_inverse_norm_sq
 
 
 # ---------------------------------------------------------------------------

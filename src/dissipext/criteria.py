@@ -12,8 +12,12 @@ criterion applies is a property of the scenario:
 * ``unique_ext_5_8`` -- coinciding small and large extensions (first-order
   interval scenario),
 * ``bounded_v_6_3``  -- bounded imaginary part (Schroedinger scenario),
-* ``general_4_4``    -- the master inequality, with the isometry factor
-  realized through a discrete square-root pair on a finite test span.
+* ``general_4_4``    -- the master inequality.  Its cross term is reached
+  only through ``Lv = V_F phi`` (``phi`` given or ``u = V_F^{-1} Lv``), where
+  the isometry factor maps ``V_F^{1/2} phi`` to ``V_K^{1/2} phi``; so the
+  term is the polarized small form ``Im K(phi, v)`` in closed form, shared
+  with ``ran_vf_5_1``.  A discrete square-root pair on a finite test span
+  checks that the isometry factor stays a contraction.
 
 Membership preconditions are checked first; a failing membership forces a
 non-dissipative verdict, and when both memberships fail for a part whose
@@ -91,6 +95,8 @@ class Verdict:
     @staticmethod
     def from_sides(criterion: str, lhs: float, rhs: float) -> "Verdict":
         margin = lhs - rhs
+        if not math.isfinite(margin):
+            raise CriteriaError(f"{criterion}: non-finite sides lhs={lhs!r}, rhs={rhs!r}")
         return Verdict(criterion, lhs, rhs, margin, bool(margin >= -MARGIN_TOL))
 
     @staticmethod
@@ -146,14 +152,20 @@ def _bounded_part(problem: ExtensionProblem) -> float:
     return forms.friedrichs_form_sq(problem.spec, problem.v)
 
 
+def _generator(problem: ExtensionProblem) -> GridFunction | None:
+    """The deviation generator ``phi`` (None when absent or identically zero)."""
+    phi = problem.phi
+    if phi is None or (phi.analytic is not None and not phi.analytic.terms):
+        return None
+    return phi
+
+
 def _lv_function(problem: ExtensionProblem) -> GridFunction | None:
     """The deviation ``Lv`` as a grid function (None when the map is zero)."""
     if problem.lv is not None:
         return problem.lv
-    phi = problem.phi
+    phi = _generator(problem)
     if phi is None:
-        return None
-    if phi.analytic is not None and not phi.analytic.terms:
         return None
     spec = problem.spec
     if spec.is_laplacian:
@@ -172,8 +184,9 @@ def _lv_function(problem: ExtensionProblem) -> GridFunction | None:
 
 def _quarter_inv_form(problem: ExtensionProblem) -> float:
     """``(1/4) ||V_F^{-1/2} Lv||^2`` from whichever deviation data is present."""
-    if problem.phi is not None and (problem.phi.analytic is None or problem.phi.analytic.terms):
-        return 0.25 * forms.friedrichs_form_sq(problem.spec, problem.phi)
+    phi = _generator(problem)
+    if phi is not None:
+        return 0.25 * forms.friedrichs_form_sq(problem.spec, phi)
     lv = _lv_function(problem)
     if lv is None:
         return 0.0
@@ -239,25 +252,12 @@ def verdict_ran_vf(problem: ExtensionProblem) -> Verdict:
     """Criterion for deviations ``Lv = V_F phi`` (no isometry factor needed).
 
     lhs: ``Im<v, action v> + Im<v, V_F phi>``;
-    rhs: ``(1/4) || K-sqrt of (phi + 2iv) ||^2`` via the polarized small form.
+    rhs: ``(1/4) || K-sqrt of (phi + 2iv) ||^2``, expanded as
+    ``(1/4)||V_F^{1/2} phi||^2 + ||V_K^{1/2} v||^2 - Im K(phi, v)``.
     """
     if problem.phi is None:
         raise CriteriaError("criterion needs the deviation generator phi")
-    gate = _gate(problem, CRITERION_RAN_VF)
-    if gate is not None:
-        return gate
-    spec = problem.spec
-    v, phi = problem.v, problem.phi
-    hi = _domain_hi(problem)
-    lhs = _im_action(problem)
-    lv = _lv_function(problem)
-    if lv is not None:
-        lhs += _im_inner(v, lv, hi)
-    kpp = forms.krein_form_sq(spec, phi) if (phi.analytic is None or phi.analytic.terms) else 0.0
-    kvv = forms.krein_form_sq(spec, v)
-    kpv = forms.krein_form(spec, phi, v) if (phi.analytic is None or phi.analytic.terms) else 0.0
-    rhs = 0.25 * kpp + kvv - complex(kpv).imag
-    return Verdict.from_sides(CRITERION_RAN_VF, lhs, rhs)
+    return _master_verdict(problem, CRITERION_RAN_VF)
 
 
 def verdict_strict_pos(problem: ExtensionProblem) -> Verdict:
@@ -334,62 +334,48 @@ def general_lhs(problem: ExtensionProblem) -> float:
     return lhs
 
 
-def verdict_general(
-    problem: ExtensionProblem,
-    basis: list[GridFunction] | None = None,
-    basis_dim: int = 24,
-) -> Verdict:
-    """Master criterion through a discrete square-root pair surrogate.
+def verdict_general(problem: ExtensionProblem, basis_dim: int = 24) -> Verdict:
+    """Master criterion with the cross term in closed form.
 
-    The rhs norm is expanded into the inverse form, the small form of ``v``
-    and a cross term; on the test span the isometry factor maps large-form
-    square roots to small-form square roots, which turns the cross term
-    into the polarized small form of the span-projected deviation generator
-    against ``v``.  Accuracy improves with ``basis_dim``.
+    lhs: :func:`general_lhs`; rhs: ``(1/4)||V_F^{-1/2} Lv||^2 +
+    ||V_K^{1/2} v||^2`` minus the cross term ``Im <U V_F^{1/2} phi,
+    V_K^{1/2} v>``.  The deviation reaches the cross term only as
+    ``Lv = V_F phi``, with ``phi`` given or ``phi = V_F^{-1} Lv`` from
+    :func:`forms.vf_solve` (which raises off the range); there the isometry
+    factor gives ``U V_F^{1/2} phi = V_K^{1/2} phi``, so the cross term is
+    ``Im K(phi, v)``.  Before it is taken, the discrete square-root pair on
+    the first ``basis_dim`` test functions must have a contracting isometry
+    factor.
     """
-    gate = _gate(problem, CRITERION_GENERAL)
+    return _master_verdict(problem, CRITERION_GENERAL, basis_dim)
+
+
+def _master_verdict(
+    problem: ExtensionProblem, criterion: str, span_dim: int | None = None
+) -> Verdict:
+    """``general_lhs`` against ``(1/4)||V_F^{1/2} phi||^2 + ||V_K^{1/2} v||^2 -
+    Im K(phi, v)``; with ``span_dim`` the contraction check runs first."""
+    gate = _gate(problem, criterion)
     if gate is not None:
         return gate
-    spec = problem.spec
-    v = problem.v
+    spec, v = problem.spec, problem.v
     lhs = general_lhs(problem)
-    lv = _lv_function(problem)
     kvv = forms.krein_form_sq(spec, v)
-    if lv is None:
-        return Verdict.from_sides(CRITERION_GENERAL, lhs, kvv)
-    if problem.phi is not None and (problem.phi.analytic is None or problem.phi.analytic.terms):
-        phi = problem.phi
+    phi = _generator(problem)
+    if phi is not None:
         quarter = 0.25 * forms.friedrichs_form_sq(spec, phi)
     else:
+        lv = _lv_function(problem)
+        if lv is None:
+            return Verdict.from_sides(criterion, lhs, kvv)
         sol = forms.vf_solve(spec, lv)
         phi, quarter = sol.u, 0.25 * sol.inv_form
-    if basis is None:
-        basis = _default_span(problem, basis_dim)
-    pair = forms.discrete_sqrt_pair(spec, basis)
-    if float(np.max(np.abs(pair.isometry))) > 1.0 + 1e-6:
-        raise CriteriaError("discrete isometry factor exceeds the contraction bound")
-    m = len(basis)
-    fmat = np.empty((m, m), dtype=complex)
-    rhs_vec = np.empty(m, dtype=complex)
-    for i in range(m):
-        rhs_vec[i] = forms.friedrichs_form(spec, basis[i], phi)
-        for j in range(m):
-            fmat[i, j] = forms.friedrichs_form(spec, basis[i], basis[j])
-    coeff = _solve_psd(0.5 * (fmat + fmat.conj().T), rhs_vec)
-    cross = sum(
-        np.conj(coeff[j]) * forms.krein_form(spec, basis[j], v) for j in range(m)
-    )
-    rhs = quarter + kvv - complex(cross).imag
-    return Verdict.from_sides(CRITERION_GENERAL, lhs, rhs)
-
-
-def _solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from . import eigenh
-
-    w, q = eigenh.eigh(a)
-    wmax = float(np.max(np.abs(w))) if len(w) else 0.0
-    inv = np.where(w > 1e-12 * max(wmax, 1e-300), 1.0 / np.maximum(w, 1e-300), 0.0)
-    return q @ (inv * (q.conj().T @ b))
+    if span_dim is not None:
+        pair = forms.discrete_sqrt_pair(spec, _default_span(problem, span_dim))
+        if float(np.max(np.abs(pair.isometry))) > 1.0 + 1e-6:
+            raise CriteriaError("discrete isometry factor exceeds the contraction bound")
+    rhs = quarter + kvv - complex(forms.krein_form(spec, phi, v)).imag
+    return Verdict.from_sides(criterion, lhs, rhs)
 
 
 def _default_span(problem: ExtensionProblem, dim: int) -> list[GridFunction]:

@@ -326,8 +326,7 @@ def pencil_extreme(h: np.ndarray, g: np.ndarray, which: str = "min") -> tuple[fl
     z = _apply_reflectors(reflectors, y)
     x = solve_upper(np.conj(l).T, z)
     # Rayleigh polish in the original pencil metric
-    for _ in range(2):
-        denom = np.vdot(x, g @ x).real
-        lam = float(np.vdot(x, h @ x).real / denom)
-    x = x / math.sqrt(np.vdot(x, g @ x).real)
+    denom = np.vdot(x, g @ x).real
+    lam = float(np.vdot(x, h @ x).real / denom)
+    x = x / math.sqrt(denom)
     return lam, x

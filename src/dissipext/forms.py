@@ -11,7 +11,7 @@ operators and fixes closed-form expressions for
 
 The sup-formula evaluator :func:`krein_form_ando_nishio` is the independent
 numerical route to the small form: it maximizes a Rayleigh quotient over a
-finite family of smooth bumps and converges to the closed form from below.
+finite family of graded splines and converges to the closed form from below.
 
 Functions carrying their analytic representation are evaluated exactly;
 plain samples fall back to quadrature plus finite differences, with
@@ -471,19 +471,14 @@ def _an_spline_pencil(
     return bcol, gram
 
 
-def krein_form_ando_nishio(
-    spec: ImaginaryPartSpec, h: GridFunction, test_dim: int, family: str = "splines"
-) -> float:
+def krein_form_ando_nishio(spec: ImaginaryPartSpec, h: GridFunction, test_dim: int) -> float:
     """Sup-formula value of the small square-root form at ``h``.
 
     Maximizes ``|<h, V f>|^2 / <f, V f>`` over the span of the first
-    ``test_dim`` members of a dyadic test family, as the largest eigenvalue
-    of the Hermitian pencil (numerator Gram vs. form Gram).  Non-decreasing
-    in ``test_dim`` and bounded above by :func:`krein_form_sq`.
-
-    The default family is the edge-refined dyadic spline family (fast
-    convergence); ``family="bumps"`` selects the dyadic smooth-bump family
-    instead, integrated on the sample grid of ``h``.
+    ``test_dim`` members of the edge-refined dyadic spline family, as the
+    largest eigenvalue of the Hermitian pencil (numerator Gram vs. form
+    Gram).  Non-decreasing in ``test_dim`` and bounded above by
+    :func:`krein_form_sq`.
     """
     if test_dim < 2:
         raise FormsError("test_dim must be at least 2")
@@ -493,28 +488,13 @@ def krein_form_ando_nishio(
     if spec.family == "bounded_matrix":
         bvec = spec.matrix @ np.asarray(h, dtype=complex)
         return _pencil_max(np.outer(bvec, np.conj(bvec)), spec.matrix)
-    grid = h.grid
-    if family == "splines":
-        basis = SplineTestBasis(grid.offset, grid.length)
-        if test_dim > basis.max_dim:
-            raise FormsError(
-                f"graded spline family has {basis.max_dim} members; "
-                f"test_dim={test_dim} unavailable"
-            )
-        bcol, fgram = _an_spline_pencil(spec, h, basis, test_dim)
-    else:
-        x, w = grid.nodes, grid.weights
-        bumps = bump_family(grid.length, test_dim, lo=grid.offset)
-        if spec.is_laplacian:
-            d1 = np.stack([b.d1(x) for b in bumps])
-            dh = _deriv(h)
-            bcol = (w * np.conj(dh.values)) @ d1.T
-            fgram = ((d1 * w) @ d1.conj().T).astype(complex)
-        else:
-            bvals = np.stack([b(x) for b in bumps])
-            wv = spec.weight.values.real
-            bcol = (w * np.conj(h.values) * wv) @ bvals.T
-            fgram = ((bvals * (w * wv)) @ bvals.conj().T).astype(complex)
+    basis = SplineTestBasis(h.grid.offset, h.grid.length)
+    if test_dim > basis.max_dim:
+        raise FormsError(
+            f"graded spline family has {basis.max_dim} members; "
+            f"test_dim={test_dim} unavailable"
+        )
+    bcol, fgram = _an_spline_pencil(spec, h, basis, test_dim)
     fgram = 0.5 * (fgram + fgram.conj().T)
     if float(np.max(np.abs(np.diag(fgram)))) < 1e-14:
         raise DegenerateFormError("all test functions are annihilated by the form")
@@ -619,11 +599,13 @@ def vf_solve(spec: ImaginaryPartSpec, ell) -> VfSolution:
         u = v[:, keep] @ (coeff[keep] / w[keep])
         return VfSolution(u, float(np.vdot(c, u).real))
     if spec.family == "rank_one":
-        c = _inner(spec.phi0, ell)
-        rest = ell.values - c * spec.phi0.values
+        # the residual uses the grid quadrature that normalized phi0; the
+        # exact coefficient can differ from it by more than the threshold
+        rest = ell.values - integrate(spec.phi0, ell) * spec.phi0.values
         gf = GridFunction(ell.grid, rest)
         if math.sqrt(max(gf.norm_sq(), 0.0)) > 1e-8 * (1.0 + math.sqrt(ell.norm_sq())):
             raise RangeError("right-hand side leaves the rank-one range")
+        c = _inner(spec.phi0, ell)
         u = GridFunction(ell.grid, (c / spec.alpha) * spec.phi0.values, spec.phi0.traces)
         return VfSolution(u, float(abs(c) ** 2 / spec.alpha))
     if spec.family == "multiplication":

@@ -152,6 +152,14 @@ def test_run_check_exit_codes():
     assert code == 0 and abs(payload["margin"]) < 1e-10
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_run_check_non_finite_sides_are_errors(gamma):
+    cfg = cli_io.parse_config(SHIRLEY_CFG.replace("gamma = 2", f"gamma = {gamma}"))
+    code, payload = cli_io.run_check(cfg)
+    assert code == 2
+    assert payload["error"]["code"] == "CriteriaError"
+
+
 def test_run_check_support_violation_is_error():
     cfg = cli_io.parse_config(
         "[scenario]\nname = halfline_schrodinger\nh = 1+1i\n"
@@ -176,6 +184,21 @@ def test_sweep_rows_and_determinism():
     for row in rows:
         assert row["margin"] == pytest.approx(row["re_rho"], abs=1e-12)
         assert row["dissipative"] == (row["margin"] >= -1e-12)
+
+
+def test_sweep_rank_one_schrodinger():
+    # on the sweep's n=64 grid the normalized direction's exact and quadrature
+    # norms differ by more than the rank-one range threshold
+    cfg = cli_io.parse_config(
+        "[scenario]\nname = halfline_schrodinger\nh = 0.023643+1.430649i\n"
+        "perturbation = rank_one\nalpha = 0.967747\nlambda = 0.495656-1.954736i\n"
+    )
+    payload = cli_io.run_sweep(cfg, (-0.1, 0.1, 0.1), (0.9, 1.2, 0.1), max_workers=1)
+    rhs = abs(0.495656 - 1.954736j) ** 2 / (4 * 0.967747)
+    assert len(payload["rows"]) == 12
+    for row in payload["rows"]:
+        assert row["margin"] == pytest.approx(row["im_rho"] - rhs, abs=1e-9)
+        assert row["dissipative"] == (row["im_rho"] >= rhs)
 
 
 def test_sweep_degenerate_axis():

@@ -155,12 +155,6 @@ def test_ando_nishio_monotone(interval, spec_interval):
         assert hi >= lo - 1e-10
 
 
-def test_ando_nishio_bump_family_lower(interval, spec_interval):
-    h = gf(interval, monomial(1.0, 2))
-    an = forms.krein_form_ando_nishio(spec_interval, h, 24, family="bumps")
-    assert 0.0 < an <= 1 / 3 + 1e-8
-
-
 def test_ando_nishio_rank_one(interval):
     grid = make_grid("halfline", 512)
     phi = gf(grid, exponential(math.sqrt(2.0), -1.0))
