@@ -26,7 +26,6 @@ __all__ = [
     "power",
     "exponential",
     "indicator",
-    "Bump",
 ]
 
 _INT_POWER_MAX = 64
@@ -329,52 +328,3 @@ def indicator(lo: float, hi: float) -> AnalyticFunction:
     if hi <= lo:
         raise AnalyticError("indicator needs lo < hi")
     return AnalyticFunction((Term(1.0 + 0.0j, 0.0, 0.0, float(lo), float(hi)),))
-
-
-class Bump:
-    """Smooth compactly supported bump ``exp(-1/(1-t^2))`` on ``(c-w, c+w)``.
-
-    Used as the default test family for the sup-formula evaluation of the
-    small selfadjoint-extension form: bumps lie in every operator core of
-    the catalog.  Values and first two derivatives are analytic formulas.
-    """
-
-    __slots__ = ("center", "width")
-
-    def __init__(self, center: float, width: float):
-        self.center = float(center)
-        self.width = float(width)
-
-    def _t(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.center) / self.width
-
-    def __call__(self, x) -> np.ndarray:
-        t = self._t(x)
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        u = t[m]
-        out[m] = np.exp(-1.0 / (1.0 - u * u))
-        return out
-
-    def d1(self, x) -> np.ndarray:
-        t = self._t(x)
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        u = t[m]
-        q = 1.0 - u * u
-        out[m] = np.exp(-1.0 / q) * (-2.0 * u / q ** 2)
-        return out / self.width
-
-    def d2(self, x) -> np.ndarray:
-        t = self._t(x)
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        u = t[m]
-        q = 1.0 - u * u
-        g = np.exp(-1.0 / q)
-        out[m] = g * ((2.0 * u / q ** 2) ** 2 - 2.0 * (1.0 + 3.0 * u * u) / q ** 3)
-        return out / self.width ** 2
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.center - self.width, self.center + self.width)

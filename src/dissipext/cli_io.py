@@ -45,10 +45,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import catalog, criteria, forms, oracle
+from . import catalog, criteria, eigenh, forms, oracle
 from .analytic import AnalyticFunction, AnalyticError, Term, exponential, indicator
 from .catalog import ExtensionProblem, RHO_INF, is_inf
-from .grid import GridFunction, make_grid
+from .grid import GridError, GridFunction, make_grid
 
 __all__ = [
     "ConfigError",
@@ -87,6 +87,13 @@ class ExpressionError(Exception):
     def __init__(self, message: str, pos: int):
         self.pos = pos
         super().__init__(f"{message} at position {pos}")
+
+
+# error bases of the package: any of them means "outside the theory or an
+# error" (exit 2), never "not dissipative"
+_LIBRARY_ERRORS = (ConfigError, ExpressionError, catalog.CatalogError, criteria.CriteriaError,
+                   forms.FormsError, oracle.OracleError, GridError, AnalyticError,
+                   eigenh.EigenError)
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +332,25 @@ class ScenarioConfig:
                 return v
         return default
 
+    def _grid_number(self, key: str, default: str, kind=float):
+        raw = self.get("grid", key, default)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"[grid] {key} must be {kind.__name__}, got {raw!r}") from None
+
     @property
     def grid_n(self) -> int:
-        return int(self.get("grid", "n", "512"))
+        return self._grid_number("n", "512", int)
 
     @property
     def grid_offset(self) -> float:
-        raw = self.get("grid", "offset")
-        if raw is not None:
-            return float(raw)
-        return 1e-6 if self.scenario in _SINGULAR_SCENARIOS else 0.0
+        default = "1e-6" if self.scenario in _SINGULAR_SCENARIOS else "0"
+        return self._grid_number("offset", default)
 
     @property
     def grid_r(self) -> float:
-        return float(self.get("grid", "R", "40"))
+        return self._grid_number("R", "40")
 
     @property
     def meshes(self) -> tuple[int, ...]:
@@ -586,8 +598,7 @@ def run_check(cfg: ScenarioConfig) -> tuple[int, dict]:
     try:
         problem = build_problem(cfg)
         verdict = criteria.decide(problem)
-    except (catalog.CatalogError, criteria.CriteriaError, forms.FormsError,
-            AnalyticError, ConfigError, ExpressionError) as exc:
+    except _LIBRARY_ERRORS as exc:
         return 2, _error_payload(exc)
     payload = verdict_to_dict(cfg, problem, verdict)
     if verdict.dissipative is None:
@@ -668,8 +679,7 @@ def run_oracle(cfg: ScenarioConfig) -> tuple[int, dict]:
         if verdict.dissipative is None:
             return 2, verdict_to_dict(cfg, problem, verdict)
         report = oracle.cross_validate(problem, verdict, cfg.meshes, tol=cfg.tol)
-    except (catalog.CatalogError, criteria.CriteriaError, forms.FormsError,
-            oracle.OracleError, AnalyticError, ConfigError, ExpressionError) as exc:
+    except _LIBRARY_ERRORS as exc:
         return 2, _error_payload(exc)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -776,7 +786,7 @@ def main(argv: list[str] | None = None) -> int:
         code, payload = run_oracle(cfg)
         _emit(_dump_json(payload), out_path)
         return code
-    except (ConfigError, ExpressionError, catalog.CatalogError) as exc:
+    except _LIBRARY_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -16,8 +16,7 @@ criterion applies is a property of the scenario:
   only through ``Lv = V_F phi`` (``phi`` given or ``u = V_F^{-1} Lv``), where
   the isometry factor maps ``V_F^{1/2} phi`` to ``V_K^{1/2} phi``; so the
   term is the polarized small form ``Im K(phi, v)`` in closed form, shared
-  with ``ran_vf_5_1``.  A discrete square-root pair on a finite test span
-  checks that the isometry factor stays a contraction.
+  with ``ran_vf_5_1``.
 
 Membership preconditions are checked first; a failing membership forces a
 non-dissipative verdict, and when both memberships fail for a part whose
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms
-from .analytic import AnalyticFunction, DivergentIntegralError, Term
+from .analytic import DivergentIntegralError
 from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
 from .grid import GridFunction, differentiate, integrate
 
@@ -343,18 +342,17 @@ def verdict_general(problem: ExtensionProblem, basis_dim: int = 24) -> Verdict:
     ``Lv = V_F phi``, with ``phi`` given or ``phi = V_F^{-1} Lv`` from
     :func:`forms.vf_solve` (which raises off the range); there the isometry
     factor gives ``U V_F^{1/2} phi = V_K^{1/2} phi``, so the cross term is
-    ``Im K(phi, v)``.  Before it is taken, the discrete square-root pair on
-    the first ``basis_dim`` test functions must have a contracting isometry
-    factor.
+    ``Im K(phi, v)``.
+
+    ``basis_dim`` is unused.  It stays only because the benchmark's
+    general_span workload passes it, and goes when that workload stops.
     """
-    return _master_verdict(problem, CRITERION_GENERAL, basis_dim)
+    return _master_verdict(problem, CRITERION_GENERAL)
 
 
-def _master_verdict(
-    problem: ExtensionProblem, criterion: str, span_dim: int | None = None
-) -> Verdict:
+def _master_verdict(problem: ExtensionProblem, criterion: str) -> Verdict:
     """``general_lhs`` against ``(1/4)||V_F^{1/2} phi||^2 + ||V_K^{1/2} v||^2 -
-    Im K(phi, v)``; with ``span_dim`` the contraction check runs first."""
+    Im K(phi, v)``."""
     gate = _gate(problem, criterion)
     if gate is not None:
         return gate
@@ -370,26 +368,8 @@ def _master_verdict(
             return Verdict.from_sides(criterion, lhs, kvv)
         sol = forms.vf_solve(spec, lv)
         phi, quarter = sol.u, 0.25 * sol.inv_form
-    if span_dim is not None:
-        pair = forms.discrete_sqrt_pair(spec, _default_span(problem, span_dim))
-        if float(np.max(np.abs(pair.isometry))) > 1.0 + 1e-6:
-            raise CriteriaError("discrete isometry factor exceeds the contraction bound")
     rhs = quarter + kvv - complex(forms.krein_form(spec, phi, v)).imag
     return Verdict.from_sides(criterion, lhs, rhs)
-
-
-def _default_span(problem: ExtensionProblem, dim: int) -> list[GridFunction]:
-    grid = problem.grid
-    if problem.spec.family == "dirichlet_laplacian_interval":
-        out = []
-        b = grid.length
-        for k in range(1, dim + 1):
-            mu = 1j * math.pi * k / b
-            fn = AnalyticFunction((Term(-0.5j, 0.0, mu), Term(0.5j, 0.0, -mu)))
-            out.append(GridFunction.from_analytic(grid, fn))
-        return out
-    bumps = forms.bump_family(grid.length, dim, lo=grid.offset)
-    return [GridFunction.from_values(grid, b(grid.nodes)) for b in bumps]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ operators and fixes closed-form expressions for
 The sup-formula evaluator :func:`krein_form_ando_nishio` is the independent
 numerical route to the small form: it maximizes a Rayleigh quotient over a
 finite family of graded splines and converges to the closed form from below.
+The splines come from the package's one spline layer,
+:mod:`dissipext.splines`, on a clamped knot vector graded toward both ends.
 
 Functions carrying their analytic representation are evaluated exactly;
 plain samples fall back to quadrature plus finite differences, with
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import eigenh
-from .analytic import AnalyticFunction, Bump, DivergentIntegralError, Term
+from . import eigenh, splines
+from .analytic import AnalyticFunction, DivergentIntegralError, Term
 from .grid import GridFunction, Traces, boundary_data, differentiate, integrate
 
 __all__ = [
@@ -54,8 +56,6 @@ __all__ = [
     "projection_P",
     "DiscreteSqrtPair",
     "discrete_sqrt_pair",
-    "bump_family",
-    "SplineTestBasis",
 ]
 
 DIVERGENCE_THRESHOLD = 1e8
@@ -318,96 +318,37 @@ def krein_form(spec: ImaginaryPartSpec, f, g) -> complex:
 # Ando-Nishio sup formula
 
 
-def bump_family(length: float, count: int, lo: float = 0.0) -> list[Bump]:
-    """First ``count`` members of the dyadic bump family on ``(lo, length)``.
-
-    Level ``l`` contributes bumps of half-width ``(length-lo)/2^l`` on
-    half-width-spaced centers (supports overlap by half and may touch the
-    endpoints, where the bumps vanish to infinite order).  Enumeration is
-    level-by-level and left-to-right, so a longer family always extends a
-    shorter one (nested spans).
-    """
-    out: list[Bump] = []
-    span = length - lo
-    level = 1
-    while len(out) < count:
-        w = span / 2 ** level
-        for k in range(2, 2 ** (level + 1) - 1):
-            out.append(Bump(lo + k * w / 2.0, w))
-            if len(out) == count:
-                return out
-        level += 1
-    return out
+_AN_DEPTH = 13
+# one Gauss panel per knot interval; the sup-formula values depend on this
+# rule through the quadrature of non-polynomial targets and weights
+_AN_SUBPANELS = 1
 
 
-class SplineTestBasis:
-    """Cubic B-splines on a dyadically graded knot vector of ``(lo, hi)``.
+def _graded_knots(lo: float, hi: float) -> np.ndarray:
+    """Clamped cubic knots of ``(lo, hi)``, dyadically graded at both ends.
 
     Knots accumulate geometrically at both endpoints (down to span scale
-    ``2^-depth``) around a uniform interior block, which resolves both the
-    boundary layers forced by the endpoint conditions of admissible test
-    functions and any power-law behavior of the target.  Only splines with
-    vanishing value and slope at the endpoints are enumerated (they belong
-    to the closed operator domains of every catalog family); the order is
-    widest-support-first, so prefixes give nested spans.
+    ``2^-_AN_DEPTH``) around a uniform interior block, which resolves both
+    the boundary layers forced by the endpoint conditions of admissible test
+    functions and any power-law behavior of the target.
     """
-
-    def __init__(self, lo: float, hi: float, depth: int = 13):
-        span = hi - lo
-        left = [lo + span * 2.0 ** (-j) for j in range(depth, 4, -1)]
-        mid = [lo + span * k / 16.0 for k in range(1, 16)]
-        right = [hi - span * 2.0 ** (-j) for j in range(5, depth + 1)]
-        interior = sorted(set(left + mid + right))
-        self.knots = np.array([lo] * 4 + interior + [hi] * 4)
-        self.breaks = np.unique(self.knots)
-        n_all = len(self.knots) - 4
-        order = list(range(2, n_all - 2))
-        order.sort(key=lambda i: (-(self.knots[i + 4] - self.knots[i]), self.knots[i]))
-        self.indices = order
-
-    @property
-    def max_dim(self) -> int:
-        return len(self.indices)
-
-    def support(self, i: int) -> tuple[float, float]:
-        return float(self.knots[i]), float(self.knots[i + 4])
-
-    def value_d1(self, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = self.knots
-
-        def b(idx: int, k: int) -> np.ndarray:
-            if k == 0:
-                return ((x >= t[idx]) & (x < t[idx + 1])).astype(float)
-            out = np.zeros_like(x, dtype=float)
-            d1 = t[idx + k] - t[idx]
-            if d1 > 0:
-                out += (x - t[idx]) / d1 * b(idx, k - 1)
-            d2 = t[idx + k + 1] - t[idx + 1]
-            if d2 > 0:
-                out += (t[idx + k + 1] - x) / d2 * b(idx + 1, k - 1)
-            return out
-
-        val = b(i, 3)
-        der = np.zeros_like(x, dtype=float)
-        d1 = t[i + 3] - t[i]
-        if d1 > 0:
-            der += 3.0 / d1 * b(i, 2)
-        d2 = t[i + 4] - t[i + 1]
-        if d2 > 0:
-            der -= 3.0 / d2 * b(i + 1, 2)
-        return val, der
-
-    def panel_quad(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        inner = self.breaks[(self.breaks > a) & (self.breaks < b)]
-        edges = np.concatenate([[a], inner, [b]])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        xs = (mid[:, None] + half[:, None] * _GL_NODES_AN[None, :]).ravel()
-        ws = (half[:, None] * _GL_WEIGHTS_AN[None, :]).ravel()
-        return xs, ws
+    span = hi - lo
+    left = [lo + span * 2.0 ** (-j) for j in range(_AN_DEPTH, 4, -1)]
+    mid = [lo + span * k / 16.0 for k in range(1, 16)]
+    right = [hi - span * 2.0 ** (-j) for j in range(5, _AN_DEPTH + 1)]
+    interior = sorted(set(left + mid + right))
+    return np.array([lo] * 4 + interior + [hi] * 4)
 
 
-_GL_NODES_AN, _GL_WEIGHTS_AN = np.polynomial.legendre.leggauss(8)
+def _widest_first(knots: np.ndarray) -> list[int]:
+    """Splines with vanishing value and slope at both ends, widest first.
+
+    They belong to the closed operator domains of every catalog family;
+    ties go left to right, so prefixes give nested spans.
+    """
+    order = list(range(2, len(knots) - 6))
+    order.sort(key=lambda i: (-(knots[i + 4] - knots[i]), knots[i]))
+    return order
 
 
 def _sample_target(h: GridFunction, xs: np.ndarray, derivative: bool) -> np.ndarray:
@@ -428,47 +369,24 @@ def _sample_weight(spec: ImaginaryPartSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def _an_spline_pencil(
-    spec: ImaginaryPartSpec, h: GridFunction, basis: SplineTestBasis, test_dim: int
+    spec: ImaginaryPartSpec, h: GridFunction, knots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator column and form Gram of the graded spline test family.
+    """Numerator column and form Gram of every spline of ``knots``.
 
-    Integrals run on Gauss panels split at the knots (every pair of basis
-    splines is polynomial on those panels), so the quadrature is exact at
-    any grading depth regardless of the sample grid of ``h``.
+    Integrals run on the knot-aligned Gauss panels of the spline layer
+    (every pair of splines is polynomial on those panels), so the quadrature
+    is exact at any grading depth regardless of the sample grid of ``h``.
     """
-    laplacian = spec.is_laplacian
-    idx = basis.indices[:test_dim]
-    m = len(idx)
-    bcol = np.zeros(m, dtype=complex)
-    gram = np.zeros((m, m), dtype=complex)
-    for a, i in enumerate(idx):
-        lo_s, hi_s = basis.support(i)
-        xs, ws = basis.panel_quad(lo_s, hi_s)
-        val, d1 = basis.value_d1(i, xs)
-        if laplacian:
-            # numerator via parts: <h, -f''> = <h', f'> (element slopes
-            # vanish at the support edges)
-            tgt = _sample_target(h, xs, derivative=True)
-            bcol[a] = np.sum(ws * np.conj(tgt) * d1)
-        else:
-            tgt = _sample_target(h, xs, derivative=False)
-            bcol[a] = np.sum(ws * np.conj(tgt) * _sample_weight(spec, xs) * val)
-        for c in range(a, m):
-            j = idx[c]
-            lo_o = max(lo_s, basis.support(j)[0])
-            hi_o = min(hi_s, basis.support(j)[1])
-            if hi_o <= lo_o:
-                continue
-            xs, ws = basis.panel_quad(lo_o, hi_o)
-            v1, dd1 = basis.value_d1(i, xs)
-            v2, dd2 = basis.value_d1(j, xs)
-            if laplacian:
-                entry = np.sum(ws * dd1 * dd2)
-            else:
-                entry = np.sum(ws * _sample_weight(spec, xs) * v1 * v2)
-            gram[a, c] = entry
-            gram[c, a] = np.conj(entry)
-    return bcol, gram
+    tab = splines.spline_tables(knots, _AN_SUBPANELS)
+    xs = tab.x.ravel()
+    if spec.is_laplacian:
+        # numerator via parts: <h, -f''> = <h', f'> (test slopes vanish at
+        # the support edges)
+        tgt = _sample_target(h, xs, derivative=True).reshape(tab.x.shape)
+        return tab.vector(tab.w * np.conj(tgt), tab.d1), tab.matrix(tab.w, tab.d1, tab.d1)
+    weighted = tab.w * _sample_weight(spec, xs).reshape(tab.x.shape)
+    tgt = _sample_target(h, xs, derivative=False).reshape(tab.x.shape)
+    return tab.vector(weighted * np.conj(tgt), tab.val), tab.matrix(weighted, tab.val, tab.val)
 
 
 def krein_form_ando_nishio(spec: ImaginaryPartSpec, h: GridFunction, test_dim: int) -> float:
@@ -488,13 +406,17 @@ def krein_form_ando_nishio(spec: ImaginaryPartSpec, h: GridFunction, test_dim: i
     if spec.family == "bounded_matrix":
         bvec = spec.matrix @ np.asarray(h, dtype=complex)
         return _pencil_max(np.outer(bvec, np.conj(bvec)), spec.matrix)
-    basis = SplineTestBasis(h.grid.offset, h.grid.length)
-    if test_dim > basis.max_dim:
+    knots = _graded_knots(h.grid.offset, h.grid.length)
+    order = _widest_first(knots)
+    if test_dim > len(order):
         raise FormsError(
-            f"graded spline family has {basis.max_dim} members; "
+            f"graded spline family has {len(order)} members; "
             f"test_dim={test_dim} unavailable"
         )
-    bcol, fgram = _an_spline_pencil(spec, h, basis, test_dim)
+    bcol, fgram = _an_spline_pencil(spec, h, knots)
+    idx = order[:test_dim]
+    bcol = bcol[idx]
+    fgram = fgram[np.ix_(idx, idx)]
     fgram = 0.5 * (fgram + fgram.conj().T)
     if float(np.max(np.abs(np.diag(fgram)))) < 1e-14:
         raise DegenerateFormError("all test functions are annihilated by the form")
@@ -799,7 +721,10 @@ class DiscreteSqrtPair:
 
 def _matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     w, v = eigenh.eigh(m)
-    w = np.maximum(w, 0.0)
+    # eigenvalues at rounding level are zeros: their square roots would be
+    # ~1e-8 relative and survive the pseudo-inverse of the root
+    wmax = float(np.max(w)) if len(w) else 0.0
+    w = np.where(w > 1e-12 * wmax, w, 0.0)
     return (v * np.sqrt(w)[None, :]) @ v.conj().T
 
 

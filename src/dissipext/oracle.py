@@ -3,11 +3,13 @@
 The extension operator is projected onto a finite space spanned by cubic
 B-spline elements (supports inside the domain, triple zeros where they touch
 the boundary, hence inside every scenario's operator core) plus one column
-for the extension vector itself.  The infimum of the numerical range's
-imaginary part over that space is the minimal eigenvalue of the Hermitian
-pencil ``H x = mu G x`` with ``H`` the Gram-weighted imaginary part of the
-discretized action; it is computed with the in-repo symmetric-reduction
-solver.
+for the extension vector itself.  The elements, their quadrature panels and
+the banded assembly come from the package's one spline layer,
+:mod:`dissipext.splines`, on a uniform knot vector.  The infimum of the
+numerical range's imaginary part over that space is the minimal eigenvalue
+of the Hermitian pencil ``H x = mu G x`` with ``H`` the Gram-weighted
+imaginary part of the discretized action; it is computed with the in-repo
+symmetric-reduction solver.
 
 A negative discrete infimum certifies non-dissipativity of the continuum
 operator (the discrete vector embeds into the true domain up to quadrature
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import eigenh
+from . import eigenh, splines
 from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
-from .grid import PANEL_ORDER, GridFunction
+from .grid import GridFunction
 
 __all__ = [
     "OracleError",
@@ -90,106 +92,17 @@ class OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# cubic B-spline reference data
+# core span
 
-_PIECES = 4
-
-
-def _bspline_piece(p: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, d/du and d2/du2 of the cardinal cubic B-spline piece ``p``."""
-    if p == 0:
-        return s**3 / 6.0, s**2 / 2.0, s
-    if p == 1:
-        return (
-            (-3.0 * s**3 + 3.0 * s**2 + 3.0 * s + 1.0) / 6.0,
-            (-3.0 * s**2 + 2.0 * s + 1.0) / 2.0,
-            -3.0 * s + 1.0,
-        )
-    if p == 2:
-        return (
-            (3.0 * s**3 - 6.0 * s**2 + 4.0) / 6.0,
-            (3.0 * s**2 - 4.0 * s) / 2.0,
-            3.0 * s - 2.0,
-        )
-    t = 1.0 - s
-    return t**3 / 6.0, -(t**2) / 2.0, t
+# Gauss sub-panels per knot interval of the core span
+_SUBPANELS = 2
 
 
-def _gauss_on_unit(subdiv: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    edges = np.linspace(0.0, 1.0, subdiv + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    s = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return s, w
-
-
-@dataclass(frozen=True, eq=False)
-class _SplineSpace:
-    lo: float
-    hi: float
-    m: int  # knot intervals; basis size is m - 3
-    subdiv: int
-    s: np.ndarray
-    w: np.ndarray
-    ref_val: np.ndarray  # (4, q) piece values at the local points
-    ref_d1: np.ndarray
-    ref_d2: np.ndarray
-
-    @property
-    def h(self) -> float:
-        return (self.hi - self.lo) / self.m
-
-    @property
-    def nbasis(self) -> int:
-        return self.m - 3
-
-    def quad_points(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        x0 = self.lo + j * self.h
-        return x0 + self.s * self.h, self.w * self.h
-
-    def all_quad_points(self) -> tuple[np.ndarray, np.ndarray]:
-        q = len(self.s)
-        xs = np.empty(self.m * q)
-        ws = np.empty(self.m * q)
-        for j in range(self.m):
-            xs[j * q : (j + 1) * q], ws[j * q : (j + 1) * q] = self.quad_points(j)
-        return xs, ws
-
-    def sample_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (nbasis, m*q) value/d1/d2 samples on the full point set."""
-        q = len(self.s)
-        val = np.zeros((self.nbasis, self.m * q))
-        d1 = np.zeros_like(val)
-        d2 = np.zeros_like(val)
-        for k in range(self.nbasis):
-            for p in range(_PIECES):
-                j = k + p
-                if j >= self.m:
-                    break
-                val[k, j * q : (j + 1) * q] = self.ref_val[p]
-                d1[k, j * q : (j + 1) * q] = self.ref_d1[p] / self.h
-                d2[k, j * q : (j + 1) * q] = self.ref_d2[p] / self.h**2
-        return val, d1, d2
-
-
-def _spline_space(lo: float, hi: float, n: int, subdiv: int) -> _SplineSpace:
+def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
+    """``n`` cubic splines on uniform knots of ``[lo, hi]``, supports inside."""
     if n < 8:
         raise OracleError("need at least 8 core elements")
-    s, w = _gauss_on_unit(subdiv)
-    ref = [_bspline_piece(p, s) for p in range(_PIECES)]
-    return _SplineSpace(
-        lo,
-        hi,
-        n + 3,
-        subdiv,
-        s,
-        w,
-        np.stack([r[0] for r in ref]),
-        np.stack([r[1] for r in ref]),
-        np.stack([r[2] for r in ref]),
-    )
+    return splines.spline_tables(np.linspace(lo, hi, n + 4), _SUBPANELS)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +190,6 @@ def assemble_discrete(
     problem: ExtensionProblem,
     n: int,
     *,
-    quad_subdiv: int = 2,
     include_bounded_v: bool = True,
 ) -> DiscreteOperator:
     """Project the extension operator onto ``n`` spline elements plus ``v``.
@@ -292,11 +204,11 @@ def assemble_discrete(
     """
     if problem.v.analytic is None:
         raise OracleError("oracle needs the extension vector in analytic form")
-    grid = problem.grid
-    space = _spline_space(grid.offset, _active_cut(problem), n, quad_subdiv)
-    xs, ws = space.all_quad_points()
-    m, q = space.m, len(space.s)
-    nb = space.nbasis
+    lo, hi = problem.grid.offset, _active_cut(problem)
+    tab = _core_tables(lo, hi, n)
+    shape = tab.x.shape
+    xs, ws = tab.x.ravel(), tab.w.ravel()
+    nb = tab.nbasis
     coeff = _core_action_weights(problem, xs)
     mult = np.asarray(coeff["mult"], dtype=complex)
     if mult.ndim == 0:
@@ -305,20 +217,14 @@ def assemble_discrete(
     if isinstance(pert, MultiplicationPerturbation):
         mult = mult + 1.0j * _sample_problem_function(pert.v, xs).real
 
-    lval, ld1, ld2 = _local_ref(space)
-    wres = ws.reshape(m, q)
-    # local action samples (m, 4, q): action applied to each active spline
+    # local action samples (panels, 4, q): action applied to each active spline
     act_local = (
-        complex(coeff["d2"]) * ld2[None, :, :]
-        + complex(coeff["d1"]) * ld1[None, :, :]
-        + mult.reshape(m, 1, q) * lval[None, :, :]
+        complex(coeff["d2"]) * tab.d2
+        + complex(coeff["d1"]) * tab.d1
+        + mult.reshape(shape)[:, None, :] * tab.val
     )
-    m_core = _scatter_blocks(
-        space, np.einsum("jq,aq,jbq->jab", wres, lval, act_local)
-    )
-    gram_core = _scatter_blocks(
-        space, np.einsum("jq,aq,bq->jab", wres, lval, lval).astype(complex)
-    )
+    m_core = tab.matrix(tab.w, tab.val, act_local)
+    gram_core = tab.matrix(tab.w, tab.val, tab.val)
 
     # extension column data
     vfn = problem.v.analytic
@@ -340,77 +246,25 @@ def assemble_discrete(
     gram = np.zeros((dim, dim), dtype=complex)
     mat[:nb, :nb] = m_core
     gram[:nb, :nb] = gram_core
-    mat[:nb, nb] = _against_basis(space, ws * act_v_full)
-    row = _scatter_vec(
-        space, np.einsum("jq,jbq->jb", (ws * np.conj(v_samp)).reshape(m, q), act_local)
-    )
+    mat[:nb, nb] = tab.vector((ws * act_v_full).reshape(shape), tab.val)
+    row = tab.vector((ws * np.conj(v_samp)).reshape(shape), act_local)
     if isinstance(pert, RankOnePerturbation):
-        phi_s = pert.phi.analytic(xs)
-        pvec = _against_basis(space, ws * phi_s)
+        pvec = tab.vector((ws * phi_s).reshape(shape), tab.val)
         row = row + 1.0j * pert.alpha * np.sum(ws * np.conj(v_samp) * phi_s) * np.conj(pvec)
+        mat[:nb, :nb] += 1.0j * pert.alpha * np.outer(pvec, np.conj(pvec))
     mat[nb, :nb] = row
     mat[nb, nb] = _vv_entry(problem, include_bounded_v)
-    gv = _against_basis(space, ws * v_samp)
+    gv = tab.vector((ws * v_samp).reshape(shape), tab.val)
     gram[:nb, nb] = gv
     gram[nb, :nb] = np.conj(gv)
     gram[nb, nb] = np.sum(problem.grid.weights * np.abs(vfn(problem.grid.nodes)) ** 2)
-    if isinstance(pert, RankOnePerturbation):
-        pvec = _against_basis(space, ws * pert.phi.analytic(xs))
-        mat[:nb, :nb] += 1.0j * pert.alpha * np.outer(pvec, np.conj(pvec))
     _check_gram(gram)
     return DiscreteOperator(
-        f"{nb} cubic spline elements on [{space.lo:g},{space.hi:g}] + extension vector",
+        f"{nb} cubic spline elements on [{lo:g},{hi:g}] + extension vector",
         mat,
         gram,
         v_index=nb,
     )
-
-
-def _local_ref(space: _SplineSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference arrays (4, q) in active order: spline j-3+a uses piece 3-a."""
-    return (
-        space.ref_val[::-1].copy(),
-        space.ref_d1[::-1] / space.h,
-        space.ref_d2[::-1] / space.h**2,
-    )
-
-
-def _active_indices(space: _SplineSpace, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Valid (interval, basis) index pairs for local slot ``a``."""
-    js = np.arange(space.m)
-    ks = js - 3 + a
-    mask = (ks >= 0) & (ks < space.nbasis)
-    return js[mask], ks[mask]
-
-
-def _scatter_blocks(space: _SplineSpace, blocks: np.ndarray) -> np.ndarray:
-    """Accumulate per-interval 4x4 blocks into the banded core matrix."""
-    nb = space.nbasis
-    out = np.zeros((nb, nb), dtype=complex)
-    for a in range(4):
-        ja, ka = _active_indices(space, a)
-        for b in range(4):
-            kb = ja - 3 + b
-            mask = (kb >= 0) & (kb < nb)
-            np.add.at(out, (ka[mask], kb[mask]), blocks[ja[mask], a, b])
-    return out
-
-
-def _scatter_vec(space: _SplineSpace, cols: np.ndarray) -> np.ndarray:
-    """Accumulate per-interval 4-vectors into a basis-indexed vector."""
-    out = np.zeros(space.nbasis, dtype=complex)
-    for a in range(4):
-        ja, ka = _active_indices(space, a)
-        np.add.at(out, ka, cols[ja, a])
-    return out
-
-
-def _against_basis(space: _SplineSpace, weighted: np.ndarray) -> np.ndarray:
-    """``r[k] = sum_x weighted(x) * B_k(x)`` through the local blocks."""
-    lval, _, _ = _local_ref(space)
-    m, q = space.m, len(space.s)
-    cols = np.einsum("jq,aq->ja", weighted.reshape(m, q), lval)
-    return _scatter_vec(space, cols)
 
 
 def _windowed(fn) -> bool:
@@ -489,18 +343,20 @@ def _check_gram(gram: np.ndarray) -> None:
         raise OracleError(f"basis Gram condition estimate {cond_est:.2e} exceeds 1e12")
 
 
-def assemble_core_pair(problem: ExtensionProblem, n: int, *, quad_subdiv: int = 2):
+def assemble_core_pair(problem: ExtensionProblem, n: int):
     """Matrices of the dual pair's two actions on the core span alone."""
-    grid = problem.grid
-    space = _spline_space(grid.offset, grid.length, n, quad_subdiv)
-    xs, ws = space.all_quad_points()
-    val, d1, d2 = space.sample_basis()
-    coeff = _core_action_weights(problem, xs)
-    act = coeff["d2"] * d2 + coeff["d1"] * d1 + coeff["mult"] * val
-    wval = ws * val
-    m = np.conj(wval) @ act.T
-    gram = np.conj(wval) @ val.T
-    desc = f"{space.nbasis} cubic spline elements on [{space.lo:g},{space.hi:g}]"
+    lo, hi = problem.grid.offset, problem.grid.length
+    tab = _core_tables(lo, hi, n)
+    coeff = _core_action_weights(problem, tab.x.ravel())
+    mult = np.broadcast_to(np.asarray(coeff["mult"], dtype=complex), tab.x.size)
+    act = (
+        coeff["d2"] * tab.d2
+        + coeff["d1"] * tab.d1
+        + mult.reshape(tab.x.shape)[:, None, :] * tab.val
+    )
+    m = tab.matrix(tab.w, tab.val, act)
+    gram = tab.matrix(tab.w, tab.val, tab.val)
+    desc = f"{tab.nbasis} cubic spline elements on [{lo:g},{hi:g}]"
     return (
         DiscreteOperator(desc, m, gram),
         DiscreteOperator(desc, m.conj().T.copy(), gram),
@@ -563,7 +419,6 @@ def cross_validate(
     meshes=(64, 128, 256),
     *,
     tol: float = 1e-6,
-    quad_subdiv: int = 2,
 ) -> OracleReport:
     """Run the discrete infimum over a mesh ladder and compare signs.
 
@@ -577,7 +432,7 @@ def cross_validate(
         raise OracleError("meshes must be strictly increasing")
     infima = []
     for m in meshes:
-        op = assemble_discrete(problem, m, quad_subdiv=quad_subdiv)
+        op = assemble_discrete(problem, m)
         mu, _ = pencil_min_eig(hermitian_part(op), op.gram)
         infima.append(mu)
     extrap, order = _extrapolate(infima)

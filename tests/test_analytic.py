@@ -6,7 +6,6 @@ import pytest
 from dissipext.analytic import (
     AnalyticError,
     AnalyticFunction,
-    Bump,
     DivergentIntegralError,
     Term,
     constant,
@@ -104,18 +103,6 @@ def test_decays_at_infinity():
     assert not monomial(1.0, 1).decays_at_infinity()
     assert power(1.0, -2.0).decays_at_infinity()
     assert (indicator(0.0, 1.0) * constant(5.0)).decays_at_infinity()
-
-
-def test_bump_derivatives_match_finite_differences():
-    b = Bump(0.5, 0.3)
-    xs = np.linspace(0.25, 0.75, 41)
-    h = 1e-6
-    fd1 = (b(xs + h) - b(xs - h)) / (2 * h)
-    fd2 = (b(xs + h) - 2 * b(xs) + b(xs - h)) / h**2
-    assert np.max(np.abs(b.d1(xs) - fd1)) < 1e-6
-    assert np.max(np.abs(b.d2(xs) - fd2)) < 1e-3
-    outside = np.array([0.1, 0.9])
-    assert np.all(b(outside) == 0.0) and np.all(b.d1(outside) == 0.0)
 
 
 def test_term_merging():

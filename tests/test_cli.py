@@ -262,6 +262,25 @@ def test_main_config_error(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def test_main_sweep_library_error_exits_2(tmp_path, capsys):
+    # every point of a Shirley sweep with gamma = nan raises CriteriaError
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SHIRLEY_CFG.replace("gamma = 2", "gamma = nan"))
+    code = cli_io.main(["sweep", "--config", str(cfg), "--re=0:0.1:0.1", "--im=0:0:1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_check_malformed_grid_number_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SHIRLEY_CFG.replace("n = 256", "n = abc"))
+    code = cli_io.main(["check", "--config", str(cfg)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "ConfigError"
+    assert "[grid] n" in error["message"]
+
+
 def test_main_missing_file(capsys):
     assert cli_io.main(["check", "--config", "/nonexistent.cfg"]) == 2
 

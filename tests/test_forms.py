@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dissipext import forms
-from dissipext.analytic import AnalyticFunction, Term, constant, exponential, monomial, power
+from dissipext import catalog, forms
+from dissipext.analytic import (
+    AnalyticFunction,
+    Term,
+    constant,
+    exponential,
+    indicator,
+    monomial,
+    power,
+)
 from dissipext.grid import GridFunction, Traces, make_grid
 
 
@@ -153,6 +161,28 @@ def test_ando_nishio_monotone(interval, spec_interval):
     vals = [forms.krein_form_ando_nishio(spec_interval, h, m) for m in (4, 8, 16, 32)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-10
+
+
+def test_ando_nishio_pinned_values(interval, spec_interval, konzert_weight):
+    # values of the per-pair Cox-de Boor assembly that the spline layer replaced
+    pinned = {
+        ("laplacian", "x^2"): (0.014397136137244053, 0.07308821012114114,
+                               0.2912962908820452, 0.33323058855134996),
+        ("laplacian", "x^1.25"): (0.0026811707052800194, 0.008440274407354866,
+                                  0.03355353114257925, 0.04164491021018363),
+        ("konzert", "x^2"): (0.012360643194960715, 0.01364255624934366,
+                             0.0524905769494601, 0.06246246207392479),
+        ("konzert", "x^1.25"): (0.02990420679011877, 0.03818362010952985,
+                                0.08967915587800107, 0.09996245830531397),
+    }
+    specs = {"laplacian": (spec_interval, interval),
+             "konzert": (konzert_weight, konzert_weight.weight.grid)}
+    targets = {"x^2": monomial(1.0, 2), "x^1.25": power(1.0, 1.25)}
+    for (spec_name, target), expected in pinned.items():
+        spec, grid = specs[spec_name]
+        h = gf(grid, targets[target])
+        for dim, value in zip((4, 8, 16, 32), expected):
+            assert forms.krein_form_ando_nishio(spec, h, dim) == pytest.approx(value, rel=1e-12)
 
 
 def test_ando_nishio_rank_one(interval):
@@ -359,6 +389,47 @@ def test_discrete_sqrt_pair_isometry_bound(interval, spec_interval, konzert_weig
     s = np.linalg.svd(pair.isometry, compute_uv=False)
     assert np.all(s <= 1.0 + 1e-8)
     assert np.max(np.abs(pair.sqrt_krein - pair.isometry @ pair.sqrt_friedrichs)) < 1e-8
+
+
+def _scenario_draws(rng):
+    """One seeded problem of every scenario, both Schroedinger perturbations."""
+    halfline = make_grid("halfline", 512)
+    rho = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    yield catalog.build_potsdam(None, rho, None)
+    yield catalog.build_shirley(rng.uniform(math.sqrt(3.0), 3.0), rho, None)
+    yield catalog.build_konzert(rng.uniform(0.05, 0.45), None)
+    decay = rng.uniform(0.5, 2.0)
+    phi = exponential(math.sqrt(2.0 * decay), -decay)  # unit norm
+    rank_one = catalog.RankOnePerturbation(rng.uniform(0.5, 2.0), gf(halfline, phi), 1.0)
+    yield catalog.build_halfline_schrodinger(1j, rank_one)
+    v = gf(halfline, rng.uniform(0.5, 2.0) * indicator(0.0, rng.uniform(0.5, 2.0)))
+    yield catalog.build_halfline_schrodinger(1j, catalog.MultiplicationPerturbation(v, v))
+
+
+def _friedrichs_span(grid, rng, dim=5):
+    """Seeded functions vanishing at 0 (and at b): ``x^k e^{r x}`` on the
+    half-line, ``x sin(k pi x / b) e^{r x}`` on intervals."""
+    out = []
+    for k in range(1, dim + 1):
+        if grid.is_halfline:
+            rate = complex(-rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0))
+            fn = AnalyticFunction((Term(1.0, k, rate),))
+        else:
+            rate = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            mu = 1j * math.pi * k / grid.length
+            fn = AnalyticFunction((Term(-0.5j, 1.0, rate + mu), Term(0.5j, 1.0, rate - mu)))
+        out.append(gf(grid, fn))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_discrete_isometry_factor_contracts_on_every_scenario(seed):
+    # V_K <= V_F as forms, so V_F^{1/2} f -> V_K^{1/2} f is a contraction
+    rng = np.random.default_rng(seed)
+    for problem in _scenario_draws(rng):
+        pair = forms.discrete_sqrt_pair(problem.spec, _friedrichs_span(problem.grid, rng))
+        s = np.linalg.svd(pair.isometry, compute_uv=False)
+        assert np.all(s <= 1.0 + 1e-8), (problem.scenario, s)
 
 
 def test_discrete_sqrt_pair_identity_when_extensions_coincide(konzert_weight):

@@ -6,7 +6,7 @@ import pytest
 from dissipext import catalog, criteria, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator
 from dissipext.grid import GridFunction, make_grid
-from dissipext.oracle import _spline_space
+from test_splines import cox_de_boor
 
 
 def _konzert(c):
@@ -17,6 +17,21 @@ def _konzert(c):
 # assembly structure
 
 
+def _dense_core(lo, hi, n):
+    """The oracle's ``n`` core splines sampled densely on its quadrature rule:
+    uniform knots, two 8-point Gauss sub-panels per knot interval."""
+    knots = np.linspace(lo, hi, n + 4)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(lo, hi, 2 * (n + 3) + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    xs = (mid[:, None] + half[:, None] * nodes).ravel()
+    ws = (half[:, None] * weights).ravel()
+    val = np.array([cox_de_boor(knots, k, xs) for k in range(n)])
+    d1 = np.array([cox_de_boor(knots, k, xs, 1) for k in range(n)])
+    return xs, ws, val, d1
+
+
 def test_konzert_hermitian_block_is_multiplication_matrix():
     # the first-order action contributes a boundary-free symmetric part on
     # vanishing-trace elements, so the imaginary part reduces to the
@@ -25,9 +40,7 @@ def test_konzert_hermitian_block_is_multiplication_matrix():
     op = oracle.assemble_discrete(prob, 64)
     h = oracle.hermitian_part(op)
     nb = op.v_index
-    sp = _spline_space(prob.grid.offset, 1.0, 64, 2)
-    xs, ws = sp.all_quad_points()
-    val, _, _ = sp.sample_basis()
+    xs, ws, val, _ = _dense_core(prob.grid.offset, 1.0, 64)
     mult = (val * (ws * 0.25 / xs)) @ val.T
     assert np.max(np.abs(h[:nb, :nb] - mult)) < 1e-12
 
@@ -36,9 +49,7 @@ def test_shirley_hermitian_block_is_stiffness(shirley_instance):
     op = oracle.assemble_discrete(shirley_instance, 64)
     h = oracle.hermitian_part(op)
     nb = op.v_index
-    sp = _spline_space(shirley_instance.grid.offset, 1.0, 64, 2)
-    xs, ws = sp.all_quad_points()
-    _, d1, _ = sp.sample_basis()
+    _, ws, _, d1 = _dense_core(shirley_instance.grid.offset, 1.0, 64)
     stiff = (d1 * ws) @ d1.T
     assert np.max(np.abs(h[:nb, :nb] - stiff)) < 1e-10 * np.max(np.abs(stiff))
 
@@ -82,7 +93,7 @@ def test_v_column_matches_criteria_lhs(builder, kwargs, shirley_instance, rank_o
         ),
     }
     prob = probs[builder]
-    op = oracle.assemble_discrete(prob, 128, quad_subdiv=4)
+    op = oracle.assemble_discrete(prob, 128)
     lhs = criteria.general_lhs(prob)
     assert abs(op.matrix[op.v_index, op.v_index].imag - lhs) < 1e-8
 
