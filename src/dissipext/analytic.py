@@ -4,8 +4,10 @@ Every function appearing in the catalogued scenarios is a finite sum of
 terms ``c * x^a * exp(b*x)``, optionally windowed to a sub-interval by an
 indicator factor.  This module keeps that representation symbolic so that
 products, derivatives, boundary values and definite integrals over ``(0, b)``
-or ``(0, inf)`` can be computed without quadrature error.  Division and
-non-elementary integrals fall back to ``mpmath`` adaptive quadrature.
+or ``(0, inf)`` can be computed without quadrature error.  It is the one
+representation of a scenario function: grid samples and boundary traces are
+derived from it.  Non-elementary integrals (a non-integer power times an
+exponential) use ``mpmath`` adaptive quadrature.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -332,34 +331,27 @@ class ScenarioConfig:
                 return v
         return default
 
-    def _grid_number(self, key: str, default: str, kind=float):
-        raw = self.get("grid", key, default)
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ConfigError(f"[grid] {key} must be {kind.__name__}, got {raw!r}") from None
-
     @property
     def grid_n(self) -> int:
-        return self._grid_number("n", "512", int)
+        return _read_number(self.get("grid", "n", "512"), "[grid] n", int)
 
     @property
     def grid_offset(self) -> float:
         default = "1e-6" if self.scenario in _SINGULAR_SCENARIOS else "0"
-        return self._grid_number("offset", default)
+        return _read_number(self.get("grid", "offset", default), "[grid] offset")
 
     @property
     def grid_r(self) -> float:
-        return self._grid_number("R", "40")
+        return _read_number(self.get("grid", "R", "40"), "[grid] R")
 
     @property
     def meshes(self) -> tuple[int, ...]:
         raw = self.get("oracle", "meshes", "64,128,256")
-        return tuple(int(p) for p in raw.split(","))
+        return tuple(_read_number(p, "[oracle] meshes", int) for p in raw.split(","))
 
     @property
     def tol(self) -> float:
-        return float(self.get("oracle", "tol", "1e-6"))
+        return _read_number(self.get("oracle", "tol", "1e-6"), "[oracle] tol")
 
     @property
     def out_format(self) -> str:
@@ -371,15 +363,27 @@ class ScenarioConfig:
 
     def sweep_axis(self, name: str) -> tuple[float, float, float] | None:
         raw = self.get("sweep", name)
-        if raw is None:
-            return None
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"sweep axis {name} must be min:max:step, got {raw!r}")
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"sweep axis {name} needs step > 0 and max >= min")
-        return lo, hi, step
+        return None if raw is None else _read_axis(raw, f"[sweep] {name}")
+
+
+def _read_number(raw: str, what: str, kind=float, where: tuple = (None, None)):
+    """``kind(raw)``; a malformed number raises a ConfigError naming ``what``
+    (``[section] key``) at ``where`` (line, column) when known."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{what} must be {kind.__name__}, got {raw!r}", *where) from None
+
+
+def _read_axis(raw: str, what: str) -> tuple[float, float, float]:
+    """A sweep axis ``min:max:step`` of finite numbers."""
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{what} must be min:max:step, got {raw!r}")
+    lo, hi, step = (_read_number(p, what) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise ConfigError(f"{what} needs finite numbers with step > 0 and max >= min, got {raw!r}")
+    return lo, hi, step
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -445,6 +449,10 @@ def _validate(cfg: ScenarioConfig, positions) -> None:
             line, col = positions.get(("scenario", key), (None, None))
             raise ConfigError(f"bad expression for {key}: {exc}", line, col) from None
 
+    def number(key: str) -> float:
+        where = positions.get(("scenario", key), (None, None))
+        return _read_number(cfg.get("scenario", key), f"[scenario] {key}", where=where)
+
     def check_complex(key: str) -> None:
         raw = cfg.get("scenario", key)
         if raw is None:
@@ -464,7 +472,7 @@ def _validate(cfg: ScenarioConfig, positions) -> None:
         gamma = cfg.get("scenario", "gamma")
         if gamma is None:
             raise ConfigError("shirley needs gamma (>= sqrt(3))")
-        if float(gamma) < catalog.SHIRLEY_GAMMA_MIN - 1e-12:
+        if number("gamma") < catalog.SHIRLEY_GAMMA_MIN - 1e-12:
             raise _value_error(positions, "scenario", "gamma",
                                f"gamma must be >= sqrt(3) ~ 1.732, got {gamma}")
         if cfg.get("scenario", "rho") is None:
@@ -473,8 +481,7 @@ def _validate(cfg: ScenarioConfig, positions) -> None:
         gamma = cfg.get("scenario", "gamma")
         if gamma is None:
             raise ConfigError("konzert needs gamma in (0, 1/2)")
-        g = float(gamma)
-        if not (0.0 < g < 0.5):
+        if not (0.0 < number("gamma") < 0.5):
             raise _value_error(positions, "scenario", "gamma",
                                f"gamma must satisfy 0 < gamma < 1/2, got {gamma}")
     elif name == "potsdam":
@@ -488,8 +495,7 @@ def _validate(cfg: ScenarioConfig, positions) -> None:
             raise _value_error(positions, "scenario", "perturbation",
                                f"perturbation must be rank_one or multiplication, got {pert!r}")
         if pert == "rank_one":
-            alpha = cfg.get("scenario", "alpha")
-            if alpha is not None and float(alpha) <= 0:
+            if cfg.get("scenario", "alpha") is not None and number("alpha") <= 0:
                 raise _value_error(positions, "scenario", "alpha",
                                    "rank-one strength alpha must be positive")
         else:
@@ -627,9 +633,12 @@ def run_sweep(
 ) -> dict:
     """Margin map over a rectangle of boundary parameters.
 
-    Points are evaluated in parallel but collected in deterministic
-    row-major order (re outer, im inner); identical inputs produce
-    byte-identical files.
+    Points are evaluated one after another in row-major order (re outer, im
+    inner); identical inputs produce byte-identical files.  A point whose
+    membership fails has no finite margin and writes ``null`` in JSON.
+    ``max_workers`` is accepted and ignored: the points run serially, since
+    ``mpmath.quad`` raises the precision of mpmath's one global context
+    while it runs, so concurrent points corrupt each other's integrals.
     """
     if cfg.scenario not in ("potsdam", "shirley", "halfline_schrodinger"):
         raise ConfigError(f"scenario {cfg.scenario} has no boundary parameter to sweep")
@@ -639,18 +648,12 @@ def run_sweep(
         (s, k, v) for (s, k, v) in cfg.params if not (s == "grid" and k == "n")
     ) + (("grid", "n", "64"),))
 
-    def margin_at(point: tuple[float, float]):
-        problem = build_problem(sweep_cfg, rho_override=complex(point[0], point[1]))
-        verdict = criteria.decide(problem)
-        return verdict.margin, verdict.dissipative
-
-    points = [(re, im) for re in res for im in ims]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(margin_at, points))
-    rows = [
-        {"re_rho": re, "im_rho": im, "margin": m, "dissipative": d}
-        for (re, im), (m, d) in zip(points, results)
-    ]
+    rows = []
+    for re in res:
+        for im in ims:
+            verdict = criteria.decide(build_problem(sweep_cfg, rho_override=complex(re, im)))
+            rows.append({"re_rho": re, "im_rho": im, "margin": _jsonable(verdict.margin),
+                         "dissipative": verdict.dissipative})
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
@@ -664,8 +667,9 @@ def run_sweep(
 def sweep_to_csv(payload: dict) -> str:
     lines = ["re_rho,im_rho,margin,dissipative"]
     for row in payload["rows"]:
+        margin = math.nan if row["margin"] is None else row["margin"]
         lines.append(
-            f"{row['re_rho']!r},{row['im_rho']!r},{row['margin']!r},"
+            f"{row['re_rho']!r},{row['im_rho']!r},{margin!r},"
             f"{'true' if row['dissipative'] else 'false'}"
         )
     return "\n".join(lines) + "\n"
@@ -715,16 +719,6 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _parse_axis_flag(raw: str) -> tuple[float, float, float]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"axis must be min:max:step, got {raw!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise ConfigError("axis needs step > 0 and max >= min")
-    return lo, hi, step
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dissipext",
@@ -761,8 +755,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit(_dump_json(payload), out_path)
             return code
         if args.command == "sweep":
-            re_axis = _parse_axis_flag(args.re) if args.re else cfg.sweep_axis("re")
-            im_axis = _parse_axis_flag(args.im) if args.im else cfg.sweep_axis("im")
+            re_axis = _read_axis(args.re, "--re") if args.re else cfg.sweep_axis("re")
+            im_axis = _read_axis(args.im, "--im") if args.im else cfg.sweep_axis("im")
             if re_axis is None or im_axis is None:
                 sys.stderr.write("sweep needs [sweep] re/im axes or --re/--im flags\n")
                 return 2

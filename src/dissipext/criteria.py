@@ -34,7 +34,7 @@ import numpy as np
 from . import forms
 from .analytic import DivergentIntegralError
 from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
-from .grid import GridFunction, differentiate, integrate
+from .grid import GridFunction
 
 __all__ = [
     "CriteriaError",
@@ -111,14 +111,8 @@ class Verdict:
 # shared evaluation helpers
 
 
-def _domain_hi(problem: ExtensionProblem) -> float:
-    return math.inf if problem.grid.is_halfline else problem.grid.length
-
-
-def _im_inner(f: GridFunction, g: GridFunction, hi: float) -> float:
-    if f.analytic is not None and g.analytic is not None:
-        return float((f.analytic.conj() * g.analytic).integral(0.0, hi).imag)
-    return float(integrate(f, g).imag)
+def _im_inner(f: GridFunction, g: GridFunction) -> float:
+    return float((f.analytic.conj() * g.analytic).integral(0.0, f.grid.right_endpoint).imag)
 
 
 def _im_action(problem: ExtensionProblem) -> float:
@@ -127,21 +121,9 @@ def _im_action(problem: ExtensionProblem) -> float:
     A real half-line potential W contributes nothing to the imaginary part,
     so only the principal differential expression enters.
     """
-    v = problem.v
-    hi = _domain_hi(problem)
-    if v.analytic is not None:
-        act = problem.action_on(v.analytic)
-        return float((v.analytic.conj() * act).integral(0.0, hi).imag)
-    dd = differentiate(differentiate(v))
-    x = v.grid.nodes
-    if problem.scenario in ("potsdam", "halfline_schrodinger"):
-        factor = -1.0j if problem.scenario == "potsdam" else -1.0
-        act_vals = factor * dd.values
-    elif problem.scenario == "shirley":
-        act_vals = -1.0j * dd.values - problem.gamma * v.values / x**2
-    else:
-        act_vals = 1.0j * differentiate(v).values + 1.0j * problem.gamma * v.values / x
-    return float(np.sum(v.grid.weights * np.conj(v.values) * act_vals).imag)
+    vfn = problem.v.analytic
+    act = problem.action_on(vfn)
+    return float((vfn.conj() * act).integral(0.0, problem.grid.right_endpoint).imag)
 
 
 def _bounded_part(problem: ExtensionProblem) -> float:
@@ -154,7 +136,7 @@ def _bounded_part(problem: ExtensionProblem) -> float:
 def _generator(problem: ExtensionProblem) -> GridFunction | None:
     """The deviation generator ``phi`` (None when absent or identically zero)."""
     phi = problem.phi
-    if phi is None or (phi.analytic is not None and not phi.analytic.terms):
+    if phi is None or not phi.analytic.terms:
         return None
     return phi
 
@@ -168,16 +150,9 @@ def _lv_function(problem: ExtensionProblem) -> GridFunction | None:
         return None
     spec = problem.spec
     if spec.is_laplacian:
-        if phi.analytic is not None:
-            return GridFunction.from_analytic(
-                phi.grid, phi.analytic.derivative().derivative() * (-1.0)
-            )
-        dd = differentiate(differentiate(phi))
-        return GridFunction(phi.grid, -dd.values)
+        return GridFunction.from_analytic(phi.grid, phi.analytic.derivative().derivative() * (-1.0))
     if spec.family == "multiplication":
-        if phi.analytic is not None and spec.weight.analytic is not None:
-            return GridFunction.from_analytic(phi.grid, spec.weight.analytic * phi.analytic)
-        return GridFunction(phi.grid, spec.weight.values.real * phi.values)
+        return GridFunction.from_analytic(phi.grid, spec.weight.analytic * phi.analytic)
     raise CriteriaError("deviation generator unsupported for this family")
 
 
@@ -221,7 +196,7 @@ def necessity_checks(problem: ExtensionProblem) -> list[str]:
             _, diverged = forms.sqrt_scale_inv_form(spec, lv)
             if diverged:
                 failures.append(FAIL_L_NOT_IN_RANVF)
-    if problem.scenario == "halfline_schrodinger" and problem.v.analytic is not None:
+    if problem.scenario == "halfline_schrodinger":
         try:
             dd = problem.v.analytic.derivative().derivative()
             (dd.conj() * dd).integral(0.0, math.inf)
@@ -272,12 +247,11 @@ def verdict_strict_pos(problem: ExtensionProblem) -> Verdict:
         return gate
     spec = problem.spec
     v = problem.v
-    hi = _domain_hi(problem)
     lhs = _im_action(problem)
     lv = _lv_function(problem)
     if lv is not None:
         pv = forms.projection_P(spec, v)
-        lhs += _im_inner(pv, lv, hi)
+        lhs += _im_inner(pv, lv)
     rhs = _quarter_inv_form(problem) + forms.krein_form_sq(spec, v)
     return Verdict.from_sides(CRITERION_STRICT_POS, lhs, rhs)
 
@@ -325,11 +299,10 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
 
 def general_lhs(problem: ExtensionProblem) -> float:
     """``Im <v, (action + L) v>`` including any bounded imaginary part."""
-    hi = _domain_hi(problem)
     lhs = _im_action(problem) + _bounded_part(problem)
     lv = _lv_function(problem)
     if lv is not None:
-        lhs += _im_inner(problem.v, lv, hi)
+        lhs += _im_inner(problem.v, lv)
     return lhs
 
 

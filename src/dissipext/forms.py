@@ -15,9 +15,11 @@ finite family of graded splines and converges to the closed form from below.
 The splines come from the package's one spline layer,
 :mod:`dissipext.splines`, on a clamped knot vector graded toward both ends.
 
-Functions carrying their analytic representation are evaluated exactly;
-plain samples fall back to quadrature plus finite differences, with
-divergence heuristics guarding the domain membership decisions.
+Every function carries its term sum, so forms, derivatives, traces and
+inverses are evaluated exactly.  Sampled quadrature with divergence
+heuristics decides only what the term sum leaves open: a term-wise
+divergence that may cancel in the sum, and the inverse of a multiplier with
+more than one term.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigenh, splines
-from .analytic import AnalyticFunction, DivergentIntegralError, Term
-from .grid import GridFunction, Traces, boundary_data, differentiate, integrate
+from .analytic import AnalyticError, AnalyticFunction, DivergentIntegralError, Term
+from .grid import GridFunction, differentiate, integrate
 
 __all__ = [
     "FormsError",
@@ -164,23 +166,12 @@ def bounded_matrix(matrix: np.ndarray) -> ImaginaryPartSpec:
 
 
 # ---------------------------------------------------------------------------
-# inner products with exact fast path
+# inner products
 
 
 def _inner(f: GridFunction, g: GridFunction) -> complex:
-    """<f, g> over the true domain; symbolic when both sides allow it."""
-    if f.analytic is not None and g.analytic is not None:
-        hi = math.inf if f.grid.is_halfline else f.grid.length
-        return (f.analytic.conj() * g.analytic).integral(0.0, hi)
-    return integrate(f, g)
-
-
-def _deriv(f: GridFunction) -> GridFunction:
-    return differentiate(f)
-
-
-def _traces(f: GridFunction) -> Traces:
-    return boundary_data(f)
+    """<f, g> over the true domain, in closed form."""
+    return (f.analytic.conj() * g.analytic).integral(0.0, f.grid.right_endpoint)
 
 
 def _diverges_sampled(grid, integrand: np.ndarray, *, total: float) -> bool:
@@ -216,23 +207,20 @@ def _weighted_norm_sq_checked(weight: GridFunction | None, f: GridFunction) -> t
     divergent terms can be flagged spuriously; the sampled heuristic on the
     pointwise (non-negative) integrand arbitrates those cases.
     """
-    vals = np.abs(f.values) ** 2
+    integrand = f.analytic.conj() * f.analytic
     if weight is not None:
-        vals = weight.values.real * vals
-    total = float(np.sum(f.grid.weights * vals))
-    if f.analytic is not None and (weight is None or weight.analytic is not None):
-        hi = math.inf if f.grid.is_halfline else f.grid.length
-        integrand = f.analytic.conj() * f.analytic
+        integrand = weight.analytic * integrand
+    try:
+        return float(integrand.integral(0.0, f.grid.right_endpoint).real), False
+    except DivergentIntegralError:
+        vals = np.abs(f.values) ** 2
         if weight is not None:
-            integrand = weight.analytic * integrand
-        try:
-            return float(integrand.integral(0.0, hi).real), False
-        except DivergentIntegralError:
-            if _diverges_sampled(f.grid, vals, total=total):
-                return math.inf, True
-            # term-wise divergence cancelled in the sum: trust quadrature
-            return total, False
-    return total, _diverges_sampled(f.grid, vals, total=total)
+            vals = weight.values.real * vals
+        total = float(np.sum(f.grid.weights * vals))
+        if _diverges_sampled(f.grid, vals, total=total):
+            return math.inf, True
+        # term-wise divergence cancelled in the sum: trust quadrature
+        return total, False
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +230,7 @@ def _weighted_norm_sq_checked(weight: GridFunction | None, f: GridFunction) -> t
 def _check_friedrichs_domain(spec: ImaginaryPartSpec, f: GridFunction) -> None:
     if not spec.is_laplacian:
         return
-    t = _traces(f)
+    t = f.traces
     scale = 1.0 + float(np.max(np.abs(f.values)))
     if abs(t.value0) > _TRACE_TOL * scale:
         raise DomainError(f"boundary value f(0)={t.value0} violates the left condition")
@@ -257,7 +245,7 @@ def friedrichs_form_sq(spec: ImaginaryPartSpec, f) -> float:
         return float(np.vdot(c, spec.matrix @ c).real)
     if spec.is_laplacian:
         _check_friedrichs_domain(spec, f)
-        df = _deriv(f)
+        df = differentiate(f)
         val, diverged = _weighted_norm_sq_checked(None, df)
         if diverged:
             raise DomainError("||f'||^2 diverges: f outside the Friedrichs form domain")
@@ -274,17 +262,17 @@ def friedrichs_form_sq(spec: ImaginaryPartSpec, f) -> float:
 def krein_form_sq(spec: ImaginaryPartSpec, f) -> float:
     """``||V_K^{1/2} f||^2`` for ``f`` in the Krein square-root domain."""
     if spec.family == "dirichlet_laplacian_halfline":
-        df = _deriv(f)
+        df = differentiate(f)
         val, diverged = _weighted_norm_sq_checked(None, df)
         if diverged:
             raise DomainError("||f'||^2 diverges: f outside the small form domain")
         return val
     if spec.family == "dirichlet_laplacian_interval":
-        df = _deriv(f)
+        df = differentiate(f)
         val, diverged = _weighted_norm_sq_checked(None, df)
         if diverged:
             raise DomainError("||f'||^2 diverges: f outside the small form domain")
-        t = _traces(f)
+        t = f.traces
         return val - abs(t.value_b - t.value0) ** 2
     return friedrichs_form_sq(spec, f)
 
@@ -294,23 +282,21 @@ def friedrichs_form(spec: ImaginaryPartSpec, f, g) -> complex:
     if spec.family == "bounded_matrix":
         return complex(np.vdot(np.asarray(f, dtype=complex), spec.matrix @ np.asarray(g, dtype=complex)))
     if spec.is_laplacian:
-        return _inner(_deriv(f), _deriv(g))
+        return _inner(differentiate(f), differentiate(g))
     if spec.family == "multiplication":
-        if f.analytic is not None and g.analytic is not None and spec.weight.analytic is not None:
-            hi = math.inf if f.grid.is_halfline else f.grid.length
-            return (f.analytic.conj() * spec.weight.analytic * g.analytic).integral(0.0, hi)
-        return complex(np.sum(f.grid.weights * np.conj(f.values) * spec.weight.values.real * g.values))
+        integrand = f.analytic.conj() * spec.weight.analytic * g.analytic
+        return integrand.integral(0.0, f.grid.right_endpoint)
     return spec.alpha * np.conj(_inner(spec.phi0, f)) * _inner(spec.phi0, g)
 
 
 def krein_form(spec: ImaginaryPartSpec, f, g) -> complex:
     """Polarized Krein form ``<V_K^{1/2} f, V_K^{1/2} g>``."""
     if spec.family == "dirichlet_laplacian_interval":
-        tf, tg = _traces(f), _traces(g)
+        tf, tg = f.traces, g.traces
         jump = np.conj(tf.value_b - tf.value0) * (tg.value_b - tg.value0)
-        return _inner(_deriv(f), _deriv(g)) - jump
+        return _inner(differentiate(f), differentiate(g)) - jump
     if spec.family == "dirichlet_laplacian_halfline":
-        return _inner(_deriv(f), _deriv(g))
+        return _inner(differentiate(f), differentiate(g))
     return friedrichs_form(spec, f, g)
 
 
@@ -351,23 +337,6 @@ def _widest_first(knots: np.ndarray) -> list[int]:
     return order
 
 
-def _sample_target(h: GridFunction, xs: np.ndarray, derivative: bool) -> np.ndarray:
-    if h.analytic is not None:
-        fn = h.analytic.derivative() if derivative else h.analytic
-        return fn(xs)
-    src = _deriv(h) if derivative else h
-    xg = h.grid.nodes
-    return np.interp(xs, xg, src.values.real) + 1j * np.interp(xs, xg, src.values.imag)
-
-
-def _sample_weight(spec: ImaginaryPartSpec, xs: np.ndarray) -> np.ndarray:
-    w = spec.weight
-    if w.analytic is not None:
-        return w.analytic(xs).real
-    xg = w.grid.nodes
-    return np.interp(xs, xg, w.values.real)
-
-
 def _an_spline_pencil(
     spec: ImaginaryPartSpec, h: GridFunction, knots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -382,10 +351,10 @@ def _an_spline_pencil(
     if spec.is_laplacian:
         # numerator via parts: <h, -f''> = <h', f'> (test slopes vanish at
         # the support edges)
-        tgt = _sample_target(h, xs, derivative=True).reshape(tab.x.shape)
+        tgt = h.analytic.derivative()(xs).reshape(tab.x.shape)
         return tab.vector(tab.w * np.conj(tgt), tab.d1), tab.matrix(tab.w, tab.d1, tab.d1)
-    weighted = tab.w * _sample_weight(spec, xs).reshape(tab.x.shape)
-    tgt = _sample_target(h, xs, derivative=False).reshape(tab.x.shape)
+    weighted = tab.w * spec.weight.analytic(xs).real.reshape(tab.x.shape)
+    tgt = h.analytic(xs).reshape(tab.x.shape)
     return tab.vector(weighted * np.conj(tgt), tab.val), tab.matrix(weighted, tab.val, tab.val)
 
 
@@ -450,28 +419,18 @@ class VfSolution:
     inv_form: float
 
 
-def _green_interval(grid, ell: GridFunction) -> tuple[GridFunction, float]:
-    x, w = grid.nodes, grid.weights
-    gmat = np.minimum.outer(x, x) * (1.0 - np.maximum.outer(x, x))
-    u = gmat @ (w * ell.values)
-    uf = GridFunction(grid, u, Traces(0.0, math.nan, 0.0, math.nan))
-    inv = float(np.sum(w * np.conj(ell.values) * u).real)
-    return uf, inv
+def _laplacian_inverse(
+    spec: ImaginaryPartSpec, ell: GridFunction, *, decay: bool = True
+) -> tuple[AnalyticFunction, float]:
+    """Exact ``u`` with ``-u'' = ell`` and the family's boundary conditions,
+    together with ``<ell, u>``.
 
-
-def _green_halfline(grid, ell: GridFunction) -> tuple[GridFunction, float]:
-    x, w = grid.nodes, grid.weights
-    gmat = np.minimum.outer(x, x)
-    u = gmat @ (w * ell.values)
-    uf = GridFunction(grid, u)
-    inv = float(np.sum(w * np.conj(ell.values) * u).real)
-    return uf, inv
-
-
-def _analytic_green(spec: ImaginaryPartSpec, ell: GridFunction) -> tuple[GridFunction, float] | None:
-    """Exact inverse for Laplacian families when antiderivatives exist."""
-    if ell.analytic is None:
-        return None
+    On the half-line ``decay`` demands a solution vanishing at infinity (the
+    operator range); without it ``<ell, u>`` is the square-root range's
+    ``||V_F^{-1/2} ell||^2``.  Raises :class:`RangeError` on a divergent
+    integral and :class:`FormsError` when an antiderivative leaves the closed
+    term class.
+    """
     fn = ell.analytic
     xfn = AnalyticFunction((Term(1.0, 1.0),))
     one = AnalyticFunction((Term(1.0, 0.0),))
@@ -486,20 +445,17 @@ def _analytic_green(spec: ImaginaryPartSpec, ell: GridFunction) -> tuple[GridFun
         else:
             a0 = fn.antiderivative()
             c_tot = fn.integral(0.0, math.inf)
-            tail_mass = (xfn * fn).integral(0.0, math.inf)
-            if abs(tail_mass) > 1e-10 * (1.0 + abs(c_tot)):
-                raise RangeError("inverse solution does not decay on the half-line")
+            if decay:
+                tail_mass = (xfn * fn).integral(0.0, math.inf)
+                if abs(tail_mass) > 1e-10 * (1.0 + abs(c_tot)):
+                    raise RangeError("inverse solution does not decay on the half-line")
             u = a1 + xfn * (complex(c_tot) * one - a0)
-    except RangeError:
-        raise
+        inv = float((fn.conj() * u).integral(0.0, ell.grid.right_endpoint).real)
     except DivergentIntegralError as exc:
         raise RangeError(str(exc)) from None
-    except Exception:
-        return None
-    uf = GridFunction.from_analytic(ell.grid, u)
-    hi = math.inf if ell.grid.is_halfline else ell.grid.length
-    inv = float((fn.conj() * u).integral(0.0, hi).real)
-    return uf, inv
+    except AnalyticError as exc:
+        raise FormsError(f"Laplacian inverse outside the closed term class: {exc}") from None
+    return u, inv
 
 
 def vf_solve(spec: ImaginaryPartSpec, ell) -> VfSolution:
@@ -508,7 +464,9 @@ def vf_solve(spec: ImaginaryPartSpec, ell) -> VfSolution:
     Returns the solution together with ``<ell, u> = ||V_F^{-1/2} ell||^2``.
     Raises :class:`RangeError` when ``ell`` is detectably outside the range
     (divergent weighted integral, non-decaying half-line solution, or a
-    component off the rank-one direction).
+    component off the rank-one direction), and :class:`FormsError` when the
+    inverse leaves the closed term class (a multiplier with more than one
+    term, a Laplacian antiderivative outside the class).
     """
     if spec.family == "bounded_matrix":
         c = np.asarray(ell, dtype=complex)
@@ -524,47 +482,30 @@ def vf_solve(spec: ImaginaryPartSpec, ell) -> VfSolution:
         # the residual uses the grid quadrature that normalized phi0; the
         # exact coefficient can differ from it by more than the threshold
         rest = ell.values - integrate(spec.phi0, ell) * spec.phi0.values
-        gf = GridFunction(ell.grid, rest)
-        if math.sqrt(max(gf.norm_sq(), 0.0)) > 1e-8 * (1.0 + math.sqrt(ell.norm_sq())):
+        rest_sq = float(np.sum(ell.grid.weights * (rest.real * rest.real + rest.imag * rest.imag)))
+        if math.sqrt(rest_sq) > 1e-8 * (1.0 + math.sqrt(ell.norm_sq())):
             raise RangeError("right-hand side leaves the rank-one range")
         c = _inner(spec.phi0, ell)
-        u = GridFunction(ell.grid, (c / spec.alpha) * spec.phi0.values, spec.phi0.traces)
+        u = GridFunction.from_analytic(ell.grid, (c / spec.alpha) * spec.phi0.analytic)
         return VfSolution(u, float(abs(c) ** 2 / spec.alpha))
     if spec.family == "multiplication":
         if support_violation(spec.weight, ell):
             raise RangeError("right-hand side is supported outside the multiplier support")
-        wv = spec.weight.values.real
-        integrand = np.abs(ell.values) ** 2 / np.maximum(wv, 1e-300)
-        inv_quad = float(np.sum(ell.grid.weights * integrand))
-        sampled_diverges = _diverges_sampled(ell.grid, integrand, total=inv_quad)
-        if ell.analytic is not None and spec.weight.analytic is not None:
-            winv = _invert_single_term(spec.weight.analytic)
-            if winv is not None:
-                ufn = winv * ell.analytic
-                hi = math.inf if ell.grid.is_halfline else ell.grid.length
-                try:
-                    inv = float((ell.analytic.conj() * winv * ell.analytic).integral(0.0, hi).real)
-                    return VfSolution(GridFunction.from_analytic(ell.grid, ufn), inv)
-                except DivergentIntegralError:
-                    if sampled_diverges:
-                        raise RangeError("weighted inverse integral diverges") from None
-                    # term-wise divergence cancelled in the sum: quadrature path
-        if sampled_diverges:
-            raise RangeError("weighted inverse integral diverges")
-        u = GridFunction(ell.grid, ell.values / np.maximum(wv, 1e-300))
-        return VfSolution(u, inv_quad)
-    # Laplacian families
-    exact = _analytic_green(spec, ell)
-    if exact is not None:
-        return VfSolution(*exact)
-    if spec.family == "dirichlet_laplacian_interval":
-        u, inv = _green_interval(ell.grid, ell)
-        return VfSolution(u, inv)
-    u, inv = _green_halfline(ell.grid, ell)
-    mag = np.abs(u.values)
-    if mag[-1] > 1e-6 * (1.0 + float(mag.max())):
-        raise RangeError("inverse solution does not decay on the half-line")
-    return VfSolution(u, inv)
+        winv = _invert_single_term(spec.weight.analytic)
+        if winv is None:
+            raise FormsError("multiplier has no one-term pointwise inverse")
+        integrand = ell.analytic.conj() * winv * ell.analytic
+        try:
+            inv = float(integrand.integral(0.0, ell.grid.right_endpoint).real)
+        except DivergentIntegralError:
+            # term-wise divergence that may cancel in the sum: sampled quadrature
+            vals = np.abs(ell.values) ** 2 / np.maximum(spec.weight.values.real, 1e-300)
+            inv = float(np.sum(ell.grid.weights * vals))
+            if _diverges_sampled(ell.grid, vals, total=inv):
+                raise RangeError("weighted inverse integral diverges") from None
+        return VfSolution(GridFunction.from_analytic(ell.grid, winv * ell.analytic), inv)
+    u, inv = _laplacian_inverse(spec, ell)
+    return VfSolution(GridFunction.from_analytic(ell.grid, u), inv)
 
 
 def _invert_single_term(fn: AnalyticFunction) -> AnalyticFunction | None:
@@ -597,14 +538,14 @@ def mult_inverse_norm_sq(weight: GridFunction, k: GridFunction) -> float:
     """
     if support_violation(weight, k):
         raise RangeError("deviation is supported outside the multiplier support")
-    if weight.analytic is not None and k.analytic is not None:
-        inv = _invert_single_term(weight.analytic)
-        if inv is not None:
-            hi = math.inf if weight.grid.is_halfline else weight.grid.length
-            try:
-                return float((k.analytic.conj() * inv * k.analytic).integral(0.0, hi).real)
-            except DivergentIntegralError:
-                raise RangeError("weighted inverse integral diverges") from None
+    inv = _invert_single_term(weight.analytic)
+    if inv is not None:
+        try:
+            integrand = k.analytic.conj() * inv * k.analytic
+            return float(integrand.integral(0.0, weight.grid.right_endpoint).real)
+        except DivergentIntegralError:
+            raise RangeError("weighted inverse integral diverges") from None
+    # a multiplier with several terms has no one-term inverse: sampled ratio
     wv = weight.values.real
     live = wv > 1e-12 * max(1.0, float(np.max(wv)))
     integrand = np.zeros_like(wv)
@@ -623,48 +564,12 @@ def sqrt_scale_inv_form(spec: ImaginaryPartSpec, ell) -> tuple[float, bool]:
     half-line path does not demand a decaying solution, since the
     square-root range is strictly larger than the operator range.
     """
-    if spec.family == "dirichlet_laplacian_halfline":
-        val = _halfline_sqrt_scale_analytic(ell)
-        if val is not None:
-            return val
-        # doubling test on <ell, G ell> over growing cuts of the half-line
-        grid = ell.grid
-        x, w = grid.nodes, grid.weights
-        vals = []
-        for cut in (grid.length / 4, grid.length / 2, grid.length):
-            m = x <= cut
-            gmat = np.minimum.outer(x[m], x[m])
-            vals.append(
-                float(np.sum(w[m] * np.conj(ell.values[m]) * (gmat @ (w[m] * ell.values[m]))).real)
-            )
-        inc1, inc2 = vals[1] - vals[0], vals[2] - vals[1]
-        diverged = vals[2] > DIVERGENCE_THRESHOLD or (
-            inc2 > 1e-6 * (1.0 + vals[2]) and inc2 >= 0.75 * inc1
-        )
-        return vals[2], diverged
     try:
+        if spec.family == "dirichlet_laplacian_halfline":
+            return _laplacian_inverse(spec, ell, decay=False)[1], False
         return vf_solve(spec, ell).inv_form, False
     except RangeError:
         return math.inf, True
-
-
-def _halfline_sqrt_scale_analytic(ell: GridFunction) -> tuple[float, bool] | None:
-    """Exact ``<ell, V_F^{-1} ell>`` on the half-line, ignoring decay of u."""
-    if ell.analytic is None:
-        return None
-    fn = ell.analytic
-    xfn = AnalyticFunction((Term(1.0, 1.0),))
-    one = AnalyticFunction((Term(1.0, 0.0),))
-    try:
-        a1 = (xfn * fn).antiderivative()
-        a0 = fn.antiderivative()
-        c_tot = fn.integral(0.0, math.inf)
-        u = a1 + xfn * (complex(c_tot) * one - a0)
-        return float((fn.conj() * u).integral(0.0, math.inf).real), False
-    except DivergentIntegralError:
-        return math.inf, True
-    except Exception:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +587,7 @@ def projection_P(spec: ImaginaryPartSpec, v: GridFunction) -> GridFunction:
     if not (spec.strict_lower_bound > 0.0):
         raise FormsError("projection defined only for strictly positive parts")
     if spec.family == "dirichlet_laplacian_interval":
-        t = _traces(v)
+        t = v.traces
         b = v.grid.length
         fn = AnalyticFunction(
             (Term(t.value0, 0.0), Term((t.value_b - t.value0) / b, 1.0))

@@ -2,13 +2,12 @@
 
 A :class:`Grid` is a composite Gauss-Legendre rule (fixed panel order 8 over
 uniform subintervals) on an interval ``(offset, b)`` or a truncated half-line
-``(offset, R)``.  :class:`GridFunction` holds complex samples plus optional
-analytically known boundary traces; when the samples come from an
-:class:`~dissipext.analytic.AnalyticFunction` the symbolic form is kept so
-downstream evaluators can bypass quadrature entirely.
+``(offset, R)``.  A :class:`GridFunction` is a scenario function's term sum,
+an :class:`~dissipext.analytic.AnalyticFunction`, with its samples and
+boundary traces derived from it, so downstream evaluators integrate and
+differentiate exactly and use the samples only for quadrature checks.
 
-Grids and grid functions are immutable after construction and all operations
-here are pure, so instances can be shared freely across parallel workers.
+Grids and grid functions are immutable after construction.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import AnalyticFunction
+from .analytic import AnalyticError, AnalyticFunction
 
 __all__ = [
     "GridError",
@@ -30,7 +29,6 @@ __all__ = [
     "make_grid",
     "integrate",
     "differentiate",
-    "boundary_data",
     "decay_certificate",
 ]
 
@@ -91,10 +89,6 @@ class Grid:
     def right_endpoint(self) -> float:
         return math.inf if self.is_halfline else self.length
 
-    @property
-    def measure(self) -> float:
-        return self.length - self.offset
-
 
 def make_grid(kind: str, n: int, *, length: float | None = None, offset: float = 0.0) -> Grid:
     """Build the composite Gauss-Legendre grid for ``kind`` with ``n`` nodes.
@@ -136,37 +130,28 @@ class Traces:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex-valued samples on a :class:`Grid`.
+    """A finite term sum together with its samples on a :class:`Grid`.
 
-    ``traces`` holds analytically known boundary values; they take precedence
-    over extrapolation wherever boundary data is needed.  ``analytic``
-    retains the symbolic representation for exact form evaluation when the
-    samples were produced from one.
+    ``analytic`` is the one representation of the function; ``values`` (the
+    samples at the grid nodes) and ``traces`` (the boundary data) are derived
+    from it at construction.  A trace the term sum does not define (a value
+    at a singular 0, a derivative of a windowed term, a half-line limit of a
+    function that does not decay) is NaN.
     """
 
     grid: Grid
-    values: np.ndarray = field(repr=False)
-    traces: Traces | None = None
-    analytic: AnalyticFunction | None = field(default=None, repr=False)
+    analytic: AnalyticFunction = field(repr=False)
+    values: np.ndarray = field(init=False, repr=False)
+    traces: Traces = field(init=False)
 
     def __post_init__(self):
-        if len(self.values) != self.grid.n:
-            raise GridError("values length must equal grid node count")
-
-    @classmethod
-    def from_values(cls, grid: Grid, values, traces: Traces | None = None) -> "GridFunction":
-        return cls(grid, np.asarray(values, dtype=complex), traces)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn, traces: Traces | None = None) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=complex), traces)
-
-    @classmethod
-    def from_analytic(cls, grid: Grid, fn: AnalyticFunction) -> "GridFunction":
-        values = fn(grid.nodes)
+        fn = self.analytic
+        if not isinstance(fn, AnalyticFunction):
+            raise GridError("a grid function is built from its term sum (an AnalyticFunction)")
+        grid = self.grid
         try:
             d = fn.derivative()
-        except Exception:
+        except AnalyticError:
             d = None
         if grid.is_halfline:
             vb, db = (0.0, 0.0) if fn.decays_at_infinity() else (math.nan, math.nan)
@@ -175,13 +160,18 @@ class GridFunction:
             db = d.value_at(grid.length) if d is not None else math.nan
         try:
             v0 = fn.value_at_zero()
-        except Exception:
+        except AnalyticError:
             v0 = math.nan
         try:
             d0 = d.value_at_zero() if d is not None else math.nan
-        except Exception:
+        except AnalyticError:
             d0 = math.nan
-        return cls(grid, values, Traces(v0, d0, vb, db), fn)
+        object.__setattr__(self, "values", fn(grid.nodes))
+        object.__setattr__(self, "traces", Traces(v0, d0, vb, db))
+
+    @classmethod
+    def from_analytic(cls, grid: Grid, fn: AnalyticFunction) -> "GridFunction":
+        return cls(grid, fn)
 
     def norm_sq(self) -> float:
         return float(integrate(self, self).real)
@@ -214,73 +204,9 @@ def integrate(f: GridFunction, g: GridFunction) -> complex:
     return complex(re, im)
 
 
-def _lagrange3_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of the local quadratic interpolant at every node."""
-    out = np.empty_like(y)
-    x0, x1, x2 = x[:-2], x[1:-1], x[2:]
-    y0, y1, y2 = y[:-2], y[1:-1], y[2:]
-    h1 = x1 - x0
-    h2 = x2 - x1
-    # interior: derivative of the 3-point interpolant at the middle node
-    out[1:-1] = (-h2 / (h1 * (h1 + h2))) * y0 + ((h2 - h1) / (h1 * h2)) * y1 + (
-        h1 / (h2 * (h1 + h2))
-    ) * y2
-    # one-sided ends from the first/last three nodes
-    a, b, c = x[0], x[1], x[2]
-    out[0] = (
-        y[0] * (2 * a - b - c) / ((a - b) * (a - c))
-        + y[1] * (a - c) / ((b - a) * (b - c))
-        + y[2] * (a - b) / ((c - a) * (c - b))
-    )
-    a, b, c = x[-3], x[-2], x[-1]
-    out[-1] = (
-        y[-3] * (c - b) / ((a - b) * (a - c))
-        + y[-2] * (c - a) / ((b - a) * (b - c))
-        + y[-1] * (2 * c - a - b) / ((c - a) * (c - b))
-    )
-    return out
-
-
 def differentiate(f: GridFunction) -> GridFunction:
-    """Second-order accurate derivative samples.
-
-    Uses the exact symbolic derivative when the function carries its
-    analytic form, otherwise 3-point Lagrange differentiation (central in
-    the interior, one-sided at the ends).
-    """
-    if f.analytic is not None:
-        return GridFunction.from_analytic(f.grid, f.analytic.derivative())
-    values = _lagrange3_derivative(f.grid.nodes, f.values)
-    traces = None
-    if f.traces is not None:
-        traces = Traces(f.traces.deriv0, math.nan, f.traces.deriv_b, math.nan)
-    return GridFunction(f.grid, values, traces)
-
-
-def _extrapolate_end(x: np.ndarray, y: np.ndarray, x0: float) -> tuple[complex, complex]:
-    """Value and derivative at ``x0`` of the quadratic through three nodes."""
-    (a, b, c), (ya, yb, yc) = x, y
-    la = (x0 - b) * (x0 - c) / ((a - b) * (a - c))
-    lb = (x0 - a) * (x0 - c) / ((b - a) * (b - c))
-    lc = (x0 - a) * (x0 - b) / ((c - a) * (c - b))
-    val = ya * la + yb * lb + yc * lc
-    da = (2 * x0 - b - c) / ((a - b) * (a - c))
-    db = (2 * x0 - a - c) / ((b - a) * (b - c))
-    dc = (2 * x0 - a - b) / ((c - a) * (c - b))
-    der = ya * da + yb * db + yc * dc
-    return complex(val), complex(der)
-
-
-def boundary_data(f: GridFunction) -> Traces:
-    """Boundary traces of ``f``; analytic traces win over extrapolation."""
-    if f.traces is not None:
-        return f.traces
-    if f.grid.is_halfline:
-        raise GridError("half-line grid function without traces: f at R=inf undefined")
-    x, y = f.grid.nodes, f.values
-    v0, d0 = _extrapolate_end(x[:3], y[:3], 0.0)
-    vb, db = _extrapolate_end(x[-3:], y[-3:], f.grid.length)
-    return Traces(v0, d0, vb, db)
+    """The exact derivative of the term sum, sampled on the same grid."""
+    return GridFunction.from_analytic(f.grid, f.analytic.derivative())
 
 
 def decay_certificate(f: GridFunction, rel_tol: float = 1e-10) -> bool:

@@ -112,14 +112,7 @@ def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
 def _sample_problem_function(gf: GridFunction | None, xs: np.ndarray) -> np.ndarray:
     if gf is None:
         return np.zeros(len(xs), dtype=complex)
-    if gf.analytic is None:
-        raise OracleError("oracle assembly needs analytically sampled data")
     return gf.analytic(xs)
-
-
-def _action_samples(problem: ExtensionProblem, fn, xs: np.ndarray) -> np.ndarray:
-    """Samples of the unbounded action applied to an analytic function."""
-    return problem.action_on(fn)(xs)
 
 
 def _core_action_weights(problem: ExtensionProblem, xs: np.ndarray) -> dict:
@@ -138,7 +131,7 @@ def _core_action_weights(problem: ExtensionProblem, xs: np.ndarray) -> dict:
 def _lv_samples(problem: ExtensionProblem, xs: np.ndarray) -> np.ndarray:
     if problem.lv is not None:
         return _sample_problem_function(problem.lv, xs)
-    if problem.phi is not None and problem.phi.analytic is not None and problem.phi.analytic.terms:
+    if problem.phi is not None and problem.phi.analytic.terms:
         spec = problem.spec
         if spec.is_laplacian:
             return -problem.phi.analytic.derivative().derivative()(xs)
@@ -202,8 +195,6 @@ def assemble_discrete(
     imaginary part from the action (used for semibound studies of the
     deviated symmetric part alone).
     """
-    if problem.v.analytic is None:
-        raise OracleError("oracle needs the extension vector in analytic form")
     lo, hi = problem.grid.offset, _active_cut(problem)
     tab = _core_tables(lo, hi, n)
     shape = tab.x.shape
@@ -229,7 +220,7 @@ def assemble_discrete(
     # extension column data
     vfn = problem.v.analytic
     v_samp = vfn(xs)
-    act_v = _action_samples(problem, vfn, xs)
+    act_v = problem.action_on(vfn)(xs)
     if problem.scenario == "potsdam" and problem.w_potential is not None:
         act_v = act_v + _sample_problem_function(problem.w_potential, xs) * v_samp
     lv = _lv_samples(problem, xs)
@@ -280,12 +271,10 @@ def _v_against(problem: ExtensionProblem, gf: GridFunction | None) -> complex:
     if gf is None:
         return 0.0
     vfn = problem.v.analytic
-    if gf.analytic is not None and _windowed(gf.analytic):
-        hi = math.inf if problem.grid.is_halfline else problem.grid.length
-        return complex((vfn.conj() * gf.analytic).integral(0.0, hi))
+    if _windowed(gf.analytic):
+        return complex((vfn.conj() * gf.analytic).integral(0.0, problem.grid.right_endpoint))
     xs, ws = problem.grid.nodes, problem.grid.weights
-    vals = gf.analytic(xs) if gf.analytic is not None else gf.values
-    return complex(np.sum(ws * np.conj(vfn(xs)) * vals))
+    return complex(np.sum(ws * np.conj(vfn(xs)) * gf.analytic(xs)))
 
 
 def _vv_entry(problem: ExtensionProblem, include_bounded_v: bool) -> complex:
@@ -314,7 +303,7 @@ def _vv_entry(problem: ExtensionProblem, include_bounded_v: bool) -> complex:
     # deviation term
     if problem.lv is not None:
         total += _v_against(problem, problem.lv)
-    elif problem.phi is not None and problem.phi.analytic is not None and problem.phi.analytic.terms:
+    elif problem.phi is not None and problem.phi.analytic.terms:
         lv_fn = -1.0 * problem.phi.analytic.derivative().derivative()
         total += complex(np.sum(ws * np.conj(v_samp) * lv_fn(xs)))
     # bounded imaginary part
@@ -323,8 +312,8 @@ def _vv_entry(problem: ExtensionProblem, include_bounded_v: bool) -> complex:
         ip = np.sum(ws * np.conj(pert.phi.analytic(xs)) * v_samp)
         total += complex(1.0j * pert.alpha * abs(ip) ** 2)
     elif isinstance(pert, MultiplicationPerturbation):
-        if pert.v.analytic is not None and _windowed(pert.v.analytic):
-            hi = math.inf if problem.grid.is_halfline else problem.grid.length
+        if _windowed(pert.v.analytic):
+            hi = problem.grid.right_endpoint
             total += complex(1.0j * (vfn.conj() * pert.v.analytic * vfn).integral(0.0, hi))
         else:
             vx = _sample_problem_function(pert.v, xs).real

@@ -1,8 +1,11 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dissipext import cli_io
 from dissipext.analytic import Term
@@ -307,4 +310,102 @@ def test_sweep_axis_zero_step_rejected():
     with pytest.raises(cli_io.ConfigError):
         cfg.sweep_axis("re")
     with pytest.raises(cli_io.ConfigError):
-        cli_io._parse_axis_flag("0:1:0")
+        cli_io._read_axis("0:1:0", "--re")
+
+
+# ---------------------------------------------------------------------------
+# malformed numbers, serial sweeps, sweep/check agreement
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, key",
+    [
+        ("check", SHIRLEY_CFG.replace("gamma = 2", "gamma = abc"), [], "gamma"),
+        ("check", "[scenario]\nname = halfline_schrodinger\nh = 1i\nalpha = abc\n", [], "alpha"),
+        ("oracle", "[scenario]\nname = konzert\ngamma = 0.25\nell = 1\n\n[oracle]\ntol = abc\n",
+         [], "[oracle] tol"),
+        ("oracle", "[scenario]\nname = konzert\ngamma = 0.25\nell = 1\n\n[oracle]\nmeshes = a,b\n",
+         [], "[oracle] meshes"),
+        ("sweep", "[scenario]\nname = potsdam\nrho = 0\n\n[sweep]\nre = a:b:c\nim = 0:1:1\n",
+         [], "[sweep] re"),
+        ("sweep", "[scenario]\nname = potsdam\nrho = 0\n", ["--re=x:1:1", "--im=0:1:1"], "--re"),
+        ("check", SHIRLEY_CFG.replace("rho = 0.5+0.375i", "rho = 1e300"), [], "rho"),
+    ],
+    ids=["gamma", "alpha", "oracle_tol", "oracle_meshes", "sweep_axis", "re_flag", "rho_overflow"],
+)
+def test_malformed_or_extreme_numbers_exit_2(tmp_path, capsys, command, text, flags, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = cli_io.main([command, "--config", str(cfg), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert key in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_sweep_json_writes_null_for_failed_membership(tmp_path, capsys):
+    # int_0^1 |k|^2 / V = int_0^1 dx / x diverges: k is outside the range
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(
+        "[scenario]\nname = halfline_schrodinger\nh = 1i\n"
+        "perturbation = multiplication\nV = x*indicator(0,1)\nk = indicator(0,1)\n"
+    )
+    code = cli_io.main(["sweep", "--config", str(cfg), "--re=0:0.1:0.1", "--im=1:1:1",
+                        "--format", "json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 2
+    assert all(row["margin"] is None and row["dissipative"] is False for row in rows)
+
+
+def _check_at(text: str, key: str, re: float, im: float) -> tuple[int, dict]:
+    """run_check on ``text`` with ``key`` set to ``re + im i`` on the sweep's grid."""
+    value = f"{re!r}+{im!r}i"
+    assert cli_io.parse_complex(value) == complex(re, im)
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in text.splitlines()]
+    return cli_io.run_check(cli_io.parse_config("\n".join(lines) + "\n\n[grid]\nn = 64\n"))
+
+
+POTSDAM_X15 = "[scenario]\nname = potsdam\nrho = 0\nphi = x^1.5*exp(-x)\n"
+
+
+def test_sweep_is_serial_and_leaves_mpmath_precision():
+    # phi = x^1.5 e^{-x} reaches mpmath.quad, which raises mpmath's one global
+    # precision while it runs: with a thread pool the points corrupted each
+    # other's integrals and the sweep ended in a ZeroDivisionError
+    payload = cli_io.run_sweep(cli_io.parse_config(POTSDAM_X15), (0.0, 0.1, 0.1), (0.0, 0.1, 0.1))
+    assert mpmath.mp.prec == 53
+    assert len(payload["rows"]) == 4
+    for row in payload["rows"]:
+        _, expect = _check_at(POTSDAM_X15, "rho", row["re_rho"], row["im_rho"])
+        assert row["margin"] == expect["margin"]
+        assert row["dissipative"] is expect["dissipative"]
+
+
+SWEEP_CASES = {
+    "potsdam_ix": ("[scenario]\nname = potsdam\nrho = 0\nphi = 0.8i*x*exp(-x)\n", "rho"),
+    "potsdam_x15": (POTSDAM_X15, "rho"),
+    "shirley": ("[scenario]\nname = shirley\ngamma = 2\nrho = 0\nphi = x^2 - x\n", "rho"),
+    "rank_one": ("[scenario]\nname = halfline_schrodinger\nh = 1i\nperturbation = rank_one\n"
+                 "alpha = 0.8\nlambda = 0.6-0.9i\n", "h"),
+    "multiplication": ("[scenario]\nname = halfline_schrodinger\nh = 1i\n"
+                       "perturbation = multiplication\nV = indicator(0,1)\n"
+                       "k = 1.5*indicator(0,1)\n", "h"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(re=st.floats(-2.0, 2.0), im=st.floats(0.0, 2.0))
+def test_sweep_rows_match_check(case, re, im):
+    # metamorphic: every sweep row is the check of its own boundary parameter
+    text, key = SWEEP_CASES[case]
+    payload = cli_io.run_sweep(cli_io.parse_config(text), (re, re + 0.5, 0.5), (im, im + 0.5, 0.5))
+    assert len(payload["rows"]) == 4
+    for row in payload["rows"]:
+        code, expect = _check_at(text, key, row["re_rho"], row["im_rho"])
+        assert code in (0, 1)
+        assert row["dissipative"] is expect["dissipative"]
+        margin = expect["margin"]
+        assert abs(row["margin"] - margin) <= 1e-12 * (1.0 + abs(margin))

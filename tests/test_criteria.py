@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dissipext import catalog, criteria, forms
-from dissipext.analytic import constant, exponential, power
+from dissipext.analytic import AnalyticFunction, Term, constant, exponential, power
 from dissipext.catalog import RHO_INF
 from dissipext.grid import GridFunction, make_grid
 
@@ -281,12 +281,12 @@ def test_necessity_passes_on_catalog_instances(shirley_instance, rank_one_direct
 
 def test_outside_theory_requires_distinct_extensions():
     # half-line scenario with both memberships failing: no verdict at all
+    # v = x^0.25 e^{-x} has ||v'|| infinite at 0; lv = x^-0.7 is not
+    # integrable at infinity, so it leaves the square-root range
     p = catalog.build_potsdam(None, 1.0 + 0j, None, n=256)
     grid = p.grid
-    x = grid.nodes
-    v_vals = np.sin(x**2) / (1.0 + x) ** 0.6
-    bad_v = GridFunction.from_values(grid, v_vals)
-    bad_l = GridFunction.from_values(grid, (1.0 + x) ** -0.7)
+    bad_v = GridFunction.from_analytic(grid, AnalyticFunction((Term(1.0, 0.25, -1.0),)))
+    bad_l = GridFunction.from_analytic(grid, power(1.0, -0.7))
     pbad = dataclasses.replace(p, v=bad_v, phi=None, lv=bad_l)
     v = criteria.decide(pbad)
     assert v.criterion == criteria.CRITERION_OUTSIDE

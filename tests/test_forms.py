@@ -13,7 +13,7 @@ from dissipext.analytic import (
     monomial,
     power,
 )
-from dissipext.grid import GridFunction, Traces, make_grid
+from dissipext.grid import GridFunction, integrate, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -255,11 +255,31 @@ def test_vf_solve_residual_invariant(interval, spec_interval):
 
 
 def test_vf_solve_green_fallback_matches(interval, spec_interval):
-    # sampled right-hand side exercises the kernel quadrature route
+    # pi^2 sin(pi x) as two exponentials: the exact Green solution, whose
+    # closed-form <ell, u> the grid quadrature reproduces
     pi = math.pi
-    ell = GridFunction.from_values(interval, pi**2 * np.sin(pi * interval.nodes))
+    ell = gf(
+        interval,
+        AnalyticFunction((Term(-0.5j * pi**2, 0.0, 1j * pi), Term(0.5j * pi**2, 0.0, -1j * pi))),
+    )
     sol = forms.vf_solve(spec_interval, ell)
-    assert sol.inv_form == pytest.approx(pi**2 / 2, rel=1e-4)
+    assert sol.inv_form == pytest.approx(pi**2 / 2, rel=1e-12)
+    assert integrate(ell, sol.u).real == pytest.approx(sol.inv_form, rel=1e-10)
+
+
+def test_inverse_outside_closed_class_raises(interval, spec_interval, konzert_weight):
+    # x^0.5 e^{-x}: the Green antiderivatives leave the term class
+    ell = AnalyticFunction((Term(1.0, 0.5, -1.0),))
+    with pytest.raises(forms.FormsError):
+        forms.vf_solve(spec_interval, gf(interval, ell))
+    halfline = forms.dirichlet_laplacian_halfline()
+    with pytest.raises(forms.FormsError):
+        forms.sqrt_scale_inv_form(halfline, gf(make_grid("halfline", 512), ell))
+    # a two-term multiplier has no one-term pointwise inverse
+    grid = konzert_weight.weight.grid
+    two_term = forms.multiplication(gf(grid, AnalyticFunction((Term(1.0, 0.0), Term(1.0, 1.0)))))
+    with pytest.raises(forms.FormsError):
+        forms.vf_solve(two_term, gf(grid, constant(1.0)))
 
 
 def test_vf_solve_halfline_nondecaying_rejected():
@@ -274,9 +294,10 @@ def test_vf_solve_rank_one_range(interval):
     grid = make_grid("halfline", 512)
     phi = gf(grid, exponential(math.sqrt(2.0), -1.0))
     spec = forms.rank_one(4.0, phi)
-    ell = GridFunction(grid, 3.0 * phi.values, phi.traces, 3.0 * phi.analytic)
+    ell = gf(grid, 3.0 * phi.analytic)
     sol = forms.vf_solve(spec, ell)
     assert sol.inv_form == pytest.approx(9.0 / 4.0, rel=1e-12)
+    assert np.max(np.abs(sol.u.values - 0.75 * phi.values)) < 1e-12
     off = gf(grid, exponential(1.0, -3.0))
     with pytest.raises(forms.RangeError):
         forms.vf_solve(spec, off)
@@ -291,15 +312,6 @@ def test_sqrt_scale_halfline_exact():
     val, diverged = forms.sqrt_scale_inv_form(spec, ell)
     assert not diverged
     assert val == pytest.approx(1.25, abs=1e-10)
-
-
-def test_sqrt_scale_doubling_heuristic_flags_slow_decay():
-    grid = make_grid("halfline", 2048, length=80.0)
-    spec = forms.dirichlet_laplacian_halfline()
-    vals = (1.0 + grid.nodes) ** -0.7
-    ell = GridFunction.from_values(grid, vals)
-    _, diverged = forms.sqrt_scale_inv_form(spec, ell)
-    assert diverged
 
 
 def test_support_violation_and_ratio_integral():
@@ -332,16 +344,7 @@ def test_projection_idempotent_and_complementary(interval, spec_interval):
     assert math.sqrt(
         float(np.sum(interval.weights * np.abs(pp.values - p.values) ** 2))
     ) < 1e-10
-    rest = GridFunction(
-        interval,
-        v.values - p.values,
-        Traces(
-            v.traces.value0 - p.traces.value0,
-            v.traces.deriv0 - p.traces.deriv0,
-            v.traces.value_b - p.traces.value_b,
-            v.traces.deriv_b - p.traces.deriv_b,
-        ),
-    )
+    rest = gf(interval, v.analytic - p.analytic)
     assert abs(rest.traces.value0) < 1e-8 and abs(rest.traces.value_b) < 1e-8
 
 

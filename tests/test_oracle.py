@@ -5,7 +5,7 @@ import pytest
 
 from dissipext import catalog, criteria, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator
-from dissipext.grid import GridFunction, make_grid
+from dissipext.grid import GridError, GridFunction, make_grid
 from test_splines import cox_de_boor
 
 
@@ -99,12 +99,13 @@ def test_v_column_matches_criteria_lhs(builder, kwargs, shirley_instance, rank_o
 
 
 def test_assembly_needs_analytic_vector():
+    # the oracle reads the term sum of every problem function, and samples
+    # alone cannot make one
     prob = _konzert(1.0)
-    import dataclasses
-
-    sampled = dataclasses.replace(prob, v=GridFunction.from_values(prob.grid, prob.v.values))
-    with pytest.raises(oracle.OracleError):
-        oracle.assemble_discrete(sampled, 64)
+    with pytest.raises(GridError):
+        GridFunction(prob.grid, prob.v.values)
+    with pytest.raises(GridError):
+        GridFunction.from_analytic(prob.grid, prob.v.values)
 
 
 # ---------------------------------------------------------------------------
