@@ -5,7 +5,7 @@ uniform subintervals) on an interval ``(offset, b)`` or a truncated half-line
 ``(offset, R)``.  A :class:`GridFunction` is a scenario function's term sum,
 an :class:`~dissipext.analytic.AnalyticFunction`, with its samples and
 boundary traces derived from it, so downstream evaluators integrate and
-differentiate exactly and use the samples only for quadrature checks.
+differentiate exactly; the samples serve grid quadrature and sampled checks.
 
 Grids and grid functions are immutable after construction.
 """
