@@ -8,6 +8,10 @@ or ``(0, inf)`` can be computed without quadrature error.  It is the one
 representation of a scenario function: grid samples and boundary traces are
 derived from it.  Non-elementary integrals (a non-integer power times an
 exponential) use ``mpmath`` adaptive quadrature.
+
+:func:`norm_sq` decides whether ``int w |f|^2`` or ``int |k|^2 / V`` is
+finite from leading orders of the term sums, so every membership test of
+the package rests on them rather than on samples.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ __all__ = [
     "DivergentIntegralError",
     "Term",
     "AnalyticFunction",
+    "reciprocal",
+    "off_support",
+    "norm_sq",
     "constant",
     "monomial",
     "power",
@@ -131,20 +138,17 @@ def _integral_int_power_exp(n: int, b: complex, lo: float, hi: float) -> complex
     return (boundary(hi, n) - boundary(lo, n)) - (n / b) * _integral_int_power_exp(n - 1, b, lo, hi)
 
 
+def _quad(f, points) -> complex:
+    """The package's one quadrature: ``f`` over consecutive ``points``."""
+    return complex(mpmath.quad(f, [mpmath.inf if p == math.inf else p for p in points]))
+
+
 def _integral_quad(a: complex, b: complex, lo: float, hi: float) -> complex:
     if lo == 0.0 and a.real <= -1:
         raise DivergentIntegralError("power factor not integrable at 0")
-    if hi == math.inf:
-        if b.real > 0 or (b.real == 0 and a.real >= -1):
-            raise DivergentIntegralError("integrand does not decay at infinity")
-        hi_mp = mpmath.inf
-    else:
-        hi_mp = hi
-
-    def f(t):
-        return mpmath.power(t, a) * mpmath.exp(b * t)
-
-    return complex(mpmath.quad(f, [lo, hi_mp]))
+    if hi == math.inf and (b.real > 0 or (b.real == 0 and a.real >= -1)):
+        raise DivergentIntegralError("integrand does not decay at infinity")
+    return _quad(lambda t: mpmath.power(t, a) * mpmath.exp(b * t), [lo, hi])
 
 
 def _term_integral(a: complex, b: complex, lo: float, hi: float) -> complex:
@@ -303,11 +307,156 @@ class AnalyticFunction:
             total += t.coeff * _term_integral(t.power, t.rate, a, b)
         return total
 
-    def max_abs_on(self, xs: np.ndarray) -> float:
-        return float(np.max(np.abs(self(xs)))) if len(xs) else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"AnalyticFunction({len(self.terms)} terms)"
+
+
+def reciprocal(fn: AnalyticFunction) -> AnalyticFunction | None:
+    """Pointwise inverse of a one-term function on its window (else None)."""
+    if len(fn.terms) != 1:
+        return None
+    t = fn.terms[0]
+    return AnalyticFunction((Term(1.0 / t.coeff, -t.power, -t.rate, t.lo, t.hi),))
+
+
+#: a coefficient sum below this fraction of its parts' absolute sum cancels
+_CANCEL_RTOL = 1e-12
+#: powers, rates and orders are compared to this many decimals
+_DECIMALS = 9
+#: orders searched past the lowest; an order beyond them counts as infinite
+_ORDER_DEPTH = 16
+_ONE = AnalyticFunction((Term(1.0 + 0j),))
+
+
+def _live(pairs) -> dict:
+    """Coefficient sums of keys (powers, rates) equal to ``_DECIMALS``, less those that cancel."""
+    groups: dict = {}
+    for key, c in pairs:
+        key = tuple(complex(round(z.real, _DECIMALS), round(z.imag, _DECIMALS)) for z in key)
+        g = groups.setdefault(key, [0j, 0.0])
+        g[0] += c
+        g[1] += abs(c)
+    return {k: c for k, (c, scale) in groups.items() if abs(c) > _CANCEL_RTOL * scale}
+
+
+def _breakpoints(fns, lo: float, hi: float) -> list[float]:
+    """``lo``, ``hi`` and every window edge of ``fns`` between them, ascending."""
+    edges = {lo, hi}
+    for fn in fns:
+        edges.update(e for t in fn.terms for e in (t.lo, t.hi) if e is not None and lo < e < hi)
+    return sorted(edges)
+
+
+def _live_terms(fn: AnalyticFunction, a: float, b: float) -> list[Term]:
+    """The terms of ``fn`` on a piece ``(a, b)``, unwindowed; empty where it vanishes."""
+    on = (((t.power, t.rate), t.coeff) for t in fn.terms
+          if (t.lo is None or t.lo <= a) and (t.hi is None or t.hi >= b))
+    return [Term(c, p, r) for (p, r), c in _live(on).items()]
+
+
+def _order(terms: list[Term], x0: float) -> float:
+    """Leading order of the sum at ``x0``: at 0, Re of the lowest power left
+    once each ``exp(b*x)`` is expanded; elsewhere the first nonzero derivative."""
+    if x0 == 0.0:
+        top = min(t.power.real for t in terms) + _ORDER_DEPTH
+        pairs = []
+        for t in terms:
+            c = t.coeff
+            for j in range(int(top - t.power.real) + 1):
+                pairs.append(((t.power + j,), c))
+                c = c * t.rate / (j + 1)
+        return min((p.real for p, in _live(pairs)), default=math.inf)
+    fn = AnalyticFunction(terms)
+    for j in range(_ORDER_DEPTH + 1):
+        if _live(((), t.coeff * mpmath.power(x0, t.power) * mpmath.exp(t.rate * x0))
+                 for t in fn.terms):
+            return float(j)
+        fn = fn.derivative()
+    return math.inf
+
+
+def off_support(f: AnalyticFunction, weight: AnalyticFunction, lo: float, hi: float) -> bool:
+    """True when ``f`` has terms that do not cancel on a piece of ``(lo, hi)``
+    where every term of ``weight`` is windowed out or cancels."""
+    pts = _breakpoints((f, weight), lo, hi)
+    return any(_live_terms(f, a, b) and not _live_terms(weight, a, b)
+               for a, b in zip(pts, pts[1:]))
+
+
+def _finite_order(f, weight, inverse: bool, lo: float, hi: float) -> float:
+    """Raise :class:`DivergentIntegralError` unless ``int w^{+-1} |f|^2`` is
+    finite; return its order ``s`` at 0 (``x^s``; 0 when not singular).
+
+    At each end ``x0`` of a piece the integrand is ``|x - x0|^s``, ``s = 2
+    ord(f) +- ord(w)``, integrable iff ``s > -1``; at infinity ``x^s e^{r x}``
+    from the dominant terms.  Pieces where ``f`` or ``w`` vanishes are
+    skipped (for the inverse the caller has ruled out ``f`` there).
+    """
+    sign = -1.0 if inverse else 1.0
+    order0 = 0.0
+    pts = _breakpoints((f, weight), lo, hi)
+    for a, b in zip(pts, pts[1:]):
+        ft, wt = _live_terms(f, a, b), _live_terms(weight, a, b)
+        if not ft or not wt:
+            continue
+        for x0 in (a, b):
+            if x0 == math.inf:
+                rf, pf = max((t.rate.real, t.power.real) for t in ft)
+                rw, pw = max((t.rate.real, t.power.real) for t in wt)
+                r = round(2.0 * rf + sign * rw, _DECIMALS)
+                s = round(2.0 * pf + sign * pw, _DECIMALS)
+                if r > 0.0 or (r == 0.0 and s >= -1.0):
+                    raise DivergentIntegralError("integrand does not decay at infinity")
+                continue
+            s = round(2.0 * _order(ft, x0) + sign * _order(wt, x0), _DECIMALS)
+            if x0 == 0.0:
+                order0 = min(order0, s)
+            if s <= -1.0:
+                raise DivergentIntegralError(f"integrand not integrable at x = {x0}")
+    return order0
+
+
+def _mp_value(fn: AnalyticFunction, t):
+    return mpmath.fsum(term.coeff * mpmath.power(t, term.power) * mpmath.exp(term.rate * t)
+                       for term in fn.terms
+                       if (term.lo is None or term.lo <= t) and (term.hi is None or t <= term.hi))
+
+
+def norm_sq(f: AnalyticFunction, lo: float, hi: float,
+            weight: AnalyticFunction | None = None, *, inverse: bool = False) -> float:
+    """``int_lo^hi w |f|^2`` for a weight ``w >= 0`` (1 when None), or ``int
+    |f|^2 / w`` with ``inverse``; :class:`DivergentIntegralError` when infinite.
+
+    The value is the term-wise closed form when every term converges, else
+    (a divergence that cancels in the sum, a ``w`` with several terms) one
+    quadrature of the integrand evaluated pointwise from its factors, so
+    that a cancellation near 0 loses no digits.
+    """
+    w = _ONE if weight is None else weight
+    if inverse:
+        if off_support(f, w, lo, hi):
+            raise DivergentIntegralError("integrand lives where the weight vanishes")
+        winv = reciprocal(w)
+        product = None if winv is None else f.conj() * winv * f
+    else:
+        product = f.conj() * f if weight is None else weight * (f.conj() * f)
+    if product is not None:
+        try:
+            return float(product.integral(lo, hi).real)
+        except DivergentIntegralError:
+            pass
+    # x = t^p flattens an x^s singularity at 0, where the quadrature's nodes
+    # stop at the working precision
+    p = 1.0 / (1.0 + _finite_order(f, w, inverse, lo, hi))
+
+    def integrand(t):
+        x = t ** p
+        v, wx = abs(_mp_value(f, x)) ** 2 * p * t ** (p - 1.0), _mp_value(w, x).real
+        if inverse:
+            return v / wx if wx else wx  # f vanishes wherever w does
+        return v * wx
+
+    return float(_quad(integrand, [e ** (1.0 / p) for e in _breakpoints((f, w), lo, hi)]).real)
 
 
 def constant(c: complex) -> AnalyticFunction:

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import forms
-from .analytic import AnalyticFunction, Term
+from .analytic import AnalyticFunction, DivergentIntegralError, Term, norm_sq
 from .grid import (
     DEFAULT_HALFLINE_R,
     Grid,
@@ -132,30 +132,19 @@ class ExtensionProblem:
 # potsdam: -i f'' + W on the half-line
 
 
-def _halfline_defect_basis() -> tuple[AnalyticFunction, AnalyticFunction]:
-    """Solve for the trace-normalized combinations of the decaying kernel basis.
-
-    Returns ``(sigma, tau)`` with ``sigma(0)=tau'(0)=1`` and
-    ``sigma'(0)=tau(0)=0``; the 2x2 trace system must be uniquely solvable,
-    which is asserted through its determinant.
-    """
+def _decaying_vector(h: complex) -> AnalyticFunction:
+    """The combination of the decaying kernel pair ``exp(-(1 +- i) x / sqrt(2))``
+    with ``f(0) = 1, f'(0) = h`` (``f(0) = 0, f'(0) = 1`` at ``h = inf``)."""
     mu_p = -(1.0 + 1.0j) / math.sqrt(2.0)
     mu_m = -(1.0 - 1.0j) / math.sqrt(2.0)
     det = mu_m - mu_p
-    if abs(det) < 1e-12:
-        raise CatalogError("defect basis trace system is singular")
-
-    def combo(val0: complex, der0: complex) -> AnalyticFunction:
-        a = (val0 * mu_m - der0) / det
-        b = (der0 - val0 * mu_p) / det
-        return AnalyticFunction((Term(a, 0.0, mu_p), Term(b, 0.0, mu_m)))
-
-    return combo(1.0, 0.0), combo(0.0, 1.0)
-
-
-def _require_dirichlet(phi: GridFunction, name: str) -> None:
-    if abs(phi.traces.value0) > 1e-8 * (1.0 + float(np.max(np.abs(phi.values)))):
-        raise CatalogError(f"{name} must vanish at 0")
+    if is_inf(h):
+        val0, der0 = 0.0, 1.0
+    else:
+        val0, der0 = 1.0, h
+    a = (val0 * mu_m - der0) / det
+    b = (der0 - val0 * mu_p) / det
+    return AnalyticFunction((Term(a, 0.0, mu_p), Term(b, 0.0, mu_m)))
 
 
 def build_potsdam(
@@ -168,7 +157,8 @@ def build_potsdam(
 ) -> ExtensionProblem:
     """Half-line scenario with potential ``W`` and deviation ``V_F phi``."""
     grid = make_grid("halfline", n, length=r)
-    sigma, tau = _halfline_defect_basis()
+    # trace-normalized pair: sigma(0) = tau'(0) = 1, sigma'(0) = tau(0) = 0
+    sigma, tau = _decaying_vector(0j), _decaying_vector(RHO_INF)
     zeta = tau if is_inf(rho) else sigma + rho * tau
     vf = GridFunction.from_analytic(grid, zeta)
     if not decay_certificate(vf):
@@ -178,13 +168,16 @@ def build_potsdam(
     if phi is not None:
         if not phi_fn.decays_at_infinity() or not decay_certificate(phig):
             raise CatalogError("phi must have decayed by the truncation radius")
-        _require_dirichlet(phig, "phi")
+        if abs(phig.traces.value0) > 1e-8 * (1.0 + float(np.max(np.abs(phig.values)))):
+            raise CatalogError("phi must vanish at 0")
     wg = GridFunction.from_analytic(grid, w) if w is not None else None
     if wg is not None:
         if float(np.max(np.abs(wg.values.imag))) > 1e-10:
             raise CatalogError("potential W must be real-valued")
-        if not math.isfinite(wg.norm_sq()):
-            raise CatalogError("potential W must be square-integrable")
+        try:
+            norm_sq(w, 0.0, math.inf)
+        except DivergentIntegralError:
+            raise CatalogError("potential W must be square-integrable") from None
     dphi = phi_fn.derivative()
     norm_dphi_sq = float((dphi.conj() * dphi).integral(0.0, math.inf).real)
     if is_inf(rho):
@@ -352,19 +345,6 @@ def _resample_perturbation(pert, grid: Grid):
     return MultiplicationPerturbation(_to_grid(pert.v, grid), _to_grid(pert.k, grid))
 
 
-def _schrodinger_vector(h: complex) -> AnalyticFunction:
-    mu_p = -(1.0 + 1.0j) / math.sqrt(2.0)
-    mu_m = -(1.0 - 1.0j) / math.sqrt(2.0)
-    det = mu_m - mu_p
-    if is_inf(h):
-        val0, der0 = 0.0, 1.0
-    else:
-        val0, der0 = 1.0, h
-    a = (val0 * mu_m - der0) / det
-    b = (der0 - val0 * mu_p) / det
-    return AnalyticFunction((Term(a, 0.0, mu_p), Term(b, 0.0, mu_m)))
-
-
 def build_halfline_schrodinger(
     h: complex,
     perturbation: RankOnePerturbation | MultiplicationPerturbation,
@@ -382,7 +362,7 @@ def build_halfline_schrodinger(
     if not is_inf(h) and h.imag < 0.0:
         raise CatalogError("Im h < 0 is not a dissipative boundary condition")
     grid = make_grid("halfline", n, length=r)
-    eta = GridFunction.from_analytic(grid, _schrodinger_vector(h))
+    eta = GridFunction.from_analytic(grid, _decaying_vector(h))
     if not decay_certificate(eta):
         raise CatalogError("boundary vector has not decayed by the truncation radius")
     im_h = 0.0 if is_inf(h) else h.imag
@@ -399,11 +379,10 @@ def build_halfline_schrodinger(
             raise CatalogError("multiplication imaginary part must be non-negative")
         spec = forms.multiplication(vg)
         lv = perturbation.k
-        margin = None  # support violations surface when the criterion runs
         try:
             margin = im_h - 0.25 * forms.mult_inverse_norm_sq(vg, perturbation.k)
         except forms.FormsError:
-            margin = None
+            margin = None  # support violations surface when the criterion runs
     return ExtensionProblem(
         scenario="halfline_schrodinger",
         spec=spec,

@@ -16,10 +16,11 @@ The splines come from the package's one spline layer,
 :mod:`dissipext.splines`, on a clamped knot vector graded toward both ends.
 
 Every function carries its term sum, so forms, derivatives, traces and
-inverses are evaluated exactly.  Sampled quadrature with divergence
-heuristics decides only what the term sum leaves open: a term-wise
-divergence that may cancel in the sum, and the inverse of a multiplier with
-more than one term.
+inverses are evaluated exactly, and every membership is decided from the
+term sums: :func:`dissipext.analytic.norm_sq` decides whether ``int w|f|^2``
+or ``int |k|^2/V`` is finite from leading orders at 0, at infinity and at
+window edges, and :func:`support_violation` is window logic.  Grid samples
+serve only input validation here (trace scales, the sign of a weight).
 """
 
 from __future__ import annotations
@@ -30,20 +31,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigenh, splines
-from .analytic import AnalyticError, AnalyticFunction, DivergentIntegralError, Term
-from .grid import GridFunction, differentiate, integrate
+from .analytic import (
+    AnalyticError,
+    AnalyticFunction,
+    DivergentIntegralError,
+    Term,
+    norm_sq,
+    off_support,
+    reciprocal,
+)
+from .grid import GridFunction, differentiate
 
 __all__ = [
     "FormsError",
     "DomainError",
     "RangeError",
     "DegenerateFormError",
-    "DIVERGENCE_THRESHOLD",
     "ImaginaryPartSpec",
     "dirichlet_laplacian_halfline",
     "dirichlet_laplacian_interval",
     "multiplication",
     "rank_one",
+    "inner",
     "bounded_matrix",
     "friedrichs_form_sq",
     "krein_form_sq",
@@ -60,7 +69,6 @@ __all__ = [
     "discrete_sqrt_pair",
 ]
 
-DIVERGENCE_THRESHOLD = 1e8
 _TRACE_TOL = 1e-8
 
 
@@ -126,7 +134,7 @@ class ImaginaryPartSpec:
         if self.family == "rank_one":
             if self.alpha is None or self.alpha <= 0 or self.phi0 is None:
                 raise FormsError("rank_one family needs alpha > 0 and a direction")
-            nrm = self.phi0.norm_sq()
+            nrm = norm_sq(self.phi0.analytic, 0.0, self.phi0.grid.right_endpoint)
             if abs(nrm - 1.0) > 1e-10:
                 raise FormsError(f"rank_one direction must be normalized, got ||phi||^2={nrm}")
         if self.family == "bounded_matrix" and self.matrix is None:
@@ -169,58 +177,19 @@ def bounded_matrix(matrix: np.ndarray) -> ImaginaryPartSpec:
 # inner products
 
 
-def _inner(f: GridFunction, g: GridFunction) -> complex:
+def inner(f: GridFunction, g: GridFunction) -> complex:
     """<f, g> over the true domain, in closed form."""
     return (f.analytic.conj() * g.analytic).integral(0.0, f.grid.right_endpoint)
 
 
-def _diverges_sampled(grid, integrand: np.ndarray, *, total: float) -> bool:
-    """Heuristics for non-integrability of a sampled non-negative integrand.
-
-    Flags (a) values beyond the global divergence threshold, (b) a fitted
-    left-edge power law ``x^p`` with ``p <= -1``, and (c) on half-lines a
-    tail whose dyadic increments stop decaying.
-    """
-    if not math.isfinite(total) or total > DIVERGENCE_THRESHOLD:
-        return True
-    x, w = grid.nodes, grid.weights
-    head = integrand[:4]
-    if np.all(head > 0) and head[0] * x[0] > 1e-9 * (1.0 + total):
-        p = np.polyfit(np.log(x[:4]), np.log(head), 1)[0]
-        if p <= -0.999:
-            return True
-    if grid.is_halfline:
-        r = grid.length
-        s1 = float(np.sum(w[x <= r / 4] * integrand[x <= r / 4]))
-        s2 = float(np.sum(w[x <= r / 2] * integrand[x <= r / 2]))
-        s3 = total
-        inc1, inc2 = s2 - s1, s3 - s2
-        if inc2 > 1e-8 * (1.0 + s3) and inc2 >= 0.9 * inc1:
-            return True
-    return False
-
-
-def _weighted_norm_sq_checked(weight: GridFunction | None, f: GridFunction) -> tuple[float, bool]:
-    """``int w |f|^2`` (w=1 when None) together with a divergence flag.
-
-    Symbolic integration is term-wise, so an oscillatory sum of individually
-    divergent terms can be flagged spuriously; the sampled heuristic on the
-    pointwise (non-negative) integrand arbitrates those cases.
-    """
-    integrand = f.analytic.conj() * f.analytic
-    if weight is not None:
-        integrand = weight.analytic * integrand
+def _form_norm_sq(spec: ImaginaryPartSpec, f: GridFunction, domain: str) -> float:
+    """``||f'||^2`` or ``int w |f|^2``; DomainError naming ``domain`` if infinite."""
     try:
-        return float(integrand.integral(0.0, f.grid.right_endpoint).real), False
+        if spec.is_laplacian:
+            return norm_sq(f.analytic.derivative(), 0.0, f.grid.right_endpoint)
+        return norm_sq(f.analytic, 0.0, f.grid.right_endpoint, spec.weight.analytic)
     except DivergentIntegralError:
-        vals = np.abs(f.values) ** 2
-        if weight is not None:
-            vals = weight.values.real * vals
-        total = float(np.sum(f.grid.weights * vals))
-        if _diverges_sampled(f.grid, vals, total=total):
-            return math.inf, True
-        # term-wise divergence cancelled in the sum: trust quadrature
-        return total, False
+        raise DomainError(f"form diverges: f outside the {domain} form domain") from None
 
 
 # ---------------------------------------------------------------------------
@@ -243,38 +212,21 @@ def friedrichs_form_sq(spec: ImaginaryPartSpec, f) -> float:
     if spec.family == "bounded_matrix":
         c = np.asarray(f, dtype=complex)
         return float(np.vdot(c, spec.matrix @ c).real)
-    if spec.is_laplacian:
-        _check_friedrichs_domain(spec, f)
-        df = differentiate(f)
-        val, diverged = _weighted_norm_sq_checked(None, df)
-        if diverged:
-            raise DomainError("||f'||^2 diverges: f outside the Friedrichs form domain")
-        return val
-    if spec.family == "multiplication":
-        val, diverged = _weighted_norm_sq_checked(spec.weight, f)
-        if diverged:
-            raise DomainError("weighted norm diverges: f outside the form domain")
-        return val
-    # rank_one
-    return spec.alpha * abs(_inner(spec.phi0, f)) ** 2
+    if spec.family == "rank_one":
+        return spec.alpha * abs(inner(spec.phi0, f)) ** 2
+    _check_friedrichs_domain(spec, f)
+    return _form_norm_sq(spec, f, "Friedrichs")
 
 
 def krein_form_sq(spec: ImaginaryPartSpec, f) -> float:
     """``||V_K^{1/2} f||^2`` for ``f`` in the Krein square-root domain."""
-    if spec.family == "dirichlet_laplacian_halfline":
-        df = differentiate(f)
-        val, diverged = _weighted_norm_sq_checked(None, df)
-        if diverged:
-            raise DomainError("||f'||^2 diverges: f outside the small form domain")
-        return val
+    if not spec.is_laplacian:
+        return friedrichs_form_sq(spec, f)
+    val = _form_norm_sq(spec, f, "small")
     if spec.family == "dirichlet_laplacian_interval":
-        df = differentiate(f)
-        val, diverged = _weighted_norm_sq_checked(None, df)
-        if diverged:
-            raise DomainError("||f'||^2 diverges: f outside the small form domain")
         t = f.traces
-        return val - abs(t.value_b - t.value0) ** 2
-    return friedrichs_form_sq(spec, f)
+        val -= abs(t.value_b - t.value0) ** 2
+    return val
 
 
 def friedrichs_form(spec: ImaginaryPartSpec, f, g) -> complex:
@@ -282,22 +234,20 @@ def friedrichs_form(spec: ImaginaryPartSpec, f, g) -> complex:
     if spec.family == "bounded_matrix":
         return complex(np.vdot(np.asarray(f, dtype=complex), spec.matrix @ np.asarray(g, dtype=complex)))
     if spec.is_laplacian:
-        return _inner(differentiate(f), differentiate(g))
+        return inner(differentiate(f), differentiate(g))
     if spec.family == "multiplication":
         integrand = f.analytic.conj() * spec.weight.analytic * g.analytic
         return integrand.integral(0.0, f.grid.right_endpoint)
-    return spec.alpha * np.conj(_inner(spec.phi0, f)) * _inner(spec.phi0, g)
+    return spec.alpha * np.conj(inner(spec.phi0, f)) * inner(spec.phi0, g)
 
 
 def krein_form(spec: ImaginaryPartSpec, f, g) -> complex:
     """Polarized Krein form ``<V_K^{1/2} f, V_K^{1/2} g>``."""
+    val = friedrichs_form(spec, f, g)
     if spec.family == "dirichlet_laplacian_interval":
         tf, tg = f.traces, g.traces
-        jump = np.conj(tf.value_b - tf.value0) * (tg.value_b - tg.value0)
-        return _inner(differentiate(f), differentiate(g)) - jump
-    if spec.family == "dirichlet_laplacian_halfline":
-        return _inner(differentiate(f), differentiate(g))
-    return friedrichs_form(spec, f, g)
+        val -= np.conj(tf.value_b - tf.value0) * (tg.value_b - tg.value0)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +321,7 @@ def krein_form_ando_nishio(spec: ImaginaryPartSpec, h: GridFunction, test_dim: i
         raise FormsError("test_dim must be at least 2")
     if spec.family == "rank_one":
         # the quotient is the same on every test direction not annihilated
-        return float(abs(_inner(spec.phi0, h)) ** 2 * spec.alpha)
+        return float(abs(inner(spec.phi0, h)) ** 2 * spec.alpha)
     if spec.family == "bounded_matrix":
         bvec = spec.matrix @ np.asarray(h, dtype=complex)
         return _pencil_max(np.outer(bvec, np.conj(bvec)), spec.matrix)
@@ -479,81 +429,38 @@ def vf_solve(spec: ImaginaryPartSpec, ell) -> VfSolution:
         u = v[:, keep] @ (coeff[keep] / w[keep])
         return VfSolution(u, float(np.vdot(c, u).real))
     if spec.family == "rank_one":
-        # the residual uses the grid quadrature that normalized phi0; the
-        # exact coefficient can differ from it by more than the threshold
-        rest = ell.values - integrate(spec.phi0, ell) * spec.phi0.values
-        rest_sq = float(np.sum(ell.grid.weights * (rest.real * rest.real + rest.imag * rest.imag)))
-        if math.sqrt(rest_sq) > 1e-8 * (1.0 + math.sqrt(ell.norm_sq())):
+        c = inner(spec.phi0, ell)
+        try:
+            rest_sq = norm_sq(ell.analytic - c * spec.phi0.analytic, 0.0, ell.grid.right_endpoint)
+        except DivergentIntegralError as exc:
+            raise RangeError(str(exc)) from None
+        # ||ell||^2 = ||rest||^2 + |c|^2 for the normalized phi0
+        if math.sqrt(rest_sq) > 1e-8 * (1.0 + math.sqrt(rest_sq + abs(c) ** 2)):
             raise RangeError("right-hand side leaves the rank-one range")
-        c = _inner(spec.phi0, ell)
         u = GridFunction.from_analytic(ell.grid, (c / spec.alpha) * spec.phi0.analytic)
         return VfSolution(u, float(abs(c) ** 2 / spec.alpha))
     if spec.family == "multiplication":
-        if support_violation(spec.weight, ell):
-            raise RangeError("right-hand side is supported outside the multiplier support")
-        winv = _invert_single_term(spec.weight.analytic)
+        winv = reciprocal(spec.weight.analytic)
         if winv is None:
             raise FormsError("multiplier has no one-term pointwise inverse")
-        integrand = ell.analytic.conj() * winv * ell.analytic
-        try:
-            inv = float(integrand.integral(0.0, ell.grid.right_endpoint).real)
-        except DivergentIntegralError:
-            # term-wise divergence that may cancel in the sum: sampled quadrature
-            vals = np.abs(ell.values) ** 2 / np.maximum(spec.weight.values.real, 1e-300)
-            inv = float(np.sum(ell.grid.weights * vals))
-            if _diverges_sampled(ell.grid, vals, total=inv):
-                raise RangeError("weighted inverse integral diverges") from None
+        inv = mult_inverse_norm_sq(spec.weight, ell)
         return VfSolution(GridFunction.from_analytic(ell.grid, winv * ell.analytic), inv)
     u, inv = _laplacian_inverse(spec, ell)
     return VfSolution(GridFunction.from_analytic(ell.grid, u), inv)
 
 
-def _invert_single_term(fn: AnalyticFunction) -> AnalyticFunction | None:
-    """Pointwise inverse of a one-term function on its own support window."""
-    if len(fn.terms) != 1:
-        return None
-    t = fn.terms[0]
-    if t.coeff == 0:
-        return None
-    return AnalyticFunction((Term(1.0 / t.coeff, -t.power, -t.rate, t.lo, t.hi),))
-
-
-def support_violation(weight: GridFunction, k: GridFunction, tol: float = 1e-10) -> bool:
-    """True when ``k`` carries mass where the multiplier ``weight`` vanishes."""
-    if float(np.max(np.abs(k.values))) == 0.0:
-        return False
-    wv = weight.values.real
-    dead = wv <= tol * max(1.0, float(np.max(wv)))
-    mass = float(np.sum(k.grid.weights[dead] * np.abs(k.values[dead]) ** 2))
-    total = float(np.sum(k.grid.weights * np.abs(k.values) ** 2))
-    return mass > 1e-12 * max(total, 1e-300)
+def support_violation(weight: GridFunction, k: GridFunction) -> bool:
+    """True when ``k`` lives where the multiplier vanishes (window logic)."""
+    return off_support(k.analytic, weight.analytic, 0.0, k.grid.right_endpoint)
 
 
 def mult_inverse_norm_sq(weight: GridFunction, k: GridFunction) -> float:
-    """``int over the multiplier support of |k|^2 / weight``.
-
-    The support condition (``k`` vanishing a.e. off the multiplier support)
-    is enforced first; violating inputs are not in the square-root range of
-    the multiplication part and are rejected.
-    """
-    if support_violation(weight, k):
-        raise RangeError("deviation is supported outside the multiplier support")
-    inv = _invert_single_term(weight.analytic)
-    if inv is not None:
-        try:
-            integrand = k.analytic.conj() * inv * k.analytic
-            return float(integrand.integral(0.0, weight.grid.right_endpoint).real)
-        except DivergentIntegralError:
-            raise RangeError("weighted inverse integral diverges") from None
-    # a multiplier with several terms has no one-term inverse: sampled ratio
-    wv = weight.values.real
-    live = wv > 1e-12 * max(1.0, float(np.max(wv)))
-    integrand = np.zeros_like(wv)
-    integrand[live] = np.abs(k.values[live]) ** 2 / wv[live]
-    total = float(np.sum(k.grid.weights * integrand))
-    if _diverges_sampled(k.grid, integrand, total=total):
-        raise RangeError("weighted inverse integral diverges")
-    return total
+    """``||V^{-1/2} k||^2 = int |k|^2 / V`` for the multiplier ``V = weight``;
+    :class:`RangeError` when ``k`` lives where ``V`` vanishes or it diverges."""
+    try:
+        return norm_sq(k.analytic, 0.0, weight.grid.right_endpoint, weight.analytic, inverse=True)
+    except DivergentIntegralError as exc:
+        raise RangeError(str(exc)) from None
 
 
 def sqrt_scale_inv_form(spec: ImaginaryPartSpec, ell) -> tuple[float, bool]:
@@ -567,6 +474,8 @@ def sqrt_scale_inv_form(spec: ImaginaryPartSpec, ell) -> tuple[float, bool]:
     try:
         if spec.family == "dirichlet_laplacian_halfline":
             return _laplacian_inverse(spec, ell, decay=False)[1], False
+        if spec.family == "multiplication":
+            return mult_inverse_norm_sq(spec.weight, ell), False
         return vf_solve(spec, ell).inv_form, False
     except RangeError:
         return math.inf, True
@@ -652,7 +561,7 @@ def discrete_sqrt_pair(spec: ImaginaryPartSpec, basis, description: str = "") ->
     kmat = np.empty((m, m), dtype=complex)
     for i in range(m):
         for j in range(m):
-            gram[i, j] = _inner(basis[i], basis[j])
+            gram[i, j] = inner(basis[i], basis[j])
             fmat[i, j] = friedrichs_form(spec, basis[i], basis[j])
             kmat[i, j] = krein_form(spec, basis[i], basis[j])
     gram = 0.5 * (gram + gram.conj().T)

@@ -5,7 +5,8 @@ uniform subintervals) on an interval ``(offset, b)`` or a truncated half-line
 ``(offset, R)``.  A :class:`GridFunction` is a scenario function's term sum,
 an :class:`~dissipext.analytic.AnalyticFunction`, with its samples and
 boundary traces derived from it, so downstream evaluators integrate and
-differentiate exactly; the samples serve grid quadrature and sampled checks.
+differentiate exactly.  The samples serve only the oracle and input
+validation: decay certificates, trace scales, and sign and realness checks.
 
 Grids and grid functions are immutable after construction.
 """
@@ -27,7 +28,6 @@ __all__ = [
     "Traces",
     "GridFunction",
     "make_grid",
-    "integrate",
     "differentiate",
     "decay_certificate",
 ]
@@ -132,16 +132,15 @@ class Traces:
 class GridFunction:
     """A finite term sum together with its samples on a :class:`Grid`.
 
-    ``analytic`` is the one representation of the function; ``values`` (the
-    samples at the grid nodes) and ``traces`` (the boundary data) are derived
-    from it at construction.  A trace the term sum does not define (a value
-    at a singular 0, a derivative of a windowed term, a half-line limit of a
-    function that does not decay) is NaN.
+    ``analytic`` is the one representation of the function; ``traces`` (the
+    boundary data) are derived from it at construction, ``values`` (the
+    samples at the grid nodes) at each use.  A trace the term sum does not
+    define (a value at a singular 0, a derivative of a windowed term, a
+    half-line limit of a function that does not decay) is NaN.
     """
 
     grid: Grid
     analytic: AnalyticFunction = field(repr=False)
-    values: np.ndarray = field(init=False, repr=False)
     traces: Traces = field(init=False)
 
     def __post_init__(self):
@@ -166,42 +165,15 @@ class GridFunction:
             d0 = d.value_at_zero() if d is not None else math.nan
         except AnalyticError:
             d0 = math.nan
-        object.__setattr__(self, "values", fn(grid.nodes))
         object.__setattr__(self, "traces", Traces(v0, d0, vb, db))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.analytic(self.grid.nodes)
 
     @classmethod
     def from_analytic(cls, grid: Grid, fn: AnalyticFunction) -> "GridFunction":
         return cls(grid, fn)
-
-    def norm_sq(self) -> float:
-        return float(integrate(self, self).real)
-
-
-def _require_same_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.grid is not g.grid and (
-        f.grid.kind != g.grid.kind
-        or f.grid.n != g.grid.n
-        or f.grid.length != g.grid.length
-        or f.grid.offset != g.grid.offset
-    ):
-        raise GridError("grid mismatch between operands")
-
-
-def integrate(f: GridFunction, g: GridFunction) -> complex:
-    """Inner product ``<f,g> = sum_i w_i conj(f_i) g_i``.
-
-    Antilinear in the first slot, linear in the second.  Real and imaginary
-    parts are accumulated separately in a form symmetric under operand
-    swap, so ``integrate(f, g) == conj(integrate(g, f))`` holds bit for bit
-    (complex hardware multiplies do not guarantee that).
-    """
-    _require_same_grid(f, g)
-    w = f.grid.weights
-    fr, fi = f.values.real, f.values.imag
-    gr, gi = g.values.real, g.values.imag
-    re = np.sum(w * (fr * gr + fi * gi))
-    im = np.sum(w * (fr * gi - fi * gr))
-    return complex(re, im)
 
 
 def differentiate(f: GridFunction) -> GridFunction:

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from dissipext import catalog, cli_io, criteria, forms, oracle
-from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, power
+from dissipext.analytic import (
+    AnalyticFunction,
+    Term,
+    constant,
+    exponential,
+    indicator,
+    norm_sq,
+    power,
+)
 from dissipext.catalog import RHO_INF
 from dissipext.grid import GridFunction, make_grid
 
@@ -258,7 +266,7 @@ def test_acceptance_8_bounded_part_property_suite(rank_one_direction):
         )
         op = oracle.assemble_discrete(prob, 128, include_bounded_v=False)
         mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram)
-        norm_v_sq = prob.v.norm_sq()
+        norm_v_sq = norm_sq(prob.v.analytic, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)
         assert mu >= criteria.semibound_estimate(eps, l_norm) - 1e-5

@@ -190,8 +190,8 @@ def test_sweep_rows_and_determinism():
 
 
 def test_sweep_rank_one_schrodinger():
-    # on the sweep's n=64 grid the normalized direction's exact and quadrature
-    # norms differ by more than the rank-one range threshold
+    # the rank-one range test once compared the exact coefficient with the
+    # grid quadrature, which on the sweep's n=64 grid gave NaN rows
     cfg = cli_io.parse_config(
         "[scenario]\nname = halfline_schrodinger\nh = 0.023643+1.430649i\n"
         "perturbation = rank_one\nalpha = 0.967747\nlambda = 0.495656-1.954736i\n"
@@ -358,13 +358,58 @@ def test_sweep_json_writes_null_for_failed_membership(tmp_path, capsys):
     assert all(row["margin"] is None and row["dissipative"] is False for row in rows)
 
 
+def _multiplication(h: str, v: str, k: str) -> str:
+    return ("[scenario]\nname = halfline_schrodinger\nperturbation = multiplication\n"
+            f"h = {h}\nV = {v}\nk = {k}\n")
+
+
+_TWO_TERM_V = _multiplication("1i", "exp(-x)+x*exp(-x)", "exp(-2*x)")
+_POLY_V = _multiplication("9i", "x + x^2", "x^0.2*exp(-x)")
+_POTSDAM_W = "[scenario]\nname = potsdam\nrho = 1\nphi = i*x*exp(-x)\nW = {}\n"
+
+
+@pytest.mark.parametrize(
+    "text, n, code, expect",
+    [
+        # int e^-3x / (1 + x) = e^3 E1(3), at every grid size
+        (_TWO_TERM_V, 64, 0, 0.93447906493617),
+        (_TWO_TERM_V, 128, 0, 0.93447906493617),
+        (_TWO_TERM_V, 512, 0, 0.93447906493617),
+        # V decays, but k^2/V = e^{-x/10} is integrable: 3 - 10/4
+        (_multiplication("3i", "exp(-x)", "exp(-0.55*x)"), 512, 0, 0.5),
+        # V vanishes linearly at the window edge 1 where k does not
+        (_multiplication("9i", "(1-x)*indicator(0,1)", "indicator(0,1)"), 512, 1,
+         "L_not_in_ranVF"),
+        # 9 - int x^-0.6 e^-2x / (1 + x) / 4, from a 30-digit quadrature
+        (_POLY_V, 64, 0, 8.63403830078244),
+        (_POLY_V, 512, 0, 8.63403830078244),
+        (_POTSDAM_W.format("exp(x)"), 512, 2, "CatalogError"),
+        (_POTSDAM_W.format("x^-0.6"), 512, 2, "CatalogError"),
+    ],
+    ids=["two_term_v_64", "two_term_v_128", "two_term_v_512", "decaying_v", "edge_zero_v",
+         "polynomial_v_64", "polynomial_v_512", "potsdam_w_exp", "potsdam_w_pow"],
+)
+def test_memberships_decided_from_term_sums(tmp_path, capsys, text, n, code, expect):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"{text}\n[grid]\nn = {n}\n")
+    assert cli_io.main(["check", "--config", str(cfg)]) == code
+    payload = json.loads(capsys.readouterr().out)
+    if code == 2:
+        assert payload["error"]["code"] == expect
+    elif code == 1:
+        assert payload["necessity_failures"] == [expect]
+    else:
+        assert payload["margin"] == pytest.approx(expect, abs=1e-12)
+
+
 def _check_at(text: str, key: str, re: float, im: float) -> tuple[int, dict]:
-    """run_check on ``text`` with ``key`` set to ``re + im i`` on the sweep's grid."""
+    """run_check on ``text`` with ``key`` set to ``re + im i``, on the default
+    grid rather than the sweep's 64 nodes."""
     value = f"{re!r}+{im!r}i"
     assert cli_io.parse_complex(value) == complex(re, im)
     lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
              for line in text.splitlines()]
-    return cli_io.run_check(cli_io.parse_config("\n".join(lines) + "\n\n[grid]\nn = 64\n"))
+    return cli_io.run_check(cli_io.parse_config("\n".join(lines) + "\n"))
 
 
 POTSDAM_X15 = "[scenario]\nname = potsdam\nrho = 0\nphi = x^1.5*exp(-x)\n"

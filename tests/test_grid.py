@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dissipext.analytic import AnalyticFunction, Term, constant, exponential, monomial
+from dissipext.analytic import AnalyticFunction, Term, constant, exponential
 from dissipext.grid import (
     GridError,
     GridFunction,
     decay_certificate,
     differentiate,
-    integrate,
     make_grid,
 )
 
@@ -56,22 +55,6 @@ def test_quadrature_exactness_to_panel_degree():
         assert abs(val - 1.0 / (k + 1)) <= 1e-12 / (k + 1) + 1e-15
 
 
-def test_integrate_examples(interval_grid, halfline_grid):
-    one = GridFunction.from_analytic(interval_grid, constant(1.0))
-    assert integrate(one, one) == pytest.approx(1.0, abs=1e-14)
-    x = GridFunction.from_analytic(interval_grid, monomial(1.0, 1))
-    assert integrate(x, x).real == pytest.approx(1.0 / 3.0, abs=1e-10)
-    e = GridFunction.from_analytic(halfline_grid, exponential(1.0, -1.0))
-    assert integrate(e, e).real == pytest.approx(0.5, abs=1e-10)
-
-
-def test_integrate_grid_mismatch():
-    f = GridFunction.from_analytic(make_grid("interval", 64), constant(1.0))
-    g = GridFunction.from_analytic(make_grid("interval", 128), constant(1.0))
-    with pytest.raises(GridError):
-        integrate(f, g)
-
-
 def _random_term_sum(rng, terms=4):
     """``sum c_j x^{a_j} exp(b_j x)`` with integer powers and complex rates."""
     return AnalyticFunction(
@@ -84,15 +67,6 @@ def _random_term_sum(rng, terms=4):
             for _ in range(terms)
         )
     )
-
-
-def test_integrate_conjugate_symmetry_bitwise():
-    grid = make_grid("interval", 64)
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        f = GridFunction.from_analytic(grid, _random_term_sum(rng))
-        g = GridFunction.from_analytic(grid, _random_term_sum(rng))
-        assert integrate(f, g) == np.conj(integrate(g, f))
 
 
 def test_differentiate_analytic_route(interval_grid, phi_x2_minus_x):
@@ -120,7 +94,8 @@ def test_integration_by_parts_consistency():
         df, dg = differentiate(f), differentiate(g)
         tf, tg = f.traces, g.traces
         boundary = np.conj(tf.value_b) * tg.value_b - np.conj(tf.value0) * tg.value0
-        resid = integrate(f, dg) + integrate(df, g) - boundary
+        sampled = np.conj(f.values) * dg.values + np.conj(df.values) * g.values
+        resid = np.sum(grid.weights * sampled) - boundary
         assert abs(resid) < 1e-10 * (1.0 + abs(boundary))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dissipext import catalog, criteria, oracle
-from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator
+from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, norm_sq
 from dissipext.grid import GridError, GridFunction, make_grid
 from test_splines import cox_de_boor
 
@@ -216,7 +216,7 @@ def test_semibound_oracle_bound(rank_one_direction):
         )
         op = oracle.assemble_discrete(prob, 128, include_bounded_v=False)
         mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram)
-        norm_v_sq = prob.v.norm_sq()
+        norm_v_sq = norm_sq(prob.v.analytic, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)
         bound = criteria.semibound_estimate(eps, l_norm)
