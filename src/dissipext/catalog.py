@@ -95,6 +95,9 @@ class ExtensionProblem:
     maximal action is either ``V_F phi`` (``phi`` set) or the explicit
     function ``lv``.  ``reference_margin`` stores the scenario's closed-form
     decision margin for cross-checking.
+
+    :meth:`expression` and :meth:`deviation` are the one statement of the
+    scenario's operator that the criteria and the oracle read.
     """
 
     scenario: str
@@ -112,20 +115,39 @@ class ExtensionProblem:
     reference_margin: float | None = None
     reference_dissipative: bool | None = None
 
-    def action_on(self, fn: AnalyticFunction) -> AnalyticFunction:
-        """Unbounded part of the maximal action on an analytic function.
+    def expression(self) -> tuple[complex, complex, AnalyticFunction]:
+        """``(c2, c1, m)`` of the unbounded action ``c2 f'' + c1 f' + m f``.
 
-        The real half-line potential ``W`` and the bounded imaginary parts
-        of the Schroedinger scenario are added separately by callers that
-        hold the sampled data.
+        ``m`` is the real potential ``W`` (potsdam), ``-gamma x^-2``
+        (shirley), ``i gamma x^-1`` (konzert) or 0.  The bounded imaginary
+        part of the Schroedinger scenario is not part of it: it is
+        ``spec`` (and ``perturbation``).
         """
-        if self.scenario in ("potsdam", "shirley", "halfline_schrodinger"):
-            out = fn.derivative().derivative() * (-1.0j if self.scenario != "halfline_schrodinger" else -1.0)
-            if self.scenario == "shirley":
-                out = out - self.gamma * (fn * AnalyticFunction((Term(1.0, -2.0),)))
-            return out
-        # konzert: i f' + i gamma f / x
-        return 1.0j * fn.derivative() + 1.0j * self.gamma * (fn * AnalyticFunction((Term(1.0, -1.0),)))
+        if self.scenario == "konzert":
+            return 0.0, 1.0j, AnalyticFunction((Term(1.0j * self.gamma, -1.0),))
+        if self.scenario == "shirley":
+            return -1.0j, 0.0, AnalyticFunction((Term(-self.gamma, -2.0),))
+        if self.scenario == "potsdam" and self.w_potential is not None:
+            return -1.0j, 0.0, self.w_potential.analytic
+        return (-1.0j if self.scenario == "potsdam" else -1.0), 0.0, AnalyticFunction(())
+
+    def action_on(self, fn: AnalyticFunction) -> AnalyticFunction:
+        """The unbounded action of :meth:`expression` on a term sum."""
+        c2, c1, m = self.expression()
+        d1 = fn.derivative()
+        return c2 * d1.derivative() + c1 * d1 + m * fn
+
+    def deviation(self) -> GridFunction | None:
+        """``Lv``: ``lv`` when given, else ``V_F phi`` (None when ``phi`` is
+        absent or zero)."""
+        if self.lv is not None:
+            return self.lv
+        phi = self.phi
+        if phi is None or not phi.analytic.terms:
+            return None
+        if not self.spec.is_laplacian:
+            raise CatalogError("a deviation generator phi needs a Laplacian imaginary part")
+        return GridFunction.from_analytic(phi.grid, phi.analytic.derivative().derivative() * (-1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -302,8 +302,8 @@ def pencil_eigh(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, x
 
 
-def pencil_extreme(h: np.ndarray, g: np.ndarray, which: str = "min") -> tuple[float, np.ndarray]:
-    """Extreme eigenpair of the Hermitian pencil ``H x = lam G x``.
+def pencil_extreme(h: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimal eigenpair of the Hermitian pencil ``H x = lam G x``.
 
     Uses the eigenvalues-only QL pass plus one inverse iteration, followed
     by a Rayleigh-quotient polish; cheaper than the full-spectrum path for
@@ -321,7 +321,7 @@ def pencil_extreme(h: np.ndarray, g: np.ndarray, which: str = "min") -> tuple[fl
         return lam, x
     d, e, _, reflectors = _householder_tridiag(c, accumulate=False)
     w = _ql_implicit(d.copy(), e.copy(), None)
-    lam = float(np.min(w) if which == "min" else np.max(w))
+    lam = float(np.min(w))
     y = _tridiag_eigenvector(d, e, lam)
     z = _apply_reflectors(reflectors, y)
     x = solve_upper(np.conj(l).T, z)

@@ -40,7 +40,7 @@ from .analytic import (
     off_support,
     reciprocal,
 )
-from .grid import GridFunction, differentiate
+from .grid import GridFunction
 
 __all__ = [
     "FormsError",
@@ -234,7 +234,8 @@ def friedrichs_form(spec: ImaginaryPartSpec, f, g) -> complex:
     if spec.family == "bounded_matrix":
         return complex(np.vdot(np.asarray(f, dtype=complex), spec.matrix @ np.asarray(g, dtype=complex)))
     if spec.is_laplacian:
-        return inner(differentiate(f), differentiate(g))
+        df = f.analytic.derivative()
+        return (df.conj() * g.analytic.derivative()).integral(0.0, f.grid.right_endpoint)
     if spec.family == "multiplication":
         integrand = f.analytic.conj() * spec.weight.analytic * g.analytic
         return integrand.integral(0.0, f.grid.right_endpoint)

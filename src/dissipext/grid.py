@@ -1,12 +1,13 @@
-"""Grids, quadrature, differentiation and boundary traces on (0,b) and (0,R).
+"""Grids, quadrature and boundary values on (0,b) and (0,R).
 
 A :class:`Grid` is a composite Gauss-Legendre rule (fixed panel order 8 over
 uniform subintervals) on an interval ``(offset, b)`` or a truncated half-line
 ``(offset, R)``.  A :class:`GridFunction` is a scenario function's term sum,
 an :class:`~dissipext.analytic.AnalyticFunction`, with its samples and
-boundary traces derived from it, so downstream evaluators integrate and
-differentiate exactly.  The samples serve only the oracle and input
-validation: decay certificates, trace scales, and sign and realness checks.
+boundary values derived from it, so downstream evaluators integrate and
+differentiate the term sum exactly.  The samples serve only input
+validation (decay certificates, trace scales, and sign and realness checks)
+and the right edge of the oracle's half-line core span.
 
 Grids and grid functions are immutable after construction.
 """
@@ -28,7 +29,6 @@ __all__ = [
     "Traces",
     "GridFunction",
     "make_grid",
-    "differentiate",
     "decay_certificate",
 ]
 
@@ -116,16 +116,15 @@ def make_grid(kind: str, n: int, *, length: float | None = None, offset: float =
 
 @dataclass(frozen=True)
 class Traces:
-    """Boundary data record ``{f(0), f'(0), f(b), f'(b)}``.
+    """Boundary values ``{f(0), f(b)}``.
 
-    On half-line grids the right entries hold the decay limits (0 for the
-    catalog's exponentially decaying functions).
+    On half-line grids ``value_b`` holds the decay limit (0 for the
+    catalog's exponentially decaying functions).  Derivative traces come
+    from the term sum's ``derivative()``.
     """
 
     value0: complex
-    deriv0: complex
     value_b: complex
-    deriv_b: complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +132,10 @@ class GridFunction:
     """A finite term sum together with its samples on a :class:`Grid`.
 
     ``analytic`` is the one representation of the function; ``traces`` (the
-    boundary data) are derived from it at construction, ``values`` (the
+    boundary values) are derived from it at construction, ``values`` (the
     samples at the grid nodes) at each use.  A trace the term sum does not
-    define (a value at a singular 0, a derivative of a windowed term, a
-    half-line limit of a function that does not decay) is NaN.
+    define (a value at a singular 0, a half-line limit of a function that
+    does not decay) is NaN.
     """
 
     grid: Grid
@@ -148,24 +147,15 @@ class GridFunction:
         if not isinstance(fn, AnalyticFunction):
             raise GridError("a grid function is built from its term sum (an AnalyticFunction)")
         grid = self.grid
-        try:
-            d = fn.derivative()
-        except AnalyticError:
-            d = None
         if grid.is_halfline:
-            vb, db = (0.0, 0.0) if fn.decays_at_infinity() else (math.nan, math.nan)
+            vb = 0.0 if fn.decays_at_infinity() else math.nan
         else:
             vb = fn.value_at(grid.length)
-            db = d.value_at(grid.length) if d is not None else math.nan
         try:
             v0 = fn.value_at_zero()
         except AnalyticError:
             v0 = math.nan
-        try:
-            d0 = d.value_at_zero() if d is not None else math.nan
-        except AnalyticError:
-            d0 = math.nan
-        object.__setattr__(self, "traces", Traces(v0, d0, vb, db))
+        object.__setattr__(self, "traces", Traces(v0, vb))
 
     @property
     def values(self) -> np.ndarray:
@@ -174,11 +164,6 @@ class GridFunction:
     @classmethod
     def from_analytic(cls, grid: Grid, fn: AnalyticFunction) -> "GridFunction":
         return cls(grid, fn)
-
-
-def differentiate(f: GridFunction) -> GridFunction:
-    """The exact derivative of the term sum, sampled on the same grid."""
-    return GridFunction.from_analytic(f.grid, f.analytic.derivative())
 
 
 def decay_certificate(f: GridFunction, rel_tol: float = 1e-10) -> bool:

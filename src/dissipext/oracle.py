@@ -5,11 +5,15 @@ B-spline elements (supports inside the domain, triple zeros where they touch
 the boundary, hence inside every scenario's operator core) plus one column
 for the extension vector itself.  The elements, their quadrature panels and
 the banded assembly come from the package's one spline layer,
-:mod:`dissipext.splines`, on a uniform knot vector.  The infimum of the
-numerical range's imaginary part over that space is the minimal eigenvalue
-of the Hermitian pencil ``H x = mu G x`` with ``H`` the Gram-weighted
-imaginary part of the discretized action; it is computed with the in-repo
-symmetric-reduction solver.
+:mod:`dissipext.splines`, on a uniform knot vector.  The action is read
+from the problem (:meth:`~dissipext.catalog.ExtensionProblem.expression`
+and :meth:`~dissipext.catalog.ExtensionProblem.deviation`), and the
+extension vector's entries against itself are closed-form term-sum
+integrals, so the assembled matrices depend on the problem's sample grid
+only through the right edge of a half-line core span.  The infimum of the numerical range's imaginary part over that space
+is the minimal eigenvalue of the Hermitian pencil ``H x = mu G x`` with
+``H`` the Gram-weighted imaginary part of the discretized action; it is
+computed with the in-repo symmetric-reduction solver.
 
 A negative discrete infimum certifies non-dissipativity of the continuum
 operator (the discrete vector embeds into the true domain up to quadrature
@@ -25,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import eigenh, splines
+from . import eigenh, forms, splines
+from .analytic import norm_sq
 from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
-from .grid import GridFunction
 
 __all__ = [
     "OracleError",
@@ -109,38 +113,6 @@ def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
 # assembly
 
 
-def _sample_problem_function(gf: GridFunction | None, xs: np.ndarray) -> np.ndarray:
-    if gf is None:
-        return np.zeros(len(xs), dtype=complex)
-    return gf.analytic(xs)
-
-
-def _core_action_weights(problem: ExtensionProblem, xs: np.ndarray) -> dict:
-    """Scenario coefficients turning basis samples into action samples."""
-    if problem.scenario == "potsdam":
-        w = _sample_problem_function(problem.w_potential, xs) if problem.w_potential is not None else 0.0
-        return {"d2": -1.0j, "d1": 0.0, "mult": w}
-    if problem.scenario == "shirley":
-        return {"d2": -1.0j, "d1": 0.0, "mult": -problem.gamma / xs**2}
-    if problem.scenario == "konzert":
-        return {"d2": 0.0, "d1": 1.0j, "mult": 1.0j * problem.gamma / xs}
-    # halfline_schrodinger: bounded imaginary parts are added separately
-    return {"d2": -1.0, "d1": 0.0, "mult": 0.0}
-
-
-def _lv_samples(problem: ExtensionProblem, xs: np.ndarray) -> np.ndarray:
-    if problem.lv is not None:
-        return _sample_problem_function(problem.lv, xs)
-    if problem.phi is not None and problem.phi.analytic.terms:
-        spec = problem.spec
-        if spec.is_laplacian:
-            return -problem.phi.analytic.derivative().derivative()(xs)
-        if spec.family == "multiplication":
-            return (spec.weight.analytic * problem.phi.analytic)(xs)
-        raise OracleError("deviation generator unsupported in assembly")
-    return np.zeros(len(xs), dtype=complex)
-
-
 def _active_cut(problem: ExtensionProblem) -> float:
     """Right edge of the core span: where the problem data still has mass.
 
@@ -155,13 +127,14 @@ def _active_cut(problem: ExtensionProblem) -> float:
     if not grid.is_halfline:
         return grid.length
     if problem.scenario == "halfline_schrodinger":
-        candidates = [problem.lv]
-        if isinstance(problem.perturbation, RankOnePerturbation):
-            candidates.append(problem.perturbation.phi)
-        elif isinstance(problem.perturbation, MultiplicationPerturbation):
-            candidates.extend([problem.perturbation.v, problem.perturbation.k])
+        # the deviation is lambda phi or k: it has the support of these
+        pert = problem.perturbation
+        if isinstance(pert, RankOnePerturbation):
+            candidates = [pert.phi]
+        else:
+            candidates = [pert.v, pert.k]
     else:
-        candidates = [problem.v, problem.phi, problem.lv, problem.w_potential]
+        candidates = [problem.v, problem.phi, problem.w_potential]
     xs = grid.nodes
     cut = 0.0
     for gf in candidates:
@@ -179,6 +152,14 @@ def _active_cut(problem: ExtensionProblem) -> float:
     return min(grid.length, 1.25 * cut + 2.0)
 
 
+def _core_action(problem: ExtensionProblem, tab: splines.SplineTables, bounded=0.0) -> np.ndarray:
+    """Action samples ``(panels, 4, q)`` of every active spline: the problem's
+    expression plus the multiplier ``bounded`` (samples at the panel nodes)."""
+    c2, c1, m = problem.expression()
+    mult = m(tab.x) + bounded
+    return c2 * tab.d2 + c1 * tab.d1 + mult[:, None, :] * tab.val
+
+
 def assemble_discrete(
     problem: ExtensionProblem,
     n: int,
@@ -187,68 +168,61 @@ def assemble_discrete(
 ) -> DiscreteOperator:
     """Project the extension operator onto ``n`` spline elements plus ``v``.
 
-    Core entries come from per-interval 4x4 local blocks (the spline basis
-    is banded) on Gauss-Legendre panels aligned with the knots, so every
-    polynomial factor integrates exactly.  The second-order diagonal entry
-    of the extension column is integrated by parts against the analytically
-    known boundary traces.  ``include_bounded_v=False`` drops the bounded
-    imaginary part from the action (used for semibound studies of the
-    deviated symmetric part alone).
+    The action is the problem's :meth:`~ExtensionProblem.expression` plus
+    its :meth:`~ExtensionProblem.deviation` on ``v``, plus the bounded
+    imaginary part of the Schroedinger scenario.  Core entries come from
+    per-interval 4x4 local blocks (the spline basis is banded) on
+    Gauss-Legendre panels aligned with the knots, so every polynomial
+    factor integrates exactly.  The entries of ``v`` against itself are
+    closed form: ``<v, (action + L) v>`` as a term-sum integral plus the
+    bounded part's form, and ``||v||^2`` from :func:`norm_sq`; the rank-one
+    ``<v, phi>`` is :func:`forms.inner`.  No entry reads the problem's grid
+    samples, so the result does not depend on ``[grid] n``; only the right
+    edge of the core span does (:func:`_active_cut`).
+    ``include_bounded_v=False`` drops the bounded imaginary part from the
+    action (used for semibound studies of the deviated symmetric part alone).
     """
     lo, hi = problem.grid.offset, _active_cut(problem)
+    end = problem.grid.right_endpoint
     tab = _core_tables(lo, hi, n)
-    shape = tab.x.shape
-    xs, ws = tab.x.ravel(), tab.w.ravel()
+    xs, ws = tab.x, tab.w
     nb = tab.nbasis
-    coeff = _core_action_weights(problem, xs)
-    mult = np.asarray(coeff["mult"], dtype=complex)
-    if mult.ndim == 0:
-        mult = np.full(len(xs), complex(mult))
     pert = problem.perturbation if include_bounded_v else None
-    if isinstance(pert, MultiplicationPerturbation):
-        mult = mult + 1.0j * _sample_problem_function(pert.v, xs).real
-
-    # local action samples (panels, 4, q): action applied to each active spline
-    act_local = (
-        complex(coeff["d2"]) * tab.d2
-        + complex(coeff["d1"]) * tab.d1
-        + mult.reshape(shape)[:, None, :] * tab.val
-    )
-    m_core = tab.matrix(tab.w, tab.val, act_local)
-    gram_core = tab.matrix(tab.w, tab.val, tab.val)
 
     # extension column data
     vfn = problem.v.analytic
     v_samp = vfn(xs)
-    act_v = problem.action_on(vfn)(xs)
-    if problem.scenario == "potsdam" and problem.w_potential is not None:
-        act_v = act_v + _sample_problem_function(problem.w_potential, xs) * v_samp
-    lv = _lv_samples(problem, xs)
-    act_v_full = act_v + lv
-    if isinstance(pert, RankOnePerturbation):
-        phi_s = pert.phi.analytic(xs)
-        ip = np.sum(ws * np.conj(phi_s) * v_samp)
-        act_v_full = act_v_full + 1.0j * pert.alpha * ip * phi_s
-    elif isinstance(pert, MultiplicationPerturbation):
-        act_v_full = act_v_full + 1.0j * _sample_problem_function(pert.v, xs).real * v_samp
+    act = problem.action_on(vfn)
+    act_v = act(xs)
+    vv = (vfn.conj() * act).integral(0.0, end)
+    lv = problem.deviation()
+    if lv is not None:
+        act_v = act_v + lv.analytic(xs)
+        vv += forms.inner(problem.v, lv)
+    bounded = 0.0
+    if isinstance(pert, MultiplicationPerturbation):
+        bounded = 1.0j * pert.v.analytic(xs).real
+        act_v = act_v + bounded * v_samp
+        vv += 1.0j * forms.friedrichs_form_sq(problem.spec, problem.v)
+    act_local = _core_action(problem, tab, bounded)
 
     dim = nb + 1
     mat = np.zeros((dim, dim), dtype=complex)
     gram = np.zeros((dim, dim), dtype=complex)
-    mat[:nb, :nb] = m_core
-    gram[:nb, :nb] = gram_core
-    mat[:nb, nb] = tab.vector((ws * act_v_full).reshape(shape), tab.val)
-    row = tab.vector((ws * np.conj(v_samp)).reshape(shape), act_local)
+    mat[:nb, :nb] = tab.matrix(ws, tab.val, act_local)
+    mat[:nb, nb] = tab.vector(ws * act_v, tab.val)
+    mat[nb, :nb] = tab.vector(ws * np.conj(v_samp), act_local)
+    mat[nb, nb] = vv
     if isinstance(pert, RankOnePerturbation):
-        pvec = tab.vector((ws * phi_s).reshape(shape), tab.val)
-        row = row + 1.0j * pert.alpha * np.sum(ws * np.conj(v_samp) * phi_s) * np.conj(pvec)
-        mat[:nb, :nb] += 1.0j * pert.alpha * np.outer(pvec, np.conj(pvec))
-    mat[nb, :nb] = row
-    mat[nb, nb] = _vv_entry(problem, include_bounded_v)
-    gv = tab.vector((ws * v_samp).reshape(shape), tab.val)
+        # i alpha |phi><phi| on the whole span, with q_j = <e_j, phi>
+        q = np.append(tab.vector(ws * pert.phi.analytic(xs), tab.val),
+                      forms.inner(problem.v, pert.phi))
+        mat += 1.0j * pert.alpha * np.outer(q, np.conj(q))
+    gram[:nb, :nb] = tab.matrix(ws, tab.val, tab.val)
+    gv = tab.vector(ws * v_samp, tab.val)
     gram[:nb, nb] = gv
     gram[nb, :nb] = np.conj(gv)
-    gram[nb, nb] = np.sum(problem.grid.weights * np.abs(vfn(problem.grid.nodes)) ** 2)
+    gram[nb, nb] = norm_sq(vfn, 0.0, end)
     _check_gram(gram)
     return DiscreteOperator(
         f"{nb} cubic spline elements on [{lo:g},{hi:g}] + extension vector",
@@ -256,69 +230,6 @@ def assemble_discrete(
         gram,
         v_index=nb,
     )
-
-
-def _windowed(fn) -> bool:
-    return any(t.lo is not None or t.hi is not None for t in fn.terms)
-
-
-def _v_against(problem: ExtensionProblem, gf: GridFunction | None) -> complex:
-    """``<v, g>`` over the full domain; symbolic when g carries windows.
-
-    Gauss panels do not align with indicator jumps, so windowed factors are
-    integrated in closed form; everything else goes through quadrature.
-    """
-    if gf is None:
-        return 0.0
-    vfn = problem.v.analytic
-    if _windowed(gf.analytic):
-        return complex((vfn.conj() * gf.analytic).integral(0.0, problem.grid.right_endpoint))
-    xs, ws = problem.grid.nodes, problem.grid.weights
-    return complex(np.sum(ws * np.conj(vfn(xs)) * gf.analytic(xs)))
-
-
-def _vv_entry(problem: ExtensionProblem, include_bounded_v: bool) -> complex:
-    """``<v, (action + L) v>`` with the stiffness part integrated by parts.
-
-    Quadrature runs on the full problem grid (the core span may be shorter);
-    exact boundary traces carry the integration-by-parts boundary terms.
-    """
-    vfn = problem.v.analytic
-    xs, ws = problem.grid.nodes, problem.grid.weights
-    v_samp = vfn(xs)
-    if problem.scenario == "konzert":
-        act = problem.action_on(vfn)(xs)
-        total = complex(np.sum(ws * np.conj(v_samp) * act))
-    else:
-        c = -1.0j if problem.scenario in ("potsdam", "shirley") else -1.0
-        dv = vfn.derivative()(xs)
-        t = problem.v.traces
-        boundary = np.conj(t.value_b) * t.deriv_b - np.conj(t.value0) * t.deriv0
-        total = complex(c * (boundary - np.sum(ws * np.abs(dv) ** 2)))
-        if problem.scenario == "shirley":
-            total += complex(-problem.gamma * np.sum(ws * np.abs(v_samp) ** 2 / xs**2))
-        if problem.scenario == "potsdam" and problem.w_potential is not None:
-            wv = _sample_problem_function(problem.w_potential, xs)
-            total += complex(np.sum(ws * wv * np.abs(v_samp) ** 2))
-    # deviation term
-    if problem.lv is not None:
-        total += _v_against(problem, problem.lv)
-    elif problem.phi is not None and problem.phi.analytic.terms:
-        lv_fn = -1.0 * problem.phi.analytic.derivative().derivative()
-        total += complex(np.sum(ws * np.conj(v_samp) * lv_fn(xs)))
-    # bounded imaginary part
-    pert = problem.perturbation if include_bounded_v else None
-    if isinstance(pert, RankOnePerturbation):
-        ip = np.sum(ws * np.conj(pert.phi.analytic(xs)) * v_samp)
-        total += complex(1.0j * pert.alpha * abs(ip) ** 2)
-    elif isinstance(pert, MultiplicationPerturbation):
-        if _windowed(pert.v.analytic):
-            hi = problem.grid.right_endpoint
-            total += complex(1.0j * (vfn.conj() * pert.v.analytic * vfn).integral(0.0, hi))
-        else:
-            vx = _sample_problem_function(pert.v, xs).real
-            total += complex(1.0j * np.sum(ws * vx * np.abs(v_samp) ** 2))
-    return total
 
 
 def _check_gram(gram: np.ndarray) -> None:
@@ -336,14 +247,7 @@ def assemble_core_pair(problem: ExtensionProblem, n: int):
     """Matrices of the dual pair's two actions on the core span alone."""
     lo, hi = problem.grid.offset, problem.grid.length
     tab = _core_tables(lo, hi, n)
-    coeff = _core_action_weights(problem, tab.x.ravel())
-    mult = np.broadcast_to(np.asarray(coeff["mult"], dtype=complex), tab.x.size)
-    act = (
-        coeff["d2"] * tab.d2
-        + coeff["d1"] * tab.d1
-        + mult.reshape(tab.x.shape)[:, None, :] * tab.val
-    )
-    m = tab.matrix(tab.w, tab.val, act)
+    m = tab.matrix(tab.w, tab.val, _core_action(problem, tab))
     gram = tab.matrix(tab.w, tab.val, tab.val)
     desc = f"{tab.nbasis} cubic spline elements on [{lo:g},{hi:g}]"
     return (
@@ -374,7 +278,7 @@ def pencil_min_eig(h: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
     if float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
         raise OracleError("imaginary-part matrix is not Hermitian")
     try:
-        mu, x = eigenh.pencil_extreme(h, g, which="min")
+        mu, x = eigenh.pencil_extreme(h, g)
     except eigenh.NotPositiveDefiniteError as exc:
         raise OracleError(f"Gram matrix not positive definite: {exc}") from None
     hnorm = float(np.linalg.norm(h, ord=np.inf))

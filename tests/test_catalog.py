@@ -19,10 +19,10 @@ def test_potsdam_trace_normalization():
     p = catalog.build_potsdam(None, 0.7 + 0.2j, None)
     t = p.v.traces
     assert t.value0 == pytest.approx(1.0, abs=1e-12)
-    assert t.deriv0 == pytest.approx(0.7 + 0.2j, abs=1e-12)
+    assert p.v.analytic.derivative().value_at_zero() == pytest.approx(0.7 + 0.2j, abs=1e-12)
     pinf = catalog.build_potsdam(None, RHO_INF, None)
     assert pinf.v.traces.value0 == pytest.approx(0.0, abs=1e-12)
-    assert pinf.v.traces.deriv0 == pytest.approx(1.0, abs=1e-12)
+    assert pinf.v.analytic.derivative().value_at_zero() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_potsdam_defect_system_determinant():
@@ -80,13 +80,13 @@ def test_potsdam_w_free_margin(phi_ix_exp):
 def test_shirley_vector_traces():
     for rho in (0.5 + 0.375j, 2.0 + 0j, -1.0 + 0.25j):
         s = catalog.build_shirley(math.sqrt(3.0), rho, None)
-        t = s.v.traces
-        assert t.value0 == 0.0 and t.deriv0 == 0.0
+        t, dv = s.v.traces, s.v.analytic.derivative()
+        assert t.value0 == 0.0 and dv.value_at_zero() == 0.0
         assert t.value_b == pytest.approx(rho, abs=1e-12)
-        assert t.deriv_b == pytest.approx(1.0, abs=1e-12)
+        assert dv.value_at(1.0) == pytest.approx(1.0, abs=1e-12)
     sinf = catalog.build_shirley(2.0, RHO_INF, None)
     assert sinf.v.traces.value_b == pytest.approx(1.0, abs=1e-12)
-    assert sinf.v.traces.deriv_b == pytest.approx(0.0, abs=1e-12)
+    assert sinf.v.analytic.derivative().value_at(1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shirley_vector_action_consistency():
@@ -213,7 +213,7 @@ def test_schrodinger_boundary_vector(rank_one_direction):
     )
     t = q.v.traces
     assert t.value0 == pytest.approx(1.0, abs=1e-12)
-    assert t.deriv0 == pytest.approx(0.5 + 2.0j, abs=1e-12)
+    assert q.v.analytic.derivative().value_at_zero() == pytest.approx(0.5 + 2.0j, abs=1e-12)
 
 
 def test_schrodinger_rank_one_margin(rank_one_direction):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -7,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipext import cli_io
+import dissipext
+from dissipext import cli_io, criteria, oracle
 from dissipext.analytic import Term
 
 
@@ -454,3 +458,62 @@ def test_sweep_rows_match_check(case, re, im):
         assert row["dissipative"] is expect["dissipative"]
         margin = expect["margin"]
         assert abs(row["margin"] - margin) <= 1e-12 * (1.0 + abs(margin))
+
+
+# ---------------------------------------------------------------------------
+# runtime contract: in-repo eigensolver, numpy and mpmath only
+
+
+CONTRACT_CASES = {
+    "potsdam": "[scenario]\nname = potsdam\nrho = 1\nphi = i*x*exp(-x)\nW = 0.5*exp(-x)\n",
+    "shirley": SHIRLEY_CFG,
+    "konzert": "[scenario]\nname = konzert\ngamma = 0.25\nell = 1\n",
+    "rank_one": SWEEP_CASES["rank_one"][0],
+    "multiplication": SWEEP_CASES["multiplication"][0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_no_library_eigensolver_on_verdict_or_oracle_path(case, monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("library eigensolver called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, banned)
+    problem = cli_io.build_problem(cli_io.parse_config(CONTRACT_CASES[case]))
+    verdict = criteria.decide(problem)
+    report = oracle.cross_validate(problem, verdict, meshes=(16, 32))
+    assert all(math.isfinite(mu) for mu in report.infima)
+
+
+def test_oracle_command_loads_no_scipy(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SHIRLEY_CFG)
+    src = os.path.dirname(os.path.dirname(dissipext.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    # -X importtime logs every module the run imports, one per line
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "dissipext.cli_io", "oracle",
+         "--config", str(cfg), "--meshes", "16,32"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert json.loads(run.stdout)["meshes"] == [16, 32]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "dissipext.oracle" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_oracle_rerun_is_byte_identical(case, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONTRACT_CASES[case])
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"out{k}.json"
+        code = cli_io.main(["oracle", "--config", str(cfg), "--meshes", "16,32", "--out", str(out)])
+        runs.append((code, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 1)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -251,6 +252,24 @@ def test_general_agrees_with_bounded_v(rank_one_direction):
     vb = criteria.verdict_bounded_v(q)
     assert abs(vg.margin - vb.margin) < 1e-8
     assert vg.dissipative == vb.dissipative
+
+
+def test_general_multi_term_multiplier():
+    # V = (1 + x) e^-x has no one-term inverse; with coinciding extensions
+    # the cross term is Im <k, v> and needs none.  1 - e^3 E1(3) / 4
+    grid = make_grid("halfline", 512)
+    weight = AnalyticFunction((Term(1.0, 0.0, -1.0), Term(1.0, 1.0, -1.0)))
+    q = catalog.build_halfline_schrodinger(
+        1j,
+        catalog.MultiplicationPerturbation(
+            GridFunction.from_analytic(grid, weight),
+            GridFunction.from_analytic(grid, exponential(1.0, -2.0)),
+        ),
+    )
+    vg = criteria.verdict_general(q)
+    assert vg.margin == pytest.approx(criteria.decide(q).margin, abs=1e-12)
+    assert vg.margin == pytest.approx(float(1 - mpmath.exp(3) * mpmath.e1(3) / 4), abs=1e-12)
+    assert vg.dissipative is True
 
 
 # ---------------------------------------------------------------------------

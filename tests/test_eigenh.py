@@ -60,10 +60,10 @@ def test_eigh_rank_deficient():
 
 def test_pencil_trivial_examples():
     g = np.eye(2, dtype=complex)
-    lam, _ = eigenh.pencil_extreme(g.copy(), g, "min")
+    lam, _ = eigenh.pencil_extreme(g.copy(), g)
     assert lam == pytest.approx(1.0)
     h = np.diag([-1.0, 2.0]).astype(complex)
-    lam, x = eigenh.pencil_extreme(h, g, "min")
+    lam, x = eigenh.pencil_extreme(h, g)
     assert lam == pytest.approx(-1.0)
     assert abs(abs(x[0]) - 1.0) < 1e-12
 
@@ -73,7 +73,7 @@ def test_pencil_random_50_self_consistency():
     rng = np.random.default_rng(50)
     h = _random_hermitian(rng, 50)
     g = _random_spd(rng, 50)
-    lam, x = eigenh.pencil_extreme(h, g, "min")
+    lam, x = eigenh.pencil_extreme(h, g)
     l = np.linalg.cholesky(g)
     c = np.linalg.solve(l, np.linalg.solve(l, h).conj().T).conj().T
     w_ref = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
@@ -88,8 +88,8 @@ def test_pencil_unitary_invariance():
     h = _random_hermitian(rng, n)
     g = _random_spd(rng, n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    lam1, _ = eigenh.pencil_extreme(h, g, "min")
-    lam2, _ = eigenh.pencil_extreme(q.conj().T @ h @ q, q.conj().T @ g @ q, "min")
+    lam1, _ = eigenh.pencil_extreme(h, g)
+    lam2, _ = eigenh.pencil_extreme(q.conj().T @ h @ q, q.conj().T @ g @ q)
     assert abs(lam1 - lam2) < 1e-10 * max(1.0, abs(lam1))
 
 
@@ -97,18 +97,9 @@ def test_pencil_rayleigh_quotient_matches():
     rng = np.random.default_rng(13)
     h = _random_hermitian(rng, 31)
     g = _random_spd(rng, 31)
-    lam, x = eigenh.pencil_extreme(h, g, "min")
+    lam, x = eigenh.pencil_extreme(h, g)
     rayleigh = float(np.vdot(x, h @ x).real / np.vdot(x, g @ x).real)
     assert abs(rayleigh - lam) < 1e-10 * max(1.0, abs(lam))
-
-
-def test_pencil_max_side():
-    rng = np.random.default_rng(21)
-    h = _random_hermitian(rng, 19)
-    g = _random_spd(rng, 19)
-    lam, _ = eigenh.pencil_extreme(h, g, "max")
-    ref = np.max(np.linalg.eigvals(np.linalg.solve(g, h)).real)
-    assert abs(lam - ref) < 1e-9 * max(1.0, abs(ref))
 
 
 def test_pencil_eigh_full():

@@ -8,7 +8,6 @@ from dissipext.grid import (
     GridError,
     GridFunction,
     decay_certificate,
-    differentiate,
     make_grid,
 )
 
@@ -69,19 +68,11 @@ def _random_term_sum(rng, terms=4):
     )
 
 
-def test_differentiate_analytic_route(interval_grid, phi_x2_minus_x):
-    f = GridFunction.from_analytic(interval_grid, phi_x2_minus_x)
-    d = differentiate(f)
-    assert d.analytic is not None
-    assert d.traces.value0 == pytest.approx(-1.0)
-    assert d.traces.value_b == pytest.approx(1.0)
-
-
 def test_boundary_data_analytic_traces_win(interval_grid, phi_x2_minus_x):
     f = GridFunction.from_analytic(interval_grid, phi_x2_minus_x)
-    t = f.traces
+    t, df = f.traces, f.analytic.derivative()
     assert t.value0 == 0.0 and t.value_b == 0.0
-    assert t.deriv0 == -1.0 and t.deriv_b == 1.0
+    assert df.value_at_zero() == -1.0 and df.value_at(1.0) == 1.0
 
 
 def test_integration_by_parts_consistency():
@@ -91,10 +82,10 @@ def test_integration_by_parts_consistency():
     for _ in range(10):
         f = GridFunction.from_analytic(grid, _random_term_sum(rng))
         g = GridFunction.from_analytic(grid, _random_term_sum(rng))
-        df, dg = differentiate(f), differentiate(g)
+        df, dg = f.analytic.derivative(), g.analytic.derivative()
         tf, tg = f.traces, g.traces
         boundary = np.conj(tf.value_b) * tg.value_b - np.conj(tf.value0) * tg.value0
-        sampled = np.conj(f.values) * dg.values + np.conj(df.values) * g.values
+        sampled = np.conj(f.values) * dg(grid.nodes) + np.conj(df(grid.nodes)) * g.values
         resid = np.sum(grid.weights * sampled) - boundary
         assert abs(resid) < 1e-10 * (1.0 + abs(boundary))
 

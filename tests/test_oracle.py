@@ -66,6 +66,31 @@ def test_gram_positive_definite():
     assert float(w.min()) > 0.0
 
 
+def _gauss(f, breaks, panels=512):
+    """Composite 8-point Gauss-Legendre integral of ``f`` over each piece
+    between consecutive ``breaks``."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    total = 0.0j
+    for lo, hi in zip(breaks, breaks[1:]):
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        xs = (mid[:, None] + half[:, None] * nodes).ravel()
+        total += np.sum((half[:, None] * weights).ravel() * f(xs))
+    return complex(total)
+
+
+def _vv_reference(prob, c2, c1, m, lv, breaks):
+    """``<v, (c2 v'' + c1 v' + m v + Lv)>`` by quadrature, the second-order
+    part integrated by parts: ``<v, v''> = [conj(v) v'] - ||v'||^2``."""
+    v = prob.v.analytic
+    dv = v.derivative()
+    hi = breaks[-1]
+    edge = np.conj(v.value_at(hi)) * dv.value_at(hi) - np.conj(v.value_at_zero()) * dv.value_at_zero()
+    total = c2 * (edge - _gauss(lambda x: np.abs(dv(x)) ** 2, breaks))
+    return total + _gauss(lambda x: np.conj(v(x)) * (c1 * dv(x) + m(x) * v(x) + lv(x)), breaks)
+
+
 @pytest.mark.parametrize("builder,kwargs", [
     ("konzert", {}),
     ("shirley", {}),
@@ -74,28 +99,63 @@ def test_gram_positive_definite():
     ("schrodinger_mult", {}),
 ])
 def test_v_column_matches_criteria_lhs(builder, kwargs, shirley_instance, rank_one_direction):
+    # each scenario's action, deviation and bounded part stated here again,
+    # integrated on the test's own quadrature
     grid = make_grid("halfline", 512)
-    probs = {
-        "konzert": _konzert(1.2),
-        "shirley": shirley_instance,
-        "potsdam": catalog.build_potsdam(
-            exponential(0.5, -1.0), -1.2 + 0j, AnalyticFunction((Term(1j, 1.0, -1.0),))
-        ),
-        "schrodinger_rank1": catalog.build_halfline_schrodinger(
-            1j, catalog.RankOnePerturbation(1.0, rank_one_direction, 2.4)
-        ),
-        "schrodinger_mult": catalog.build_halfline_schrodinger(
-            1 + 1j,
-            catalog.MultiplicationPerturbation(
-                GridFunction.from_analytic(grid, indicator(0.0, 1.0)),
-                GridFunction.from_analytic(grid, 2.2 * indicator(0.0, 1.0)),
+    sq2, gamma = math.sqrt(2.0), math.sqrt(3.0)
+    zero = lambda x: 0.0 * x
+    halfline = [0.0, 1.0, 40.0]
+    cases = {
+        "konzert": (_konzert(1.2), 0.0, 1j, lambda x: 0.25j / x, lambda x: 1.2 + zero(x), [0.0, 1.0]),
+        "shirley": (shirley_instance, -1j, 0.0, lambda x: -gamma / x**2, lambda x: -2.0 + zero(x),
+                    [0.0, 1.0]),
+        "potsdam": (
+            catalog.build_potsdam(
+                exponential(0.5, -1.0), -1.2 + 0j, AnalyticFunction((Term(1j, 1.0, -1.0),))
             ),
+            -1j, 0.0, lambda x: 0.5 * np.exp(-x), lambda x: -1j * (x - 2.0) * np.exp(-x), halfline,
+        ),
+        "schrodinger_rank1": (
+            catalog.build_halfline_schrodinger(
+                1j, catalog.RankOnePerturbation(1.0, rank_one_direction, 2.4)
+            ),
+            -1.0, 0.0, zero, lambda x: 2.4 * sq2 * np.exp(-x), halfline,
+        ),
+        "schrodinger_mult": (
+            catalog.build_halfline_schrodinger(
+                1 + 1j,
+                catalog.MultiplicationPerturbation(
+                    GridFunction.from_analytic(grid, indicator(0.0, 1.0)),
+                    GridFunction.from_analytic(grid, 2.2 * indicator(0.0, 1.0)),
+                ),
+            ),
+            -1.0, 0.0, zero, lambda x: np.where(x < 1.0, 2.2, 0.0), halfline,
         ),
     }
-    prob = probs[builder]
+    prob, c2, c1, m, lv, breaks = cases[builder]
+    ref = _vv_reference(prob, c2, c1, m, lv, breaks)
+    v = prob.v.analytic
+    if builder == "schrodinger_rank1":  # i alpha |<phi, v>|^2 with alpha = 1
+        ref += 1j * abs(_gauss(lambda x: sq2 * np.exp(-x) * v(x), breaks)) ** 2
+    if builder == "schrodinger_mult":  # i int_0^1 |v|^2
+        ref += 1j * _gauss(lambda x: np.abs(v(x)) ** 2, [0.0, 1.0])
     op = oracle.assemble_discrete(prob, 128)
-    lhs = criteria.general_lhs(prob)
-    assert abs(op.matrix[op.v_index, op.v_index].imag - lhs) < 1e-8
+    assert abs(op.matrix[op.v_index, op.v_index] - ref) < 1e-8
+    assert abs(criteria.general_lhs(prob) - ref.imag) < 1e-8
+
+
+@pytest.mark.parametrize("scenario", ["shirley", "konzert"])
+def test_assembly_independent_of_sample_grid(scenario, phi_x2_minus_x):
+    # no entry reads the problem's samples, and an interval core span is
+    # the whole domain, so [grid] n changes no bit of the operator
+    def build(n):
+        if scenario == "shirley":
+            return catalog.build_shirley(math.sqrt(3.0), 0.5 + 0.375j, phi_x2_minus_x, n=n)
+        return catalog.build_konzert(0.25, constant(1.2), n=n)
+
+    coarse, fine = (oracle.assemble_discrete(build(n), 64) for n in (64, 512))
+    assert np.array_equal(coarse.matrix, fine.matrix)
+    assert np.array_equal(coarse.gram, fine.gram)
 
 
 def test_assembly_needs_analytic_vector():
