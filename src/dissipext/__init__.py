@@ -16,7 +16,7 @@ from .catalog import (
     build_shirley,
 )
 from .criteria import Verdict, decide
-from .grid import Grid, GridFunction, make_grid
+from .grid import Grid, make_grid
 from .oracle import OracleReport, cross_validate
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "Verdict",
     "decide",
     "Grid",
-    "GridFunction",
     "make_grid",
     "OracleReport",
     "cross_validate",

@@ -5,19 +5,24 @@ terms ``c * x^a * exp(b*x)``, optionally windowed to a sub-interval by an
 indicator factor.  This module keeps that representation symbolic so that
 products, derivatives, boundary values and definite integrals over ``(0, b)``
 or ``(0, inf)`` can be computed without quadrature error.  It is the one
-representation of a scenario function: grid samples and boundary traces are
-derived from it.  Non-elementary integrals (a non-integer power times an
-exponential) use ``mpmath`` adaptive quadrature.
+representation of a scenario function.  Non-elementary integrals (a
+non-integer power times an exponential) use ``mpmath`` adaptive quadrature.
 
 :func:`norm_sq` decides whether ``int w |f|^2`` or ``int |k|^2 / V`` is
 finite from leading orders of the term sums, so every membership test of
-the package rests on them rather than on samples.
+the package rests on them rather than on samples.  The input checks are
+decided from the terms too: :func:`trace` gives a boundary value with its
+cancellation scale, :func:`is_real` compares a sum with its conjugate,
+:func:`envelope` and :func:`tail_point` bound where a sum has decayed, and
+:func:`sign_check` decides ``Re f >= 0`` from the critical points of each
+window piece.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -30,6 +35,13 @@ __all__ = [
     "reciprocal",
     "off_support",
     "norm_sq",
+    "trace",
+    "is_real",
+    "envelope",
+    "peaks",
+    "tail_point",
+    "SignCheck",
+    "sign_check",
     "constant",
     "monomial",
     "power",
@@ -96,6 +108,8 @@ def _pow_at(a: complex, x: float) -> complex:
             return 1.0
         if a.real > 0:
             return 0.0
+        if math.isnan(a.real):  # no value, and no singularity to reject
+            return complex(math.nan)
         raise DivergentIntegralError("x^a singular at 0")
     return complex(np.exp(a * np.log(x)))
 
@@ -383,9 +397,10 @@ def off_support(f: AnalyticFunction, weight: AnalyticFunction, lo: float, hi: fl
                for a, b in zip(pts, pts[1:]))
 
 
-def _finite_order(f, weight, inverse: bool, lo: float, hi: float) -> float:
+def _finite_order(f, weight, inverse: bool, pts: list[float]) -> float:
     """Raise :class:`DivergentIntegralError` unless ``int w^{+-1} |f|^2`` is
-    finite; return its order ``s`` at 0 (``x^s``; 0 when not singular).
+    finite over the pieces between ``pts``; return its order ``s`` at 0
+    (``x^s``; 0 when not singular).
 
     At each end ``x0`` of a piece the integrand is ``|x - x0|^s``, ``s = 2
     ord(f) +- ord(w)``, integrable iff ``s > -1``; at infinity ``x^s e^{r x}``
@@ -394,7 +409,6 @@ def _finite_order(f, weight, inverse: bool, lo: float, hi: float) -> float:
     """
     sign = -1.0 if inverse else 1.0
     order0 = 0.0
-    pts = _breakpoints((f, weight), lo, hi)
     for a, b in zip(pts, pts[1:]):
         ft, wt = _live_terms(f, a, b), _live_terms(weight, a, b)
         if not ft or not wt:
@@ -430,7 +444,9 @@ def norm_sq(f: AnalyticFunction, lo: float, hi: float,
     The value is the term-wise closed form when every term converges, else
     (a divergence that cancels in the sum, a ``w`` with several terms) one
     quadrature of the integrand evaluated pointwise from its factors, so
-    that a cancellation near 0 loses no digits.
+    that a cancellation near 0 loses no digits.  With ``inverse`` the zeros
+    of ``w`` inside a window (from :func:`sign_check`) are breakpoints like
+    the window edges, so a zero where ``k`` does not vanish diverges.
     """
     w = _ONE if weight is None else weight
     if inverse:
@@ -445,9 +461,12 @@ def norm_sq(f: AnalyticFunction, lo: float, hi: float,
             return float(product.integral(lo, hi).real)
         except DivergentIntegralError:
             pass
+    pts = _breakpoints((f, w), lo, hi)
+    if inverse:
+        pts = sorted(set(pts).union(sign_check(w, lo, hi).zeros))
     # x = t^p flattens an x^s singularity at 0, where the quadrature's nodes
     # stop at the working precision
-    p = 1.0 / (1.0 + _finite_order(f, w, inverse, lo, hi))
+    p = 1.0 / (1.0 + _finite_order(f, w, inverse, pts))
 
     def integrand(t):
         x = t ** p
@@ -456,7 +475,179 @@ def norm_sq(f: AnalyticFunction, lo: float, hi: float,
             return v / wx if wx else wx  # f vanishes wherever w does
         return v * wx
 
-    return float(_quad(integrand, [e ** (1.0 / p) for e in _breakpoints((f, w), lo, hi)]).real)
+    return float(_quad(integrand, [e ** (1.0 / p) for e in pts]).real)
+
+
+# ---------------------------------------------------------------------------
+# input checks on term sums: traces, realness, decay, sign
+
+
+def _covers(t: Term, x: float) -> bool:
+    return (t.lo is None or t.lo <= x) and (t.hi is None or x <= t.hi)
+
+
+def trace(fn: AnalyticFunction, x: float) -> tuple[complex, float]:
+    """``fn(x)`` and its cancellation scale ``1 + sum |term values|``;
+    :class:`AnalyticError` where a term is singular (at 0)."""
+    return fn.value_at(x), 1.0 + sum(abs(t.coeff * _pow_at(t.power, x) * _exp_at(t.rate, x))
+                                     for t in fn.terms if _covers(t, x))
+
+
+def is_real(fn: AnalyticFunction) -> bool:
+    """True iff ``fn - conj(fn)`` cancels to ``1e-12 max|c|`` (real on ``x > 0``)."""
+    top = max((abs(t.coeff) for t in fn.terms), default=0.0)
+    return all(abs(t.coeff) <= _CANCEL_RTOL * top for t in (fn - fn.conj()).terms)
+
+
+def _modulus(t: Term, x: float) -> float:
+    if x == 0.0:
+        return abs(t.coeff) if t.power == 0 else (0.0 if t.power.real > 0.0 else math.inf)
+    e = t.power.real * math.log(x) + t.rate.real * x
+    return abs(t.coeff) * math.exp(e) if e < 700.0 else math.inf
+
+
+def envelope(fn: AnalyticFunction, x: float) -> float:
+    """``env(x) = sum |c| x^{Re a} e^{Re b x}`` over the terms whose window holds ``x``."""
+    return sum(_modulus(t, x) for t in fn.terms if _covers(t, x))
+
+
+def peaks(fn: AnalyticFunction, reach: float) -> list[tuple[float, float]]:
+    """``(x, height)`` of each term's largest modulus on its window within
+    ``[0, reach]``, the later point on a tie: ``x = -Re a / Re b`` clipped to
+    the window, or an edge.  A term singular at 0 peaks there, with its
+    modulus at ``x = 1`` (or its right edge) as height."""
+    out = []
+    for t in fn.terms:
+        a, b = max(0.0, t.lo or 0.0), min(reach, math.inf if t.hi is None else t.hi)
+        if b < a:
+            continue
+        p, r = t.power.real, t.rate.real
+        xs = [a, b] + ([min(max(-p / r, a), b)] if r < 0.0 < p else [])
+        x = max(xs, key=lambda y: (_modulus(t, y), y))
+        height = _modulus(t, x)
+        out.append((x, _modulus(t, min(1.0, b)) if math.isinf(height) and x == 0.0 else height))
+    return out
+
+
+def tail_point(fn: AnalyticFunction, reach: float, rel: float) -> float | None:
+    """Last ``x`` in ``[0, reach]`` where ``env(x)`` reaches ``rel`` times the
+    largest peak (None without terms).  Every modulus, so ``env``, falls past
+    the last term peak: bisection from the last peak above the threshold."""
+    pks = peaks(fn, reach)
+    if not pks:
+        return None
+    thr = rel * max(h for _, h in pks)
+    if envelope(fn, reach) >= thr:
+        return reach
+    lo, hi = max(x for x, _ in pks if envelope(fn, x) >= thr), reach
+    while hi - lo > 1e-12 * reach:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if envelope(fn, mid) >= thr else (lo, mid)
+    return lo
+
+
+class SignCheck(NamedTuple):
+    """``nonneg``: ``Re f >= 0`` to ``1e-12`` of the cancellation scale;
+    ``zeros``: points inside window pieces where it vanishes to that scale."""
+
+    nonneg: bool
+    zeros: tuple[float, ...]
+
+
+def _real_at(g: AnalyticFunction, x: float) -> tuple[float, float]:
+    """Value and ``sum |term values|`` of a real sum; at 0 the lowest power
+    gives the limit, at infinity the fastest growth."""
+    if x in (0.0, math.inf):
+        key = ((lambda t: (-t.power.real, 0.0)) if x == 0.0
+               else (lambda t: (t.rate.real, t.power.real)))
+        top = max(map(key, g.terms))
+        lead = [t.coeff.real for t in g.terms if key(t) == top]
+        if top < (0.0, 0.0):  # vanishes
+            return 0.0, 0.0
+        if top > (0.0, 0.0):  # diverges
+            return math.copysign(math.inf, sum(lead)), math.inf
+        return sum(lead), sum(map(abs, lead))
+    es = [t.power.real * math.log(x) + t.rate.real * x for t in g.terms]
+    top = max(es)
+    parts = [t.coeff.real * math.exp(e - top) for t, e in zip(g.terms, es)]
+    if top > 700.0:
+        return math.copysign(math.inf, math.fsum(parts)), math.inf
+    return math.fsum(parts) * math.exp(top), sum(map(abs, parts)) * math.exp(top)
+
+
+def _sign(g: AnalyticFunction, x: float) -> int:
+    v = _real_at(g, x)[0]
+    return (v > 0.0) - (v < 0.0)
+
+
+def _sign_changes(g: AnalyticFunction, a: float, b: float) -> list[float]:
+    """Points of ``(a, b)`` where the real sum ``g`` changes sign.
+
+    Rolle's recursion behind the generalized rule of signs (Polya-Szegő,
+    Part V): ``h = g / F`` has the sign changes of ``g`` and ``h'`` a term
+    or a degree fewer, for ``F = x^{a_1} e^{rx}`` (lowest power) on a power
+    sum ``e^{rx} sum c x^a``, ``F = e^{r_j x}`` (lowest-degree group) on an
+    exponential polynomial ``sum p_j(x) e^{r_j x}``.  ``h`` is monotone
+    between the sign changes of ``h'``, so bisection finds its one change
+    on each such segment.  One term keeps its sign on ``x > 0``.
+    """
+    if len(g.terms) <= 1:
+        return []
+    rates = {t.rate.real for t in g.terms}
+    degree = {r: max(t.power.real for t in g.terms if t.rate.real == r) for r in rates}
+    r0 = min(rates, key=lambda r: (degree[r], r))
+    p0 = min(t.power.real for t in g.terms) if len(rates) == 1 else 0.0
+    h = g * AnalyticFunction((Term(1.0, -p0, -r0),))
+    edges = [a, *_sign_changes(h.derivative(), a, b), b]
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        s = _sign(h, lo)
+        if s * _sign(h, hi) < 0:
+            if hi == math.inf:  # bracket by doubling
+                hi = max(2.0 * lo, lo + 1.0)
+                while _sign(h, hi) == s and hi < 1e300:
+                    lo, hi = hi, 2.0 * hi
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi and (s_mid := _sign(h, mid)) != 0:
+                lo, hi = (mid, hi) if s_mid == s else (lo, mid)
+                mid = 0.5 * (lo + hi)
+            out.append(mid)
+    return out
+
+
+def sign_check(fn: AnalyticFunction, lo: float, hi: float) -> SignCheck:
+    """Decide ``Re fn >= 0`` on ``(lo, hi)``, one window piece at a time.
+
+    Exact where every term is real with a positive coefficient.  Exact up to
+    rounding for a real power sum (one rate) or a real-rate exponential
+    polynomial (integer powers): ``fn`` at the piece edges (limits at 0 and
+    infinity) and at its critical points, the sign changes of ``fn'``
+    (:func:`_sign_changes`: bisection only, no library root finder).
+    Anything else (complex powers or rates) is the package's one sampled
+    decision: ``Re fn`` at the finite non-zero piece edges and 64 Chebyshev
+    points per piece, with no zeros reported.
+    """
+    nonneg, zeros = True, []
+    pts = _breakpoints((fn,), lo, hi)
+    for a, b in zip(pts, pts[1:]):
+        terms = _live_terms(fn, a, b)
+        if all(t.power.imag == 0.0 and t.rate.imag == 0.0 for t in terms):
+            g = AnalyticFunction(Term(complex(t.coeff.real), t.power, t.rate) for t in terms)
+            if all(t.coeff.real > 0.0 for t in g.terms):
+                continue
+            if len({t.rate for t in g.terms}) == 1 or all(_is_small_int(t.power) for t in g.terms):
+                for x in [a, *_sign_changes(g.derivative(), a, b), b]:
+                    value, scale = _real_at(g, x)
+                    nonneg &= value >= -_CANCEL_RTOL * max(1.0, scale)
+                    if a < x < b and abs(value) <= _CANCEL_RTOL * scale:
+                        zeros.append(x)
+                continue
+        c = np.cos((np.arange(64) + 0.5) * np.pi / 64)
+        xs = a + (1.0 + c) / (1.0 - c) if b == math.inf else a + 0.5 * (b - a) * (1.0 + c)
+        xs = np.append(xs, [e for e in (a, b) if 0.0 < e < math.inf])
+        parts = np.array([AnalyticFunction((t,))(xs).real for t in terms])
+        nonneg &= not np.any(parts.sum(0) < -_CANCEL_RTOL * np.maximum(1.0, np.abs(parts).sum(0)))
+    return SignCheck(bool(nonneg), tuple(zeros))
 
 
 def constant(c: complex) -> AnalyticFunction:

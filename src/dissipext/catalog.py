@@ -14,9 +14,10 @@ Four families of one-dimensional dual pairs are built here:
 * ``halfline_schrodinger`` -- ``-f''`` with boundary parameter ``h`` plus a
   bounded rank-one or multiplication perturbation of the imaginary part.
 
-Every builder states each scenario function as a term sum, from which its
-samples and exact traces follow, and records the scenario's closed-form
-reference margin next to the criteria-module evaluation path.
+Every builder states each scenario function as a term sum, checks its
+inputs on the terms (traces, realness, decay by the truncation radius), and
+records the scenario's closed-form reference margin next to the
+criteria-module evaluation path.
 """
 
 from __future__ import annotations
@@ -29,14 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import forms
-from .analytic import AnalyticFunction, DivergentIntegralError, Term, norm_sq
-from .grid import (
-    DEFAULT_HALFLINE_R,
-    Grid,
-    GridFunction,
-    decay_certificate,
-    make_grid,
-)
+from .analytic import AnalyticFunction, DivergentIntegralError, Term, is_real, norm_sq
+from .grid import DEFAULT_HALFLINE_R, Grid, decay_certificate, make_grid
 
 __all__ = [
     "CatalogError",
@@ -75,7 +70,7 @@ class RankOnePerturbation:
     """Bounded imaginary part ``alpha |phi><phi|`` with deviation ``lambda phi``."""
 
     alpha: float
-    phi: GridFunction
+    phi: AnalyticFunction
     lam: complex
 
 
@@ -83,8 +78,8 @@ class RankOnePerturbation:
 class MultiplicationPerturbation:
     """Bounded imaginary part ``V(x)`` with deviation function ``k``."""
 
-    v: GridFunction
-    k: GridFunction
+    v: AnalyticFunction
+    k: AnalyticFunction
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +88,9 @@ class ExtensionProblem:
 
     ``v`` spans the added one-dimensional space; the deviation from the
     maximal action is either ``V_F phi`` (``phi`` set) or the explicit
-    function ``lv``.  ``reference_margin`` stores the scenario's closed-form
-    decision margin for cross-checking.
+    function ``lv``.  All of them are term sums on the domain ``grid``.
+    ``reference_margin`` stores the scenario's closed-form decision margin
+    for cross-checking.
 
     :meth:`expression` and :meth:`deviation` are the one statement of the
     scenario's operator that the criteria and the oracle read.
@@ -103,14 +99,14 @@ class ExtensionProblem:
     scenario: str
     spec: forms.ImaginaryPartSpec
     grid: Grid
-    v: GridFunction
+    v: AnalyticFunction
     rho: complex | None = None
-    phi: GridFunction | None = None
-    lv: GridFunction | None = None
+    phi: AnalyticFunction | None = None
+    lv: AnalyticFunction | None = None
     gamma: float | None = None
     h: complex | None = None
     perturbation: RankOnePerturbation | MultiplicationPerturbation | None = None
-    w_potential: GridFunction | None = None
+    w_potential: AnalyticFunction | None = None
     maximally_dissipative: bool | None = None
     reference_margin: float | None = None
     reference_dissipative: bool | None = None
@@ -128,7 +124,7 @@ class ExtensionProblem:
         if self.scenario == "shirley":
             return -1.0j, 0.0, AnalyticFunction((Term(-self.gamma, -2.0),))
         if self.scenario == "potsdam" and self.w_potential is not None:
-            return -1.0j, 0.0, self.w_potential.analytic
+            return -1.0j, 0.0, self.w_potential
         return (-1.0j if self.scenario == "potsdam" else -1.0), 0.0, AnalyticFunction(())
 
     def action_on(self, fn: AnalyticFunction) -> AnalyticFunction:
@@ -137,17 +133,26 @@ class ExtensionProblem:
         d1 = fn.derivative()
         return c2 * d1.derivative() + c1 * d1 + m * fn
 
-    def deviation(self) -> GridFunction | None:
+    def deviation(self) -> AnalyticFunction | None:
         """``Lv``: ``lv`` when given, else ``V_F phi`` (None when ``phi`` is
         absent or zero)."""
         if self.lv is not None:
             return self.lv
         phi = self.phi
-        if phi is None or not phi.analytic.terms:
+        if phi is None or not phi.terms:
             return None
         if not self.spec.is_laplacian:
             raise CatalogError("a deviation generator phi needs a Laplacian imaginary part")
-        return GridFunction.from_analytic(phi.grid, phi.analytic.derivative().derivative() * (-1.0))
+        return phi.derivative().derivative() * (-1.0)
+
+
+def _check_phi(spec: forms.ImaginaryPartSpec, phi: AnalyticFunction, what: str) -> None:
+    """CatalogError ``what`` unless ``phi`` meets the Dirichlet conditions of
+    ``spec`` (:func:`forms.check_traces`; an undefined trace fails too)."""
+    try:
+        forms.check_traces(spec, phi)
+    except forms.FormsError:
+        raise CatalogError(what) from None
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +184,19 @@ def build_potsdam(
 ) -> ExtensionProblem:
     """Half-line scenario with potential ``W`` and deviation ``V_F phi``."""
     grid = make_grid("halfline", n, length=r)
+    spec = forms.dirichlet_laplacian_halfline(grid)
     # trace-normalized pair: sigma(0) = tau'(0) = 1, sigma'(0) = tau(0) = 0
     sigma, tau = _decaying_vector(0j), _decaying_vector(RHO_INF)
     zeta = tau if is_inf(rho) else sigma + rho * tau
-    vf = GridFunction.from_analytic(grid, zeta)
-    if not decay_certificate(vf):
+    if not decay_certificate(zeta, r):
         raise CatalogError("extension vector has not decayed by the truncation radius")
     phi_fn = phi if phi is not None else AnalyticFunction(())
-    phig = GridFunction.from_analytic(grid, phi_fn)
     if phi is not None:
-        if not phi_fn.decays_at_infinity() or not decay_certificate(phig):
+        if not phi_fn.decays_at_infinity() or not decay_certificate(phi_fn, r):
             raise CatalogError("phi must have decayed by the truncation radius")
-        if abs(phig.traces.value0) > 1e-8 * (1.0 + float(np.max(np.abs(phig.values)))):
-            raise CatalogError("phi must vanish at 0")
-    wg = GridFunction.from_analytic(grid, w) if w is not None else None
-    if wg is not None:
-        if float(np.max(np.abs(wg.values.imag))) > 1e-10:
+        _check_phi(spec, phi_fn, "phi must vanish at 0")
+    if w is not None:
+        if not is_real(w):
             raise CatalogError("potential W must be real-valued")
         try:
             norm_sq(w, 0.0, math.inf)
@@ -208,12 +210,12 @@ def build_potsdam(
         margin = rho.real - 0.25 * norm_dphi_sq + float(dphi.value_at_zero().imag)
     return ExtensionProblem(
         scenario="potsdam",
-        spec=forms.dirichlet_laplacian_halfline(),
+        spec=spec,
         grid=grid,
-        v=vf,
+        v=zeta,
         rho=rho,
-        phi=phig,
-        w_potential=wg,
+        phi=phi_fn,
+        w_potential=w,
         reference_margin=margin,
         reference_dissipative=margin >= -1e-12,
     )
@@ -256,15 +258,11 @@ def build_shirley(
     if not offset > 0.0:
         raise CatalogError("the inverse-square potential needs an offset grid")
     grid = make_grid("interval", n, offset=offset)
+    spec = forms.dirichlet_laplacian_interval(domain=grid)
     xi = _shirley_vector(gamma, rho)
-    vf = GridFunction.from_analytic(grid, xi)
     phi_fn = phi if phi is not None else AnalyticFunction(())
-    phig = GridFunction.from_analytic(grid, phi_fn)
     if phi is not None:
-        t = phig.traces
-        scale = 1.0 + float(np.max(np.abs(phig.values)))
-        if abs(t.value0) > 1e-8 * scale or abs(t.value_b) > 1e-8 * scale:
-            raise CatalogError("phi must vanish at both endpoints")
+        _check_phi(spec, phi_fn, "phi must vanish at both endpoints")
     dphi = phi_fn.derivative()
     norm_dphi_sq = float((dphi.conj() * dphi).integral(0.0, 1.0).real)
     dphi1 = complex(dphi(np.asarray(1.0))) if phi is not None else 0.0
@@ -279,11 +277,11 @@ def build_shirley(
             raise CatalogError(f"|rho|^2 overflows for rho = {rho}") from None
     return ExtensionProblem(
         scenario="shirley",
-        spec=forms.dirichlet_laplacian_interval(),
+        spec=spec,
         grid=grid,
-        v=vf,
+        v=xi,
         rho=rho,
-        phi=phig,
+        phi=phi_fn,
         gamma=float(gamma),
         reference_margin=float(margin),
         reference_dissipative=margin >= -1e-12,
@@ -330,11 +328,10 @@ def build_konzert(
     if not offset > 0.0:
         raise CatalogError("the inverse-first-power potential needs an offset grid")
     grid = make_grid("interval", n, offset=offset)
-    weight = GridFunction.from_analytic(grid, AnalyticFunction((Term(gamma, -1.0),)))
-    spec = forms.multiplication(weight, strict_lower_bound=gamma)
-    v = GridFunction.from_analytic(grid, AnalyticFunction((Term(1.0, gamma + 1.0),)))
+    spec = forms.multiplication(AnalyticFunction((Term(gamma, -1.0),)), grid,
+                                strict_lower_bound=gamma)
+    v = AnalyticFunction((Term(1.0, gamma + 1.0),))
     ell_fn = ell if ell is not None else AnalyticFunction(())
-    ellg = GridFunction.from_analytic(grid, ell_fn)
     xw = AnalyticFunction((Term(1.0, 1.0),))
     weighted = float((ell_fn.conj() * xw * ell_fn).integral(0.0, 1.0).real)
     margin = 0.5 - weighted / (4.0 * gamma)
@@ -343,7 +340,7 @@ def build_konzert(
         spec=spec,
         grid=grid,
         v=v,
-        lv=ellg,
+        lv=ell_fn,
         gamma=float(gamma),
         maximally_dissipative=True,  # one added dimension against defect one
         reference_margin=margin,
@@ -353,18 +350,6 @@ def build_konzert(
 
 # ---------------------------------------------------------------------------
 # halfline Schroedinger with bounded imaginary part
-
-
-def _to_grid(gf: GridFunction, grid: Grid) -> GridFunction:
-    if gf.grid.n == grid.n and gf.grid.length == grid.length and gf.grid.offset == grid.offset:
-        return gf
-    return GridFunction.from_analytic(grid, gf.analytic)
-
-
-def _resample_perturbation(pert, grid: Grid):
-    if isinstance(pert, RankOnePerturbation):
-        return RankOnePerturbation(pert.alpha, _to_grid(pert.phi, grid), pert.lam)
-    return MultiplicationPerturbation(_to_grid(pert.v, grid), _to_grid(pert.k, grid))
 
 
 def build_halfline_schrodinger(
@@ -384,25 +369,21 @@ def build_halfline_schrodinger(
     if not is_inf(h) and h.imag < 0.0:
         raise CatalogError("Im h < 0 is not a dissipative boundary condition")
     grid = make_grid("halfline", n, length=r)
-    eta = GridFunction.from_analytic(grid, _decaying_vector(h))
-    if not decay_certificate(eta):
+    eta = _decaying_vector(h)
+    if not decay_certificate(eta, r):
         raise CatalogError("boundary vector has not decayed by the truncation radius")
     im_h = 0.0 if is_inf(h) else h.imag
-    perturbation = _resample_perturbation(perturbation, grid)
     if isinstance(perturbation, RankOnePerturbation):
         if perturbation.alpha <= 0:
             raise CatalogError("rank-one strength alpha must be positive")
-        spec = forms.rank_one(perturbation.alpha, perturbation.phi)
-        lv = GridFunction.from_analytic(grid, perturbation.lam * perturbation.phi.analytic)
+        spec = forms.rank_one(perturbation.alpha, perturbation.phi, grid)
+        lv = perturbation.lam * perturbation.phi
         margin = im_h - abs(perturbation.lam) ** 2 / (4.0 * perturbation.alpha)
     else:
-        vg = perturbation.v
-        if float(np.min(vg.values.real)) < -1e-12:
-            raise CatalogError("multiplication imaginary part must be non-negative")
-        spec = forms.multiplication(vg)
+        spec = forms.multiplication(perturbation.v, grid)  # checks V >= 0
         lv = perturbation.k
         try:
-            margin = im_h - 0.25 * forms.mult_inverse_norm_sq(vg, perturbation.k)
+            margin = im_h - 0.25 * forms.mult_inverse_norm_sq(perturbation.v, lv, spec.end)
         except forms.FormsError:
             margin = None  # support violations surface when the criterion runs
     return ExtensionProblem(

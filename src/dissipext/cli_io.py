@@ -13,7 +13,7 @@ fails with a line/column annotated diagnostic::
     phi = x^2 - x
 
     [grid]
-    n = 512
+    n = 512        # accepted, ignored
     offset = 1e-6
 
     [oracle]
@@ -47,7 +47,7 @@ import numpy as np
 from . import catalog, criteria, eigenh, forms, oracle
 from .analytic import AnalyticFunction, AnalyticError, Term, exponential, indicator, norm_sq
 from .catalog import ExtensionProblem, RHO_INF, is_inf
-from .grid import GridError, GridFunction, make_grid
+from .grid import GridError, make_grid
 
 __all__ = [
     "ConfigError",
@@ -565,12 +565,10 @@ def build_problem(cfg: ScenarioConfig, rho_override: complex | None = None) -> E
         if abs(nrm - 1.0) > 1e-10:
             # the deviation scale refers to the normalized direction
             phi_fn = phi_fn * (1.0 / nrm)
-        phi_gf = GridFunction.from_analytic(grid, phi_fn)
-        pert = catalog.RankOnePerturbation(alpha, phi_gf, lam)
+        pert = catalog.RankOnePerturbation(alpha, phi_fn, lam)
     else:
-        v_gf = GridFunction.from_analytic(grid, parse_expression(cfg.get("scenario", "V")))
-        k_gf = GridFunction.from_analytic(grid, parse_expression(cfg.get("scenario", "k")))
-        pert = catalog.MultiplicationPerturbation(v_gf, k_gf)
+        pert = catalog.MultiplicationPerturbation(parse_expression(cfg.get("scenario", "V")),
+                                                  parse_expression(cfg.get("scenario", "k")))
     return catalog.build_halfline_schrodinger(h, pert, n=n, r=cfg.grid_r)
 
 
@@ -636,10 +634,6 @@ def run_sweep(
     Points are evaluated one after another in row-major order (re outer, im
     inner); identical inputs produce byte-identical files.  A point whose
     membership fails has no finite margin and writes ``null`` in JSON.
-    Points use a 64-node grid whatever ``[grid] n`` says: margins are exact
-    on any grid, but the scenario constructors sample each function to check
-    it, and a 41x41 Potsdam sweep took 2.1 s at 512 nodes against 1.7 s on a
-    2-core Xeon.
     ``max_workers`` is accepted and ignored: the points run serially, since
     ``mpmath.quad`` raises the precision of mpmath's one global context
     while it runs, so concurrent points corrupt each other's integrals.
@@ -648,14 +642,11 @@ def run_sweep(
         raise ConfigError(f"scenario {cfg.scenario} has no boundary parameter to sweep")
     res = _axis_points(re_axis)
     ims = _axis_points(im_axis)
-    sweep_cfg = replace(cfg, params=tuple(
-        (s, k, v) for (s, k, v) in cfg.params if not (s == "grid" and k == "n")
-    ) + (("grid", "n", "64"),))
 
     rows = []
     for re in res:
         for im in ims:
-            verdict = criteria.decide(build_problem(sweep_cfg, rho_override=complex(re, im)))
+            verdict = criteria.decide(build_problem(cfg, rho_override=complex(re, im)))
             rows.append({"re_rho": re, "im_rho": im, "margin": _jsonable(verdict.margin),
                          "dissipative": verdict.dissipative})
     return {

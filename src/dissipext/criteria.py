@@ -30,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 from . import forms
-from .analytic import AnalyticError, DivergentIntegralError, norm_sq
+from .analytic import AnalyticError, AnalyticFunction, DivergentIntegralError, norm_sq
 from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
-from .grid import GridFunction
 
 __all__ = [
     "CriteriaError",
@@ -115,7 +114,7 @@ def _im_action(problem: ExtensionProblem) -> float:
     The action includes the real half-line potential W, which adds nothing
     to the imaginary part.
     """
-    vfn = problem.v.analytic
+    vfn = problem.v
     act = problem.action_on(vfn)
     return float((vfn.conj() * act).integral(0.0, problem.grid.right_endpoint).imag)
 
@@ -127,10 +126,10 @@ def _bounded_part(problem: ExtensionProblem) -> float:
     return forms.friedrichs_form_sq(problem.spec, problem.v)
 
 
-def _generator(problem: ExtensionProblem) -> GridFunction | None:
+def _generator(problem: ExtensionProblem) -> AnalyticFunction | None:
     """The deviation generator ``phi`` (None when absent or identically zero)."""
     phi = problem.phi
-    if phi is None or not phi.analytic.terms:
+    if phi is None or not phi.terms:
         return None
     return phi
 
@@ -165,13 +164,13 @@ def necessity_checks(problem: ExtensionProblem) -> list[str]:
         failures.append(FAIL_V_NOT_IN_DK)
     # a deviation V_F phi lies in the range by construction
     lv = problem.deviation() if problem.phi is None else None
-    if lv is not None and lv.analytic.terms:
+    if lv is not None and lv.terms:
         _, diverged = forms.sqrt_scale_inv_form(spec, lv)
         if diverged:
             failures.append(FAIL_L_NOT_IN_RANVF)
     if problem.scenario == "halfline_schrodinger":
         try:
-            norm_sq(problem.v.analytic.derivative().derivative(), 0.0, math.inf)
+            norm_sq(problem.v.derivative().derivative(), 0.0, math.inf)
         except DivergentIntegralError:
             failures.append(FAIL_DOMAIN_NOT_IN_DSSTAR)
         except AnalyticError:
@@ -223,7 +222,7 @@ def verdict_strict_pos(problem: ExtensionProblem) -> Verdict:
     lv = problem.deviation()
     if lv is not None:
         pv = forms.projection_P(spec, v)
-        lhs += forms.inner(pv, lv).imag
+        lhs += forms.inner(pv, lv, problem.grid.right_endpoint).imag
     rhs = _quarter_inv_form(problem) + forms.krein_form_sq(spec, v)
     return Verdict.from_sides(CRITERION_STRICT_POS, lhs, rhs)
 
@@ -254,7 +253,9 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
     pert = problem.perturbation
     if pert is None:
         raise CriteriaError("criterion needs a bounded perturbation")
-    if isinstance(pert, MultiplicationPerturbation) and forms.support_violation(pert.v, pert.k):
+    end = problem.grid.right_endpoint
+    multiplication = isinstance(pert, MultiplicationPerturbation)
+    if multiplication and forms.support_violation(pert.v, pert.k, end):
         raise SupportViolationError(
             "deviation carries mass outside the multiplier support"
         )
@@ -265,7 +266,7 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
     if isinstance(pert, RankOnePerturbation):
         rhs = 0.25 * abs(pert.lam) ** 2 / pert.alpha
     else:
-        rhs = 0.25 * forms.mult_inverse_norm_sq(pert.v, pert.k)
+        rhs = 0.25 * forms.mult_inverse_norm_sq(pert.v, pert.k, end)
     return Verdict.from_sides(CRITERION_BOUNDED_V, lhs, rhs)
 
 
@@ -274,7 +275,7 @@ def general_lhs(problem: ExtensionProblem) -> float:
     lhs = _im_action(problem) + _bounded_part(problem)
     lv = problem.deviation()
     if lv is not None:
-        lhs += forms.inner(problem.v, lv).imag
+        lhs += forms.inner(problem.v, lv, problem.grid.right_endpoint).imag
     return lhs
 
 
@@ -309,7 +310,8 @@ def _master_verdict(problem: ExtensionProblem, criterion: str) -> Verdict:
     if phi is None and lv is not None:
         if spec.friedrichs_equals_krein:
             # K(V^{-1} Lv, v) = <Lv, v>: the cross term needs no inverse
-            return Verdict.from_sides(criterion, lhs, rhs - forms.inner(lv, v).imag)
+            cross = forms.inner(lv, v, problem.grid.right_endpoint).imag
+            return Verdict.from_sides(criterion, lhs, rhs - cross)
         phi = forms.vf_solve(spec, lv).u
     if phi is not None:
         rhs -= complex(forms.krein_form(spec, phi, v)).imag

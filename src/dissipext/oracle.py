@@ -9,11 +9,14 @@ the banded assembly come from the package's one spline layer,
 from the problem (:meth:`~dissipext.catalog.ExtensionProblem.expression`
 and :meth:`~dissipext.catalog.ExtensionProblem.deviation`), and the
 extension vector's entries against itself are closed-form term-sum
-integrals, so the assembled matrices depend on the problem's sample grid
-only through the right edge of a half-line core span.  The infimum of the numerical range's imaginary part over that space
-is the minimal eigenvalue of the Hermitian pencil ``H x = mu G x`` with
-``H`` the Gram-weighted imaginary part of the discretized action; it is
-computed with the in-repo symmetric-reduction solver.
+integrals.  The right edge of a half-line core span is where the problem's
+functions decay, read from their term sums
+(:func:`~dissipext.analytic.tail_point`), so the assembled matrices do not
+depend on ``[grid] n``.  The infimum of the numerical range's imaginary
+part over that space is the minimal eigenvalue of the Hermitian pencil
+``H x = mu G x`` with ``H`` the Gram-weighted imaginary part of the
+discretized action; it is computed with the in-repo symmetric-reduction
+solver.
 
 A negative discrete infimum certifies non-dissipativity of the continuum
 operator (the discrete vector embeds into the true domain up to quadrature
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigenh, forms, splines
-from .analytic import norm_sq
+from .analytic import norm_sq, tail_point
 from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
 
 __all__ = [
@@ -120,8 +123,10 @@ def _active_cut(problem: ExtensionProblem) -> float:
     nothing to the imaginary part on core elements, so only elements meeting
     the perturbation supports can lower the infimum and resolution is
     concentrated there.  The unbounded half-line scenario also needs the
-    decay range of the extension vector and deviation generator.  Interval
-    problems use the full domain.
+    decay range of the extension vector and deviation generator.  The cut
+    is the last point where a candidate's envelope reaches ``1e-8`` of its
+    largest term peak (:func:`~dissipext.analytic.tail_point`), widened to
+    ``1.25 cut + 2`` within ``R``.  Interval problems use the full domain.
     """
     grid = problem.grid
     if not grid.is_halfline:
@@ -135,20 +140,8 @@ def _active_cut(problem: ExtensionProblem) -> float:
             candidates = [pert.v, pert.k]
     else:
         candidates = [problem.v, problem.phi, problem.w_potential]
-    xs = grid.nodes
-    cut = 0.0
-    for gf in candidates:
-        if gf is None:
-            continue
-        mag = np.abs(gf.values)
-        peak = float(mag.max())
-        if peak == 0.0:
-            continue
-        live = xs[mag > 1e-8 * peak]
-        if len(live):
-            cut = max(cut, float(live[-1]))
-    if cut == 0.0:
-        cut = grid.length
+    tails = [tail_point(fn, grid.length, 1e-8) for fn in candidates if fn is not None]
+    cut = max((x for x in tails if x), default=grid.length)
     return min(grid.length, 1.25 * cut + 2.0)
 
 
@@ -176,9 +169,9 @@ def assemble_discrete(
     factor integrates exactly.  The entries of ``v`` against itself are
     closed form: ``<v, (action + L) v>`` as a term-sum integral plus the
     bounded part's form, and ``||v||^2`` from :func:`norm_sq`; the rank-one
-    ``<v, phi>`` is :func:`forms.inner`.  No entry reads the problem's grid
-    samples, so the result does not depend on ``[grid] n``; only the right
-    edge of the core span does (:func:`_active_cut`).
+    ``<v, phi>`` is :func:`forms.inner`.  The right edge of the core span
+    comes from the term sums too (:func:`_active_cut`), so the result does
+    not depend on ``[grid] n``.
     ``include_bounded_v=False`` drops the bounded imaginary part from the
     action (used for semibound studies of the deviated symmetric part alone).
     """
@@ -190,18 +183,18 @@ def assemble_discrete(
     pert = problem.perturbation if include_bounded_v else None
 
     # extension column data
-    vfn = problem.v.analytic
+    vfn = problem.v
     v_samp = vfn(xs)
     act = problem.action_on(vfn)
     act_v = act(xs)
     vv = (vfn.conj() * act).integral(0.0, end)
     lv = problem.deviation()
     if lv is not None:
-        act_v = act_v + lv.analytic(xs)
-        vv += forms.inner(problem.v, lv)
+        act_v = act_v + lv(xs)
+        vv += forms.inner(problem.v, lv, end)
     bounded = 0.0
     if isinstance(pert, MultiplicationPerturbation):
-        bounded = 1.0j * pert.v.analytic(xs).real
+        bounded = 1.0j * pert.v(xs).real
         act_v = act_v + bounded * v_samp
         vv += 1.0j * forms.friedrichs_form_sq(problem.spec, problem.v)
     act_local = _core_action(problem, tab, bounded)
@@ -215,8 +208,8 @@ def assemble_discrete(
     mat[nb, nb] = vv
     if isinstance(pert, RankOnePerturbation):
         # i alpha |phi><phi| on the whole span, with q_j = <e_j, phi>
-        q = np.append(tab.vector(ws * pert.phi.analytic(xs), tab.val),
-                      forms.inner(problem.v, pert.phi))
+        q = np.append(tab.vector(ws * pert.phi(xs), tab.val),
+                      forms.inner(problem.v, pert.phi, end))
         mat += 1.0j * pert.alpha * np.outer(q, np.conj(q))
     gram[:nb, :nb] = tab.matrix(ws, tab.val, tab.val)
     gv = tab.vector(ws * v_samp, tab.val)

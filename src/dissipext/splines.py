@@ -2,9 +2,8 @@
 
 This is the one spline layer of the package.  The oracle's core span
 (``oracle.assemble_discrete`` and ``oracle.assemble_core_pair``, uniform
-knots) and the graded test family of the Ando-Nishio sup formula
-(``forms.krein_form_ando_nishio``, clamped knots) both evaluate their
-splines here.
+knots) and the graded test family of the tests' reference Ando-Nishio sup
+formula (clamped knots) both evaluate their splines here.
 
 For a non-decreasing knot vector ``t_0 <= ... <= t_{L-1}`` the basis is the
 ``L - 4`` cubic B-splines ``B_k`` supported on ``[t_k, t_{k+4}]``.  Every
@@ -23,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import PANEL_ORDER
+__all__ = ["PANEL_ORDER", "SplineTables", "spline_tables"]
 
-__all__ = ["SplineTables", "spline_tables"]
-
+#: Gauss-Legendre nodes per sub-panel
+PANEL_ORDER = 8
 _DEGREE = 3
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
 

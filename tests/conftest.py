@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from dissipext import catalog
 from dissipext.analytic import AnalyticFunction, Term, exponential
-from dissipext.grid import GridFunction, make_grid
+from dissipext.grid import make_grid
 
 
 @pytest.fixture(scope="session")
@@ -29,8 +30,23 @@ def phi_ix_exp():
 
 
 @pytest.fixture(scope="session")
-def rank_one_direction(halfline_grid):
-    return GridFunction.from_analytic(halfline_grid, exponential(math.sqrt(2.0), -1.0))
+def rank_one_direction():
+    return exponential(math.sqrt(2.0), -1.0)
+
+
+@pytest.fixture(scope="session")
+def gauss():
+    """``rule(lo, hi, n)``: nodes and weights of ``n`` points, 8-point
+    Gauss-Legendre panels on uniform subintervals of ``(lo, hi)``.  The
+    tests' own quadrature, independent of the package's closed forms."""
+    x8, w8 = np.polynomial.legendre.leggauss(8)
+
+    def rule(lo, hi, n):
+        edges = np.linspace(lo, hi, n // 8 + 1)
+        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+        return (mid[:, None] + half[:, None] * x8).ravel(), (half[:, None] * w8).ravel()
+
+    return rule
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,8 @@ from dissipext.analytic import (
     power,
 )
 from dissipext.catalog import RHO_INF
-from dissipext.grid import GridFunction, make_grid
+from dissipext.grid import make_grid
+from reference.sup_formula import krein_form_ando_nishio
 
 
 def _report(name: str, detail: str) -> None:
@@ -96,15 +97,14 @@ def test_acceptance_4_bounded_part_reproduction(rank_one_direction):
     )
     v = criteria.decide(q)
     assert abs(v.margin) < 1e-10
-    grid = rank_one_direction.grid
-    vmult = GridFunction.from_analytic(grid, indicator(0.0, 1.0))
+    vmult = indicator(0.0, 1.0)
     for c, expect in ((2.0 - 1e-8, True), (2.0 + 1e-8, False)):
-        k = GridFunction.from_analytic(grid, c * indicator(0.0, 1.0))
+        k = c * indicator(0.0, 1.0)
         prob = catalog.build_halfline_schrodinger(
             1 + 1j, catalog.MultiplicationPerturbation(vmult, k)
         )
         assert criteria.decide(prob).dissipative is expect
-    k_out = GridFunction.from_analytic(grid, indicator(2.0, 3.0))
+    k_out = indicator(2.0, 3.0)
     bad = catalog.build_halfline_schrodinger(
         1 + 1j, catalog.MultiplicationPerturbation(vmult, k_out)
     )
@@ -117,9 +117,8 @@ def test_acceptance_4_bounded_part_reproduction(rank_one_direction):
 
 def _random_instances(count: int, rng):
     """Instances across all four scenarios with |margin| > 0.05."""
-    grid = make_grid("halfline", 512)
-    phi_dir = GridFunction.from_analytic(grid, exponential(math.sqrt(2.0), -1.0))
-    vmult = GridFunction.from_analytic(grid, indicator(0.0, 1.0))
+    phi_dir = exponential(math.sqrt(2.0), -1.0)
+    vmult = indicator(0.0, 1.0)
     phi_shapes = [None, AnalyticFunction((Term(1j, 1.0, -1.0),))]
     out = []
     while len(out) < count:
@@ -147,7 +146,7 @@ def _random_instances(count: int, rng):
                 pert = catalog.RankOnePerturbation(float(rng.uniform(0.5, 2.0)), phi_dir, lam)
             else:
                 c = float(rng.uniform(0.0, 4.0))
-                k = GridFunction.from_analytic(grid, c * indicator(0.0, 1.0))
+                k = c * indicator(0.0, 1.0)
                 pert = catalog.MultiplicationPerturbation(vmult, k)
             prob = catalog.build_halfline_schrodinger(h, pert)
         verdict = criteria.decide(prob)
@@ -179,11 +178,9 @@ def test_acceptance_5_oracle_agreement():
 def test_acceptance_6_small_form_oracle():
     t0 = time.perf_counter()
     gamma = 0.25
-    interval = make_grid("interval", 2048)
     offset_grid = make_grid("interval", 2048, offset=1e-6)
     spec_lap = forms.dirichlet_laplacian_interval()
-    weight = GridFunction.from_analytic(offset_grid, power(gamma, -1.0))
-    spec_mult = forms.multiplication(weight, strict_lower_bound=gamma)
+    spec_mult = forms.multiplication(power(gamma, -1.0), offset_grid, strict_lower_bound=gamma)
     pi = math.pi
     sine = AnalyticFunction((Term(-0.5j, 0.0, 1j * pi), Term(0.5j, 0.0, -1j * pi)))
     targets = (
@@ -192,18 +189,17 @@ def test_acceptance_6_small_form_oracle():
         ("x^(gamma+1)", power(1.0, gamma + 1.0)),
         ("sin(pi x)", sine),
     )
-    for spec, grid in ((spec_lap, interval), (spec_mult, offset_grid)):
-        for _, fn in targets:
-            h = GridFunction.from_analytic(grid, fn)
+    for spec in (spec_lap, spec_mult):
+        for _, h in targets:
             closed = forms.krein_form_sq(spec, h)
-            approx = forms.krein_form_ando_nishio(spec, h, 32)
+            approx = krein_form_ando_nishio(spec, h, 32)
             assert approx <= closed + 1e-8
             if closed > 1e-8:
                 assert abs(approx - closed) <= 0.02 * closed
             else:
                 assert approx <= 1e-8
-        h = GridFunction.from_analytic(grid, targets[1][1])
-        ladder = [forms.krein_form_ando_nishio(spec, h, m) for m in (4, 8, 16, 32)]
+        h = targets[1][1]
+        ladder = [krein_form_ando_nishio(spec, h, m) for m in (4, 8, 16, 32)]
         for lo, hi in zip(ladder, ladder[1:]):
             assert hi >= lo - 1e-10
     elapsed = time.perf_counter() - t0
@@ -213,7 +209,6 @@ def test_acceptance_6_small_form_oracle():
 
 def test_acceptance_7_form_equality():
     t0 = time.perf_counter()
-    grid = make_grid("interval", 512)
     spec = forms.dirichlet_laplacian_interval()
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -222,7 +217,7 @@ def test_acceptance_7_form_equality():
         for k, c in enumerate(coeffs, start=1):
             mu = 1j * math.pi * k
             terms += [Term(-0.5j * c, 0.0, mu), Term(0.5j * c, 0.0, -mu)]
-        f = GridFunction.from_analytic(grid, AnalyticFunction(tuple(terms)))
+        f = AnalyticFunction(tuple(terms))
         large = forms.friedrichs_form_sq(spec, f)
         small = forms.krein_form_sq(spec, f)
         assert abs(small - large) <= 1e-8 * (1.0 + large)
@@ -234,7 +229,6 @@ def test_acceptance_7_form_equality():
 def test_acceptance_8_bounded_part_property_suite(rank_one_direction):
     t0 = time.perf_counter()
     rng = np.random.default_rng(65)
-    grid = rank_one_direction.grid
     # (i) symmetric boundary condition admits only the zero deviation
     for _ in range(10):
         lam = complex(rng.normal(), rng.normal())
@@ -246,7 +240,7 @@ def test_acceptance_8_bounded_part_property_suite(rank_one_direction):
         )
         assert criteria.decide(q).dissipative is False
     # (ii) lower half-plane boundary parameters are rejected outright
-    vmult = GridFunction.from_analytic(grid, indicator(0.0, 1.0))
+    vmult = indicator(0.0, 1.0)
     for _ in range(10):
         h = complex(rng.normal(), -rng.uniform(0.01, 2.0))
         lam = complex(rng.normal(), rng.normal())
@@ -254,7 +248,7 @@ def test_acceptance_8_bounded_part_property_suite(rank_one_direction):
             catalog.build_halfline_schrodinger(
                 h, catalog.RankOnePerturbation(1.0, rank_one_direction, lam)
             )
-        k = GridFunction.from_analytic(grid, float(rng.uniform(0, 2)) * indicator(0.0, 1.0))
+        k = float(rng.uniform(0, 2)) * indicator(0.0, 1.0)
         with pytest.raises(catalog.CatalogError):
             catalog.build_halfline_schrodinger(h, catalog.MultiplicationPerturbation(vmult, k))
     # (iii) semibound estimate for the deviated symmetric part alone
@@ -266,7 +260,7 @@ def test_acceptance_8_bounded_part_property_suite(rank_one_direction):
         )
         op = oracle.assemble_discrete(prob, 128, include_bounded_v=False)
         mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram)
-        norm_v_sq = norm_sq(prob.v.analytic, 0.0, math.inf)
+        norm_v_sq = norm_sq(prob.v, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)
         assert mu >= criteria.semibound_estimate(eps, l_norm) - 1e-5

@@ -14,9 +14,15 @@ from dissipext.analytic import (
     constant,
     exponential,
     indicator,
+    envelope,
+    is_real,
     monomial,
     norm_sq,
+    peaks,
     power,
+    sign_check,
+    tail_point,
+    trace,
 )
 
 
@@ -260,3 +266,101 @@ def test_edge_vanishing_weight_matches_quadrature(f, c, vanish):
     v = AnalyticFunction((Term(c, 0.0), Term(-1.0, 1.0))) * indicator(0.0, c)
     k = f * (v if vanish else indicator(0.0, c))
     _agrees_with_quadrature(k, v, True, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# input checks on term sums
+
+
+def test_trace_scale_and_singular_trace():
+    f = AnalyticFunction((Term(1.0, 0.0), Term(-1.0, 0.0, -1.0)))  # 1 - e^-x
+    assert trace(f, 0.0) == (0.0, 3.0)
+    with pytest.raises(AnalyticError):
+        trace(power(1.0, -0.5), 0.0)
+
+
+def test_is_real_is_exact():
+    cos2 = AnalyticFunction((Term(1.0, 0.0, -1 + 1j), Term(1.0, 0.0, -1 - 1j)))
+    assert is_real(cos2) and is_real(monomial(2.0, 3))
+    assert not is_real(exponential(1j, -1.0))
+    assert not is_real(AnalyticFunction((Term(1.0, 0.0, -1 + 1j),)))
+    assert is_real(AnalyticFunction((Term(1.0 + 1e-14j, 1.0),)))
+
+
+def test_envelope_peaks_and_tail():
+    f = AnalyticFunction((Term(2.0, 1.0, -1.0),))  # peak 2/e at x = 1
+    assert peaks(f, 40.0) == [(1.0, pytest.approx(2.0 / math.e, rel=1e-15))]
+    cut = tail_point(f, 40.0, 1e-8)
+    assert envelope(f, cut) == pytest.approx(1e-8 * 2.0 / math.e, rel=1e-9)
+    # a window edge is where the envelope drops
+    assert tail_point(2.0 * indicator(0.0, 1.0), 40.0, 1e-8) == pytest.approx(1.0, abs=1e-9)
+    assert tail_point(exponential(1.0, -0.01), 40.0, 1e-8) == 40.0
+    assert tail_point(AnalyticFunction(()), 40.0, 1e-8) is None
+
+
+def test_sign_check_negative_dip_between_samples():
+    # a dip of width 0.06 that 64- to 512-node samples on (0, 40) step over
+    dip = AnalyticFunction((Term(1.0, 2.0), Term(-0.6, 1.0), Term(0.089, 0.0))) * indicator(0.0, 1.0)
+    assert not sign_check(dip, 0.0, math.inf).nonneg
+    square = AnalyticFunction((Term(1.0, 2.0), Term(-0.6, 1.0), Term(0.09, 0.0))) * indicator(0.0, 1.0)
+    check = sign_check(square, 0.0, math.inf)
+    assert check.nonneg
+    assert check.zeros == pytest.approx((0.3,), abs=1e-12)
+
+
+def test_sign_check_exponential_polynomial_and_limits():
+    # e^-x - 2 e^-2x is negative near 0 and positive past ln 2
+    assert not sign_check(AnalyticFunction((Term(1.0, 0.0, -1.0), Term(-2.0, 0.0, -2.0))),
+                          0.0, math.inf).nonneg
+    # x e^-x - e^-3x: negative at 0; x^0.5 - x: negative past 1
+    assert not sign_check(AnalyticFunction((Term(1.0, 1.0, -1.0), Term(-1.0, 0.0, -3.0))),
+                          0.0, math.inf).nonneg
+    assert not sign_check(AnalyticFunction((Term(1.0, 0.5), Term(-1.0, 1.0))), 0.0, 4.0).nonneg
+    assert sign_check(AnalyticFunction((Term(1.0, 0.5), Term(-1.0, 1.0))), 0.0, 1.0).nonneg
+    # (1 - x) on its window, 2 - 2x e^-x everywhere
+    assert sign_check(AnalyticFunction((Term(1.0, 0.0), Term(-1.0, 1.0))) * indicator(0.0, 1.0),
+                      0.0, math.inf).nonneg
+    assert sign_check(AnalyticFunction((Term(2.0, 0.0), Term(-2.0, 1.0, -1.0))), 0.0, math.inf).nonneg
+
+
+def test_sign_check_complex_rates_are_sampled():
+    bump = AnalyticFunction((Term(2.0, 0.0), Term(1.0, 0.0, 1j), Term(1.0, 0.0, -1j)))  # 2 + 2 cos x
+    # 2 + 2 cos x touches 0 at pi: the samples see no sign and report no zero
+    assert sign_check(bump * indicator(0.0, 5.0), 0.0, math.inf) == (True, ())
+    low = AnalyticFunction((Term(1.5, 0.0), Term(1.0, 0.0, 1j), Term(1.0, 0.0, -1j)))
+    assert not sign_check(low * indicator(0.0, 5.0), 0.0, math.inf).nonneg
+
+
+def test_interior_zero_of_weight_is_a_breakpoint():
+    square = AnalyticFunction((Term(1.0, 2.0), Term(-0.6, 1.0), Term(0.09, 0.0))) * indicator(0.0, 1.0)
+    with pytest.raises(DivergentIntegralError):
+        norm_sq(monomial(1.0, 1) * indicator(0.0, 1.0), 0.0, math.inf, square, inverse=True)
+    # k = (x - 0.3) cancels the double zero: int_0^1 1 dx; next to the zero
+    # V as a sum of terms keeps only about eps / (x - 0.3)^2 of its digits
+    k = AnalyticFunction((Term(1.0, 1.0), Term(-0.3, 0.0))) * indicator(0.0, 1.0)
+    assert norm_sq(k, 0.0, math.inf, square, inverse=True) == pytest.approx(1.0, rel=1e-7)
+
+
+@st.composite
+def _real_quartics(draw):
+    """``sum_j c_j x^j`` of degree 4 with the minimum on [0, 1] near 0."""
+    roots = [draw(st.floats(-0.5, 1.5)) for _ in range(2)]
+    lead = draw(st.floats(0.5, 3.0))
+    shift = draw(st.floats(-0.3, 0.3))
+    # lead (x - r0)^2 (x - r1)^2 + shift
+    coeffs = lead * np.polynomial.polynomial.polyfromroots(roots + roots)
+    coeffs[0] += shift
+    return coeffs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(coeffs=_real_quartics())
+def test_sign_check_matches_polynomial_minimum(coeffs):
+    # metamorphic: the exact rule agrees with the minimum over the roots of p'
+    fn = AnalyticFunction(tuple(Term(float(c), float(j)) for j, c in enumerate(coeffs)))
+    crit = [r.real for r in np.roots(np.polynomial.polynomial.polyder(coeffs)[::-1])
+            if abs(r.imag) < 1e-9 and 0.0 < r.real < 1.0]
+    low = min(np.polynomial.polynomial.polyval(np.array([0.0, 1.0] + crit), coeffs))
+    if abs(low) < 1e-9:
+        return
+    assert sign_check(fn * indicator(0.0, 1.0), 0.0, 2.0).nonneg is bool(low > 0.0)

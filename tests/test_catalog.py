@@ -8,7 +8,6 @@ import pytest
 from dissipext import catalog, criteria, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator
 from dissipext.catalog import RHO_INF
-from dissipext.grid import GridFunction, make_grid
 
 
 # ---------------------------------------------------------------------------
@@ -17,12 +16,11 @@ from dissipext.grid import GridFunction, make_grid
 
 def test_potsdam_trace_normalization():
     p = catalog.build_potsdam(None, 0.7 + 0.2j, None)
-    t = p.v.traces
-    assert t.value0 == pytest.approx(1.0, abs=1e-12)
-    assert p.v.analytic.derivative().value_at_zero() == pytest.approx(0.7 + 0.2j, abs=1e-12)
+    assert p.v.value_at_zero() == pytest.approx(1.0, abs=1e-12)
+    assert p.v.derivative().value_at_zero() == pytest.approx(0.7 + 0.2j, abs=1e-12)
     pinf = catalog.build_potsdam(None, RHO_INF, None)
-    assert pinf.v.traces.value0 == pytest.approx(0.0, abs=1e-12)
-    assert pinf.v.analytic.derivative().value_at_zero() == pytest.approx(1.0, abs=1e-12)
+    assert pinf.v.value_at_zero() == pytest.approx(0.0, abs=1e-12)
+    assert pinf.v.derivative().value_at_zero() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_potsdam_defect_system_determinant():
@@ -33,10 +31,10 @@ def test_potsdam_defect_system_determinant():
     assert abs((mu_m - mu_p) - 1j * math.sqrt(2)) < 1e-15
 
 
-def test_potsdam_vector_solves_defect_equation():
+def test_potsdam_vector_solves_defect_equation(gauss):
     # the two decaying exponentials solve -f'' = -+ i f pointwise
     p = catalog.build_potsdam(None, 1.0 + 0j, None)
-    x = p.grid.nodes[:64]
+    x = gauss(0.0, p.grid.length, 512)[0][:64]
     for sign in (+1.0, -1.0):
         mu = -(1.0 + sign * 1j) / math.sqrt(2.0)
         f = AnalyticFunction((Term(1.0, 0.0, mu),))
@@ -80,23 +78,23 @@ def test_potsdam_w_free_margin(phi_ix_exp):
 def test_shirley_vector_traces():
     for rho in (0.5 + 0.375j, 2.0 + 0j, -1.0 + 0.25j):
         s = catalog.build_shirley(math.sqrt(3.0), rho, None)
-        t, dv = s.v.traces, s.v.analytic.derivative()
-        assert t.value0 == 0.0 and dv.value_at_zero() == 0.0
-        assert t.value_b == pytest.approx(rho, abs=1e-12)
+        dv = s.v.derivative()
+        assert s.v.value_at_zero() == 0.0 and dv.value_at_zero() == 0.0
+        assert s.v.value_at(1.0) == pytest.approx(rho, abs=1e-12)
         assert dv.value_at(1.0) == pytest.approx(1.0, abs=1e-12)
     sinf = catalog.build_shirley(2.0, RHO_INF, None)
-    assert sinf.v.traces.value_b == pytest.approx(1.0, abs=1e-12)
-    assert sinf.v.analytic.derivative().value_at(1.0) == pytest.approx(0.0, abs=1e-12)
+    assert sinf.v.value_at(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert sinf.v.derivative().value_at(1.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_shirley_vector_action_consistency():
+def test_shirley_vector_action_consistency(gauss):
     # the principal exponent solves -i u'' - gamma u / x^2 = 0 pointwise on
     # the offset grid; the companion exponent is mapped into L^2 (maximal
     # domain membership), which is what the basis construction requires
     gamma = 2.0
     s = catalog.build_shirley(gamma, 1.0 + 1j, None)
     omega = (1.0 + cmath.sqrt(1.0 + 4.0j * gamma)) / 2.0
-    x = s.grid.nodes
+    x = gauss(s.grid.offset, s.grid.length, 512)[0]
     inv_sq = AnalyticFunction((Term(1.0, -2.0),))
     u = AnalyticFunction((Term(1.0, omega),))
     resid = (-1j * u.derivative().derivative() - gamma * (u * inv_sq))(x)
@@ -187,15 +185,14 @@ def test_potsdam_reference_vs_criteria_100_draws():
 
 def test_schrodinger_reference_vs_criteria_100_draws(rank_one_direction):
     rng = np.random.default_rng(47)
-    grid = rank_one_direction.grid
-    vmult = GridFunction.from_analytic(grid, indicator(0.0, 1.0))
+    vmult = indicator(0.0, 1.0)
     for i in range(100):
         h = complex(rng.normal(), rng.uniform(0.0, 2.0))
         if i % 2:
             lam = complex(rng.normal(), rng.normal())
             pert = catalog.RankOnePerturbation(float(rng.uniform(0.3, 2.0)), rank_one_direction, lam)
         else:
-            k = GridFunction.from_analytic(grid, float(rng.uniform(0, 3)) * indicator(0.0, 1.0))
+            k = float(rng.uniform(0, 3)) * indicator(0.0, 1.0)
             pert = catalog.MultiplicationPerturbation(vmult, k)
         prob = catalog.build_halfline_schrodinger(h, pert, n=128)
         v = criteria.verdict_bounded_v(prob)
@@ -211,9 +208,8 @@ def test_schrodinger_boundary_vector(rank_one_direction):
     q = catalog.build_halfline_schrodinger(
         0.5 + 2.0j, catalog.RankOnePerturbation(1.0, rank_one_direction, 0.0)
     )
-    t = q.v.traces
-    assert t.value0 == pytest.approx(1.0, abs=1e-12)
-    assert q.v.analytic.derivative().value_at_zero() == pytest.approx(0.5 + 2.0j, abs=1e-12)
+    assert q.v.value_at_zero() == pytest.approx(1.0, abs=1e-12)
+    assert q.v.derivative().value_at_zero() == pytest.approx(0.5 + 2.0j, abs=1e-12)
 
 
 def test_schrodinger_rank_one_margin(rank_one_direction):
@@ -224,9 +220,8 @@ def test_schrodinger_rank_one_margin(rank_one_direction):
 
 
 def test_schrodinger_multiplication_margin():
-    grid = make_grid("halfline", 512)
-    v = GridFunction.from_analytic(grid, indicator(0.0, 1.0))
-    k = GridFunction.from_analytic(grid, 1.5 * indicator(0.0, 1.0))
+    v = indicator(0.0, 1.0)
+    k = 1.5 * indicator(0.0, 1.0)
     q = catalog.build_halfline_schrodinger(1 + 1j, catalog.MultiplicationPerturbation(v, k))
     assert q.reference_margin == pytest.approx(1.0 - 1.5**2 / 4.0, abs=1e-13)
 

@@ -370,6 +370,10 @@ def _multiplication(h: str, v: str, k: str) -> str:
 _TWO_TERM_V = _multiplication("1i", "exp(-x)+x*exp(-x)", "exp(-2*x)")
 _POLY_V = _multiplication("9i", "x + x^2", "x^0.2*exp(-x)")
 _POTSDAM_W = "[scenario]\nname = potsdam\nrho = 1\nphi = i*x*exp(-x)\nW = {}\n"
+# V dips to -0.001 on (0.268, 0.332), between the nodes of any sample grid
+_DIP_V = _multiplication("1i", "((x-0.3)^2 - 0.001)*indicator(0,1)", "x*indicator(0,1)")
+# V has a double zero at 0.3 inside its window where k = 0.3: int |k|^2 / V diverges
+_ZERO_V = _multiplication("1i", "(x-0.3)^2*indicator(0,1)", "x*indicator(0,1)")
 
 
 @pytest.mark.parametrize(
@@ -389,9 +393,14 @@ _POTSDAM_W = "[scenario]\nname = potsdam\nrho = 1\nphi = i*x*exp(-x)\nW = {}\n"
         (_POLY_V, 512, 0, 8.63403830078244),
         (_POTSDAM_W.format("exp(x)"), 512, 2, "CatalogError"),
         (_POTSDAM_W.format("x^-0.6"), 512, 2, "CatalogError"),
+        (_DIP_V, 64, 2, "FormsError"),
+        (_DIP_V, 512, 2, "FormsError"),
+        (_ZERO_V, 64, 1, "L_not_in_ranVF"),
+        (_ZERO_V, 512, 1, "L_not_in_ranVF"),
     ],
     ids=["two_term_v_64", "two_term_v_128", "two_term_v_512", "decaying_v", "edge_zero_v",
-         "polynomial_v_64", "polynomial_v_512", "potsdam_w_exp", "potsdam_w_pow"],
+         "polynomial_v_64", "polynomial_v_512", "potsdam_w_exp", "potsdam_w_pow",
+         "negative_dip_v_64", "negative_dip_v_512", "interior_zero_v_64", "interior_zero_v_512"],
 )
 def test_memberships_decided_from_term_sums(tmp_path, capsys, text, n, code, expect):
     cfg = tmp_path / "m.cfg"
@@ -402,6 +411,7 @@ def test_memberships_decided_from_term_sums(tmp_path, capsys, text, n, code, exp
         assert payload["error"]["code"] == expect
     elif code == 1:
         assert payload["necessity_failures"] == [expect]
+        assert payload["margin"] is None
     else:
         assert payload["margin"] == pytest.approx(expect, abs=1e-12)
 
@@ -517,3 +527,20 @@ def test_oracle_rerun_is_byte_identical(case, tmp_path):
         runs.append((code, out.read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][0] in (0, 1)
+
+
+README_POTSDAM = ("[scenario]\nname = potsdam\nrho = 1+0i\nphi = i*x*exp(-x)\nW = 0.5*exp(-x)\n"
+                  "\n[grid]\nn = {n}\nR = 40\n")
+
+
+def test_oracle_output_ignores_grid_n(tmp_path):
+    # the half-line core span ends where the term sums decay, so [grid] n
+    # reaches no byte of the oracle report
+    runs = []
+    for n in (64, 512):
+        cfg, out = tmp_path / f"p{n}.cfg", tmp_path / f"p{n}.json"
+        cfg.write_text(README_POTSDAM.format(n=n))
+        runs.append((cli_io.main(["oracle", "--config", str(cfg), "--out", str(out)]),
+                     out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0

@@ -8,7 +8,6 @@ import pytest
 from dissipext import catalog, criteria, forms
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, power
 from dissipext.catalog import RHO_INF
-from dissipext.grid import GridFunction, make_grid
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,7 @@ def test_unique_ext_boundary_and_margins():
     v = criteria.verdict_unique_ext(k)
     assert v.dissipative is True and abs(v.margin) < 1e-13
     k2 = catalog.build_konzert(0.25, constant(1.0), n=512)
-    k2 = dataclasses.replace(k2, lv=GridFunction.from_analytic(k2.grid, constant(1.02)))
+    k2 = dataclasses.replace(k2, lv=constant(1.02))
     assert criteria.verdict_unique_ext(k2).dissipative is False
     k0 = catalog.build_konzert(0.25, None)
     v0 = criteria.verdict_unique_ext(k0)
@@ -173,9 +172,8 @@ def test_bounded_v_symmetric_condition_rejects_all(rank_one_direction):
 def test_bounded_v_support_violation_raises():
     from dissipext.analytic import indicator
 
-    grid = make_grid("halfline", 512)
-    v = GridFunction.from_analytic(grid, indicator(0.0, 1.0))
-    k = GridFunction.from_analytic(grid, indicator(2.0, 3.0))
+    v = indicator(0.0, 1.0)
+    k = indicator(2.0, 3.0)
     q = catalog.build_halfline_schrodinger(1j, catalog.MultiplicationPerturbation(v, k))
     with pytest.raises(criteria.SupportViolationError):
         criteria.verdict_bounded_v(q)
@@ -184,10 +182,9 @@ def test_bounded_v_support_violation_raises():
 def test_bounded_v_multiplication_flip():
     from dissipext.analytic import indicator
 
-    grid = make_grid("halfline", 512)
-    v = GridFunction.from_analytic(grid, indicator(0.0, 1.0))
+    v = indicator(0.0, 1.0)
     for c, expect in ((2.0 - 1e-8, True), (2.0 + 1e-8, False)):
-        k = GridFunction.from_analytic(grid, c * indicator(0.0, 1.0))
+        k = c * indicator(0.0, 1.0)
         q = catalog.build_halfline_schrodinger(
             1 + 1j, catalog.MultiplicationPerturbation(v, k)
         )
@@ -257,14 +254,10 @@ def test_general_agrees_with_bounded_v(rank_one_direction):
 def test_general_multi_term_multiplier():
     # V = (1 + x) e^-x has no one-term inverse; with coinciding extensions
     # the cross term is Im <k, v> and needs none.  1 - e^3 E1(3) / 4
-    grid = make_grid("halfline", 512)
     weight = AnalyticFunction((Term(1.0, 0.0, -1.0), Term(1.0, 1.0, -1.0)))
     q = catalog.build_halfline_schrodinger(
         1j,
-        catalog.MultiplicationPerturbation(
-            GridFunction.from_analytic(grid, weight),
-            GridFunction.from_analytic(grid, exponential(1.0, -2.0)),
-        ),
+        catalog.MultiplicationPerturbation(weight, exponential(1.0, -2.0)),
     )
     vg = criteria.verdict_general(q)
     assert vg.margin == pytest.approx(criteria.decide(q).margin, abs=1e-12)
@@ -278,7 +271,7 @@ def test_general_multi_term_multiplier():
 
 def test_necessity_v_failure_dominates():
     k = catalog.build_konzert(0.25, constant(0.1))
-    bad_v = GridFunction.from_analytic(k.grid, power(1.0, -0.25))
+    bad_v = power(1.0, -0.25)
     kbad = dataclasses.replace(k, v=bad_v)
     fails = criteria.necessity_checks(kbad)
     assert fails == [criteria.FAIL_V_NOT_IN_DK]
@@ -303,9 +296,8 @@ def test_outside_theory_requires_distinct_extensions():
     # v = x^0.25 e^{-x} has ||v'|| infinite at 0; lv = x^-0.7 is not
     # integrable at infinity, so it leaves the square-root range
     p = catalog.build_potsdam(None, 1.0 + 0j, None, n=256)
-    grid = p.grid
-    bad_v = GridFunction.from_analytic(grid, AnalyticFunction((Term(1.0, 0.25, -1.0),)))
-    bad_l = GridFunction.from_analytic(grid, power(1.0, -0.7))
+    bad_v = AnalyticFunction((Term(1.0, 0.25, -1.0),))
+    bad_l = power(1.0, -0.7)
     pbad = dataclasses.replace(p, v=bad_v, phi=None, lv=bad_l)
     v = criteria.decide(pbad)
     assert v.criterion == criteria.CRITERION_OUTSIDE
@@ -320,7 +312,7 @@ def test_single_failures_never_outside_theory():
     # with coinciding extensions both memberships are independently
     # necessary, so even a double failure yields a definite verdict
     k = catalog.build_konzert(0.25, constant(1.0), n=256)
-    bad_v = GridFunction.from_analytic(k.grid, power(1.0, -0.25))
+    bad_v = power(1.0, -0.25)
     kbad = dataclasses.replace(k, v=bad_v)
     v = criteria.decide(kbad)
     assert v.criterion != criteria.CRITERION_OUTSIDE

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from dissipext import catalog, criteria, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, norm_sq
-from dissipext.grid import GridError, GridFunction, make_grid
 from test_splines import cox_de_boor
 
 
@@ -83,7 +83,7 @@ def _gauss(f, breaks, panels=512):
 def _vv_reference(prob, c2, c1, m, lv, breaks):
     """``<v, (c2 v'' + c1 v' + m v + Lv)>`` by quadrature, the second-order
     part integrated by parts: ``<v, v''> = [conj(v) v'] - ||v'||^2``."""
-    v = prob.v.analytic
+    v = prob.v
     dv = v.derivative()
     hi = breaks[-1]
     edge = np.conj(v.value_at(hi)) * dv.value_at(hi) - np.conj(v.value_at_zero()) * dv.value_at_zero()
@@ -101,7 +101,6 @@ def _vv_reference(prob, c2, c1, m, lv, breaks):
 def test_v_column_matches_criteria_lhs(builder, kwargs, shirley_instance, rank_one_direction):
     # each scenario's action, deviation and bounded part stated here again,
     # integrated on the test's own quadrature
-    grid = make_grid("halfline", 512)
     sq2, gamma = math.sqrt(2.0), math.sqrt(3.0)
     zero = lambda x: 0.0 * x
     halfline = [0.0, 1.0, 40.0]
@@ -124,17 +123,14 @@ def test_v_column_matches_criteria_lhs(builder, kwargs, shirley_instance, rank_o
         "schrodinger_mult": (
             catalog.build_halfline_schrodinger(
                 1 + 1j,
-                catalog.MultiplicationPerturbation(
-                    GridFunction.from_analytic(grid, indicator(0.0, 1.0)),
-                    GridFunction.from_analytic(grid, 2.2 * indicator(0.0, 1.0)),
-                ),
+                catalog.MultiplicationPerturbation(indicator(0.0, 1.0), 2.2 * indicator(0.0, 1.0)),
             ),
             -1.0, 0.0, zero, lambda x: np.where(x < 1.0, 2.2, 0.0), halfline,
         ),
     }
     prob, c2, c1, m, lv, breaks = cases[builder]
     ref = _vv_reference(prob, c2, c1, m, lv, breaks)
-    v = prob.v.analytic
+    v = prob.v
     if builder == "schrodinger_rank1":  # i alpha |<phi, v>|^2 with alpha = 1
         ref += 1j * abs(_gauss(lambda x: sq2 * np.exp(-x) * v(x), breaks)) ** 2
     if builder == "schrodinger_mult":  # i int_0^1 |v|^2
@@ -144,14 +140,23 @@ def test_v_column_matches_criteria_lhs(builder, kwargs, shirley_instance, rank_o
     assert abs(criteria.general_lhs(prob) - ref.imag) < 1e-8
 
 
-@pytest.mark.parametrize("scenario", ["shirley", "konzert"])
-def test_assembly_independent_of_sample_grid(scenario, phi_x2_minus_x):
-    # no entry reads the problem's samples, and an interval core span is
-    # the whole domain, so [grid] n changes no bit of the operator
+@pytest.mark.parametrize("scenario", ["shirley", "konzert", "potsdam", "rank_one", "multiplication"])
+def test_assembly_independent_of_sample_grid(scenario, phi_x2_minus_x, phi_ix_exp,
+                                             rank_one_direction):
+    # every entry and the half-line core span's right edge come from term
+    # sums, so [grid] n changes no bit of the operator
     def build(n):
         if scenario == "shirley":
             return catalog.build_shirley(math.sqrt(3.0), 0.5 + 0.375j, phi_x2_minus_x, n=n)
-        return catalog.build_konzert(0.25, constant(1.2), n=n)
+        if scenario == "konzert":
+            return catalog.build_konzert(0.25, constant(1.2), n=n)
+        if scenario == "potsdam":
+            return catalog.build_potsdam(exponential(0.5, -1.0), 1.0 + 0j, phi_ix_exp, n=n)
+        if scenario == "rank_one":
+            pert = catalog.RankOnePerturbation(1.0, rank_one_direction, 2.0)
+        else:
+            pert = catalog.MultiplicationPerturbation(indicator(0.0, 1.0), 2.0 * indicator(0.0, 1.0))
+        return catalog.build_halfline_schrodinger(1 + 1j, pert, n=n)
 
     coarse, fine = (oracle.assemble_discrete(build(n), 64) for n in (64, 512))
     assert np.array_equal(coarse.matrix, fine.matrix)
@@ -159,13 +164,13 @@ def test_assembly_independent_of_sample_grid(scenario, phi_x2_minus_x):
 
 
 def test_assembly_needs_analytic_vector():
-    # the oracle reads the term sum of every problem function, and samples
-    # alone cannot make one
+    # the oracle reads the term sum of every problem function; samples
+    # cannot stand in for one
     prob = _konzert(1.0)
-    with pytest.raises(GridError):
-        GridFunction(prob.grid, prob.v.values)
-    with pytest.raises(GridError):
-        GridFunction.from_analytic(prob.grid, prob.v.values)
+    assert isinstance(prob.v, AnalyticFunction) and isinstance(prob.lv, AnalyticFunction)
+    sampled = dataclasses.replace(prob, v=prob.v(np.linspace(0.1, 1.0, 8)))
+    with pytest.raises(TypeError):
+        oracle.assemble_discrete(sampled, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +281,7 @@ def test_semibound_oracle_bound(rank_one_direction):
         )
         op = oracle.assemble_discrete(prob, 128, include_bounded_v=False)
         mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram)
-        norm_v_sq = norm_sq(prob.v.analytic, 0.0, math.inf)
+        norm_v_sq = norm_sq(prob.v, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)
         bound = criteria.semibound_estimate(eps, l_norm)
