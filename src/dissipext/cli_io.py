@@ -307,7 +307,7 @@ def parse_complex(src: str) -> complex:
 _SECTION_KEYS = {
     "scenario": ("name", "gamma", "rho", "phi", "W", "ell", "h", "perturbation",
                  "alpha", "lambda", "V", "k"),
-    "grid": ("n", "offset", "R", "b"),
+    "grid": ("n", "offset", "R"),
     "oracle": ("meshes", "tol"),
     "sweep": ("re", "im"),
     "output": ("format", "path"),

@@ -259,7 +259,7 @@ def test_acceptance_8_bounded_part_property_suite(rank_one_direction):
             h, catalog.RankOnePerturbation(1.0, rank_one_direction, lam)
         )
         op = oracle.assemble_discrete(prob, 128, include_bounded_v=False)
-        mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram)
+        mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
         norm_v_sq = norm_sq(prob.v, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dissipext
-from dissipext import cli_io, criteria, oracle
+from dissipext import cli_io, criteria, eigenh, oracle
 from dissipext.analytic import Term
 
 
@@ -288,6 +288,16 @@ def test_main_check_malformed_grid_number_exits_2(tmp_path, capsys):
     assert "[grid] n" in error["message"]
 
 
+def test_main_check_rejects_grid_b(tmp_path, capsys):
+    # every interval scenario is built on (0, 1): a right end in the config
+    # would have no effect, so the reader refuses it
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SHIRLEY_CFG + "b = 2\n")
+    code = cli_io.main(["check", "--config", str(cfg)])
+    assert code == 2
+    assert "unknown key 'b' in [grid]" in capsys.readouterr().err
+
+
 def test_main_missing_file(capsys):
     assert cli_io.main(["check", "--config", "/nonexistent.cfg"]) == 2
 
@@ -493,6 +503,20 @@ def test_no_library_eigensolver_on_verdict_or_oracle_path(case, monkeypatch):
     problem = cli_io.build_problem(cli_io.parse_config(CONTRACT_CASES[case]))
     verdict = criteria.decide(problem)
     report = oracle.cross_validate(problem, verdict, meshes=(16, 32))
+    assert all(math.isfinite(mu) for mu in report.infima)
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_oracle_path_has_no_dense_stage(case, monkeypatch):
+    # the oracle's pencils go through the band-plus-border solver: no dense
+    # Cholesky factor, Householder reduction or QL iteration on the way
+    def banned(*args, **kwargs):
+        raise AssertionError("dense O(n^3) stage called")
+
+    for name in ("cholesky", "_householder_tridiag", "_ql_implicit"):
+        monkeypatch.setattr(eigenh, name, banned)
+    problem = cli_io.build_problem(cli_io.parse_config(CONTRACT_CASES[case]))
+    report = oracle.cross_validate(problem, criteria.decide(problem))
     assert all(math.isfinite(mu) for mu in report.infima)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dissipext import eigenh
 
@@ -111,3 +113,72 @@ def test_pencil_eigh_full():
     assert np.max(np.abs(w - ref)) < 1e-9
     resid = np.max(np.abs(h @ x - (g @ x) * w[None, :]))
     assert resid < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# band-plus-border pencils
+
+
+def _band_border(rng, n, p, m, dominant):
+    """Random Hermitian matrix: half-bandwidth ``p`` on the leading ``n``
+    rows, ``m`` dense border rows; diagonally dominant when asked."""
+    dim = n + m
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    i, j = np.indices((dim, dim))
+    a[(abs(i - j) > p) & (i < n) & (j < n)] = 0.0
+    a = 0.5 * (a + a.conj().T)
+    if dominant:
+        a[np.diag_indices(dim)] = np.sum(np.abs(a), axis=1) + 1.0
+    return a
+
+
+def _reference_spectrum(h, g):
+    l = np.linalg.cholesky(g)
+    c = np.linalg.solve(l, np.linalg.solve(l, h).conj().T).conj().T
+    return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    p=st.integers(0, 4),
+    m=st.integers(0, 2),
+    alpha=st.sampled_from([None, -2.5, -0.3, 0.7, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_border_inertia_and_minimum(n, p, m, alpha, seed):
+    rng = np.random.default_rng(seed)
+    h = _band_border(rng, n, p, m, dominant=False)
+    g = _band_border(rng, n, p, m, dominant=True)
+    rank_one = None
+    if alpha is not None:
+        q = rng.standard_normal(n + m) + 1j * rng.standard_normal(n + m)
+        h = h + alpha * np.outer(q, q.conj())
+        rank_one = (alpha, q)
+    structure = eigenh.PencilStructure(p, m, rank_one)
+    w = _reference_spectrum(h, g)
+    pencil = eigenh.BandPencil(h, g, structure)
+    spread = max(1.0, float(np.max(np.abs(w))))
+    # shifts strictly between eigenvalues, and outside the spectrum
+    shifts = [w[0] - 1.0, w[-1] + 1.0]
+    shifts += [0.5 * (a + b) for a, b in zip(w, w[1:]) if b - a > 1e-8 * spread]
+    for sigma in shifts:
+        assert pencil.count(sigma) == int(np.sum(w < sigma))
+    lam, x = eigenh.pencil_extreme(h, g, structure)
+    assert abs(lam - w[0]) <= 1e-10 * max(1.0, abs(w[0]))
+    assert np.linalg.norm(h @ x - lam * (g @ x)) <= 1e-9 * np.linalg.norm(h, np.inf) * np.linalg.norm(x)
+
+
+def test_ldl_pivots_match_cholesky():
+    rng = np.random.default_rng(21)
+    g = _band_border(rng, 30, 3, 1, dominant=True)
+    d = eigenh.ldl_pivots(g, eigenh.PencilStructure(3, 1))
+    assert np.max(np.abs(d - np.abs(np.diag(np.linalg.cholesky(g))) ** 2)) < 1e-12 * np.max(d)
+    with pytest.raises(eigenh.NotPositiveDefiniteError):
+        eigenh.ldl_pivots(-g, eigenh.PencilStructure(3, 1))
+
+
+def test_pencil_rejects_non_finite_entries():
+    h = np.diag([1.0, np.nan]).astype(complex)
+    with pytest.raises(eigenh.EigenError):
+        eigenh.pencil_extreme(h, np.eye(2, dtype=complex))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dissipext import catalog, criteria, oracle
+from dissipext import catalog, criteria, eigenh, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, norm_sq
 from test_splines import cox_de_boor
 
@@ -197,6 +197,36 @@ def test_pencil_min_eig_residual_contract():
     assert np.linalg.norm(h @ x - lam * (g @ x)) <= 1e-9 * np.linalg.norm(h, 2) * np.linalg.norm(x)
 
 
+def _equivalence_problem(kind, rank_one_direction):
+    if kind == "konzert":
+        return _konzert(1.2)
+    if kind == "shirley":
+        return catalog.build_shirley(math.sqrt(3.0), 0.5 + 0.375j,
+                                     AnalyticFunction((Term(1.0, 2.0), Term(-1.0, 1.0))))
+    if kind == "potsdam":
+        return catalog.build_potsdam(exponential(0.5, -1.0), 1.0 + 0j,
+                                     AnalyticFunction((Term(1j, 1.0, -1.0),)))
+    if kind.startswith("rank_one"):
+        pert = catalog.RankOnePerturbation(1.0, rank_one_direction, 3.0)
+        return catalog.build_halfline_schrodinger(1 + 0.5j, pert)
+    pert = catalog.MultiplicationPerturbation(indicator(0.0, 1.0), 3.0 * indicator(0.0, 1.0))
+    return catalog.build_halfline_schrodinger(1 + 0.2j, pert)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication",
+                                  "rank_one_symmetric_part"])
+def test_band_solver_matches_dense_spectrum(kind, n, rank_one_direction):
+    # the band-plus-border solver against the dense full-spectrum reference
+    prob = _equivalence_problem(kind, rank_one_direction)
+    op = oracle.assemble_discrete(prob, n, include_bounded_v=kind != "rank_one_symmetric_part")
+    assert (op.structure.rank_one is not None) == (kind == "rank_one")
+    h = oracle.hermitian_part(op)
+    mu, _ = oracle.pencil_min_eig(h, op.gram, op.structure)
+    w, _ = eigenh.pencil_eigh(h, op.gram)
+    assert abs(mu - w[0]) <= 1e-10 * abs(w[0])
+
+
 def test_pencil_min_eig_rejects_bad_inputs():
     with pytest.raises(oracle.OracleError):
         oracle.pencil_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
@@ -215,7 +245,7 @@ def test_variational_monotonicity_nested_meshes():
     n0 = 61  # m = 64 knot intervals; next level doubles them
     for n in (n0, 2 * (n0 + 3) - 3, 4 * (n0 + 3) - 3):
         op = oracle.assemble_discrete(prob, n)
-        mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram)
+        mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
         mus.append(mu)
     assert mus[1] <= mus[0] + 1e-10
     assert mus[2] <= mus[1] + 1e-10
@@ -280,7 +310,7 @@ def test_semibound_oracle_bound(rank_one_direction):
             h, catalog.RankOnePerturbation(1.0, rank_one_direction, lam)
         )
         op = oracle.assemble_discrete(prob, 128, include_bounded_v=False)
-        mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram)
+        mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
         norm_v_sq = norm_sq(prob.v, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)
