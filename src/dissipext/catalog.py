@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +44,7 @@ __all__ = [
     "build_shirley",
     "build_konzert",
     "build_halfline_schrodinger",
+    "check_boundary_parameter",
     "split_dual_pair",
     "shirley_margin_exact",
     "SHIRLEY_GAMMA_MIN",
@@ -144,6 +145,20 @@ class ExtensionProblem:
         if not self.spec.is_laplacian:
             raise CatalogError("a deviation generator phi needs a Laplacian imaginary part")
         return phi.derivative().derivative() * (-1.0)
+
+    def without_deviation(self) -> "ExtensionProblem":
+        """The same extension with ``Lv = 0``: ``phi``, ``lv`` and the
+        perturbation's deviation (``lambda`` or ``k``) set to zero.  Every
+        criterion's margin is then a Hermitian form in ``v`` alone."""
+        zero = AnalyticFunction(())
+        pert = self.perturbation
+        if isinstance(pert, RankOnePerturbation):
+            pert = replace(pert, lam=0j)
+        elif isinstance(pert, MultiplicationPerturbation):
+            pert = replace(pert, k=zero)
+        return replace(self, phi=None if self.phi is None else zero,
+                       lv=None if self.lv is None else zero, perturbation=pert,
+                       reference_margin=None, reference_dissipative=None)
 
 
 def _check_phi(spec: forms.ImaginaryPartSpec, phi: AnalyticFunction, what: str) -> None:
@@ -352,6 +367,13 @@ def build_konzert(
 # halfline Schroedinger with bounded imaginary part
 
 
+def check_boundary_parameter(scenario: str, rho: complex) -> None:
+    """CatalogError for a boundary parameter that ``scenario`` rejects
+    whatever its other inputs: ``Im h < 0`` in the Schroedinger scenario."""
+    if scenario == "halfline_schrodinger" and not is_inf(rho) and rho.imag < 0.0:
+        raise CatalogError("Im h < 0 is not a dissipative boundary condition")
+
+
 def build_halfline_schrodinger(
     h: complex,
     perturbation: RankOnePerturbation | MultiplicationPerturbation,
@@ -366,8 +388,7 @@ def build_halfline_schrodinger(
     part no bounded non-negative imaginary part can restore dissipativity,
     so such inputs are rejected outright.
     """
-    if not is_inf(h) and h.imag < 0.0:
-        raise CatalogError("Im h < 0 is not a dissipative boundary condition")
+    check_boundary_parameter("halfline_schrodinger", h)
     grid = make_grid("halfline", n, length=r)
     eta = _decaying_vector(h)
     if not decay_certificate(eta, r):

@@ -47,7 +47,7 @@ import numpy as np
 from . import catalog, criteria, eigenh, forms, oracle
 from .analytic import AnalyticFunction, AnalyticError, Term, exponential, indicator, norm_sq
 from .catalog import ExtensionProblem, RHO_INF, is_inf
-from .grid import GridError, make_grid
+from .grid import GridError, make_grid, span_decay_certificate
 
 __all__ = [
     "ConfigError",
@@ -623,6 +623,24 @@ def _axis_points(axis: tuple[float, float, float]) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _sweep_conic(cfg: ScenarioConfig) -> criteria.MarginConic | None:
+    """The margin conic of a sweep (:func:`criteria.margin_conic`) between its
+    anchor problems at ``rho = 0`` and ``rho = inf``; None when an anchor
+    fails to build, to decide or a membership, or when the decay certificate
+    of a half-line problem is not vouched for on the whole span."""
+    try:
+        at_zero = build_problem(cfg, rho_override=0j)
+        at_inf = build_problem(cfg, rho_override=RHO_INF)
+        grid = at_zero.grid
+        if grid.is_halfline and not span_decay_certificate((at_zero.v, at_inf.v), grid.length):
+            return None
+        return criteria.margin_conic(at_zero, at_inf)
+    except _LIBRARY_ERRORS:
+        # the points are then built and decided one by one, and the first
+        # that fails raises its own error, as ``check`` does
+        return None
+
+
 def run_sweep(
     cfg: ScenarioConfig,
     re_axis: tuple[float, float, float],
@@ -631,24 +649,45 @@ def run_sweep(
 ) -> dict:
     """Margin map over a rectangle of boundary parameters.
 
-    Points are evaluated one after another in row-major order (re outer, im
-    inner); identical inputs produce byte-identical files.  A point whose
-    membership fails has no finite margin and writes ``null`` in JSON.
-    ``max_workers`` is accepted and ignored: the points run serially, since
-    ``mpmath.quad`` raises the precision of mpmath's one global context
-    while it runs, so concurrent points corrupt each other's integrals.
+    Rows are in row-major order (re outer, im inner); identical inputs
+    produce byte-identical files.  The extension vector of every sweepable
+    scenario is ``a + rho b``, with ``a`` and ``b`` the vectors of the anchor
+    problems at ``rho = 0`` and ``rho = inf``, so each margin is the value of
+    one conic whose four coefficients come from four :func:`criteria.decide`
+    calls (:func:`criteria.margin_conic`).  Its low bits differ from those
+    of ``check`` at the same point, which sums in another order.  A point
+    still has the checks of its own boundary parameter
+    (:func:`catalog.check_boundary_parameter`).  The points of a sweep whose
+    anchors fail (a membership, an error, or a half-line span without
+    :func:`grid.span_decay_certificate`), and any point where the conic
+    overflows, are built and decided one by one, so a failed membership
+    writes ``null`` in JSON and an error is that of ``check``.
+    ``max_workers`` is accepted and ignored.
     """
     if cfg.scenario not in ("potsdam", "shirley", "halfline_schrodinger"):
         raise ConfigError(f"scenario {cfg.scenario} has no boundary parameter to sweep")
     res = _axis_points(re_axis)
     ims = _axis_points(im_axis)
+    conic = _sweep_conic(cfg)
 
     rows = []
     for re in res:
         for im in ims:
-            verdict = criteria.decide(build_problem(cfg, rho_override=complex(re, im)))
-            rows.append({"re_rho": re, "im_rho": im, "margin": _jsonable(verdict.margin),
-                         "dissipative": verdict.dissipative})
+            rho = complex(re, im)
+            margin = math.nan
+            if conic is not None:
+                catalog.check_boundary_parameter(cfg.scenario, rho)
+                try:
+                    margin = conic(rho)
+                except OverflowError:
+                    pass
+            if math.isfinite(margin):
+                dissipative = bool(margin >= -criteria.MARGIN_TOL)
+            else:
+                verdict = criteria.decide(build_problem(cfg, rho_override=rho))
+                margin, dissipative = verdict.margin, verdict.dissipative
+            rows.append({"re_rho": re, "im_rho": im, "margin": _jsonable(margin),
+                         "dissipative": dissipative})
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,

@@ -27,7 +27,7 @@ two extensions differ, no criterion applies and the verdict is returned as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import forms
 from .analytic import AnalyticError, AnalyticFunction, DivergentIntegralError, norm_sq
@@ -51,6 +51,8 @@ __all__ = [
     "semibound_estimate",
     "maximality_count",
     "decide",
+    "MarginConic",
+    "margin_conic",
 ]
 
 MARGIN_TOL = 1e-12
@@ -355,3 +357,52 @@ def decide(problem: ExtensionProblem) -> Verdict:
     if problem.phi is not None:
         return verdict_ran_vf(problem)
     return verdict_general(problem)
+
+
+# ---------------------------------------------------------------------------
+# the margin along a line of extension vectors
+
+
+@dataclass(frozen=True)
+class MarginConic:
+    """``margin(rho) = c0 + c_re Re rho + c_im Im rho + c2 |rho|^2``: the margin
+    of :func:`decide` at the extension vector ``a + rho b``.  Its dissipative
+    set is a disc, the outside of one, or a half-plane."""
+
+    c0: float
+    c_re: float
+    c_im: float
+    c2: float
+
+    def __call__(self, rho: complex) -> float:
+        """The margin at ``rho``; OverflowError where ``|rho|^2`` overflows."""
+        return self.c0 + self.c_re * rho.real + self.c_im * rho.imag + self.c2 * abs(rho) ** 2
+
+
+def _margin_at(problem: ExtensionProblem, v: AnalyticFunction) -> float:
+    return decide(replace(problem, v=v)).margin
+
+
+def margin_conic(problem: ExtensionProblem, at_inf: ExtensionProblem) -> MarginConic | None:
+    """The margin of :func:`decide` along ``a + rho b``, ``a = problem.v`` and
+    ``b = at_inf.v``, from four :func:`decide` calls; None when ``a`` or ``b``
+    fails a membership.
+
+    Every criterion compares sides that are a Hermitian form in ``v``, a real
+    linear term (the deviation against ``v``) and a constant, so the margin
+    is a real quadratic in ``(Re rho, Im rho)`` whose ``|rho|^2`` coefficient
+    is the form at ``b``.  ``c2`` is the margin at ``b`` of
+    :meth:`~dissipext.catalog.ExtensionProblem.without_deviation`, free of
+    the constant's rounding; ``c0`` is the margin at ``a``, and ``c_re``,
+    ``c_im`` are the margins at ``a + b`` and ``a + i b`` less ``c0 + c2``.
+    The memberships are subspaces (``D_K``, ``D(S*)``) or do not depend on
+    ``v`` (``ran V_F``), so when ``a`` and ``b`` pass, every point passes.
+    """
+    a, b = problem.v, at_inf.v
+    c0 = decide(problem).margin
+    c2 = _margin_at(problem.without_deviation(), b)
+    if math.isnan(c0) or math.isnan(c2):
+        return None
+    c_re = _margin_at(problem, a + b) - c0 - c2
+    c_im = _margin_at(problem, a + 1j * b) - c0 - c2
+    return MarginConic(c0, c_re, c_im, c2)

@@ -40,7 +40,7 @@ __all__ = [
     "eigh",
     "pencil_eigh",
     "PencilStructure",
-    "ldl_pivots",
+    "GramFactor",
     "BandPencil",
     "pencil_extreme",
 ]
@@ -260,11 +260,14 @@ class PencilStructure:
     this pattern.  ``H`` has it too, plus the dense term ``alpha q q^H`` when
     ``rank_one = (alpha, q)`` (``alpha`` real and non-zero, ``q`` of length
     ``N``).  A dense matrix is the band of half-bandwidth ``N - 1``.
+    ``gram`` is ``G``'s :class:`GramFactor` when the caller has factored it
+    already; :class:`BandPencil` then does not factor ``G`` again.
     """
 
     bandwidth: int
     border: int = 0
     rank_one: tuple[float, np.ndarray] | None = None
+    gram: GramFactor | None = None
 
 
 def _split(a: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,21 +404,27 @@ def _positive_ldl(band: list, rows: list, corner: list) -> list:
     return d
 
 
-def ldl_pivots(a: np.ndarray, structure: PencilStructure | None = None) -> np.ndarray:
-    """Pivots ``D`` of ``a = L D L^H`` for a Hermitian positive definite ``a``.
+class GramFactor:
+    """``G = L D L^H`` of a Hermitian positive definite ``G``, factored once.
 
-    ``structure`` gives the band-plus-border pattern (its ``rank_one`` is
-    ignored); by default ``a`` is dense.  Only the lower triangle is read.
-    Raises :class:`NotPositiveDefiniteError` at the first pivot that is not
+    ``structure`` gives the band-plus-border pattern (its ``rank_one`` and
+    ``gram`` are ignored); by default ``G`` is dense.  Only the lower
+    triangle is read.  ``parts`` are the band, border rows and corner of
+    ``G`` (:func:`_split`), ``factors`` the same places holding ``L`` in the
+    layout of :func:`_ldl`, and ``pivots`` is ``D``.  Raises
+    :class:`NotPositiveDefiniteError` at the first pivot that is not
     positive.
     """
-    a = np.asarray(a, dtype=complex)
-    dim = a.shape[0]
-    border = structure.border if structure is not None else 0
-    bandwidth = structure.bandwidth if structure is not None else dim - 1
-    n = dim - border
-    parts = _split(a, n, min(bandwidth, max(n - 1, 0)))
-    return np.asarray(_positive_ldl(*_lists(*parts)))
+
+    def __init__(self, g: np.ndarray, structure: PencilStructure | None = None):
+        g = np.asarray(g, dtype=complex)
+        dim = g.shape[0]
+        border = structure.border if structure is not None else 0
+        bandwidth = structure.bandwidth if structure is not None else dim - 1
+        n = dim - border
+        self.parts = _split(g, n, min(bandwidth, max(n - 1, 0)))
+        self.factors = _lists(*self.parts)
+        self.pivots = np.asarray(_positive_ldl(*self.factors))
 
 
 class BandPencil:
@@ -427,19 +436,20 @@ class BandPencil:
     ``q`` is one more border row, and the Schur complement of the last pivot
     is ``H - sigma G``.  Its inertia is therefore that of ``H - sigma G``
     plus one negative eigenvalue when ``alpha > 0``.  Each shift costs
-    ``O(N (bandwidth + border)^2)``.  ``G`` is factored once, which raises
+    ``O(N (bandwidth + border)^2)``.  ``G`` is factored once, or not at all
+    when ``structure.gram`` holds its factor; :class:`GramFactor` raises
     :class:`NotPositiveDefiniteError` when it is not positive definite.
     """
 
     def __init__(self, h: np.ndarray, g: np.ndarray, structure: PencilStructure):
         h = np.asarray(h, dtype=complex)
-        g = np.asarray(g, dtype=complex)
+        gram = structure.gram if structure.gram is not None else GramFactor(g, structure)
         dim = h.shape[0]
         n = dim - structure.border
         p = min(structure.bandwidth, max(n - 1, 0))
-        gb, gr, gc = _split(g, n, p)
-        self._gram = _lists(gb, gr, gc)
-        self._gram_pivots = _positive_ldl(*self._gram)
+        gb, gr, gc = gram.parts
+        self._gram = gram.factors
+        self._gram_pivots = gram.pivots
         hb, hr, hc = (x.copy() for x in _split(h, n, p))
         self._dim = dim
         self._pad: list = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import AnalyticFunction, envelope, peaks
+from .analytic import AnalyticFunction, Term, envelope, peaks
 
 __all__ = [
     "GridError",
@@ -23,12 +23,15 @@ __all__ = [
     "GridFunction",
     "make_grid",
     "decay_certificate",
+    "span_decay_certificate",
 ]
 
 DEFAULT_INTERVAL_B = 1.0
 DEFAULT_HALFLINE_R = 40.0
 #: the node count ``make_grid`` still validates, and otherwise ignores
 _MIN_N = 8
+#: envelope at the truncation radius over the largest term peak
+_DECAY_RTOL = 1e-10
 
 
 class GridError(Exception):
@@ -97,7 +100,7 @@ class GridFunction:
         return fn
 
 
-def decay_certificate(f: AnalyticFunction, r: float, rel_tol: float = 1e-10) -> bool:
+def decay_certificate(f: AnalyticFunction, r: float, rel_tol: float = _DECAY_RTOL) -> bool:
     """True iff ``f``'s envelope at ``r`` is below ``rel_tol`` times its largest
     single-term peak on ``[0, r]`` (:func:`~dissipext.analytic.envelope`).
 
@@ -106,3 +109,27 @@ def decay_certificate(f: AnalyticFunction, r: float, rel_tol: float = 1e-10) -> 
     """
     scale = max((h for _, h in peaks(f, r)), default=0.0)
     return scale == 0.0 or envelope(f, r) < rel_tol * scale
+
+
+def span_decay_certificate(fns, r: float) -> bool:
+    """True when :func:`decay_certificate` holds for every combination of ``fns``.
+
+    A combination has the terms of ``fns`` with new coefficients ``c_t``, so
+    its envelope at ``r`` is ``sum |c_t| E_t`` and its scale is
+    ``max |c_t| P_t``, with ``E_t`` the modulus at ``r`` and ``P_t`` the peak
+    height of the term with coefficient 1.  Hence envelope <= scale *
+    ``sum E_t / P_t``, and a sum below half the certificate's tolerance
+    leaves a factor 2 for the rounding of both sides.  False says nothing
+    about any one combination.
+    """
+    shapes = {(t.power, t.rate, t.lo, t.hi) for f in fns for t in f.terms}
+    total = 0.0
+    for shape in shapes:
+        unit = AnalyticFunction((Term(1.0, *shape),))
+        heights = [h for _, h in peaks(unit, r)]
+        if not heights:
+            continue  # the window lies beyond r: in neither envelope nor scale
+        if not 0.0 < heights[0] < math.inf:
+            return False
+        total += envelope(unit, r) / heights[0]
+    return total < 0.5 * _DECAY_RTOL

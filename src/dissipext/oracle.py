@@ -30,7 +30,7 @@ sequences.  Reports state this asymmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,8 +68,9 @@ class DiscreteOperator:
     ``v_index`` marks the extension-vector column when present (always the
     last), so the pure core block is ``matrix[:v_index, :v_index]``.
     ``structure`` is the band-plus-border pattern the assembly built, with
-    the rank-one term of the imaginary part when there is one; the pencil
-    solver reads it (``None``: treat the matrices as dense).
+    the rank-one term of the imaginary part when there is one and the Gram
+    matrix's factor from the assembly's check; the pencil solver reads it
+    (``None``: treat the matrices as dense and factor the Gram matrix).
     """
 
     basis: str
@@ -225,8 +226,8 @@ def assemble_discrete(
     gram[nb, :nb] = np.conj(gv)
     gram[nb, nb] = norm_sq(vfn, 0.0, end)
     # splines that share a panel are at most index.shape[1] - 1 apart
-    structure = eigenh.PencilStructure(tab.index.shape[1] - 1, 1, rank_one)
-    _check_gram(gram, structure)
+    pattern = eigenh.PencilStructure(tab.index.shape[1] - 1, 1, rank_one)
+    structure = replace(pattern, gram=_check_gram(gram, pattern))
     return DiscreteOperator(
         f"{nb} cubic spline elements on [{lo:g},{hi:g}] + extension vector",
         mat,
@@ -236,16 +237,19 @@ def assemble_discrete(
     )
 
 
-def _check_gram(gram: np.ndarray, structure: eigenh.PencilStructure) -> None:
-    """Positive definiteness and the pivot ratio ``max D / min D`` of the
-    ``L D L^H`` factors of the Gram matrix, a lower bound on its condition."""
+def _check_gram(gram: np.ndarray, structure: eigenh.PencilStructure) -> eigenh.GramFactor:
+    """The ``L D L^H`` factor of the Gram matrix, which the pencil solver
+    reuses, after checking positive definiteness and the pivot ratio
+    ``max D / min D``, a lower bound on its condition."""
     try:
-        d = eigenh.ldl_pivots(gram, structure)
+        factor = eigenh.GramFactor(gram, structure)
     except eigenh.NotPositiveDefiniteError as exc:
         raise OracleError(f"basis Gram not positive definite: {exc}") from None
+    d = factor.pivots
     cond_est = float(d.max()) / float(d.min())
     if cond_est > 1e12:
         raise OracleError(f"basis Gram condition estimate {cond_est:.2e} exceeds 1e12")
+    return factor
 
 
 def assemble_core_pair(problem: ExtensionProblem, n: int):

@@ -1,8 +1,10 @@
+import cmath
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dissipext
-from dissipext import cli_io, criteria, eigenh, oracle
+from dissipext import catalog, cli_io, criteria, eigenh, oracle
 from dissipext.analytic import Term
 
 
@@ -448,7 +450,8 @@ def test_sweep_is_serial_and_leaves_mpmath_precision():
     assert len(payload["rows"]) == 4
     for row in payload["rows"]:
         _, expect = _check_at(POTSDAM_X15, "rho", row["re_rho"], row["im_rho"])
-        assert row["margin"] == expect["margin"]
+        # the sweep's conic sums in another order than check: low bits move
+        assert abs(row["margin"] - expect["margin"]) <= 1e-12 * (1.0 + abs(expect["margin"]))
         assert row["dissipative"] is expect["dissipative"]
 
 
@@ -478,6 +481,104 @@ def test_sweep_rows_match_check(case, re, im):
         assert row["dissipative"] is expect["dissipative"]
         margin = expect["margin"]
         assert abs(row["margin"] - margin) <= 1e-12 * (1.0 + abs(margin))
+
+
+def _decide_at(cfg, rho: complex) -> criteria.Verdict:
+    """Per-point build+decide, which the sweep did at every point before its
+    margins came from a conic."""
+    return criteria.decide(cli_io.build_problem(cfg, rho_override=rho))
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(re=st.floats(-7.0, 6.0), im=st.floats(-7.0, 6.0), step=st.floats(0.01, 1.0))
+def test_sweep_conic_matches_per_point_decide(case, re, im, step):
+    # |rho| <= 10; the Schroedinger scenario takes Im h >= 0 only
+    text, key = SWEEP_CASES[case]
+    if key == "h":
+        im = abs(im)
+    cfg = cli_io.parse_config(text)
+    payload = cli_io.run_sweep(cfg, (re, re + step, step), (im, im + step, step))
+    assert payload["rows"]
+    for row in payload["rows"]:
+        verdict = _decide_at(cfg, complex(row["re_rho"], row["im_rho"]))
+        assert row["dissipative"] is verdict.dissipative
+        scale = 1.0 + abs(verdict.lhs) + abs(verdict.rhs)
+        assert abs(row["margin"] - verdict.margin) <= 1e-12 * scale
+
+
+def _shirley_30(rho: complex) -> float:
+    poly = (Fraction(0), Fraction(-30), Fraction(30))
+    return float(catalog.shirley_margin_exact(Fraction(rho.real), Fraction(rho.imag), poly))
+
+
+LARGE_RHO_CASES = {
+    # margin Re rho - ||phi'||^2 / 4 + Im phi'(0) = Re rho - 39.0625 / 4 + 12.5
+    "potsdam": ("[scenario]\nname = potsdam\nrho = 0\nphi = 12.5i*x*exp(-x)\n",
+                lambda rho: rho.real + 2.734375),
+    "shirley": ("[scenario]\nname = shirley\ngamma = 2\nrho = 0\nphi = 30*(x^2 - x)\n",
+                _shirley_30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_RHO_CASES))
+@pytest.mark.parametrize("size", [10.0, 1e3, 1e5])
+def test_sweep_conic_error_at_large_rho(case, size):
+    # the |rho|^2 coefficient comes from the problem without its deviation,
+    # so the conic's error grows no faster than per-point decide's
+    text, exact = LARGE_RHO_CASES[case]
+    cfg = cli_io.parse_config(text)
+    conic_err = point_err = scale = 0.0
+    for k in range(8):
+        rho = size * cmath.exp(1j * (0.1 + k * math.pi / 4))
+        row, = cli_io.run_sweep(cfg, (rho.real, rho.real, 1.0), (rho.imag, rho.imag, 1.0))["rows"]
+        expect = exact(rho)
+        conic_err = max(conic_err, abs(row["margin"] - expect))
+        point_err = max(point_err, abs(_decide_at(cfg, rho).margin - expect))
+        scale = max(scale, abs(expect))
+    assert conic_err <= 2.0 * point_err + 1e-14 * (1.0 + scale)
+
+
+@pytest.mark.parametrize(
+    "text, re, im, message",
+    [
+        (SHIRLEY_CFG, "1e200:1e200:1", "0:0:1", "|rho|^2 overflows for rho = (1e+200+0j)"),
+        (SWEEP_CASES["rank_one"][0], "0:0.5:0.5", "-0.5:-0.5:1",
+         "Im h < 0 is not a dissipative boundary condition"),
+        (SHIRLEY_CFG.replace("gamma = 2", "gamma = nan"), "0:0.1:0.1", "0:0:1",
+         "strict_pos_5_3: non-finite sides lhs=nan, rhs=nan"),
+    ],
+    ids=["rho_overflow", "negative_im_h", "gamma_nan"],
+)
+def test_sweep_errors_are_those_of_per_point_decide(tmp_path, capsys, text, re, im, message):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    code = cli_io.main(["sweep", "--config", str(cfg), f"--re={re}", f"--im={im}"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_decides_a_fixed_number_of_points(case, monkeypatch):
+    # the margins come from one conic per sweep: decide runs at its anchors
+    # only, however many points the sweep has
+    text, _ = SWEEP_CASES[case]
+    cfg = cli_io.parse_config(text)
+    calls = []
+    decide = criteria.decide
+
+    def counting(problem):
+        calls.append(problem)
+        return decide(problem)
+
+    monkeypatch.setattr(criteria, "decide", counting)
+    counts = []
+    for step in (1.0, 0.05):
+        calls.clear()
+        payload = cli_io.run_sweep(cfg, (-1.0, 1.0, step), (0.0, 2.0, step))
+        assert len(payload["rows"]) == round(2.0 / step + 1) ** 2
+        counts.append(len(calls))
+    assert counts == [4, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,10 @@ def test_band_border_inertia_and_minimum(n, p, m, alpha, seed):
 def test_ldl_pivots_match_cholesky():
     rng = np.random.default_rng(21)
     g = _band_border(rng, 30, 3, 1, dominant=True)
-    d = eigenh.ldl_pivots(g, eigenh.PencilStructure(3, 1))
+    d = eigenh.GramFactor(g, eigenh.PencilStructure(3, 1)).pivots
     assert np.max(np.abs(d - np.abs(np.diag(np.linalg.cholesky(g))) ** 2)) < 1e-12 * np.max(d)
     with pytest.raises(eigenh.NotPositiveDefiniteError):
-        eigenh.ldl_pivots(-g, eigenh.PencilStructure(3, 1))
+        eigenh.GramFactor(-g, eigenh.PencilStructure(3, 1))
 
 
 def test_pencil_rejects_non_finite_entries():

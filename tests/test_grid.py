@@ -1,13 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dissipext.analytic import exponential, trace
+from dissipext import catalog
+from dissipext.analytic import AnalyticFunction, Term, exponential, trace
 from dissipext.grid import (
     GridError,
     GridFunction,
     decay_certificate,
     make_grid,
+    span_decay_certificate,
 )
 
 
@@ -55,3 +59,47 @@ def test_decay_certificate(halfline_grid):
 def test_grid_function_is_its_term_sum(interval_grid, phi_x2_minus_x):
     # no samples: the compatibility shim hands back the term sum itself
     assert GridFunction.from_analytic(interval_grid, phi_x2_minus_x) is phi_x2_minus_x
+
+
+def _cancelling(a, b):
+    """The boundary parameters at which ``a + rho b`` loses one of its terms."""
+    bs = {(t.power, t.rate, t.lo, t.hi): t.coeff for t in b.terms}
+    return [-t.coeff / bs[(t.power, t.rate, t.lo, t.hi)] for t in a.terms
+            if (t.power, t.rate, t.lo, t.hi) in bs]
+
+
+def test_span_decay_certificate_vouches_for_every_boundary_parameter():
+    # the Potsdam pair sigma, tau: both terms decay like exp(-x / sqrt 2)
+    a = catalog.build_potsdam(None, 0j, None).v
+    b = catalog.build_potsdam(None, catalog.RHO_INF, None).v
+    rhos = [0j, 1 + 0j, -1j, 1e-300 + 0j, 1e300j, 3.7 - 2.2j] + _cancelling(a, b)
+    assert span_decay_certificate((a, b), 40.0)
+    for r in (40.0, 35.0):
+        assert span_decay_certificate((a, b), r)
+        assert all(decay_certificate(a + rho * b, r) for rho in rhos)
+    # at r = 33 the answer depends on rho: one term alone passes, two of
+    # equal size do not; the span bound vouches for neither
+    assert decay_certificate(a + _cancelling(a, b)[0] * b, 33.0)
+    assert not decay_certificate(a + 1j * b, 33.0)
+    assert not span_decay_certificate((a, b), 33.0)
+
+
+_decaying_term = st.builds(
+    Term,
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.floats(-3.0, -0.05).map(complex),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(terms=st.lists(_decaying_term, min_size=1, max_size=4), r=st.floats(5.0, 60.0),
+       coeffs=st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                          allow_infinity=False), min_size=4, max_size=4))
+def test_span_decay_certificate_is_a_bound(terms, r, coeffs):
+    # when the bound holds, so does every combination's own certificate
+    fns = [AnalyticFunction((t,)) for t in terms]
+    combo = AnalyticFunction(tuple(Term(c * t.coeff, t.power, t.rate)
+                                   for c, t in zip(coeffs, terms)))
+    if span_decay_certificate(fns, r):
+        assert decay_certificate(combo, r)

@@ -227,6 +227,28 @@ def test_band_solver_matches_dense_spectrum(kind, n, rank_one_direction):
     assert abs(mu - w[0]) <= 1e-10 * abs(w[0])
 
 
+@pytest.mark.parametrize("kind", ["konzert", "potsdam", "rank_one"])
+def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch):
+    # the assembly's Gram check keeps its L D L^H factor for the pencil solver
+    calls = []
+    ldl = eigenh._ldl
+
+    def recording(band, rows, corner, cap=None):
+        if rows:  # a whole matrix, not the corner of one
+            calls.append([col[0] for col in band])
+        return ldl(band, rows, corner, cap)
+
+    monkeypatch.setattr(eigenh, "_ldl", recording)
+    prob = _equivalence_problem(kind, rank_one_direction)
+    for n in (16, 32):
+        calls.clear()
+        op = oracle.assemble_discrete(prob, n)
+        oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+        gram_diagonal = op.gram.diagonal()[:-1].tolist()
+        assert len(calls) > 2
+        assert sum(diag == gram_diagonal for diag in calls) == 1
+
+
 def test_pencil_min_eig_rejects_bad_inputs():
     with pytest.raises(oracle.OracleError):
         oracle.pencil_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
