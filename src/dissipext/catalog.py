@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,8 +44,6 @@ __all__ = [
     "build_konzert",
     "build_halfline_schrodinger",
     "check_boundary_parameter",
-    "split_dual_pair",
-    "shirley_margin_exact",
     "SHIRLEY_GAMMA_MIN",
     "KONZERT_GAMMA_RANGE",
 ]
@@ -303,28 +300,6 @@ def build_shirley(
     )
 
 
-def shirley_margin_exact(
-    rho_re: Fraction, rho_im: Fraction, phi_poly: tuple[Fraction, ...]
-) -> Fraction:
-    """Decision margin of the interval scenario in exact rational arithmetic.
-
-    ``phi_poly`` holds polynomial coefficients (constant first) of a deviation
-    generator with rational coefficients vanishing at 0 and 1; the margin of
-    the finite-``rho`` criterion is a rational number in that case.
-    """
-    dcoef = [Fraction(k) * c for k, c in enumerate(phi_poly)][1:]
-    # || phi' ||^2 = int_0^1 (sum d_j x^j)^2 dx with real rational d
-    norm_sq = Fraction(0)
-    for i, di in enumerate(dcoef):
-        for j, dj in enumerate(dcoef):
-            norm_sq += di * dj / (i + j + 1)
-    dphi1 = sum(dcoef)
-    # Im(conj(rho) * phi'(1)) = -rho_im * phi'(1) for real phi'
-    lhs = rho_re * rho_re + rho_im * rho_im - rho_re
-    rhs = Fraction(1, 4) * norm_sq - rho_im * dphi1
-    return lhs - rhs
-
-
 # ---------------------------------------------------------------------------
 # konzert: i f' + i gamma/x on the unit interval
 
@@ -419,36 +394,3 @@ def build_halfline_schrodinger(
         reference_dissipative=None if margin is None else margin >= -1e-12,
     )
 
-
-# ---------------------------------------------------------------------------
-# splitting a discrete dual pair into symmetric and non-negative parts
-
-
-def split_dual_pair(m_op, m_tilde):
-    """Split a discrete dual pair into its symmetric and non-negative parts.
-
-    Both operands are :class:`~dissipext.oracle.DiscreteOperator` instances
-    sharing basis and Gram matrix; the adjoint relation ``<f, Ãg> = <Af, g>``
-    must hold on the basis.  Returns ``(S, V)`` DiscreteOperators with ``S``
-    Hermitian and ``V`` positive semidefinite in the Gram metric.
-    """
-    from . import eigenh
-    from .oracle import DiscreteOperator
-
-    if m_op.matrix.shape != m_tilde.matrix.shape:
-        raise CatalogError("dual pair matrices must share their basis")
-    if np.max(np.abs(m_op.gram - m_tilde.gram)) > 1e-12 * (1 + np.max(np.abs(m_op.gram))):
-        raise CatalogError("dual pair matrices must share their Gram matrix")
-    scale = max(1.0, float(np.max(np.abs(m_op.matrix))))
-    if np.max(np.abs(m_tilde.matrix - m_op.matrix.conj().T)) > 1e-8 * scale:
-        raise CatalogError("operands fail the dual-pair adjoint test")
-    s = 0.5 * (m_op.matrix + m_tilde.matrix)
-    v = (m_op.matrix - m_tilde.matrix) / 2.0j
-    v = 0.5 * (v + v.conj().T)
-    w, _ = eigenh.pencil_eigh(v, m_op.gram)
-    if float(np.min(w)) < -1e-8 * max(1.0, float(np.max(np.abs(w)))):
-        raise CatalogError("imaginary part is indefinite beyond tolerance")
-    return (
-        DiscreteOperator(m_op.basis, s, m_op.gram),
-        DiscreteOperator(m_op.basis, v, m_op.gram),
-    )

@@ -88,11 +88,12 @@ class ExpressionError(Exception):
         super().__init__(f"{message} at position {pos}")
 
 
-# error bases of the package: any of them means "outside the theory or an
-# error" (exit 2), never "not dissipative"
+# error bases of the package, and a closed form that overflows in float
+# arithmetic: any of them means "outside the theory or an error" (exit 2),
+# never "not dissipative"
 _LIBRARY_ERRORS = (ConfigError, ExpressionError, catalog.CatalogError, criteria.CriteriaError,
                    forms.FormsError, oracle.OracleError, GridError, AnalyticError,
-                   eigenh.EigenError)
+                   eigenh.EigenError, OverflowError)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ __all__ = [
     "verdict_strict_pos",
     "verdict_unique_ext",
     "verdict_bounded_v",
-    "semibound_estimate",
-    "maximality_count",
     "decide",
     "MarginConic",
     "margin_conic",
@@ -318,28 +316,6 @@ def _master_verdict(problem: ExtensionProblem, criterion: str) -> Verdict:
     if phi is not None:
         rhs -= complex(forms.krein_form(spec, phi, v)).imag
     return Verdict.from_sides(criterion, lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary counters
-
-
-def semibound_estimate(eps: float, l_norm: float) -> float:
-    """Lower bound ``-||L||^2/(4 eps)`` for the deviated symmetric part."""
-    if eps <= 0.0:
-        raise CriteriaError("strict positivity constant must be positive")
-    if l_norm < 0.0:
-        raise CriteriaError("operator norm cannot be negative")
-    return -(l_norm**2) / (4.0 * eps)
-
-
-def maximality_count(added_dim: int, defect_dim: int) -> bool:
-    """Maximality test: the added dimension must exhaust the defect count."""
-    if added_dim < 0 or defect_dim < 0:
-        raise CriteriaError("dimensions must be non-negative")
-    if not math.isfinite(defect_dim):
-        raise CriteriaError("defect dimension must be finite")
-    return added_dim == defect_dim
 
 
 # ---------------------------------------------------------------------------

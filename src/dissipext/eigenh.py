@@ -15,10 +15,12 @@ positive definite) on a band-plus-border pattern, the oracle's solver
    Each shift costs ``O(N)`` on a band of fixed width; a dense matrix is the
    band of full width.
 
-The dense full-spectrum path stays for other callers and as a reference:
-Cholesky factor ``G = L L^H``, ``C = L^{-1} H L^{-H}``, Householder reduction
-of ``C`` to a real symmetric tridiagonal and implicit QL with accumulated
-eigenvectors (:func:`eigh`, :func:`pencil_eigh`).
+The dense stages :func:`cholesky` and :func:`eigh` (Householder reduction to
+a real symmetric tridiagonal, then implicit QL with accumulated
+eigenvectors) are on no command's path.  They stay only as layers the
+benchmark's tracer names, until ROADMAP item 2 drops those targets; the
+tests check the pencil solver against a dense ``numpy.linalg`` reference
+(``tests/reference/dense.py``).
 
 numpy supplies array arithmetic only; no library eigensolver is called.
 """
@@ -35,10 +37,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "ConvergenceError",
     "cholesky",
-    "solve_lower",
-    "solve_upper",
     "eigh",
-    "pencil_eigh",
     "PencilStructure",
     "GramFactor",
     "BandPencil",
@@ -61,6 +60,7 @@ class ConvergenceError(EigenError):
     """Raised when QL iteration exceeds its sweep budget."""
 
 
+# kept only as a layer the benchmark's tracer names, until ROADMAP item 2
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a Hermitian positive definite matrix."""
     a = np.asarray(a, dtype=complex)
@@ -76,29 +76,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return l
 
 
-def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L x = b`` by forward substitution (columns of b in parallel)."""
-    b = np.array(b, dtype=complex)
-    vec = b.ndim == 1
-    if vec:
-        b = b[:, None]
-    for i in range(l.shape[0]):
-        b[i] = (b[i] - l[i, :i] @ b[:i]) / l[i, i]
-    return b[:, 0] if vec else b
-
-
-def solve_upper(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``U x = b`` by back substitution."""
-    b = np.array(b, dtype=complex)
-    vec = b.ndim == 1
-    if vec:
-        b = b[:, None]
-    n = u.shape[0]
-    for i in range(n - 1, -1, -1):
-        b[i] = (b[i] - u[i, i + 1:] @ b[i + 1:]) / u[i, i]
-    return b[:, 0] if vec else b
-
-
+# kept only for eigh, a layer the benchmark's tracer names, until ROADMAP item 2
 def _householder_tridiag(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduce Hermitian ``a`` to real symmetric tridiagonal form.
 
@@ -149,6 +127,7 @@ def _householder_tridiag(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return d, e, q
 
 
+# kept only for eigh, a layer the benchmark's tracer names, until ROADMAP item 2
 def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Implicit QL with Wilkinson-style shifts on a real tridiagonal.
 
@@ -210,6 +189,7 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.asarray(d)
 
 
+# kept only as a layer the benchmark's tracer names, until ROADMAP item 2
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues and eigenvectors of a Hermitian matrix.
 
@@ -225,19 +205,6 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = _ql_implicit(d, e, q)
     order = np.argsort(w)
     return w[order], q[:, order]
-
-
-def pencil_eigh(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of ``H x = lam G x``; eigenvectors G-orthonormal."""
-    l = cholesky(g)
-    c = solve_lower(l, np.asarray(h, dtype=complex))
-    c = np.conj(solve_lower(l, np.conj(c).T)).T
-    c = 0.5 * (c + np.conj(c).T)
-    w, v = eigh(c)
-    x = solve_upper(np.conj(l).T, v)
-    return w, x
-
-
 
 
 # ---------------------------------------------------------------------------

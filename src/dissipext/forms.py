@@ -52,7 +52,6 @@ __all__ = [
     "rank_one",
     "inner",
     "check_traces",
-    "bounded_matrix",
     "friedrichs_form_sq",
     "krein_form_sq",
     "friedrichs_form",
@@ -98,35 +97,27 @@ class ImaginaryPartSpec:
     ----------
     family : str
         One of ``dirichlet_laplacian_halfline``, ``dirichlet_laplacian_interval``,
-        ``multiplication``, ``rank_one``, ``bounded_matrix``.
-    domain : Grid, optional
-        The domain the operator acts on (none for ``bounded_matrix``).
+        ``multiplication``, ``rank_one``.
+    domain : Grid
+        The domain the operator acts on.
     weight : AnalyticFunction, optional
         Non-negative multiplier for the multiplication family.
     alpha, phi0 :
         Strength and normalized direction of the rank-one family.
-    matrix : ndarray, optional
-        Hermitian PSD matrix of the discrete family (acts on coefficient
-        vectors instead of functions).
     strict_lower_bound : float
         Largest known epsilon with ``V >= eps``; 0 when none.
-    friedrichs_equals_krein : bool
-        True exactly for the essentially selfadjoint families.
+
+    :attr:`friedrichs_equals_krein` follows from ``family``.
     """
 
     family: str
-    domain: Grid | None = None
+    domain: Grid
     weight: AnalyticFunction | None = None
     alpha: float | None = None
     phi0: AnalyticFunction | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
     strict_lower_bound: float = 0.0
-    friedrichs_equals_krein: bool = False
 
     def __post_init__(self):
-        same = self.family in ("multiplication", "rank_one", "bounded_matrix")
-        if self.friedrichs_equals_krein != same:
-            raise FormsError("friedrichs_equals_krein must match the family")
         if self.family == "multiplication":
             if self.weight is None:
                 raise FormsError("multiplication family needs a weight")
@@ -138,8 +129,12 @@ class ImaginaryPartSpec:
             nrm = norm_sq(self.phi0, 0.0, self.end)
             if abs(nrm - 1.0) > 1e-10:
                 raise FormsError(f"rank_one direction must be normalized, got ||phi||^2={nrm}")
-        if self.family == "bounded_matrix" and self.matrix is None:
-            raise FormsError("bounded_matrix family needs a matrix")
+
+    @property
+    def friedrichs_equals_krein(self) -> bool:
+        """True exactly for the essentially selfadjoint families, whose small
+        and large extensions coincide."""
+        return self.family in ("multiplication", "rank_one")
 
     @property
     def is_laplacian(self) -> bool:
@@ -163,25 +158,12 @@ def dirichlet_laplacian_interval(strict_lower_bound: float = math.pi ** 2,
 
 def multiplication(weight: AnalyticFunction, domain: Grid,
                    strict_lower_bound: float = 0.0) -> ImaginaryPartSpec:
-    return ImaginaryPartSpec(
-        "multiplication",
-        domain,
-        weight=weight,
-        strict_lower_bound=strict_lower_bound,
-        friedrichs_equals_krein=True,
-    )
+    return ImaginaryPartSpec("multiplication", domain, weight=weight,
+                             strict_lower_bound=strict_lower_bound)
 
 
 def rank_one(alpha: float, phi0: AnalyticFunction, domain: Grid | None = None) -> ImaginaryPartSpec:
-    return ImaginaryPartSpec("rank_one", domain or make_grid("halfline"), alpha=alpha, phi0=phi0,
-                             friedrichs_equals_krein=True)
-
-
-def bounded_matrix(matrix: np.ndarray) -> ImaginaryPartSpec:
-    m = np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
-        raise FormsError("bounded_matrix needs a Hermitian matrix")
-    return ImaginaryPartSpec("bounded_matrix", matrix=m, friedrichs_equals_krein=True)
+    return ImaginaryPartSpec("rank_one", domain or make_grid("halfline"), alpha=alpha, phi0=phi0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +215,6 @@ def check_traces(spec: ImaginaryPartSpec, f: AnalyticFunction) -> None:
 
 def friedrichs_form_sq(spec: ImaginaryPartSpec, f) -> float:
     """``||V_F^{1/2} f||^2`` for ``f`` in the Friedrichs form domain."""
-    if spec.family == "bounded_matrix":
-        c = np.asarray(f, dtype=complex)
-        return float(np.vdot(c, spec.matrix @ c).real)
     if spec.family == "rank_one":
         return spec.alpha * abs(inner(spec.phi0, f, spec.end)) ** 2
     val = _form_norm_sq(spec, f, "Friedrichs")
@@ -256,8 +235,6 @@ def krein_form_sq(spec: ImaginaryPartSpec, f) -> float:
 
 def friedrichs_form(spec: ImaginaryPartSpec, f, g) -> complex:
     """Polarized Friedrichs form ``<V_F^{1/2} f, V_F^{1/2} g>``."""
-    if spec.family == "bounded_matrix":
-        return complex(np.vdot(np.asarray(f, dtype=complex), spec.matrix @ np.asarray(g, dtype=complex)))
     if spec.is_laplacian:
         return inner(f.derivative(), g.derivative(), spec.end)
     if spec.family == "multiplication":
@@ -333,16 +310,6 @@ def vf_solve(spec: ImaginaryPartSpec, ell) -> VfSolution:
     inverse leaves the closed term class (a multiplier with more than one
     term, a Laplacian antiderivative outside the class).
     """
-    if spec.family == "bounded_matrix":
-        c = np.asarray(ell, dtype=complex)
-        w, v = eigenh.eigh(spec.matrix)
-        wmax = float(np.max(np.abs(w))) if len(w) else 0.0
-        keep = w > 1e-12 * max(wmax, 1e-300)
-        coeff = v.conj().T @ c
-        if np.linalg.norm(coeff[~keep]) > 1e-8 * max(np.linalg.norm(c), 1e-300):
-            raise RangeError("vector has a kernel component")
-        u = v[:, keep] @ (coeff[keep] / w[keep])
-        return VfSolution(u, float(np.vdot(c, u).real))
     if spec.family == "rank_one":
         c = inner(spec.phi0, ell, spec.end)
         try:
@@ -411,7 +378,7 @@ def projection_P(spec: ImaginaryPartSpec, v: AnalyticFunction) -> AnalyticFuncti
     if spec.family == "dirichlet_laplacian_interval":
         (_, v0, _), (b, vb, _) = _traces(spec, v)
         return AnalyticFunction((Term(v0, 0.0), Term((vb - v0) / b, 1.0)))
-    if spec.family in ("multiplication", "rank_one", "bounded_matrix"):
+    if spec.friedrichs_equals_krein:
         return AnalyticFunction(())
     raise FormsError("no closed-form adjoint-kernel basis for this family")
 
@@ -420,6 +387,7 @@ def projection_P(spec: ImaginaryPartSpec, v: AnalyticFunction) -> AnalyticFuncti
 # discrete square-root pair
 
 
+# kept only for discrete_sqrt_pair, a layer the benchmark's tracer names, until ROADMAP item 2
 @dataclass(frozen=True, eq=False)
 class DiscreteSqrtPair:
     """Square-root matrices of both extensions on a finite subspace.
@@ -441,6 +409,7 @@ class DiscreteSqrtPair:
         return self.sqrt_friedrichs.shape[0]
 
 
+# kept only for discrete_sqrt_pair, a layer the benchmark's tracer names, until ROADMAP item 2
 def _matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     w, v = eigenh.eigh(m)
     # eigenvalues at rounding level are zeros: their square roots would be
@@ -450,6 +419,7 @@ def _matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[None, :]) @ v.conj().T
 
 
+# kept only for discrete_sqrt_pair, a layer the benchmark's tracer names, until ROADMAP item 2
 def _matrix_pinv_psd(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     w, v = eigenh.eigh(m)
     wmax = float(np.max(np.abs(w))) if len(w) else 0.0
@@ -457,6 +427,7 @@ def _matrix_pinv_psd(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return (v * inv[None, :]) @ v.conj().T
 
 
+# kept only as a layer the benchmark's tracer names, until ROADMAP item 2
 def discrete_sqrt_pair(spec: ImaginaryPartSpec, basis, description: str = "") -> DiscreteSqrtPair:
     """Matrices of both square roots plus their isometry factor on a span.
 

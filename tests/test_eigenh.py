@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissipext import eigenh
+from reference.dense import pencil_eigh
 
 
 def _random_hermitian(rng, n):
@@ -26,17 +27,6 @@ def test_cholesky_against_numpy():
 def test_cholesky_rejects_indefinite():
     with pytest.raises(eigenh.NotPositiveDefiniteError):
         eigenh.cholesky(np.diag([1.0, -1.0]).astype(complex))
-
-
-def test_triangular_solves():
-    rng = np.random.default_rng(1)
-    g = _random_spd(rng, 9)
-    l = eigenh.cholesky(g)
-    b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    x = eigenh.solve_lower(l, b)
-    assert np.max(np.abs(l @ x - b)) < 1e-12 * np.max(np.abs(b))
-    y = eigenh.solve_upper(l.conj().T, b)
-    assert np.max(np.abs(l.conj().T @ y - b)) < 1e-12 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 90])
@@ -76,9 +66,7 @@ def test_pencil_random_50_self_consistency():
     h = _random_hermitian(rng, 50)
     g = _random_spd(rng, 50)
     lam, x = eigenh.pencil_extreme(h, g)
-    l = np.linalg.cholesky(g)
-    c = np.linalg.solve(l, np.linalg.solve(l, h).conj().T).conj().T
-    w_ref = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+    w_ref, _ = pencil_eigh(h, g)
     assert abs(lam - w_ref[0]) < 1e-9 * max(1.0, abs(w_ref[0]))
     resid = np.linalg.norm(h @ x - lam * (g @ x))
     assert resid <= 1e-9 * np.linalg.norm(h, 2) * np.linalg.norm(x)
@@ -104,17 +92,6 @@ def test_pencil_rayleigh_quotient_matches():
     assert abs(rayleigh - lam) < 1e-10 * max(1.0, abs(lam))
 
 
-def test_pencil_eigh_full():
-    rng = np.random.default_rng(34)
-    h = _random_hermitian(rng, 12)
-    g = _random_spd(rng, 12)
-    w, x = eigenh.pencil_eigh(h, g)
-    ref = np.sort(np.linalg.eigvals(np.linalg.solve(g, h)).real)
-    assert np.max(np.abs(w - ref)) < 1e-9
-    resid = np.max(np.abs(h @ x - (g @ x) * w[None, :]))
-    assert resid < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # band-plus-border pencils
 
@@ -130,12 +107,6 @@ def _band_border(rng, n, p, m, dominant):
     if dominant:
         a[np.diag_indices(dim)] = np.sum(np.abs(a), axis=1) + 1.0
     return a
-
-
-def _reference_spectrum(h, g):
-    l = np.linalg.cholesky(g)
-    c = np.linalg.solve(l, np.linalg.solve(l, h).conj().T).conj().T
-    return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +127,7 @@ def test_band_border_inertia_and_minimum(n, p, m, alpha, seed):
         h = h + alpha * np.outer(q, q.conj())
         rank_one = (alpha, q)
     structure = eigenh.PencilStructure(p, m, rank_one)
-    w = _reference_spectrum(h, g)
+    w, _ = pencil_eigh(h, g)
     pencil = eigenh.BandPencil(h, g, structure)
     spread = max(1.0, float(np.max(np.abs(w))))
     # shifts strictly between eigenvalues, and outside the spectrum

@@ -14,7 +14,7 @@ from dissipext.analytic import (
     power,
 )
 from dissipext.grid import make_grid
-from reference.sup_formula import krein_form_ando_nishio
+from reference.sup_formula import MatrixSpec, krein_form_ando_nishio
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +37,11 @@ def konzert_weight():
 # spec validation
 
 
-def test_spec_family_flag_consistency(interval):
-    with pytest.raises(forms.FormsError):
-        forms.ImaginaryPartSpec("dirichlet_laplacian_interval", friedrichs_equals_krein=True)
+def test_friedrichs_equals_krein_follows_family(spec_interval, konzert_weight, rank_one_direction):
+    assert konzert_weight.friedrichs_equals_krein
+    assert forms.rank_one(1.0, rank_one_direction).friedrichs_equals_krein
+    assert not spec_interval.friedrichs_equals_krein
+    assert not forms.dirichlet_laplacian_halfline().friedrichs_equals_krein
 
 
 def test_rank_one_needs_normalized_direction(interval):
@@ -187,8 +189,7 @@ def test_ando_nishio_rank_one(interval):
 
 
 def test_ando_nishio_degenerate_gram():
-    mat = np.zeros((3, 3), dtype=complex)
-    spec = forms.bounded_matrix(mat)
+    spec = MatrixSpec(np.zeros((3, 3), dtype=complex))
     with pytest.raises(forms.DegenerateFormError):
         krein_form_ando_nishio(spec, np.ones(3, dtype=complex), 3)
 
@@ -197,7 +198,7 @@ def test_ando_nishio_bounded_matrix():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     mat = a @ a.conj().T
-    spec = forms.bounded_matrix(mat)
+    spec = MatrixSpec(mat)
     h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     val = krein_form_ando_nishio(spec, h, 5)
     assert val == pytest.approx(float(np.vdot(h, mat @ h).real), rel=1e-9)
@@ -436,21 +437,3 @@ def test_discrete_sqrt_pair_rank_deficiency(interval, spec_interval):
     b = _sine_basis(interval, 3)
     with pytest.raises(forms.DegenerateFormError):
         forms.discrete_sqrt_pair(spec_interval, [b[0], b[1], b[0]])
-
-
-def test_vf_solve_bounded_matrix_kernel_rejection():
-    mat = np.diag([2.0, 1.0, 0.0]).astype(complex)
-    spec = forms.bounded_matrix(mat)
-    sol = forms.vf_solve(spec, np.array([2.0, 1.0, 0.0], dtype=complex))
-    assert sol.inv_form == pytest.approx(2.0 + 1.0)
-    with pytest.raises(forms.RangeError):
-        forms.vf_solve(spec, np.array([0.0, 0.0, 1.0], dtype=complex))
-
-
-def test_bounded_matrix_forms_and_projection():
-    mat = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    spec = forms.bounded_matrix(mat)
-    c = np.array([1.0, 1j])
-    expect = float(np.vdot(c, mat @ c).real)
-    assert forms.friedrichs_form_sq(spec, c) == pytest.approx(expect)
-    assert forms.krein_form_sq(spec, c) == pytest.approx(expect)
