@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from . import forms
 from .analytic import AnalyticError, AnalyticFunction, DivergentIntegralError, norm_sq
-from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
+from .catalog import CatalogError, ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
 
 __all__ = [
     "CriteriaError",
@@ -162,6 +162,10 @@ def necessity_checks(problem: ExtensionProblem) -> list[str]:
         forms.krein_form_sq(spec, problem.v)
     except forms.DomainError:
         failures.append(FAIL_V_NOT_IN_DK)
+    except OverflowError:
+        # the rank-one form squares <phi, v> in float arithmetic, and v is
+        # the boundary vector of h; every criterion runs this check first
+        raise CatalogError(f"|<phi, v>|^2 overflows for h = {problem.h}") from None
     # a deviation V_F phi lies in the range by construction
     lv = problem.deviation() if problem.phi is None else None
     if lv is not None and lv.terms:

@@ -4,16 +4,22 @@ Minimal eigenpair of ``H x = lam G x`` (``H`` Hermitian, ``G`` Hermitian
 positive definite) on a band-plus-border pattern, the oracle's solver
 (:func:`pencil_extreme`):
 
-1. One ``L D L^H`` routine without pivoting (:func:`_ldl`) factors
-   ``H - sigma G`` on a band with dense border rows.  The signs of its
-   pivots give the number of eigenvalues below ``sigma`` (Sylvester's law of
-   inertia; bisection on such counts after Barth, Martin and Wilkinson).  A
-   rank-one term ``alpha q q^H`` of ``H`` becomes one more border row of an
-   augmented matrix, whose known last pivot corrects the count.
-2. Counts bracket the minimal eigenvalue; inverse iteration at a certified
-   lower shift, residual bounds and Rayleigh quotients close the bracket.
-   Each shift costs ``O(N)`` on a band of fixed width; a dense matrix is the
-   band of full width.
+1. Both matrices are held as :class:`BandBorder` parts: the lower band of
+   the leading block, the dense border rows and the corner, ``O(N)``
+   numbers on a band of fixed width.  A dense matrix is the band of full
+   width, split once on entry.
+2. One ``L D L^H`` routine without pivoting (:func:`_ldl`) factors
+   ``H - sigma G`` on those parts.  The signs of its pivots give the number
+   of eigenvalues below ``sigma`` (Sylvester's law of inertia; bisection on
+   such counts after Barth, Martin and Wilkinson).  A rank-one term
+   ``alpha q q^H`` of ``H``, which the parts do not hold, becomes one more
+   border row of an augmented matrix, whose known last pivot corrects the
+   count.
+3. Counts bracket the minimal eigenvalue, walking down from the upper
+   bound ``min H_ii / G_ii`` or from a caller's guess (the previous rung of
+   a mesh ladder); inverse iteration at a certified lower shift, residual
+   bounds and Rayleigh quotients close the bracket.  Each shift and each
+   product costs ``O(N)`` on a band of fixed width.
 
 The dense stages :func:`cholesky` and :func:`eigh` (Householder reduction to
 a real symmetric tridiagonal, then implicit QL with accumulated
@@ -38,6 +44,7 @@ __all__ = [
     "ConvergenceError",
     "cholesky",
     "eigh",
+    "BandBorder",
     "PencilStructure",
     "GramFactor",
     "BandPencil",
@@ -219,31 +226,112 @@ _CERT_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class PencilStructure:
-    """Sparsity of a Hermitian pencil ``H x = lam G x`` of dimension ``N``.
+class BandBorder:
+    """Band-plus-border parts of an ``N x N`` matrix ``A``, ``N = n + m``.
 
-    The leading ``N - border`` rows and columns form a band of half-bandwidth
-    ``bandwidth``; the last ``border`` rows and columns are dense.  ``G`` has
-    this pattern.  ``H`` has it too, plus the dense term ``alpha q q^H`` when
-    ``rank_one = (alpha, q)`` (``alpha`` real and non-zero, ``q`` of length
-    ``N``).  A dense matrix is the band of half-bandwidth ``N - 1``.
+    ``band`` ``(n, p + 1)`` holds the lower band of the leading ``n`` rows,
+    ``band[k, j] = A[k + j, k]`` (zero where ``k + j >= n``); entries of
+    that block more than ``p`` off the diagonal are zero.  ``rows``
+    ``(m, n)`` holds the border rows ``A[n:, :n]`` and ``corner`` ``(m, m)``
+    the block ``A[n:, n:]``.  A Hermitian ``A`` is given by these parts
+    alone (the factorization reads the lower triangle of ``corner``); a
+    general one by its own parts and those of ``A^H``.  ``len()`` is ``N``.
+    """
+
+    band: np.ndarray
+    rows: np.ndarray
+    corner: np.ndarray
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray, bandwidth: int | None = None, border: int = 0) -> BandBorder:
+        """Parts of a dense Hermitian ``a``, read from its lower triangle; by
+        default the band has full width."""
+        a = np.asarray(a, dtype=complex)
+        n = a.shape[0] - border
+        p = min(n - 1 if bandwidth is None else bandwidth, max(n - 1, 0))
+        band = np.zeros((n, p + 1), dtype=complex)
+        for j in range(p + 1):
+            band[: n - j, j] = np.diagonal(a, -j)[: n - j]
+        return cls(band, a[n:, :n], a[n:, n:])
+
+    @classmethod
+    def outer(cls, alpha: float, q: np.ndarray, like: BandBorder) -> BandBorder:
+        """Parts of ``alpha q q^H`` on the pattern of ``like``."""
+        n, width = like.band.shape
+        qc = np.conj(q)
+        band = np.zeros((n, width), dtype=complex)
+        for j in range(width):
+            band[: n - j, j] = alpha * q[j:n] * qc[: n - j]
+        return cls(band, alpha * np.outer(q[n:], qc[:n]), alpha * np.outer(q[n:], qc[n:]))
+
+    def __len__(self) -> int:
+        return len(self.band) + len(self.rows)
+
+    @property
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.band, self.rows, self.corner
+
+    def diagonal(self) -> np.ndarray:
+        """Real part of the diagonal."""
+        return np.concatenate([self.band[:, 0].real, self.corner.diagonal().real])
+
+    def max_abs(self) -> float:
+        """Largest modulus of a stored entry."""
+        return max((float(np.max(np.abs(x))) for x in self.parts if x.size), default=0.0)
+
+    def is_finite(self) -> bool:
+        return all(bool(np.all(np.isfinite(x))) for x in self.parts)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` for the Hermitian ``A`` of these parts, in ``O(N (p + m))``."""
+        band, rows, corner = self.parts
+        n = len(band)
+        core, tail = x[:n], x[n:]
+        y = band[:, 0] * core
+        for j in range(1, band.shape[1]):
+            lower = band[: n - j, j]
+            y[j:] += lower * core[: n - j]
+            y[: n - j] += np.conj(lower) * core[j:]
+        y += rows.conj().T @ tail
+        return np.concatenate([y, rows @ core + corner @ tail])
+
+    def abs_row_sums(self) -> np.ndarray:
+        """``sum_j |A[i, j]|`` over the stored pattern of the Hermitian ``A``."""
+        band, rows, corner = (np.abs(x) for x in self.parts)
+        n = len(band)
+        s = band[:, 0] + rows.sum(axis=0)
+        for j in range(1, band.shape[1]):
+            s[j:] += band[: n - j, j]
+            s[: n - j] += band[: n - j, j]
+        return np.concatenate([s, rows.sum(axis=1) + corner.sum(axis=1)])
+
+
+def _parts(a) -> BandBorder:
+    """``a`` itself, or the parts of a dense Hermitian ``a`` (full band)."""
+    return a if isinstance(a, BandBorder) else BandBorder.from_dense(a)
+
+
+@dataclass(frozen=True, eq=False)
+class PencilStructure:
+    """What a Hermitian pencil ``H x = lam G x`` has besides its parts.
+
+    ``H`` is its :class:`BandBorder` parts plus the dense term
+    ``alpha q q^H`` when ``rank_one = (alpha, q)`` (``alpha`` real and
+    non-zero, ``q`` of length ``N``); the parts never hold that term.
     ``gram`` is ``G``'s :class:`GramFactor` when the caller has factored it
     already; :class:`BandPencil` then does not factor ``G`` again.
     """
 
-    bandwidth: int
-    border: int = 0
     rank_one: tuple[float, np.ndarray] | None = None
     gram: GramFactor | None = None
 
-
-def _split(a: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower band ``(n, p + 1)``, border rows ``(m, n)`` and corner ``(m, m)``
-    of ``a``; ``band[k, j] = a[k + j, k]``."""
-    band = np.zeros((n, p + 1), dtype=a.dtype)
-    for j in range(min(p, n - 1) + 1):
-        band[: n - j, j] = np.diagonal(a, -j)[: n - j]
-    return band, a[n:, :n], a[n:, n:]
+    def matvec(self, h: BandBorder, x: np.ndarray) -> np.ndarray:
+        """``H x`` for the parts ``h`` plus the rank-one term."""
+        y = h.matvec(x)
+        if self.rank_one is not None:
+            alpha, q = self.rank_one
+            y += alpha * q * np.vdot(q, x)
+        return y
 
 
 def _corner_band(c: np.ndarray) -> list:
@@ -358,9 +446,9 @@ def _ldl_solve(band: list, rows: list, corner: list, d: list, b: list) -> np.nda
     return np.conj(z)
 
 
-def _lists(band: np.ndarray, rows: np.ndarray, corner: np.ndarray) -> tuple[list, list, list]:
-    """The three parts of :func:`_split` in the list layout of :func:`_ldl`."""
-    return band.tolist(), rows.tolist(), _corner_band(corner)
+def _lists(a: BandBorder) -> tuple[list, list, list]:
+    """The parts of ``a`` in the list layout of :func:`_ldl`."""
+    return a.band.tolist(), a.rows.tolist(), _corner_band(a.corner)
 
 
 def _positive_ldl(band: list, rows: list, corner: list) -> list:
@@ -374,61 +462,45 @@ def _positive_ldl(band: list, rows: list, corner: list) -> list:
 class GramFactor:
     """``G = L D L^H`` of a Hermitian positive definite ``G``, factored once.
 
-    ``structure`` gives the band-plus-border pattern (its ``rank_one`` and
-    ``gram`` are ignored); by default ``G`` is dense.  Only the lower
-    triangle is read.  ``parts`` are the band, border rows and corner of
-    ``G`` (:func:`_split`), ``factors`` the same places holding ``L`` in the
-    layout of :func:`_ldl`, and ``pivots`` is ``D``.  Raises
-    :class:`NotPositiveDefiniteError` at the first pivot that is not
-    positive.
+    ``g`` holds the :class:`BandBorder` parts of ``G``.  ``factors`` are the
+    same places holding ``L`` in the layout of :func:`_ldl`, and ``pivots``
+    is ``D``.  Raises :class:`NotPositiveDefiniteError` at the first pivot
+    that is not positive.
     """
 
-    def __init__(self, g: np.ndarray, structure: PencilStructure | None = None):
-        g = np.asarray(g, dtype=complex)
-        dim = g.shape[0]
-        border = structure.border if structure is not None else 0
-        bandwidth = structure.bandwidth if structure is not None else dim - 1
-        n = dim - border
-        self.parts = _split(g, n, min(bandwidth, max(n - 1, 0)))
-        self.factors = _lists(*self.parts)
+    def __init__(self, g: BandBorder):
+        self.factors = _lists(g)
         self.pivots = np.asarray(_positive_ldl(*self.factors))
 
 
 class BandPencil:
     """``H - sigma G`` of a band-plus-border pencil, factored per shift.
 
-    Without a rank-one term the factored matrix is ``H - sigma G`` itself.
-    With ``alpha q q^H`` it is the augmented matrix
-    ``[[H0 - sigma G, q], [q^H, -1/alpha]]`` with ``H0 = H - alpha q q^H``:
-    ``q`` is one more border row, and the Schur complement of the last pivot
-    is ``H - sigma G``.  Its inertia is therefore that of ``H - sigma G``
-    plus one negative eigenvalue when ``alpha > 0``.  Each shift costs
+    ``h`` and ``g`` are :class:`BandBorder` parts of one pattern.  Without a
+    rank-one term the factored matrix is ``H - sigma G`` itself.  With
+    ``alpha q q^H`` it is the augmented matrix
+    ``[[h - sigma G, q], [q^H, -1/alpha]]``: ``q`` is one more border row,
+    and the Schur complement of the last pivot is ``H - sigma G``.  Its
+    inertia is therefore that of ``H - sigma G`` plus one negative
+    eigenvalue when ``alpha > 0``.  Each shift costs
     ``O(N (bandwidth + border)^2)``.  ``G`` is factored once, or not at all
     when ``structure.gram`` holds its factor; :class:`GramFactor` raises
     :class:`NotPositiveDefiniteError` when it is not positive definite.
     """
 
-    def __init__(self, h: np.ndarray, g: np.ndarray, structure: PencilStructure):
-        h = np.asarray(h, dtype=complex)
-        gram = structure.gram if structure.gram is not None else GramFactor(g, structure)
-        dim = h.shape[0]
-        n = dim - structure.border
-        p = min(structure.bandwidth, max(n - 1, 0))
-        gb, gr, gc = gram.parts
+    def __init__(self, h: BandBorder, g: BandBorder, structure: PencilStructure):
+        gram = structure.gram if structure.gram is not None else GramFactor(g)
         self._gram = gram.factors
         self._gram_pivots = gram.pivots
-        hb, hr, hc = (x.copy() for x in _split(h, n, p))
-        self._dim = dim
+        hb, hr, hc = h.parts
+        gb, gr, gc = g.parts
+        self._dim = len(h)
         self._pad: list = []
         self._negative_extra = 0
         if structure.rank_one is not None:
             alpha, q = structure.rank_one
-            q = np.asarray(q, dtype=complex)
-            qc = q.conj()
-            for j in range(p + 1):
-                hb[: n - j, j] -= alpha * q[j:n] * qc[: n - j]
-            hr -= alpha * np.outer(q[n:], qc[:n])
-            hc -= alpha * np.outer(q[n:], qc[n:])
+            qc = np.conj(q)
+            n = len(hb)
             # the augmented row [q^H, -1/alpha]; G has zeros there
             hr = np.vstack([hr, qc[None, :n]])
             hc = np.block([[hc, np.zeros((len(hc), 1))], [qc[None, n:], np.full((1, 1), -1.0 / alpha)]])
@@ -436,11 +508,11 @@ class BandPencil:
             gc = np.pad(gc, ((0, 1), (0, 1)))
             self._pad = [0.0]
             self._negative_extra = int(alpha > 0)
-        self._h = (hb, hr, hc)
-        self._g = (gb, gr, gc)
+        self._h = BandBorder(hb, hr, hc)
+        self._g = BandBorder(gb, gr, gc)
 
     def _shifted(self, sigma: float) -> tuple[list, list, list]:
-        return _lists(*(a - sigma * b for a, b in zip(self._h, self._g)))
+        return _lists(BandBorder(*(a - sigma * b for a, b in zip(self._h.parts, self._g.parts))))
 
     def count(self, sigma: float, cap: int | None = None) -> int:
         """Number of eigenvalues of the pencil below ``sigma``.
@@ -472,15 +544,25 @@ class BandPencil:
 
 
 def pencil_extreme(
-    h: np.ndarray, g: np.ndarray, structure: PencilStructure | None = None
+    h: BandBorder | np.ndarray,
+    g: BandBorder | np.ndarray,
+    structure: PencilStructure | None = None,
+    *,
+    guess: tuple[float, float] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Minimal eigenpair of the Hermitian pencil ``H x = lam G x``.
 
-    ``structure`` is the band-plus-border pattern of the pencil (dense by
-    default); on a band of fixed width every step costs ``O(N)``.
+    ``h`` and ``g`` are :class:`BandBorder` parts of one pattern, on which
+    every step costs ``O(N)``, or dense Hermitian matrices, which are split
+    once into parts with a band of full width.  ``structure`` adds the
+    rank-one term of ``H`` and ``G``'s factor.  ``guess = (mu, radius)``
+    is an estimate of ``lam``, e.g. from a coarser discretization: the walk
+    of step 1 starts at ``mu`` with the step ``max(radius, floor)`` (the
+    rounding floor of step 4).  It saves factorizations when it is close
+    and costs a few when it is not; the result is certified either way.
 
-    1. Bracket: ``min H_ii / G_ii`` bounds ``lam`` from above; steps of
-       growing length go down from it until the inertia count is 0.
+    1. Bracket: ``min H_ii / G_ii`` bounds ``lam`` from above; steps growing
+       4x go down from it, or from the guess, until the inertia count is 0.
     2. Inverse iteration at the certified lower shift ``lo``, where
        ``H - lo G`` is positive definite.  Its vector ``x`` has the Rayleigh
        quotient ``mu`` and the residual ``r = H x - mu G x``; some eigenvalue
@@ -494,36 +576,45 @@ def pencil_extreme(
        rounding floor, the Rayleigh quotient is returned with ``x``,
        ``G``-normalized.
     """
-    h = np.asarray(h, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    dim = h.shape[0]
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
-        raise EigenError("pencil has non-finite entries")
+    h, g = _parts(h), _parts(g)
     if structure is None:
-        structure = PencilStructure(max(dim - 1, 0))
+        structure = PencilStructure()
+    finite = h.is_finite() and g.is_finite()
+    hdiag, big = h.diagonal(), h.max_abs()
+    if structure.rank_one is not None:
+        alpha, q = structure.rank_one
+        finite = finite and math.isfinite(alpha) and bool(np.all(np.isfinite(q)))
+        hdiag = hdiag + alpha * np.abs(q) ** 2
+        big = max(big, abs(alpha) * float(np.max(np.abs(q))) ** 2)
+    if not finite:
+        raise EigenError("pencil has non-finite entries")
     pencil = BandPencil(h, g, structure)
-    gdiag = g.diagonal().real
-    hi = float(np.min(h.diagonal().real / gdiag))
-    scale = float(np.max(np.abs(h)) / np.min(gdiag)) or 1.0
+    gdiag = g.diagonal()
+    hi = float(np.min(hdiag / gdiag))
+    scale = big / float(np.min(gdiag)) or 1.0
     floor = 64.0 * _EPS * scale
-    step = max(abs(hi), scale / 1024.0)
-    # every shift with a count of 0 is a certified lower shift, and its
-    # factorization serves the inverse iteration there
+    # walk down in steps growing 4x, from the upper bound or from the guess,
+    # until the count is 0: every shift with a count of 0 is a certified
+    # lower shift, and its factorization serves the inverse iteration there
+    top, step = hi, max(abs(hi), scale / 1024.0)
+    if guess is not None and guess[0] - max(guess[1], floor) < hi:
+        top, step = guess[0], max(guess[1], floor)
     while True:
-        below, solve = pencil.factor(hi - step, cap=0)
+        below, solve = pencil.factor(top - step, cap=0)
         if not below:
-            lo = hi - step
+            lo = top - step
             break
-        hi, step = hi - step, 4.0 * step
-    x = np.random.default_rng(7).standard_normal(dim).astype(complex)
+        hi = top = top - step
+        step *= 4.0
+    x = np.random.default_rng(7).standard_normal(len(h)).astype(complex)
     width = hi - lo
     while True:
         for _ in range(_INVERSE_STEPS):
-            x = solve(g @ x)
+            x = solve(g.matvec(x))
             x /= np.linalg.norm(x)
-        gx = g @ x
+        gx = g.matvec(x)
         xgx = np.vdot(x, gx).real
-        hx = h @ x
+        hx = structure.matvec(h, x)
         mu = float(np.vdot(x, hx).real / xgx)
         hi = min(hi, mu)
         tol = _CERT_RTOL * abs(mu) + floor

@@ -15,10 +15,14 @@ functions decay, read from their term sums
 depend on ``[grid] n``.  The infimum of the numerical range's imaginary
 part over that space is the minimal eigenvalue of the Hermitian pencil
 ``H x = mu G x`` with ``H`` the Gram-weighted imaginary part of the
-discretized action.  The assembly records the pencil's pattern (a band of
-half-bandwidth 3, the extension-vector border and the rank-one term of the
-rank-one Schroedinger scenario), and :func:`eigenh.pencil_extreme` finds the
-minimum from inertia counts in ``O(n)`` work per shift.
+discretized action.  The assembly adds its per-panel blocks straight into
+band-plus-border parts (:class:`eigenh.BandBorder`: a band of
+half-bandwidth 3 and the extension-vector border) and records the
+rank-one term of the rank-one Schroedinger scenario beside them, so one
+mesh costs ``O(n)`` time and memory; :func:`eigenh.pencil_extreme` finds
+the minimum from inertia counts in ``O(n)`` work per shift.  Along a mesh
+ladder each rung's infimum is the next rung's first shift
+(:func:`cross_validate`).
 
 A negative discrete infimum certifies non-dissipativity of the continuum
 operator (the discrete vector embeds into the true domain up to quadrature
@@ -30,7 +34,7 @@ sequences.  Reports state this asymmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,23 +68,27 @@ class OracleError(Exception):
 class DiscreteOperator:
     """Sesquilinear data ``M[j,k] = <b_j, action(b_k)>`` with Gram ``G``.
 
-    ``v_index`` marks the extension-vector column when present (always the
-    last), so the pure core block is ``matrix[:v_index, :v_index]``.
-    ``structure`` is the band-plus-border pattern the assembly built, with
-    the rank-one term of the imaginary part when there is one and the Gram
-    matrix's factor from the assembly's check; the pencil solver reads it
-    (``None``: treat the matrices as dense and factor the Gram matrix).
+    Both are stored as :class:`eigenh.BandBorder` parts: ``gram`` holds the
+    Hermitian ``G``, and since ``M`` is not Hermitian, ``matrix`` holds the
+    parts of ``M`` (its lower band, border rows and corner) and
+    ``matrix_h`` those of ``M^H`` (``M``'s upper band and border column,
+    conjugated).  ``v_index`` marks the extension-vector column when present
+    (always the last, the border), so the pure core block is the band.
+    ``structure`` carries the rank-one term ``i alpha q q^H`` of ``M`` (as
+    ``(alpha, q)``; the parts never hold it) and the Gram matrix's factor
+    from the assembly's check; the pencil solver reads it.
     """
 
     basis: str
-    matrix: np.ndarray = field(repr=False)
-    gram: np.ndarray = field(repr=False)
+    matrix: eigenh.BandBorder = field(repr=False)
+    matrix_h: eigenh.BandBorder = field(repr=False)
+    gram: eigenh.BandBorder = field(repr=False)
     v_index: int | None = None
     structure: eigenh.PencilStructure | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.gram)
 
 
 @dataclass(frozen=True)
@@ -170,12 +178,14 @@ def assemble_discrete(
     The action is the problem's :meth:`~ExtensionProblem.expression` plus
     its :meth:`~ExtensionProblem.deviation` on ``v``, plus the bounded
     imaginary part of the Schroedinger scenario.  Core entries come from
-    per-interval 4x4 local blocks (the spline basis is banded) on
-    Gauss-Legendre panels aligned with the knots, so every polynomial
-    factor integrates exactly.  The entries of ``v`` against itself are
-    closed form: ``<v, (action + L) v>`` as a term-sum integral plus the
-    bounded part's form, and ``||v||^2`` from :func:`norm_sq`; the rank-one
-    ``<v, phi>`` is :func:`forms.inner`.  The right edge of the core span
+    per-interval 4x4 local blocks on Gauss-Legendre panels aligned with the
+    knots, so every polynomial factor integrates exactly; the blocks are
+    added by the splines' indices straight into the band parts of ``M``,
+    ``M^H`` and ``G`` (:class:`DiscreteOperator`).  The entries of ``v``
+    against itself are closed form: ``<v, (action + L) v>`` as a term-sum
+    integral plus the bounded part's form, and ``||v||^2`` from
+    :func:`norm_sq`; the rank-one ``<v, phi>`` is :func:`forms.inner`.  The
+    right edge of the core span
     comes from the term sums too (:func:`_active_cut`), so the result does
     not depend on ``[grid] n``.
     ``include_bounded_v=False`` drops the bounded imaginary part from the
@@ -205,43 +215,39 @@ def assemble_discrete(
         vv += 1.0j * forms.friedrichs_form_sq(problem.spec, problem.v)
     act_local = _core_action(problem, tab, bounded)
 
-    dim = nb + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    gram = np.zeros((dim, dim), dtype=complex)
-    mat[:nb, :nb] = tab.matrix(ws, tab.val, act_local)
-    mat[:nb, nb] = tab.vector(ws * act_v, tab.val)
-    mat[nb, :nb] = tab.vector(ws * np.conj(v_samp), act_local)
-    mat[nb, nb] = vv
+    # M[:nb, nb], M[nb, :nb] and G[:nb, nb]; border rows of M, M^H and G
+    col = tab.vector(ws * act_v, tab.val)
+    row = tab.vector(ws * np.conj(v_samp), act_local)
+    gv = tab.vector(ws * v_samp, tab.val)
+    blocks = tab.blocks(ws, tab.val, act_local)
+    matrix = eigenh.BandBorder(tab.band(blocks), row[None, :], np.array([[vv]]))
+    matrix_h = eigenh.BandBorder(np.conj(tab.band(blocks.swapaxes(1, 2))), np.conj(col)[None, :],
+                                 np.array([[np.conj(vv)]]))
+    gram = eigenh.BandBorder(tab.band(tab.blocks(ws, tab.val, tab.val)), np.conj(gv)[None, :],
+                             np.array([[norm_sq(vfn, 0.0, end)]]))
     rank_one = None
     if isinstance(pert, RankOnePerturbation):
         # i alpha |phi><phi| on the whole span, with q_j = <e_j, phi>
         q = np.append(tab.vector(ws * pert.phi(xs), tab.val),
                       forms.inner(problem.v, pert.phi, end))
-        mat += 1.0j * pert.alpha * np.outer(q, np.conj(q))
         rank_one = (pert.alpha, q)
-    gram[:nb, :nb] = tab.matrix(ws, tab.val, tab.val)
-    gv = tab.vector(ws * v_samp, tab.val)
-    gram[:nb, nb] = gv
-    gram[nb, :nb] = np.conj(gv)
-    gram[nb, nb] = norm_sq(vfn, 0.0, end)
-    # splines that share a panel are at most index.shape[1] - 1 apart
-    pattern = eigenh.PencilStructure(tab.index.shape[1] - 1, 1, rank_one)
-    structure = replace(pattern, gram=_check_gram(gram, pattern))
+    structure = eigenh.PencilStructure(rank_one, _check_gram(gram))
     return DiscreteOperator(
         f"{nb} cubic spline elements on [{lo:g},{hi:g}] + extension vector",
-        mat,
+        matrix,
+        matrix_h,
         gram,
         v_index=nb,
         structure=structure,
     )
 
 
-def _check_gram(gram: np.ndarray, structure: eigenh.PencilStructure) -> eigenh.GramFactor:
+def _check_gram(gram: eigenh.BandBorder) -> eigenh.GramFactor:
     """The ``L D L^H`` factor of the Gram matrix, which the pencil solver
     reuses, after checking positive definiteness and the pivot ratio
     ``max D / min D``, a lower bound on its condition."""
     try:
-        factor = eigenh.GramFactor(gram, structure)
+        factor = eigenh.GramFactor(gram)
     except eigenh.NotPositiveDefiniteError as exc:
         raise OracleError(f"basis Gram not positive definite: {exc}") from None
     d = factor.pivots
@@ -255,36 +261,68 @@ def _check_gram(gram: np.ndarray, structure: eigenh.PencilStructure) -> eigenh.G
 # pencil probe
 
 
-def hermitian_part(op: DiscreteOperator) -> np.ndarray:
-    """Gram-weighted imaginary part ``H = (M - M^H) / 2i`` (Hermitian)."""
-    return (op.matrix - op.matrix.conj().T) / 2.0j
+def hermitian_part(op: DiscreteOperator) -> eigenh.BandBorder:
+    """Parts of the Gram-weighted imaginary part ``H = (M - M^H) / 2i``.
+
+    Hermitian by construction.  The rank-one term of ``op.structure``
+    contributes ``alpha q q^H`` to ``H``; like ``M``'s parts, these do not
+    hold it.
+    """
+    return eigenh.BandBorder(*((a - b) / 2.0j for a, b in zip(op.matrix.parts, op.matrix_h.parts)))
 
 
 def pencil_min_eig(
-    h: np.ndarray, g: np.ndarray, structure: eigenh.PencilStructure | None = None
+    h: eigenh.BandBorder | np.ndarray,
+    g: eigenh.BandBorder | np.ndarray,
+    structure: eigenh.PencilStructure | None = None,
+    *,
+    guess: tuple[float, float] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Minimal eigenvalue and eigenvector of ``H x = mu G x``.
 
-    ``H`` must be Hermitian and ``G`` Hermitian positive definite; the
-    residual of the returned pair satisfies
-    ``||H x - mu G x|| <= 1e-9 ||H|| ||x||``.  ``structure`` is the
-    pencil's band-plus-border pattern (:attr:`DiscreteOperator.structure`);
-    without it the matrices are treated as dense.
+    ``h`` and ``g`` are band-plus-border parts (:func:`hermitian_part`,
+    :attr:`DiscreteOperator.gram`) or dense matrices, which are checked and
+    split once into parts of full band width.  ``H`` is ``h`` plus the
+    rank-one term of ``structure`` (:attr:`DiscreteOperator.structure`),
+    must be Hermitian, and ``G`` Hermitian positive definite; the residual
+    of the returned pair satisfies ``||H x - mu G x|| <= 1e-9 ||H|| ||x||``.
+    ``guess`` is passed to :func:`eigenh.pencil_extreme`.
     """
-    h = np.asarray(h, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    scale = max(float(np.max(np.abs(h))), 1e-300)
-    if float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
+    if not isinstance(h, eigenh.BandBorder):
+        h = np.asarray(h, dtype=complex)
+        scale = max(float(np.max(np.abs(h))), 1e-300)
+        if float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
+            raise OracleError("imaginary-part matrix is not Hermitian")
+        h, g = eigenh.BandBorder.from_dense(h), eigenh.BandBorder.from_dense(g)
+    # off the diagonal the parts are Hermitian by storage
+    scale = max(h.max_abs(), 1e-300)
+    skew = max(float(np.max(np.abs(h.band[:, 0].imag), initial=0.0)),
+               float(np.max(np.abs(h.corner - h.corner.conj().T), initial=0.0)))
+    if skew > 1e-10 * scale:
         raise OracleError("imaginary-part matrix is not Hermitian")
+    if structure is None:
+        structure = eigenh.PencilStructure()
     try:
-        mu, x = eigenh.pencil_extreme(h, g, structure)
+        mu, x = eigenh.pencil_extreme(h, g, structure, guess=guess)
     except eigenh.NotPositiveDefiniteError as exc:
         raise OracleError(f"Gram matrix not positive definite: {exc}") from None
-    hnorm = float(np.linalg.norm(h, ord=np.inf))
-    resid = float(np.linalg.norm(h @ x - mu * (g @ x)))
+    hnorm = _inf_norm(h, structure)
+    resid = float(np.linalg.norm(structure.matvec(h, x) - mu * g.matvec(x)))
     if hnorm > 0 and resid > 1e-9 * hnorm * float(np.linalg.norm(x)):
         raise OracleError(f"pencil residual {resid:.2e} out of tolerance")
     return mu, x
+
+
+def _inf_norm(h: eigenh.BandBorder, structure: eigenh.PencilStructure) -> float:
+    """``||H||_inf`` of ``H = h + alpha q q^H``: the rank-one row sums
+    ``|alpha| |q_i| ||q||_1``, corrected on the stored pattern."""
+    if structure.rank_one is None:
+        return float(np.max(h.abs_row_sums()))
+    alpha, q = structure.rank_one
+    r = eigenh.BandBorder.outer(alpha, q, h)
+    both = eigenh.BandBorder(*(a + b for a, b in zip(h.parts, r.parts)))
+    full = abs(alpha) * np.abs(q) * float(np.sum(np.abs(q)))
+    return float(np.max(both.abs_row_sums() - r.abs_row_sums() + full))
 
 
 def _extrapolate(infima: list[float]) -> tuple[float, float | None]:
@@ -314,6 +352,10 @@ def cross_validate(
 ) -> OracleReport:
     """Run the discrete infimum over a mesh ladder and compare signs.
 
+    Each rung after the first starts its pencil's downward walk at the
+    previous infimum ``mu1`` with the step ``2 |mu1 - mu2| + 0.05 |mu1|``
+    (``mu2`` the infimum before it, if any): close guesses save
+    factorizations, and the certified minimum is the same either way.
     Agreement means: non-negative (within ``tol``) extrapolated infimum for
     a dissipative verdict, strictly negative for a non-dissipative one.
     Verdict margins below the ``10 h^2`` resolution threshold of the finest
@@ -325,7 +367,12 @@ def cross_validate(
     infima = []
     for m in meshes:
         op = assemble_discrete(problem, m)
-        mu, _ = pencil_min_eig(hermitian_part(op), op.gram, op.structure)
+        guess = None
+        if infima:
+            prev = infima[-1]
+            step = abs(prev - infima[-2]) if len(infima) > 1 else 0.0
+            guess = (prev, 2.0 * step + 0.05 * abs(prev))
+        mu, _ = pencil_min_eig(hermitian_part(op), op.gram, op.structure, guess=guess)
         infima.append(mu)
     extrap, order = _extrapolate(infima)
     span = problem.grid.length - problem.grid.offset

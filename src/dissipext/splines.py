@@ -11,9 +11,14 @@ non-degenerate knot interval ``[t_j, t_{j+1}]`` becomes one panel made of
 equal Gauss-Legendre sub-panels of order ``PANEL_ORDER``; on it the
 splines ``B_{j-3}, ..., B_j`` are the only ones that may be non-zero, and
 their values and first two derivatives are tabulated with de Boor's
-recurrence.  Slots whose spline lies outside the basis (near the ends of an
-unclamped knot vector) hold zeros.  Spline products are polynomial on each
-panel, so the panel quadrature integrates them exactly.
+recurrence, each step written into slices of one preallocated table.
+Slots whose spline lies outside the basis (near the ends of an unclamped
+knot vector) hold zeros.  Spline products are polynomial on each panel, so
+the panel quadrature integrates them exactly.  Products of two tables
+become per-panel 4x4 blocks, which :meth:`SplineTables.band` adds into the
+``(nbasis, 4)`` lower band of their matrix by the splines' indices, in
+``O(nbasis)`` time and memory; the tests' reference kit keeps a dense
+assembly of the same blocks.
 """
 
 from __future__ import annotations
@@ -47,28 +52,46 @@ class SplineTables:
     d1: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
 
-    def matrix(self, weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """``M[k, l] = sum_x weights(x) left_k(x) right_l(x)`` over the panels.
+    def blocks(self, weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Per-panel 4x4 blocks ``sum_x weights(x) left_a(x) right_b(x)``.
 
         ``weights`` has the shape of ``x``; ``left`` and ``right`` are
-        ``(panels, 4, q)`` tables.  Per-panel 4x4 blocks are added into the
-        banded ``(nbasis, nbasis)`` matrix.
+        ``(panels, 4, q)`` tables.  Added by the splines' ``index``, the
+        blocks make the matrix ``M[k, l] = sum_x weights left_k right_l``.
         """
-        blocks = np.einsum("jq,jaq,jbq->jab", weights, left, right)
-        rows = np.broadcast_to(self.index[:, :, None], blocks.shape)
-        cols = np.broadcast_to(self.index[:, None, :], blocks.shape)
-        keep = (rows >= 0) & (cols >= 0)
-        out = np.zeros((self.nbasis, self.nbasis), dtype=complex)
-        np.add.at(out, (rows[keep], cols[keep]), blocks[keep])
-        return out
+        return np.einsum("jaq,jbq->jab", weights[:, None, :] * left, right)
+
+    def band(self, blocks: np.ndarray) -> np.ndarray:
+        """Lower band of the matrix that :meth:`blocks` add up to.
+
+        ``out[l, d] = M[l + d, l]``, an ``(nbasis, 4)`` array (zero past the
+        last spline): each block entry is added where the splines' ``index``
+        puts it, so the work and the storage are ``O(nbasis)`` on any knot
+        vector.  ``band(blocks.swapaxes(1, 2))`` is the upper band,
+        ``M[l, l + d]``, with the same diagonal.
+        """
+        width = self.index.shape[1]
+        rows = self.index[:, :, None]
+        cols = self.index[:, None, :]
+        offset = rows - cols
+        keep = (rows >= 0) & (cols >= 0) & (offset >= 0)
+        pos = (cols * width + offset)[keep]
+        return _accumulate(pos, blocks[keep], self.nbasis * width).reshape(self.nbasis, width)
 
     def vector(self, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
         """``r[k] = sum_x weights(x) table_k(x)``, added into a basis-indexed vector."""
         cols = np.einsum("jq,jaq->ja", weights, table)
         keep = self.index >= 0
-        out = np.zeros(self.nbasis, dtype=complex)
-        np.add.at(out, self.index[keep], cols[keep])
-        return out
+        return _accumulate(self.index[keep], cols[keep], self.nbasis)
+
+
+def _accumulate(pos: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """``out[pos[i]] += values[i]`` into ``size`` zeros, summed in order."""
+    out = np.zeros(size, dtype=values.dtype)
+    out.real = np.bincount(pos, values.real, size)
+    if np.iscomplexobj(values):
+        out.imag = np.bincount(pos, values.imag, size)
+    return out
 
 
 def _raise_degree(t: np.ndarray, j: np.ndarray, p: int, prev: np.ndarray, x=None) -> np.ndarray:
@@ -84,12 +107,21 @@ def _raise_degree(t: np.ndarray, j: np.ndarray, p: int, prev: np.ndarray, x=None
     right = t[k + p + 1] - t[k + 1]
     inv_l = np.divide(1.0, left, out=np.zeros_like(left), where=left > 0)[..., None]
     inv_r = np.divide(1.0, right, out=np.zeros_like(right), where=right > 0)[..., None]
-    lower = np.pad(prev, ((0, 0), (1, 0), (0, 0)))  # B_{k, p-1}
-    upper = np.pad(prev, ((0, 0), (0, 1), (0, 0)))  # B_{k+1, p-1}
+    out = np.empty((len(j), p + 1, prev.shape[2]))
+    # slot i combines B_{k, p-1} = prev[i - 1] and B_{k+1, p-1} = prev[i];
+    # the first slot has no B_{k, p-1} and the last no B_{k+1, p-1}
     if x is None:
-        return p * (inv_l * lower - inv_r * upper)
+        out[:, 0] = -p * (inv_r[:, 0] * prev[:, 0])
+        out[:, 1:p] = p * (inv_l[:, 1:p] * prev[:, :-1] - inv_r[:, 1:p] * prev[:, 1:])
+        out[:, p] = p * (inv_l[:, p] * prev[:, -1])
+        return out
     xs = x[:, None, :]
-    return (xs - t[k][..., None]) * inv_l * lower + (t[k + p + 1][..., None] - xs) * inv_r * upper
+    rise = (xs - t[k][..., None]) * inv_l
+    fall = (t[k + p + 1][..., None] - xs) * inv_r
+    out[:, 0] = fall[:, 0] * prev[:, 0]
+    out[:, 1:p] = rise[:, 1:p] * prev[:, :-1] + fall[:, 1:p] * prev[:, 1:]
+    out[:, p] = rise[:, p] * prev[:, -1]
+    return out
 
 
 def spline_tables(knots, subpanels: int) -> SplineTables:

@@ -1,0 +1,110 @@
+"""Dense forms of the oracle's band-plus-border assembly.
+
+``dense_matrix`` adds per-panel spline blocks into a dense matrix with
+``np.add.at``, and ``assemble_dense`` is the oracle's assembly built that
+way: dense ``(n+1)^2`` matrices ``M`` (with the rank-one term ``i alpha q
+q^H``) and ``G``.  ``expand`` and ``dense_pencil`` turn the package's
+:class:`~dissipext.eigenh.BandBorder` parts back into dense matrices.  The
+tests check the band assembly and the pencil solver against these.
+"""
+
+import numpy as np
+
+from dissipext import forms
+from dissipext.analytic import norm_sq
+from dissipext.catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
+from dissipext.eigenh import BandBorder
+from dissipext.oracle import DiscreteOperator, _active_cut, _core_action, _core_tables, hermitian_part
+from dissipext.splines import SplineTables
+
+
+def dense_matrix(tab: SplineTables, weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``M[k, l] = sum_x weights(x) left_k(x) right_l(x)``, dense ``(nbasis, nbasis)``."""
+    blocks = np.einsum("jq,jaq,jbq->jab", weights, left, right)
+    rows = np.broadcast_to(tab.index[:, :, None], blocks.shape)
+    cols = np.broadcast_to(tab.index[:, None, :], blocks.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    out = np.zeros((tab.nbasis, tab.nbasis), dtype=complex)
+    np.add.at(out, (rows[keep], cols[keep]), blocks[keep])
+    return out
+
+
+def assemble_dense(problem: ExtensionProblem, n: int, *, include_bounded_v: bool = True):
+    """Dense ``(M, G)`` of :func:`dissipext.oracle.assemble_discrete`, ``M``
+    with its rank-one term."""
+    lo, hi = problem.grid.offset, _active_cut(problem)
+    end = problem.grid.right_endpoint
+    tab = _core_tables(lo, hi, n)
+    xs, ws = tab.x, tab.w
+    nb = tab.nbasis
+    pert = problem.perturbation if include_bounded_v else None
+
+    vfn = problem.v
+    v_samp = vfn(xs)
+    act = problem.action_on(vfn)
+    act_v = act(xs)
+    vv = (vfn.conj() * act).integral(0.0, end)
+    lv = problem.deviation()
+    if lv is not None:
+        act_v = act_v + lv(xs)
+        vv += forms.inner(problem.v, lv, end)
+    bounded = 0.0
+    if isinstance(pert, MultiplicationPerturbation):
+        bounded = 1.0j * pert.v(xs).real
+        act_v = act_v + bounded * v_samp
+        vv += 1.0j * forms.friedrichs_form_sq(problem.spec, problem.v)
+    act_local = _core_action(problem, tab, bounded)
+
+    mat = np.zeros((nb + 1, nb + 1), dtype=complex)
+    gram = np.zeros((nb + 1, nb + 1), dtype=complex)
+    mat[:nb, :nb] = dense_matrix(tab, ws, tab.val, act_local)
+    mat[:nb, nb] = tab.vector(ws * act_v, tab.val)
+    mat[nb, :nb] = tab.vector(ws * np.conj(v_samp), act_local)
+    mat[nb, nb] = vv
+    if isinstance(pert, RankOnePerturbation):
+        q = np.append(tab.vector(ws * pert.phi(xs), tab.val), forms.inner(problem.v, pert.phi, end))
+        mat += 1.0j * pert.alpha * np.outer(q, np.conj(q))
+    gram[:nb, :nb] = dense_matrix(tab, ws, tab.val, tab.val)
+    gv = tab.vector(ws * v_samp, tab.val)
+    gram[:nb, nb] = gv
+    gram[nb, :nb] = np.conj(gv)
+    gram[nb, nb] = norm_sq(vfn, 0.0, end)
+    return mat, gram
+
+
+def _lower(a: BandBorder) -> np.ndarray:
+    """Dense lower triangle of the parts ``a``."""
+    n, width = a.band.shape
+    out = np.zeros((len(a), len(a)), dtype=complex)
+    k = np.arange(n)
+    for j in range(width):
+        out[k[: n - j] + j, k[: n - j]] = a.band[: n - j, j]
+    out[n:, :n] = a.rows
+    out[n:, n:] = a.corner
+    return np.tril(out)
+
+
+def expand(a: BandBorder, adjoint: BandBorder | None = None) -> np.ndarray:
+    """Dense matrix of band-plus-border parts: Hermitian from ``a`` alone,
+    or with the lower triangle from ``a`` and the strict upper one from
+    ``adjoint``, the parts of its conjugate transpose."""
+    upper = _lower(adjoint if adjoint is not None else a).conj().T
+    return _lower(a) + np.triu(upper, 1)
+
+
+def _rank_one(op: DiscreteOperator) -> np.ndarray:
+    """``alpha q q^H`` of the operator's rank-one term, or 0."""
+    if op.structure is None or op.structure.rank_one is None:
+        return 0.0
+    alpha, q = op.structure.rank_one
+    return alpha * np.outer(q, np.conj(q))
+
+
+def operator_matrix(op: DiscreteOperator) -> np.ndarray:
+    """Dense ``M`` of a discrete operator, with its rank-one term."""
+    return expand(op.matrix, op.matrix_h) + 1.0j * _rank_one(op)
+
+
+def dense_pencil(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ``(H, G)`` of the oracle's pencil, ``H`` with its rank-one term."""
+    return expand(hermitian_part(op)) + _rank_one(op), expand(op.gram)

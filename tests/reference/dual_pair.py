@@ -6,25 +6,37 @@ oracle's core span the two actions are the problem's expression and its
 adjoint; no command assembles them, and the tests check the split on them.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from dissipext.catalog import CatalogError, ExtensionProblem
-from dissipext.oracle import DiscreteOperator, _core_action, _core_tables
+from dissipext.oracle import _core_action, _core_tables
 
+from .assembly import dense_matrix
 from .dense import pencil_eigh
 
 
-def assemble_core_pair(problem: ExtensionProblem, n: int) -> tuple[DiscreteOperator, DiscreteOperator]:
+@dataclass(frozen=True, eq=False)
+class DenseOperator:
+    """Dense ``M[j,k] = <b_j, action(b_k)>`` with Gram ``G`` on one basis."""
+
+    basis: str
+    matrix: np.ndarray
+    gram: np.ndarray
+
+
+def assemble_core_pair(problem: ExtensionProblem, n: int) -> tuple[DenseOperator, DenseOperator]:
     """Matrices of the dual pair's two actions on ``n`` core splines alone."""
     lo, hi = problem.grid.offset, problem.grid.length
     tab = _core_tables(lo, hi, n)
-    m = tab.matrix(tab.w, tab.val, _core_action(problem, tab))
-    gram = tab.matrix(tab.w, tab.val, tab.val)
+    m = dense_matrix(tab, tab.w, tab.val, _core_action(problem, tab))
+    gram = dense_matrix(tab, tab.w, tab.val, tab.val)
     desc = f"{tab.nbasis} cubic spline elements on [{lo:g},{hi:g}]"
-    return DiscreteOperator(desc, m, gram), DiscreteOperator(desc, m.conj().T.copy(), gram)
+    return DenseOperator(desc, m, gram), DenseOperator(desc, m.conj().T.copy(), gram)
 
 
-def split_dual_pair(m_op: DiscreteOperator, m_tilde: DiscreteOperator) -> tuple[DiscreteOperator, DiscreteOperator]:
+def split_dual_pair(m_op: DenseOperator, m_tilde: DenseOperator) -> tuple[DenseOperator, DenseOperator]:
     """``(S, V)`` of a discrete dual pair sharing basis and Gram matrix.
 
     ``S`` is Hermitian and ``V`` positive semidefinite in the Gram metric;
@@ -44,4 +56,4 @@ def split_dual_pair(m_op: DiscreteOperator, m_tilde: DiscreteOperator) -> tuple[
     w, _ = pencil_eigh(v, m_op.gram)
     if float(np.min(w)) < -1e-8 * max(1.0, float(np.max(np.abs(w)))):
         raise CatalogError("imaginary part is indefinite beyond tolerance")
-    return DiscreteOperator(m_op.basis, s, m_op.gram), DiscreteOperator(m_op.basis, v, m_op.gram)
+    return DenseOperator(m_op.basis, s, m_op.gram), DenseOperator(m_op.basis, v, m_op.gram)

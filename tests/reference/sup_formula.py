@@ -15,6 +15,8 @@ from dissipext import eigenh, splines
 from dissipext.analytic import AnalyticFunction
 from dissipext.forms import DegenerateFormError, FormsError, ImaginaryPartSpec, inner
 
+from .assembly import dense_matrix
+
 
 _AN_DEPTH = 13
 # one Gauss panel per knot interval; the sup-formula values depend on this
@@ -72,10 +74,10 @@ def _an_spline_pencil(
         # numerator via parts: <h, -f''> = <h', f'> (test slopes vanish at
         # the support edges)
         tgt = h.derivative()(xs).reshape(tab.x.shape)
-        return tab.vector(tab.w * np.conj(tgt), tab.d1), tab.matrix(tab.w, tab.d1, tab.d1)
+        return tab.vector(tab.w * np.conj(tgt), tab.d1), dense_matrix(tab, tab.w, tab.d1, tab.d1)
     weighted = tab.w * spec.weight(xs).real.reshape(tab.x.shape)
     tgt = h(xs).reshape(tab.x.shape)
-    return tab.vector(weighted * np.conj(tgt), tab.val), tab.matrix(weighted, tab.val, tab.val)
+    return tab.vector(weighted * np.conj(tgt), tab.val), dense_matrix(tab, weighted, tab.val, tab.val)
 
 
 def krein_form_ando_nishio(spec: ImaginaryPartSpec | MatrixSpec, h, test_dim: int) -> float:

@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dissipext import catalog, criteria, oracle
+from dissipext import catalog, criteria
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator
 from dissipext.catalog import RHO_INF
 from reference.dense import pencil_eigh
-from reference.dual_pair import assemble_core_pair, split_dual_pair
+from reference.dual_pair import DenseOperator, assemble_core_pair, split_dual_pair
 from reference.margins import shirley_margin_exact
 
 
@@ -254,7 +254,7 @@ def test_schrodinger_h_inf_only_zero_deviation(rank_one_direction):
 def test_split_dual_pair_symmetric_input():
     k = catalog.build_konzert(0.25, None, n=128)
     m_op, m_tilde = assemble_core_pair(k, 32)
-    sym = oracle.DiscreteOperator(m_op.basis, 0.5 * (m_op.matrix + m_op.matrix.conj().T), m_op.gram)
+    sym = DenseOperator(m_op.basis, 0.5 * (m_op.matrix + m_op.matrix.conj().T), m_op.gram)
     s, v = split_dual_pair(sym, sym)
     assert np.max(np.abs(v.matrix)) < 1e-12
 
@@ -273,7 +273,7 @@ def test_split_dual_pair_konzert():
 def test_split_dual_pair_rejects_non_dual():
     k = catalog.build_konzert(0.25, None, n=128)
     m_op, m_tilde = assemble_core_pair(k, 16)
-    broken = oracle.DiscreteOperator(m_tilde.basis, m_tilde.matrix + 0.1, m_tilde.gram)
+    broken = DenseOperator(m_tilde.basis, m_tilde.matrix + 0.1, m_tilde.gram)
     with pytest.raises(catalog.CatalogError):
         split_dual_pair(m_op, broken)
 
@@ -281,8 +281,8 @@ def test_split_dual_pair_rejects_non_dual():
 def test_split_dual_pair_rejects_indefinite_imaginary_part():
     k = catalog.build_konzert(0.25, None, n=128)
     m_op, m_tilde = assemble_core_pair(k, 16)
-    flipped = oracle.DiscreteOperator(m_op.basis, m_op.matrix.conj().T, m_op.gram)
-    other = oracle.DiscreteOperator(m_op.basis, m_op.matrix, m_op.gram)
+    flipped = DenseOperator(m_op.basis, m_op.matrix.conj().T, m_op.gram)
+    other = DenseOperator(m_op.basis, m_op.matrix, m_op.gram)
     with pytest.raises(catalog.CatalogError):
         split_dual_pair(flipped, other)
 

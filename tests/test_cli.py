@@ -355,8 +355,8 @@ OVERFLOW_H_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1e200+1i\npertur
         ("sweep", "[scenario]\nname = potsdam\nrho = 0\n", ["--re=x:1:1", "--im=0:1:1"], "--re"),
         ("check", SHIRLEY_CFG.replace("rho = 0.5+0.375i", "rho = 1e300"), [], "rho"),
         # |<phi, v>|^2 of the rank-one form overflows
-        ("check", OVERFLOW_H_CFG, [], "out of range"),
-        ("sweep", OVERFLOW_H_CFG, ["--re=1e200:1e200:1", "--im=1:1:1"], "out of range"),
+        ("check", OVERFLOW_H_CFG, [], "overflows for h = (1e+200+1j)"),
+        ("sweep", OVERFLOW_H_CFG, ["--re=1e200:1e200:1", "--im=1:1:1"], "overflows for h = (1e+200+1j)"),
     ],
     ids=["gamma", "alpha", "oracle_tol", "oracle_meshes", "sweep_axis", "re_flag", "rho_overflow",
          "h_overflow_check", "h_overflow_sweep"],

@@ -119,34 +119,73 @@ def _band_border(rng, n, p, m, dominant):
 )
 def test_band_border_inertia_and_minimum(n, p, m, alpha, seed):
     rng = np.random.default_rng(seed)
-    h = _band_border(rng, n, p, m, dominant=False)
+    h0 = _band_border(rng, n, p, m, dominant=False)
     g = _band_border(rng, n, p, m, dominant=True)
-    rank_one = None
+    h, rank_one = h0, None
     if alpha is not None:
         q = rng.standard_normal(n + m) + 1j * rng.standard_normal(n + m)
-        h = h + alpha * np.outer(q, q.conj())
+        h = h0 + alpha * np.outer(q, q.conj())
         rank_one = (alpha, q)
-    structure = eigenh.PencilStructure(p, m, rank_one)
+    structure = eigenh.PencilStructure(rank_one)
     w, _ = pencil_eigh(h, g)
-    pencil = eigenh.BandPencil(h, g, structure)
+    hp, gp = (eigenh.BandBorder.from_dense(a, p, m) for a in (h0, g))
+    pencil = eigenh.BandPencil(hp, gp, structure)
     spread = max(1.0, float(np.max(np.abs(w))))
     # shifts strictly between eigenvalues, and outside the spectrum
     shifts = [w[0] - 1.0, w[-1] + 1.0]
     shifts += [0.5 * (a + b) for a, b in zip(w, w[1:]) if b - a > 1e-8 * spread]
     for sigma in shifts:
         assert pencil.count(sigma) == int(np.sum(w < sigma))
-    lam, x = eigenh.pencil_extreme(h, g, structure)
+    lam, x = eigenh.pencil_extreme(hp, gp, structure)
     assert abs(lam - w[0]) <= 1e-10 * max(1.0, abs(w[0]))
     assert np.linalg.norm(h @ x - lam * (g @ x)) <= 1e-9 * np.linalg.norm(h, np.inf) * np.linalg.norm(x)
+
+
+def test_band_border_parts_match_dense():
+    rng = np.random.default_rng(4)
+    a = _band_border(rng, 20, 3, 2, dominant=False)
+    x = rng.standard_normal(22) + 1j * rng.standard_normal(22)
+    for parts in (eigenh.BandBorder.from_dense(a, 3, 2), eigenh.BandBorder.from_dense(a)):
+        assert len(parts) == 22
+        assert np.max(np.abs(parts.matvec(x) - a @ x)) < 1e-12 * np.max(np.abs(a @ x))
+        assert np.max(np.abs(parts.abs_row_sums() - np.abs(a).sum(axis=1))) < 1e-12
+        assert np.array_equal(parts.diagonal(), a.diagonal().real)
+        assert parts.max_abs() == np.max(np.abs(np.tril(a)))
+    q = rng.standard_normal(22) + 1j * rng.standard_normal(22)
+    r = eigenh.BandBorder.outer(0.7, q, eigenh.BandBorder.from_dense(a, 3, 2))
+    pattern = eigenh.BandBorder.from_dense(0.7 * np.outer(q, q.conj()), 3, 2)
+    assert all(np.allclose(u, v, rtol=0, atol=1e-14) for u, v in zip(r.parts, pattern.parts))
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+def test_pencil_guess_keeps_the_certified_minimum(rank_one):
+    # a guess only moves where the downward walk starts
+    rng = np.random.default_rng(30)
+    n, p, m = 40, 3, 1
+    h0 = _band_border(rng, n, p, m, dominant=False)
+    g = _band_border(rng, n, p, m, dominant=True)
+    h, structure = h0, eigenh.PencilStructure()
+    if rank_one:
+        q = rng.standard_normal(n + m) + 1j * rng.standard_normal(n + m)
+        h, structure = h0 + 1.5 * np.outer(q, q.conj()), eigenh.PencilStructure((1.5, q))
+    hp, gp = (eigenh.BandBorder.from_dense(a, p, m) for a in (h0, g))
+    lam, _ = eigenh.pencil_extreme(hp, gp, structure)
+    assert abs(lam - pencil_eigh(h, g)[0][0]) <= 1e-10 * abs(lam)
+    guesses = [(lam + 100.0, 1.0), (lam + 100.0, 200.0), (lam - 100.0, 1.0), (lam, 1e-3), (lam, 0.0)]
+    for guess in guesses:
+        mu, x = eigenh.pencil_extreme(hp, gp, structure, guess=guess)
+        assert abs(mu - lam) <= 2e-12 * abs(lam), guess
+        resid = np.linalg.norm(h @ x - mu * (g @ x))
+        assert resid <= 1e-9 * np.linalg.norm(h, np.inf) * np.linalg.norm(x), guess
 
 
 def test_ldl_pivots_match_cholesky():
     rng = np.random.default_rng(21)
     g = _band_border(rng, 30, 3, 1, dominant=True)
-    d = eigenh.GramFactor(g, eigenh.PencilStructure(3, 1)).pivots
+    d = eigenh.GramFactor(eigenh.BandBorder.from_dense(g, 3, 1)).pivots
     assert np.max(np.abs(d - np.abs(np.diag(np.linalg.cholesky(g))) ** 2)) < 1e-12 * np.max(d)
     with pytest.raises(eigenh.NotPositiveDefiniteError):
-        eigenh.GramFactor(-g, eigenh.PencilStructure(3, 1))
+        eigenh.GramFactor(eigenh.BandBorder.from_dense(-g, 3, 1))
 
 
 def test_pencil_rejects_non_finite_entries():

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dissipext import catalog, criteria, eigenh, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, norm_sq
+from reference.assembly import assemble_dense, dense_pencil, expand, operator_matrix
 from reference.dense import pencil_eigh
 from reference.margins import semibound_estimate
 from test_splines import cox_de_boor
@@ -40,7 +42,7 @@ def test_konzert_hermitian_block_is_multiplication_matrix():
     # weighted multiplication matrix
     prob = _konzert(1.0)
     op = oracle.assemble_discrete(prob, 64)
-    h = oracle.hermitian_part(op)
+    h = expand(oracle.hermitian_part(op))
     nb = op.v_index
     xs, ws, val, _ = _dense_core(prob.grid.offset, 1.0, 64)
     mult = (val * (ws * 0.25 / xs)) @ val.T
@@ -49,7 +51,7 @@ def test_konzert_hermitian_block_is_multiplication_matrix():
 
 def test_shirley_hermitian_block_is_stiffness(shirley_instance):
     op = oracle.assemble_discrete(shirley_instance, 64)
-    h = oracle.hermitian_part(op)
+    h = expand(oracle.hermitian_part(op))
     nb = op.v_index
     _, ws, _, d1 = _dense_core(shirley_instance.grid.offset, 1.0, 64)
     stiff = (d1 * ws) @ d1.T
@@ -57,14 +59,19 @@ def test_shirley_hermitian_block_is_stiffness(shirley_instance):
 
 
 def test_hermitian_part_exact():
+    # off the diagonal the parts are Hermitian by storage; the diagonal and
+    # the corner are exactly so
     op = oracle.assemble_discrete(_konzert(1.2), 64)
     h = oracle.hermitian_part(op)
-    assert np.max(np.abs(h - h.conj().T)) == 0.0
+    assert np.all(h.band[:, 0].imag == 0.0)
+    assert np.array_equal(h.corner, h.corner.conj().T)
+    m = operator_matrix(op)
+    assert np.max(np.abs(expand(h) - (m - m.conj().T) / 2.0j)) == 0.0
 
 
 def test_gram_positive_definite():
     op = oracle.assemble_discrete(_konzert(0.0), 64)
-    w = np.linalg.eigvalsh(op.gram)
+    w = np.linalg.eigvalsh(expand(op.gram))
     assert float(w.min()) > 0.0
 
 
@@ -138,7 +145,7 @@ def test_v_column_matches_criteria_lhs(builder, kwargs, shirley_instance, rank_o
     if builder == "schrodinger_mult":  # i int_0^1 |v|^2
         ref += 1j * _gauss(lambda x: np.abs(v(x)) ** 2, [0.0, 1.0])
     op = oracle.assemble_discrete(prob, 128)
-    assert abs(op.matrix[op.v_index, op.v_index] - ref) < 1e-8
+    assert abs(operator_matrix(op)[op.v_index, op.v_index] - ref) < 1e-8
     assert abs(criteria.general_lhs(prob) - ref.imag) < 1e-8
 
 
@@ -161,8 +168,9 @@ def test_assembly_independent_of_sample_grid(scenario, phi_x2_minus_x, phi_ix_ex
         return catalog.build_halfline_schrodinger(1 + 1j, pert, n=n)
 
     coarse, fine = (oracle.assemble_discrete(build(n), 64) for n in (64, 512))
-    assert np.array_equal(coarse.matrix, fine.matrix)
-    assert np.array_equal(coarse.gram, fine.gram)
+    for name in ("matrix", "matrix_h", "gram"):
+        for a, b in zip(getattr(coarse, name).parts, getattr(fine, name).parts):
+            assert np.array_equal(a, b), name
 
 
 def test_assembly_needs_analytic_vector():
@@ -223,10 +231,40 @@ def test_band_solver_matches_dense_spectrum(kind, n, rank_one_direction):
     prob = _equivalence_problem(kind, rank_one_direction)
     op = oracle.assemble_discrete(prob, n, include_bounded_v=kind != "rank_one_symmetric_part")
     assert (op.structure.rank_one is not None) == (kind == "rank_one")
-    h = oracle.hermitian_part(op)
-    mu, _ = oracle.pencil_min_eig(h, op.gram, op.structure)
-    w, _ = pencil_eigh(h, op.gram)
+    mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+    w, _ = pencil_eigh(*dense_pencil(op))
     assert abs(mu - w[0]) <= 1e-10 * abs(w[0])
+
+
+@pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication",
+                                  "rank_one_symmetric_part"])
+def test_band_assembly_matches_dense_reference(kind, rank_one_direction):
+    # the band parts of M, H and G against the dense np.add.at assembly,
+    # rank-one term and the multiplication i V block included
+    prob = _equivalence_problem(kind, rank_one_direction)
+    bounded = kind != "rank_one_symmetric_part"
+    op = oracle.assemble_discrete(prob, 64, include_bounded_v=bounded)
+    m_ref, g_ref = assemble_dense(prob, 64, include_bounded_v=bounded)
+    h_ref = (m_ref - m_ref.conj().T) / 2.0j
+    h, g = dense_pencil(op)
+    for got, ref in ((operator_matrix(op), m_ref), (h, h_ref), (g, g_ref)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_oracle_mesh_memory_is_linear():
+    # band-plus-border storage: no (n+1)^2 matrix, which alone would take
+    # 16.8 MB at n = 1024
+    prob = _equivalence_problem("potsdam", None)  # the README Potsdam config
+    oracle.assemble_discrete(prob, 64)
+    tracemalloc.start()
+    try:
+        op = oracle.assemble_discrete(prob, 1024)
+        oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 @pytest.mark.parametrize("kind", ["konzert", "potsdam", "rank_one"])
@@ -246,9 +284,17 @@ def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch
         calls.clear()
         op = oracle.assemble_discrete(prob, n)
         oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
-        gram_diagonal = op.gram.diagonal()[:-1].tolist()
+        gram_diagonal = op.gram.band[:, 0].tolist()
         assert len(calls) > 2
         assert sum(diag == gram_diagonal for diag in calls) == 1
+
+
+def test_residual_norm_counts_the_rank_one_term(rank_one_direction):
+    # ||H||_inf of the residual check, from the parts and (alpha, q) alone
+    op = oracle.assemble_discrete(_equivalence_problem("rank_one", rank_one_direction), 32)
+    h, _ = dense_pencil(op)
+    got = oracle._inf_norm(oracle.hermitian_part(op), op.structure)
+    assert got == pytest.approx(np.linalg.norm(h, np.inf), rel=1e-13)
 
 
 def test_pencil_min_eig_rejects_bad_inputs():
@@ -256,6 +302,10 @@ def test_pencil_min_eig_rejects_bad_inputs():
         oracle.pencil_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
     with pytest.raises(oracle.OracleError):
         oracle.pencil_min_eig(np.eye(2), np.diag([1.0, -1.0]))
+    eye = eigenh.BandBorder.from_dense(np.eye(3), 1, 1)
+    for band, corner in ((np.array([[1j, 0.0], [1.0, 0.0]]), np.eye(1)), (eye.band, np.array([[1j]]))):
+        with pytest.raises(oracle.OracleError):
+            oracle.pencil_min_eig(eigenh.BandBorder(band, eye.rows, corner), eye)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +323,59 @@ def test_variational_monotonicity_nested_meshes():
         mus.append(mu)
     assert mus[1] <= mus[0] + 1e-10
     assert mus[2] <= mus[1] + 1e-10
+
+
+def _ladder_draw(kind, rng, rank_one_direction):
+    """An acceptance-5 instance of ``kind``: redrawn until |margin| > 0.05."""
+    while True:
+        if kind == "potsdam":
+            phi = float(rng.uniform(0.2, 1.5)) * AnalyticFunction((Term(1j, 1.0, -1.0),))
+            prob = catalog.build_potsdam(None, complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0)), phi)
+        elif kind == "shirley":
+            s = float(rng.uniform(-1.2, 1.2))
+            prob = catalog.build_shirley(float(rng.uniform(math.sqrt(3.0), 4.0)),
+                                         complex(rng.uniform(-0.6, 1.6), rng.uniform(-0.8, 0.8)),
+                                         AnalyticFunction((Term(s, 2.0), Term(-s, 1.0))))
+        elif kind == "konzert":
+            c = complex(rng.normal(0, 0.8), rng.normal(0, 0.8))
+            prob = catalog.build_konzert(float(rng.uniform(0.08, 0.45)), constant(c))
+        else:
+            h = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.5))
+            if kind == "rank_one":
+                lam = complex(rng.normal(0, 1.5), rng.normal(0, 1.5))
+                pert = catalog.RankOnePerturbation(float(rng.uniform(0.5, 2.0)), rank_one_direction, lam)
+            else:
+                pert = catalog.MultiplicationPerturbation(
+                    indicator(0.0, 1.0), float(rng.uniform(0.0, 4.0)) * indicator(0.0, 1.0))
+            prob = catalog.build_halfline_schrodinger(h, pert)
+        verdict = criteria.decide(prob)
+        if abs(verdict.margin) > 0.05:
+            return prob, verdict
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_warm_ladder_matches_cold_pencils(seed, rank_one_direction, monkeypatch):
+    # each rung after the first starts from the previous infimum, and ends
+    # at the minimum a cold start certifies
+    guesses = []
+    cold_min_eig = oracle.pencil_min_eig
+
+    def recording(h, g, structure=None, *, guess=None):
+        guesses.append(guess)
+        return cold_min_eig(h, g, structure, guess=guess)
+
+    monkeypatch.setattr(oracle, "pencil_min_eig", recording)
+    rng = np.random.default_rng(seed)
+    for kind in ("potsdam", "shirley", "konzert", "rank_one", "multiplication"):
+        prob, verdict = _ladder_draw(kind, rng, rank_one_direction)
+        guesses.clear()
+        report = oracle.cross_validate(prob, verdict)
+        assert guesses[0] is None and None not in guesses[1:]
+        for m, mu in zip(report.meshes, report.infima):
+            op = oracle.assemble_discrete(prob, m)
+            cold, _ = cold_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+            tol = 1e-11 if abs(cold) < 1e-8 else 1e-12 * abs(cold)
+            assert abs(mu - cold) <= tol, (kind, m, mu, cold)
 
 
 def test_cross_validate_konzert_nondissipative():

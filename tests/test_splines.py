@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dissipext import splines
+from reference.assembly import dense_matrix
 
 UNIFORM = np.linspace(0.1, 1.3, 20)
 # clamped, with knots accumulating geometrically toward 0
@@ -83,7 +84,7 @@ def test_panel_quadrature_exact_on_spline_products(knots, subpanels):
     for order in (0, 1, 2):
         ref = np.array([cox_de_boor(knots, k, xs, order) for k in range(nb)])
         val = np.array([cox_de_boor(knots, k, xs) for k in range(nb)])
-        gram = tab.matrix(tab.w, tab.val, (tab.val, tab.d1, tab.d2)[order])
+        gram = dense_matrix(tab, tab.w, tab.val, (tab.val, tab.d1, tab.d2)[order])
         dense = (val * ws) @ ref.T
         assert np.max(np.abs(gram - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -97,7 +98,54 @@ def test_assembly_skips_absent_splines():
     assert np.all(tab.vector(weights, ones) == 4.0)
     k = np.arange(tab.nbasis)
     band = np.maximum(4 - np.abs(k[:, None] - k[None, :]), 0)
-    assert np.max(np.abs(tab.matrix(weights, ones, ones) - band)) < 1e-14
+    assert np.max(np.abs(dense_matrix(tab, weights, ones, ones) - band)) < 1e-14
+    d = np.arange(4)
+    assert np.all(tab.band(tab.blocks(weights, ones, ones)) == (4 - d) * (k[:, None] + d < tab.nbasis))
+
+
+@pytest.mark.parametrize("knots", [UNIFORM, GRADED], ids=["uniform", "graded"])
+def test_band_holds_the_dense_matrix(knots):
+    # the lower band from the blocks, the upper band from their transposes
+    tab = splines.spline_tables(knots, 2)
+    right = tab.val * (1.0 + 0.5j) - 0.3j * tab.d2
+    dense = dense_matrix(tab, tab.w, tab.val, right)
+    blocks = tab.blocks(tab.w, tab.val, right)
+    lower, upper = tab.band(blocks), tab.band(blocks.swapaxes(1, 2))
+    assert np.array_equal(lower[:, 0], upper[:, 0])
+    nb = tab.nbasis
+    rebuilt = np.zeros((nb, nb), dtype=complex)
+    for d in range(4):
+        k = np.arange(nb - d)
+        rebuilt[k + d, k] = lower[: nb - d, d]
+        rebuilt[k, k + d] = upper[: nb - d, d]
+        assert np.all(lower[nb - d:, d] == 0.0)
+    assert np.max(np.abs(rebuilt - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def _raise_degree_padded(t, j, p, prev, x=None):
+    """The recurrence step on zero-padded copies of ``prev``: the reference
+    for the slice-writing :func:`splines._raise_degree`."""
+    k = j[:, None] - p + np.arange(p + 1)
+    left = t[k + p] - t[k]
+    right = t[k + p + 1] - t[k + 1]
+    inv_l = np.divide(1.0, left, out=np.zeros_like(left), where=left > 0)[..., None]
+    inv_r = np.divide(1.0, right, out=np.zeros_like(right), where=right > 0)[..., None]
+    lower = np.pad(prev, ((0, 0), (1, 0), (0, 0)))
+    upper = np.pad(prev, ((0, 0), (0, 1), (0, 0)))
+    if x is None:
+        return p * (inv_l * lower - inv_r * upper)
+    xs = x[:, None, :]
+    return (xs - t[k][..., None]) * inv_l * lower + (t[k + p + 1][..., None] - xs) * inv_r * upper
+
+
+@pytest.mark.parametrize("knots", [UNIFORM, GRADED, np.linspace(0.0, 35.0, 260)],
+                         ids=["uniform", "graded", "oracle"])
+def test_tables_equal_padded_recurrence(knots, monkeypatch):
+    tab = splines.spline_tables(knots, 2)
+    monkeypatch.setattr(splines, "_raise_degree", _raise_degree_padded)
+    ref = splines.spline_tables(knots, 2)
+    for name in ("x", "w", "val", "d1", "d2", "index"):
+        assert np.array_equal(getattr(tab, name), getattr(ref, name)), name
 
 
 def test_rejects_bad_knot_vectors():
