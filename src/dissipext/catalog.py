@@ -374,7 +374,10 @@ def build_halfline_schrodinger(
             raise CatalogError("rank-one strength alpha must be positive")
         spec = forms.rank_one(perturbation.alpha, perturbation.phi, grid)
         lv = perturbation.lam * perturbation.phi
-        margin = im_h - abs(perturbation.lam) ** 2 / (4.0 * perturbation.alpha)
+        try:
+            margin = im_h - abs(perturbation.lam) ** 2 / (4.0 * perturbation.alpha)
+        except OverflowError:
+            raise CatalogError(f"|lambda|^2 overflows for lambda = {perturbation.lam}") from None
     else:
         spec = forms.multiplication(perturbation.v, grid)  # checks V >= 0
         lv = perturbation.k

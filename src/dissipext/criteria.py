@@ -89,10 +89,12 @@ class Verdict:
     necessity_failures: tuple[str, ...] = ()
 
     @staticmethod
-    def from_sides(criterion: str, lhs: float, rhs: float) -> "Verdict":
+    def from_sides(criterion: str, lhs: float, rhs: float,
+                   problem: ExtensionProblem | None = None) -> "Verdict":
         margin = lhs - rhs
         if not math.isfinite(margin):
-            raise CriteriaError(f"{criterion}: non-finite sides lhs={lhs!r}, rhs={rhs!r}")
+            raise CriteriaError(f"{criterion}: non-finite sides lhs={lhs!r}, rhs={rhs!r}"
+                                + _overflow_source(problem))
         return Verdict(criterion, lhs, rhs, margin, bool(margin >= -MARGIN_TOL))
 
     @staticmethod
@@ -102,6 +104,16 @@ class Verdict:
     @staticmethod
     def outside_theory(failures: tuple[str, ...]) -> "Verdict":
         return Verdict(CRITERION_OUTSIDE, math.nan, math.nan, math.nan, None, failures)
+
+
+def _overflow_source(problem: ExtensionProblem | None) -> str:
+    """Names the boundary parameter when the extension vector built from it
+    has a coefficient beyond 1e150, whose square is within 1e8 of the float
+    range, so that the quadratic forms of ``v`` overflow; else ``""``."""
+    if problem is None or not max((abs(t.coeff) for t in problem.v.terms), default=0.0) > 1e150:
+        return ""
+    name = "h" if problem.scenario == "halfline_schrodinger" else "rho"
+    return f": the forms of v overflow for {name} = {getattr(problem, name)}"
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +240,7 @@ def verdict_strict_pos(problem: ExtensionProblem) -> Verdict:
         pv = forms.projection_P(spec, v)
         lhs += forms.inner(pv, lv, problem.grid.right_endpoint).imag
     rhs = _quarter_inv_form(problem) + forms.krein_form_sq(spec, v)
-    return Verdict.from_sides(CRITERION_STRICT_POS, lhs, rhs)
+    return Verdict.from_sides(CRITERION_STRICT_POS, lhs, rhs, problem)
 
 
 def verdict_unique_ext(problem: ExtensionProblem) -> Verdict:
@@ -245,7 +257,7 @@ def verdict_unique_ext(problem: ExtensionProblem) -> Verdict:
         return gate
     lhs = _im_action(problem)
     rhs = _quarter_inv_form(problem) + forms.krein_form_sq(problem.spec, problem.v)
-    return Verdict.from_sides(CRITERION_UNIQUE_EXT, lhs, rhs)
+    return Verdict.from_sides(CRITERION_UNIQUE_EXT, lhs, rhs, problem)
 
 
 def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
@@ -271,7 +283,7 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
         rhs = 0.25 * abs(pert.lam) ** 2 / pert.alpha
     else:
         rhs = 0.25 * forms.mult_inverse_norm_sq(pert.v, pert.k, end)
-    return Verdict.from_sides(CRITERION_BOUNDED_V, lhs, rhs)
+    return Verdict.from_sides(CRITERION_BOUNDED_V, lhs, rhs, problem)
 
 
 def general_lhs(problem: ExtensionProblem) -> float:
@@ -315,11 +327,11 @@ def _master_verdict(problem: ExtensionProblem, criterion: str) -> Verdict:
         if spec.friedrichs_equals_krein:
             # K(V^{-1} Lv, v) = <Lv, v>: the cross term needs no inverse
             cross = forms.inner(lv, v, problem.grid.right_endpoint).imag
-            return Verdict.from_sides(criterion, lhs, rhs - cross)
+            return Verdict.from_sides(criterion, lhs, rhs - cross, problem)
         phi = forms.vf_solve(spec, lv).u
     if phi is not None:
         rhs -= complex(forms.krein_form(spec, phi, v)).imag
-    return Verdict.from_sides(criterion, lhs, rhs)
+    return Verdict.from_sides(criterion, lhs, rhs, problem)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ positive definite) on a band-plus-border pattern, the oracle's solver
 
 1. Both matrices are held as :class:`BandBorder` parts: the lower band of
    the leading block, the dense border rows and the corner, ``O(N)``
-   numbers on a band of fixed width.  A dense matrix is the band of full
-   width, split once on entry.
+   numbers on a band of fixed width.
 2. One ``L D L^H`` routine without pivoting (:func:`_ldl`) factors
    ``H - sigma G`` on those parts.  The signs of its pivots give the number
    of eigenvalues below ``sigma`` (Sylvester's law of inertia; bisection on
@@ -233,26 +232,14 @@ class BandBorder:
     ``band[k, j] = A[k + j, k]`` (zero where ``k + j >= n``); entries of
     that block more than ``p`` off the diagonal are zero.  ``rows``
     ``(m, n)`` holds the border rows ``A[n:, :n]`` and ``corner`` ``(m, m)``
-    the block ``A[n:, n:]``.  A Hermitian ``A`` is given by these parts
-    alone (the factorization reads the lower triangle of ``corner``); a
-    general one by its own parts and those of ``A^H``.  ``len()`` is ``N``.
+    the block ``A[n:, n:]``.  ``A`` is Hermitian and given by these parts
+    alone (the factorization reads the lower triangle of ``corner``).
+    ``len()`` is ``N``.
     """
 
     band: np.ndarray
     rows: np.ndarray
     corner: np.ndarray
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray, bandwidth: int | None = None, border: int = 0) -> BandBorder:
-        """Parts of a dense Hermitian ``a``, read from its lower triangle; by
-        default the band has full width."""
-        a = np.asarray(a, dtype=complex)
-        n = a.shape[0] - border
-        p = min(n - 1 if bandwidth is None else bandwidth, max(n - 1, 0))
-        band = np.zeros((n, p + 1), dtype=complex)
-        for j in range(p + 1):
-            band[: n - j, j] = np.diagonal(a, -j)[: n - j]
-        return cls(band, a[n:, :n], a[n:, n:])
 
     @classmethod
     def outer(cls, alpha: float, q: np.ndarray, like: BandBorder) -> BandBorder:
@@ -304,11 +291,6 @@ class BandBorder:
             s[j:] += band[: n - j, j]
             s[: n - j] += band[: n - j, j]
         return np.concatenate([s, rows.sum(axis=1) + corner.sum(axis=1)])
-
-
-def _parts(a) -> BandBorder:
-    """``a`` itself, or the parts of a dense Hermitian ``a`` (full band)."""
-    return a if isinstance(a, BandBorder) else BandBorder.from_dense(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,8 +526,8 @@ class BandPencil:
 
 
 def pencil_extreme(
-    h: BandBorder | np.ndarray,
-    g: BandBorder | np.ndarray,
+    h: BandBorder,
+    g: BandBorder,
     structure: PencilStructure | None = None,
     *,
     guess: tuple[float, float] | None = None,
@@ -553,12 +535,11 @@ def pencil_extreme(
     """Minimal eigenpair of the Hermitian pencil ``H x = lam G x``.
 
     ``h`` and ``g`` are :class:`BandBorder` parts of one pattern, on which
-    every step costs ``O(N)``, or dense Hermitian matrices, which are split
-    once into parts with a band of full width.  ``structure`` adds the
-    rank-one term of ``H`` and ``G``'s factor.  ``guess = (mu, radius)``
-    is an estimate of ``lam``, e.g. from a coarser discretization: the walk
-    of step 1 starts at ``mu`` with the step ``max(radius, floor)`` (the
-    rounding floor of step 4).  It saves factorizations when it is close
+    every step costs ``O(N)``.  ``structure`` adds the rank-one term of
+    ``H`` and ``G``'s factor.  ``guess = (mu, radius)`` is an estimate of
+    ``lam``, e.g. from a coarser discretization: the walk of step 1 starts
+    at ``mu`` with the step ``max(radius, floor)`` (the rounding floor of
+    step 4).  It saves factorizations when it is close
     and costs a few when it is not; the result is certified either way.
 
     1. Bracket: ``min H_ii / G_ii`` bounds ``lam`` from above; steps growing
@@ -576,7 +557,6 @@ def pencil_extreme(
        rounding floor, the Rayleigh quotient is returned with ``x``,
        ``G``-normalized.
     """
-    h, g = _parts(h), _parts(g)
     if structure is None:
         structure = PencilStructure()
     finite = h.is_finite() and g.is_finite()

@@ -14,15 +14,15 @@ functions decay, read from their term sums
 (:func:`~dissipext.analytic.tail_point`), so the assembled matrices do not
 depend on ``[grid] n``.  The infimum of the numerical range's imaginary
 part over that space is the minimal eigenvalue of the Hermitian pencil
-``H x = mu G x`` with ``H`` the Gram-weighted imaginary part of the
-discretized action.  The assembly adds its per-panel blocks straight into
-band-plus-border parts (:class:`eigenh.BandBorder`: a band of
-half-bandwidth 3 and the extension-vector border) and records the
-rank-one term of the rank-one Schroedinger scenario beside them, so one
-mesh costs ``O(n)`` time and memory; :func:`eigenh.pencil_extreme` finds
-the minimum from inertia counts in ``O(n)`` work per shift.  Along a mesh
-ladder each rung's infimum is the next rung's first shift
-(:func:`cross_validate`).
+``H x = mu G x`` with ``H = (M - M^H) / 2i`` the Gram-weighted imaginary
+part of the discretized action ``M``, which is not kept.  The assembly
+adds its per-panel blocks straight into the band-plus-border parts of
+``H`` and ``G`` (:class:`eigenh.BandBorder`: a band of half-bandwidth 3
+and the extension-vector border) and records the rank-one term of the
+rank-one Schroedinger scenario beside them, so one mesh costs ``O(n)``
+time and memory; :func:`eigenh.pencil_extreme` finds the minimum from
+inertia counts in ``O(n)`` work per shift.  Along a mesh ladder each
+rung's infimum is the next rung's first shift (:func:`cross_validate`).
 
 A negative discrete infimum certifies non-dissipativity of the continuum
 operator (the discrete vector embeds into the true domain up to quadrature
@@ -34,7 +34,7 @@ sequences.  Reports state this asymmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "OracleReport",
     "assemble_discrete",
     "pencil_min_eig",
-    "hermitian_part",
     "cross_validate",
     "ASYMMETRY_NOTE",
 ]
@@ -66,29 +65,20 @@ class OracleError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Sesquilinear data ``M[j,k] = <b_j, action(b_k)>`` with Gram ``G``.
+    """The pencil ``H x = mu G x`` of the action on one spline space plus ``v``.
 
-    Both are stored as :class:`eigenh.BandBorder` parts: ``gram`` holds the
-    Hermitian ``G``, and since ``M`` is not Hermitian, ``matrix`` holds the
-    parts of ``M`` (its lower band, border rows and corner) and
-    ``matrix_h`` those of ``M^H`` (``M``'s upper band and border column,
-    conjugated).  ``v_index`` marks the extension-vector column when present
-    (always the last, the border), so the pure core block is the band.
-    ``structure`` carries the rank-one term ``i alpha q q^H`` of ``M`` (as
+    With ``M[j,k] = <b_j, action(b_k)>``, ``h`` holds the Hermitian
+    ``H = (M - M^H) / 2i`` and ``gram`` the Gram matrix ``G``, both as
+    :class:`eigenh.BandBorder` parts whose border is the extension vector
+    ``v`` (the last index), so the pure core block is the band.
+    ``structure`` carries the rank-one term ``alpha q q^H`` of ``H`` (as
     ``(alpha, q)``; the parts never hold it) and the Gram matrix's factor
     from the assembly's check; the pencil solver reads it.
     """
 
-    basis: str
-    matrix: eigenh.BandBorder = field(repr=False)
-    matrix_h: eigenh.BandBorder = field(repr=False)
-    gram: eigenh.BandBorder = field(repr=False)
-    v_index: int | None = None
-    structure: eigenh.PencilStructure | None = field(default=None, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.gram)
+    h: eigenh.BandBorder
+    gram: eigenh.BandBorder
+    structure: eigenh.PencilStructure
 
 
 @dataclass(frozen=True)
@@ -180,14 +170,14 @@ def assemble_discrete(
     imaginary part of the Schroedinger scenario.  Core entries come from
     per-interval 4x4 local blocks on Gauss-Legendre panels aligned with the
     knots, so every polynomial factor integrates exactly; the blocks are
-    added by the splines' indices straight into the band parts of ``M``,
-    ``M^H`` and ``G`` (:class:`DiscreteOperator`).  The entries of ``v``
-    against itself are closed form: ``<v, (action + L) v>`` as a term-sum
-    integral plus the bounded part's form, and ``||v||^2`` from
-    :func:`norm_sq`; the rank-one ``<v, phi>`` is :func:`forms.inner`.  The
-    right edge of the core span
-    comes from the term sums too (:func:`_active_cut`), so the result does
-    not depend on ``[grid] n``.
+    added by the splines' indices straight into the band parts of ``H``
+    and ``G`` (:class:`DiscreteOperator`).  The entries of ``v`` against
+    itself are closed form: ``<v, (action + L) v>`` as a term-sum integral
+    plus the bounded part's form, whose imaginary part is ``H``'s corner,
+    and ``||v||^2`` from :func:`norm_sq`; the rank-one ``<v, phi>`` is
+    :func:`forms.inner`.  The right edge of the core span comes from the
+    term sums too (:func:`_active_cut`), so the result does not depend on
+    ``[grid] n``.
     ``include_bounded_v=False`` drops the bounded imaginary part from the
     action (used for semibound studies of the deviated symmetric part alone).
     """
@@ -195,7 +185,6 @@ def assemble_discrete(
     end = problem.grid.right_endpoint
     tab = _core_tables(lo, hi, n)
     xs, ws = tab.x, tab.w
-    nb = tab.nbasis
     pert = problem.perturbation if include_bounded_v else None
 
     # extension column data
@@ -215,31 +204,24 @@ def assemble_discrete(
         vv += 1.0j * forms.friedrichs_form_sq(problem.spec, problem.v)
     act_local = _core_action(problem, tab, bounded)
 
-    # M[:nb, nb], M[nb, :nb] and G[:nb, nb]; border rows of M, M^H and G
+    # M[:nb, nb], M[nb, :nb] and G[:nb, nb], nb = tab.nbasis the border
     col = tab.vector(ws * act_v, tab.val)
     row = tab.vector(ws * np.conj(v_samp), act_local)
     gv = tab.vector(ws * v_samp, tab.val)
     blocks = tab.blocks(ws, tab.val, act_local)
-    matrix = eigenh.BandBorder(tab.band(blocks), row[None, :], np.array([[vv]]))
-    matrix_h = eigenh.BandBorder(np.conj(tab.band(blocks.swapaxes(1, 2))), np.conj(col)[None, :],
-                                 np.array([[np.conj(vv)]]))
+    # H = (M - M^H) / 2i from the bands of M and M^H, each summed on its own,
+    # so that H, and every infimum, rounds as the entries of M do
+    h = eigenh.BandBorder((tab.band(blocks) - np.conj(tab.band(blocks.swapaxes(1, 2)))) / 2.0j,
+                          ((row - np.conj(col)) / 2.0j)[None, :], np.array([[vv.imag]], dtype=complex))
     gram = eigenh.BandBorder(tab.band(tab.blocks(ws, tab.val, tab.val)), np.conj(gv)[None, :],
                              np.array([[norm_sq(vfn, 0.0, end)]]))
     rank_one = None
     if isinstance(pert, RankOnePerturbation):
-        # i alpha |phi><phi| on the whole span, with q_j = <e_j, phi>
+        # alpha |phi><phi| of H on the whole span, with q_j = <e_j, phi>
         q = np.append(tab.vector(ws * pert.phi(xs), tab.val),
                       forms.inner(problem.v, pert.phi, end))
         rank_one = (pert.alpha, q)
-    structure = eigenh.PencilStructure(rank_one, _check_gram(gram))
-    return DiscreteOperator(
-        f"{nb} cubic spline elements on [{lo:g},{hi:g}] + extension vector",
-        matrix,
-        matrix_h,
-        gram,
-        v_index=nb,
-        structure=structure,
-    )
+    return DiscreteOperator(h, gram, eigenh.PencilStructure(rank_one, _check_gram(gram)))
 
 
 def _check_gram(gram: eigenh.BandBorder) -> eigenh.GramFactor:
@@ -261,39 +243,22 @@ def _check_gram(gram: eigenh.BandBorder) -> eigenh.GramFactor:
 # pencil probe
 
 
-def hermitian_part(op: DiscreteOperator) -> eigenh.BandBorder:
-    """Parts of the Gram-weighted imaginary part ``H = (M - M^H) / 2i``.
-
-    Hermitian by construction.  The rank-one term of ``op.structure``
-    contributes ``alpha q q^H`` to ``H``; like ``M``'s parts, these do not
-    hold it.
-    """
-    return eigenh.BandBorder(*((a - b) / 2.0j for a, b in zip(op.matrix.parts, op.matrix_h.parts)))
-
-
 def pencil_min_eig(
-    h: eigenh.BandBorder | np.ndarray,
-    g: eigenh.BandBorder | np.ndarray,
+    h: eigenh.BandBorder,
+    g: eigenh.BandBorder,
     structure: eigenh.PencilStructure | None = None,
     *,
     guess: tuple[float, float] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Minimal eigenvalue and eigenvector of ``H x = mu G x``.
 
-    ``h`` and ``g`` are band-plus-border parts (:func:`hermitian_part`,
-    :attr:`DiscreteOperator.gram`) or dense matrices, which are checked and
-    split once into parts of full band width.  ``H`` is ``h`` plus the
-    rank-one term of ``structure`` (:attr:`DiscreteOperator.structure`),
-    must be Hermitian, and ``G`` Hermitian positive definite; the residual
-    of the returned pair satisfies ``||H x - mu G x|| <= 1e-9 ||H|| ||x||``.
+    ``h`` and ``g`` are band-plus-border parts (:attr:`DiscreteOperator.h`
+    and :attr:`DiscreteOperator.gram`).  ``H`` is ``h`` plus the rank-one
+    term of ``structure`` (:attr:`DiscreteOperator.structure`), must be
+    Hermitian, and ``G`` Hermitian positive definite; the residual of the
+    returned pair satisfies ``||H x - mu G x|| <= 1e-9 ||H|| ||x||``.
     ``guess`` is passed to :func:`eigenh.pencil_extreme`.
     """
-    if not isinstance(h, eigenh.BandBorder):
-        h = np.asarray(h, dtype=complex)
-        scale = max(float(np.max(np.abs(h))), 1e-300)
-        if float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
-            raise OracleError("imaginary-part matrix is not Hermitian")
-        h, g = eigenh.BandBorder.from_dense(h), eigenh.BandBorder.from_dense(g)
     # off the diagonal the parts are Hermitian by storage
     scale = max(h.max_abs(), 1e-300)
     skew = max(float(np.max(np.abs(h.band[:, 0].imag), initial=0.0)),
@@ -372,7 +337,7 @@ def cross_validate(
             prev = infima[-1]
             step = abs(prev - infima[-2]) if len(infima) > 1 else 0.0
             guess = (prev, 2.0 * step + 0.05 * abs(prev))
-        mu, _ = pencil_min_eig(hermitian_part(op), op.gram, op.structure, guess=guess)
+        mu, _ = pencil_min_eig(op.h, op.gram, op.structure, guess=guess)
         infima.append(mu)
     extrap, order = _extrapolate(infima)
     span = problem.grid.length - problem.grid.offset

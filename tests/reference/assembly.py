@@ -4,8 +4,9 @@
 ``np.add.at``, and ``assemble_dense`` is the oracle's assembly built that
 way: dense ``(n+1)^2`` matrices ``M`` (with the rank-one term ``i alpha q
 q^H``) and ``G``.  ``expand`` and ``dense_pencil`` turn the package's
-:class:`~dissipext.eigenh.BandBorder` parts back into dense matrices.  The
-tests check the band assembly and the pencil solver against these.
+Hermitian :class:`~dissipext.eigenh.BandBorder` parts back into dense
+matrices.  The tests check the band assembly and the pencil solver against
+these.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from dissipext import forms
 from dissipext.analytic import norm_sq
 from dissipext.catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
 from dissipext.eigenh import BandBorder
-from dissipext.oracle import DiscreteOperator, _active_cut, _core_action, _core_tables, hermitian_part
+from dissipext.oracle import DiscreteOperator, _active_cut, _core_action, _core_tables
 from dissipext.splines import SplineTables
 
 
@@ -72,8 +73,8 @@ def assemble_dense(problem: ExtensionProblem, n: int, *, include_bounded_v: bool
     return mat, gram
 
 
-def _lower(a: BandBorder) -> np.ndarray:
-    """Dense lower triangle of the parts ``a``."""
+def expand(a: BandBorder) -> np.ndarray:
+    """Dense Hermitian matrix of band-plus-border parts."""
     n, width = a.band.shape
     out = np.zeros((len(a), len(a)), dtype=complex)
     k = np.arange(n)
@@ -81,30 +82,14 @@ def _lower(a: BandBorder) -> np.ndarray:
         out[k[: n - j] + j, k[: n - j]] = a.band[: n - j, j]
     out[n:, :n] = a.rows
     out[n:, n:] = a.corner
-    return np.tril(out)
-
-
-def expand(a: BandBorder, adjoint: BandBorder | None = None) -> np.ndarray:
-    """Dense matrix of band-plus-border parts: Hermitian from ``a`` alone,
-    or with the lower triangle from ``a`` and the strict upper one from
-    ``adjoint``, the parts of its conjugate transpose."""
-    upper = _lower(adjoint if adjoint is not None else a).conj().T
-    return _lower(a) + np.triu(upper, 1)
-
-
-def _rank_one(op: DiscreteOperator) -> np.ndarray:
-    """``alpha q q^H`` of the operator's rank-one term, or 0."""
-    if op.structure is None or op.structure.rank_one is None:
-        return 0.0
-    alpha, q = op.structure.rank_one
-    return alpha * np.outer(q, np.conj(q))
-
-
-def operator_matrix(op: DiscreteOperator) -> np.ndarray:
-    """Dense ``M`` of a discrete operator, with its rank-one term."""
-    return expand(op.matrix, op.matrix_h) + 1.0j * _rank_one(op)
+    lower = np.tril(out)
+    return lower + np.tril(lower, -1).conj().T
 
 
 def dense_pencil(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     """Dense ``(H, G)`` of the oracle's pencil, ``H`` with its rank-one term."""
-    return expand(hermitian_part(op)) + _rank_one(op), expand(op.gram)
+    h = expand(op.h)
+    if op.structure.rank_one is not None:
+        alpha, q = op.structure.rank_one
+        h += alpha * np.outer(q, np.conj(q))
+    return h, expand(op.gram)

@@ -2,7 +2,8 @@
 
 ``perfbench/layertrace.py`` wraps public functions by name; a target that
 the package no longer defines would drop out of the traced run.  Its
-``TARGETS`` table is read here, not changed.
+``TARGETS`` table is read here, not changed.  It also reads the pencil
+dimension as ``len()`` of ``oracle.pencil_min_eig``'s first argument.
 """
 
 import importlib
@@ -11,6 +12,9 @@ import os
 import sys
 
 import pytest
+
+from dissipext import oracle
+from test_oracle import _equivalence_problem
 
 _LAYERTRACE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "perfbench", "layertrace.py")
@@ -42,3 +46,11 @@ def test_make_grid_is_bound_where_builders_call_it():
     bound = [name for name, mod in list(sys.modules.items())
              if name.startswith("dissipext") and getattr(mod, "make_grid", None) is grid.make_grid]
     assert len(bound) >= 3, bound
+
+
+@pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication"])
+def test_pencil_dimension_is_the_first_argument_length(kind, rank_one_direction):
+    # the tracer's oracle.pencil_dim_sum adds len() of pencil_min_eig's
+    # first argument: n core splines plus the extension vector
+    op = oracle.assemble_discrete(_equivalence_problem(kind, rank_one_direction), 32)
+    assert len(op.h) == len(op.gram) == 32 + 1

@@ -339,6 +339,11 @@ def test_sweep_axis_zero_step_rejected():
 
 OVERFLOW_H_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1e200+1i\nperturbation = rank_one\n"
                   "alpha = 0.8\nlambda = 0.6-0.9i\n")
+OVERFLOW_LAMBDA_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1+1i\nperturbation = rank_one\n"
+                       "alpha = 0.8\nlambda = 1e200\n")
+OVERFLOW_RHO_CFG = "[scenario]\nname = potsdam\nrho = 1e200+1i\nphi = i*x*exp(-x)\n"
+OVERFLOW_MULT_H_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1e200+1i\nperturbation = multiplication\n"
+                       "V = indicator(0,1)\nk = 2*indicator(0,1)\n")
 
 
 @pytest.mark.parametrize(
@@ -357,9 +362,17 @@ OVERFLOW_H_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1e200+1i\npertur
         # |<phi, v>|^2 of the rank-one form overflows
         ("check", OVERFLOW_H_CFG, [], "overflows for h = (1e+200+1j)"),
         ("sweep", OVERFLOW_H_CFG, ["--re=1e200:1e200:1", "--im=1:1:1"], "overflows for h = (1e+200+1j)"),
+        # |lambda|^2 of the rank-one margin overflows
+        ("check", OVERFLOW_LAMBDA_CFG, [], "overflows for lambda = (1e+200+0j)"),
+        ("sweep", OVERFLOW_LAMBDA_CFG, ["--re=1:1:1", "--im=1:1:1"], "overflows for lambda = (1e+200+0j)"),
+        # the quadratic forms of v = sigma + rho tau, and of the Robin vector of h, overflow
+        ("check", OVERFLOW_RHO_CFG, [], "overflow for rho = (1e+200+1j)"),
+        ("sweep", OVERFLOW_RHO_CFG, ["--re=1e200:1e200:1", "--im=1:1:1"], "overflow for rho = (1e+200+1j)"),
+        ("check", OVERFLOW_MULT_H_CFG, [], "overflow for h = (1e+200+1j)"),
     ],
     ids=["gamma", "alpha", "oracle_tol", "oracle_meshes", "sweep_axis", "re_flag", "rho_overflow",
-         "h_overflow_check", "h_overflow_sweep"],
+         "h_overflow_check", "h_overflow_sweep", "lambda_overflow_check", "lambda_overflow_sweep",
+         "potsdam_rho_overflow_check", "potsdam_rho_overflow_sweep", "multiplication_h_overflow"],
 )
 def test_malformed_or_extreme_numbers_exit_2(tmp_path, capsys, command, text, flags, key):
     cfg = tmp_path / "bad.cfg"

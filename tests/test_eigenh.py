@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissipext import eigenh
-from reference.dense import pencil_eigh
+from reference.dense import band_border, pencil_eigh
 
 
 def _random_hermitian(rng, n):
@@ -51,11 +51,10 @@ def test_eigh_rank_deficient():
 
 
 def test_pencil_trivial_examples():
-    g = np.eye(2, dtype=complex)
-    lam, _ = eigenh.pencil_extreme(g.copy(), g)
+    g = band_border(np.eye(2))
+    lam, _ = eigenh.pencil_extreme(band_border(np.eye(2)), g)
     assert lam == pytest.approx(1.0)
-    h = np.diag([-1.0, 2.0]).astype(complex)
-    lam, x = eigenh.pencil_extreme(h, g)
+    lam, x = eigenh.pencil_extreme(band_border(np.diag([-1.0, 2.0])), g)
     assert lam == pytest.approx(-1.0)
     assert abs(abs(x[0]) - 1.0) < 1e-12
 
@@ -65,7 +64,7 @@ def test_pencil_random_50_self_consistency():
     rng = np.random.default_rng(50)
     h = _random_hermitian(rng, 50)
     g = _random_spd(rng, 50)
-    lam, x = eigenh.pencil_extreme(h, g)
+    lam, x = eigenh.pencil_extreme(band_border(h), band_border(g))
     w_ref, _ = pencil_eigh(h, g)
     assert abs(lam - w_ref[0]) < 1e-9 * max(1.0, abs(w_ref[0]))
     resid = np.linalg.norm(h @ x - lam * (g @ x))
@@ -78,8 +77,8 @@ def test_pencil_unitary_invariance():
     h = _random_hermitian(rng, n)
     g = _random_spd(rng, n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    lam1, _ = eigenh.pencil_extreme(h, g)
-    lam2, _ = eigenh.pencil_extreme(q.conj().T @ h @ q, q.conj().T @ g @ q)
+    lam1, _ = eigenh.pencil_extreme(band_border(h), band_border(g))
+    lam2, _ = eigenh.pencil_extreme(band_border(q.conj().T @ h @ q), band_border(q.conj().T @ g @ q))
     assert abs(lam1 - lam2) < 1e-10 * max(1.0, abs(lam1))
 
 
@@ -87,7 +86,7 @@ def test_pencil_rayleigh_quotient_matches():
     rng = np.random.default_rng(13)
     h = _random_hermitian(rng, 31)
     g = _random_spd(rng, 31)
-    lam, x = eigenh.pencil_extreme(h, g)
+    lam, x = eigenh.pencil_extreme(band_border(h), band_border(g))
     rayleigh = float(np.vdot(x, h @ x).real / np.vdot(x, g @ x).real)
     assert abs(rayleigh - lam) < 1e-10 * max(1.0, abs(lam))
 
@@ -128,7 +127,7 @@ def test_band_border_inertia_and_minimum(n, p, m, alpha, seed):
         rank_one = (alpha, q)
     structure = eigenh.PencilStructure(rank_one)
     w, _ = pencil_eigh(h, g)
-    hp, gp = (eigenh.BandBorder.from_dense(a, p, m) for a in (h0, g))
+    hp, gp = (band_border(a, p, m) for a in (h0, g))
     pencil = eigenh.BandPencil(hp, gp, structure)
     spread = max(1.0, float(np.max(np.abs(w))))
     # shifts strictly between eigenvalues, and outside the spectrum
@@ -145,15 +144,15 @@ def test_band_border_parts_match_dense():
     rng = np.random.default_rng(4)
     a = _band_border(rng, 20, 3, 2, dominant=False)
     x = rng.standard_normal(22) + 1j * rng.standard_normal(22)
-    for parts in (eigenh.BandBorder.from_dense(a, 3, 2), eigenh.BandBorder.from_dense(a)):
+    for parts in (band_border(a, 3, 2), band_border(a)):
         assert len(parts) == 22
         assert np.max(np.abs(parts.matvec(x) - a @ x)) < 1e-12 * np.max(np.abs(a @ x))
         assert np.max(np.abs(parts.abs_row_sums() - np.abs(a).sum(axis=1))) < 1e-12
         assert np.array_equal(parts.diagonal(), a.diagonal().real)
         assert parts.max_abs() == np.max(np.abs(np.tril(a)))
     q = rng.standard_normal(22) + 1j * rng.standard_normal(22)
-    r = eigenh.BandBorder.outer(0.7, q, eigenh.BandBorder.from_dense(a, 3, 2))
-    pattern = eigenh.BandBorder.from_dense(0.7 * np.outer(q, q.conj()), 3, 2)
+    r = eigenh.BandBorder.outer(0.7, q, band_border(a, 3, 2))
+    pattern = band_border(0.7 * np.outer(q, q.conj()), 3, 2)
     assert all(np.allclose(u, v, rtol=0, atol=1e-14) for u, v in zip(r.parts, pattern.parts))
 
 
@@ -168,7 +167,7 @@ def test_pencil_guess_keeps_the_certified_minimum(rank_one):
     if rank_one:
         q = rng.standard_normal(n + m) + 1j * rng.standard_normal(n + m)
         h, structure = h0 + 1.5 * np.outer(q, q.conj()), eigenh.PencilStructure((1.5, q))
-    hp, gp = (eigenh.BandBorder.from_dense(a, p, m) for a in (h0, g))
+    hp, gp = (band_border(a, p, m) for a in (h0, g))
     lam, _ = eigenh.pencil_extreme(hp, gp, structure)
     assert abs(lam - pencil_eigh(h, g)[0][0]) <= 1e-10 * abs(lam)
     guesses = [(lam + 100.0, 1.0), (lam + 100.0, 200.0), (lam - 100.0, 1.0), (lam, 1e-3), (lam, 0.0)]
@@ -182,13 +181,13 @@ def test_pencil_guess_keeps_the_certified_minimum(rank_one):
 def test_ldl_pivots_match_cholesky():
     rng = np.random.default_rng(21)
     g = _band_border(rng, 30, 3, 1, dominant=True)
-    d = eigenh.GramFactor(eigenh.BandBorder.from_dense(g, 3, 1)).pivots
+    d = eigenh.GramFactor(band_border(g, 3, 1)).pivots
     assert np.max(np.abs(d - np.abs(np.diag(np.linalg.cholesky(g))) ** 2)) < 1e-12 * np.max(d)
     with pytest.raises(eigenh.NotPositiveDefiniteError):
-        eigenh.GramFactor(eigenh.BandBorder.from_dense(-g, 3, 1))
+        eigenh.GramFactor(band_border(-g, 3, 1))
 
 
 def test_pencil_rejects_non_finite_entries():
-    h = np.diag([1.0, np.nan]).astype(complex)
+    h = band_border(np.diag([1.0, np.nan]))
     with pytest.raises(eigenh.EigenError):
-        eigenh.pencil_extreme(h, np.eye(2, dtype=complex))
+        eigenh.pencil_extreme(h, band_border(np.eye(2)))

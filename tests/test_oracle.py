@@ -7,8 +7,8 @@ import pytest
 
 from dissipext import catalog, criteria, eigenh, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, norm_sq
-from reference.assembly import assemble_dense, dense_pencil, expand, operator_matrix
-from reference.dense import pencil_eigh
+from reference.assembly import assemble_dense, dense_pencil, expand
+from reference.dense import band_border, pencil_eigh
 from reference.margins import semibound_estimate
 from test_splines import cox_de_boor
 
@@ -42,8 +42,8 @@ def test_konzert_hermitian_block_is_multiplication_matrix():
     # weighted multiplication matrix
     prob = _konzert(1.0)
     op = oracle.assemble_discrete(prob, 64)
-    h = expand(oracle.hermitian_part(op))
-    nb = op.v_index
+    h = expand(op.h)
+    nb = len(op.h.band)
     xs, ws, val, _ = _dense_core(prob.grid.offset, 1.0, 64)
     mult = (val * (ws * 0.25 / xs)) @ val.T
     assert np.max(np.abs(h[:nb, :nb] - mult)) < 1e-12
@@ -51,8 +51,8 @@ def test_konzert_hermitian_block_is_multiplication_matrix():
 
 def test_shirley_hermitian_block_is_stiffness(shirley_instance):
     op = oracle.assemble_discrete(shirley_instance, 64)
-    h = expand(oracle.hermitian_part(op))
-    nb = op.v_index
+    h = expand(op.h)
+    nb = len(op.h.band)
     _, ws, _, d1 = _dense_core(shirley_instance.grid.offset, 1.0, 64)
     stiff = (d1 * ws) @ d1.T
     assert np.max(np.abs(h[:nb, :nb] - stiff)) < 1e-10 * np.max(np.abs(stiff))
@@ -60,12 +60,12 @@ def test_shirley_hermitian_block_is_stiffness(shirley_instance):
 
 def test_hermitian_part_exact():
     # off the diagonal the parts are Hermitian by storage; the diagonal and
-    # the corner are exactly so
-    op = oracle.assemble_discrete(_konzert(1.2), 64)
-    h = oracle.hermitian_part(op)
+    # the corner are exactly so, and H is (M - M^H) / 2i of the dense M
+    prob = _konzert(1.2)
+    h = oracle.assemble_discrete(prob, 64).h
     assert np.all(h.band[:, 0].imag == 0.0)
     assert np.array_equal(h.corner, h.corner.conj().T)
-    m = operator_matrix(op)
+    m, _ = assemble_dense(prob, 64)
     assert np.max(np.abs(expand(h) - (m - m.conj().T) / 2.0j)) == 0.0
 
 
@@ -144,8 +144,8 @@ def test_v_column_matches_criteria_lhs(builder, kwargs, shirley_instance, rank_o
         ref += 1j * abs(_gauss(lambda x: sq2 * np.exp(-x) * v(x), breaks)) ** 2
     if builder == "schrodinger_mult":  # i int_0^1 |v|^2
         ref += 1j * _gauss(lambda x: np.abs(v(x)) ** 2, [0.0, 1.0])
-    op = oracle.assemble_discrete(prob, 128)
-    assert abs(operator_matrix(op)[op.v_index, op.v_index] - ref) < 1e-8
+    h, _ = dense_pencil(oracle.assemble_discrete(prob, 128))
+    assert abs(h[-1, -1] - ref.imag) < 1e-8
     assert abs(criteria.general_lhs(prob) - ref.imag) < 1e-8
 
 
@@ -168,7 +168,7 @@ def test_assembly_independent_of_sample_grid(scenario, phi_x2_minus_x, phi_ix_ex
         return catalog.build_halfline_schrodinger(1 + 1j, pert, n=n)
 
     coarse, fine = (oracle.assemble_discrete(build(n), 64) for n in (64, 512))
-    for name in ("matrix", "matrix_h", "gram"):
+    for name in ("h", "gram"):
         for a, b in zip(getattr(coarse, name).parts, getattr(fine, name).parts):
             assert np.array_equal(a, b), name
 
@@ -188,10 +188,10 @@ def test_assembly_needs_analytic_vector():
 
 
 def test_pencil_min_eig_examples():
-    g = np.eye(2, dtype=complex)
-    lam, _ = oracle.pencil_min_eig(g.copy(), g)
+    g = band_border(np.eye(2))
+    lam, _ = oracle.pencil_min_eig(band_border(np.eye(2)), g)
     assert lam == pytest.approx(1.0)
-    lam, _ = oracle.pencil_min_eig(np.diag([-1.0, 2.0]).astype(complex), g)
+    lam, _ = oracle.pencil_min_eig(band_border(np.diag([-1.0, 2.0])), g)
     assert lam == pytest.approx(-1.0)
 
 
@@ -201,7 +201,7 @@ def test_pencil_min_eig_residual_contract():
     h = 0.5 * (a + a.conj().T)
     b = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
     g = b @ b.conj().T + 50 * np.eye(50)
-    lam, x = oracle.pencil_min_eig(h, g)
+    lam, x = oracle.pencil_min_eig(band_border(h), band_border(g))
     ref = pencil_eigh(h, g)[0][0]
     assert lam == pytest.approx(ref, abs=1e-9 * max(1, abs(ref)))
     assert np.linalg.norm(h @ x - lam * (g @ x)) <= 1e-9 * np.linalg.norm(h, 2) * np.linalg.norm(x)
@@ -231,7 +231,7 @@ def test_band_solver_matches_dense_spectrum(kind, n, rank_one_direction):
     prob = _equivalence_problem(kind, rank_one_direction)
     op = oracle.assemble_discrete(prob, n, include_bounded_v=kind != "rank_one_symmetric_part")
     assert (op.structure.rank_one is not None) == (kind == "rank_one")
-    mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+    mu, _ = oracle.pencil_min_eig(op.h, op.gram, op.structure)
     w, _ = pencil_eigh(*dense_pencil(op))
     assert abs(mu - w[0]) <= 1e-10 * abs(w[0])
 
@@ -239,7 +239,7 @@ def test_band_solver_matches_dense_spectrum(kind, n, rank_one_direction):
 @pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication",
                                   "rank_one_symmetric_part"])
 def test_band_assembly_matches_dense_reference(kind, rank_one_direction):
-    # the band parts of M, H and G against the dense np.add.at assembly,
+    # the band parts of H and G against the dense np.add.at assembly,
     # rank-one term and the multiplication i V block included
     prob = _equivalence_problem(kind, rank_one_direction)
     bounded = kind != "rank_one_symmetric_part"
@@ -247,7 +247,7 @@ def test_band_assembly_matches_dense_reference(kind, rank_one_direction):
     m_ref, g_ref = assemble_dense(prob, 64, include_bounded_v=bounded)
     h_ref = (m_ref - m_ref.conj().T) / 2.0j
     h, g = dense_pencil(op)
-    for got, ref in ((operator_matrix(op), m_ref), (h, h_ref), (g, g_ref)):
+    for got, ref in ((h, h_ref), (g, g_ref)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -260,7 +260,7 @@ def test_oracle_mesh_memory_is_linear():
     tracemalloc.start()
     try:
         op = oracle.assemble_discrete(prob, 1024)
-        oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+        oracle.pencil_min_eig(op.h, op.gram, op.structure)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -283,7 +283,7 @@ def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch
     for n in (16, 32):
         calls.clear()
         op = oracle.assemble_discrete(prob, n)
-        oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+        oracle.pencil_min_eig(op.h, op.gram, op.structure)
         gram_diagonal = op.gram.band[:, 0].tolist()
         assert len(calls) > 2
         assert sum(diag == gram_diagonal for diag in calls) == 1
@@ -293,17 +293,17 @@ def test_residual_norm_counts_the_rank_one_term(rank_one_direction):
     # ||H||_inf of the residual check, from the parts and (alpha, q) alone
     op = oracle.assemble_discrete(_equivalence_problem("rank_one", rank_one_direction), 32)
     h, _ = dense_pencil(op)
-    got = oracle._inf_norm(oracle.hermitian_part(op), op.structure)
+    got = oracle._inf_norm(op.h, op.structure)
     assert got == pytest.approx(np.linalg.norm(h, np.inf), rel=1e-13)
 
 
 def test_pencil_min_eig_rejects_bad_inputs():
     with pytest.raises(oracle.OracleError):
-        oracle.pencil_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-    with pytest.raises(oracle.OracleError):
-        oracle.pencil_min_eig(np.eye(2), np.diag([1.0, -1.0]))
-    eye = eigenh.BandBorder.from_dense(np.eye(3), 1, 1)
-    for band, corner in ((np.array([[1j, 0.0], [1.0, 0.0]]), np.eye(1)), (eye.band, np.array([[1j]]))):
+        oracle.pencil_min_eig(band_border(np.eye(2)), band_border(np.diag([1.0, -1.0])))
+    eye = band_border(np.eye(4), 1, 2)
+    # a complex diagonal, a complex corner diagonal, a non-Hermitian corner
+    for band, corner in ((np.array([[1j, 0.0], [1.0, 0.0]]), np.eye(2)),
+                         (eye.band, np.diag([1.0, 1j])), (eye.band, np.array([[1.0, 1.0], [0.0, 1.0]]))):
         with pytest.raises(oracle.OracleError):
             oracle.pencil_min_eig(eigenh.BandBorder(band, eye.rows, corner), eye)
 
@@ -312,14 +312,16 @@ def test_pencil_min_eig_rejects_bad_inputs():
 # mesh studies
 
 
-def test_variational_monotonicity_nested_meshes():
+@pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication",
+                                  "rank_one_symmetric_part"])
+def test_variational_monotonicity_nested_meshes(kind, rank_one_direction):
     # dyadically nested knot refinements can only lower the infimum
-    prob = _konzert(1.2)
+    prob = _equivalence_problem(kind, rank_one_direction)
     mus = []
     n0 = 61  # m = 64 knot intervals; next level doubles them
     for n in (n0, 2 * (n0 + 3) - 3, 4 * (n0 + 3) - 3):
-        op = oracle.assemble_discrete(prob, n)
-        mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+        op = oracle.assemble_discrete(prob, n, include_bounded_v=kind != "rank_one_symmetric_part")
+        mu, _ = oracle.pencil_min_eig(op.h, op.gram, op.structure)
         mus.append(mu)
     assert mus[1] <= mus[0] + 1e-10
     assert mus[2] <= mus[1] + 1e-10
@@ -373,7 +375,7 @@ def test_warm_ladder_matches_cold_pencils(seed, rank_one_direction, monkeypatch)
         assert guesses[0] is None and None not in guesses[1:]
         for m, mu in zip(report.meshes, report.infima):
             op = oracle.assemble_discrete(prob, m)
-            cold, _ = cold_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+            cold, _ = cold_min_eig(op.h, op.gram, op.structure)
             tol = 1e-11 if abs(cold) < 1e-8 else 1e-12 * abs(cold)
             assert abs(mu - cold) <= tol, (kind, m, mu, cold)
 
@@ -437,7 +439,7 @@ def test_semibound_oracle_bound(rank_one_direction):
             h, catalog.RankOnePerturbation(1.0, rank_one_direction, lam)
         )
         op = oracle.assemble_discrete(prob, 128, include_bounded_v=False)
-        mu, _ = oracle.pencil_min_eig(oracle.hermitian_part(op), op.gram, op.structure)
+        mu, _ = oracle.pencil_min_eig(op.h, op.gram, op.structure)
         norm_v_sq = norm_sq(prob.v, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)
