@@ -14,10 +14,9 @@ Four families of one-dimensional dual pairs are built here:
 * ``halfline_schrodinger`` -- ``-f''`` with boundary parameter ``h`` plus a
   bounded rank-one or multiplication perturbation of the imaginary part.
 
-Every builder states each scenario function as a term sum, checks its
-inputs on the terms (traces, realness, decay by the truncation radius), and
-records the scenario's closed-form reference margin next to the
-criteria-module evaluation path.
+Every builder states each scenario function as a term sum and checks its
+inputs on the terms (traces, realness, square-integrability, decay by the
+truncation radius).  The decision itself is :func:`dissipext.criteria.decide`.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import forms
 from .analytic import AnalyticFunction, DivergentIntegralError, Term, is_real, norm_sq
@@ -87,8 +84,6 @@ class ExtensionProblem:
     ``v`` spans the added one-dimensional space; the deviation from the
     maximal action is either ``V_F phi`` (``phi`` set) or the explicit
     function ``lv``.  All of them are term sums on the domain ``grid``.
-    ``reference_margin`` stores the scenario's closed-form decision margin
-    for cross-checking.
 
     :meth:`expression` and :meth:`deviation` are the one statement of the
     scenario's operator that the criteria and the oracle read.
@@ -106,8 +101,6 @@ class ExtensionProblem:
     perturbation: RankOnePerturbation | MultiplicationPerturbation | None = None
     w_potential: AnalyticFunction | None = None
     maximally_dissipative: bool | None = None
-    reference_margin: float | None = None
-    reference_dissipative: bool | None = None
 
     def expression(self) -> tuple[complex, complex, AnalyticFunction]:
         """``(c2, c1, m)`` of the unbounded action ``c2 f'' + c1 f' + m f``.
@@ -154,8 +147,16 @@ class ExtensionProblem:
         elif isinstance(pert, MultiplicationPerturbation):
             pert = replace(pert, k=zero)
         return replace(self, phi=None if self.phi is None else zero,
-                       lv=None if self.lv is None else zero, perturbation=pert,
-                       reference_margin=None, reference_dissipative=None)
+                       lv=None if self.lv is None else zero, perturbation=pert)
+
+
+def _check_square(value: complex, name: str) -> None:
+    """CatalogError naming ``name`` when ``|value|^2``, which the criteria
+    form, overflows."""
+    try:
+        abs(value) ** 2
+    except OverflowError:
+        raise CatalogError(f"|{name}|^2 overflows for {name} = {value}") from None
 
 
 def _check_phi(spec: forms.ImaginaryPartSpec, phi: AnalyticFunction, what: str) -> None:
@@ -191,11 +192,10 @@ def build_potsdam(
     rho: complex,
     phi: AnalyticFunction | None,
     *,
-    n: int = 512,
     r: float = DEFAULT_HALFLINE_R,
 ) -> ExtensionProblem:
     """Half-line scenario with potential ``W`` and deviation ``V_F phi``."""
-    grid = make_grid("halfline", n, length=r)
+    grid = make_grid("halfline", length=r)
     spec = forms.dirichlet_laplacian_halfline(grid)
     # trace-normalized pair: sigma(0) = tau'(0) = 1, sigma'(0) = tau(0) = 0
     sigma, tau = _decaying_vector(0j), _decaying_vector(RHO_INF)
@@ -214,12 +214,6 @@ def build_potsdam(
             norm_sq(w, 0.0, math.inf)
         except DivergentIntegralError:
             raise CatalogError("potential W must be square-integrable") from None
-    dphi = phi_fn.derivative()
-    norm_dphi_sq = float((dphi.conj() * dphi).integral(0.0, math.inf).real)
-    if is_inf(rho):
-        margin = -0.25 * norm_dphi_sq
-    else:
-        margin = rho.real - 0.25 * norm_dphi_sq + float(dphi.value_at_zero().imag)
     return ExtensionProblem(
         scenario="potsdam",
         spec=spec,
@@ -228,8 +222,6 @@ def build_potsdam(
         rho=rho,
         phi=phi_fn,
         w_potential=w,
-        reference_margin=margin,
-        reference_dissipative=margin >= -1e-12,
     )
 
 
@@ -259,7 +251,6 @@ def build_shirley(
     rho: complex,
     phi: AnalyticFunction | None,
     *,
-    n: int = 512,
     offset: float = 1e-6,
 ) -> ExtensionProblem:
     """Interval scenario with the inverse-square potential and ``V_F phi``."""
@@ -269,24 +260,13 @@ def build_shirley(
         )
     if not offset > 0.0:
         raise CatalogError("the inverse-square potential needs an offset grid")
-    grid = make_grid("interval", n, offset=offset)
+    grid = make_grid("interval", offset=offset)
     spec = forms.dirichlet_laplacian_interval(domain=grid)
     xi = _shirley_vector(gamma, rho)
     phi_fn = phi if phi is not None else AnalyticFunction(())
     if phi is not None:
         _check_phi(spec, phi_fn, "phi must vanish at both endpoints")
-    dphi = phi_fn.derivative()
-    norm_dphi_sq = float((dphi.conj() * dphi).integral(0.0, 1.0).real)
-    dphi1 = complex(dphi(np.asarray(1.0))) if phi is not None else 0.0
-    if is_inf(rho):
-        margin = 1.0 - (0.25 * norm_dphi_sq + complex(dphi1).imag)
-    else:
-        try:
-            margin = (abs(rho) ** 2 - rho.real) - (
-                0.25 * norm_dphi_sq + (rho.conjugate() * dphi1).imag
-            )
-        except OverflowError:
-            raise CatalogError(f"|rho|^2 overflows for rho = {rho}") from None
+    _check_square(rho, "rho")
     return ExtensionProblem(
         scenario="shirley",
         spec=spec,
@@ -295,8 +275,6 @@ def build_shirley(
         rho=rho,
         phi=phi_fn,
         gamma=float(gamma),
-        reference_margin=float(margin),
-        reference_dissipative=margin >= -1e-12,
     )
 
 
@@ -308,7 +286,6 @@ def build_konzert(
     gamma: float,
     ell: AnalyticFunction | None,
     *,
-    n: int = 512,
     offset: float = 1e-6,
 ) -> ExtensionProblem:
     """Interval first-order scenario; deviation is an explicit L^2 function."""
@@ -317,14 +294,15 @@ def build_konzert(
         raise CatalogError(f"gamma must lie in (0, 1/2), got {gamma}")
     if not offset > 0.0:
         raise CatalogError("the inverse-first-power potential needs an offset grid")
-    grid = make_grid("interval", n, offset=offset)
+    grid = make_grid("interval", offset=offset)
     spec = forms.multiplication(AnalyticFunction((Term(gamma, -1.0),)), grid,
                                 strict_lower_bound=gamma)
     v = AnalyticFunction((Term(1.0, gamma + 1.0),))
     ell_fn = ell if ell is not None else AnalyticFunction(())
-    xw = AnalyticFunction((Term(1.0, 1.0),))
-    weighted = float((ell_fn.conj() * xw * ell_fn).integral(0.0, 1.0).real)
-    margin = 0.5 - weighted / (4.0 * gamma)
+    try:
+        norm_sq(ell_fn, 0.0, 1.0)
+    except DivergentIntegralError:
+        raise CatalogError("deviation ell must be square-integrable on (0, 1)") from None
     return ExtensionProblem(
         scenario="konzert",
         spec=spec,
@@ -333,8 +311,6 @@ def build_konzert(
         lv=ell_fn,
         gamma=float(gamma),
         maximally_dissipative=True,  # one added dimension against defect one
-        reference_margin=margin,
-        reference_dissipative=margin >= -1e-12,
     )
 
 
@@ -353,7 +329,6 @@ def build_halfline_schrodinger(
     h: complex,
     perturbation: RankOnePerturbation | MultiplicationPerturbation,
     *,
-    n: int = 512,
     r: float = DEFAULT_HALFLINE_R,
 ) -> ExtensionProblem:
     """Bounded-imaginary-part scenario ``-f'' + i V`` with boundary parameter h.
@@ -364,27 +339,19 @@ def build_halfline_schrodinger(
     so such inputs are rejected outright.
     """
     check_boundary_parameter("halfline_schrodinger", h)
-    grid = make_grid("halfline", n, length=r)
+    grid = make_grid("halfline", length=r)
     eta = _decaying_vector(h)
     if not decay_certificate(eta, r):
         raise CatalogError("boundary vector has not decayed by the truncation radius")
-    im_h = 0.0 if is_inf(h) else h.imag
     if isinstance(perturbation, RankOnePerturbation):
         if perturbation.alpha <= 0:
             raise CatalogError("rank-one strength alpha must be positive")
         spec = forms.rank_one(perturbation.alpha, perturbation.phi, grid)
         lv = perturbation.lam * perturbation.phi
-        try:
-            margin = im_h - abs(perturbation.lam) ** 2 / (4.0 * perturbation.alpha)
-        except OverflowError:
-            raise CatalogError(f"|lambda|^2 overflows for lambda = {perturbation.lam}") from None
+        _check_square(perturbation.lam, "lambda")
     else:
         spec = forms.multiplication(perturbation.v, grid)  # checks V >= 0
         lv = perturbation.k
-        try:
-            margin = im_h - 0.25 * forms.mult_inverse_norm_sq(perturbation.v, lv, spec.end)
-        except forms.FormsError:
-            margin = None  # support violations surface when the criterion runs
     return ExtensionProblem(
         scenario="halfline_schrodinger",
         spec=spec,
@@ -393,7 +360,5 @@ def build_halfline_schrodinger(
         h=h,
         lv=lv,
         perturbation=perturbation,
-        reference_margin=margin,
-        reference_dissipative=None if margin is None else margin >= -1e-12,
     )
 

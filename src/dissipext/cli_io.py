@@ -13,7 +13,6 @@ fails with a line/column annotated diagnostic::
     phi = x^2 - x
 
     [grid]
-    n = 512        # accepted, ignored
     offset = 1e-6
 
     [oracle]
@@ -308,7 +307,7 @@ def parse_complex(src: str) -> complex:
 _SECTION_KEYS = {
     "scenario": ("name", "gamma", "rho", "phi", "W", "ell", "h", "perturbation",
                  "alpha", "lambda", "V", "k"),
-    "grid": ("n", "offset", "R"),
+    "grid": ("offset", "R"),
     "oracle": ("meshes", "tol"),
     "sweep": ("re", "im"),
     "output": ("format", "path"),
@@ -333,10 +332,6 @@ class ScenarioConfig:
         return default
 
     @property
-    def grid_n(self) -> int:
-        return _read_number(self.get("grid", "n", "512"), "[grid] n", int)
-
-    @property
     def grid_offset(self) -> float:
         default = "1e-6" if self.scenario in _SINGULAR_SCENARIOS else "0"
         return _read_number(self.get("grid", "offset", default), "[grid] offset")
@@ -352,7 +347,10 @@ class ScenarioConfig:
 
     @property
     def tol(self) -> float:
-        return _read_number(self.get("oracle", "tol", "1e-6"), "[oracle] tol")
+        tol = _read_number(self.get("oracle", "tol", "1e-6"), "[oracle] tol")
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ConfigError(f"[oracle] tol must be finite and >= 0, got {tol!r}")
+        return tol
 
     @property
     def out_format(self) -> str:
@@ -536,26 +534,25 @@ def _maybe_expr(cfg: ScenarioConfig, key: str) -> AnalyticFunction | None:
 
 def build_problem(cfg: ScenarioConfig, rho_override: complex | None = None) -> ExtensionProblem:
     """Instantiate the configured scenario (optionally overriding rho)."""
-    n = cfg.grid_n
     name = cfg.scenario
     if name == "potsdam":
         rho = rho_override if rho_override is not None else parse_complex(cfg.get("scenario", "rho"))
         return catalog.build_potsdam(
-            _maybe_expr(cfg, "W"), rho, _maybe_expr(cfg, "phi"), n=n, r=cfg.grid_r
+            _maybe_expr(cfg, "W"), rho, _maybe_expr(cfg, "phi"), r=cfg.grid_r
         )
     if name == "shirley":
         rho = rho_override if rho_override is not None else parse_complex(cfg.get("scenario", "rho"))
         return catalog.build_shirley(
             float(cfg.get("scenario", "gamma")), rho, _maybe_expr(cfg, "phi"),
-            n=n, offset=cfg.grid_offset,
+            offset=cfg.grid_offset,
         )
     if name == "konzert":
         return catalog.build_konzert(
             float(cfg.get("scenario", "gamma")), _maybe_expr(cfg, "ell"),
-            n=n, offset=cfg.grid_offset,
+            offset=cfg.grid_offset,
         )
     h = rho_override if rho_override is not None else parse_complex(cfg.get("scenario", "h"))
-    grid = make_grid("halfline", n, length=cfg.grid_r)
+    grid = make_grid("halfline", length=cfg.grid_r)
     if cfg.get("scenario", "perturbation", "rank_one") == "rank_one":
         alpha = float(cfg.get("scenario", "alpha", "1"))
         lam = parse_complex(cfg.get("scenario", "lambda", "0"))
@@ -570,7 +567,7 @@ def build_problem(cfg: ScenarioConfig, rho_override: complex | None = None) -> E
     else:
         pert = catalog.MultiplicationPerturbation(parse_expression(cfg.get("scenario", "V")),
                                                   parse_expression(cfg.get("scenario", "k")))
-    return catalog.build_halfline_schrodinger(h, pert, n=n, r=cfg.grid_r)
+    return catalog.build_halfline_schrodinger(h, pert, r=cfg.grid_r)
 
 
 # ---------------------------------------------------------------------------

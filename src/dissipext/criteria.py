@@ -124,11 +124,33 @@ def _im_action(problem: ExtensionProblem) -> float:
     """``Im <v, action v>`` for the unbounded part of the maximal action.
 
     The action includes the real half-line potential W, which adds nothing
-    to the imaginary part.
+    to the imaginary part.  The Schroedinger action ``-f''`` gives
+    ``Im(conj(v(0)) v'(0))`` after one integration by parts
+    (:func:`_boundary_form`).
     """
     vfn = problem.v
+    if problem.scenario == "halfline_schrodinger" and all(
+            t.power == 0 and not t.windowed for t in vfn.terms):
+        return _boundary_form(vfn)
     act = problem.action_on(vfn)
     return float((vfn.conj() * act).integral(0.0, problem.grid.right_endpoint).imag)
+
+
+def _boundary_form(v: AnalyticFunction) -> float:
+    """``Im(conj(v(0)) v'(0))`` of a sum of exponentials ``v = sum c e^{mu x}``.
+
+    The Robin vector of ``h`` has coefficients of size ``|h|`` that sum to
+    ``v(0) = 1`` and ``v'(0) = h``.  Each part of ``v(0)`` and of ``v'(0) =
+    sum c mu`` is the exactly rounded sum (:func:`math.fsum`) of the parts
+    of the ``c`` and of the products, so ``Im h`` survives where a rounded
+    ``c mu``, and the term-sum integral, would cancel it.
+    """
+    pairs = [(complex(t.coeff), complex(t.rate)) for t in v.terms]
+    v0_re = math.fsum(c.real for c, _ in pairs)
+    v0_im = math.fsum(c.imag for c, _ in pairs)
+    d0_re = math.fsum(x for c, mu in pairs for x in (c.real * mu.real, -c.imag * mu.imag))
+    d0_im = math.fsum(x for c, mu in pairs for x in (c.real * mu.imag, c.imag * mu.real))
+    return v0_re * d0_im - v0_im * d0_re
 
 
 def _bounded_part(problem: ExtensionProblem) -> float:

@@ -28,8 +28,6 @@ __all__ = [
 
 DEFAULT_INTERVAL_B = 1.0
 DEFAULT_HALFLINE_R = 40.0
-#: the node count ``make_grid`` still validates, and otherwise ignores
-_MIN_N = 8
 #: envelope at the truncation radius over the largest term peak
 _DECAY_RTOL = 1e-10
 
@@ -66,10 +64,8 @@ class Grid:
         return math.inf if self.is_halfline else self.length
 
 
-def make_grid(kind: str, n: int | None = None, *, length: float | None = None,
-              offset: float = 0.0) -> Grid:
-    """The domain of ``kind``; ``n`` (a node count of at least 8) is accepted
-    and ignored.
+def make_grid(kind: str, *, length: float | None = None, offset: float = 0.0) -> Grid:
+    """The domain of ``kind``: ``"interval"`` or ``"halfline"``.
 
     ``length`` defaults to 1 for intervals and to the standard truncation
     radius 40 for half-lines (products of the catalog's exponentially
@@ -77,8 +73,6 @@ def make_grid(kind: str, n: int | None = None, *, length: float | None = None,
     """
     if kind not in ("interval", "halfline"):
         raise GridError(f"unknown grid kind {kind!r}")
-    if n is not None and n < _MIN_N:
-        raise GridError(f"need at least {_MIN_N} nodes, got {n}")
     if length is None:
         length = DEFAULT_HALFLINE_R if kind == "halfline" else DEFAULT_INTERVAL_B
     if not (length > 0.0) or not math.isfinite(length):

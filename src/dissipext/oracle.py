@@ -11,8 +11,8 @@ and :meth:`~dissipext.catalog.ExtensionProblem.deviation`), and the
 extension vector's entries against itself are closed-form term-sum
 integrals.  The right edge of a half-line core span is where the problem's
 functions decay, read from their term sums
-(:func:`~dissipext.analytic.tail_point`), so the assembled matrices do not
-depend on ``[grid] n``.  The infimum of the numerical range's imaginary
+(:func:`~dissipext.analytic.tail_point`), so a truncation radius beyond
+their decay does not move it.  The infimum of the numerical range's imaginary
 part over that space is the minimal eigenvalue of the Hermitian pencil
 ``H x = mu G x`` with ``H = (M - M^H) / 2i`` the Gram-weighted imaginary
 part of the discretized action ``M``, which is not kept.  The assembly
@@ -176,8 +176,7 @@ def assemble_discrete(
     plus the bounded part's form, whose imaginary part is ``H``'s corner,
     and ``||v||^2`` from :func:`norm_sq`; the rank-one ``<v, phi>`` is
     :func:`forms.inner`.  The right edge of the core span comes from the
-    term sums too (:func:`_active_cut`), so the result does not depend on
-    ``[grid] n``.
+    term sums too (:func:`_active_cut`).
     ``include_bounded_v=False`` drops the bounded imaginary part from the
     action (used for semibound studies of the deviated symmetric part alone).
     """

@@ -10,12 +10,12 @@ from dissipext.grid import make_grid
 
 @pytest.fixture(scope="session")
 def interval_grid():
-    return make_grid("interval", 512)
+    return make_grid("interval")
 
 
 @pytest.fixture(scope="session")
 def halfline_grid():
-    return make_grid("halfline", 512)
+    return make_grid("halfline")
 
 
 @pytest.fixture(scope="session")

@@ -83,8 +83,8 @@ def test_acceptance_3_first_order_scenario_reproduction():
     rng = np.random.default_rng(100)
     for _ in range(100):
         t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
-        m1 = criteria.decide(catalog.build_konzert(0.25, constant(1.3 * t1), n=64)).margin
-        m2 = criteria.decide(catalog.build_konzert(0.25, constant(1.3 * t2), n=64)).margin
+        m1 = criteria.decide(catalog.build_konzert(0.25, constant(1.3 * t1))).margin
+        m2 = criteria.decide(catalog.build_konzert(0.25, constant(1.3 * t2))).margin
         assert m1 >= m2 - 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -179,7 +179,7 @@ def test_acceptance_5_oracle_agreement():
 def test_acceptance_6_small_form_oracle():
     t0 = time.perf_counter()
     gamma = 0.25
-    offset_grid = make_grid("interval", 2048, offset=1e-6)
+    offset_grid = make_grid("interval", offset=1e-6)
     spec_lap = forms.dirichlet_laplacian_interval()
     spec_mult = forms.multiplication(power(gamma, -1.0), offset_grid, strict_lower_bound=gamma)
     pi = math.pi

@@ -10,7 +10,7 @@ from dissipext.analytic import AnalyticFunction, Term, constant, exponential, in
 from dissipext.catalog import RHO_INF
 from reference.dense import pencil_eigh
 from reference.dual_pair import DenseOperator, assemble_core_pair, split_dual_pair
-from reference.margins import shirley_margin_exact
+from reference.margins import reference_dissipative, reference_margin, shirley_margin_exact
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +48,12 @@ def test_potsdam_vector_solves_defect_equation(gauss):
 def test_potsdam_reference_margins(phi_ix_exp):
     # ||phi'||^2 = 1/4 and Im phi'(0) = 1 for phi = i x e^-x
     p = catalog.build_potsdam(None, 0.0j, phi_ix_exp)
-    assert p.reference_margin == pytest.approx(15 / 16, abs=1e-13)
+    assert reference_margin(p) == pytest.approx(15 / 16, abs=1e-13)
     pinf = catalog.build_potsdam(None, RHO_INF, phi_ix_exp)
-    assert pinf.reference_margin == pytest.approx(-1 / 16, abs=1e-13)
-    assert pinf.reference_dissipative is False
+    assert reference_margin(pinf) == pytest.approx(-1 / 16, abs=1e-13)
+    assert reference_dissipative(pinf) is False
     pinf0 = catalog.build_potsdam(None, RHO_INF, None)
-    assert pinf0.reference_dissipative is True
+    assert reference_dissipative(pinf0) is True
 
 
 def test_potsdam_rejects_bad_phi():
@@ -71,7 +71,7 @@ def test_potsdam_rejects_complex_potential():
 def test_potsdam_w_free_margin(phi_ix_exp):
     with_w = catalog.build_potsdam(exponential(0.7, -0.5), -0.3 + 0j, phi_ix_exp)
     without = catalog.build_potsdam(None, -0.3 + 0j, phi_ix_exp)
-    assert with_w.reference_margin == pytest.approx(without.reference_margin, abs=1e-13)
+    assert reference_margin(with_w) == pytest.approx(reference_margin(without), abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +136,10 @@ def test_shirley_reference_vs_criteria_100_draws(phi_x2_minus_x):
         rho = complex(rng.normal(), rng.normal())
         scale = rng.normal()
         phi = AnalyticFunction((Term(scale, 2.0), Term(-scale, 1.0)))
-        prob = catalog.build_shirley(gamma, rho, phi, n=256)
+        prob = catalog.build_shirley(gamma, rho, phi)
         v = criteria.verdict_strict_pos(prob)
-        assert abs(v.margin - prob.reference_margin) < 1e-8
-        assert v.dissipative == prob.reference_dissipative
+        assert abs(v.margin - reference_margin(prob)) < 1e-8
+        assert v.dissipative == reference_dissipative(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +148,12 @@ def test_shirley_reference_vs_criteria_100_draws(phi_x2_minus_x):
 
 def test_konzert_margins():
     k = catalog.build_konzert(0.25, constant(1.0))
-    assert k.reference_margin == pytest.approx(0.0, abs=1e-14)
-    assert k.reference_dissipative is True
+    assert reference_margin(k) == pytest.approx(0.0, abs=1e-14)
+    assert reference_dissipative(k) is True
     k2 = catalog.build_konzert(0.25, constant(1.05))
-    assert k2.reference_dissipative is False
+    assert reference_dissipative(k2) is False
     k0 = catalog.build_konzert(0.25, None)
-    assert k0.reference_margin == pytest.approx(0.5, abs=1e-14)
+    assert reference_margin(k0) == pytest.approx(0.5, abs=1e-14)
     assert k0.maximally_dissipative is True
 
 
@@ -168,10 +168,10 @@ def test_konzert_reference_vs_criteria_100_draws():
     for _ in range(100):
         gamma = 0.05 + 0.4 * rng.random()
         c = complex(rng.normal(), rng.normal())
-        prob = catalog.build_konzert(gamma, constant(c), n=128)
+        prob = catalog.build_konzert(gamma, constant(c))
         v = criteria.verdict_unique_ext(prob)
-        assert abs(v.margin - prob.reference_margin) < 1e-8
-        assert v.dissipative == prob.reference_dissipative
+        assert abs(v.margin - reference_margin(prob)) < 1e-8
+        assert v.dissipative == reference_dissipative(prob)
 
 
 def test_potsdam_reference_vs_criteria_100_draws():
@@ -180,10 +180,10 @@ def test_potsdam_reference_vs_criteria_100_draws():
         rho = complex(rng.normal(), rng.normal())
         s = complex(rng.normal(0, 0.7), rng.normal(0, 0.7))
         phi = AnalyticFunction((Term(s, 1.0, -1.0),)) if abs(s) > 0.05 else None
-        prob = catalog.build_potsdam(None, rho, phi, n=128)
+        prob = catalog.build_potsdam(None, rho, phi)
         v = criteria.verdict_ran_vf(prob)
-        assert abs(v.margin - prob.reference_margin) < 1e-8
-        assert v.dissipative == prob.reference_dissipative
+        assert abs(v.margin - reference_margin(prob)) < 1e-8
+        assert v.dissipative == reference_dissipative(prob)
 
 
 def test_schrodinger_reference_vs_criteria_100_draws(rank_one_direction):
@@ -197,10 +197,10 @@ def test_schrodinger_reference_vs_criteria_100_draws(rank_one_direction):
         else:
             k = float(rng.uniform(0, 3)) * indicator(0.0, 1.0)
             pert = catalog.MultiplicationPerturbation(vmult, k)
-        prob = catalog.build_halfline_schrodinger(h, pert, n=128)
+        prob = catalog.build_halfline_schrodinger(h, pert)
         v = criteria.verdict_bounded_v(prob)
-        assert abs(v.margin - prob.reference_margin) < 1e-8
-        assert v.dissipative == prob.reference_dissipative
+        assert abs(v.margin - reference_margin(prob)) < 1e-8
+        assert v.dissipative == reference_dissipative(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +219,14 @@ def test_schrodinger_rank_one_margin(rank_one_direction):
     q = catalog.build_halfline_schrodinger(
         1j, catalog.RankOnePerturbation(1.0, rank_one_direction, 2.0)
     )
-    assert q.reference_margin == pytest.approx(0.0, abs=1e-14)
+    assert reference_margin(q) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_schrodinger_multiplication_margin():
     v = indicator(0.0, 1.0)
     k = 1.5 * indicator(0.0, 1.0)
     q = catalog.build_halfline_schrodinger(1 + 1j, catalog.MultiplicationPerturbation(v, k))
-    assert q.reference_margin == pytest.approx(1.0 - 1.5**2 / 4.0, abs=1e-13)
+    assert reference_margin(q) == pytest.approx(1.0 - 1.5**2 / 4.0, abs=1e-13)
 
 
 def test_schrodinger_rejects_lower_halfplane(rank_one_direction):
@@ -240,11 +240,11 @@ def test_schrodinger_h_inf_only_zero_deviation(rank_one_direction):
     qz = catalog.build_halfline_schrodinger(
         RHO_INF, catalog.RankOnePerturbation(1.0, rank_one_direction, 0.0)
     )
-    assert qz.reference_dissipative is True
+    assert reference_dissipative(qz) is True
     qnz = catalog.build_halfline_schrodinger(
         RHO_INF, catalog.RankOnePerturbation(1.0, rank_one_direction, 0.5)
     )
-    assert qnz.reference_dissipative is False
+    assert reference_dissipative(qnz) is False
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_schrodinger_h_inf_only_zero_deviation(rank_one_direction):
 
 
 def test_split_dual_pair_symmetric_input():
-    k = catalog.build_konzert(0.25, None, n=128)
+    k = catalog.build_konzert(0.25, None)
     m_op, m_tilde = assemble_core_pair(k, 32)
     sym = DenseOperator(m_op.basis, 0.5 * (m_op.matrix + m_op.matrix.conj().T), m_op.gram)
     s, v = split_dual_pair(sym, sym)
@@ -260,7 +260,7 @@ def test_split_dual_pair_symmetric_input():
 
 
 def test_split_dual_pair_konzert():
-    k = catalog.build_konzert(0.25, None, n=128)
+    k = catalog.build_konzert(0.25, None)
     m_op, m_tilde = assemble_core_pair(k, 32)
     s, v = split_dual_pair(m_op, m_tilde)
     # the symmetric part is Hermitian there, the non-negative part is the
@@ -271,7 +271,7 @@ def test_split_dual_pair_konzert():
 
 
 def test_split_dual_pair_rejects_non_dual():
-    k = catalog.build_konzert(0.25, None, n=128)
+    k = catalog.build_konzert(0.25, None)
     m_op, m_tilde = assemble_core_pair(k, 16)
     broken = DenseOperator(m_tilde.basis, m_tilde.matrix + 0.1, m_tilde.gram)
     with pytest.raises(catalog.CatalogError):
@@ -279,7 +279,7 @@ def test_split_dual_pair_rejects_non_dual():
 
 
 def test_split_dual_pair_rejects_indefinite_imaginary_part():
-    k = catalog.build_konzert(0.25, None, n=128)
+    k = catalog.build_konzert(0.25, None)
     m_op, m_tilde = assemble_core_pair(k, 16)
     flipped = DenseOperator(m_op.basis, m_op.matrix.conj().T, m_op.gram)
     other = DenseOperator(m_op.basis, m_op.matrix, m_op.gram)

@@ -27,9 +27,6 @@ name = shirley
 gamma = 2
 rho = 0.5+0.375i
 phi = x^2 - x
-
-[grid]
-n = 256
 """
 
 
@@ -92,7 +89,6 @@ def test_parse_complex_values():
 def test_parse_minimal_shirley():
     cfg = cli_io.parse_config(SHIRLEY_CFG)
     assert cfg.scenario == "shirley"
-    assert cfg.grid_n == 256
     assert cfg.grid_offset == 1e-6  # singular scenario default
 
 
@@ -285,23 +281,33 @@ def test_main_sweep_library_error_exits_2(tmp_path, capsys):
 
 
 def test_main_check_malformed_grid_number_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text(SHIRLEY_CFG.replace("n = 256", "n = abc"))
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[scenario]\nname = potsdam\nrho = 1\n\n[grid]\nR = abc\n")
     code = cli_io.main(["check", "--config", str(cfg)])
     assert code == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["code"] == "ConfigError"
-    assert "[grid] n" in error["message"]
+    assert "[grid] R" in error["message"]
 
 
 def test_main_check_rejects_grid_b(tmp_path, capsys):
     # every interval scenario is built on (0, 1): a right end in the config
     # would have no effect, so the reader refuses it
     cfg = tmp_path / "s.cfg"
-    cfg.write_text(SHIRLEY_CFG + "b = 2\n")
+    cfg.write_text(SHIRLEY_CFG + "\n[grid]\nb = 2\n")
     code = cli_io.main(["check", "--config", str(cfg)])
     assert code == 2
     assert "unknown key 'b' in [grid]" in capsys.readouterr().err
+
+
+def test_main_check_rejects_grid_n(tmp_path, capsys):
+    # a scenario's domain has no nodes: a node count in the config would
+    # have no effect, so the reader refuses it
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SHIRLEY_CFG + "\n[grid]\nn = 512\n")
+    code = cli_io.main(["check", "--config", str(cfg)])
+    assert code == 2
+    assert "unknown key 'n' in [grid] (line 8, col 1)" in capsys.readouterr().err
 
 
 def test_main_missing_file(capsys):
@@ -342,8 +348,8 @@ OVERFLOW_H_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1e200+1i\npertur
 OVERFLOW_LAMBDA_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1+1i\nperturbation = rank_one\n"
                        "alpha = 0.8\nlambda = 1e200\n")
 OVERFLOW_RHO_CFG = "[scenario]\nname = potsdam\nrho = 1e200+1i\nphi = i*x*exp(-x)\n"
-OVERFLOW_MULT_H_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1e200+1i\nperturbation = multiplication\n"
-                       "V = indicator(0,1)\nk = 2*indicator(0,1)\n")
+# the oracle agrees on this config: extrapolated infimum 0.232 > 0
+KONZERT_TOL_CFG = "[scenario]\nname = konzert\ngamma = 0.25\nell = 0.5\n\n[oracle]\ntol = {}\n"
 
 
 @pytest.mark.parametrize(
@@ -368,11 +374,17 @@ OVERFLOW_MULT_H_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1e200+1i\np
         # the quadratic forms of v = sigma + rho tau, and of the Robin vector of h, overflow
         ("check", OVERFLOW_RHO_CFG, [], "overflow for rho = (1e+200+1j)"),
         ("sweep", OVERFLOW_RHO_CFG, ["--re=1e200:1e200:1", "--im=1:1:1"], "overflow for rho = (1e+200+1j)"),
-        ("check", OVERFLOW_MULT_H_CFG, [], "overflow for h = (1e+200+1j)"),
+        # an oracle tolerance must be a finite number >= 0
+        *(("oracle", KONZERT_TOL_CFG.format(tol), [], "[oracle] tol")
+          for tol in ("nan", "-1", "-inf", "inf")),
+        *(("oracle", KONZERT_TOL_CFG.format("1e-6"), [f"--tol={tol}"], "[oracle] tol")
+          for tol in ("nan", "-1", "-inf", "inf")),
     ],
     ids=["gamma", "alpha", "oracle_tol", "oracle_meshes", "sweep_axis", "re_flag", "rho_overflow",
          "h_overflow_check", "h_overflow_sweep", "lambda_overflow_check", "lambda_overflow_sweep",
-         "potsdam_rho_overflow_check", "potsdam_rho_overflow_sweep", "multiplication_h_overflow"],
+         "potsdam_rho_overflow_check", "potsdam_rho_overflow_sweep",
+         "tol_nan", "tol_negative", "tol_minus_inf", "tol_inf",
+         "tol_flag_nan", "tol_flag_negative", "tol_flag_minus_inf", "tol_flag_inf"],
 )
 def test_malformed_or_extreme_numbers_exit_2(tmp_path, capsys, command, text, flags, key):
     cfg = tmp_path / "bad.cfg"
@@ -414,22 +426,22 @@ _ZERO_V = _multiplication("1i", "(x-0.3)^2*indicator(0,1)", "x*indicator(0,1)")
 
 
 @pytest.mark.parametrize(
-    "text, n, code, expect",
+    "text, r, code, expect",
     [
-        # int e^-3x / (1 + x) = e^3 E1(3), at every grid size
+        # int e^-3x / (1 + x) = e^3 E1(3), at every truncation radius R
         (_TWO_TERM_V, 64, 0, 0.93447906493617),
         (_TWO_TERM_V, 128, 0, 0.93447906493617),
         (_TWO_TERM_V, 512, 0, 0.93447906493617),
         # V decays, but k^2/V = e^{-x/10} is integrable: 3 - 10/4
-        (_multiplication("3i", "exp(-x)", "exp(-0.55*x)"), 512, 0, 0.5),
+        (_multiplication("3i", "exp(-x)", "exp(-0.55*x)"), None, 0, 0.5),
         # V vanishes linearly at the window edge 1 where k does not
-        (_multiplication("9i", "(1-x)*indicator(0,1)", "indicator(0,1)"), 512, 1,
+        (_multiplication("9i", "(1-x)*indicator(0,1)", "indicator(0,1)"), None, 1,
          "L_not_in_ranVF"),
         # 9 - int x^-0.6 e^-2x / (1 + x) / 4, from a 30-digit quadrature
         (_POLY_V, 64, 0, 8.63403830078244),
         (_POLY_V, 512, 0, 8.63403830078244),
-        (_POTSDAM_W.format("exp(x)"), 512, 2, "CatalogError"),
-        (_POTSDAM_W.format("x^-0.6"), 512, 2, "CatalogError"),
+        (_POTSDAM_W.format("exp(x)"), None, 2, "CatalogError"),
+        (_POTSDAM_W.format("x^-0.6"), None, 2, "CatalogError"),
         (_DIP_V, 64, 2, "FormsError"),
         (_DIP_V, 512, 2, "FormsError"),
         (_ZERO_V, 64, 1, "L_not_in_ranVF"),
@@ -439,9 +451,11 @@ _ZERO_V = _multiplication("1i", "(x-0.3)^2*indicator(0,1)", "x*indicator(0,1)")
          "polynomial_v_64", "polynomial_v_512", "potsdam_w_exp", "potsdam_w_pow",
          "negative_dip_v_64", "negative_dip_v_512", "interior_zero_v_64", "interior_zero_v_512"],
 )
-def test_memberships_decided_from_term_sums(tmp_path, capsys, text, n, code, expect):
+def test_memberships_decided_from_term_sums(tmp_path, capsys, text, r, code, expect):
+    # the suffixed cases set [grid] R: the membership is decided from the
+    # closed-form term sums, so no truncation radius moves it
     cfg = tmp_path / "m.cfg"
-    cfg.write_text(f"{text}\n[grid]\nn = {n}\n")
+    cfg.write_text(text if r is None else f"{text}\n[grid]\nR = {r}\n")
     assert cli_io.main(["check", "--config", str(cfg)]) == code
     payload = json.loads(capsys.readouterr().out)
     if code == 2:
@@ -453,9 +467,75 @@ def test_memberships_decided_from_term_sums(tmp_path, capsys, text, n, code, exp
         assert payload["margin"] == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("text", [_TWO_TERM_V, _POLY_V], ids=["two_term_v", "polynomial_v"])
+def test_build_problem_makes_no_quadrature(text, monkeypatch):
+    # a build checks its inputs; the margin is decide's, so the build
+    # integrates nothing by quadrature (the rhs of both needs one)
+    calls = []
+    quad = mpmath.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "quad", counting)
+    cli_io.build_problem(cli_io.parse_config(text))
+    assert calls == []
+
+
+_KONZERT_ELL = "[scenario]\nname = konzert\ngamma = 0.25\nell = {}\n"
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        # int_0^1 |ell|^2 diverges, although int_0^1 x |ell|^2 / gamma of the
+        # criterion is finite for x^-0.5
+        (_KONZERT_ELL.format("x^-1"), "CatalogError", "ell must be square-integrable"),
+        (_KONZERT_ELL.format("x^-0.5"), "CatalogError", "ell must be square-integrable"),
+        # <v, Lv> diverges: Lv = -phi'' ~ x^(a-2) is not integrable at 0
+        ("[scenario]\nname = potsdam\nrho = 1\nphi = x^0.4*exp(-x)\n", "DivergentIntegralError",
+         "power factor not integrable at 0"),
+        ("[scenario]\nname = potsdam\nrho = 1\nphi = x^0.6*exp(-x)\n", "DivergentIntegralError",
+         "power factor not integrable at 0"),
+        # ||phi'||^2 diverges at 0: phi is outside the Friedrichs form domain
+        ("[scenario]\nname = shirley\ngamma = 2\nrho = 1\nphi = x^0.4 - x\n", "DomainError",
+         "f outside the Friedrichs form domain"),
+    ],
+    ids=["konzert_ell_x-1", "konzert_ell_x-0.5", "potsdam_phi_x0.4", "potsdam_phi_x0.6",
+         "shirley_phi_x0.4"],
+)
+def test_singular_deviation_exits_2(tmp_path, capsys, text, code, message):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(text)
+    assert cli_io.main(["check", "--config", str(cfg)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == code
+    assert message in error["message"]
+
+
+# the rank-one form squares <phi, v>, which overflows at h = 1e200 (exit 2)
+_LARGE_H = [(pert, k) for k in range(13) for pert in ("rank_one", "multiplication")]
+_LARGE_H.append(("multiplication", 200))
+
+
+@pytest.mark.parametrize("pert, k", _LARGE_H, ids=[f"{pert}_h1e{k}" for pert, k in _LARGE_H])
+def test_halfline_schrodinger_lhs_is_exact(tmp_path, capsys, pert, k):
+    # Im <v, S* v> = Im(conj(v(0)) v'(0)) = Im h, although v's coefficients
+    # are of size |h|: 1 - 1/4 (rank one) and 1 - int_0^1 4 / 4 (multiplication)
+    deviation = ("alpha = 1\nlambda = 1\n" if pert == "rank_one"
+                 else "V = indicator(0,1)\nk = 2*indicator(0,1)\n")
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(f"[scenario]\nname = halfline_schrodinger\nh = 1e{k}+1i\n"
+                   f"perturbation = {pert}\n{deviation}")
+    assert cli_io.main(["check", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lhs"] == 1.0
+    assert payload["margin"] == (0.75 if pert == "rank_one" else 0.0)
+
+
 def _check_at(text: str, key: str, re: float, im: float) -> tuple[int, dict]:
-    """run_check on ``text`` with ``key`` set to ``re + im i``, on the default
-    grid rather than the sweep's 64 nodes."""
+    """run_check on ``text`` with ``key`` set to ``re + im i``."""
     value = f"{re!r}+{im!r}i"
     assert cli_io.parse_complex(value) == complex(re, im)
     lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
@@ -694,20 +774,3 @@ def test_oracle_rerun_is_byte_identical(case, tmp_path):
         runs.append((code, out.read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][0] in (0, 1)
-
-
-README_POTSDAM = ("[scenario]\nname = potsdam\nrho = 1+0i\nphi = i*x*exp(-x)\nW = 0.5*exp(-x)\n"
-                  "\n[grid]\nn = {n}\nR = 40\n")
-
-
-def test_oracle_output_ignores_grid_n(tmp_path):
-    # the half-line core span ends where the term sums decay, so [grid] n
-    # reaches no byte of the oracle report
-    runs = []
-    for n in (64, 512):
-        cfg, out = tmp_path / f"p{n}.cfg", tmp_path / f"p{n}.json"
-        cfg.write_text(README_POTSDAM.format(n=n))
-        runs.append((cli_io.main(["oracle", "--config", str(cfg), "--out", str(out)]),
-                     out.read_bytes()))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == 0

@@ -85,7 +85,7 @@ def test_rho_boundary_curve_exactness(phi_x2_minus_x):
         if disc < 0:
             continue
         im = (-1.0 + math.sqrt(disc)) / 2.0
-        p = catalog.build_shirley(math.sqrt(3.0), complex(re, im), phi_x2_minus_x, n=64)
+        p = catalog.build_shirley(math.sqrt(3.0), complex(re, im), phi_x2_minus_x)
         v = criteria.verdict_strict_pos(p)
         assert abs(v.margin) < 1e-12
 
@@ -98,7 +98,7 @@ def test_unique_ext_boundary_and_margins():
     k = catalog.build_konzert(0.25, constant(1.0))
     v = criteria.verdict_unique_ext(k)
     assert v.dissipative is True and abs(v.margin) < 1e-13
-    k2 = catalog.build_konzert(0.25, constant(1.0), n=512)
+    k2 = catalog.build_konzert(0.25, constant(1.0))
     k2 = dataclasses.replace(k2, lv=constant(1.02))
     assert criteria.verdict_unique_ext(k2).dissipative is False
     k0 = catalog.build_konzert(0.25, None)
@@ -109,11 +109,11 @@ def test_unique_ext_boundary_and_margins():
 def test_unique_ext_scaling_monotone():
     # shrinking the deviation can only help: rhs scales quadratically
     rng = np.random.default_rng(9)
-    base = catalog.build_konzert(0.3, constant(1.1), n=128)
+    base = catalog.build_konzert(0.3, constant(1.1))
     for _ in range(100):
         t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
-        p1 = catalog.build_konzert(0.3, constant(1.1 * t1), n=128)
-        p2 = catalog.build_konzert(0.3, constant(1.1 * t2), n=128)
+        p1 = catalog.build_konzert(0.3, constant(1.1 * t1))
+        p2 = catalog.build_konzert(0.3, constant(1.1 * t2))
         m1 = criteria.verdict_unique_ext(p1).margin
         m2 = criteria.verdict_unique_ext(p2).margin
         assert m1 >= m2 - 1e-12
@@ -126,11 +126,11 @@ def test_unique_ext_deviation_never_beats_proper_extension():
     # deviation is at most the zero-deviation margin, so a failing proper
     # extension rules out every deviation on the same domain
     rng = np.random.default_rng(14)
-    base = catalog.build_konzert(0.25, None, n=256)
+    base = catalog.build_konzert(0.25, None)
     m0 = criteria.verdict_unique_ext(base).margin
     for _ in range(15):
         c = complex(rng.normal(), rng.normal())
-        prob = catalog.build_konzert(0.25, constant(c), n=256)
+        prob = catalog.build_konzert(0.25, constant(c))
         v = criteria.verdict_unique_ext(prob)
         assert v.margin <= m0 + 1e-12
         assert v.rhs >= forms.krein_form_sq(prob.spec, prob.v) - 1e-12
@@ -207,7 +207,7 @@ def _general_draws(phi_x2_minus_x):
     rng = np.random.default_rng(17)
     for _ in range(12):
         rho = complex(rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.0))
-        yield catalog.build_shirley(math.sqrt(3.0), rho, phi_x2_minus_x, n=128)
+        yield catalog.build_shirley(math.sqrt(3.0), rho, phi_x2_minus_x)
     for _ in range(6):
         rho = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0))
         s = rng.uniform(0.2, 1.5)
@@ -296,7 +296,7 @@ def test_outside_theory_requires_distinct_extensions():
     # half-line scenario with both memberships failing: no verdict at all
     # v = x^0.25 e^{-x} has ||v'|| infinite at 0; lv = x^-0.7 is not
     # integrable at infinity, so it leaves the square-root range
-    p = catalog.build_potsdam(None, 1.0 + 0j, None, n=256)
+    p = catalog.build_potsdam(None, 1.0 + 0j, None)
     bad_v = AnalyticFunction((Term(1.0, 0.25, -1.0),))
     bad_l = power(1.0, -0.7)
     pbad = dataclasses.replace(p, v=bad_v, phi=None, lv=bad_l)
@@ -312,7 +312,7 @@ def test_outside_theory_requires_distinct_extensions():
 def test_single_failures_never_outside_theory():
     # with coinciding extensions both memberships are independently
     # necessary, so even a double failure yields a definite verdict
-    k = catalog.build_konzert(0.25, constant(1.0), n=256)
+    k = catalog.build_konzert(0.25, constant(1.0))
     bad_v = power(1.0, -0.25)
     kbad = dataclasses.replace(k, v=bad_v)
     v = criteria.decide(kbad)

@@ -19,7 +19,7 @@ from reference.sup_formula import MatrixSpec, krein_form_ando_nishio
 
 @pytest.fixture(scope="module")
 def interval():
-    return make_grid("interval", 512)
+    return make_grid("interval")
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def spec_interval():
 
 @pytest.fixture(scope="module")
 def konzert_weight():
-    grid = make_grid("interval", 512, offset=1e-6)
+    grid = make_grid("interval", offset=1e-6)
     return forms.multiplication(power(0.25, -1.0), grid, strict_lower_bound=0.25)
 
 
@@ -277,7 +277,7 @@ def test_vf_solve_halfline_nondecaying_rejected():
 
 
 def test_vf_solve_rank_one_range(interval, gauss):
-    grid = make_grid("halfline", 512)
+    grid = make_grid("halfline")
     phi = exponential(math.sqrt(2.0), -1.0)
     spec = forms.rank_one(4.0, phi)
     ell = 3.0 * phi
@@ -301,7 +301,7 @@ def test_sqrt_scale_halfline_exact():
 
 
 def test_support_violation_and_ratio_integral():
-    grid = make_grid("halfline", 512)
+    grid = make_grid("halfline")
     from dissipext.analytic import indicator
 
     v = indicator(0.0, 1.0)

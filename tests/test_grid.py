@@ -16,7 +16,7 @@ from dissipext.grid import (
 
 
 def test_halfline_grid_records_truncation():
-    g = make_grid("halfline", 512, length=40.0)
+    g = make_grid("halfline", length=40.0)
     assert g.is_halfline and g.length == 40.0
     assert g.right_endpoint == math.inf
     # truncation radius keeps products of the decaying defect basis tiny
@@ -24,21 +24,20 @@ def test_halfline_grid_records_truncation():
 
 
 def test_offset_grid_first_node():
-    g = make_grid("interval", 64, offset=1e-3)
+    g = make_grid("interval", offset=1e-3)
     assert g.offset == 1e-3 and g.right_endpoint == 1.0
-    # the node count is accepted and ignored
-    assert make_grid("interval", 4096, offset=1e-3) == g
+    assert make_grid("interval", length=1.0, offset=1e-3) == g
 
 
 def test_make_grid_errors():
+    with pytest.raises(TypeError):
+        make_grid("interval", 512)  # a domain has no node count
     with pytest.raises(GridError):
-        make_grid("interval", 4)
+        make_grid("interval", length=-1.0)
     with pytest.raises(GridError):
-        make_grid("interval", 64, length=-1.0)
+        make_grid("interval", offset=0.9)
     with pytest.raises(GridError):
-        make_grid("interval", 64, offset=0.9)
-    with pytest.raises(GridError):
-        make_grid("circle", 64)
+        make_grid("circle")
 
 
 def test_boundary_data_analytic_traces_win(interval_grid, phi_x2_minus_x):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dissipext import catalog, criteria, eigenh, oracle
+from dissipext import catalog, cli_io, criteria, eigenh, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, norm_sq
 from reference.assembly import assemble_dense, dense_pencil, expand
 from reference.dense import band_border, pencil_eigh
@@ -149,27 +149,40 @@ def test_v_column_matches_criteria_lhs(builder, kwargs, shirley_instance, rank_o
     assert abs(criteria.general_lhs(prob) - ref.imag) < 1e-8
 
 
-@pytest.mark.parametrize("scenario", ["shirley", "konzert", "potsdam", "rank_one", "multiplication"])
+_GRID_CASES = {
+    "shirley": "name = shirley\ngamma = 2\nrho = 0.5+0.375i\nphi = x^2 - x\n\n[grid]\noffset = 1e-6\n",
+    "konzert": "name = konzert\ngamma = 0.25\nell = 1.2\n\n[grid]\noffset = 1e-6\n",
+    "potsdam": "name = potsdam\nrho = 1\nphi = i*x*exp(-x)\nW = 0.5*exp(-x)\n\n[grid]\nR = 80\n",
+    "rank_one": ("name = halfline_schrodinger\nh = 1+1i\nperturbation = rank_one\nalpha = 1\n"
+                 "lambda = 2\n\n[grid]\nR = 80\n"),
+    "multiplication": ("name = halfline_schrodinger\nh = 1+1i\nperturbation = multiplication\n"
+                       "V = indicator(0,1)\nk = 2*indicator(0,1)\n\n[grid]\nR = 80\n"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_GRID_CASES))
 def test_assembly_independent_of_sample_grid(scenario, phi_x2_minus_x, phi_ix_exp,
                                              rank_one_direction):
     # every entry and the half-line core span's right edge come from term
-    # sums, so [grid] n changes no bit of the operator
-    def build(n):
-        if scenario == "shirley":
-            return catalog.build_shirley(math.sqrt(3.0), 0.5 + 0.375j, phi_x2_minus_x, n=n)
-        if scenario == "konzert":
-            return catalog.build_konzert(0.25, constant(1.2), n=n)
-        if scenario == "potsdam":
-            return catalog.build_potsdam(exponential(0.5, -1.0), 1.0 + 0j, phi_ix_exp, n=n)
+    # sums: a config's [grid] section (the default offset, or a truncation
+    # radius beyond the functions' decay) changes no bit of the operator
+    # that the catalog's builder gives
+    if scenario == "shirley":
+        direct = catalog.build_shirley(2.0, 0.5 + 0.375j, phi_x2_minus_x)
+    elif scenario == "konzert":
+        direct = catalog.build_konzert(0.25, constant(1.2))
+    elif scenario == "potsdam":
+        direct = catalog.build_potsdam(exponential(0.5, -1.0), 1.0 + 0j, phi_ix_exp)
+    else:
         if scenario == "rank_one":
             pert = catalog.RankOnePerturbation(1.0, rank_one_direction, 2.0)
         else:
             pert = catalog.MultiplicationPerturbation(indicator(0.0, 1.0), 2.0 * indicator(0.0, 1.0))
-        return catalog.build_halfline_schrodinger(1 + 1j, pert, n=n)
-
-    coarse, fine = (oracle.assemble_discrete(build(n), 64) for n in (64, 512))
+        direct = catalog.build_halfline_schrodinger(1 + 1j, pert)
+    configured = cli_io.build_problem(cli_io.parse_config("[scenario]\n" + _GRID_CASES[scenario]))
+    a_op, b_op = (oracle.assemble_discrete(p, 64) for p in (direct, configured))
     for name in ("h", "gram"):
-        for a, b in zip(getattr(coarse, name).parts, getattr(fine, name).parts):
+        for a, b in zip(getattr(a_op, name).parts, getattr(b_op, name).parts):
             assert np.array_equal(a, b), name
 
 
