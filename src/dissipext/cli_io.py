@@ -312,6 +312,9 @@ _SECTION_KEYS = {
     "sweep": ("re", "im"),
     "output": ("format", "path"),
 }
+# the [grid] key each scenario reads: an interval's left offset, or a
+# half-line's truncation radius
+_GRID_KEYS = {"potsdam": "R", "shirley": "offset", "konzert": "offset", "halfline_schrodinger": "R"}
 
 
 @dataclass(frozen=True)
@@ -390,6 +393,7 @@ def parse_config(text: str) -> ScenarioConfig:
     section = None
     entries: list[tuple[str, str, str]] = []
     positions: dict[tuple[str, str], tuple[int, int]] = {}
+    grid_keys: list[tuple[str, int, int]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -415,6 +419,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno, col)
         positions[(section, key)] = (lineno, raw_line.index("=") + 2)
         entries.append((section, key, value))
+        if section == "grid":
+            grid_keys.append((key, lineno, col))
     name = None
     for s, k, v in entries:
         if s == "scenario" and k == "name":
@@ -427,6 +433,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if name not in _SCENARIOS:
         line, col = positions.get(("scenario", "name"), (None, None))
         raise ConfigError(f"unknown scenario {name!r}", line, col)
+    for key, line, col in grid_keys:
+        if key != _GRID_KEYS[name]:
+            raise ConfigError(f"unknown key {key!r} in [grid]", line, col)
     cfg = ScenarioConfig(name, tuple(entries))
     _validate(cfg, positions)
     return cfg

@@ -5,27 +5,33 @@ positive definite) on a band-plus-border pattern, the oracle's solver
 (:func:`pencil_extreme`):
 
 1. Both matrices are held as :class:`BandBorder` parts: the lower band of
-   the leading block, the dense border rows and the corner, ``O(N)``
-   numbers on a band of fixed width.
-2. One ``L D L^H`` routine without pivoting (:func:`_ldl`) factors
-   ``H - sigma G`` on those parts.  The signs of its pivots give the number
-   of eigenvalues below ``sigma`` (Sylvester's law of inertia; bisection on
-   such counts after Barth, Martin and Wilkinson).  A rank-one term
-   ``alpha q q^H`` of ``H``, which the parts do not hold, becomes one more
-   border row of an augmented matrix, whose known last pivot corrects the
-   count.
+   the leading block, of half-bandwidth at most 3, the dense border rows
+   and the corner, ``O(N)`` numbers.  Each part keeps its dtype; the
+   oracle's bands are real.
+2. One ``L D L^H`` kernel without pivoting (:func:`_ldl`) factors
+   ``H - sigma G`` on those parts.  Its core step is written out for
+   half-bandwidth 3 and carries the entries it still updates in local
+   variables, so it runs float arithmetic on a float band and complex
+   arithmetic on a complex one; the border rows are forward solves against
+   the core's factor, and the corner is factored as a dense block.  The
+   signs of its pivots give the number of eigenvalues below ``sigma``
+   (Sylvester's law of inertia; bisection on such counts after Barth,
+   Martin and Wilkinson).  A rank-one term ``alpha q q^H`` of ``H``, which
+   the parts do not hold, becomes one more border row of an augmented
+   matrix, whose known last pivot corrects the count.
 3. Counts bracket the minimal eigenvalue, walking down from the upper
    bound ``min H_ii / G_ii`` or from a caller's guess (the previous rung of
    a mesh ladder); inverse iteration at a certified lower shift, residual
    bounds and Rayleigh quotients close the bracket.  Each shift and each
-   product costs ``O(N)`` on a band of fixed width.
+   product costs ``O(N)``.
 
 The dense stages :func:`cholesky` and :func:`eigh` (Householder reduction to
 a real symmetric tridiagonal, then implicit QL with accumulated
 eigenvectors) are on no command's path.  They stay only as layers the
 benchmark's tracer names, until ROADMAP item 2 drops those targets; the
 tests check the pencil solver against a dense ``numpy.linalg`` reference
-(``tests/reference/dense.py``).
+(``tests/reference/dense.py``), whose dense pencils run through the
+kernel's corner phase.
 
 numpy supplies array arithmetic only; no library eigensolver is called.
 """
@@ -33,6 +39,7 @@ numpy supplies array arithmetic only; no library eigensolver is called.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +55,7 @@ __all__ = [
     "GramFactor",
     "BandPencil",
     "pencil_extreme",
+    "rounding_floor",
 ]
 
 _EPS = np.finfo(float).eps
@@ -222,24 +230,39 @@ _PIVMIN = math.sqrt(np.finfo(float).tiny)
 _INVERSE_STEPS = 2
 #: relative width of the certified bracket around the minimal eigenvalue
 _CERT_RTOL = 1e-12
+#: absolute width of that bracket, in units of the pencil's scale
+_FLOOR = 64.0 * _EPS
+#: half-bandwidth of the core band, the one :func:`_ldl` is written for
+_P = 3
+_PAD = [0.0] * _P
 
 
 @dataclass(frozen=True, eq=False)
 class BandBorder:
     """Band-plus-border parts of an ``N x N`` matrix ``A``, ``N = n + m``.
 
-    ``band`` ``(n, p + 1)`` holds the lower band of the leading ``n`` rows,
+    ``band`` ``(n, 4)`` holds the lower band of the leading ``n`` rows,
     ``band[k, j] = A[k + j, k]`` (zero where ``k + j >= n``); entries of
-    that block more than ``p`` off the diagonal are zero.  ``rows``
-    ``(m, n)`` holds the border rows ``A[n:, :n]`` and ``corner`` ``(m, m)``
-    the block ``A[n:, n:]``.  ``A`` is Hermitian and given by these parts
-    alone (the factorization reads the lower triangle of ``corner``).
-    ``len()`` is ``N``.
+    that block more than 3 off the diagonal are zero.  A narrower band is
+    padded with zero columns, and a wider one is refused, since the
+    factorization is written for half-bandwidth 3.  ``rows`` ``(m, n)``
+    holds the border rows ``A[n:, :n]`` and ``corner`` ``(m, m)`` the block
+    ``A[n:, n:]``.  ``A`` is Hermitian and given by these parts alone (the
+    factorization reads the lower triangle of ``corner``).  Each part keeps
+    its dtype: a real band is factored in float arithmetic.  ``len()`` is
+    ``N``.
     """
 
     band: np.ndarray
     rows: np.ndarray
     corner: np.ndarray
+
+    def __post_init__(self):
+        width = self.band.shape[1]
+        if width > _P + 1:
+            raise ValueError(f"band of {width} columns: the half-bandwidth is at most {_P}")
+        if width < _P + 1:
+            object.__setattr__(self, "band", np.pad(self.band, ((0, 0), (0, _P + 1 - width))))
 
     @classmethod
     def outer(cls, alpha: float, q: np.ndarray, like: BandBorder) -> BandBorder:
@@ -247,7 +270,7 @@ class BandBorder:
         n, width = like.band.shape
         qc = np.conj(q)
         band = np.zeros((n, width), dtype=complex)
-        for j in range(width):
+        for j in range(min(width, n)):
             band[: n - j, j] = alpha * q[j:n] * qc[: n - j]
         return cls(band, alpha * np.outer(q[n:], qc[:n]), alpha * np.outer(q[n:], qc[n:]))
 
@@ -275,7 +298,7 @@ class BandBorder:
         n = len(band)
         core, tail = x[:n], x[n:]
         y = band[:, 0] * core
-        for j in range(1, band.shape[1]):
+        for j in range(1, min(band.shape[1], n)):
             lower = band[: n - j, j]
             y[j:] += lower * core[: n - j]
             y[: n - j] += np.conj(lower) * core[j:]
@@ -287,7 +310,7 @@ class BandBorder:
         band, rows, corner = (np.abs(x) for x in self.parts)
         n = len(band)
         s = band[:, 0] + rows.sum(axis=0)
-        for j in range(1, band.shape[1]):
+        for j in range(1, min(band.shape[1], n)):
             s[j:] += band[: n - j, j]
             s[: n - j] += band[: n - j, j]
         return np.concatenate([s, rows.sum(axis=1) + corner.sum(axis=1)])
@@ -316,143 +339,187 @@ class PencilStructure:
         return y
 
 
-def _corner_band(c: np.ndarray) -> list:
-    """Dense lower triangle of ``c`` in the band layout of :func:`_ldl`."""
-    rows = c.tolist()
-    m = len(rows)
-    return [[rows[k + j][k] for j in range(m - k)] for k in range(m)]
-
-
-def _ldl(band: list, rows: list, corner: list, cap: int | None = None) -> tuple[list, int]:
-    """In-place ``L D L^H`` of a Hermitian band-plus-border matrix, no pivoting.
-
-    ``band[k][j]`` holds ``A[k+j, k]`` of the ``n``-row core, ``rows[c][k]``
-    holds ``A[n+c, k]`` and ``corner[c][j]`` holds ``A[n+c+j, n+c]``; on
-    return the same places hold the multipliers of ``L``.  Returns the pivots
-    ``D`` and how many are not positive, which by Sylvester's law is the
-    number of negative eigenvalues of ``A`` when none is zero.  With ``cap``
-    the pass stops as soon as more than ``cap`` pivots are not positive.
-    """
-    d: list = []
-    neg = 0
+def _layout(band: np.ndarray, rows: np.ndarray, corner: np.ndarray):
+    """``(band, rows, corner)`` arrays in the layout of :func:`_ldl`: the
+    band transposed to its diagonal and three sub-diagonals, and it and the
+    border rows padded with three zeros."""
     n, m = len(band), len(rows)
-    p = len(band[0]) - 1 if n else 0
-    for k in range(n):
-        col = band[k]
+    padded = np.zeros((_P + 1, n + _P), dtype=band.dtype)
+    padded[:, :n] = band.T
+    border = np.zeros((m, n + _P), dtype=rows.dtype)
+    border[:, :n] = rows
+    return padded, border, corner
+
+
+def _lists(band: np.ndarray, rows: np.ndarray, corner: np.ndarray) -> tuple[list, list, list]:
+    """Arrays of :func:`_layout` as the lists :func:`_ldl` reads; the corner
+    becomes its dense lower triangle, ``corner[c][j] = C[c+j, c]``."""
+    c = corner.tolist()
+    m = len(c)
+    return band.tolist(), rows.tolist(), [[c[k + j][k] for j in range(m - k)] for k in range(m)]
+
+
+def _ldl(band: list, rows: list, corner: list, cap: int | None = None):
+    """``L D L^H`` of a Hermitian band-plus-border matrix, no pivoting.
+
+    ``band`` is four lists, the diagonal and the three sub-diagonals of the
+    ``n``-row core (``band[j][k] = A[k+j, k]``), each padded with three
+    zeros; ``rows[c][k]`` holds ``A[n+c, k]`` (also padded) and
+    ``corner[c][j]`` holds ``A[n+c+j, n+c]``.
+
+    1. The core: each step is written out for half-bandwidth 3, and the
+       entries that the next three steps still update ride along in local
+       variables, so a step neither loops nor indexes.  The arithmetic is
+       that of the entries: a float band runs float operations.
+    2. The border rows: ``W = A[n:, :n] L^{-H}`` is a forward solve of each
+       row, their multipliers are ``W D^{-1}``, and the corner becomes its
+       Schur complement ``A[n:, n:] - W D^{-1} W^H``.
+    3. The corner, factored as a dense block in place.
+
+    Returns ``(factor, D, neg)``: the conjugate ``conj(L)`` of the unit
+    lower factor as ``(sub, rows, corner)`` (three sub-diagonal lists of
+    length ``n``, the border rows, and the corner lists), the pivots ``D``,
+    and how many pivots are not positive, which by Sylvester's law is the
+    number of negative eigenvalues of ``A`` when none is zero.  With ``cap``
+    the pass stops as soon as more than ``cap`` pivots are not positive;
+    ``factor`` is then None.
+    """
+    b0, b1, b2, b3 = band
+    cap = math.inf if cap is None else cap
+    d: list = []
+    s1: list = []
+    s2: list = []
+    s3: list = []
+    neg = 0
+    # p0..p2 hold A[k..k+2, ..] on the diagonal, q0, q1 the first and r0 the
+    # second sub-diagonal, as the steps before k left them
+    p0, p1, p2, q0, q1, r0 = b0[0], b0[1], b0[2], b1[0], b1[1], b2[0]
+    for p3, q2, r1, c3 in zip(b0[3:], b1[2:], b2[1:], b3):
+        piv = p0.real
+        if not piv > 0.0:
+            neg += 1
+            if piv == 0.0:
+                piv = -_PIVMIN
+            if neg > cap:
+                d.append(piv)
+                return None, d, neg
+        d.append(piv)
+        inv = 1.0 / piv
+        f1, f2, f3 = q0.conjugate() * inv, r0.conjugate() * inv, c3.conjugate() * inv
+        # A[k+i, k+j] -= A[k+i, k] conj(A[k+j, k]) / piv for 1 <= j <= i <= 3
+        p0, p1, p2 = p1 - q0 * f1, p2 - r0 * f2, p3 - c3 * f3
+        q0, q1, r0 = q1 - r0 * f1, q2 - c3 * f2, r1 - c3 * f1
+        s1.append(f1)
+        s2.append(f2)
+        s3.append(f3)
+    sub = (s1, s2, s3)
+    w = [_lower_solve(sub, r) for r in rows]
+    conj_rows = [[x.conjugate() / p for x, p in zip(wc, d)] for wc in w]
+    m = len(corner)
+    for c in range(m):
+        tail = corner[c]
+        for c2 in range(c, m):
+            tail[c2 - c] -= sum(map(operator.mul, w[c2], conj_rows[c]))
+    for c in range(m):
+        col = corner[c]
         piv = col[0].real
         if not piv > 0.0:
             neg += 1
             if piv == 0.0:
                 piv = -_PIVMIN
-            if cap is not None and neg > cap:
+            if neg > cap:
                 d.append(piv)
-                return d, neg
+                return None, d, neg
         d.append(piv)
         inv = 1.0 / piv
-        top = p if k + p < n else n - 1 - k
-        for j in range(1, top + 1):
-            cj = col[j]
-            if cj:
-                # A[k+i, k+j] -= A[k+i, k] conj(A[k+j, k]) / piv for i >= j
-                f = cj.conjugate() * inv
-                nxt = band[k + j]
-                i = 0
-                for ci in col[j:top + 1]:
-                    nxt[i] -= ci * f
-                    i += 1
-                for r in rows:
-                    r[k + j] -= r[k] * f
-                col[j] = cj * inv
-        for c in range(m):
-            e = rows[c][k]
-            if e:
-                f = e.conjugate() * inv
-                tail = corner[c]
-                for c2 in range(c, m):
-                    tail[c2 - c] -= rows[c2][k] * f
-        for r in rows:
-            r[k] *= inv
-    if corner:
-        dc, negc = _ldl(corner, [], [], None if cap is None else cap - neg)
-        d += dc
-        neg += negc
-    return d, neg
+        for j in range(1, m - c):
+            f = col[j].conjugate() * inv
+            nxt = corner[c + j]
+            for i in range(j, m - c):
+                nxt[i - j] -= col[i] * f
+            col[j] = f
+    return (sub, conj_rows, corner), d, neg
 
 
-def _forward(band: list, rows: list, corner: list, y: list) -> None:
-    """``y <- L^{-1} y`` in place, with the factors :func:`_ldl` left."""
-    n, m = len(band), len(rows)
-    p = len(band[0]) - 1 if n else 0
-    for k in range(n):
-        yk = y[k]
-        if yk:
-            top = p if k + p < n else n - 1 - k
-            i = k
-            for l in band[k][1:top + 1]:
-                i += 1
-                y[i] -= l * yk
-            for c in range(m):
-                y[n + c] -= rows[c][k] * yk
-    if m:
-        tail = y[n:]
-        _forward(corner, [], [], tail)
-        y[n:] = tail
+def _lower_solve(sub: tuple, b: list) -> list:
+    """``F^{-1} b`` for the unit lower band ``F`` of sub-diagonals ``sub``;
+    ``b`` is padded with three zeros, the result is not."""
+    y0, y1, y2 = b[0], b[1], b[2]
+    out = []
+    for f1, f2, f3, y3 in zip(*sub, b[3:]):
+        out.append(y0)
+        y0, y1, y2 = y1 - f1 * y0, y2 - f2 * y0, y3 - f3 * y0
+    return out
 
 
-def _backward(band: list, rows: list, corner: list, z: list) -> None:
-    """``z <- L^{-T} z`` in place; on ``z = conj(y)`` that is ``L^{-H} y``."""
-    n, m = len(band), len(rows)
-    p = len(band[0]) - 1 if n else 0
-    if m:
-        tail = z[n:]
-        _backward(corner, [], [], tail)
-        z[n:] = tail
-    for k in range(n - 1, -1, -1):
-        top = p if k + p < n else n - 1 - k
-        s = z[k]
-        i = k
-        for l in band[k][1:top + 1]:
-            i += 1
-            s -= l * z[i]
-        for c in range(m):
-            s -= rows[c][k] * z[n + c]
-        z[k] = s
+def _upper_solve(sub: tuple, b: list) -> list:
+    """``F^{-T} b`` for the unit lower band ``F`` of sub-diagonals ``sub``."""
+    z1 = z2 = z3 = 0.0
+    out = []
+    for f1, f2, f3, bk in zip(*map(reversed, sub), reversed(b)):
+        z1, z2, z3 = bk - (f1 * z1 + f2 * z2 + f3 * z3), z1, z2
+        out.append(z1)
+    out.reverse()
+    return out
 
 
-def _ldl_solve(band: list, rows: list, corner: list, d: list, b: list) -> np.ndarray:
-    """Solve ``A x = b`` with the factors :func:`_ldl` left in place."""
-    y = list(b)
-    _forward(band, rows, corner, y)
-    z = np.conj(np.divide(y, d)).tolist()
-    _backward(band, rows, corner, z)
-    return np.conj(z)
+def _forward(factor: tuple, b: list) -> list:
+    """``F^{-1} b`` for the factor ``F = conj(L)`` that :func:`_ldl` returns."""
+    sub, rows, corner = factor
+    n = len(sub[0])
+    y = _lower_solve(sub, b[:n] + _PAD)
+    tail = b[n:]
+    m = len(corner)
+    for c in range(m):
+        t = tail[c] - sum(map(operator.mul, rows[c], y))
+        tail[c] = t
+        col = corner[c]
+        for j in range(1, m - c):
+            tail[c + j] -= col[j] * t
+    return y + tail
 
 
-def _lists(a: BandBorder) -> tuple[list, list, list]:
-    """The parts of ``a`` in the list layout of :func:`_ldl`."""
-    return a.band.tolist(), a.rows.tolist(), _corner_band(a.corner)
+def _backward(factor: tuple, z: list) -> list:
+    """``F^{-T} z`` for the factor ``F = conj(L)`` that :func:`_ldl` returns."""
+    sub, rows, corner = factor
+    n = len(sub[0])
+    core, tail = z[:n], z[n:]
+    m = len(corner)
+    for c in range(m - 1, -1, -1):
+        col = corner[c]
+        t = tail[c] - sum(col[j] * tail[c + j] for j in range(1, m - c))
+        tail[c] = t
+        core = [zk - fk * t for zk, fk in zip(core, rows[c])]
+    return _upper_solve(sub, core) + tail
 
 
-def _positive_ldl(band: list, rows: list, corner: list) -> list:
-    """:func:`_ldl` of a matrix that must be positive definite; its pivots."""
-    d, neg = _ldl(band, rows, corner, cap=0)
-    if neg:
-        raise NotPositiveDefiniteError(f"pivot {len(d) - 1} non-positive in LDL^H")
-    return d
+def _ldl_solve(factor: tuple, d: list, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` with a factor of :func:`_ldl`: with ``F = conj(L)``,
+    ``x = L^{-H} D^{-1} L^{-1} b = F^{-T} (conj(F^{-1} conj(b)) / D)``."""
+    y = _forward(factor, np.conj(b).tolist())
+    return np.array(_backward(factor, (np.conj(y) / d).tolist()))
 
 
 class GramFactor:
     """``G = L D L^H`` of a Hermitian positive definite ``G``, factored once.
 
-    ``g`` holds the :class:`BandBorder` parts of ``G``.  ``factors`` are the
-    same places holding ``L`` in the layout of :func:`_ldl`, and ``pivots``
-    is ``D``.  Raises :class:`NotPositiveDefiniteError` at the first pivot
-    that is not positive.
+    ``g`` holds the :class:`BandBorder` parts of ``G``.  ``factor`` is
+    ``conj(L)`` as :func:`_ldl` returns it, and ``pivots`` is ``D``.  Raises
+    :class:`NotPositiveDefiniteError` at the first pivot that is not
+    positive.
     """
 
     def __init__(self, g: BandBorder):
-        self.factors = _lists(g)
-        self.pivots = np.asarray(_positive_ldl(*self.factors))
+        factor, d, neg = _ldl(*_lists(*_layout(*g.parts)), cap=0)
+        if neg:
+            raise NotPositiveDefiniteError(f"pivot {len(d) - 1} non-positive in LDL^H")
+        self.factor = factor
+        self.pivots = np.asarray(d)
+
+    def norm(self, b: np.ndarray) -> float:
+        """``sqrt(b^H G^{-1} b)``, from the forward half of a solve."""
+        y = _forward(self.factor, np.conj(b).tolist())
+        return math.sqrt(float(np.sum(np.abs(y) ** 2 / self.pivots)))
 
 
 class BandPencil:
@@ -464,16 +531,14 @@ class BandPencil:
     ``[[h - sigma G, q], [q^H, -1/alpha]]``: ``q`` is one more border row,
     and the Schur complement of the last pivot is ``H - sigma G``.  Its
     inertia is therefore that of ``H - sigma G`` plus one negative
-    eigenvalue when ``alpha > 0``.  Each shift costs
-    ``O(N (bandwidth + border)^2)``.  ``G`` is factored once, or not at all
-    when ``structure.gram`` holds its factor; :class:`GramFactor` raises
-    :class:`NotPositiveDefiniteError` when it is not positive definite.
+    eigenvalue when ``alpha > 0``.  Each shift costs ``O(N (3 + border)^2)``.
+    ``G`` is factored once, or not at all when ``structure.gram`` holds its
+    factor; :class:`GramFactor` raises :class:`NotPositiveDefiniteError`
+    when it is not positive definite.
     """
 
     def __init__(self, h: BandBorder, g: BandBorder, structure: PencilStructure):
-        gram = structure.gram if structure.gram is not None else GramFactor(g)
-        self._gram = gram.factors
-        self._gram_pivots = gram.pivots
+        self.gram = structure.gram if structure.gram is not None else GramFactor(g)
         hb, hr, hc = h.parts
         gb, gr, gc = g.parts
         self._dim = len(h)
@@ -490,11 +555,8 @@ class BandPencil:
             gc = np.pad(gc, ((0, 1), (0, 1)))
             self._pad = [0.0]
             self._negative_extra = int(alpha > 0)
-        self._h = BandBorder(hb, hr, hc)
-        self._g = BandBorder(gb, gr, gc)
-
-    def _shifted(self, sigma: float) -> tuple[list, list, list]:
-        return _lists(BandBorder(*(a - sigma * b for a, b in zip(self._h.parts, self._g.parts))))
+        self._h = _layout(hb, hr, hc)
+        self._g = _layout(gb, gr, gc)
 
     def count(self, sigma: float, cap: int | None = None) -> int:
         """Number of eigenvalues of the pencil below ``sigma``.
@@ -506,23 +568,33 @@ class BandPencil:
     def factor(self, sigma: float, cap: int | None = None):
         """``(count, solve)`` at ``sigma``: :meth:`count` and, when the pass
         ran to the end, ``solve: b -> (H - sigma G)^{-1} b`` (else None)."""
-        band, rows, corner = self._shifted(sigma)
+        shifted = _lists(*(a - sigma * b for a, b in zip(self._h, self._g)))
         extra = self._negative_extra
-        d, neg = _ldl(band, rows, corner, None if cap is None else cap + extra)
-        if len(d) < len(band) + len(corner):
+        factor, d, neg = _ldl(*shifted, None if cap is None else cap + extra)
+        if factor is None:
             return neg - extra, None
         pad, dim = self._pad, self._dim
 
         def solve(b: np.ndarray) -> np.ndarray:
-            return _ldl_solve(band, rows, corner, d, b.tolist() + pad)[:dim]
+            return _ldl_solve(factor, d, np.append(b, pad))[:dim]
 
         return neg - extra, solve
 
-    def gram_norm(self, b: np.ndarray) -> float:
-        """``sqrt(b^H G^{-1} b)``, from the forward half of a solve."""
-        y = b.tolist()
-        _forward(*self._gram, y)
-        return math.sqrt(float(np.sum(np.abs(y) ** 2 / self._gram_pivots)))
+
+def _scale(h: BandBorder, g: BandBorder, structure: PencilStructure) -> float:
+    """``max |H| / min G_ii``, the rank-one term included (1 where it is 0)."""
+    big = h.max_abs()
+    if structure.rank_one is not None:
+        alpha, q = structure.rank_one
+        big = max(big, abs(alpha) * float(np.max(np.abs(q))) ** 2)
+    return big / float(np.min(g.diagonal())) or 1.0
+
+
+def rounding_floor(h: BandBorder, g: BandBorder, structure: PencilStructure | None = None) -> float:
+    """The absolute part of the bracket :func:`pencil_extreme` certifies,
+    ``64 eps max |H| / min G_ii``: it does not tell apart eigenvalues of the
+    pencil closer than this."""
+    return _FLOOR * _scale(h, g, structure or PencilStructure())
 
 
 def pencil_extreme(
@@ -560,19 +632,17 @@ def pencil_extreme(
     if structure is None:
         structure = PencilStructure()
     finite = h.is_finite() and g.is_finite()
-    hdiag, big = h.diagonal(), h.max_abs()
+    hdiag = h.diagonal()
     if structure.rank_one is not None:
         alpha, q = structure.rank_one
         finite = finite and math.isfinite(alpha) and bool(np.all(np.isfinite(q)))
         hdiag = hdiag + alpha * np.abs(q) ** 2
-        big = max(big, abs(alpha) * float(np.max(np.abs(q))) ** 2)
     if not finite:
         raise EigenError("pencil has non-finite entries")
     pencil = BandPencil(h, g, structure)
-    gdiag = g.diagonal()
-    hi = float(np.min(hdiag / gdiag))
-    scale = big / float(np.min(gdiag)) or 1.0
-    floor = 64.0 * _EPS * scale
+    hi = float(np.min(hdiag / g.diagonal()))
+    scale = _scale(h, g, structure)
+    floor = _FLOOR * scale
     # walk down in steps growing 4x, from the upper bound or from the guess,
     # until the count is 0: every shift with a count of 0 is a certified
     # lower shift, and its factorization serves the inverse iteration there
@@ -601,7 +671,7 @@ def pencil_extreme(
         if hi - lo <= tol:
             break
         r = hx - mu * gx
-        rho = pencil.gram_norm(r) / math.sqrt(xgx)
+        rho = pencil.gram.norm(r) / math.sqrt(xgx)
         sigma = mu - max(rho, tol)
         if lo < sigma < hi:
             below, at_sigma = pencil.factor(sigma, cap=0)

@@ -5,7 +5,8 @@ B-spline elements (supports inside the domain, triple zeros where they touch
 the boundary, hence inside every scenario's operator core) plus one column
 for the extension vector itself.  The elements, their quadrature panels and
 the banded assembly come from the package's one spline layer,
-:mod:`dissipext.splines`, on a uniform knot vector.  The action is read
+:mod:`dissipext.splines`, on a uniform knot vector: tables on ``[0, 1]``,
+cached per mesh, mapped onto the core span.  The action is read
 from the problem (:meth:`~dissipext.catalog.ExtensionProblem.expression`
 and :meth:`~dissipext.catalog.ExtensionProblem.deviation`), and the
 extension vector's entries against itself are closed-form term-sum
@@ -15,14 +16,16 @@ functions decay, read from their term sums
 their decay does not move it.  The infimum of the numerical range's imaginary
 part over that space is the minimal eigenvalue of the Hermitian pencil
 ``H x = mu G x`` with ``H = (M - M^H) / 2i`` the Gram-weighted imaginary
-part of the discretized action ``M``, which is not kept.  The assembly
-adds its per-panel blocks straight into the band-plus-border parts of
-``H`` and ``G`` (:class:`eigenh.BandBorder`: a band of half-bandwidth 3
-and the extension-vector border) and records the rank-one term of the
-rank-one Schroedinger scenario beside them, so one mesh costs ``O(n)``
-time and memory; :func:`eigenh.pencil_extreme` finds the minimum from
-inertia counts in ``O(n)`` work per shift.  Along a mesh ladder each
-rung's infimum is the next rung's first shift (:func:`cross_validate`).
+part of the discretized action ``M``, which is not kept.  ``H``'s core
+block is real (:class:`DiscreteOperator`), and so is ``G``'s.  The
+assembly adds its per-panel blocks straight into the band-plus-border
+parts of ``H`` and ``G`` (:class:`eigenh.BandBorder`: a real band of
+half-bandwidth 3 and the complex extension-vector border) and records
+the rank-one term of the rank-one Schroedinger scenario beside them, so
+one mesh costs ``O(n)`` time and memory; :func:`eigenh.pencil_extreme`
+finds the minimum from inertia counts in ``O(n)`` work per shift.  Along
+a mesh ladder each rung's infimum is the next rung's first shift
+(:func:`cross_validate`).
 
 A negative discrete infimum certifies non-dissipativity of the continuum
 operator (the discrete vector embeds into the true domain up to quadrature
@@ -33,8 +36,9 @@ sequences.  Reports state this asymmetry.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +74,14 @@ class DiscreteOperator:
     With ``M[j,k] = <b_j, action(b_k)>``, ``h`` holds the Hermitian
     ``H = (M - M^H) / 2i`` and ``gram`` the Gram matrix ``G``, both as
     :class:`eigenh.BandBorder` parts whose border is the extension vector
-    ``v`` (the last index), so the pure core block is the band.
+    ``v`` (the last index), so the pure core block is the band.  That block
+    of ``H`` is real and stored as float: with ``M = A + iB`` it is
+    ``(B + B^T) / 2 - i (A - A^T) / 2``, and ``A``, the real part of the
+    action on real splines, is symmetric, because every scenario's
+    first-order coefficient ``c1`` is imaginary and the second-order term is
+    symmetric after integration by parts on splines that vanish at the
+    span's ends.  So the assembly builds ``(B + B^T) / 2`` alone, and
+    refuses an expression with ``Re c1 != 0``.
     ``structure`` carries the rank-one term ``alpha q q^H`` of ``H`` (as
     ``(alpha, q)``; the parts never hold it) and the Gram matrix's factor
     from the assembly's check; the pencil solver reads it.
@@ -109,11 +120,32 @@ class OracleReport:
 _SUBPANELS = 2
 
 
+# reference tables of the meshes a ladder and its neighbours use
+_CACHED_MESHES = 8
+
+
+@functools.lru_cache(maxsize=_CACHED_MESHES)
+def _reference_tables(n: int) -> splines.SplineTables:
+    """Tables of the ``n`` splines on the reference knots, uniform on
+    ``[0, 1]``; their arrays are read-only, since every call shares them.
+    The knots are an affine image of these on every span, so the key is the
+    reference knot vector, which ``n`` alone fixes while it is uniform."""
+    tab = splines.spline_tables(np.linspace(0.0, 1.0, n + 4), _SUBPANELS)
+    for a in (tab.index, tab.x, tab.w, tab.val, tab.d1, tab.d2):
+        a.flags.writeable = False
+    return tab
+
+
 def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
-    """``n`` cubic splines on uniform knots of ``[lo, hi]``, supports inside."""
+    """``n`` cubic splines on uniform knots of ``[lo, hi]``, supports inside:
+    the reference tables mapped by ``x = lo + L s``, ``L = hi - lo``, which
+    scales the weights by ``L`` and the derivatives by ``1/L`` and ``1/L^2``."""
     if n < 8:
         raise OracleError("need at least 8 core elements")
-    return splines.spline_tables(np.linspace(lo, hi, n + 4), _SUBPANELS)
+    ref = _reference_tables(n)
+    length = hi - lo
+    return replace(ref, x=lo + length * ref.x, w=length * ref.w,
+                   d1=ref.d1 / length, d2=ref.d2 / (length * length))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +203,9 @@ def assemble_discrete(
     per-interval 4x4 local blocks on Gauss-Legendre panels aligned with the
     knots, so every polynomial factor integrates exactly; the blocks are
     added by the splines' indices straight into the band parts of ``H``
-    and ``G`` (:class:`DiscreteOperator`).  The entries of ``v`` against
+    (only the imaginary-part blocks, a real band) and ``G``
+    (:class:`DiscreteOperator`); an expression whose ``c1`` has a real part
+    raises :class:`OracleError`.  The entries of ``v`` against
     itself are closed form: ``<v, (action + L) v>`` as a term-sum integral
     plus the bounded part's form, whose imaginary part is ``H``'s corner,
     and ``||v||^2`` from :func:`norm_sq`; the rank-one ``<v, phi>`` is
@@ -180,6 +214,9 @@ def assemble_discrete(
     ``include_bounded_v=False`` drops the bounded imaginary part from the
     action (used for semibound studies of the deviated symmetric part alone).
     """
+    c1 = problem.expression()[1]
+    if c1.real != 0.0:
+        raise OracleError(f"expression has Re c1 = {c1.real!r}: the core block of H would not be real")
     lo, hi = problem.grid.offset, _active_cut(problem)
     end = problem.grid.right_endpoint
     tab = _core_tables(lo, hi, n)
@@ -207,10 +244,9 @@ def assemble_discrete(
     col = tab.vector(ws * act_v, tab.val)
     row = tab.vector(ws * np.conj(v_samp), act_local)
     gv = tab.vector(ws * v_samp, tab.val)
-    blocks = tab.blocks(ws, tab.val, act_local)
-    # H = (M - M^H) / 2i from the bands of M and M^H, each summed on its own,
-    # so that H, and every infimum, rounds as the entries of M do
-    h = eigenh.BandBorder((tab.band(blocks) - np.conj(tab.band(blocks.swapaxes(1, 2)))) / 2.0j,
+    # H's core is (B + B^T) / 2 with B = Im M, real (DiscreteOperator)
+    imag_blocks = tab.blocks(ws, tab.val, act_local.imag)
+    h = eigenh.BandBorder((tab.band(imag_blocks) + tab.band(imag_blocks.swapaxes(1, 2))) / 2.0,
                           ((row - np.conj(col)) / 2.0j)[None, :], np.array([[vv.imag]], dtype=complex))
     gram = eigenh.BandBorder(tab.band(tab.blocks(ws, tab.val, tab.val)), np.conj(gv)[None, :],
                              np.array([[norm_sq(vfn, 0.0, end)]]))
@@ -289,18 +325,20 @@ def _inf_norm(h: eigenh.BandBorder, structure: eigenh.PencilStructure) -> float:
     return float(np.max(both.abs_row_sums() - r.abs_row_sums() + full))
 
 
-def _extrapolate(infima: list[float]) -> tuple[float, float | None]:
+def _extrapolate(infima: list[float], floor: float = 0.0) -> tuple[float, float | None]:
     """Geometric-sequence completion of the mesh ladder (Aitken style).
 
     The decrement ratio is capped at 0.9: ratios close to 1 mean the ladder
     has not reached its asymptotic regime and the uncapped completion would
-    amplify noise arbitrarily.
+    amplify noise arbitrarily.  A last decrement within ``floor``, the
+    pencils' rounding floor (:func:`eigenh.rounding_floor`), is rounding:
+    the ladder shows no order then.
     """
     if len(infima) < 3:
         return infima[-1], None
     m1, m2, m3 = infima[-3:]
     d1, d2 = m2 - m1, m3 - m2
-    if d1 * d2 <= 0 or abs(d1) <= abs(d2) * (1.0 + 1e-12):
+    if d1 * d2 <= 0 or abs(d1) <= abs(d2) * (1.0 + 1e-12) or abs(d2) <= floor:
         return m3, None
     ratio = min(d2 / d1, 0.9)
     order = math.log(1.0 / ratio) / math.log(2.0)
@@ -329,8 +367,10 @@ def cross_validate(
     if any(m2 <= m1 for m1, m2 in zip(meshes, meshes[1:])):
         raise OracleError("meshes must be strictly increasing")
     infima = []
+    floor = 0.0
     for m in meshes:
         op = assemble_discrete(problem, m)
+        floor = max(floor, eigenh.rounding_floor(op.h, op.gram, op.structure))
         guess = None
         if infima:
             prev = infima[-1]
@@ -338,7 +378,7 @@ def cross_validate(
             guess = (prev, 2.0 * step + 0.05 * abs(prev))
         mu, _ = pencil_min_eig(op.h, op.gram, op.structure, guess=guess)
         infima.append(mu)
-    extrap, order = _extrapolate(infima)
+    extrap, order = _extrapolate(infima, floor)
     span = problem.grid.length - problem.grid.offset
     threshold = 10.0 * (span / max(meshes)) ** 2
     margin = verdict.margin

@@ -3,7 +3,8 @@
 ``dense_matrix`` adds per-panel spline blocks into a dense matrix with
 ``np.add.at``, and ``assemble_dense`` is the oracle's assembly built that
 way: dense ``(n+1)^2`` matrices ``M`` (with the rank-one term ``i alpha q
-q^H``) and ``G``.  ``expand`` and ``dense_pencil`` turn the package's
+q^H``) and ``G``; ``core_rounding_scale`` sizes the rounding of ``Re M``'s
+core entries.  ``expand`` and ``dense_pencil`` turn the package's
 Hermitian :class:`~dissipext.eigenh.BandBorder` parts back into dense
 matrices.  The tests check the band assembly and the pencil solver against
 these.
@@ -71,6 +72,16 @@ def assemble_dense(problem: ExtensionProblem, n: int, *, include_bounded_v: bool
     gram[nb, :nb] = np.conj(gv)
     gram[nb, nb] = norm_sq(vfn, 0.0, end)
     return mat, gram
+
+
+def core_rounding_scale(problem: ExtensionProblem, n: int) -> np.ndarray:
+    """``S[k, l] = sum_x |w b_k Re(action b_l)|``: the moduli of the
+    quadrature products that make ``A[k, l]``, ``A = Re M`` on the core, in
+    :func:`assemble_dense`.  The bounded imaginary part is imaginary, so it
+    adds nothing to ``A``."""
+    tab = _core_tables(problem.grid.offset, _active_cut(problem), n)
+    act = _core_action(problem, tab).real
+    return dense_matrix(tab, np.abs(tab.w), np.abs(tab.val), np.abs(act)).real
 
 
 def expand(a: BandBorder) -> np.ndarray:

@@ -310,6 +310,22 @@ def test_main_check_rejects_grid_n(tmp_path, capsys):
     assert "unknown key 'n' in [grid] (line 8, col 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    (SHIRLEY_CFG + "\n[grid]\nR = 0.001\n", "R"),
+    ("[scenario]\nname = konzert\ngamma = 0.25\nell = 1\n\n[grid]\nR = 2\n", "R"),
+    ("[scenario]\nname = potsdam\nrho = 1\nphi = i*x*exp(-x)\n\n[grid]\noffset = 0.3\n", "offset"),
+    ("[scenario]\nname = halfline_schrodinger\nh = 1+1i\n\n[grid]\noffset = 0.3\n", "offset"),
+], ids=["shirley_R", "konzert_R", "potsdam_offset", "schrodinger_offset"])
+def test_main_check_rejects_grid_key_the_scenario_never_reads(tmp_path, capsys, text, key):
+    # an interval scenario has no truncation radius and a half-line one no
+    # offset: the key would have no effect, so the reader refuses it
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(text)
+    assert cli_io.main(["check", "--config", str(cfg)]) == 2
+    last = len(text.splitlines())  # the [grid] key is the config's last line
+    assert f"unknown key {key!r} in [grid] (line {last}, col 1)" in capsys.readouterr().err
+
+
 def test_main_missing_file(capsys):
     assert cli_io.main(["check", "--config", "/nonexistent.cfg"]) == 2
 

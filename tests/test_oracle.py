@@ -1,13 +1,14 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dissipext import catalog, cli_io, criteria, eigenh, oracle
+from dissipext import catalog, cli_io, criteria, eigenh, oracle, splines
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, norm_sq
-from reference.assembly import assemble_dense, dense_pencil, expand
+from reference.assembly import assemble_dense, core_rounding_scale, dense_pencil, expand
 from reference.dense import band_border, pencil_eigh
 from reference.margins import semibound_estimate
 from test_splines import cox_de_boor
@@ -257,12 +258,88 @@ def test_band_assembly_matches_dense_reference(kind, rank_one_direction):
     prob = _equivalence_problem(kind, rank_one_direction)
     bounded = kind != "rank_one_symmetric_part"
     op = oracle.assemble_discrete(prob, 64, include_bounded_v=bounded)
+    assert op.h.band.dtype == op.gram.band.dtype == np.float64
     m_ref, g_ref = assemble_dense(prob, 64, include_bounded_v=bounded)
     h_ref = (m_ref - m_ref.conj().T) / 2.0j
     h, g = dense_pencil(op)
-    for got, ref in ((h, h_ref), (g, g_ref)):
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert h.shape == h_ref.shape and g.shape == g_ref.shape
+    assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
+    tol = 1e-14 * np.max(np.abs(h_ref))
+    core = np.s_[:-1, :-1]
+    border = np.ones(h.shape, dtype=bool)
+    border[core] = False
+    assert np.max(np.abs(h - h_ref)[border]) <= tol
+    assert np.max(np.abs(h[core].real - h_ref[core].real)) <= tol
+    # H's core is stored real; the reference's core imaginary part is
+    # -(A - A^T) / 2 with A = Re M, 0 in exact arithmetic (Re c1 = 0)
+    assert np.all(expand(op.h)[core].imag == 0.0)
+    # A priori bound on that rounding: each of A[k, l] and A[l, k] is a sum
+    # of at most K = 4 * 16 quadrature products w b_k Re(action b_l) (four
+    # shared knot intervals of two 8-point panels), whose moduli add up to
+    # S[k, l].  Summing them costs at most gamma_(K-1) S (Higham, Accuracy
+    # and Stability of Numerical Algorithms, ch. 4), and each product's
+    # factors (the mapped nodes and weights, de Boor's three recurrence
+    # steps, the action's products and sums) carry fewer than K further
+    # roundings.  So each computed entry is within gamma_2K S[k, l] of the
+    # exact integral, which is symmetric: |A - A^T| / 2 <= gamma_2K (S + S^T) / 2.
+    two_k_eps = 2 * 4 * 16 * np.finfo(float).eps
+    s = core_rounding_scale(prob, 64)
+    assert np.all(np.abs(h_ref[core].imag) <= two_k_eps / (1.0 - two_k_eps) * (s + s.T) / 2.0)
+
+
+def test_assembly_refuses_a_first_order_term_with_real_part(monkeypatch):
+    # Re c1 != 0 would leave an antisymmetric real part in M, so H's core
+    # would not be real: the assembly says so instead of dropping it
+    prob = _konzert(1.2)
+    c2, _, m = prob.expression()
+    monkeypatch.setattr(catalog.ExtensionProblem, "expression", lambda self: (c2, 1.0, m))
+    with pytest.raises(oracle.OracleError, match="c1"):
+        oracle.assemble_discrete(prob, 32)
+
+
+_README_SCHRODINGER = {
+    "multiplication": "perturbation = multiplication\nV = indicator(0,1)\nk = 2*indicator(0,1)\n",
+    "rank_one": "perturbation = rank_one\nalpha = 1\nlambda = 2\nphi = exp(-x)\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_README_SCHRODINGER))
+def test_dissipative_schrodinger_infima_carry_no_rounding_noise(case):
+    # margin 0: with H's core real, the infima are not the rounding of an
+    # antisymmetric part any more (about -2e-10 at n = 256 when it was complex)
+    text = "[scenario]\nname = halfline_schrodinger\nh = 1+1i\n" + _README_SCHRODINGER[case]
+    prob = cli_io.build_problem(cli_io.parse_config(text))
+    report = oracle.cross_validate(prob, criteria.decide(prob))
+    assert report.meshes == (64, 128, 256)
+    assert min(report.infima) >= -1e-20, report.infima
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-6, 1.0), (0.0, 17.5)], ids=["interval", "halfline"])
+def test_core_tables_map_the_reference_tables(lo, hi):
+    # the cached tables on [0, 1], mapped onto the span, are the tables of
+    # the span's own knots up to rounding
+    got = oracle._core_tables(lo, hi, 40)
+    want = splines.spline_tables(np.linspace(lo, hi, 44), 2)
+    assert got.nbasis == want.nbasis and np.array_equal(got.index, want.index)
+    for name in ("x", "w", "val", "d1", "d2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+
+
+def test_reference_tables_are_read_only():
+    tab = oracle._core_tables(0.0, 1.0, 16)
+    for a in (tab.index, tab.val, oracle._reference_tables(16).d1):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def test_oracle_payload_independent_of_table_cache():
+    cfg = cli_io.parse_config("[scenario]\nname = potsdam\nrho = 1\nphi = i*x*exp(-x)\nW = 0.5*exp(-x)\n")
+    oracle._reference_tables.cache_clear()
+    cold = json.dumps(cli_io.run_oracle(cfg))
+    assert oracle._reference_tables.cache_info().currsize == 3
+    warm = json.dumps(cli_io.run_oracle(cfg))
+    assert cold == warm
 
 
 def test_oracle_mesh_memory_is_linear():
@@ -287,8 +364,7 @@ def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch
     ldl = eigenh._ldl
 
     def recording(band, rows, corner, cap=None):
-        if rows:  # a whole matrix, not the corner of one
-            calls.append([col[0] for col in band])
+        calls.append(list(band[0]))  # the diagonal, padded with three zeros
         return ldl(band, rows, corner, cap)
 
     monkeypatch.setattr(eigenh, "_ldl", recording)
@@ -297,7 +373,7 @@ def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch
         calls.clear()
         op = oracle.assemble_discrete(prob, n)
         oracle.pencil_min_eig(op.h, op.gram, op.structure)
-        gram_diagonal = op.gram.band[:, 0].tolist()
+        gram_diagonal = op.gram.band[:, 0].tolist() + [0.0] * 3
         assert len(calls) > 2
         assert sum(diag == gram_diagonal for diag in calls) == 1
 
@@ -439,6 +515,16 @@ def test_report_records_asymmetry_note():
     report = oracle.cross_validate(prob, criteria.decide(prob), meshes=(64, 128))
     assert "certifies non-dissipativity" in report.note
     assert "evidence" in report.note
+
+
+def test_extrapolation_needs_a_decrement_above_the_rounding_floor():
+    # a ladder of rounding noise shows no order: these infima of the
+    # rank-one contract config would give order 18.5
+    noise = [1.6969938761554024e-26, -2.2274449580517307e-31, -2.6771517243103205e-31]
+    assert oracle._extrapolate(noise)[1] > 18.0
+    assert oracle._extrapolate(noise, 1e-14) == (noise[-1], None)
+    ladder = [0.014332066194762795, 0.007359238514115835, 0.003730532594252323]
+    assert oracle._extrapolate(ladder, 1e-14) == oracle._extrapolate(ladder)
 
 
 def test_semibound_oracle_bound(rank_one_direction):
