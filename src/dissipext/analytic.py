@@ -176,6 +176,21 @@ def _term_integral(a: complex, b: complex, lo: float, hi: float) -> complex:
     return _integral_quad(a, b, lo, hi)
 
 
+def _power_exp(a: complex, b: complex, xs: np.ndarray, logx, zero) -> np.ndarray:
+    """``x^a e^{bx}`` at ``xs`` from ``logx = log xs`` (unused when ``a`` is
+    0), real where ``a`` and ``b`` are; ``zero`` masks ``xs == 0`` (None
+    when no point is 0), where the value is 1, 0 or NaN as ``a`` is 0, has
+    a positive real part, or not."""
+    if a.imag == 0.0 and b.imag == 0.0:
+        a, b = a.real, b.real
+    if a == 0:
+        return np.exp(b * xs)
+    vals = np.exp(a * logx + b * xs) if b != 0 else np.exp(a * logx)
+    if zero is not None:
+        vals = np.where(zero, 0.0 if a.real > 0 else np.nan, vals)
+    return vals
+
+
 class AnalyticFunction:
     """A finite sum of :class:`Term`, closed under the operations needed here."""
 
@@ -269,15 +284,27 @@ class AnalyticFunction:
     def __call__(self, x) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
         zero = xs == 0.0
-        safe = np.where(zero, 1.0, xs)
+        if not zero.any():
+            zero = None
+        logx = None
+        # x^a e^{bx} of each (a, b), unwindowed; a term whose pair is the
+        # conjugate of one already evaluated takes its conjugate, which is
+        # bitwise what exp gives, since cos is even and sin odd
+        factors: dict[tuple[complex, complex], np.ndarray] = {}
         out = np.zeros(xs.shape, dtype=complex)
         for t in self.terms:
-            if t.power == 0:
-                vals = t.coeff * np.exp(t.rate * xs)
-            else:
-                vals = t.coeff * np.exp(t.power * np.log(safe.astype(complex)) + t.rate * safe)
-                at0 = t.coeff if t.power == 0 else (0.0 if t.power.real > 0 else np.nan)
-                vals = np.where(zero, at0, vals)
+            key = (t.power, t.rate)
+            vals = factors.get(key)
+            if vals is None:
+                mirror = factors.get((t.power.conjugate(), t.rate.conjugate()))
+                if mirror is not None:
+                    vals = np.conj(mirror)
+                else:
+                    if t.power != 0 and logx is None:
+                        logx = np.log(xs if zero is None else np.where(zero, 1.0, xs))
+                    vals = _power_exp(t.power, t.rate, xs, logx, zero)
+                factors[key] = vals
+            vals = t.coeff * vals
             if t.lo is not None:
                 vals = np.where(xs >= t.lo, vals, 0.0)
             if t.hi is not None:

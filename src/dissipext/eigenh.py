@@ -14,6 +14,10 @@ positive definite) on a band-plus-border pattern, the oracle's solver
    variables, so it runs float arithmetic on a float band and complex
    arithmetic on a complex one; the border rows are forward solves against
    the core's factor, and the corner is factored as a dense block.  The
+   core pass and the border/corner pass are two steps of that kernel, so a
+   Gram matrix whose band is shared (the oracle's, per mesh) factors its
+   band once (:func:`band_factor`) and only its border per problem
+   (:class:`GramFactor`).  The
    signs of its pivots give the number of eigenvalues below ``sigma``
    (Sylvester's law of inertia; bisection on such counts after Barth,
    Martin and Wilkinson).  A rank-one term ``alpha q q^H`` of ``H``, which
@@ -53,6 +57,7 @@ __all__ = [
     "BandBorder",
     "PencilStructure",
     "GramFactor",
+    "band_factor",
     "BandPencil",
     "pencil_extreme",
     "rounding_floor",
@@ -339,24 +344,31 @@ class PencilStructure:
         return y
 
 
+def _padded(a: np.ndarray) -> np.ndarray:
+    """``a`` with three zero columns appended, the padding :func:`_ldl` reads."""
+    out = np.zeros((len(a), a.shape[1] + _P), dtype=a.dtype)
+    out[:, : a.shape[1]] = a
+    return out
+
+
 def _layout(band: np.ndarray, rows: np.ndarray, corner: np.ndarray):
     """``(band, rows, corner)`` arrays in the layout of :func:`_ldl`: the
     band transposed to its diagonal and three sub-diagonals, and it and the
     border rows padded with three zeros."""
-    n, m = len(band), len(rows)
-    padded = np.zeros((_P + 1, n + _P), dtype=band.dtype)
-    padded[:, :n] = band.T
-    border = np.zeros((m, n + _P), dtype=rows.dtype)
-    border[:, :n] = rows
-    return padded, border, corner
+    return _padded(band.T), _padded(rows), corner
+
+
+def _corner_lists(corner: np.ndarray) -> list:
+    """The dense lower triangle of ``corner`` as :func:`_ldl` reads it,
+    ``out[c][j] = C[c+j, c]``."""
+    c = corner.tolist()
+    m = len(c)
+    return [[c[k + j][k] for j in range(m - k)] for k in range(m)]
 
 
 def _lists(band: np.ndarray, rows: np.ndarray, corner: np.ndarray) -> tuple[list, list, list]:
-    """Arrays of :func:`_layout` as the lists :func:`_ldl` reads; the corner
-    becomes its dense lower triangle, ``corner[c][j] = C[c+j, c]``."""
-    c = corner.tolist()
-    m = len(c)
-    return band.tolist(), rows.tolist(), [[c[k + j][k] for j in range(m - k)] for k in range(m)]
+    """Arrays of :func:`_layout` as the lists :func:`_ldl` reads."""
+    return band.tolist(), rows.tolist(), _corner_lists(corner)
 
 
 def _ldl(band: list, rows: list, corner: list, cap: int | None = None):
@@ -367,13 +379,14 @@ def _ldl(band: list, rows: list, corner: list, cap: int | None = None):
     zeros; ``rows[c][k]`` holds ``A[n+c, k]`` (also padded) and
     ``corner[c][j]`` holds ``A[n+c+j, n+c]``.
 
-    1. The core: each step is written out for half-bandwidth 3, and the
-       entries that the next three steps still update ride along in local
-       variables, so a step neither loops nor indexes.  The arithmetic is
-       that of the entries: a float band runs float operations.
-    2. The border rows: ``W = A[n:, :n] L^{-H}`` is a forward solve of each
-       row, their multipliers are ``W D^{-1}``, and the corner becomes its
-       Schur complement ``A[n:, n:] - W D^{-1} W^H``.
+    1. The core (:func:`_ldl_core`): each step is written out for
+       half-bandwidth 3, and the entries that the next three steps still
+       update ride along in local variables, so a step neither loops nor
+       indexes.  The arithmetic is that of the entries: a float band runs
+       float operations.
+    2. The border rows (:func:`_ldl_border`): ``W = A[n:, :n] L^{-H}`` is a
+       forward solve of each row, their multipliers are ``W D^{-1}``, and
+       the corner becomes its Schur complement ``A[n:, n:] - W D^{-1} W^H``.
     3. The corner, factored as a dense block in place.
 
     Returns ``(factor, D, neg)``: the conjugate ``conj(L)`` of the unit
@@ -384,6 +397,16 @@ def _ldl(band: list, rows: list, corner: list, cap: int | None = None):
     the pass stops as soon as more than ``cap`` pivots are not positive;
     ``factor`` is then None.
     """
+    sub, d, neg = _ldl_core(band, cap)
+    if sub is None:
+        return None, d, neg
+    return _ldl_border(sub, d, neg, rows, corner, cap)
+
+
+def _ldl_core(band: list, cap: int | None = None):
+    """Step 1 of :func:`_ldl`, the core alone: ``(sub, D, neg)`` with
+    ``sub`` the three sub-diagonal lists of ``conj(L)``, or None when the
+    pass stopped at ``cap``."""
     b0, b1, b2, b3 = band
     cap = math.inf if cap is None else cap
     d: list = []
@@ -412,7 +435,14 @@ def _ldl(band: list, rows: list, corner: list, cap: int | None = None):
         s1.append(f1)
         s2.append(f2)
         s3.append(f3)
-    sub = (s1, s2, s3)
+    return (s1, s2, s3), d, neg
+
+
+def _ldl_border(sub: tuple, d: list, neg: int, rows: list, corner: list, cap: int | None = None):
+    """Steps 2 and 3 of :func:`_ldl` on the core's factor ``sub``, its
+    pivots ``d`` (the list is extended by the corner's) and its count
+    ``neg``; returns what :func:`_ldl` returns."""
+    cap = math.inf if cap is None else cap
     w = [_lower_solve(sub, r) for r in rows]
     conj_rows = [[x.conjugate() / p for x, p in zip(wc, d)] for wc in w]
     m = len(corner)
@@ -500,17 +530,38 @@ def _ldl_solve(factor: tuple, d: list, b: np.ndarray) -> np.ndarray:
     return np.array(_backward(factor, (np.conj(y) / d).tolist()))
 
 
+def band_factor(band: np.ndarray) -> tuple[tuple, tuple]:
+    """``(sub, pivots)`` of ``L D L^H`` of a Hermitian positive definite
+    band alone (:class:`BandBorder` ``band`` layout), as tuples, so that one
+    factor can serve every :class:`GramFactor` whose core is that band.
+    Raises :class:`NotPositiveDefiniteError` at the first pivot that is not
+    positive."""
+    sub, d, neg = _ldl_core(_padded(band.T).tolist(), cap=0)
+    if neg:
+        raise NotPositiveDefiniteError(f"pivot {len(d) - 1} non-positive in LDL^H")
+    return tuple(map(tuple, sub)), tuple(d)
+
+
 class GramFactor:
     """``G = L D L^H`` of a Hermitian positive definite ``G``, factored once.
 
-    ``g`` holds the :class:`BandBorder` parts of ``G``.  ``factor`` is
-    ``conj(L)`` as :func:`_ldl` returns it, and ``pivots`` is ``D``.  Raises
-    :class:`NotPositiveDefiniteError` at the first pivot that is not
-    positive.
+    ``g`` holds the :class:`BandBorder` parts of ``G``.  ``core``, when
+    given, is the factor of ``g``'s band as :func:`band_factor` returns it
+    (``(sub, pivots)``), and only the border rows and the corner are
+    factored here.  ``factor`` is ``conj(L)`` as :func:`_ldl` returns it, and
+    ``pivots`` is ``D``.  Raises :class:`NotPositiveDefiniteError` at the
+    first pivot that is not positive.
     """
 
-    def __init__(self, g: BandBorder):
-        factor, d, neg = _ldl(*_lists(*_layout(*g.parts)), cap=0)
+    def __init__(self, g: BandBorder, core: tuple[tuple, tuple] | None = None):
+        if core is None:
+            factor, d, neg = _ldl(*_lists(*_layout(*g.parts)), cap=0)
+        else:
+            sub, pivots = core
+            if not min(pivots) > 0.0:
+                raise NotPositiveDefiniteError("a core pivot is non-positive in LDL^H")
+            factor, d, neg = _ldl_border(sub, list(pivots), 0, _padded(g.rows).tolist(),
+                                         _corner_lists(g.corner), cap=0)
         if neg:
             raise NotPositiveDefiniteError(f"pivot {len(d) - 1} non-positive in LDL^H")
         self.factor = factor

@@ -5,27 +5,33 @@ B-spline elements (supports inside the domain, triple zeros where they touch
 the boundary, hence inside every scenario's operator core) plus one column
 for the extension vector itself.  The elements, their quadrature panels and
 the banded assembly come from the package's one spline layer,
-:mod:`dissipext.splines`, on a uniform knot vector: tables on ``[0, 1]``,
-cached per mesh, mapped onto the core span.  The action is read
-from the problem (:meth:`~dissipext.catalog.ExtensionProblem.expression`
+:mod:`dissipext.splines`, on a uniform knot vector.  On ``[lo, lo + L]``
+the splines are an affine image of those on ``[0, 1]`` (de Boor, *A
+Practical Guide to Splines*, ch. IX), so everything that does not depend on
+the problem is computed once per mesh and cached (:func:`_reference_mesh`):
+the tables, the bands of the Gram matrix ``G_ref`` and of the symmetrized
+``int b_k b_l''`` matrix ``S2_ref``, and ``G_ref``'s ``L D L^H`` factor.  A
+rung's Gram core is ``L G_ref`` and its factor the cached one with the
+pivots scaled by ``L``; only the border is factored per problem.  The action
+is read from the problem (:meth:`~dissipext.catalog.ExtensionProblem.expression`
 and :meth:`~dissipext.catalog.ExtensionProblem.deviation`), and the
 extension vector's entries against itself are closed-form term-sum
 integrals.  The right edge of a half-line core span is where the problem's
 functions decay, read from their term sums
 (:func:`~dissipext.analytic.tail_point`), so a truncation radius beyond
-their decay does not move it.  The infimum of the numerical range's imaginary
-part over that space is the minimal eigenvalue of the Hermitian pencil
-``H x = mu G x`` with ``H = (M - M^H) / 2i`` the Gram-weighted imaginary
-part of the discretized action ``M``, which is not kept.  ``H``'s core
-block is real (:class:`DiscreteOperator`), and so is ``G``'s.  The
-assembly adds its per-panel blocks straight into the band-plus-border
-parts of ``H`` and ``G`` (:class:`eigenh.BandBorder`: a real band of
-half-bandwidth 3 and the complex extension-vector border) and records
-the rank-one term of the rank-one Schroedinger scenario beside them, so
-one mesh costs ``O(n)`` time and memory; :func:`eigenh.pencil_extreme`
-finds the minimum from inertia counts in ``O(n)`` work per shift.  Along
-a mesh ladder each rung's infimum is the next rung's first shift
-(:func:`cross_validate`).
+their decay does not move it.  These closed forms do not depend on the mesh,
+and a mesh ladder computes them once (:func:`cross_validate`).  The infimum
+of the numerical range's imaginary part over that space is the minimal
+eigenvalue of the Hermitian pencil ``H x = mu G x`` with
+``H = (M - M^H) / 2i`` the Gram-weighted imaginary part of the discretized
+action ``M``, which is not kept.  ``H``'s core block is real
+(:class:`DiscreteOperator`), and so is ``G``'s.  Both are band-plus-border
+parts (:class:`eigenh.BandBorder`: a real band of half-bandwidth 3 and the
+complex extension-vector border), beside the rank-one term of the rank-one
+Schroedinger scenario, so one mesh costs ``O(n)`` time and memory;
+:func:`eigenh.pencil_extreme` finds the minimum from inertia counts in
+``O(n)`` work per shift.  Along a mesh ladder each rung's infimum is the
+next rung's first shift (:func:`cross_validate`).
 
 A negative discrete infimum certifies non-dissipativity of the continuum
 operator (the discrete vector embeds into the true domain up to quadrature
@@ -43,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eigenh, forms, splines
-from .analytic import norm_sq, tail_point
+from .analytic import AnalyticFunction, norm_sq, tail_point
 from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
 
 __all__ = [
@@ -80,8 +86,9 @@ class DiscreteOperator:
     action on real splines, is symmetric, because every scenario's
     first-order coefficient ``c1`` is imaginary and the second-order term is
     symmetric after integration by parts on splines that vanish at the
-    span's ends.  So the assembly builds ``(B + B^T) / 2`` alone, and
-    refuses an expression with ``Re c1 != 0``.
+    span's ends.  So the assembly builds ``(B + B^T) / 2`` alone
+    (:func:`assemble_discrete`), and refuses an expression with
+    ``Re c1 != 0``.
     ``structure`` carries the rank-one term ``alpha q q^H`` of ``H`` (as
     ``(alpha, q)``; the parts never hold it) and the Gram matrix's factor
     from the assembly's check; the pencil solver reads it.
@@ -120,20 +127,38 @@ class OracleReport:
 _SUBPANELS = 2
 
 
-# reference tables of the meshes a ladder and its neighbours use
+# reference meshes a ladder and its neighbours use
 _CACHED_MESHES = 8
 
 
+@dataclass(frozen=True, eq=False)
+class _ReferenceMesh:
+    """What the assembly reads of ``n`` splines on the reference knots,
+    uniform on ``[0, 1]``: their ``tables``, the lower bands of the
+    symmetrized second-order matrix ``stiffness`` (``(S + S^T) / 2`` with
+    ``S[k, l] = int b_k b_l''``) and of the Gram matrix ``mass``, and
+    ``gram_core``, ``mass``'s factor (:func:`eigenh.band_factor`).  None of
+    them depends on the problem; the arrays are read-only and the factor is
+    tuples, since every call shares them."""
+
+    tables: splines.SplineTables
+    stiffness: np.ndarray
+    mass: np.ndarray
+    gram_core: tuple[tuple, tuple]
+
+
 @functools.lru_cache(maxsize=_CACHED_MESHES)
-def _reference_tables(n: int) -> splines.SplineTables:
-    """Tables of the ``n`` splines on the reference knots, uniform on
-    ``[0, 1]``; their arrays are read-only, since every call shares them.
-    The knots are an affine image of these on every span, so the key is the
+def _reference_mesh(n: int) -> _ReferenceMesh:
+    """The :class:`_ReferenceMesh` of ``n`` splines.  The knots are an
+    affine image of the reference knots on every span, so the key is the
     reference knot vector, which ``n`` alone fixes while it is uniform."""
     tab = splines.spline_tables(np.linspace(0.0, 1.0, n + 4), _SUBPANELS)
-    for a in (tab.index, tab.x, tab.w, tab.val, tab.d1, tab.d2):
+    second = tab.blocks(tab.w, tab.val, tab.d2)
+    stiffness = (tab.band(second) + tab.band(second.swapaxes(1, 2))) / 2.0
+    mass = tab.band(tab.blocks(tab.w, tab.val, tab.val))
+    for a in (tab.index, tab.x, tab.w, tab.val, tab.d1, tab.d2, stiffness, mass):
         a.flags.writeable = False
-    return tab
+    return _ReferenceMesh(tab, stiffness, mass, eigenh.band_factor(mass))
 
 
 def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
@@ -142,7 +167,7 @@ def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
     scales the weights by ``L`` and the derivatives by ``1/L`` and ``1/L^2``."""
     if n < 8:
         raise OracleError("need at least 8 core elements")
-    ref = _reference_tables(n)
+    ref = _reference_mesh(n).tables
     length = hi - lo
     return replace(ref, x=lo + length * ref.x, w=length * ref.w,
                    d1=ref.d1 / length, d2=ref.d2 / (length * length))
@@ -181,12 +206,54 @@ def _active_cut(problem: ExtensionProblem) -> float:
     return min(grid.length, 1.25 * cut + 2.0)
 
 
-def _core_action(problem: ExtensionProblem, tab: splines.SplineTables, bounded=0.0) -> np.ndarray:
-    """Action samples ``(panels, 4, q)`` of every active spline: the problem's
-    expression plus the multiplier ``bounded`` (samples at the panel nodes)."""
+@dataclass(frozen=True, eq=False)
+class _MeshFree:
+    """The parts of a rung that no mesh changes, for one problem.
+
+    ``hi`` is the right edge of the core span (:func:`_active_cut`);
+    ``c2, c1, m`` the :meth:`~ExtensionProblem.expression`; ``action`` the
+    term sum of ``(action + L) v``; ``bounded`` the multiplication
+    perturbation's ``V`` (None without one, or when it is left out);
+    ``corner`` is ``Im <v, (action + L + i V) v>`` and ``v_norm_sq``
+    ``||v||^2``, both closed form; ``rank_one`` is ``(alpha, phi, <v, phi>)``
+    of the rank-one perturbation, or None.
+    """
+
+    hi: float
+    c2: complex
+    c1: complex
+    m: AnalyticFunction
+    action: AnalyticFunction
+    bounded: AnalyticFunction | None
+    corner: float
+    v_norm_sq: float
+    rank_one: tuple | None
+
+
+def _mesh_free(problem: ExtensionProblem, include_bounded_v: bool = True) -> _MeshFree:
+    """The :class:`_MeshFree` parts of ``problem``'s rungs."""
+    vfn = problem.v
+    if not isinstance(vfn, AnalyticFunction):
+        raise TypeError(f"the oracle reads v as a term sum, not {type(vfn).__name__}")
     c2, c1, m = problem.expression()
-    mult = m(tab.x) + bounded
-    return c2 * tab.d2 + c1 * tab.d1 + mult[:, None, :] * tab.val
+    if c1.real != 0.0:
+        raise OracleError(f"expression has Re c1 = {c1.real!r}: the core block of H would not be real")
+    end = problem.grid.right_endpoint
+    pert = problem.perturbation if include_bounded_v else None
+    action = problem.action_on(vfn)
+    vv = (vfn.conj() * action).integral(0.0, end)
+    lv = problem.deviation()
+    if lv is not None:
+        action = action + lv
+        vv += forms.inner(vfn, lv, end)
+    bounded = rank_one = None
+    if isinstance(pert, MultiplicationPerturbation):
+        bounded = pert.v
+        vv += 1.0j * forms.friedrichs_form_sq(problem.spec, vfn)
+    elif isinstance(pert, RankOnePerturbation):
+        rank_one = (pert.alpha, pert.phi, forms.inner(vfn, pert.phi, end))
+    return _MeshFree(_active_cut(problem), c2, c1, m, action, bounded, vv.imag,
+                     norm_sq(vfn, 0.0, end), rank_one)
 
 
 def assemble_discrete(
@@ -194,77 +261,87 @@ def assemble_discrete(
     n: int,
     *,
     include_bounded_v: bool = True,
+    mesh_free: _MeshFree | None = None,
 ) -> DiscreteOperator:
     """Project the extension operator onto ``n`` spline elements plus ``v``.
 
-    The action is the problem's :meth:`~ExtensionProblem.expression` plus
-    its :meth:`~ExtensionProblem.deviation` on ``v``, plus the bounded
-    imaginary part of the Schroedinger scenario.  Core entries come from
-    per-interval 4x4 local blocks on Gauss-Legendre panels aligned with the
-    knots, so every polynomial factor integrates exactly; the blocks are
-    added by the splines' indices straight into the band parts of ``H``
-    (only the imaginary-part blocks, a real band) and ``G``
-    (:class:`DiscreteOperator`); an expression whose ``c1`` has a real part
-    raises :class:`OracleError`.  The entries of ``v`` against
-    itself are closed form: ``<v, (action + L) v>`` as a term-sum integral
-    plus the bounded part's form, whose imaginary part is ``H``'s corner,
-    and ``||v||^2`` from :func:`norm_sq`; the rank-one ``<v, phi>`` is
-    :func:`forms.inner`.  The right edge of the core span comes from the
-    term sums too (:func:`_active_cut`).
+    The action is the problem's :meth:`~ExtensionProblem.expression`
+    ``c2 f'' + c1 f' + m f`` plus its :meth:`~ExtensionProblem.deviation` on
+    ``v``, plus the bounded imaginary part ``i V`` of the Schroedinger
+    scenario.  On uniform knots of ``[lo, lo + L]`` the splines are an affine
+    image of the reference splines (:func:`_reference_mesh`), so ``G``'s
+    core is ``L G_ref`` and its factor is the reference factor with the
+    pivots scaled by ``L``; ``H``'s core (:class:`DiscreteOperator`) is
+    ``Im(c2) / L`` times the reference ``stiffness`` plus the band of
+    ``int Im(m + i V) b_k b_l`` when that weight is not 0, from per-interval
+    4x4 blocks on Gauss-Legendre panels aligned with the knots.  The
+    ``Im(c1)`` term is 0, since ``int (b_k b_l' + b_l b_k') = 0`` for splines
+    that vanish at both ends of the span; an expression whose ``c1`` has a
+    real part raises :class:`OracleError`.  The border rows come from the
+    same panels: ``<v, action(b_l)>`` is ``c2 int conj(v) b_l'' + c1 int
+    conj(v) b_l' + int conj(v) (m + i V) b_l``.  The entries of ``v``
+    against itself are closed form (:class:`_MeshFree`), as is the right
+    edge of the core span (:func:`_active_cut`).
     ``include_bounded_v=False`` drops the bounded imaginary part from the
     action (used for semibound studies of the deviated symmetric part alone).
+    ``mesh_free`` is ``_mesh_free(problem, include_bounded_v)``, which a
+    mesh ladder computes once (:func:`cross_validate`); without it the
+    assembly computes it.
     """
-    c1 = problem.expression()[1]
-    if c1.real != 0.0:
-        raise OracleError(f"expression has Re c1 = {c1.real!r}: the core block of H would not be real")
-    lo, hi = problem.grid.offset, _active_cut(problem)
-    end = problem.grid.right_endpoint
+    if mesh_free is None:
+        mesh_free = _mesh_free(problem, include_bounded_v)
+    lo, hi = problem.grid.offset, mesh_free.hi
     tab = _core_tables(lo, hi, n)
+    ref = _reference_mesh(n)
+    length = hi - lo
     xs, ws = tab.x, tab.w
-    pert = problem.perturbation if include_bounded_v else None
+    c2, c1 = mesh_free.c2, mesh_free.c1
 
-    # extension column data
-    vfn = problem.v
-    v_samp = vfn(xs)
-    act = problem.action_on(vfn)
-    act_v = act(xs)
-    vv = (vfn.conj() * act).integral(0.0, end)
-    lv = problem.deviation()
-    if lv is not None:
-        act_v = act_v + lv(xs)
-        vv += forms.inner(problem.v, lv, end)
-    bounded = 0.0
-    if isinstance(pert, MultiplicationPerturbation):
-        bounded = 1.0j * pert.v(xs).real
+    v_samp = problem.v(xs)
+    act_v = mesh_free.action(xs)
+    # the multiplier m + i V at the nodes, None where it is 0
+    mult = mesh_free.m(xs) if mesh_free.m.terms else None
+    if mesh_free.bounded is not None:
+        bounded = 1.0j * mesh_free.bounded(xs).real
         act_v = act_v + bounded * v_samp
-        vv += 1.0j * forms.friedrichs_form_sq(problem.spec, problem.v)
-    act_local = _core_action(problem, tab, bounded)
+        mult = bounded if mult is None else mult + bounded
 
-    # M[:nb, nb], M[nb, :nb] and G[:nb, nb], nb = tab.nbasis the border
-    col = tab.vector(ws * act_v, tab.val)
-    row = tab.vector(ws * np.conj(v_samp), act_local)
-    gv = tab.vector(ws * v_samp, tab.val)
-    # H's core is (B + B^T) / 2 with B = Im M, real (DiscreteOperator)
-    imag_blocks = tab.blocks(ws, tab.val, act_local.imag)
-    h = eigenh.BandBorder((tab.band(imag_blocks) + tab.band(imag_blocks.swapaxes(1, 2))) / 2.0,
-                          ((row - np.conj(col)) / 2.0j)[None, :], np.array([[vv.imag]], dtype=complex))
-    gram = eigenh.BandBorder(tab.band(tab.blocks(ws, tab.val, tab.val)), np.conj(gv)[None, :],
-                             np.array([[norm_sq(vfn, 0.0, end)]]))
+    # H's border (M[n, :n] - conj(M[:n, n])) / 2i, with
+    # M[n, l] = <v, action(b_l)> and M[k, n] = <b_k, action(v)>
+    wv = ws * np.conj(v_samp)
+    weights = -ws * np.conj(act_v)
+    if mult is not None:
+        weights += wv * mult
+    row = tab.vector(weights, tab.val)
+    if c2 != 0:
+        row += c2 * tab.vector(wv, tab.d2)
+    if c1 != 0:
+        row += c1 * tab.vector(wv, tab.d1)
+    band = np.zeros((tab.nbasis, 4))
+    if c2.imag != 0:
+        band += (c2.imag / length) * ref.stiffness
+    if mult is not None and np.any(mult.imag != 0.0):
+        band += tab.band(tab.blocks(ws * mult.imag, tab.val, tab.val))
+    h = eigenh.BandBorder(band, (row / 2.0j)[None, :], np.array([[mesh_free.corner]], dtype=complex))
+    gram = eigenh.BandBorder(length * ref.mass, tab.vector(wv, tab.val)[None, :],
+                             np.array([[mesh_free.v_norm_sq]]))
+    sub, pivots = ref.gram_core
+    factor = _check_gram(gram, (sub, [length * p for p in pivots]))
     rank_one = None
-    if isinstance(pert, RankOnePerturbation):
+    if mesh_free.rank_one is not None:
         # alpha |phi><phi| of H on the whole span, with q_j = <e_j, phi>
-        q = np.append(tab.vector(ws * pert.phi(xs), tab.val),
-                      forms.inner(problem.v, pert.phi, end))
-        rank_one = (pert.alpha, q)
-    return DiscreteOperator(h, gram, eigenh.PencilStructure(rank_one, _check_gram(gram)))
+        alpha, phi, phi_v = mesh_free.rank_one
+        rank_one = (alpha, np.append(tab.vector(ws * phi(xs), tab.val), phi_v))
+    return DiscreteOperator(h, gram, eigenh.PencilStructure(rank_one, factor))
 
 
-def _check_gram(gram: eigenh.BandBorder) -> eigenh.GramFactor:
+def _check_gram(gram: eigenh.BandBorder, core: tuple) -> eigenh.GramFactor:
     """The ``L D L^H`` factor of the Gram matrix, which the pencil solver
-    reuses, after checking positive definiteness and the pivot ratio
-    ``max D / min D``, a lower bound on its condition."""
+    reuses, from ``core``, the factor of its band (:func:`eigenh.band_factor`),
+    after checking positive definiteness and the pivot ratio ``max D / min D``,
+    a lower bound on its condition."""
     try:
-        factor = eigenh.GramFactor(gram)
+        factor = eigenh.GramFactor(gram, core)
     except eigenh.NotPositiveDefiniteError as exc:
         raise OracleError(f"basis Gram not positive definite: {exc}") from None
     d = factor.pivots
@@ -354,7 +431,10 @@ def cross_validate(
 ) -> OracleReport:
     """Run the discrete infimum over a mesh ladder and compare signs.
 
-    Each rung after the first starts its pencil's downward walk at the
+    The closed forms that no mesh changes (:class:`_MeshFree`) are computed
+    once and passed to each rung's :func:`assemble_discrete`, which gives
+    the same bits as when it computes them itself.  Each rung after the
+    first starts its pencil's downward walk at the
     previous infimum ``mu1`` with the step ``2 |mu1 - mu2| + 0.05 |mu1|``
     (``mu2`` the infimum before it, if any): close guesses save
     factorizations, and the certified minimum is the same either way.
@@ -366,10 +446,11 @@ def cross_validate(
     meshes = tuple(int(m) for m in meshes)
     if any(m2 <= m1 for m1, m2 in zip(meshes, meshes[1:])):
         raise OracleError("meshes must be strictly increasing")
+    mesh_free = _mesh_free(problem)
     infima = []
     floor = 0.0
     for m in meshes:
-        op = assemble_discrete(problem, m)
+        op = assemble_discrete(problem, m, mesh_free=mesh_free)
         floor = max(floor, eigenh.rounding_floor(op.h, op.gram, op.structure))
         guess = None
         if infima:

@@ -59,7 +59,7 @@ class SplineTables:
         ``(panels, 4, q)`` tables.  Added by the splines' ``index``, the
         blocks make the matrix ``M[k, l] = sum_x weights left_k right_l``.
         """
-        return np.einsum("jaq,jbq->jab", weights[:, None, :] * left, right)
+        return (weights[:, None, :] * left) @ right.transpose(0, 2, 1)
 
     def band(self, blocks: np.ndarray) -> np.ndarray:
         """Lower band of the matrix that :meth:`blocks` add up to.
@@ -80,7 +80,7 @@ class SplineTables:
 
     def vector(self, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
         """``r[k] = sum_x weights(x) table_k(x)``, added into a basis-indexed vector."""
-        cols = np.einsum("jq,jaq->ja", weights, table)
+        cols = (table @ weights[:, :, None])[:, :, 0]
         keep = self.index >= 0
         return _accumulate(self.index[keep], cols[keep], self.nbasis)
 

@@ -2,11 +2,13 @@
 
 ``dense_matrix`` adds per-panel spline blocks into a dense matrix with
 ``np.add.at``, and ``assemble_dense`` is the oracle's assembly built that
-way: dense ``(n+1)^2`` matrices ``M`` (with the rank-one term ``i alpha q
-q^H``) and ``G``; ``core_rounding_scale`` sizes the rounding of ``Re M``'s
-core entries.  ``expand`` and ``dense_pencil`` turn the package's
-Hermitian :class:`~dissipext.eigenh.BandBorder` parts back into dense
-matrices.  The tests check the band assembly and the pencil solver against
+way, from the full table of the action on every active spline
+(``core_action``) instead of the oracle's per-mesh reference bands: dense
+``(n+1)^2`` matrices ``M`` (with the rank-one term ``i alpha q q^H``) and
+``G``; ``core_rounding_scale`` sizes the rounding of the real or the
+imaginary part of ``M``'s core entries.  ``expand`` and ``dense_pencil``
+turn the package's Hermitian :class:`~dissipext.eigenh.BandBorder` parts
+back into dense matrices.  The tests check the band assembly and the pencil solver against
 these.
 """
 
@@ -16,7 +18,7 @@ from dissipext import forms
 from dissipext.analytic import norm_sq
 from dissipext.catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
 from dissipext.eigenh import BandBorder
-from dissipext.oracle import DiscreteOperator, _active_cut, _core_action, _core_tables
+from dissipext.oracle import DiscreteOperator, _active_cut, _core_tables
 from dissipext.splines import SplineTables
 
 
@@ -29,6 +31,22 @@ def dense_matrix(tab: SplineTables, weights: np.ndarray, left: np.ndarray, right
     out = np.zeros((tab.nbasis, tab.nbasis), dtype=complex)
     np.add.at(out, (rows[keep], cols[keep]), blocks[keep])
     return out
+
+
+def _bounded(problem: ExtensionProblem, tab: SplineTables, include_bounded_v: bool):
+    """The bounded imaginary part ``i V`` at the panel nodes, or 0."""
+    pert = problem.perturbation if include_bounded_v else None
+    if isinstance(pert, MultiplicationPerturbation):
+        return 1.0j * pert.v(tab.x).real
+    return 0.0
+
+
+def core_action(problem: ExtensionProblem, tab: SplineTables, bounded=0.0) -> np.ndarray:
+    """Action samples ``(panels, 4, q)`` of every active spline: the problem's
+    expression plus the multiplier ``bounded`` (samples at the panel nodes)."""
+    c2, c1, m = problem.expression()
+    mult = m(tab.x) + bounded
+    return c2 * tab.d2 + c1 * tab.d1 + mult[:, None, :] * tab.val
 
 
 def assemble_dense(problem: ExtensionProblem, n: int, *, include_bounded_v: bool = True):
@@ -50,12 +68,11 @@ def assemble_dense(problem: ExtensionProblem, n: int, *, include_bounded_v: bool
     if lv is not None:
         act_v = act_v + lv(xs)
         vv += forms.inner(problem.v, lv, end)
-    bounded = 0.0
+    bounded = _bounded(problem, tab, include_bounded_v)
     if isinstance(pert, MultiplicationPerturbation):
-        bounded = 1.0j * pert.v(xs).real
         act_v = act_v + bounded * v_samp
         vv += 1.0j * forms.friedrichs_form_sq(problem.spec, problem.v)
-    act_local = _core_action(problem, tab, bounded)
+    act_local = core_action(problem, tab, bounded)
 
     mat = np.zeros((nb + 1, nb + 1), dtype=complex)
     gram = np.zeros((nb + 1, nb + 1), dtype=complex)
@@ -74,14 +91,18 @@ def assemble_dense(problem: ExtensionProblem, n: int, *, include_bounded_v: bool
     return mat, gram
 
 
-def core_rounding_scale(problem: ExtensionProblem, n: int) -> np.ndarray:
-    """``S[k, l] = sum_x |w b_k Re(action b_l)|``: the moduli of the
-    quadrature products that make ``A[k, l]``, ``A = Re M`` on the core, in
-    :func:`assemble_dense`.  The bounded imaginary part is imaginary, so it
-    adds nothing to ``A``."""
+def core_rounding_scale(problem: ExtensionProblem, n: int, part=np.real) -> np.ndarray:
+    """``S[k, l] = sum_x |w b_k| (|part(c2) b_l''| + |part(c1) b_l'| +
+    |part(m + i V) b_l|)``: the moduli of the summands of the quadrature
+    products that make ``part(M)[k, l]`` on the core, in
+    :func:`assemble_dense` (``part`` is ``np.real`` or ``np.imag``).  The
+    bounded imaginary part ``i V`` adds nothing to the real part."""
     tab = _core_tables(problem.grid.offset, _active_cut(problem), n)
-    act = _core_action(problem, tab).real
-    return dense_matrix(tab, np.abs(tab.w), np.abs(tab.val), np.abs(act)).real
+    c2, c1, m = problem.expression()
+    mult = m(tab.x) + _bounded(problem, tab, True)
+    act = (abs(part(c2)) * np.abs(tab.d2) + abs(part(c1)) * np.abs(tab.d1)
+           + np.abs(part(mult))[:, None, :] * np.abs(tab.val))
+    return dense_matrix(tab, np.abs(tab.w), np.abs(tab.val), act).real
 
 
 def expand(a: BandBorder) -> np.ndarray:

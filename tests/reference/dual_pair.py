@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from dissipext.catalog import CatalogError, ExtensionProblem
-from dissipext.oracle import _core_action, _core_tables
+from dissipext.oracle import _core_tables
 
-from .assembly import dense_matrix
+from .assembly import core_action, dense_matrix
 from .dense import pencil_eigh
 
 
@@ -30,7 +30,7 @@ def assemble_core_pair(problem: ExtensionProblem, n: int) -> tuple[DenseOperator
     """Matrices of the dual pair's two actions on ``n`` core splines alone."""
     lo, hi = problem.grid.offset, problem.grid.length
     tab = _core_tables(lo, hi, n)
-    m = dense_matrix(tab, tab.w, tab.val, _core_action(problem, tab))
+    m = dense_matrix(tab, tab.w, tab.val, core_action(problem, tab))
     gram = dense_matrix(tab, tab.w, tab.val, tab.val)
     desc = f"{tab.nbasis} cubic spline elements on [{lo:g},{hi:g}]"
     return DenseOperator(desc, m, gram), DenseOperator(desc, m.conj().T.copy(), gram)

@@ -191,6 +191,27 @@ def test_ldl_pivots_match_cholesky():
         eigenh.GramFactor(band_border(-g, 3, 1))
 
 
+def test_gram_factor_on_a_shared_band_factor():
+    # the core pass alone, then the border and the corner: the same
+    # arithmetic as one pass, so the same bits; a non-positive pivot of
+    # either part is refused
+    rng = np.random.default_rng(22)
+    g = band_border(_band_border(rng, 30, 3, 2, dominant=True), 3, 2)
+    core = eigenh.band_factor(g.band)
+    assert all(isinstance(part, tuple) for part in (core[0], core[1], *core[0]))
+    whole, shared = eigenh.GramFactor(g), eigenh.GramFactor(g, core)
+    assert np.array_equal(whole.pivots, shared.pivots)
+    b = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    assert whole.norm(b) == shared.norm(b)
+    with pytest.raises(eigenh.NotPositiveDefiniteError):
+        eigenh.band_factor(-g.band)
+    with pytest.raises(eigenh.NotPositiveDefiniteError):
+        eigenh.GramFactor(g, (core[0], (-1.0,) + core[1][1:]))
+    indefinite = eigenh.BandBorder(g.band, g.rows, g.corner - 1e3 * np.eye(2))
+    with pytest.raises(eigenh.NotPositiveDefiniteError):
+        eigenh.GramFactor(indefinite, core)
+
+
 def test_pencil_rejects_non_finite_entries():
     h = band_border(np.diag([1.0, np.nan]))
     with pytest.raises(eigenh.EigenError):

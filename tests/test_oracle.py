@@ -61,13 +61,24 @@ def test_shirley_hermitian_block_is_stiffness(shirley_instance):
 
 def test_hermitian_part_exact():
     # off the diagonal the parts are Hermitian by storage; the diagonal and
-    # the corner are exactly so, and H is (M - M^H) / 2i of the dense M
+    # the corner are exactly so, and H's core is (M - M^H) / 2i of the dense
+    # M up to rounding (its border: test_band_assembly_matches_dense_reference)
     prob = _konzert(1.2)
     h = oracle.assemble_discrete(prob, 64).h
     assert np.all(h.band[:, 0].imag == 0.0)
     assert np.array_equal(h.corner, h.corner.conj().T)
     m, _ = assemble_dense(prob, 64)
-    assert np.max(np.abs(expand(h) - (m - m.conj().T) / 2.0j)) == 0.0
+    core = np.s_[:-1, :-1]
+    gap = np.abs(expand(h)[core] - ((m - m.conj().T) / 2.0j)[core])
+    # The band sums the mass products w Im(m) b_k b_l (the Im(c1) term is 0
+    # exactly), the dense reference the products w b_k Im(action b_l): two
+    # orders of the same exact integrals.  By the argument of
+    # test_band_assembly_matches_dense_reference each is within gamma_2K of
+    # the moduli of its summands, which S = core_rounding_scale(np.imag)
+    # bounds, so they differ by at most 2 gamma_2K (S + S^T) / 2.
+    two_k_eps = 2 * 4 * 16 * np.finfo(float).eps
+    s = core_rounding_scale(prob, 64, np.imag)
+    assert np.all(gap <= 2.0 * two_k_eps / (1.0 - two_k_eps) * (s + s.T) / 2.0)
 
 
 def test_gram_positive_definite():
@@ -328,17 +339,36 @@ def test_core_tables_map_the_reference_tables(lo, hi):
 
 def test_reference_tables_are_read_only():
     tab = oracle._core_tables(0.0, 1.0, 16)
-    for a in (tab.index, tab.val, oracle._reference_tables(16).d1):
+    for a in (tab.index, tab.val, oracle._reference_mesh(16).tables.d1):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
 
 
+def test_reference_bands_and_factor_are_immutable():
+    # every rung of every problem on 16 splines reads these
+    ref = oracle._reference_mesh(16)
+    for a in (ref.stiffness, ref.mass):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    sub, pivots = ref.gram_core
+    assert isinstance(sub, tuple) and isinstance(pivots, tuple)
+    assert all(isinstance(s, tuple) for s in sub)
+    assert len(pivots) == len(sub[0]) == ref.tables.nbasis
+
+
 def test_oracle_payload_independent_of_table_cache():
+    # cold: the tables, bands and Gram core factor of each mesh are built;
+    # warm: every rung reads them from the cache
     cfg = cli_io.parse_config("[scenario]\nname = potsdam\nrho = 1\nphi = i*x*exp(-x)\nW = 0.5*exp(-x)\n")
-    oracle._reference_tables.cache_clear()
+    oracle._reference_mesh.cache_clear()
     cold = json.dumps(cli_io.run_oracle(cfg))
-    assert oracle._reference_tables.cache_info().currsize == 3
+    info = oracle._reference_mesh.cache_info()
+    assert info.currsize == info.misses == 3
+    cached = [oracle._reference_mesh(n) for n in (64, 128, 256)]
+    assert all(ref.stiffness.shape == ref.mass.shape and ref.gram_core for ref in cached)
     warm = json.dumps(cli_io.run_oracle(cfg))
+    assert oracle._reference_mesh.cache_info().misses == 3
+    assert all(oracle._reference_mesh(n) is ref for n, ref in zip((64, 128, 256), cached))
     assert cold == warm
 
 
@@ -359,23 +389,84 @@ def test_oracle_mesh_memory_is_linear():
 
 @pytest.mark.parametrize("kind", ["konzert", "potsdam", "rank_one"])
 def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch):
-    # the assembly's Gram check keeps its L D L^H factor for the pencil solver
-    calls = []
-    ldl = eigenh._ldl
+    # G's core is L G_ref on the reference knots: its factor is computed once
+    # per mesh and process, the assembly's Gram check adds the border to it,
+    # and the pencil solver never factors G again
+    cores = []
+    ldl_core = eigenh._ldl_core
 
-    def recording(band, rows, corner, cap=None):
-        calls.append(list(band[0]))  # the diagonal, padded with three zeros
-        return ldl(band, rows, corner, cap)
+    def recording(band, cap=None):
+        cores.append(list(band[0]))  # the diagonal, padded with three zeros
+        return ldl_core(band, cap)
 
-    monkeypatch.setattr(eigenh, "_ldl", recording)
+    monkeypatch.setattr(eigenh, "_ldl_core", recording)
     prob = _equivalence_problem(kind, rank_one_direction)
+    second = _konzert(0.7)
+    oracle._reference_mesh.cache_clear()
     for n in (16, 32):
-        calls.clear()
+        cores.clear()
         op = oracle.assemble_discrete(prob, n)
+        reference_diagonal = oracle._reference_mesh(n).mass[:, 0].tolist() + [0.0] * 3
+        assert cores == [reference_diagonal]
+        cores.clear()
+        other = oracle.assemble_discrete(second, n)
         oracle.pencil_min_eig(op.h, op.gram, op.structure)
-        gram_diagonal = op.gram.band[:, 0].tolist() + [0.0] * 3
-        assert len(calls) > 2
-        assert sum(diag == gram_diagonal for diag in calls) == 1
+        oracle.pencil_min_eig(other.h, other.gram, other.structure)
+        gram_diagonals = [g.band[:, 0].tolist() + [0.0] * 3 for g in (op.gram, other.gram)]
+        assert len(cores) > 4
+        assert not any(diag == reference_diagonal or diag in gram_diagonals for diag in cores)
+
+
+@pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication"])
+def test_cached_gram_core_matches_a_fresh_factor(kind, rank_one_direction):
+    # the reference factor with its pivots scaled by the span's length, and
+    # the border added, against a factorization of the whole assembled G.
+    # The last pivot is the Schur complement ||v||^2 - w^H D^-1 w of the
+    # corner: its rounding is relative to the corner entry it cancels.
+    prob = _equivalence_problem(kind, rank_one_direction)
+    for n in (64, 256):
+        op = oracle.assemble_discrete(prob, n)
+        cached, fresh = op.structure.gram.pivots, eigenh.GramFactor(op.gram).pivots
+        assert cached.shape == fresh.shape == (len(op.gram),)
+        scale = np.append(np.abs(fresh[:-1]), op.gram.corner[0, 0].real)
+        assert np.max(np.abs(cached - fresh) / scale) <= 1e-14
+
+
+def test_indefinite_gram_border_is_refused(monkeypatch):
+    # the cached core is positive definite; a border that makes G indefinite
+    # (here ||v||^2 = 0 in the corner) still fails the Gram check
+    monkeypatch.setattr(oracle, "norm_sq", lambda *args, **kwargs: 0.0)
+    with pytest.raises(oracle.OracleError, match="not positive definite"):
+        oracle.assemble_discrete(_konzert(1.2), 64)
+
+
+@pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication"])
+def test_ladder_rungs_equal_standalone_assembly(kind, rank_one_direction, monkeypatch):
+    # cross_validate computes the mesh-free closed forms once per ladder;
+    # each rung is still bit for bit what assemble_discrete gives alone
+    rungs = []
+    assemble = oracle.assemble_discrete
+
+    def recording(problem, n, **kwargs):
+        op = assemble(problem, n, **kwargs)
+        rungs.append((n, op))
+        return op
+
+    monkeypatch.setattr(oracle, "assemble_discrete", recording)
+    prob = _equivalence_problem(kind, rank_one_direction)
+    oracle.cross_validate(prob, criteria.decide(prob))
+    assert [n for n, _ in rungs] == [64, 128, 256]
+    for n, op in rungs:
+        alone = assemble(prob, n)
+        for name in ("h", "gram"):
+            for a, b in zip(getattr(op, name).parts, getattr(alone, name).parts):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, name)
+        assert np.array_equal(op.structure.gram.pivots, alone.structure.gram.pivots)
+        if kind == "rank_one":
+            (alpha, q), (beta, r) = op.structure.rank_one, alone.structure.rank_one
+            assert alpha == beta and np.array_equal(q, r)
+        else:
+            assert op.structure.rank_one is alone.structure.rank_one is None
 
 
 def test_residual_norm_counts_the_rank_one_term(rank_one_direction):
