@@ -29,13 +29,12 @@ positive definite) on a band-plus-border pattern, the oracle's solver
    bounds and Rayleigh quotients close the bracket.  Each shift and each
    product costs ``O(N)``.
 
-The dense stages :func:`cholesky` and :func:`eigh` (Householder reduction to
-a real symmetric tridiagonal, then implicit QL with accumulated
-eigenvectors) are on no command's path.  They stay only as layers the
-benchmark's tracer names, until ROADMAP item 2 drops those targets; the
-tests check the pencil solver against a dense ``numpy.linalg`` reference
-(``tests/reference/dense.py``), whose dense pencils run through the
-kernel's corner phase.
+This is the package's only eigensolver; there is no dense one.
+:func:`cholesky` and :func:`eigh` are stubs that raise :class:`EigenError`:
+they stay only as layers the benchmark's tracer names, until ROADMAP item 2
+drops those targets.  The tests check the pencil solver against a dense
+``numpy.linalg`` reference (``tests/reference/dense.py``), whose dense
+pencils run through the kernel's corner phase.
 
 numpy supplies array arithmetic only; no library eigensolver is called.
 """
@@ -51,9 +50,6 @@ import numpy as np
 __all__ = [
     "EigenError",
     "NotPositiveDefiniteError",
-    "ConvergenceError",
-    "cholesky",
-    "eigh",
     "BandBorder",
     "PencilStructure",
     "GramFactor",
@@ -64,7 +60,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-_MAX_QL_ITER = 60
 
 
 class EigenError(Exception):
@@ -75,155 +70,16 @@ class NotPositiveDefiniteError(EigenError):
     """Raised when a Gram/metric matrix is not positive definite."""
 
 
-class ConvergenceError(EigenError):
-    """Raised when QL iteration exceeds its sweep budget."""
-
-
-# kept only as a layer the benchmark's tracer names, until ROADMAP item 2
+# ROADMAP item 2 deletes this stub together with its benchmark tracer target
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a Hermitian positive definite matrix."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    l = np.zeros_like(a)
-    for j in range(n):
-        s = a[j, j].real - np.sum(np.abs(l[j, :j]) ** 2)
-        if s <= 0.0 or not math.isfinite(s):
-            raise NotPositiveDefiniteError(f"pivot {j} non-positive in Cholesky")
-        l[j, j] = math.sqrt(s)
-        if j + 1 < n:
-            l[j + 1:, j] = (a[j + 1:, j] - l[j + 1:, :j] @ np.conj(l[j, :j])) / l[j, j]
-    return l
+    """Removed: the oracle factors its Gram matrix with :class:`GramFactor`."""
+    raise EigenError("eigenh.cholesky was removed; use GramFactor")
 
 
-# kept only for eigh, a layer the benchmark's tracer names, until ROADMAP item 2
-def _householder_tridiag(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce Hermitian ``a`` to real symmetric tridiagonal form.
-
-    Returns ``(d, e, q)``: ``d`` diagonal, ``e`` non-negative real
-    subdiagonal and the unitary ``q`` such that ``q^H a q`` is the real
-    tridiagonal matrix.
-    """
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        x = a[k + 1:, k].copy()
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        alpha = -phase * nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        # two-sided Hermitian update of the trailing block
-        sub = a[k + 1:, k + 1:]
-        p = 2.0 * (sub @ v)
-        w = p - np.vdot(v, p) * v
-        sub -= np.outer(w, np.conj(v)) + np.outer(v, np.conj(w))
-        a[k + 1, k] = alpha
-        a[k, k + 1] = np.conj(alpha)
-        a[k + 2:, k] = 0.0
-        a[k, k + 2:] = 0.0
-        # accumulate q <- q (I - 2 v v^H) on the trailing columns
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, np.conj(v))
-    d = a.diagonal().real.copy()
-    e = np.zeros(max(n - 1, 0))
-    # absorb subdiagonal phases to make the tridiagonal matrix real
-    phase = 1.0 + 0.0j
-    phases = np.ones(n, dtype=complex)
-    for k in range(n - 1):
-        ek = a[k + 1, k]
-        mag = abs(ek)
-        if mag > 0.0:
-            phase = phase * (mag / ek).conjugate()
-        phases[k + 1] = phase
-        e[k] = mag
-    q *= phases[None, :]
-    return d, e, q
-
-
-# kept only for eigh, a layer the benchmark's tracer names, until ROADMAP item 2
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Implicit QL with Wilkinson-style shifts on a real tridiagonal.
-
-    Mutates copies of ``d``/``e``; the columns of ``z`` are rotated along,
-    turning it into the eigenvector matrix.
-    """
-    n = len(d)
-    d = [float(x) for x in d]
-    e = [float(x) for x in e] + [0.0]
-    # absolute deflation floor keeps noise-level blocks of rank-deficient
-    # matrices from stalling the relative convergence test
-    anorm = max((abs(x) for x in d), default=0.0) + max((abs(x) for x in e), default=0.0)
-    floor = _EPS * anorm
-    hypot = math.hypot
-    copysign = math.copysign
-    for l in range(n):
-        iters = 0
-        while True:
-            m = l
-            while m < n - 1:
-                em = abs(e[m])
-                if em <= _EPS * (abs(d[m]) + abs(d[m + 1])) or em <= floor:
-                    break
-                m += 1
-            if m == l:
-                break
-            iters += 1
-            if iters > _MAX_QL_ITER:
-                raise ConvergenceError("QL iteration did not converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col_i = z[:, i].copy()
-                col_i1 = z[:, i + 1].copy()
-                z[:, i + 1] = s * col_i + c * col_i1
-                z[:, i] = c * col_i - s * col_i1
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    return np.asarray(d)
-
-
-# kept only as a layer the benchmark's tracer names, until ROADMAP item 2
+# ROADMAP item 2 deletes this stub together with its benchmark tracer target
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues and eigenvectors of a Hermitian matrix.
-
-    Returns ``(w, v)`` with ``w`` ascending and ``a v[:,k] = w[k] v[:,k]``.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), np.ones((1, 1), dtype=complex)
-    d, e, q = _householder_tridiag(a)
-    w = _ql_implicit(d, e, q)
-    order = np.argsort(w)
-    return w[order], q[:, order]
+    """Removed: the oracle's pencil minimum comes from :func:`pencil_extreme`."""
+    raise EigenError("eigenh.eigh was removed; use pencil_extreme")
 
 
 # ---------------------------------------------------------------------------
@@ -545,23 +401,20 @@ def band_factor(band: np.ndarray) -> tuple[tuple, tuple]:
 class GramFactor:
     """``G = L D L^H`` of a Hermitian positive definite ``G``, factored once.
 
-    ``g`` holds the :class:`BandBorder` parts of ``G``.  ``core``, when
-    given, is the factor of ``g``'s band as :func:`band_factor` returns it
-    (``(sub, pivots)``), and only the border rows and the corner are
-    factored here.  ``factor`` is ``conj(L)`` as :func:`_ldl` returns it, and
+    ``g`` holds the :class:`BandBorder` parts of ``G``.  ``core`` is the
+    factor of ``g``'s band as :func:`band_factor` returns it
+    (``(sub, pivots)``), computed here when not given; then the border rows
+    and the corner are factored against it.  ``factor`` is ``conj(L)`` as :func:`_ldl` returns it, and
     ``pivots`` is ``D``.  Raises :class:`NotPositiveDefiniteError` at the
     first pivot that is not positive.
     """
 
     def __init__(self, g: BandBorder, core: tuple[tuple, tuple] | None = None):
-        if core is None:
-            factor, d, neg = _ldl(*_lists(*_layout(*g.parts)), cap=0)
-        else:
-            sub, pivots = core
-            if not min(pivots) > 0.0:
-                raise NotPositiveDefiniteError("a core pivot is non-positive in LDL^H")
-            factor, d, neg = _ldl_border(sub, list(pivots), 0, _padded(g.rows).tolist(),
-                                         _corner_lists(g.corner), cap=0)
+        sub, pivots = band_factor(g.band) if core is None else core
+        if not min(pivots, default=1.0) > 0.0:
+            raise NotPositiveDefiniteError("a core pivot is non-positive in LDL^H")
+        factor, d, neg = _ldl_border(sub, list(pivots), 0, _padded(g.rows).tolist(),
+                                     _corner_lists(g.corner), cap=0)
         if neg:
             raise NotPositiveDefiniteError(f"pivot {len(d) - 1} non-positive in LDL^H")
         self.factor = factor

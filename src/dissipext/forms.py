@@ -17,16 +17,21 @@ and at the zeros of ``V``, and :func:`support_violation` is window logic.
 Each spec carries its domain (a :class:`~dissipext.grid.Grid`); the
 multiplication spec is the one place that checks ``V >= 0``
 (:func:`dissipext.analytic.sign_check`).
+
+No square-root matrix is formed: the criteria reach the isometry factor
+``U`` of ``V_K^{1/2} = U V_F^{1/2}`` in closed form from these forms.
+:func:`discrete_sqrt_pair` is a stub that raises :class:`FormsError`; it
+stays only as a layer the benchmark's tracer names, until ROADMAP item 2
+drops that target.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import eigenh
 from .analytic import (
     AnalyticError,
     AnalyticFunction,
@@ -44,7 +49,6 @@ __all__ = [
     "FormsError",
     "DomainError",
     "RangeError",
-    "DegenerateFormError",
     "ImaginaryPartSpec",
     "dirichlet_laplacian_halfline",
     "dirichlet_laplacian_interval",
@@ -62,8 +66,6 @@ __all__ = [
     "support_violation",
     "mult_inverse_norm_sq",
     "projection_P",
-    "DiscreteSqrtPair",
-    "discrete_sqrt_pair",
 ]
 
 _TRACE_TOL = 1e-8
@@ -79,10 +81,6 @@ class DomainError(FormsError):
 
 class RangeError(FormsError):
     """Right-hand side is not in the range of the requested extension."""
-
-
-class DegenerateFormError(FormsError):
-    """The finite test family sees only the kernel of the form."""
 
 
 # ---------------------------------------------------------------------------
@@ -383,74 +381,7 @@ def projection_P(spec: ImaginaryPartSpec, v: AnalyticFunction) -> AnalyticFuncti
     raise FormsError("no closed-form adjoint-kernel basis for this family")
 
 
-# ---------------------------------------------------------------------------
-# discrete square-root pair
-
-
-# kept only for discrete_sqrt_pair, a layer the benchmark's tracer names, until ROADMAP item 2
-@dataclass(frozen=True, eq=False)
-class DiscreteSqrtPair:
-    """Square-root matrices of both extensions on a finite subspace.
-
-    All matrices live in the orthonormalized coordinates of the supplied
-    basis (``transform`` maps coefficient vectors into them).  ``isometry``
-    satisfies ``sqrt_krein = isometry @ sqrt_friedrichs`` on the span and is
-    a partial isometry up to the discretization tolerance.
-    """
-
-    basis: str
-    sqrt_friedrichs: np.ndarray = field(repr=False)
-    sqrt_krein: np.ndarray = field(repr=False)
-    isometry: np.ndarray = field(repr=False)
-    transform: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.sqrt_friedrichs.shape[0]
-
-
-# kept only for discrete_sqrt_pair, a layer the benchmark's tracer names, until ROADMAP item 2
-def _matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = eigenh.eigh(m)
-    # eigenvalues at rounding level are zeros: their square roots would be
-    # ~1e-8 relative and survive the pseudo-inverse of the root
-    wmax = float(np.max(w)) if len(w) else 0.0
-    w = np.where(w > 1e-12 * wmax, w, 0.0)
-    return (v * np.sqrt(w)[None, :]) @ v.conj().T
-
-
-# kept only for discrete_sqrt_pair, a layer the benchmark's tracer names, until ROADMAP item 2
-def _matrix_pinv_psd(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    w, v = eigenh.eigh(m)
-    wmax = float(np.max(np.abs(w))) if len(w) else 0.0
-    inv = np.where(w > rtol * max(wmax, 1e-300), 1.0 / np.maximum(w, 1e-300), 0.0)
-    return (v * inv[None, :]) @ v.conj().T
-
-
-# kept only as a layer the benchmark's tracer names, until ROADMAP item 2
-def discrete_sqrt_pair(spec: ImaginaryPartSpec, basis, description: str = "") -> DiscreteSqrtPair:
-    """Matrices of both square roots plus their isometry factor on a span.
-
-    ``basis`` is a sequence of term sums inside the Friedrichs form
-    domain.  Raises on a numerically rank-deficient basis Gram.
-    """
-    m = len(basis)
-    gram = np.empty((m, m), dtype=complex)
-    fmat = np.empty((m, m), dtype=complex)
-    kmat = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = inner(basis[i], basis[j], spec.end)
-            fmat[i, j] = friedrichs_form(spec, basis[i], basis[j])
-            kmat[i, j] = krein_form(spec, basis[i], basis[j])
-    gram = 0.5 * (gram + gram.conj().T)
-    w, v = eigenh.eigh(gram)
-    if float(np.min(w)) <= 1e-12 * float(np.max(w)):
-        raise DegenerateFormError("basis Gram is numerically rank-deficient")
-    t = v / np.sqrt(w)[None, :]
-    fhat = t.conj().T @ fmat @ t
-    khat = t.conj().T @ kmat @ t
-    sf = _matrix_sqrt_psd(0.5 * (fhat + fhat.conj().T))
-    sk = _matrix_sqrt_psd(0.5 * (khat + khat.conj().T))
-    u = sk @ _matrix_pinv_psd(sf)
-    return DiscreteSqrtPair(description or f"{m}-dim span", sf, sk, u, t)
+# ROADMAP item 2 deletes this stub together with its benchmark tracer target
+def discrete_sqrt_pair(spec: ImaginaryPartSpec, basis, description: str = ""):
+    """Removed: the criteria reach the isometry factor in closed form."""
+    raise FormsError("forms.discrete_sqrt_pair was removed")

@@ -213,7 +213,7 @@ class _MeshFree:
     ``hi`` is the right edge of the core span (:func:`_active_cut`);
     ``c2, c1, m`` the :meth:`~ExtensionProblem.expression`; ``action`` the
     term sum of ``(action + L) v``; ``bounded`` the multiplication
-    perturbation's ``V`` (None without one, or when it is left out);
+    perturbation's ``V`` (None without one);
     ``corner`` is ``Im <v, (action + L + i V) v>`` and ``v_norm_sq``
     ``||v||^2``, both closed form; ``rank_one`` is ``(alpha, phi, <v, phi>)``
     of the rank-one perturbation, or None.
@@ -230,7 +230,7 @@ class _MeshFree:
     rank_one: tuple | None
 
 
-def _mesh_free(problem: ExtensionProblem, include_bounded_v: bool = True) -> _MeshFree:
+def _mesh_free(problem: ExtensionProblem) -> _MeshFree:
     """The :class:`_MeshFree` parts of ``problem``'s rungs."""
     vfn = problem.v
     if not isinstance(vfn, AnalyticFunction):
@@ -239,7 +239,7 @@ def _mesh_free(problem: ExtensionProblem, include_bounded_v: bool = True) -> _Me
     if c1.real != 0.0:
         raise OracleError(f"expression has Re c1 = {c1.real!r}: the core block of H would not be real")
     end = problem.grid.right_endpoint
-    pert = problem.perturbation if include_bounded_v else None
+    pert = problem.perturbation
     action = problem.action_on(vfn)
     vv = (vfn.conj() * action).integral(0.0, end)
     lv = problem.deviation()
@@ -260,7 +260,6 @@ def assemble_discrete(
     problem: ExtensionProblem,
     n: int,
     *,
-    include_bounded_v: bool = True,
     mesh_free: _MeshFree | None = None,
 ) -> DiscreteOperator:
     """Project the extension operator onto ``n`` spline elements plus ``v``.
@@ -281,15 +280,12 @@ def assemble_discrete(
     same panels: ``<v, action(b_l)>`` is ``c2 int conj(v) b_l'' + c1 int
     conj(v) b_l' + int conj(v) (m + i V) b_l``.  The entries of ``v``
     against itself are closed form (:class:`_MeshFree`), as is the right
-    edge of the core span (:func:`_active_cut`).
-    ``include_bounded_v=False`` drops the bounded imaginary part from the
-    action (used for semibound studies of the deviated symmetric part alone).
-    ``mesh_free`` is ``_mesh_free(problem, include_bounded_v)``, which a
-    mesh ladder computes once (:func:`cross_validate`); without it the
-    assembly computes it.
+    edge of the core span (:func:`_active_cut`).  ``mesh_free`` is
+    ``_mesh_free(problem)``, which a mesh ladder computes once
+    (:func:`cross_validate`); without it the assembly computes it.
     """
     if mesh_free is None:
-        mesh_free = _mesh_free(problem, include_bounded_v)
+        mesh_free = _mesh_free(problem)
     lo, hi = problem.grid.offset, mesh_free.hi
     tab = _core_tables(lo, hi, n)
     ref = _reference_mesh(n)

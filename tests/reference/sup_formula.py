@@ -14,7 +14,7 @@ import numpy as np
 
 from dissipext import splines
 from dissipext.analytic import AnalyticFunction
-from dissipext.forms import DegenerateFormError, FormsError, ImaginaryPartSpec, inner
+from dissipext.forms import FormsError, ImaginaryPartSpec, inner
 
 from .assembly import dense_matrix
 
@@ -23,6 +23,10 @@ _AN_DEPTH = 13
 # one Gauss panel per knot interval; the sup-formula values depend on this
 # rule through the quadrature of non-polynomial targets and weights
 _AN_SUBPANELS = 1
+
+
+class DegenerateFormError(FormsError):
+    """The finite test family sees only the kernel of the form."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dissipext import catalog, cli_io, criteria, forms, oracle
+from dissipext import catalog, cli_io, criteria, eigenh, forms, oracle
 from dissipext.analytic import (
     AnalyticFunction,
     Term,
@@ -259,8 +259,9 @@ def test_acceptance_8_bounded_part_property_suite(rank_one_direction):
         prob = catalog.build_halfline_schrodinger(
             h, catalog.RankOnePerturbation(1.0, rank_one_direction, lam)
         )
-        op = oracle.assemble_discrete(prob, 128, include_bounded_v=False)
-        mu, _ = oracle.pencil_min_eig(op.h, op.gram, op.structure)
+        op = oracle.assemble_discrete(prob, 128)
+        # the symmetric part alone: the pencil without its rank-one term
+        mu, _ = oracle.pencil_min_eig(op.h, op.gram, eigenh.PencilStructure(None, op.structure.gram))
         norm_v_sq = norm_sq(prob.v, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)

@@ -14,7 +14,7 @@ from dissipext.analytic import (
     power,
 )
 from dissipext.grid import make_grid
-from reference.sup_formula import MatrixSpec, krein_form_ando_nishio
+from reference.sup_formula import DegenerateFormError, MatrixSpec, krein_form_ando_nishio
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +190,7 @@ def test_ando_nishio_rank_one(interval):
 
 def test_ando_nishio_degenerate_gram():
     spec = MatrixSpec(np.zeros((3, 3), dtype=complex))
-    with pytest.raises(forms.DegenerateFormError):
+    with pytest.raises(DegenerateFormError):
         krein_form_ando_nishio(spec, np.ones(3, dtype=complex), 3)
 
 
@@ -350,7 +350,20 @@ def test_projection_requires_strict_positivity():
 
 
 # ---------------------------------------------------------------------------
-# discrete square-root pair
+# the two square-root forms on finite spans
+
+
+def _form_matrices(spec, basis):
+    """``F[i, j] = friedrichs_form(b_i, b_j)`` and ``K[i, j] = krein_form(b_i,
+    b_j)`` on a span."""
+    m = len(basis)
+    fmat = np.empty((m, m), dtype=complex)
+    kmat = np.empty((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            fmat[i, j] = forms.friedrichs_form(spec, basis[i], basis[j])
+            kmat[i, j] = forms.krein_form(spec, basis[i], basis[j])
+    return fmat, kmat
 
 
 def _sine_basis(grid, m):
@@ -362,24 +375,11 @@ def _sine_basis(grid, m):
     return out
 
 
-def test_discrete_sqrt_pair_equality_on_sines(interval, spec_interval):
+def test_friedrichs_equals_krein_form_on_sines(interval, spec_interval):
     # sines vanish at both ends, so they lie in the large form domain where
-    # the two square-root norms agree
-    basis = _sine_basis(interval, 8)
-    pair = forms.discrete_sqrt_pair(spec_interval, basis)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        nf = np.linalg.norm(pair.sqrt_friedrichs @ y)
-        nk = np.linalg.norm(pair.sqrt_krein @ y)
-        assert abs(nk - nf) <= 1e-8 * (1.0 + nf)
-
-
-def test_discrete_sqrt_pair_isometry_bound(interval, spec_interval, konzert_weight):
-    pair = forms.discrete_sqrt_pair(spec_interval, _sine_basis(interval, 6))
-    s = np.linalg.svd(pair.isometry, compute_uv=False)
-    assert np.all(s <= 1.0 + 1e-8)
-    assert np.max(np.abs(pair.sqrt_krein - pair.isometry @ pair.sqrt_friedrichs)) < 1e-8
+    # the two square-root forms agree
+    fmat, kmat = _form_matrices(spec_interval, _sine_basis(interval, 8))
+    assert np.max(np.abs(fmat - kmat)) <= 1e-12 * np.max(np.abs(fmat))
 
 
 def _scenario_draws(rng):
@@ -413,27 +413,20 @@ def _friedrichs_span(grid, rng, dim=5):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_discrete_isometry_factor_contracts_on_every_scenario(seed):
-    # V_K <= V_F as forms, so V_F^{1/2} f -> V_K^{1/2} f is a contraction
+def test_friedrichs_minus_krein_is_psd_on_every_scenario(seed):
+    # V_K <= V_F as forms: F - K is positive semidefinite on every span, so
+    # the isometry factor of V_K^{1/2} = U V_F^{1/2} contracts
     rng = np.random.default_rng(seed)
     for problem in _scenario_draws(rng):
-        pair = forms.discrete_sqrt_pair(problem.spec, _friedrichs_span(problem.grid, rng))
-        s = np.linalg.svd(pair.isometry, compute_uv=False)
-        assert np.all(s <= 1.0 + 1e-8), (problem.scenario, s)
+        fmat, kmat = _form_matrices(problem.spec, _friedrichs_span(problem.grid, rng))
+        diff = fmat - kmat
+        low = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0]
+        assert low >= -1e-12 * np.max(np.abs(fmat)), (problem.scenario, low)
 
 
-def test_discrete_sqrt_pair_identity_when_extensions_coincide(konzert_weight):
-    basis = [
-        AnalyticFunction((Term(1.0, float(k)),))
-        for k in (1, 2, 3)
-    ]
-    pair = forms.discrete_sqrt_pair(konzert_weight, basis)
-    # the factor acts as the identity on the span's form range
-    resid = pair.isometry @ pair.sqrt_friedrichs - pair.sqrt_friedrichs
-    assert np.max(np.abs(resid)) < 1e-8
-
-
-def test_discrete_sqrt_pair_rank_deficiency(interval, spec_interval):
-    b = _sine_basis(interval, 3)
-    with pytest.raises(forms.DegenerateFormError):
-        forms.discrete_sqrt_pair(spec_interval, [b[0], b[1], b[0]])
+def test_friedrichs_equals_krein_form_on_multiplication(konzert_weight):
+    # the multiplication operator is essentially selfadjoint: both
+    # extensions coincide, and so do their forms
+    basis = [AnalyticFunction((Term(1.0, float(k)),)) for k in (1, 2, 3)]
+    fmat, kmat = _form_matrices(konzert_weight, basis)
+    assert np.max(np.abs(fmat - kmat)) <= 1e-12 * np.max(np.abs(fmat))

@@ -248,13 +248,23 @@ def _equivalence_problem(kind, rank_one_direction):
     return catalog.build_halfline_schrodinger(1 + 0.2j, pert)
 
 
+def _assemble(kind, prob, n):
+    """The oracle's pencil of ``prob`` on ``n`` splines; for
+    ``rank_one_symmetric_part`` without its rank-one term, which leaves the
+    deviated symmetric part alone."""
+    op = oracle.assemble_discrete(prob, n)
+    if kind == "rank_one_symmetric_part":
+        op = dataclasses.replace(op, structure=eigenh.PencilStructure(None, op.structure.gram))
+    return op
+
+
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication",
                                   "rank_one_symmetric_part"])
 def test_band_solver_matches_dense_spectrum(kind, n, rank_one_direction):
     # the band-plus-border solver against the dense full-spectrum reference
     prob = _equivalence_problem(kind, rank_one_direction)
-    op = oracle.assemble_discrete(prob, n, include_bounded_v=kind != "rank_one_symmetric_part")
+    op = _assemble(kind, prob, n)
     assert (op.structure.rank_one is not None) == (kind == "rank_one")
     mu, _ = oracle.pencil_min_eig(op.h, op.gram, op.structure)
     w, _ = pencil_eigh(*dense_pencil(op))
@@ -267,10 +277,9 @@ def test_band_assembly_matches_dense_reference(kind, rank_one_direction):
     # the band parts of H and G against the dense np.add.at assembly,
     # rank-one term and the multiplication i V block included
     prob = _equivalence_problem(kind, rank_one_direction)
-    bounded = kind != "rank_one_symmetric_part"
-    op = oracle.assemble_discrete(prob, 64, include_bounded_v=bounded)
+    op = _assemble(kind, prob, 64)
     assert op.h.band.dtype == op.gram.band.dtype == np.float64
-    m_ref, g_ref = assemble_dense(prob, 64, include_bounded_v=bounded)
+    m_ref, g_ref = assemble_dense(prob, 64, include_bounded_v=kind != "rank_one_symmetric_part")
     h_ref = (m_ref - m_ref.conj().T) / 2.0j
     h, g = dense_pencil(op)
     assert h.shape == h_ref.shape and g.shape == g_ref.shape
@@ -500,7 +509,7 @@ def test_variational_monotonicity_nested_meshes(kind, rank_one_direction):
     mus = []
     n0 = 61  # m = 64 knot intervals; next level doubles them
     for n in (n0, 2 * (n0 + 3) - 3, 4 * (n0 + 3) - 3):
-        op = oracle.assemble_discrete(prob, n, include_bounded_v=kind != "rank_one_symmetric_part")
+        op = _assemble(kind, prob, n)
         mu, _ = oracle.pencil_min_eig(op.h, op.gram, op.structure)
         mus.append(mu)
     assert mus[1] <= mus[0] + 1e-10
@@ -628,8 +637,9 @@ def test_semibound_oracle_bound(rank_one_direction):
         prob = catalog.build_halfline_schrodinger(
             h, catalog.RankOnePerturbation(1.0, rank_one_direction, lam)
         )
-        op = oracle.assemble_discrete(prob, 128, include_bounded_v=False)
-        mu, _ = oracle.pencil_min_eig(op.h, op.gram, op.structure)
+        op = oracle.assemble_discrete(prob, 128)
+        # the symmetric part alone: the pencil without its rank-one term
+        mu, _ = oracle.pencil_min_eig(op.h, op.gram, eigenh.PencilStructure(None, op.structure.gram))
         norm_v_sq = norm_sq(prob.v, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)
