@@ -8,6 +8,12 @@ or ``(0, inf)`` can be computed without quadrature error.  It is the one
 representation of a scenario function.  Non-elementary integrals (a
 non-integer power times an exponential) use ``mpmath`` adaptive quadrature.
 
+A term is a :class:`Term`, a ``NamedTuple`` ``(coeff, power, rate, lo,
+hi)``.  :class:`AnalyticFunction` takes any iterable of such 5-tuples,
+``Term`` or plain, and keeps its terms in canonical form: one per
+``(power, rate, lo, hi)`` in first-seen order with the coefficients
+summed, and none with a zero coefficient.
+
 :func:`norm_sq` decides whether ``int w |f|^2`` or ``int |k|^2 / V`` is
 finite from leading orders of the term sums, so every membership test of
 the package rests on them rather than on samples.  The input checks are
@@ -21,7 +27,6 @@ window piece.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
@@ -64,8 +69,7 @@ def _is_small_int(a: complex) -> bool:
     return a.imag == 0.0 and a.real == round(a.real) and 0 <= a.real <= _INT_POWER_MAX
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One summand ``coeff * x^power * exp(rate*x)`` on ``[lo, hi]``.
 
     ``lo``/``hi`` of ``None`` mean the term lives on the whole domain of
@@ -191,21 +195,26 @@ def _power_exp(a: complex, b: complex, xs: np.ndarray, logx, zero) -> np.ndarray
     return vals
 
 
+def _where_scalar(keep, vals, other):
+    return vals if keep else other
+
+
 class AnalyticFunction:
-    """A finite sum of :class:`Term`, closed under the operations needed here."""
+    """A finite sum of :class:`Term`, closed under the operations needed here;
+    built from any iterable of 5-tuples into the canonical form (module
+    docstring)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         merged: dict[tuple, complex] = {}
         for t in terms:
-            if t.coeff == 0:
+            c = t[0]
+            if c == 0:
                 continue
-            key = (t.power, t.rate, t.lo, t.hi)
-            merged[key] = merged.get(key, 0.0) + t.coeff
-        self.terms = tuple(
-            Term(c, a, b, lo, hi) for (a, b, lo, hi), c in merged.items() if c != 0
-        )
+            key = t[1:]
+            merged[key] = merged.get(key, 0.0) + c
+        self.terms = tuple([tuple.__new__(Term, (c, *key)) for key, c in merged.items() if c != 0])
 
     # -- algebra ---------------------------------------------------------
 
@@ -218,37 +227,33 @@ class AnalyticFunction:
     def __mul__(self, other) -> "AnalyticFunction":
         if isinstance(other, AnalyticFunction):
             prods = []
-            for s in self.terms:
-                for t in other.terms:
-                    lo = s.lo if t.lo is None else (t.lo if s.lo is None else max(s.lo, t.lo))
-                    hi = s.hi if t.hi is None else (t.hi if s.hi is None else min(s.hi, t.hi))
+            for sc, sa, sb, slo, shi in self.terms:
+                for tc, ta, tb, tlo, thi in other.terms:
+                    lo = slo if tlo is None else (tlo if slo is None else max(slo, tlo))
+                    hi = shi if thi is None else (thi if shi is None else min(shi, thi))
                     if lo is not None and hi is not None and hi <= lo:
                         continue
-                    prods.append(Term(s.coeff * t.coeff, s.power + t.power, s.rate + t.rate, lo, hi))
+                    prods.append((sc * tc, sa + ta, sb + tb, lo, hi))
             return AnalyticFunction(prods)
-        c = complex(other)
-        return AnalyticFunction(tuple(Term(t.coeff * c, t.power, t.rate, t.lo, t.hi) for t in self.terms))
+        s = complex(other)
+        return AnalyticFunction([(c * s, a, b, lo, hi) for c, a, b, lo, hi in self.terms])
 
     __rmul__ = __mul__
 
     def conj(self) -> "AnalyticFunction":
         # conj(x^a e^{bx}) = x^conj(a) e^{conj(b) x} for x > 0
-        return AnalyticFunction(
-            tuple(
-                Term(t.coeff.conjugate(), t.power.conjugate(), t.rate.conjugate(), t.lo, t.hi)
-                for t in self.terms
-            )
-        )
+        return AnalyticFunction([(c.conjugate(), a.conjugate(), b.conjugate(), lo, hi)
+                                 for c, a, b, lo, hi in self.terms])
 
     def derivative(self) -> "AnalyticFunction":
         out = []
-        for t in self.terms:
-            if t.windowed:
+        for c, a, b, lo, hi in self.terms:
+            if lo is not None or hi is not None:
                 raise AnalyticError("derivative of an indicator-windowed term is distributional")
-            if t.power != 0:
-                out.append(Term(t.coeff * t.power, t.power - 1.0, t.rate))
-            if t.rate != 0:
-                out.append(Term(t.coeff * t.rate, t.power, t.rate))
+            if a != 0:
+                out.append((c * a, a - 1.0, b, None, None))
+            if b != 0:
+                out.append((c * b, a, b, None, None))
         return AnalyticFunction(out)
 
     def antiderivative(self) -> "AnalyticFunction":
@@ -281,36 +286,42 @@ class AnalyticFunction:
 
     # -- evaluation ------------------------------------------------------
 
-    def __call__(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        zero = xs == 0.0
-        if not zero.any():
-            zero = None
+    def _sum(self, xs, zero, out, where):
+        """Add each term at ``xs`` (an array, or a numpy scalar other than 0)
+        to ``out``; ``zero`` as for :func:`_power_exp`, ``where`` is
+        ``np.where`` or its scalar form.
+
+        ``x^a e^{bx}`` is computed once per ``(a, b)``, unwindowed; a term
+        whose pair is the conjugate of one already evaluated takes its
+        conjugate, which is bitwise what exp gives, since cos is even and
+        sin odd.
+        """
         logx = None
-        # x^a e^{bx} of each (a, b), unwindowed; a term whose pair is the
-        # conjugate of one already evaluated takes its conjugate, which is
-        # bitwise what exp gives, since cos is even and sin odd
         factors: dict[tuple[complex, complex], np.ndarray] = {}
-        out = np.zeros(xs.shape, dtype=complex)
-        for t in self.terms:
-            key = (t.power, t.rate)
-            vals = factors.get(key)
+        for c, a, b, lo, hi in self.terms:
+            vals = factors.get((a, b))
             if vals is None:
-                mirror = factors.get((t.power.conjugate(), t.rate.conjugate()))
+                mirror = factors.get((a.conjugate(), b.conjugate()))
                 if mirror is not None:
                     vals = np.conj(mirror)
                 else:
-                    if t.power != 0 and logx is None:
+                    if a != 0 and logx is None:
                         logx = np.log(xs if zero is None else np.where(zero, 1.0, xs))
-                    vals = _power_exp(t.power, t.rate, xs, logx, zero)
-                factors[key] = vals
-            vals = t.coeff * vals
-            if t.lo is not None:
-                vals = np.where(xs >= t.lo, vals, 0.0)
-            if t.hi is not None:
-                vals = np.where(xs <= t.hi, vals, 0.0)
+                    vals = _power_exp(a, b, xs, logx, zero)
+                factors[(a, b)] = vals
+            vals = c * vals
+            if lo is not None:
+                vals = where(xs >= lo, vals, 0.0)
+            if hi is not None:
+                vals = where(xs <= hi, vals, 0.0)
             out += vals
         return out
+
+    def __call__(self, x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float)
+        zero = xs == 0.0
+        return self._sum(xs, zero if zero.any() else None, np.zeros(xs.shape, dtype=complex),
+                         np.where)
 
     def value_at_zero(self) -> complex:
         out = 0.0 + 0.0j
@@ -321,9 +332,10 @@ class AnalyticFunction:
         return out
 
     def value_at(self, x: float) -> complex:
+        """``self(x)`` at one point, bit for bit, on numpy scalars."""
         if x == 0.0:
             return self.value_at_zero()
-        return complex(self(np.asarray(x)))
+        return complex(self._sum(np.float64(x), None, np.complex128(0.0), _where_scalar))
 
     def decays_at_infinity(self) -> bool:
         for t in self.terms:

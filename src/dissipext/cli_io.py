@@ -600,7 +600,8 @@ def verdict_to_dict(cfg: ScenarioConfig, problem: ExtensionProblem, verdict) -> 
         "margin": _jsonable(verdict.margin),
         "dissipative": verdict.dissipative,
         "necessity_failures": list(verdict.necessity_failures),
-        "maximally_dissipative": problem.maximally_dissipative,
+        # maximality is claimed of a dissipative extension only
+        "maximally_dissipative": verdict.dissipative and problem.maximally_dissipative,
     }
 
 

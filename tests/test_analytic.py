@@ -120,6 +120,59 @@ def test_term_merging():
     assert len(f.terms) == 2
     g = f - f
     assert len(g.terms) == 0
+    # Terms, plain 5-tuples and a generator: one term per (power, rate, lo,
+    # hi) in first-seen order, coefficients summed, zeros dropped
+    plain = [(1.0, 2.0, 0.0, None, None), (0.0, 3.0, 0.0, None, None),
+             (1j, 1.0, -1.0, 0.0, 1.0), (2.0, 2.0, 0.0, None, None),
+             (-1j, 1.0, -1.0, 0.0, 1.0), (0.5, 0.0, 0.0, 0.0, 1.0)]
+    want = (Term(3.0, 2.0), Term(0.5, 0.0, 0.0, 0.0, 1.0))
+    for terms in (plain, [Term(*t) for t in plain], (t for t in plain)):
+        f = AnalyticFunction(terms)
+        assert f.terms == want
+        assert all(type(t) is Term for t in f.terms)
+    assert AnalyticFunction(f.terms).terms == f.terms
+    assert AnalyticFunction([(0.0, 1.0, 0.0, None, None)]).terms == ()
+    # the algebra hands its products to the same constructor
+    g = f * AnalyticFunction([(1.0, 1.0, 0.0, None, None)])
+    assert g.terms == (Term(3.0, 3.0), Term(0.5, 1.0, 0.0, 0.0, 1.0))
+    assert all(type(t) is Term for t in (g.conj() + (2.0 * g) + monomial(1.0, 2).derivative()).terms)
+    assert Term(1.0, 2.0).windowed is False and Term(1.0, lo=0.5).windowed is True
+
+
+def _bits(z: complex) -> tuple:
+    """Bit pattern of a complex value, with every NaN alike."""
+    return tuple("nan" if math.isnan(v) else v.hex() for v in (z.real, z.imag))
+
+
+_EDGES = (0.25, 0.5, 1.0, 2.0)
+_term = st.tuples(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 1.0, 2.0, 0.5, -0.5, -1.0, 1.5 + 0.866j, 0.25 - 2.0j]),
+    st.sampled_from([0.0, -1.0, 0.5, 1j * math.pi, -0.3 + 2.0j]),
+    st.one_of(st.none(), st.sampled_from(_EDGES[:2])),
+    st.one_of(st.none(), st.sampled_from(_EDGES[2:])),
+    st.booleans(),
+)
+
+
+def _with_mirrors(drawn):
+    out = []
+    for c, a, b, lo, hi, mirrored in drawn:
+        out.append((complex(c), a, b, lo, hi))
+        if mirrored:  # a conjugate pair, evaluated from one exp
+            out.append((complex(c).conjugate(), complex(a).conjugate(),
+                        complex(b).conjugate(), lo, hi))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=st.lists(_term, max_size=6),
+       x=st.one_of(st.sampled_from(_EDGES), st.sampled_from([5e-324, 1e-300, 1e-12, 1e-3]),
+                   st.floats(1e-6, 40.0)))
+def test_value_at_is_call_bit_for_bit(drawn, x):
+    f = AnalyticFunction(_with_mirrors(drawn))
+    with np.errstate(all="ignore"):
+        assert _bits(f.value_at(x)) == _bits(complex(f(np.asarray(x))))
 
 
 # ---------------------------------------------------------------------------

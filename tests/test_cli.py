@@ -250,6 +250,22 @@ def test_main_check(tmp_path, capsys):
     assert payload["dissipative"] is True
 
 
+@pytest.mark.parametrize("text, code, maximal", [
+    ("[scenario]\nname = konzert\ngamma = 0.25\nell = 2\n", 1, False),  # margin -1.5
+    ("[scenario]\nname = konzert\ngamma = 0.25\nell = 1\n", 0, True),
+    ("[scenario]\nname = potsdam\nrho = -1\n", 1, False),
+    ("[scenario]\nname = potsdam\nrho = 1\n", 0, None),
+], ids=["konzert_not_dissipative", "konzert_dissipative", "potsdam_not_dissipative",
+        "potsdam_dissipative"])
+def test_main_check_claims_maximality_only_when_dissipative(tmp_path, capsys, text, code, maximal):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(text)
+    assert cli_io.main(["check", "--config", str(cfg)]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dissipative"] is (code == 0)
+    assert payload["maximally_dissipative"] is maximal
+
+
 def test_main_sweep_csv_file(tmp_path):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("[scenario]\nname = potsdam\nrho = 0\n")

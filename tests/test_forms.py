@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dissipext import catalog, forms
 from dissipext.analytic import (
@@ -422,6 +424,26 @@ def test_friedrichs_minus_krein_is_psd_on_every_scenario(seed):
         diff = fmat - kmat
         low = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0]
         assert low >= -1e-12 * np.max(np.abs(fmat)), (problem.scenario, low)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e6, allow_nan=False,
+                            allow_infinity=False),
+       b=st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
+def test_krein_form_on_nonzero_traces(a, b):
+    # V_K < V_F where it is strict: the affine functions, harmonic for the
+    # interval Laplacian, are the kernel of the Krein form, while f(0) = a
+    # != 0 puts them outside the Friedrichs form domain.  Adding x^2 - x,
+    # which has zero traces, gives its Friedrichs value, 1/3
+    # (test_friedrichs_interval_quadratic)
+    spec = forms.dirichlet_laplacian_interval()
+    affine = AnalyticFunction((Term(a), Term(b, 1.0)))
+    scale = abs(a) ** 2 + abs(b) ** 2
+    assert abs(forms.krein_form_sq(spec, affine)) <= 1e-14 * scale
+    with pytest.raises(forms.DomainError):
+        forms.friedrichs_form_sq(spec, affine)
+    bubble = AnalyticFunction((Term(1.0, 2.0), Term(-1.0, 1.0)))
+    assert forms.krein_form_sq(spec, affine + bubble) == pytest.approx(1 / 3, abs=1e-14 * (1.0 + scale))
 
 
 def test_friedrichs_equals_krein_form_on_multiplication(konzert_weight):

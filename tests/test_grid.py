@@ -88,6 +88,8 @@ _decaying_term = st.builds(
     st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     st.floats(-3.0, -0.05).map(complex),
+    lo=st.none(),
+    hi=st.none(),
 )
 
 
