@@ -344,8 +344,9 @@ def build_halfline_schrodinger(
     if not decay_certificate(eta, r):
         raise CatalogError("boundary vector has not decayed by the truncation radius")
     if isinstance(perturbation, RankOnePerturbation):
-        if perturbation.alpha <= 0:
-            raise CatalogError("rank-one strength alpha must be positive")
+        if not 0.0 < perturbation.alpha < math.inf:
+            raise CatalogError(
+                f"rank-one strength alpha must be finite and positive, got {perturbation.alpha}")
         spec = forms.rank_one(perturbation.alpha, perturbation.phi, grid)
         lv = perturbation.lam * perturbation.phi
         _check_square(perturbation.lam, "lambda")

@@ -503,9 +503,11 @@ def _validate(cfg: ScenarioConfig, positions) -> None:
             raise _value_error(positions, "scenario", "perturbation",
                                f"perturbation must be rank_one or multiplication, got {pert!r}")
         if pert == "rank_one":
-            if cfg.get("scenario", "alpha") is not None and number("alpha") <= 0:
-                raise _value_error(positions, "scenario", "alpha",
-                                   "rank-one strength alpha must be positive")
+            alpha = cfg.get("scenario", "alpha")
+            if alpha is not None and not 0.0 < number("alpha") < math.inf:
+                raise _value_error(
+                    positions, "scenario", "alpha",
+                    f"rank-one strength alpha must be finite and positive, got {alpha}")
         else:
             if cfg.get("scenario", "V") is None or cfg.get("scenario", "k") is None:
                 raise ConfigError("multiplication perturbation needs V and k expressions")
@@ -625,9 +627,19 @@ def _error_payload(exc: Exception) -> dict:
     }
 
 
-def _axis_points(axis: tuple[float, float, float]) -> list[float]:
+#: the most points a sweep computes; its row dicts take about 400 MB
+MAX_SWEEP_POINTS = 10 ** 6
+
+
+def _axis_count(axis: tuple[float, float, float]) -> float:
+    """Number of points of ``min:max:step``; ``inf`` when it is not finite."""
     lo, hi, step = axis
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    return math.floor(span) + 1 if math.isfinite(span) else math.inf
+
+
+def _axis_points(axis: tuple[float, float, float], count: int) -> list[float]:
+    lo, _, step = axis
     return [lo + i * step for i in range(count)]
 
 
@@ -658,13 +670,17 @@ def run_sweep(
     """Margin map over a rectangle of boundary parameters.
 
     Rows are in row-major order (re outer, im inner); identical inputs
-    produce byte-identical files.  The extension vector of every sweepable
-    scenario is ``a + rho b``, with ``a`` and ``b`` the vectors of the anchor
-    problems at ``rho = 0`` and ``rho = inf``, so each margin is the value of
-    one conic whose four coefficients come from four :func:`criteria.decide`
-    calls (:func:`criteria.margin_conic`).  Its low bits differ from those
-    of ``check`` at the same point, which sums in another order.  A point
-    still has the checks of its own boundary parameter
+    produce byte-identical files.  A grid of more than
+    :data:`MAX_SWEEP_POINTS` points, or of a count that is not finite, is a
+    ConfigError before any point is listed.  The extension vector of every
+    sweepable scenario is ``a + rho b``, with ``a`` and ``b`` the vectors of
+    the anchor problems at ``rho = 0`` and ``rho = inf``, so each margin is
+    the value of one conic whose four coefficients come from four
+    :func:`criteria.decide` calls (:func:`criteria.margin_conic`), and the
+    margins of the whole grid come from one numpy pass over it
+    (:meth:`criteria.MarginConic.on_grid`).  Their low bits differ from those
+    of ``check`` at the same point, which sums in another order.  Every
+    point, in row order, still has the checks of its own boundary parameter
     (:func:`catalog.check_boundary_parameter`).  The points of a sweep whose
     anchors fail (a membership, an error, or a half-line span without
     :func:`grid.span_decay_certificate`), and any point where the conic
@@ -672,30 +688,35 @@ def run_sweep(
     writes ``null`` in JSON and an error is that of ``check``.
     ``max_workers`` is accepted and ignored.
     """
-    if cfg.scenario not in ("potsdam", "shirley", "halfline_schrodinger"):
-        raise ConfigError(f"scenario {cfg.scenario} has no boundary parameter to sweep")
-    res = _axis_points(re_axis)
-    ims = _axis_points(im_axis)
+    scenario = cfg.scenario
+    if scenario not in ("potsdam", "shirley", "halfline_schrodinger"):
+        raise ConfigError(f"scenario {scenario} has no boundary parameter to sweep")
+    n_re, n_im = _axis_count(re_axis), _axis_count(im_axis)
+    if not n_re * n_im <= MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep grid re = {':'.join(map(repr, re_axis))} by im = "
+            f"{':'.join(map(repr, im_axis))} has {n_re:.6g} x {n_im:.6g} = "
+            f"{n_re * n_im:.6g} points, more than the limit of {MAX_SWEEP_POINTS}")
+    res = _axis_points(re_axis, n_re)
+    ims = _axis_points(im_axis, n_im)
     conic = _sweep_conic(cfg)
+    margins = iter(conic.on_grid(res, ims).tolist()) if conic is not None else None
+    check = catalog.check_boundary_parameter
+    lowest = -criteria.MARGIN_TOL  # the smallest dissipative margin
 
     rows = []
     for re in res:
         for im in ims:
-            rho = complex(re, im)
-            margin = math.nan
-            if conic is not None:
-                catalog.check_boundary_parameter(cfg.scenario, rho)
-                try:
-                    margin = conic(rho)
-                except OverflowError:
-                    pass
-            if math.isfinite(margin):
-                dissipative = bool(margin >= -criteria.MARGIN_TOL)
-            else:
-                verdict = criteria.decide(build_problem(cfg, rho_override=rho))
-                margin, dissipative = verdict.margin, verdict.dissipative
-            rows.append({"re_rho": re, "im_rho": im, "margin": _jsonable(margin),
-                         "dissipative": dissipative})
+            if margins is not None:
+                check(scenario, complex(re, im))
+                margin = next(margins)
+                if math.isfinite(margin):
+                    rows.append({"re_rho": re, "im_rho": im, "margin": margin,
+                                 "dissipative": margin >= lowest})
+                    continue
+            verdict = criteria.decide(build_problem(cfg, rho_override=complex(re, im)))
+            rows.append({"re_rho": re, "im_rho": im, "margin": _jsonable(verdict.margin),
+                         "dissipative": verdict.dissipative})
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,

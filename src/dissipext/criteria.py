@@ -28,6 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+import numpy as np
 
 from . import forms
 from .analytic import AnalyticError, AnalyticFunction, DivergentIntegralError, norm_sq
@@ -168,42 +171,53 @@ def _generator(problem: ExtensionProblem) -> AnalyticFunction | None:
     return phi
 
 
-def _quarter_inv_form(problem: ExtensionProblem) -> float:
-    """``(1/4) ||V_F^{-1/2} Lv||^2`` from whichever deviation data is present."""
+def _quarter_inv_form(problem: ExtensionProblem, m: "_Memberships") -> float:
+    """``(1/4) ||V_F^{-1/2} Lv||^2`` from whichever deviation data is present;
+    the gate's value of ``sqrt_scale_inv_form(spec, Lv)`` when it has one."""
     phi = _generator(problem)
     if phi is not None:
         return 0.25 * forms.friedrichs_form_sq(problem.spec, phi)
-    lv = problem.deviation()
-    if lv is None:
+    if m.lv is None:
         return 0.0
-    return 0.25 * forms.sqrt_scale_inv_form(problem.spec, lv)[0]
+    if m.inv_form is not None:
+        return 0.25 * m.inv_form
+    return 0.25 * forms.sqrt_scale_inv_form(problem.spec, m.lv)[0]
 
 
 # ---------------------------------------------------------------------------
 # membership preconditions
 
 
-def necessity_checks(problem: ExtensionProblem) -> list[str]:
-    """Membership failures of the extension data (empty list = all pass).
+class _Memberships(NamedTuple):
+    """The gate's failures with the values it computed on the way, which the
+    criterion reads instead of evaluating them again: ``krein_v =
+    krein_form_sq(spec, v)`` (None outside ``D_K``), ``lv =
+    problem.deviation()`` and ``inv_form = sqrt_scale_inv_form(spec, lv)[0]``
+    (None where the range was not tested)."""
 
-    Checks ``v`` against the small square-root form domain, the deviation
-    against the large square-root range, and (bounded scenarios) ``v``
-    against the maximal domain of the symmetric part.
-    """
+    failures: tuple[str, ...]
+    krein_v: float | None
+    lv: AnalyticFunction | None
+    inv_form: float | None
+
+
+def _memberships(problem: ExtensionProblem) -> _Memberships:
     failures: list[str] = []
     spec = problem.spec
     try:
-        forms.krein_form_sq(spec, problem.v)
+        krein_v = forms.krein_form_sq(spec, problem.v)
     except forms.DomainError:
+        krein_v = None
         failures.append(FAIL_V_NOT_IN_DK)
     except OverflowError:
         # the rank-one form squares <phi, v> in float arithmetic, and v is
         # the boundary vector of h; every criterion runs this check first
         raise CatalogError(f"|<phi, v>|^2 overflows for h = {problem.h}") from None
+    lv = problem.deviation()
+    inv_form = None
     # a deviation V_F phi lies in the range by construction
-    lv = problem.deviation() if problem.phi is None else None
-    if lv is not None and lv.terms:
-        _, diverged = forms.sqrt_scale_inv_form(spec, lv)
+    if problem.phi is None and lv is not None and lv.terms:
+        inv_form, diverged = forms.sqrt_scale_inv_form(spec, lv)
         if diverged:
             failures.append(FAIL_L_NOT_IN_RANVF)
     if problem.scenario == "halfline_schrodinger":
@@ -213,18 +227,31 @@ def necessity_checks(problem: ExtensionProblem) -> list[str]:
             failures.append(FAIL_DOMAIN_NOT_IN_DSSTAR)
         except AnalyticError:
             pass
-    return failures
+    return _Memberships(tuple(failures), krein_v, lv, inv_form)
 
 
-def _gate(problem: ExtensionProblem, criterion: str) -> Verdict | None:
-    failures = tuple(necessity_checks(problem))
+def necessity_checks(problem: ExtensionProblem) -> list[str]:
+    """Membership failures of the extension data (empty list = all pass).
+
+    Checks ``v`` against the small square-root form domain, the deviation
+    against the large square-root range, and (bounded scenarios) ``v``
+    against the maximal domain of the symmetric part.
+    """
+    return list(_memberships(problem).failures)
+
+
+def _gate(problem: ExtensionProblem, criterion: str) -> tuple[Verdict | None, _Memberships]:
+    """The failure verdict of the memberships (None when all pass), and the
+    memberships with their values."""
+    m = _memberships(problem)
+    failures = m.failures
     if not failures:
-        return None
+        return None, m
     both = FAIL_V_NOT_IN_DK in failures and FAIL_L_NOT_IN_RANVF in failures
     if both and not problem.spec.friedrichs_equals_krein:
         # open case: neither membership holds and the extensions differ
-        return Verdict.outside_theory(failures)
-    return Verdict.failure(criterion, failures)
+        return Verdict.outside_theory(failures), m
+    return Verdict.failure(criterion, failures), m
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +278,14 @@ def verdict_strict_pos(problem: ExtensionProblem) -> Verdict:
     """
     if not (problem.spec.strict_lower_bound > 0.0):
         raise CriteriaError("criterion needs a strictly positive imaginary part")
-    gate = _gate(problem, CRITERION_STRICT_POS)
+    gate, m = _gate(problem, CRITERION_STRICT_POS)
     if gate is not None:
         return gate
-    spec = problem.spec
-    v = problem.v
     lhs = _im_action(problem)
-    lv = problem.deviation()
-    if lv is not None:
-        pv = forms.projection_P(spec, v)
-        lhs += forms.inner(pv, lv, problem.grid.right_endpoint).imag
-    rhs = _quarter_inv_form(problem) + forms.krein_form_sq(spec, v)
+    if m.lv is not None:
+        pv = forms.projection_P(problem.spec, problem.v)
+        lhs += forms.inner(pv, m.lv, problem.grid.right_endpoint).imag
+    rhs = _quarter_inv_form(problem, m) + m.krein_v
     return Verdict.from_sides(CRITERION_STRICT_POS, lhs, rhs, problem)
 
 
@@ -274,11 +298,11 @@ def verdict_unique_ext(problem: ExtensionProblem) -> Verdict:
     """
     if not problem.spec.friedrichs_equals_krein:
         raise CriteriaError("criterion needs coinciding extensions")
-    gate = _gate(problem, CRITERION_UNIQUE_EXT)
+    gate, m = _gate(problem, CRITERION_UNIQUE_EXT)
     if gate is not None:
         return gate
     lhs = _im_action(problem)
-    rhs = _quarter_inv_form(problem) + forms.krein_form_sq(problem.spec, problem.v)
+    rhs = _quarter_inv_form(problem, m) + m.krein_v
     return Verdict.from_sides(CRITERION_UNIQUE_EXT, lhs, rhs, problem)
 
 
@@ -297,12 +321,16 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
         raise SupportViolationError(
             "deviation carries mass outside the multiplier support"
         )
-    gate = _gate(problem, CRITERION_BOUNDED_V)
+    gate, m = _gate(problem, CRITERION_BOUNDED_V)
     if gate is not None:
         return gate
     lhs = _im_action(problem)
+    spec = problem.spec
     if isinstance(pert, RankOnePerturbation):
         rhs = 0.25 * abs(pert.lam) ** 2 / pert.alpha
+    elif m.inv_form is not None and spec.weight is pert.v and m.lv is pert.k and spec.end == end:
+        # the gate's sqrt_scale_inv_form(spec, lv) was this very call
+        rhs = 0.25 * m.inv_form
     else:
         rhs = 0.25 * forms.mult_inverse_norm_sq(pert.v, pert.k, end)
     return Verdict.from_sides(CRITERION_BOUNDED_V, lhs, rhs, problem)
@@ -310,8 +338,12 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
 
 def general_lhs(problem: ExtensionProblem) -> float:
     """``Im <v, (action + L) v>`` including any bounded imaginary part."""
+    return _general_lhs(problem, problem.deviation())
+
+
+def _general_lhs(problem: ExtensionProblem, lv: AnalyticFunction | None) -> float:
+    """:func:`general_lhs` with ``lv = problem.deviation()`` given."""
     lhs = _im_action(problem) + _bounded_part(problem)
-    lv = problem.deviation()
     if lv is not None:
         lhs += forms.inner(problem.v, lv, problem.grid.right_endpoint).imag
     return lhs
@@ -338,13 +370,13 @@ def verdict_general(problem: ExtensionProblem, basis_dim: int = 24) -> Verdict:
 def _master_verdict(problem: ExtensionProblem, criterion: str) -> Verdict:
     """``general_lhs`` against ``(1/4)||V_F^{-1/2} Lv||^2 + ||V_K^{1/2} v||^2 -
     Im K(phi, v)`` with ``Lv = V_F phi``."""
-    gate = _gate(problem, criterion)
+    gate, m = _gate(problem, criterion)
     if gate is not None:
         return gate
-    spec, v = problem.spec, problem.v
-    lhs = general_lhs(problem)
-    rhs = _quarter_inv_form(problem) + forms.krein_form_sq(spec, v)
-    phi, lv = _generator(problem), problem.deviation()
+    spec, v, lv = problem.spec, problem.v, m.lv
+    lhs = _general_lhs(problem, lv)
+    rhs = _quarter_inv_form(problem, m) + m.krein_v
+    phi = _generator(problem)
     if phi is None and lv is not None:
         if spec.friedrichs_equals_krein:
             # K(V^{-1} Lv, v) = <Lv, v>: the cross term needs no inverse
@@ -381,16 +413,38 @@ def decide(problem: ExtensionProblem) -> Verdict:
 class MarginConic:
     """``margin(rho) = c0 + c_re Re rho + c_im Im rho + c2 |rho|^2``: the margin
     of :func:`decide` at the extension vector ``a + rho b``.  Its dissipative
-    set is a disc, the outside of one, or a half-plane."""
+    set is a disc, the outside of one, or a half-plane.
+
+    :meth:`on_grid` evaluates the same expression, in the same order of
+    float operations, on a whole rectangle of points in one numpy pass."""
 
     c0: float
     c_re: float
     c_im: float
     c2: float
 
+    def _at(self, re, im, abs_sq):
+        return self.c0 + self.c_re * re + self.c_im * im + self.c2 * abs_sq
+
     def __call__(self, rho: complex) -> float:
         """The margin at ``rho``; OverflowError where ``|rho|^2`` overflows."""
-        return self.c0 + self.c_re * rho.real + self.c_im * rho.imag + self.c2 * abs(rho) ** 2
+        return self._at(rho.real, rho.imag, abs(rho) ** 2)
+
+    def on_grid(self, res: list[float], ims: list[float]) -> np.ndarray:
+        """The margins at ``complex(re, im)`` for ``re`` in ``res`` (outer) and
+        ``im`` in ``ims`` (inner), row-major: each entry is that of
+        :meth:`__call__` bit for bit, and non-finite where it overflows.
+
+        ``np.hypot`` is the ``hypot`` of Python's complex ``abs``, and
+        ``np.float_power`` with a scalar exponent calls the C library's
+        ``pow``, as Python's float ``** 2`` does.  An array's ``** 2``
+        squares exactly instead and differs in the last bit at about one
+        point in a thousand.
+        """
+        re = np.repeat(np.asarray(res, dtype=float), len(ims))
+        im = np.tile(np.asarray(ims, dtype=float), len(res))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._at(re, im, np.float_power(np.hypot(re, im), 2.0))
 
 
 def _margin_at(problem: ExtensionProblem, v: AnalyticFunction) -> float:

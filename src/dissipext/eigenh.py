@@ -501,6 +501,13 @@ def rounding_floor(h: BandBorder, g: BandBorder, structure: PencilStructure | No
     return _FLOOR * _scale(h, g, structure or PencilStructure())
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or EigenError naming ``what`` when it is not finite."""
+    if not math.isfinite(value):
+        raise EigenError(f"pencil_extreme: non-finite {what} {value!r}")
+    return value
+
+
 def pencil_extreme(
     h: BandBorder,
     g: BandBorder,
@@ -532,6 +539,10 @@ def pencil_extreme(
     4. Once ``rho`` or the bracket is below ``_CERT_RTOL |mu|`` plus a
        rounding floor, the Rayleigh quotient is returned with ``x``,
        ``G``-normalized.
+
+    :class:`EigenError` on non-finite entries, and as soon as a shift, the
+    iterate's norm, ``mu`` or ``rho`` leaves the float range, as they do
+    on entries near ``1e300``: steps 1 to 3 would not end there.
     """
     if structure is None:
         structure = PencilStructure()
@@ -554,28 +565,32 @@ def pencil_extreme(
     if guess is not None and guess[0] - max(guess[1], floor) < hi:
         top, step = guess[0], max(guess[1], floor)
     while True:
-        below, solve = pencil.factor(top - step, cap=0)
+        sigma = _finite(top - step, "walk shift")
+        below, solve = pencil.factor(sigma, cap=0)
         if not below:
-            lo = top - step
+            lo = sigma
             break
-        hi = top = top - step
+        hi = top = sigma
         step *= 4.0
     x = np.random.default_rng(7).standard_normal(len(h)).astype(complex)
     width = hi - lo
     while True:
         for _ in range(_INVERSE_STEPS):
             x = solve(g.matvec(x))
-            x /= np.linalg.norm(x)
+            norm = np.linalg.norm(x)
+            if not 0.0 < norm < math.inf:
+                raise EigenError(f"pencil_extreme: iterate norm {norm!r} out of float range")
+            x /= norm
         gx = g.matvec(x)
         xgx = np.vdot(x, gx).real
         hx = structure.matvec(h, x)
-        mu = float(np.vdot(x, hx).real / xgx)
+        mu = _finite(float(np.vdot(x, hx).real / xgx), "Rayleigh quotient")
         hi = min(hi, mu)
         tol = _CERT_RTOL * abs(mu) + floor
         if hi - lo <= tol:
             break
         r = hx - mu * gx
-        rho = pencil.gram.norm(r) / math.sqrt(xgx)
+        rho = _finite(pencil.gram.norm(r) / math.sqrt(xgx), "residual bound")
         sigma = mu - max(rho, tol)
         if lo < sigma < hi:
             below, at_sigma = pencil.factor(sigma, cap=0)
@@ -589,7 +604,7 @@ def pencil_extreme(
         # until the bracket is at most half as wide as before this round
         step = max(rho, tol)
         while hi - lo > max(0.5 * width, tol):
-            sigma = max(hi - step, 0.5 * (lo + hi))
+            sigma = _finite(max(hi - step, 0.5 * (lo + hi)), "walk shift")
             below, at_sigma = pencil.factor(sigma, cap=0)
             if below:
                 hi, step = sigma, 4.0 * step

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -6,6 +8,28 @@ import pytest
 from dissipext import catalog
 from dissipext.analytic import AnalyticFunction, Term, exponential
 from dissipext.grid import make_grid
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` fails the test when its body is still
+    running after ``seconds``, where a loop that does not end would
+    otherwise stop the whole run."""
+
+    @contextlib.contextmanager
+    def guard(seconds: float):
+        def expire(signum, frame):
+            pytest.fail(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return guard
 
 
 @pytest.fixture(scope="session")

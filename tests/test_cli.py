@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dissipext
-from dissipext import cli_io, criteria, eigenh, forms, oracle
+from dissipext import catalog, cli_io, criteria, eigenh, forms, oracle
 from dissipext.analytic import Term
 from reference.margins import shirley_margin_exact
 
@@ -381,6 +381,8 @@ OVERFLOW_H_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1e200+1i\npertur
 OVERFLOW_LAMBDA_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1+1i\nperturbation = rank_one\n"
                        "alpha = 0.8\nlambda = 1e200\n")
 OVERFLOW_RHO_CFG = "[scenario]\nname = potsdam\nrho = 1e200+1i\nphi = i*x*exp(-x)\n"
+RANK_ONE_ALPHA_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1i\nperturbation = rank_one\n"
+                      "alpha = {}\nlambda = 0.6-0.9i\n")
 # the oracle agrees on this config: extrapolated infimum 0.232 > 0
 KONZERT_TOL_CFG = "[scenario]\nname = konzert\ngamma = 0.25\nell = 0.5\n\n[oracle]\ntol = {}\n"
 
@@ -398,6 +400,8 @@ KONZERT_TOL_CFG = "[scenario]\nname = konzert\ngamma = 0.25\nell = 0.5\n\n[oracl
          [], "[sweep] re"),
         ("sweep", "[scenario]\nname = potsdam\nrho = 0\n", ["--re=x:1:1", "--im=0:1:1"], "--re"),
         ("check", SHIRLEY_CFG.replace("rho = 0.5+0.375i", "rho = 1e300"), [], "rho"),
+        # a verdict resting on alpha = inf, or a NaN side later on
+        *(("check", RANK_ONE_ALPHA_CFG.format(alpha), [], "alpha") for alpha in ("inf", "nan")),
         # |<phi, v>|^2 of the rank-one form overflows
         ("check", OVERFLOW_H_CFG, [], "overflows for h = (1e+200+1j)"),
         ("sweep", OVERFLOW_H_CFG, ["--re=1e200:1e200:1", "--im=1:1:1"], "overflows for h = (1e+200+1j)"),
@@ -414,6 +418,7 @@ KONZERT_TOL_CFG = "[scenario]\nname = konzert\ngamma = 0.25\nell = 0.5\n\n[oracl
           for tol in ("nan", "-1", "-inf", "inf")),
     ],
     ids=["gamma", "alpha", "oracle_tol", "oracle_meshes", "sweep_axis", "re_flag", "rho_overflow",
+         "alpha_inf", "alpha_nan",
          "h_overflow_check", "h_overflow_sweep", "lambda_overflow_check", "lambda_overflow_sweep",
          "potsdam_rho_overflow_check", "potsdam_rho_overflow_sweep",
          "tol_nan", "tol_negative", "tol_minus_inf", "tol_inf",
@@ -697,6 +702,76 @@ def test_sweep_errors_are_those_of_per_point_decide(tmp_path, capsys, text, re, 
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(re=st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 40)),
+       im=st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 40)),
+       scale=st.sampled_from([1.0, 1e150, 1e152]))
+def test_sweep_rows_are_the_conic_bit_for_bit(case, re, im, scale):
+    # the rows come from one numpy pass over the grid; where the conic is
+    # finite, each is the conic at its own point, to the last bit
+    text, key = SWEEP_CASES[case]
+    cfg = cli_io.parse_config(text)
+    (re_lo, re_step, re_n), (im_lo, im_step, im_n) = re, im
+    if key == "h":
+        im_lo = abs(im_lo)
+    axes = [(scale * lo, scale * (lo + (n - 1) * step), scale * step)
+            for lo, step, n in ((re_lo, re_step, re_n), (im_lo, im_step, im_n))]
+    conic = criteria.margin_conic(cli_io.build_problem(cfg, rho_override=0j),
+                                  cli_io.build_problem(cfg, rho_override=catalog.RHO_INF))
+
+    def at(rho):
+        try:
+            return conic(rho)
+        except OverflowError:
+            return math.nan
+
+    try:
+        rows = cli_io.run_sweep(cfg, *axes)["rows"]
+    except cli_io._LIBRARY_ERRORS:
+        # only a point past the conic's float range goes to its own decide
+        points = [complex(a, b) for a in cli_io._axis_points(axes[0], cli_io._axis_count(axes[0]))
+                  for b in cli_io._axis_points(axes[1], cli_io._axis_count(axes[1]))]
+        assert not all(math.isfinite(at(rho)) for rho in points)
+        return
+    for row in rows:
+        expect = at(complex(row["re_rho"], row["im_rho"]))
+        if math.isfinite(expect):
+            assert row["margin"].hex() == expect.hex()
+            assert row["dissipative"] is (expect >= -criteria.MARGIN_TOL)
+
+
+@pytest.mark.parametrize("re, im, count", [("0:1:1e-300", "0:0:1", "1e+300 x 1 = 1e+300"),
+                                           ("-1e308:1e308:1", "0:0:1", "inf x 1 = inf"),
+                                           ("0:999:1", "0:1000:1", "1000 x 1001 = 1.001e+06")])
+def test_sweep_refuses_grids_it_cannot_list(re, im, count, tmp_path, capsys, deadline):
+    # the first listed 1e300 points until it was stopped, the second raised
+    # on int(inf); a grid's rows take about 400 MB per million points
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SWEEP_CASES["potsdam_ix"][0])
+    with deadline(1.0):
+        code = cli_io.main(["sweep", "--config", str(cfg), f"--re={re}", f"--im={im}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    axes = [":".join(repr(float(x)) for x in axis.split(":")) for axis in (re, im)]
+    assert err == (f"error: sweep grid re = {axes[0]} by im = {axes[1]} has {count} points, "
+                   f"more than the limit of {cli_io.MAX_SWEEP_POINTS}\n")
+
+
+@pytest.mark.parametrize("alpha", ["1e200", "1e308"])
+def test_oracle_ends_on_rank_one_strength_near_float_range(alpha, tmp_path, capsys, deadline):
+    # the inverse iteration spun on NaN vectors (1e200) and the downward walk
+    # never reached a count of 0 (1e308)
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(RANK_ONE_ALPHA_CFG.format(alpha))
+    with deadline(30.0):
+        code = cli_io.main(["oracle", "--config", str(cfg), "--meshes", "16,32,64"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "EigenError"
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_decides_a_fixed_number_of_points(case, monkeypatch):
     # the margins come from one conic per sweep: decide runs at its anchors
     # only, however many points the sweep has
@@ -730,6 +805,31 @@ CONTRACT_CASES = {
     "rank_one": SWEEP_CASES["rank_one"][0],
     "multiplication": SWEEP_CASES["multiplication"][0],
 }
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_decide_evaluates_each_form_once(case, monkeypatch):
+    # the membership gate hands the criterion the forms it evaluated
+    problem = cli_io.build_problem(cli_io.parse_config(CONTRACT_CASES[case]))
+    calls = {}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("krein_form_sq", "sqrt_scale_inv_form", "mult_inverse_norm_sq"):
+        counted(forms, name)
+    counted(catalog.ExtensionProblem, "deviation")
+    for run in (criteria.decide, criteria.verdict_general):
+        for p in (problem, problem.without_deviation()):
+            calls.clear()
+            run(p)
+            assert calls and max(calls.values()) == 1, (run.__name__, calls)
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))

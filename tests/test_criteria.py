@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dissipext import catalog, criteria, forms
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, power
@@ -350,3 +352,29 @@ def test_decide_dispatch(shirley_instance, rank_one_direction):
         1j, catalog.RankOnePerturbation(1.0, rank_one_direction, 1.0)
     )
     assert criteria.decide(q).criterion == criteria.CRITERION_BOUNDED_V
+
+
+# ---------------------------------------------------------------------------
+# the margin conic on a grid
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3, 1e150, 1e154]))
+def test_margin_conic_on_grid_is_call_bit_for_bit(seed, scale):
+    # Python's float ** 2 is the C library's pow, which an array's ** 2
+    # (an exact square) differs from in the last bit at about 1 in 1000
+    # points; non-finite exactly where __call__ overflows
+    rng = np.random.default_rng(seed)
+    conic = criteria.MarginConic(*rng.standard_normal(4).tolist())
+    res, ims = ((scale * rng.standard_normal(n)).tolist() for n in (40, 25))
+    values = conic.on_grid(res, ims).tolist()
+    assert len(values) == len(res) * len(ims)
+    for rho, got in zip((complex(a, b) for a in res for b in ims), values):
+        try:
+            expect = conic(rho)
+        except OverflowError:
+            expect = math.inf
+        if math.isfinite(expect):
+            assert got.hex() == expect.hex(), rho
+        else:
+            assert not math.isfinite(got), rho

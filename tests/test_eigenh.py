@@ -182,3 +182,24 @@ def test_pencil_rejects_non_finite_entries():
     h = band_border(np.diag([1.0, np.nan]))
     with pytest.raises(eigenh.EigenError):
         eigenh.pencil_extreme(h, band_border(np.eye(2)))
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+def test_pencil_with_entries_near_the_float_range_ends(rank_one, deadline):
+    # entries of about 1e300 made the inverse iteration divide by a norm
+    # that underflows to 0 and spin on NaN vectors, and the downward walk
+    # of diag(-1e308, 1e308) overflows to a shift of -inf and never ends
+    rng = np.random.default_rng(30)
+    n, p, m = 40, 3, 1
+    h0 = _band_border(rng, n, p, m, dominant=False)
+    g = band_border(_band_border(rng, n, p, m, dominant=True), p, m)
+    structure = eigenh.PencilStructure()
+    if rank_one:
+        q = rng.standard_normal(n + m) + 1j * rng.standard_normal(n + m)
+        structure = eigenh.PencilStructure((1e300, q))
+    pencils = [(band_border(1e300 * h0, p, m), g, structure),
+               (band_border(np.diag([-1e308, 1e308])), band_border(np.eye(2)),
+                eigenh.PencilStructure())]
+    for h, gp, pattern in pencils:
+        with deadline(10.0), pytest.raises(eigenh.EigenError, match="pencil_extreme"):
+            eigenh.pencil_extreme(h, gp, pattern)
