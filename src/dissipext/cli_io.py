@@ -39,7 +39,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,7 +67,6 @@ SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 
 _SCENARIOS = ("potsdam", "shirley", "konzert", "halfline_schrodinger")
-_SINGULAR_SCENARIOS = ("shirley", "konzert")
 
 
 class ConfigError(Exception):
@@ -304,96 +303,155 @@ def parse_complex(src: str) -> complex:
 # config files
 
 
-_SECTION_KEYS = {
-    "scenario": ("name", "gamma", "rho", "phi", "W", "ell", "h", "perturbation",
-                 "alpha", "lambda", "V", "k"),
-    "grid": ("offset", "R"),
-    "oracle": ("meshes", "tol"),
-    "sweep": ("re", "im"),
-    "output": ("format", "path"),
+def _read_number(raw: str, what: str, kind=float):
+    """``kind(raw)``; a malformed number raises a ConfigError naming ``what``."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{what} must be {kind.__name__}, got {raw!r}") from None
+
+
+def _axis_numbers(raw: str, what: str) -> tuple[float, float, float]:
+    """The numbers of a sweep axis ``min:max:step``, not yet range-checked."""
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{what} must be min:max:step, got {raw!r}")
+    return tuple(_read_number(p, what) for p in parts)
+
+
+def _checked_axis(axis: tuple[float, float, float], raw: str, what: str) -> tuple[float, float, float]:
+    lo, hi, step = axis
+    if not all(map(math.isfinite, axis)) or step <= 0 or hi < lo:
+        raise ConfigError(f"{what} needs finite numbers with step > 0 and max >= min, got {raw!r}")
+    return axis
+
+
+def _read_axis(raw: str, what: str) -> tuple[float, float, float]:
+    """A sweep axis ``min:max:step`` of finite numbers."""
+    return _checked_axis(_axis_numbers(raw, what), raw, what)
+
+
+# the readers of config values, ``reader(raw, "[section] key")``; parse_config
+# gives a malformed value's ConfigError its position
+
+
+def _parsed(parse, noun: str):
+    def read(raw: str, what: str):
+        try:
+            return parse(raw)
+        except ExpressionError as exc:
+            raise ConfigError(f"bad {noun} for {what}: {exc}") from None
+    return read
+
+
+def _one_of(*choices: str):
+    def read(raw: str, what: str) -> str:
+        if raw not in choices:
+            raise ConfigError(f"{what} must be {' or '.join(choices)}, got {raw!r}")
+        return raw
+    return read
+
+
+def _ints(raw: str, what: str) -> tuple[int, ...]:
+    return tuple(_read_number(p, what, int) for p in raw.split(","))
+
+
+def _text(raw: str, what: str) -> str:
+    return raw
+
+
+_expression, _complex = _parsed(parse_expression, "expression"), _parsed(parse_complex, "complex value")
+_KINDS = ("potsdam", "shirley", "konzert", "rank_one", "multiplication")
+_HALFLINE = ("rank_one", "multiplication")
+
+#: every config key: its reader, its value when absent, and the scenarios
+#: that read it (rank_one and multiplication stand for halfline_schrodinger
+#: with that perturbation); :func:`parse_config` reads the keys in this order
+_KEYS = {
+    ("scenario", "name"): (_text, None, _KINDS),
+    ("scenario", "phi"): (_expression, None, ("potsdam", "shirley", "rank_one")),
+    ("scenario", "W"): (_expression, None, ("potsdam",)),
+    ("scenario", "ell"): (_expression, None, ("konzert",)),
+    ("scenario", "V"): (_expression, None, ("multiplication",)),
+    ("scenario", "k"): (_expression, None, ("multiplication",)),
+    ("scenario", "rho"): (_complex, None, ("potsdam", "shirley")),
+    ("scenario", "h"): (_complex, None, _HALFLINE),
+    ("scenario", "lambda"): (_complex, 0j, ("rank_one",)),
+    ("scenario", "gamma"): (_read_number, None, ("shirley", "konzert")),
+    ("scenario", "perturbation"): (_one_of(*_HALFLINE), "rank_one", _HALFLINE),
+    ("scenario", "alpha"): (_read_number, 1.0, ("rank_one",)),
+    ("output", "format"): (_one_of("csv", "json"), "json", _KINDS),
+    ("output", "path"): (_text, None, _KINDS),
+    # an interval's left offset (the singular scenarios are the intervals),
+    # and a half-line's truncation radius
+    ("grid", "offset"): (_read_number, 1e-6, ("shirley", "konzert")),
+    ("grid", "R"): (_read_number, 40.0, ("potsdam", *_HALFLINE)),
+    ("oracle", "meshes"): (_ints, (64, 128, 256), _KINDS),
+    ("oracle", "tol"): (_read_number, 1e-6, _KINDS),
+    ("sweep", "re"): (_axis_numbers, None, _KINDS),
+    ("sweep", "im"): (_axis_numbers, None, _KINDS),
 }
-# the [grid] key each scenario reads: an interval's left offset, or a
-# half-line's truncation radius
-_GRID_KEYS = {"potsdam": "R", "shirley": "offset", "konzert": "offset", "halfline_schrodinger": "R"}
+_SECTIONS = {section for section, _ in _KEYS}
+
+#: per tuple of kinds: (key, "[section] key", reader, default) of each key one
+#: of them reads, in table order, the [scenario] keys first and then the others
+_READS = {kinds: tuple([(sk, f"[{sk[0]}] {sk[1]}", reader, default)
+                        for sk, (reader, default, by) in _KEYS.items()
+                        if (sk[0] == "scenario") is first and set(by) & set(kinds)]
+                       for first in (True, False))
+          for kinds in [(kind,) for kind in _KINDS] + [_HALFLINE]}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario configuration.
 
-    ``params`` keeps the raw value strings keyed by section and name, in
-    canonical order, so that serialize/parse round-trips exactly.
+    ``params`` keeps the raw value strings in canonical order, so that
+    serialize/parse round-trips exactly.  ``values`` maps each (section, key)
+    the scenario reads to what its reader gave once in :func:`parse_config`,
+    or to its default when absent; it takes no part in equality.
     """
 
     scenario: str
     params: tuple[tuple[str, str, str], ...]  # (section, key, raw value)
+    values: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def get(self, section: str, key: str, default: str | None = None) -> str | None:
-        for s, k, v in self.params:
-            if s == section and k == key:
-                return v
-        return default
+    def get(self, key: str, section: str = "scenario"):
+        """The value of ``[section] key`` as :func:`parse_config` read it;
+        None for a key the scenario does not read."""
+        return self.values.get((section, key))
 
     @property
     def grid_offset(self) -> float:
-        default = "1e-6" if self.scenario in _SINGULAR_SCENARIOS else "0"
-        return _read_number(self.get("grid", "offset", default), "[grid] offset")
+        return self.get("offset", "grid")
 
     @property
     def grid_r(self) -> float:
-        return _read_number(self.get("grid", "R", "40"), "[grid] R")
+        return self.get("R", "grid")
 
     @property
     def meshes(self) -> tuple[int, ...]:
-        raw = self.get("oracle", "meshes", "64,128,256")
-        return tuple(_read_number(p, "[oracle] meshes", int) for p in raw.split(","))
+        return self.get("meshes", "oracle")
 
     @property
     def tol(self) -> float:
-        tol = _read_number(self.get("oracle", "tol", "1e-6"), "[oracle] tol")
+        tol = self.get("tol", "oracle")
         if not (math.isfinite(tol) and tol >= 0.0):
             raise ConfigError(f"[oracle] tol must be finite and >= 0, got {tol!r}")
         return tol
 
-    @property
-    def out_format(self) -> str:
-        return self.get("output", "format", "json")
-
-    @property
-    def out_path(self) -> str | None:
-        return self.get("output", "path")
-
     def sweep_axis(self, name: str) -> tuple[float, float, float] | None:
-        raw = self.get("sweep", name)
-        return None if raw is None else _read_axis(raw, f"[sweep] {name}")
-
-
-def _read_number(raw: str, what: str, kind=float, where: tuple = (None, None)):
-    """``kind(raw)``; a malformed number raises a ConfigError naming ``what``
-    (``[section] key``) at ``where`` (line, column) when known."""
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{what} must be {kind.__name__}, got {raw!r}", *where) from None
-
-
-def _read_axis(raw: str, what: str) -> tuple[float, float, float]:
-    """A sweep axis ``min:max:step`` of finite numbers."""
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{what} must be min:max:step, got {raw!r}")
-    lo, hi, step = (_read_number(p, what) for p in parts)
-    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
-        raise ConfigError(f"{what} needs finite numbers with step > 0 and max >= min, got {raw!r}")
-    return lo, hi, step
+        axis = self.get(name, "sweep")
+        raw = next((v for s, k, v in self.params if (s, k) == ("sweep", name)), None)
+        return None if axis is None else _checked_axis(axis, raw, f"[sweep] {name}")
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a config; diagnostics carry line/column."""
+    """Parse and validate a config, running each present value's reader
+    (:data:`_KEYS`) once; diagnostics carry line/column."""
     section = None
-    entries: list[tuple[str, str, str]] = []
-    positions: dict[tuple[str, str], tuple[int, int]] = {}
-    grid_keys: list[tuple[str, int, int]] = []
+    raw: dict[tuple[str, str], str] = {}
+    where: dict[tuple[str, str], tuple[int, int, int]] = {}  # line, key column, value column
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -404,7 +462,7 @@ def parse_config(text: str) -> ScenarioConfig:
             if not stripped.endswith("]"):
                 raise ConfigError("unterminated section header", lineno, col)
             section = stripped[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", lineno, col)
             continue
         if section is None:
@@ -413,110 +471,71 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError("expected key = value", lineno, col)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SECTION_KEYS[section]:
+        if (section, key) not in _KEYS:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno, col)
-        if (section, key) in positions:
+        if (section, key) in where:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno, col)
-        positions[(section, key)] = (lineno, raw_line.index("=") + 2)
-        entries.append((section, key, value))
-        if section == "grid":
-            grid_keys.append((key, lineno, col))
-    name = None
-    for s, k, v in entries:
-        if s == "scenario" and k == "name":
-            name = v
+        where[(section, key)] = (lineno, col, raw_line.index("=") + 2)
+        raw[(section, key)] = value
+    name = raw.get(("scenario", "name"))
     if name is None:
-        raise ConfigError(
-            "missing required key: [scenario] name "
-            f"(one of {', '.join(_SCENARIOS)})"
-        )
+        raise ConfigError(f"missing required key: [scenario] name (one of {', '.join(_SCENARIOS)})")
     if name not in _SCENARIOS:
-        line, col = positions.get(("scenario", "name"), (None, None))
+        line, _, col = where[("scenario", "name")]
         raise ConfigError(f"unknown scenario {name!r}", line, col)
-    for key, line, col in grid_keys:
-        if key != _GRID_KEYS[name]:
-            raise ConfigError(f"unknown key {key!r} in [grid]", line, col)
-    cfg = ScenarioConfig(name, tuple(entries))
-    _validate(cfg, positions)
-    return cfg
+    pert = raw.get(("scenario", "perturbation"), "rank_one")
+    # a perturbation that is neither is refused by its reader
+    kinds = (name,) if name != "halfline_schrodinger" else (pert,) if pert in _HALFLINE else _HALFLINE
+    for (s, k), (line, col, _) in where.items():
+        if set(kinds).isdisjoint(_KEYS[s, k][2]):
+            scope = (f"in [{s}]" if s != "scenario" else f"for scenario {name}"
+                     + (f" with perturbation = {pert}" if name == "halfline_schrodinger" else ""))
+            raise ConfigError(f"unknown key {k!r} {scope}", line, col)
+    values: dict = {}
+    for phase, keys in enumerate(_READS[kinds]):
+        if phase:  # the [scenario] values are checked before the others are read
+            _validate(name, values, raw, where)
+        for sk, what, reader, default in keys:
+            if sk not in raw:
+                values[sk] = default
+                continue
+            try:
+                values[sk] = reader(raw[sk], what)
+            except ConfigError as exc:
+                line, _, col = where[sk]
+                raise ConfigError(exc.args[0], line, col) from None
+    return ScenarioConfig(name, tuple((s, k, v) for (s, k), v in raw.items()), values)
 
 
-def _value_error(positions, section, key, message) -> ConfigError:
-    line, col = positions.get((section, key), (None, None))
-    return ConfigError(message, line, col)
+def _validate(name: str, values: dict, raw: dict, where: dict) -> None:
+    """The required keys and value ranges of the [scenario] section."""
+    def fail(key: str, message: str) -> ConfigError:
+        line, _, col = where[("scenario", key)]
+        return ConfigError(message, line, col)
 
-
-def _validate(cfg: ScenarioConfig, positions) -> None:
-    def check_expr(key: str) -> None:
-        raw = cfg.get("scenario", key)
-        if raw is None:
-            return
-        try:
-            parse_expression(raw)
-        except ExpressionError as exc:
-            line, col = positions.get(("scenario", key), (None, None))
-            raise ConfigError(f"bad expression for {key}: {exc}", line, col) from None
-
-    def number(key: str) -> float:
-        where = positions.get(("scenario", key), (None, None))
-        return _read_number(cfg.get("scenario", key), f"[scenario] {key}", where=where)
-
-    def check_complex(key: str) -> None:
-        raw = cfg.get("scenario", key)
-        if raw is None:
-            return
-        try:
-            parse_complex(raw)
-        except ExpressionError as exc:
-            line, col = positions.get(("scenario", key), (None, None))
-            raise ConfigError(f"bad complex value for {key}: {exc}", line, col) from None
-
-    for key in ("phi", "W", "ell", "V", "k"):
-        check_expr(key)
-    for key in ("rho", "h", "lambda"):
-        check_complex(key)
-    name = cfg.scenario
-    if name == "shirley":
-        gamma = cfg.get("scenario", "gamma")
+    if name in ("shirley", "konzert"):
+        gamma = values["scenario", "gamma"]
         if gamma is None:
-            raise ConfigError("shirley needs gamma (>= sqrt(3))")
-        if number("gamma") < catalog.SHIRLEY_GAMMA_MIN - 1e-12:
-            raise _value_error(positions, "scenario", "gamma",
-                               f"gamma must be >= sqrt(3) ~ 1.732, got {gamma}")
-        if cfg.get("scenario", "rho") is None:
-            raise ConfigError("shirley needs rho (complex or inf)")
-    elif name == "konzert":
-        gamma = cfg.get("scenario", "gamma")
-        if gamma is None:
-            raise ConfigError("konzert needs gamma in (0, 1/2)")
-        if not (0.0 < number("gamma") < 0.5):
-            raise _value_error(positions, "scenario", "gamma",
-                               f"gamma must satisfy 0 < gamma < 1/2, got {gamma}")
-    elif name == "potsdam":
-        if cfg.get("scenario", "rho") is None:
-            raise ConfigError("potsdam needs rho (complex or inf)")
-    else:  # halfline_schrodinger
-        if cfg.get("scenario", "h") is None:
-            raise ConfigError("halfline_schrodinger needs h (complex or inf)")
-        pert = cfg.get("scenario", "perturbation", "rank_one")
-        if pert not in ("rank_one", "multiplication"):
-            raise _value_error(positions, "scenario", "perturbation",
-                               f"perturbation must be rank_one or multiplication, got {pert!r}")
-        if pert == "rank_one":
-            alpha = cfg.get("scenario", "alpha")
-            if alpha is not None and not 0.0 < number("alpha") < math.inf:
-                raise _value_error(
-                    positions, "scenario", "alpha",
-                    f"rank-one strength alpha must be finite and positive, got {alpha}")
-        else:
-            if cfg.get("scenario", "V") is None or cfg.get("scenario", "k") is None:
-                raise ConfigError("multiplication perturbation needs V and k expressions")
-        h = parse_complex(cfg.get("scenario", "h"))
-        if not is_inf(h) and h.imag < 0:
-            raise _value_error(positions, "scenario", "h",
-                               "Im h < 0 is not a dissipative boundary condition")
-    if cfg.get("output", "format") not in (None, "csv", "json"):
-        raise _value_error(positions, "output", "format", "format must be csv or json")
+            raise ConfigError(f"{name} needs gamma " + ("(>= sqrt(3))" if name == "shirley" else "in (0, 1/2)"))
+        if name == "konzert" and not 0.0 < gamma < 0.5:
+            raise fail("gamma", f"gamma must satisfy 0 < gamma < 1/2, got {raw['scenario', 'gamma']}")
+        if name == "shirley" and gamma < catalog.SHIRLEY_GAMMA_MIN - 1e-12:
+            raise fail("gamma", f"gamma must be >= sqrt(3) ~ 1.732, got {raw['scenario', 'gamma']}")
+    if name in ("shirley", "potsdam") and values["scenario", "rho"] is None:
+        raise ConfigError(f"{name} needs rho (complex or inf)")
+    if name != "halfline_schrodinger":
+        return
+    h = values["scenario", "h"]
+    if h is None:
+        raise ConfigError("halfline_schrodinger needs h (complex or inf)")
+    if values["scenario", "perturbation"] == "rank_one":
+        if not 0.0 < values["scenario", "alpha"] < math.inf:
+            raise fail("alpha", "rank-one strength alpha must be finite and positive, "
+                       f"got {raw['scenario', 'alpha']}")
+    elif values["scenario", "V"] is None or values["scenario", "k"] is None:
+        raise ConfigError("multiplication perturbation needs V and k expressions")
+    if not is_inf(h) and h.imag < 0:
+        raise fail("h", "Im h < 0 is not a dissipative boundary condition")
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -536,49 +555,33 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 # config -> problem
 
 
-def _maybe_expr(cfg: ScenarioConfig, key: str) -> AnalyticFunction | None:
-    raw = cfg.get("scenario", key)
-    if raw is None:
-        return None
-    return parse_expression(raw)
-
-
 def build_problem(cfg: ScenarioConfig, rho_override: complex | None = None) -> ExtensionProblem:
-    """Instantiate the configured scenario (optionally overriding rho)."""
-    name = cfg.scenario
+    """Instantiate the configured scenario (optionally overriding rho) from
+    the values :func:`parse_config` read."""
+    name, get = cfg.scenario, cfg.get
+    if rho_override is None:
+        rho_override = get("h" if name == "halfline_schrodinger" else "rho")
     if name == "potsdam":
-        rho = rho_override if rho_override is not None else parse_complex(cfg.get("scenario", "rho"))
-        return catalog.build_potsdam(
-            _maybe_expr(cfg, "W"), rho, _maybe_expr(cfg, "phi"), r=cfg.grid_r
-        )
+        return catalog.build_potsdam(get("W"), rho_override, get("phi"), r=cfg.grid_r)
     if name == "shirley":
-        rho = rho_override if rho_override is not None else parse_complex(cfg.get("scenario", "rho"))
-        return catalog.build_shirley(
-            float(cfg.get("scenario", "gamma")), rho, _maybe_expr(cfg, "phi"),
-            offset=cfg.grid_offset,
-        )
+        return catalog.build_shirley(get("gamma"), rho_override, get("phi"), offset=cfg.grid_offset)
     if name == "konzert":
-        return catalog.build_konzert(
-            float(cfg.get("scenario", "gamma")), _maybe_expr(cfg, "ell"),
-            offset=cfg.grid_offset,
-        )
-    h = rho_override if rho_override is not None else parse_complex(cfg.get("scenario", "h"))
+        return catalog.build_konzert(get("gamma"), get("ell"), offset=cfg.grid_offset)
     grid = make_grid("halfline", length=cfg.grid_r)
-    if cfg.get("scenario", "perturbation", "rank_one") == "rank_one":
-        alpha = float(cfg.get("scenario", "alpha", "1"))
-        lam = parse_complex(cfg.get("scenario", "lambda", "0"))
-        phi_fn = _maybe_expr(cfg, "phi")
+    if get("perturbation") == "rank_one":
+        phi_fn = get("phi")
         if phi_fn is None:
             phi_fn = exponential(math.sqrt(2.0), -1.0)
         nrm = math.sqrt(norm_sq(phi_fn, 0.0, grid.right_endpoint))
+        if not 0.0 < nrm < math.inf:
+            raise ConfigError(f"rank-one direction phi needs a finite non-zero norm, got {nrm!r}")
         if abs(nrm - 1.0) > 1e-10:
             # the deviation scale refers to the normalized direction
             phi_fn = phi_fn * (1.0 / nrm)
-        pert = catalog.RankOnePerturbation(alpha, phi_fn, lam)
+        pert = catalog.RankOnePerturbation(get("alpha"), phi_fn, get("lambda"))
     else:
-        pert = catalog.MultiplicationPerturbation(parse_expression(cfg.get("scenario", "V")),
-                                                  parse_expression(cfg.get("scenario", "k")))
-    return catalog.build_halfline_schrodinger(h, pert, r=cfg.grid_r)
+        pert = catalog.MultiplicationPerturbation(get("V"), get("k"))
+    return catalog.build_halfline_schrodinger(rho_override, pert, r=cfg.grid_r)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +814,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
 
-    out_path = args.out if args.out is not None else cfg.out_path
+    out_path = args.out if args.out is not None else cfg.get("path", "output")
     try:
         if args.command == "check":
             code, payload = run_check(cfg)
@@ -824,23 +827,18 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write("sweep needs [sweep] re/im axes or --re/--im flags\n")
                 return 2
             payload = run_sweep(cfg, re_axis, im_axis)
-            fmt = args.format if args.format is not None else cfg.out_format
+            fmt = args.format if args.format is not None else cfg.get("format", "output")
             text = sweep_to_csv(payload) if fmt == "csv" else _dump_json(payload)
             _emit(text, out_path)
             return 0
         # oracle
-        if args.meshes is not None or args.tol is not None:
-            extra = []
-            if args.meshes is not None:
-                extra.append(("oracle", "meshes", args.meshes))
-            if args.tol is not None:
-                extra.append(("oracle", "tol", repr(args.tol)))
-            kept = tuple(
-                (s, k, v) for (s, k, v) in cfg.params
-                if not (s == "oracle" and any(k == e[1] for e in extra))
-            )
-            cfg = replace(cfg, params=kept + tuple(extra))
-        code, payload = run_oracle(cfg)
+        # a flag replaces the value the oracle reads; params keep the file's text
+        values = dict(cfg.values)
+        if args.meshes is not None:
+            values["oracle", "meshes"] = _ints(args.meshes, "[oracle] meshes")
+        if args.tol is not None:
+            values["oracle", "tol"] = args.tol
+        code, payload = run_oracle(replace(cfg, values=values))
         _emit(_dump_json(payload), out_path)
         return code
     except _LIBRARY_ERRORS as exc:

@@ -122,8 +122,9 @@ class ImaginaryPartSpec:
             if not sign_check(self.weight, 0.0, self.end).nonneg:
                 raise FormsError("multiplication weight must be non-negative")
         if self.family == "rank_one":
-            if self.alpha is None or self.alpha <= 0 or self.phi0 is None:
-                raise FormsError("rank_one family needs alpha > 0 and a direction")
+            # the comparison is false on nan too
+            if self.alpha is None or not 0.0 < self.alpha < math.inf or self.phi0 is None:
+                raise FormsError("rank_one family needs 0 < alpha < inf and a direction")
             nrm = norm_sq(self.phi0, 0.0, self.end)
             if abs(nrm - 1.0) > 1e-10:
                 raise FormsError(f"rank_one direction must be normalized, got ||phi||^2={nrm}")

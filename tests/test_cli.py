@@ -1,6 +1,8 @@
 import ast
 import cmath
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -298,13 +300,15 @@ def test_main_sweep_library_error_exits_2(tmp_path, capsys):
 
 
 def test_main_check_malformed_grid_number_exits_2(tmp_path, capsys):
+    # every value is read when the config is parsed, so the error cites its
+    # line and the column after its "="
     cfg = tmp_path / "p.cfg"
     cfg.write_text("[scenario]\nname = potsdam\nrho = 1\n\n[grid]\nR = abc\n")
     code = cli_io.main(["check", "--config", str(cfg)])
     assert code == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error["code"] == "ConfigError"
-    assert "[grid] R" in error["message"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: [grid] R must be float, got 'abc' (line 6, col 4)\n"
 
 
 def test_main_check_rejects_grid_b(tmp_path, capsys):
@@ -341,6 +345,34 @@ def test_main_check_rejects_grid_key_the_scenario_never_reads(tmp_path, capsys, 
     assert cli_io.main(["check", "--config", str(cfg)]) == 2
     last = len(text.splitlines())  # the [grid] key is the config's last line
     assert f"unknown key {key!r} in [grid] (line {last}, col 1)" in capsys.readouterr().err
+
+
+_RANK_ONE_CFG = "[scenario]\nname = halfline_schrodinger\nh = 1i\nalpha = 0.8\nlambda = 0.6-0.9i\n"
+_MULTIPLICATION_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1i\nperturbation = multiplication\n"
+                       "V = indicator(0,1)\nk = 1.5*indicator(0,1)\n")
+
+
+@pytest.mark.parametrize("text, key, scope", [
+    ("[scenario]\nname = potsdam\nrho = 1\ngamma = 5\n", "gamma", "potsdam"),
+    ("[scenario]\nname = potsdam\nrho = 1\nell = x\n", "ell", "potsdam"),
+    (SHIRLEY_CFG + "h = 1i\n", "h", "shirley"),
+    (SHIRLEY_CFG + "alpha = 3\n", "alpha", "shirley"),
+    ("[scenario]\nname = konzert\ngamma = 0.25\nell = 1\nphi = x\n", "phi", "konzert"),
+    (_MULTIPLICATION_CFG + "phi = exp(-x)\n", "phi",
+     "halfline_schrodinger with perturbation = multiplication"),
+    (_MULTIPLICATION_CFG + "alpha = 1\n", "alpha",
+     "halfline_schrodinger with perturbation = multiplication"),
+    (_RANK_ONE_CFG + "V = indicator(0,1)\n", "V", "halfline_schrodinger with perturbation = rank_one"),
+    (_RANK_ONE_CFG + "k = indicator(0,1)\n", "k", "halfline_schrodinger with perturbation = rank_one"),
+], ids=["potsdam_gamma", "potsdam_ell", "shirley_h", "shirley_alpha", "konzert_phi",
+        "multiplication_phi", "multiplication_alpha", "rank_one_V", "rank_one_k"])
+def test_main_check_rejects_scenario_key_the_scenario_never_reads(tmp_path, capsys, text, key, scope):
+    # the key would have no effect on the verdict, so the reader refuses it
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert cli_io.main(["check", "--config", str(cfg)]) == 2
+    last = len(text.splitlines())  # the key is the config's last line
+    assert f"unknown key {key!r} for scenario {scope} (line {last}, col 1)" in capsys.readouterr().err
 
 
 def test_main_missing_file(capsys):
@@ -385,6 +417,7 @@ RANK_ONE_ALPHA_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1i\nperturba
                       "alpha = {}\nlambda = 0.6-0.9i\n")
 # the oracle agrees on this config: extrapolated infimum 0.232 > 0
 KONZERT_TOL_CFG = "[scenario]\nname = konzert\ngamma = 0.25\nell = 0.5\n\n[oracle]\ntol = {}\n"
+POTSDAM_GRID_CFG = "[scenario]\nname = potsdam\nrho = 0\n\n[grid]\nR = {}\n"
 
 
 @pytest.mark.parametrize(
@@ -416,13 +449,26 @@ KONZERT_TOL_CFG = "[scenario]\nname = konzert\ngamma = 0.25\nell = 0.5\n\n[oracl
           for tol in ("nan", "-1", "-inf", "inf")),
         *(("oracle", KONZERT_TOL_CFG.format("1e-6"), [f"--tol={tol}"], "[oracle] tol")
           for tol in ("nan", "-1", "-inf", "inf")),
+        # a malformed value is a config error for every command, whichever reads it
+        *((command, POTSDAM_GRID_CFG.format("abc"), flags, "[grid] R")
+          for command, flags in (("check", []), ("sweep", ["--re=0:0:1", "--im=0:0:1"]),
+                                 ("oracle", []))),
+        ("check", SHIRLEY_CFG + "\n[grid]\noffset = 1e-6x\n", [], "[grid] offset"),
+        ("check", KONZERT_TOL_CFG.format("abc"), [], "[oracle] tol"),
+        ("check", KONZERT_TOL_CFG.replace("tol = {}", "meshes = 64,a"), [], "[oracle] meshes"),
+        ("check", "[scenario]\nname = potsdam\nrho = 0\n\n[sweep]\nre = 0:1\nim = 0:1:1\n", [],
+         "[sweep] re"),
+        # a rank-one direction of norm 0 cannot be normalized
+        ("check", RANK_ONE_ALPHA_CFG.format("0.8") + "phi = 0\n", [], "phi"),
     ],
     ids=["gamma", "alpha", "oracle_tol", "oracle_meshes", "sweep_axis", "re_flag", "rho_overflow",
          "alpha_inf", "alpha_nan",
          "h_overflow_check", "h_overflow_sweep", "lambda_overflow_check", "lambda_overflow_sweep",
          "potsdam_rho_overflow_check", "potsdam_rho_overflow_sweep",
          "tol_nan", "tol_negative", "tol_minus_inf", "tol_inf",
-         "tol_flag_nan", "tol_flag_negative", "tol_flag_minus_inf", "tol_flag_inf"],
+         "tol_flag_nan", "tol_flag_negative", "tol_flag_minus_inf", "tol_flag_inf",
+         "grid_R_check", "grid_R_sweep", "grid_R_oracle", "grid_offset_check", "oracle_tol_check",
+         "oracle_meshes_check", "sweep_axis_check", "rank_one_zero_phi"],
 )
 def test_malformed_or_extreme_numbers_exit_2(tmp_path, capsys, command, text, flags, key):
     cfg = tmp_path / "bad.cfg"
@@ -934,3 +980,95 @@ def test_oracle_rerun_is_byte_identical(case, tmp_path):
         runs.append((code, out.read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][0] in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# config values: each read once, by its reader in cli_io._KEYS
+
+
+def _readme_configs() -> dict:
+    """The README's annotated configs by scenario, and its rank-one variant."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    configs = dict(re.findall(r"```ini\n# (\w+):.*?\n(.*?)```", readme, re.S))
+    schrodinger = configs["halfline_schrodinger"]
+    variant = [line[4:] for line in schrodinger.splitlines() if line.startswith("#   ")]
+    configs["rank_one"] = schrodinger.split("perturbation")[0] + "\n".join(variant) + "\n"
+    return configs
+
+
+PARSE_CASES = {**{f"readme_{k}": v for k, v in _readme_configs().items()}, **CONTRACT_CASES}
+_PARSED_KEYS = ("phi", "W", "ell", "V", "k", "rho", "h", "lambda")
+
+
+def test_readme_configs_are_found():
+    assert sorted(_readme_configs()) == ["halfline_schrodinger", "konzert", "potsdam", "rank_one",
+                                         "shirley"]
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_each_value_is_parsed_once(case, monkeypatch):
+    # check runs the expression parser once per expression or complex value
+    # (inf is read without it), and a sweep never after parse_config
+    runs = []
+    parse = cli_io._Parser.parse
+    monkeypatch.setattr(cli_io._Parser, "parse", lambda self: runs.append(self.src) or parse(self))
+    cfg = cli_io.parse_config(PARSE_CASES[case])
+    cli_io.run_check(cfg)
+    expect = [v for s, k, v in cfg.params if s == "scenario" and k in _PARSED_KEYS and v != "inf"]
+    assert sorted(runs) == sorted(expect)
+    if cfg.scenario != "konzert":
+        runs.clear()
+        assert len(cli_io.run_sweep(cfg, (-1.0, 1.0, 1.0), (0.0, 1.0, 0.5))["rows"]) == 9
+        assert runs == []
+
+
+#: values a reader may accept; each key draws those its reader accepts
+_VALID = ["0", "1", "2", "0.25", "1e-6", "0.5+0.375i", "-1+2i", "1i", "inf", "x*exp(-x)",
+          "0.5*exp(-2*x)", "2i*x*exp(-x)", "indicator(0,1)", "(x-0.3)^2*indicator(0,1)", "x^2 - x",
+          "64,128", "32", "-1:1:0.5", "0:1:1", "rank_one", "multiplication", "csv", "json"]
+_MALFORMED = ["abc", "", "1+", "x^^2", "exp(x^2)", "64,a", "a:b:c", "0:1", "1:0:1", "0:1:0", "1,2"]
+_EXTREME = ["nan", "-nan", "-inf", "1e400", "-1e400", "1e308", "-1e308", "1e-320", "1e200+1e200i"]
+
+
+def _accepts(reader, raw: str) -> bool:
+    try:
+        reader(raw, "[section] key")
+    except cli_io.ConfigError:
+        return False
+    return True
+
+
+#: (kind, section, key, draws): every key but [output] path (a file to
+#: write) and [scenario] name, of every scenario that reads it
+_FIELDS = [(kind, s, k, [v for v in _VALID if _accepts(reader, v)] + _MALFORMED + _EXTREME)
+           for (s, k), (reader, _, kinds) in cli_io._KEYS.items() if k not in ("name", "path")
+           for kind in kinds]
+
+
+def test_reader_table_fields_have_valid_draws():
+    assert all(len(draws) > len(_MALFORMED) + len(_EXTREME) for *_, draws in _FIELDS)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=[f"{kind}_{key}" for kind, _, key, _ in _FIELDS])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_fields_exit_0_1_or_2(field, data, tmp_path_factory):
+    kind, section, key, draws = field
+    raw = data.draw(st.one_of(st.sampled_from(draws), st.floats().map(repr)))
+    text = CONTRACT_CASES[kind]
+    line = f"{key} = {raw}"
+    if section != "scenario":
+        text += f"\n[{section}]\n{line}\n"
+    elif re.search(rf"^{key} = ", text, re.M):
+        text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
+    else:
+        text += line + "\n"
+    path = tmp_path_factory.getbasetemp() / "field.cfg"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_io.main(["check", "--config", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if err.getvalue().startswith("config error"):
+        assert key in err.getvalue()

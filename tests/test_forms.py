@@ -52,6 +52,13 @@ def test_rank_one_needs_normalized_direction(interval):
         forms.rank_one(1.0, phi, interval)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+def test_rank_one_needs_finite_positive_strength(alpha):
+    # a strength of inf made krein_form_sq return inf, and nan returned nan
+    with pytest.raises(forms.FormsError, match="0 < alpha < inf"):
+        forms.rank_one(alpha, exponential(math.sqrt(2.0), -1.0))
+
+
 # ---------------------------------------------------------------------------
 # square-root forms
 
