@@ -41,12 +41,11 @@ __all__ = [
     "build_konzert",
     "build_halfline_schrodinger",
     "check_boundary_parameter",
+    "check_parameter",
     "SHIRLEY_GAMMA_MIN",
-    "KONZERT_GAMMA_RANGE",
 ]
 
 SHIRLEY_GAMMA_MIN = math.sqrt(3.0)
-KONZERT_GAMMA_RANGE = (0.0, 0.5)
 
 #: boundary parameter at infinity; its imaginary part counts as 0 by convention
 RHO_INF = complex(math.inf, 0.0)
@@ -254,10 +253,7 @@ def build_shirley(
     offset: float = 1e-6,
 ) -> ExtensionProblem:
     """Interval scenario with the inverse-square potential and ``V_F phi``."""
-    if gamma < SHIRLEY_GAMMA_MIN - 1e-12:
-        raise CatalogError(
-            f"gamma must be at least sqrt(3) to keep one extension direction, got {gamma}"
-        )
+    check_parameter("shirley", "gamma", gamma)
     if not offset > 0.0:
         raise CatalogError("the inverse-square potential needs an offset grid")
     grid = make_grid("interval", offset=offset)
@@ -289,9 +285,7 @@ def build_konzert(
     offset: float = 1e-6,
 ) -> ExtensionProblem:
     """Interval first-order scenario; deviation is an explicit L^2 function."""
-    lo, hi = KONZERT_GAMMA_RANGE
-    if not (lo < gamma < hi):
-        raise CatalogError(f"gamma must lie in (0, 1/2), got {gamma}")
+    check_parameter("konzert", "gamma", gamma)
     if not offset > 0.0:
         raise CatalogError("the inverse-first-power potential needs an offset grid")
     grid = make_grid("interval", offset=offset)
@@ -325,6 +319,24 @@ def check_boundary_parameter(scenario: str, rho: complex) -> None:
         raise CatalogError("Im h < 0 is not a dissipative boundary condition")
 
 
+def check_parameter(scenario: str, key: str, value: object) -> None:
+    """CatalogError for a value of the parameter ``key`` outside the range
+    ``scenario`` takes: the one statement of each range, which the builders
+    and the config reader both call.  Keys without a range pass."""
+    if key == "gamma" and scenario == "shirley":
+        # a nan passes, and the criterion then reports its non-finite sides
+        if value < SHIRLEY_GAMMA_MIN - 1e-12:
+            raise CatalogError(f"gamma must be >= sqrt(3) ~ 1.732, got {value}")
+    elif key == "gamma" and scenario == "konzert":
+        if not 0.0 < value < 0.5:
+            raise CatalogError(f"gamma must satisfy 0 < gamma < 1/2, got {value}")
+    elif key == "alpha":
+        if not 0.0 < value < math.inf:
+            raise CatalogError(f"rank-one strength alpha must be finite and positive, got {value}")
+    elif key in ("rho", "h"):
+        check_boundary_parameter(scenario, value)
+
+
 def build_halfline_schrodinger(
     h: complex,
     perturbation: RankOnePerturbation | MultiplicationPerturbation,
@@ -336,17 +348,22 @@ def build_halfline_schrodinger(
     ``Im h >= 0`` is required (with ``h = inf`` the selfadjoint boundary
     condition, whose imaginary part counts as 0); for negative imaginary
     part no bounded non-negative imaginary part can restore dissipativity,
-    so such inputs are rejected outright.
+    so such inputs are rejected outright.  A rank-one direction ``phi`` is
+    normalized; one of norm 0 or of infinite norm is refused.
     """
-    check_boundary_parameter("halfline_schrodinger", h)
+    check_parameter("halfline_schrodinger", "h", h)
     grid = make_grid("halfline", length=r)
     eta = _decaying_vector(h)
     if not decay_certificate(eta, r):
         raise CatalogError("boundary vector has not decayed by the truncation radius")
     if isinstance(perturbation, RankOnePerturbation):
-        if not 0.0 < perturbation.alpha < math.inf:
-            raise CatalogError(
-                f"rank-one strength alpha must be finite and positive, got {perturbation.alpha}")
+        check_parameter("halfline_schrodinger", "alpha", perturbation.alpha)
+        nrm = math.sqrt(norm_sq(perturbation.phi, 0.0, grid.right_endpoint))
+        if not 0.0 < nrm < math.inf:
+            raise CatalogError(f"rank-one direction phi needs a finite non-zero norm, got {nrm!r}")
+        if abs(nrm - 1.0) > 1e-10:
+            # the deviation scale refers to the normalized direction
+            perturbation = replace(perturbation, phi=perturbation.phi * (1.0 / nrm))
         spec = forms.rank_one(perturbation.alpha, perturbation.phi, grid)
         lv = perturbation.lam * perturbation.phi
         _check_square(perturbation.lam, "lambda")

@@ -44,9 +44,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import catalog, criteria, eigenh, forms, oracle
-from .analytic import AnalyticFunction, AnalyticError, Term, exponential, indicator, norm_sq
-from .catalog import ExtensionProblem, RHO_INF, is_inf
-from .grid import GridError, make_grid, span_decay_certificate
+from .analytic import AnalyticFunction, AnalyticError, Term, exponential, indicator
+from .catalog import ExtensionProblem, RHO_INF
+from .grid import GridError, span_decay_certificate
 
 __all__ = [
     "ConfigError",
@@ -363,22 +363,26 @@ def _text(raw: str, what: str) -> str:
 _expression, _complex = _parsed(parse_expression, "expression"), _parsed(parse_complex, "complex value")
 _KINDS = ("potsdam", "shirley", "konzert", "rank_one", "multiplication")
 _HALFLINE = ("rank_one", "multiplication")
+_REQUIRED = object()  # the default of a key the scenarios that read it need
 
-#: every config key: its reader, its value when absent, and the scenarios
-#: that read it (rank_one and multiplication stand for halfline_schrodinger
-#: with that perturbation); :func:`parse_config` reads the keys in this order
+#: every config key: its reader, its value when absent (or _REQUIRED), and
+#: the scenarios that read it (rank_one and multiplication stand for
+#: halfline_schrodinger with that perturbation); :func:`parse_config` reads
+#: the keys in this order and has :func:`catalog.check_parameter` check the
+#: range of each [scenario] value
 _KEYS = {
     ("scenario", "name"): (_text, None, _KINDS),
+    # read before the keys whose need it decides
+    ("scenario", "perturbation"): (_one_of(*_HALFLINE), "rank_one", _HALFLINE),
     ("scenario", "phi"): (_expression, None, ("potsdam", "shirley", "rank_one")),
     ("scenario", "W"): (_expression, None, ("potsdam",)),
     ("scenario", "ell"): (_expression, None, ("konzert",)),
-    ("scenario", "V"): (_expression, None, ("multiplication",)),
-    ("scenario", "k"): (_expression, None, ("multiplication",)),
-    ("scenario", "rho"): (_complex, None, ("potsdam", "shirley")),
-    ("scenario", "h"): (_complex, None, _HALFLINE),
+    ("scenario", "V"): (_expression, _REQUIRED, ("multiplication",)),
+    ("scenario", "k"): (_expression, _REQUIRED, ("multiplication",)),
+    ("scenario", "rho"): (_complex, _REQUIRED, ("potsdam", "shirley")),
+    ("scenario", "h"): (_complex, _REQUIRED, _HALFLINE),
     ("scenario", "lambda"): (_complex, 0j, ("rank_one",)),
-    ("scenario", "gamma"): (_read_number, None, ("shirley", "konzert")),
-    ("scenario", "perturbation"): (_one_of(*_HALFLINE), "rank_one", _HALFLINE),
+    ("scenario", "gamma"): (_read_number, _REQUIRED, ("shirley", "konzert")),
     ("scenario", "alpha"): (_read_number, 1.0, ("rank_one",)),
     ("output", "format"): (_one_of("csv", "json"), "json", _KINDS),
     ("output", "path"): (_text, None, _KINDS),
@@ -392,14 +396,6 @@ _KEYS = {
     ("sweep", "im"): (_axis_numbers, None, _KINDS),
 }
 _SECTIONS = {section for section, _ in _KEYS}
-
-#: per tuple of kinds: (key, "[section] key", reader, default) of each key one
-#: of them reads, in table order, the [scenario] keys first and then the others
-_READS = {kinds: tuple([(sk, f"[{sk[0]}] {sk[1]}", reader, default)
-                        for sk, (reader, default, by) in _KEYS.items()
-                        if (sk[0] == "scenario") is first and set(by) & set(kinds)]
-                       for first in (True, False))
-          for kinds in [(kind,) for kind in _KINDS] + [_HALFLINE]}
 
 
 @dataclass(frozen=True)
@@ -448,7 +444,8 @@ class ScenarioConfig:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a config, running each present value's reader
-    (:data:`_KEYS`) once; diagnostics carry line/column."""
+    (:data:`_KEYS`) once and checking each [scenario] value's range with
+    :func:`catalog.check_parameter`; diagnostics carry line/column."""
     section = None
     raw: dict[tuple[str, str], str] = {}
     where: dict[tuple[str, str], tuple[int, int, int]] = {}  # line, key column, value column
@@ -475,7 +472,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno, col)
         if (section, key) in where:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno, col)
-        where[(section, key)] = (lineno, col, raw_line.index("=") + 2)
+        after = raw_line[raw_line.index("=") + 1:]
+        where[(section, key)] = (lineno, col, len(raw_line) - len(after.lstrip()) + 1)
         raw[(section, key)] = value
     name = raw.get(("scenario", "name"))
     if name is None:
@@ -483,59 +481,33 @@ def parse_config(text: str) -> ScenarioConfig:
     if name not in _SCENARIOS:
         line, _, col = where[("scenario", "name")]
         raise ConfigError(f"unknown scenario {name!r}", line, col)
-    pert = raw.get(("scenario", "perturbation"), "rank_one")
-    # a perturbation that is neither is refused by its reader
-    kinds = (name,) if name != "halfline_schrodinger" else (pert,) if pert in _HALFLINE else _HALFLINE
+    kinds, scope = {name}, f"for scenario {name}"
+    if name == "halfline_schrodinger":
+        pert = raw.get(("scenario", "perturbation"), "rank_one")
+        # a perturbation that is neither is refused by its reader
+        kinds = {pert} if pert in _HALFLINE else set(_HALFLINE)
+        scope += f" with perturbation = {pert}"
     for (s, k), (line, col, _) in where.items():
-        if set(kinds).isdisjoint(_KEYS[s, k][2]):
-            scope = (f"in [{s}]" if s != "scenario" else f"for scenario {name}"
-                     + (f" with perturbation = {pert}" if name == "halfline_schrodinger" else ""))
-            raise ConfigError(f"unknown key {k!r} {scope}", line, col)
+        if kinds.isdisjoint(_KEYS[s, k][2]):
+            context = scope if s == "scenario" else f"in [{s}]"
+            raise ConfigError(f"unknown key {k!r} {context}", line, col)
     values: dict = {}
-    for phase, keys in enumerate(_READS[kinds]):
-        if phase:  # the [scenario] values are checked before the others are read
-            _validate(name, values, raw, where)
-        for sk, what, reader, default in keys:
-            if sk not in raw:
-                values[sk] = default
-                continue
-            try:
-                values[sk] = reader(raw[sk], what)
-            except ConfigError as exc:
-                line, _, col = where[sk]
-                raise ConfigError(exc.args[0], line, col) from None
+    for (s, k), (reader, default, by) in _KEYS.items():
+        if kinds.isdisjoint(by):
+            continue
+        if (s, k) not in raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key: [{s}] {k} {scope}")
+            values[s, k] = default
+            continue
+        try:
+            values[s, k] = reader(raw[s, k], f"[{s}] {k}")
+            if s == "scenario":
+                catalog.check_parameter(name, k, values[s, k])
+        except (ConfigError, catalog.CatalogError) as exc:
+            line, _, col = where[s, k]
+            raise ConfigError(exc.args[0], line, col) from None
     return ScenarioConfig(name, tuple((s, k, v) for (s, k), v in raw.items()), values)
-
-
-def _validate(name: str, values: dict, raw: dict, where: dict) -> None:
-    """The required keys and value ranges of the [scenario] section."""
-    def fail(key: str, message: str) -> ConfigError:
-        line, _, col = where[("scenario", key)]
-        return ConfigError(message, line, col)
-
-    if name in ("shirley", "konzert"):
-        gamma = values["scenario", "gamma"]
-        if gamma is None:
-            raise ConfigError(f"{name} needs gamma " + ("(>= sqrt(3))" if name == "shirley" else "in (0, 1/2)"))
-        if name == "konzert" and not 0.0 < gamma < 0.5:
-            raise fail("gamma", f"gamma must satisfy 0 < gamma < 1/2, got {raw['scenario', 'gamma']}")
-        if name == "shirley" and gamma < catalog.SHIRLEY_GAMMA_MIN - 1e-12:
-            raise fail("gamma", f"gamma must be >= sqrt(3) ~ 1.732, got {raw['scenario', 'gamma']}")
-    if name in ("shirley", "potsdam") and values["scenario", "rho"] is None:
-        raise ConfigError(f"{name} needs rho (complex or inf)")
-    if name != "halfline_schrodinger":
-        return
-    h = values["scenario", "h"]
-    if h is None:
-        raise ConfigError("halfline_schrodinger needs h (complex or inf)")
-    if values["scenario", "perturbation"] == "rank_one":
-        if not 0.0 < values["scenario", "alpha"] < math.inf:
-            raise fail("alpha", "rank-one strength alpha must be finite and positive, "
-                       f"got {raw['scenario', 'alpha']}")
-    elif values["scenario", "V"] is None or values["scenario", "k"] is None:
-        raise ConfigError("multiplication perturbation needs V and k expressions")
-    if not is_inf(h) and h.imag < 0:
-        raise fail("h", "Im h < 0 is not a dissipative boundary condition")
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -567,17 +539,10 @@ def build_problem(cfg: ScenarioConfig, rho_override: complex | None = None) -> E
         return catalog.build_shirley(get("gamma"), rho_override, get("phi"), offset=cfg.grid_offset)
     if name == "konzert":
         return catalog.build_konzert(get("gamma"), get("ell"), offset=cfg.grid_offset)
-    grid = make_grid("halfline", length=cfg.grid_r)
     if get("perturbation") == "rank_one":
         phi_fn = get("phi")
         if phi_fn is None:
             phi_fn = exponential(math.sqrt(2.0), -1.0)
-        nrm = math.sqrt(norm_sq(phi_fn, 0.0, grid.right_endpoint))
-        if not 0.0 < nrm < math.inf:
-            raise ConfigError(f"rank-one direction phi needs a finite non-zero norm, got {nrm!r}")
-        if abs(nrm - 1.0) > 1e-10:
-            # the deviation scale refers to the normalized direction
-            phi_fn = phi_fn * (1.0 / nrm)
         pert = catalog.RankOnePerturbation(get("alpha"), phi_fn, get("lambda"))
     else:
         pert = catalog.MultiplicationPerturbation(get("V"), get("k"))

@@ -77,7 +77,9 @@ def make_grid(kind: str, *, length: float | None = None, offset: float = 0.0) ->
         length = DEFAULT_HALFLINE_R if kind == "halfline" else DEFAULT_INTERVAL_B
     if not (length > 0.0) or not math.isfinite(length):
         raise GridError("grid length must be positive and finite")
-    if not 0.0 <= offset < (length - offset) / 64.0:
+    # a zero offset needs no test: below a length of about 64 * 5e-324 the
+    # bound (length - offset) / 64 underflows to 0 and would refuse it
+    if offset and not 0.0 <= offset < (length - offset) / 64.0:
         raise GridError("offset must satisfy 0 <= offset < (length - offset)/64")
     return Grid(kind, float(length), float(offset))
 

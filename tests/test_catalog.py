@@ -236,6 +236,18 @@ def test_schrodinger_rejects_lower_halfplane(rank_one_direction):
         )
 
 
+@pytest.mark.parametrize("h", [1j, 0.3 + 0.7j, 2 + 0.01j, RHO_INF])
+def test_rank_one_direction_is_normalized(rank_one_direction, h):
+    # the builder normalizes phi, so a scaled direction decides alike, to the bit
+    def margin(phi):
+        pert = catalog.RankOnePerturbation(0.8, phi, 0.5)
+        return criteria.decide(catalog.build_halfline_schrodinger(h, pert)).margin
+
+    assert margin(2.0 * rank_one_direction) == margin(rank_one_direction)
+    with pytest.raises(catalog.CatalogError, match="finite non-zero norm"):
+        margin(0.0 * rank_one_direction)
+
+
 def test_schrodinger_h_inf_only_zero_deviation(rank_one_direction):
     qz = catalog.build_halfline_schrodinger(
         RHO_INF, catalog.RankOnePerturbation(1.0, rank_one_direction, 0.0)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import dissipext
 from dissipext import catalog, cli_io, criteria, eigenh, forms, oracle
-from dissipext.analytic import Term
+from dissipext.analytic import Term, exponential
 from reference.margins import shirley_margin_exact
 
 
@@ -301,14 +301,14 @@ def test_main_sweep_library_error_exits_2(tmp_path, capsys):
 
 def test_main_check_malformed_grid_number_exits_2(tmp_path, capsys):
     # every value is read when the config is parsed, so the error cites its
-    # line and the column after its "="
+    # line and the column of its first character
     cfg = tmp_path / "p.cfg"
     cfg.write_text("[scenario]\nname = potsdam\nrho = 1\n\n[grid]\nR = abc\n")
     code = cli_io.main(["check", "--config", str(cfg)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: [grid] R must be float, got 'abc' (line 6, col 4)\n"
+    assert captured.err == "config error: [grid] R must be float, got 'abc' (line 6, col 5)\n"
 
 
 def test_main_check_rejects_grid_b(tmp_path, capsys):
@@ -676,6 +676,21 @@ def _decide_at(cfg, rho: complex) -> criteria.Verdict:
     """Per-point build+decide, which the sweep did at every point before its
     margins came from a conic."""
     return criteria.decide(cli_io.build_problem(cfg, rho_override=rho))
+
+
+@pytest.mark.parametrize("command, flags", [("check", []), ("sweep", ["--re=0:0:1", "--im=1:1:1"])])
+@pytest.mark.parametrize("case", ["potsdam", "rank_one", "multiplication"])
+@pytest.mark.parametrize("r", ["5e-324", "1e-3"])
+def test_tiny_halfline_radius_fails_on_decay(tmp_path, capsys, command, flags, case, r):
+    # a half-line R too small for the scenario's vectors to decay is a
+    # CatalogError of the builder, however small; no offset was set
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(CONTRACT_CASES[case] + f"\n[grid]\nR = {r}\n")
+    code = cli_io.main([command, "--config", str(cfg), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "vector has not decayed by the truncation radius" in captured.out + captured.err
+    assert "offset" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
@@ -1049,12 +1064,9 @@ def test_reader_table_fields_have_valid_draws():
     assert all(len(draws) > len(_MALFORMED) + len(_EXTREME) for *_, draws in _FIELDS)
 
 
-@pytest.mark.parametrize("field", _FIELDS, ids=[f"{kind}_{key}" for kind, _, key, _ in _FIELDS])
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_config_fields_exit_0_1_or_2(field, data, tmp_path_factory):
-    kind, section, key, draws = field
-    raw = data.draw(st.one_of(st.sampled_from(draws), st.floats().map(repr)))
+def _with_value(kind: str, section: str, key: str, raw: str) -> tuple[str, int]:
+    """The ``CONTRACT_CASES`` config of ``kind`` with ``[section] key = raw``,
+    and the number of that line."""
     text = CONTRACT_CASES[kind]
     line = f"{key} = {raw}"
     if section != "scenario":
@@ -1063,6 +1075,16 @@ def test_config_fields_exit_0_1_or_2(field, data, tmp_path_factory):
         text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
     else:
         text += line + "\n"
+    return text, text.splitlines().index(line) + 1
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=[f"{kind}_{key}" for kind, _, key, _ in _FIELDS])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_fields_exit_0_1_or_2(field, data, tmp_path_factory):
+    kind, section, key, draws = field
+    raw = data.draw(st.one_of(st.sampled_from(draws), st.floats().map(repr)))
+    text, lineno = _with_value(kind, section, key, raw)
     path = tmp_path_factory.getbasetemp() / "field.cfg"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
@@ -1072,3 +1094,35 @@ def test_config_fields_exit_0_1_or_2(field, data, tmp_path_factory):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if err.getvalue().startswith("config error"):
         assert key in err.getvalue()
+        # an error at the drawn line cites the column of the value
+        at = re.search(r"\(line (\d+), col (\d+)\)$", err.getvalue())
+        if at and int(at[1]) == lineno:
+            assert int(at[2]) == len(f"{key} = ") + 1
+
+
+_RANK_ONE_PHI = exponential(math.sqrt(2.0), -1.0)
+#: (kind, key, raw value, the builder call on the read value) of each range
+#: rule of a scenario parameter
+RANGE_RULES = [
+    ("shirley", "gamma", "1.7", lambda v: catalog.build_shirley(v, 1 + 0j, None)),
+    *(("konzert", "gamma", raw, lambda v: catalog.build_konzert(v, None))
+      for raw in ("0", "0.5", "nan")),
+    *(("rank_one", "alpha", raw, lambda v: catalog.build_halfline_schrodinger(
+        1j, catalog.RankOnePerturbation(v, _RANK_ONE_PHI, 0j))) for raw in ("0", "-1", "inf", "nan")),
+    ("rank_one", "h", "1-1i", lambda v: catalog.build_halfline_schrodinger(
+        v, catalog.RankOnePerturbation(1.0, _RANK_ONE_PHI, 0j))),
+]
+
+
+@pytest.mark.parametrize("kind, key, raw, build", RANGE_RULES,
+                         ids=[f"{kind}_{key}_{raw}" for kind, key, raw, _ in RANGE_RULES])
+def test_each_range_is_stated_once(kind, key, raw, build):
+    # the builder and the config reader refuse a value with one message;
+    # the reader adds the value's position
+    value = cli_io.parse_complex(raw) if key == "h" else float(raw)
+    with pytest.raises(catalog.CatalogError) as built:
+        build(value)
+    text, lineno = _with_value(kind, "scenario", key, raw)
+    with pytest.raises(cli_io.ConfigError) as read:
+        cli_io.parse_config(text)
+    assert str(read.value) == f"{built.value} (line {lineno}, col {len(key) + 4})"

@@ -36,8 +36,20 @@ def test_make_grid_errors():
         make_grid("interval", length=-1.0)
     with pytest.raises(GridError):
         make_grid("interval", offset=0.9)
+    for offset in (-1e-9, math.nan):
+        with pytest.raises(GridError, match="offset"):
+            make_grid("interval", offset=offset)
     with pytest.raises(GridError):
         make_grid("circle")
+
+
+@pytest.mark.parametrize("length", [5e-324, 1e-320])
+def test_tiny_halfline_length_needs_no_offset(length):
+    # (length - 0) / 64 underflows to 0 below about 64 * 5e-324, so only an
+    # offset that is set is tested against it
+    assert make_grid("halfline", length=length).length == length
+    with pytest.raises(GridError, match="offset"):
+        make_grid("halfline", length=length, offset=length)
 
 
 def test_boundary_data_analytic_traces_win(interval_grid, phi_x2_minus_x):
