@@ -40,6 +40,7 @@ __all__ = [
     "build_shirley",
     "build_konzert",
     "build_halfline_schrodinger",
+    "boundary_parameter_rejected",
     "check_boundary_parameter",
     "check_parameter",
     "SHIRLEY_GAMMA_MIN",
@@ -312,10 +313,18 @@ def build_konzert(
 # halfline Schroedinger with bounded imaginary part
 
 
+def boundary_parameter_rejected(scenario: str, re, im):
+    """Whether ``scenario`` rejects the boundary parameter ``re + i im``
+    whatever its other inputs: ``Im h < 0`` in the Schroedinger scenario,
+    where ``h = inf`` counts as real.  ``re`` and ``im`` are floats, or numpy
+    arrays that broadcast, for which the answer is an array (or False)."""
+    return scenario == "halfline_schrodinger" and (im < 0.0) & (abs(re) != math.inf)
+
+
 def check_boundary_parameter(scenario: str, rho: complex) -> None:
     """CatalogError for a boundary parameter that ``scenario`` rejects
-    whatever its other inputs: ``Im h < 0`` in the Schroedinger scenario."""
-    if scenario == "halfline_schrodinger" and not is_inf(rho) and rho.imag < 0.0:
+    (:func:`boundary_parameter_rejected`)."""
+    if boundary_parameter_rejected(scenario, rho.real, rho.imag):
         raise CatalogError("Im h < 0 is not a dissipative boundary condition")
 
 

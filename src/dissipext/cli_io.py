@@ -146,6 +146,15 @@ def _tokenize(src: str) -> list[_Tok]:
     return toks
 
 
+def _number(tok: _Tok) -> float:
+    """The value of a ``num`` or ``imag`` token; an ExpressionError where
+    float() does not read its text (two points, or a digit like ``²``)."""
+    try:
+        return float(tok.text)
+    except ValueError:
+        raise ExpressionError(f"malformed number {tok.text!r}", tok.pos) from None
+
+
 class _Parser:
     """Recursive-descent parser of the closed scenario-function grammar."""
 
@@ -221,20 +230,20 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return sign * float(tok.text)
+            return sign * _number(tok)
         if tok.kind == "imag":
             self.take()
-            return sign * 1j * float(tok.text)
+            return sign * 1j * _number(tok)
         raise ExpressionError("expected a numeric exponent", tok.pos)
 
     def atom(self) -> AnalyticFunction:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return AnalyticFunction((Term(complex(float(tok.text)), 0.0),))
+            return AnalyticFunction((Term(complex(_number(tok)), 0.0),))
         if tok.kind == "imag":
             self.take()
-            return AnalyticFunction((Term(1j * float(tok.text), 0.0),))
+            return AnalyticFunction((Term(1j * _number(tok), 0.0),))
         if tok.kind == "(":
             self.take()
             out = self.expr()
@@ -449,6 +458,7 @@ def parse_config(text: str) -> ScenarioConfig:
     section = None
     raw: dict[tuple[str, str], str] = {}
     where: dict[tuple[str, str], tuple[int, int, int]] = {}  # line, key column, value column
+    headers: dict[str, tuple[int, int]] = {}  # a section's first header; a missing key cites it
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -461,6 +471,7 @@ def parse_config(text: str) -> ScenarioConfig:
             section = stripped[1:-1].strip()
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", lineno, col)
+            headers.setdefault(section, (lineno, col))
             continue
         if section is None:
             raise ConfigError("key outside any section", lineno, col)
@@ -477,7 +488,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raw[(section, key)] = value
     name = raw.get(("scenario", "name"))
     if name is None:
-        raise ConfigError(f"missing required key: [scenario] name (one of {', '.join(_SCENARIOS)})")
+        raise ConfigError(f"missing required key: [scenario] name (one of {', '.join(_SCENARIOS)})",
+                          *headers.get("scenario", (1, 1)))
     if name not in _SCENARIOS:
         line, _, col = where[("scenario", "name")]
         raise ConfigError(f"unknown scenario {name!r}", line, col)
@@ -497,7 +509,7 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         if (s, k) not in raw:
             if default is _REQUIRED:
-                raise ConfigError(f"missing required key: [{s}] {k} {scope}")
+                raise ConfigError(f"missing required key: [{s}] {k} {scope}", *headers[s])
             values[s, k] = default
             continue
         try:
@@ -629,6 +641,43 @@ def _sweep_conic(cfg: ScenarioConfig) -> criteria.MarginConic | None:
         return None
 
 
+def _decided_row(cfg: ScenarioConfig, re: float, im: float) -> dict:
+    """The sweep row of ``re + i im`` from its own build and decide, as
+    ``check`` computes it: ``null`` margin where a membership fails."""
+    verdict = criteria.decide(build_problem(cfg, rho_override=complex(re, im)))
+    return {"re_rho": re, "im_rho": im, "margin": _jsonable(verdict.margin),
+            "dissipative": verdict.dissipative}
+
+
+def _conic_rows(cfg: ScenarioConfig, conic: criteria.MarginConic,
+                res: list[float], ims: list[float]) -> list[dict]:
+    """The rows of a sweep from its margin conic, row-major.
+
+    The margins and ``dissipative`` flags of the whole grid come from one
+    numpy pass (:meth:`criteria.MarginConic.on_grid`), and so does the
+    boundary rule (:func:`catalog.boundary_parameter_rejected`).  Points
+    where the conic is not finite are built and decided one by one.  The
+    first point in row order that fails, at its boundary check or at its
+    own decide, raises its error, as a loop over the points would.
+    """
+    margins = conic.on_grid(res, ims)
+    lowest = -criteria.MARGIN_TOL  # the smallest dissipative margin
+    row_res = [re for re in res for _ in ims]
+    rows = [{"re_rho": re, "im_rho": im, "margin": margin, "dissipative": flag}
+            for re, im, margin, flag in zip(row_res, ims * len(res), margins.tolist(),
+                                            (margins >= lowest).tolist())]
+    rejected = np.flatnonzero(catalog.boundary_parameter_rejected(
+        cfg.scenario, np.array(res)[:, None], np.array(ims)))
+    stop = int(rejected[0]) if len(rejected) else len(rows)
+    for i in np.flatnonzero(~np.isfinite(margins[:stop])).tolist():
+        rows[i] = _decided_row(cfg, rows[i]["re_rho"], rows[i]["im_rho"])
+    if stop < len(rows):
+        # raises the boundary rule's error of the first rejected point
+        catalog.check_boundary_parameter(cfg.scenario, complex(rows[stop]["re_rho"],
+                                                               rows[stop]["im_rho"]))
+    return rows
+
+
 def run_sweep(
     cfg: ScenarioConfig,
     re_axis: tuple[float, float, float],
@@ -644,13 +693,14 @@ def run_sweep(
     sweepable scenario is ``a + rho b``, with ``a`` and ``b`` the vectors of
     the anchor problems at ``rho = 0`` and ``rho = inf``, so each margin is
     the value of one conic whose four coefficients come from four
-    :func:`criteria.decide` calls (:func:`criteria.margin_conic`), and the
-    margins of the whole grid come from one numpy pass over it
-    (:meth:`criteria.MarginConic.on_grid`).  Their low bits differ from those
-    of ``check`` at the same point, which sums in another order.  Every
-    point, in row order, still has the checks of its own boundary parameter
-    (:func:`catalog.check_boundary_parameter`).  The points of a sweep whose
-    anchors fail (a membership, an error, or a half-line span without
+    :func:`criteria.decide` calls (:func:`criteria.margin_conic`, which
+    evaluates the deviation's forms once).  The rows are then built in one
+    pass (:func:`_conic_rows`): the margins and the boundary rule
+    (:func:`catalog.boundary_parameter_rejected`) of the whole grid come from
+    numpy, and the first point in row order that fails decides the error.
+    Their low bits differ from those of ``check`` at the same point, which
+    sums in another order.  The points of a sweep whose anchors fail (a
+    membership, an error, or a half-line span without
     :func:`grid.span_decay_certificate`), and any point where the conic
     overflows, are built and decided one by one, so a failed membership
     writes ``null`` in JSON and an error is that of ``check``.
@@ -668,23 +718,10 @@ def run_sweep(
     res = _axis_points(re_axis, n_re)
     ims = _axis_points(im_axis, n_im)
     conic = _sweep_conic(cfg)
-    margins = iter(conic.on_grid(res, ims).tolist()) if conic is not None else None
-    check = catalog.check_boundary_parameter
-    lowest = -criteria.MARGIN_TOL  # the smallest dissipative margin
-
-    rows = []
-    for re in res:
-        for im in ims:
-            if margins is not None:
-                check(scenario, complex(re, im))
-                margin = next(margins)
-                if math.isfinite(margin):
-                    rows.append({"re_rho": re, "im_rho": im, "margin": margin,
-                                 "dissipative": margin >= lowest})
-                    continue
-            verdict = criteria.decide(build_problem(cfg, rho_override=complex(re, im)))
-            rows.append({"re_rho": re, "im_rho": im, "margin": _jsonable(verdict.margin),
-                         "dissipative": verdict.dissipative})
+    if conic is None:
+        rows = [_decided_row(cfg, re, im) for re in res for im in ims]
+    else:
+        rows = _conic_rows(cfg, conic, res, ims)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,

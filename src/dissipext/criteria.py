@@ -27,6 +27,7 @@ two extensions differ, no criterion applies and the verdict is returned as
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -123,6 +124,36 @@ def _overflow_source(problem: ExtensionProblem | None) -> str:
 # shared evaluation helpers
 
 
+class _Shared:
+    """The deviation-only values of one :func:`margin_conic` call.
+
+    Three of its four :func:`decide` calls carry the same deviation objects
+    (``dataclasses.replace(problem, v=...)`` passes them through), so each
+    such value is computed at the first of them and read at the others,
+    keyed by the identity of the object it is computed from.  ``implied``
+    is set once ``a`` and ``b`` have passed every membership, which the
+    points ``a + rho b`` then pass too.
+    """
+
+    def __init__(self):
+        self.values: dict = {}
+        self.implied = False
+
+    def once(self, source, fn, *args):
+        """``fn(*args)``, evaluated at the first call for ``source``."""
+        key = (fn, id(source))
+        hit = self.values.get(key)
+        if hit is None:
+            # the entry holds ``source``, so that no other object takes its id
+            hit = self.values[key] = (source, fn(*args))
+        return hit[1]
+
+
+#: the :class:`_Shared` of the :func:`margin_conic` call in progress; None
+#: outside one, where each criterion reads it once and computes every value
+_SHARED: ContextVar[_Shared | None] = ContextVar("margin_conic_shared", default=None)
+
+
 def _im_action(problem: ExtensionProblem) -> float:
     """``Im <v, action v>`` for the unbounded part of the maximal action.
 
@@ -176,7 +207,9 @@ def _quarter_inv_form(problem: ExtensionProblem, m: "_Memberships") -> float:
     the gate's value of ``sqrt_scale_inv_form(spec, Lv)`` when it has one."""
     phi = _generator(problem)
     if phi is not None:
-        return 0.25 * forms.friedrichs_form_sq(problem.spec, phi)
+        if m.shared is None:
+            return 0.25 * forms.friedrichs_form_sq(problem.spec, phi)
+        return 0.25 * m.shared.once(phi, forms.friedrichs_form_sq, problem.spec, phi)
     if m.lv is None:
         return 0.0
     if m.inv_form is not None:
@@ -193,15 +226,17 @@ class _Memberships(NamedTuple):
     criterion reads instead of evaluating them again: ``krein_v =
     krein_form_sq(spec, v)`` (None outside ``D_K``), ``lv =
     problem.deviation()`` and ``inv_form = sqrt_scale_inv_form(spec, lv)[0]``
-    (None where the range was not tested)."""
+    (None where the range was not tested); ``shared`` is the :class:`_Shared`
+    of the :func:`margin_conic` call in progress, or None."""
 
     failures: tuple[str, ...]
     krein_v: float | None
     lv: AnalyticFunction | None
     inv_form: float | None
+    shared: _Shared | None
 
 
-def _memberships(problem: ExtensionProblem) -> _Memberships:
+def _memberships(problem: ExtensionProblem, shared: _Shared | None) -> _Memberships:
     failures: list[str] = []
     spec = problem.spec
     try:
@@ -213,21 +248,29 @@ def _memberships(problem: ExtensionProblem) -> _Memberships:
         # the rank-one form squares <phi, v> in float arithmetic, and v is
         # the boundary vector of h; every criterion runs this check first
         raise CatalogError(f"|<phi, v>|^2 overflows for h = {problem.h}") from None
-    lv = problem.deviation()
+    if shared is None:
+        lv = problem.deviation()
+    else:
+        source = problem.phi if problem.lv is None else problem.lv
+        lv = shared.once(source, ExtensionProblem.deviation, problem)
     inv_form = None
     # a deviation V_F phi lies in the range by construction
     if problem.phi is None and lv is not None and lv.terms:
-        inv_form, diverged = forms.sqrt_scale_inv_form(spec, lv)
+        if shared is None:
+            inv_form, diverged = forms.sqrt_scale_inv_form(spec, lv)
+        else:
+            inv_form, diverged = shared.once(lv, forms.sqrt_scale_inv_form, spec, lv)
         if diverged:
             failures.append(FAIL_L_NOT_IN_RANVF)
-    if problem.scenario == "halfline_schrodinger":
+    # D(S*) is a subspace: the points of a conic whose anchors lie in it do too
+    if problem.scenario == "halfline_schrodinger" and (shared is None or not shared.implied):
         try:
             norm_sq(problem.v.derivative().derivative(), 0.0, math.inf)
         except DivergentIntegralError:
             failures.append(FAIL_DOMAIN_NOT_IN_DSSTAR)
         except AnalyticError:
             pass
-    return _Memberships(tuple(failures), krein_v, lv, inv_form)
+    return _Memberships(tuple(failures), krein_v, lv, inv_form, shared)
 
 
 def necessity_checks(problem: ExtensionProblem) -> list[str]:
@@ -237,13 +280,14 @@ def necessity_checks(problem: ExtensionProblem) -> list[str]:
     against the large square-root range, and (bounded scenarios) ``v``
     against the maximal domain of the symmetric part.
     """
-    return list(_memberships(problem).failures)
+    return list(_memberships(problem, None).failures)
 
 
-def _gate(problem: ExtensionProblem, criterion: str) -> tuple[Verdict | None, _Memberships]:
+def _gate(problem: ExtensionProblem, criterion: str,
+          shared: _Shared | None) -> tuple[Verdict | None, _Memberships]:
     """The failure verdict of the memberships (None when all pass), and the
     memberships with their values."""
-    m = _memberships(problem)
+    m = _memberships(problem, shared)
     failures = m.failures
     if not failures:
         return None, m
@@ -278,7 +322,7 @@ def verdict_strict_pos(problem: ExtensionProblem) -> Verdict:
     """
     if not (problem.spec.strict_lower_bound > 0.0):
         raise CriteriaError("criterion needs a strictly positive imaginary part")
-    gate, m = _gate(problem, CRITERION_STRICT_POS)
+    gate, m = _gate(problem, CRITERION_STRICT_POS, _SHARED.get())
     if gate is not None:
         return gate
     lhs = _im_action(problem)
@@ -298,7 +342,7 @@ def verdict_unique_ext(problem: ExtensionProblem) -> Verdict:
     """
     if not problem.spec.friedrichs_equals_krein:
         raise CriteriaError("criterion needs coinciding extensions")
-    gate, m = _gate(problem, CRITERION_UNIQUE_EXT)
+    gate, m = _gate(problem, CRITERION_UNIQUE_EXT, _SHARED.get())
     if gate is not None:
         return gate
     lhs = _im_action(problem)
@@ -315,13 +359,15 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
     pert = problem.perturbation
     if pert is None:
         raise CriteriaError("criterion needs a bounded perturbation")
-    end = problem.grid.right_endpoint
-    multiplication = isinstance(pert, MultiplicationPerturbation)
-    if multiplication and forms.support_violation(pert.v, pert.k, end):
-        raise SupportViolationError(
-            "deviation carries mass outside the multiplier support"
-        )
-    gate, m = _gate(problem, CRITERION_BOUNDED_V)
+    end, shared = problem.grid.right_endpoint, _SHARED.get()
+    if isinstance(pert, MultiplicationPerturbation):
+        if shared is None:
+            off = forms.support_violation(pert.v, pert.k, end)
+        else:
+            off = shared.once(pert, forms.support_violation, pert.v, pert.k, end)
+        if off:
+            raise SupportViolationError("deviation carries mass outside the multiplier support")
+    gate, m = _gate(problem, CRITERION_BOUNDED_V, shared)
     if gate is not None:
         return gate
     lhs = _im_action(problem)
@@ -370,7 +416,7 @@ def verdict_general(problem: ExtensionProblem, basis_dim: int = 24) -> Verdict:
 def _master_verdict(problem: ExtensionProblem, criterion: str) -> Verdict:
     """``general_lhs`` against ``(1/4)||V_F^{-1/2} Lv||^2 + ||V_K^{1/2} v||^2 -
     Im K(phi, v)`` with ``Lv = V_F phi``."""
-    gate, m = _gate(problem, criterion)
+    gate, m = _gate(problem, criterion, _SHARED.get())
     if gate is not None:
         return gate
     spec, v, lv = problem.spec, problem.v, m.lv
@@ -465,12 +511,26 @@ def margin_conic(problem: ExtensionProblem, at_inf: ExtensionProblem) -> MarginC
     ``c_im`` are the margins at ``a + b`` and ``a + i b`` less ``c0 + c2``.
     The memberships are subspaces (``D_K``, ``D(S*)``) or do not depend on
     ``v`` (``ran V_F``), so when ``a`` and ``b`` pass, every point passes.
+
+    The decides at ``a``, ``a + b`` and ``a + i b`` carry one deviation, so
+    each deviation-only value that a catalog problem reaches (``Lv``, the
+    ``ran V_F`` test and its form ``||V_F^{-1/2} Lv||^2``,
+    ``||V_F^{1/2} phi||^2`` and the support test of ``k``) is evaluated at
+    the first of them and read at the others (:class:`_Shared`), and the
+    decides at ``a + b`` and ``a + i b`` skip the ``D(S*)`` test that ``a``
+    and ``b`` imply.  Those values live for this call only.
     """
     a, b = problem.v, at_inf.v
-    c0 = decide(problem).margin
-    c2 = _margin_at(problem.without_deviation(), b)
-    if math.isnan(c0) or math.isnan(c2):
-        return None
-    c_re = _margin_at(problem, a + b) - c0 - c2
-    c_im = _margin_at(problem, a + 1j * b) - c0 - c2
+    shared = _Shared()
+    token = _SHARED.set(shared)
+    try:
+        c0 = decide(problem).margin
+        c2 = _margin_at(problem.without_deviation(), b)
+        if math.isnan(c0) or math.isnan(c2):
+            return None
+        shared.implied = True
+        c_re = _margin_at(problem, a + b) - c0 - c2
+        c_im = _margin_at(problem, a + 1j * b) - c0 - c2
+    finally:
+        _SHARED.reset(token)
     return MarginConic(c0, c_re, c_im, c2)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "BandPencil",
     "pencil_extreme",
     "rounding_floor",
+    "unit_scaled",
 ]
 
 _EPS = np.finfo(float).eps
@@ -494,6 +495,29 @@ def _scale(h: BandBorder, g: BandBorder, structure: PencilStructure) -> float:
     return big / float(np.min(g.diagonal())) or 1.0
 
 
+def unit_scaled(h: BandBorder, structure: PencilStructure) -> tuple[int, BandBorder, PencilStructure]:
+    """``(k, 2^-k h, structure)`` with the rank-one ``alpha`` scaled alike.
+
+    ``2^k`` is the power of two (:func:`math.frexp`) of the largest entry of
+    ``H``, within a factor 8 for the rank-one term, whose entries are not
+    formed; ``|k| <= 1022``, where ``2^-k`` is a normal float.  Float
+    arithmetic commutes exactly with the scaling wherever nothing under- or
+    overflows.
+    """
+    k = math.frexp(h.max_abs())[1]
+    if structure.rank_one is not None:
+        alpha, q = structure.rank_one
+        k = max(k, math.frexp(alpha)[1] + 2 * math.frexp(float(np.max(np.abs(q))))[1])
+    k = min(max(k, -1022), 1022)
+    if not k:
+        return 0, h, structure
+    unit = 2.0 ** -k
+    h = BandBorder(*(unit * part for part in h.parts))
+    if structure.rank_one is not None:
+        structure = replace(structure, rank_one=(unit * alpha, q))
+    return k, h, structure
+
+
 def rounding_floor(h: BandBorder, g: BandBorder, structure: PencilStructure | None = None) -> float:
     """The absolute part of the bracket :func:`pencil_extreme` certifies,
     ``64 eps max |H| / min G_ii``: it does not tell apart eigenvalues of the
@@ -540,20 +564,32 @@ def pencil_extreme(
        rounding floor, the Rayleigh quotient is returned with ``x``,
        ``G``-normalized.
 
-    :class:`EigenError` on non-finite entries, and as soon as a shift, the
-    iterate's norm, ``mu`` or ``rho`` leaves the float range, as they do
-    on entries near ``1e300``: steps 1 to 3 would not end there.
+    The steps run on ``2^-k H``, with ``2^k`` the power of two of ``H``'s
+    largest entry (:func:`unit_scaled`), and on the guess scaled alike; the
+    minimum is scaled back.  Float arithmetic commutes exactly with a power
+    of two where nothing under- or overflows, so an ordinary pencil gives
+    the bits it gives unscaled, and a pencil whose entries are only scaled
+    (near ``1e300`` or ``1e-300``) gives its scaled minimum.
+
+    :class:`EigenError` on non-finite entries, on a minimum outside the
+    float range, and as soon as a shift, the iterate's norm, ``mu`` or
+    ``rho`` leaves the float range: steps 1 to 3 would not end there.
     """
     if structure is None:
         structure = PencilStructure()
     finite = h.is_finite() and g.is_finite()
-    hdiag = h.diagonal()
     if structure.rank_one is not None:
         alpha, q = structure.rank_one
         finite = finite and math.isfinite(alpha) and bool(np.all(np.isfinite(q)))
-        hdiag = hdiag + alpha * np.abs(q) ** 2
     if not finite:
         raise EigenError("pencil has non-finite entries")
+    k, h, structure = unit_scaled(h, structure)
+    if guess is not None:
+        guess = (math.ldexp(guess[0], -k), math.ldexp(guess[1], -k))
+    hdiag = h.diagonal()
+    if structure.rank_one is not None:
+        alpha, q = structure.rank_one
+        hdiag = hdiag + alpha * np.abs(q) ** 2
     pencil = BandPencil(h, g, structure)
     hi = float(np.min(hdiag / g.diagonal()))
     scale = _scale(h, g, structure)
@@ -611,4 +647,4 @@ def pencil_extreme(
             else:
                 lo, solve = sigma, at_sigma
         width = hi - lo
-    return mu, x / math.sqrt(xgx)
+    return _finite(mu * 2.0 ** k, "minimum"), x / math.sqrt(xgx)

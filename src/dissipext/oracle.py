@@ -379,10 +379,13 @@ def pencil_min_eig(
         mu, x = eigenh.pencil_extreme(h, g, structure, guess=guess)
     except eigenh.NotPositiveDefiniteError as exc:
         raise OracleError(f"Gram matrix not positive definite: {exc}") from None
+    # checked on 2^-k H (eigenh.unit_scaled), which decides as H does but
+    # keeps ||H|| and the residual's square in the float range
+    k, h, structure = eigenh.unit_scaled(h, structure)
     hnorm = _inf_norm(h, structure)
-    resid = float(np.linalg.norm(structure.matvec(h, x) - mu * g.matvec(x)))
+    resid = float(np.linalg.norm(structure.matvec(h, x) - math.ldexp(mu, -k) * g.matvec(x)))
     if hnorm > 0 and resid > 1e-9 * hnorm * float(np.linalg.norm(x)):
-        raise OracleError(f"pencil residual {resid:.2e} out of tolerance")
+        raise OracleError(f"pencil residual {resid * 2.0 ** k:.2e} out of tolerance")
     return mu, x
 
 

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -10,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 import dissipext
 from dissipext import catalog, cli_io, criteria, eigenh, forms, oracle
 from dissipext.analytic import Term, exponential
+from dissipext.grid import span_decay_certificate
 from reference.margins import shirley_margin_exact
 
 
@@ -74,6 +77,18 @@ def test_expression_errors_carry_positions():
         cli_io.parse_expression("sin(x)")
     with pytest.raises(cli_io.ExpressionError):
         cli_io.parse_expression("x^2 +")
+
+
+@pytest.mark.parametrize("src, pos", [("1.2.3", 0), ("x^1..5", 2), ("indicator(0,1.1.1)", 12),
+                                      ("²", 0), ("2²*x", 0), ("1+1.2.3i", 2)])
+def test_malformed_numbers_are_expression_errors(src, pos):
+    # float() refused these after the tokenizer took them for numbers, and
+    # the ValueError ended `check` in a traceback with exit 1
+    with pytest.raises(cli_io.ExpressionError, match="malformed number") as err:
+        cli_io.parse_expression(src)
+    assert err.value.pos == pos
+    # a decimal digit of another script is a number
+    assert cli_io.parse_complex("٣") == 3.0
 
 
 def test_parse_complex_values():
@@ -822,14 +837,18 @@ def test_sweep_refuses_grids_it_cannot_list(re, im, count, tmp_path, capsys, dea
 @pytest.mark.parametrize("alpha", ["1e200", "1e308"])
 def test_oracle_ends_on_rank_one_strength_near_float_range(alpha, tmp_path, capsys, deadline):
     # the inverse iteration spun on NaN vectors (1e200) and the downward walk
-    # never reached a count of 0 (1e308)
+    # never reached a count of 0 (1e308); the pencil solver and the residual
+    # check now run on H scaled to unit size, and the ladder ends with
+    # finite infima and no overflow warning
     cfg = tmp_path / "a.cfg"
     cfg.write_text(RANK_ONE_ALPHA_CFG.format(alpha))
-    with deadline(30.0):
+    with deadline(30.0), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli_io.main(["oracle", "--config", str(cfg), "--meshes", "16,32,64"])
-    out = capsys.readouterr().out
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "EigenError"
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err == ""
+    assert all(math.isfinite(mu) for mu in json.loads(captured.out)["infima"])
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
@@ -853,6 +872,165 @@ def test_sweep_decides_a_fixed_number_of_points(case, monkeypatch):
         assert len(payload["rows"]) == round(2.0 / step + 1) ** 2
         counts.append(len(calls))
     assert counts == [4, 4]
+
+
+def _reference_conic(cfg) -> criteria.MarginConic | None:
+    """The conic of ``cli_io._sweep_conic`` from four lone decides, which
+    share nothing; None where the sweep has no conic."""
+    try:
+        at_zero = cli_io.build_problem(cfg, rho_override=0j)
+        at_inf = cli_io.build_problem(cfg, rho_override=catalog.RHO_INF)
+        a, b, grid = at_zero.v, at_inf.v, at_zero.grid
+        if grid.is_halfline and not span_decay_certificate((a, b), grid.length):
+            return None
+        c0 = criteria.decide(at_zero).margin
+        c2 = criteria.decide(dataclasses.replace(at_zero.without_deviation(), v=b)).margin
+        if math.isnan(c0) or math.isnan(c2):
+            return None
+        c_re = criteria.decide(dataclasses.replace(at_zero, v=a + b)).margin - c0 - c2
+        c_im = criteria.decide(dataclasses.replace(at_zero, v=a + 1j * b)).margin - c0 - c2
+    except cli_io._LIBRARY_ERRORS:
+        return None
+    return criteria.MarginConic(c0, c_re, c_im, c2)
+
+
+def _reference_sweep(cfg, re_axis, im_axis) -> dict:
+    """``run_sweep`` as a loop over the points, the way it computed its rows
+    before they came in one pass: in row order each point's boundary check,
+    the conic's value, and its own build and decide where that value is not
+    finite."""
+    res = cli_io._axis_points(re_axis, cli_io._axis_count(re_axis))
+    ims = cli_io._axis_points(im_axis, cli_io._axis_count(im_axis))
+    conic = _reference_conic(cfg)
+    margins = iter(conic.on_grid(res, ims).tolist()) if conic is not None else None
+    rows = []
+    for re_ in res:
+        for im in ims:
+            if margins is not None:
+                catalog.check_boundary_parameter(cfg.scenario, complex(re_, im))
+                margin = next(margins)
+                if math.isfinite(margin):
+                    rows.append({"re_rho": re_, "im_rho": im, "margin": margin,
+                                 "dissipative": margin >= -criteria.MARGIN_TOL})
+                    continue
+            verdict = _decide_at(cfg, complex(re_, im))
+            rows.append({"re_rho": re_, "im_rho": im, "margin": cli_io._jsonable(verdict.margin),
+                         "dissipative": verdict.dissipative})
+    return {
+        "schema_version": cli_io.SCHEMA_VERSION,
+        "tool_version": cli_io.TOOL_VERSION,
+        "scenario": cfg.scenario,
+        "parameters": {k: v for s, k, v in cfg.params if s == "scenario" and k != "name"},
+        "axes": {"re": list(re_axis), "im": list(im_axis)},
+        "rows": rows,
+    }
+
+
+#: (re axis, im axis) of run_sweep, which takes a descending axis as it is
+EDGE_GRIDS = {
+    "im_negative_first": ((-1.0, 1.0, 1.0), (-1.0, 1.0, 1.0)),
+    "im_negative_middle": ((-1.0, 1.0, 1.0), (1.0, -1.0, -0.5)),
+    "im_negative_last": ((0.0, 1.0, 1.0), (1.0, -0.5, -0.5)),
+    "overflow_1e155": ((1e155, 2e155, 1e155), (0.0, 1e155, 1e155)),
+    "overflow_1e200": ((-1e200, 1e200, 1e200), (0.0, 1e200, 1e200)),
+    # the point at im = 1 overflows and goes to its own decide before the
+    # point at im = -1 fails its boundary check, and the other way round,
+    # where |rho|^2 is finite at im = -1 only
+    "fallback_then_boundary": ((1e200, 1e200, 1.0), (1.0, -1.0, -2.0)),
+    "boundary_then_fallback": ((1e154, 1e154, 1.0), (-1.0, 1e155, 1e155)),
+}
+#: the multiplication config, and one whose k lies outside ran V_F at the
+#: edge zero of V, so that an anchor fails a membership and the conic is None
+EDGE_CASES = {**{case: text for case, (text, _) in SWEEP_CASES.items()},
+              "edge_zero_v": _multiplication("9i", "(1-x)*indicator(0,1)", "indicator(0,1)")}
+
+
+def _outcome(run, *args) -> str:
+    """``json.dumps`` of the payload, or the type and text of the error."""
+    try:
+        return json.dumps(run(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("grid", sorted(EDGE_GRIDS))
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_sweep_payload_equals_per_point_reference(case, grid):
+    # the rows built in one pass, with the boundary rule applied to the
+    # whole grid, are those of the loop, and the first point in row order
+    # that fails decides the error
+    cfg = cli_io.parse_config(EDGE_CASES[case])
+    axes = EDGE_GRIDS[grid]
+    expect = _outcome(_reference_sweep, cfg, *axes)
+    assert _outcome(cli_io.run_sweep, cfg, *axes) == expect
+
+
+def test_edge_grids_reach_each_path():
+    # the grids above put every path of the reference to work
+    def outcome(case, grid):
+        return _outcome(_reference_sweep, cli_io.parse_config(EDGE_CASES[case]), *EDGE_GRIDS[grid])
+
+    boundary = "CatalogError: Im h < 0 is not a dissipative boundary condition"
+    for grid in ("im_negative_first", "im_negative_middle", "im_negative_last",
+                 "boundary_then_fallback"):
+        assert outcome("rank_one", grid) == boundary
+    assert outcome("rank_one", "fallback_then_boundary") == (
+        "CatalogError: |<phi, v>|^2 overflows for h = (1e+200+1j)")
+    conic = cli_io._sweep_conic(cli_io.parse_config(EDGE_CASES["rank_one"]))
+    assert [math.isfinite(m) for m in conic.on_grid([1e154], [-1.0, 1e155])] == [True, False]
+    with pytest.raises(catalog.CatalogError, match="overflows"):
+        _decide_at(cli_io.parse_config(EDGE_CASES["rank_one"]), complex(1e154, 1e155))
+    # the multiplication fallback at 1e200 + 1i decides, and the next point fails
+    assert outcome("multiplication", "fallback_then_boundary") == boundary
+    # an anchor outside ran V_F: no conic, and every point fails alike
+    assert cli_io._sweep_conic(cli_io.parse_config(EDGE_CASES["edge_zero_v"])) is None
+    rows = json.loads(outcome("edge_zero_v", "overflow_1e155"))["rows"]
+    assert len(rows) == 4 and all(row["margin"] is None for row in rows)
+    # the conic overflows at 1e200 i, where the point's own decide gives a margin
+    conic = cli_io._sweep_conic(cli_io.parse_config(EDGE_CASES["multiplication"]))
+    assert not math.isfinite(conic.on_grid([0.0], [1e200])[0])
+    rows = json.loads(outcome("multiplication", "overflow_1e200"))["rows"]
+    assert len(rows) == 6 and all(isinstance(row["margin"], float) for row in rows)
+    assert outcome("potsdam_ix", "overflow_1e155").startswith("CriteriaError: ran_vf_5_1")
+
+
+#: the forms whose argument can be the deviation, the one part of a
+#: margin_conic's four decides that does not move with v
+_DEVIATION_FORMS = ("friedrichs_form_sq", "sqrt_scale_inv_form", "mult_inverse_norm_sq",
+                    "support_violation", "vf_solve")
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_evaluates_the_deviations_forms_once(case, monkeypatch):
+    # margin_conic evaluates each form of the deviation (phi, Lv or k) at
+    # the first of its decides and reads it at the others, and keeps
+    # nothing past its call: the same sweep again counts the same
+    cfg = cli_io.parse_config(SWEEP_CASES[case][0])
+    anchor = cli_io.build_problem(cfg, rho_override=0j)
+    deviation = {fn.terms for fn in (anchor.phi, anchor.deviation(),
+                                     getattr(anchor.perturbation, "k", None))
+                 if fn is not None and fn.terms}
+    calls = {}
+
+    def counted(name):
+        inner = getattr(forms, name)
+
+        def wrapper(*args, **kwargs):
+            if any(getattr(arg, "terms", None) in deviation for arg in args):
+                calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(forms, name, wrapper)
+
+    for name in _DEVIATION_FORMS:
+        counted(name)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        cli_io.run_sweep(cfg, (-1.0, 1.0, 0.5), (0.0, 2.0, 0.5))
+        counts.append(dict(calls))
+    assert counts[0] and set(counts[0].values()) == {1}, counts[0]
+    assert counts[1] == counts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1098,6 +1276,85 @@ def test_config_fields_exit_0_1_or_2(field, data, tmp_path_factory):
         at = re.search(r"\(line (\d+), col (\d+)\)$", err.getvalue())
         if at and int(at[1]) == lineno:
             assert int(at[2]) == len(f"{key} = ") + 1
+
+
+_SPACE = st.sampled_from(["", " ", "\t", "  ", " \t"])
+#: values of every reader, malformed ones, and text no reader takes
+_GRAMMAR_VALUES = [*_VALID, *_MALFORMED, *_EXTREME, "x²", "²", "２", "٣", "é*x", "1.2.3", "x^1..5",
+                   "0.5 # note", "∞", ""]
+#: a drawn value, or a string of the expression grammar's characters and
+#: of characters it does not know
+_GRAMMAR_VALUE = st.one_of(st.sampled_from(_GRAMMAR_VALUES),
+                           st.text("0123456789.eEi+-*^(),x ²٣é∞\t", min_size=1, max_size=8))
+_GRAMMAR_LINE = st.one_of(
+    # key = value, of a known or an unknown key, spaced with blanks and tabs
+    st.builds("{}{}{}={}{}".format, _SPACE,
+              st.sampled_from(sorted({k for _, k in cli_io._KEYS} | {"foo", "ñame", "Gamma"})),
+              _SPACE, _SPACE, _GRAMMAR_VALUE),
+    # a section header, known or not
+    st.builds("{}[{}]{}".format, _SPACE,
+              st.sampled_from([*sorted(cli_io._SECTIONS), "unknown", "Scenario", " grid ", "ñ", ""]),
+              _SPACE),
+    # comments, blank lines, a line without =, an empty value, broken headers
+    st.sampled_from(["", "   ", "\t", "# comment", "  # ünïcödé", "gamma 2", "= 2", "gamma =",
+                     "rho = # a comment", "名前 = 値", "[scenario", "scenario]", "\ufeff[scenario]"]),
+)
+
+
+def _respaced(line: str, space: str, note: str) -> str:
+    """``line`` with ``space`` around its first ``=`` and before it, and the
+    comment ``note`` after it."""
+    key, eq, value = line.partition("=")
+    body = f"{key.strip()}{space}{eq}{space}{value.strip()}" if eq else line
+    return f"{space}{body}{note}"
+
+
+@st.composite
+def _config_texts(draw) -> str:
+    """A config of the grammar: a known config's lines, respaced with blanks
+    and tabs, commented, given other values, or with lines inserted,
+    replaced, deleted or repeated (a repeated header or key), joined by LF
+    or CRLF."""
+    lines = draw(st.sampled_from(sorted(PARSE_CASES.values()))).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["respace", "revalue", "revalue", "insert", "replace", "delete",
+                                   "repeat"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            lines.insert(i + draw(st.integers(0, 1)), draw(_GRAMMAR_LINE))
+        elif op == "revalue":
+            key, eq, _ = lines[i].partition("=")
+            lines[i] = f"{key}{eq or ' = '}{draw(_SPACE)}{draw(_GRAMMAR_VALUE)}"
+        elif op == "respace":
+            note = draw(st.sampled_from(["", " # note", "\t# ünïcödé", "#"]))
+            lines[i] = _respaced(lines[i], draw(_SPACE), note)
+        elif op == "replace":
+            lines[i] = draw(_GRAMMAR_LINE)
+        elif op == "delete":
+            del lines[i]
+        else:
+            lines.insert(draw(st.integers(i, len(lines))), lines[i])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol
+
+
+@pytest.mark.parametrize("command", [["check"], ["sweep", "--re=-1:1:1", "--im=0:1:0.5"],
+                                     ["oracle", "--meshes", "16,32"]],
+                         ids=["check", "sweep", "oracle"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(text=_config_texts())
+def test_config_grammar_exit_0_1_or_2(command, text, tmp_path_factory):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "grammar.cfg"
+    path.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_io.main([command[0], "--config", str(path), "--out", str(base / "grammar.out"),
+                            *command[1:]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if err.getvalue().startswith("config error"):
+        assert re.search(r"\(line \d+, col \d+\)$", err.getvalue().rstrip("\n")), err.getvalue()
 
 
 _RANK_ONE_PHI = exponential(math.sqrt(2.0), -1.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,18 +129,30 @@ def test_band_border_parts_match_dense():
     assert all(np.allclose(u, v, rtol=0, atol=1e-14) for u, v in zip(r.parts, pattern.parts))
 
 
-@pytest.mark.parametrize("rank_one", [False, True])
-def test_pencil_guess_keeps_the_certified_minimum(rank_one):
-    # a guess only moves where the downward walk starts
+def _guess_pencil(rank_one):
+    """A 41x41 band-plus-border pencil: ``(h0, g, rank-one (alpha, q) or
+    None, the dense H)``."""
     rng = np.random.default_rng(30)
     n, p, m = 40, 3, 1
     h0 = _band_border(rng, n, p, m, dominant=False)
     g = _band_border(rng, n, p, m, dominant=True)
-    h, structure = h0, eigenh.PencilStructure()
-    if rank_one:
-        q = rng.standard_normal(n + m) + 1j * rng.standard_normal(n + m)
-        h, structure = h0 + 1.5 * np.outer(q, q.conj()), eigenh.PencilStructure((1.5, q))
-    hp, gp = (band_border(a, p, m) for a in (h0, g))
+    if not rank_one:
+        return h0, g, None, h0
+    q = rng.standard_normal(n + m) + 1j * rng.standard_normal(n + m)
+    return h0, g, (1.5, q), h0 + 1.5 * np.outer(q, q.conj())
+
+
+def _scaled(h0, g, rank_one, c):
+    """The parts of ``c H`` and ``G`` with their structure."""
+    structure = eigenh.PencilStructure(None if rank_one is None else (c * rank_one[0], rank_one[1]))
+    return band_border(c * h0, 3, 1), band_border(g, 3, 1), structure
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+def test_pencil_guess_keeps_the_certified_minimum(rank_one):
+    # a guess only moves where the downward walk starts
+    h0, g, term, h = _guess_pencil(rank_one)
+    hp, gp, structure = _scaled(h0, g, term, 1.0)
     lam, _ = eigenh.pencil_extreme(hp, gp, structure)
     assert abs(lam - pencil_eigh(h, g)[0][0]) <= 1e-10 * abs(lam)
     guesses = [(lam + 100.0, 1.0), (lam + 100.0, 200.0), (lam - 100.0, 1.0), (lam, 1e-3), (lam, 0.0)]
@@ -147,6 +161,34 @@ def test_pencil_guess_keeps_the_certified_minimum(rank_one):
         assert abs(mu - lam) <= 2e-12 * abs(lam), guess
         resid = np.linalg.norm(h @ x - mu * (g @ x))
         assert resid <= 1e-9 * np.linalg.norm(h, np.inf) * np.linalg.norm(x), guess
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_scaled_pencil_gives_its_scaled_minimum(rank_one, c):
+    # the solver walks on H scaled by a power of two to unit size: a pencil
+    # that is only scaled gives its scaled minimum (1e200 raised EigenError
+    # on an iterate norm that underflowed), with or without a scaled guess
+    h0, g, term, h = _guess_pencil(rank_one)
+    lam = pencil_eigh(h, g)[0][0]
+    hp, gp, structure = _scaled(h0, g, term, c)
+    for guess in (None, (c * (lam + 1.0), c * 0.5)):
+        mu, x = eigenh.pencil_extreme(hp, gp, structure, guess=guess)
+        assert abs(mu - c * lam) <= 2e-12 * abs(c * lam), guess
+        resid = np.linalg.norm(h @ x - (mu / c) * (g @ x))
+        assert resid <= 1e-9 * np.linalg.norm(h, np.inf) * np.linalg.norm(x), guess
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+def test_power_of_two_scaling_keeps_every_bit(rank_one):
+    # float arithmetic commutes exactly with a power of two, so the minimum
+    # of 2^j H is 2^j times that of H, bit for bit, and the vector is H's
+    h0, g, term, _ = _guess_pencil(rank_one)
+    lam, x = eigenh.pencil_extreme(*_scaled(h0, g, term, 1.0))
+    for j in (-600, -37, 1, 500):
+        mu, y = eigenh.pencil_extreme(*_scaled(h0, g, term, 2.0 ** j))
+        assert mu == math.ldexp(lam, j)
+        assert np.array_equal(x, y)
 
 
 def test_ldl_pivots_match_cholesky():
@@ -188,18 +230,20 @@ def test_pencil_rejects_non_finite_entries():
 def test_pencil_with_entries_near_the_float_range_ends(rank_one, deadline):
     # entries of about 1e300 made the inverse iteration divide by a norm
     # that underflows to 0 and spin on NaN vectors, and the downward walk
-    # of diag(-1e308, 1e308) overflows to a shift of -inf and never ends
-    rng = np.random.default_rng(30)
-    n, p, m = 40, 3, 1
-    h0 = _band_border(rng, n, p, m, dominant=False)
-    g = band_border(_band_border(rng, n, p, m, dominant=True), p, m)
-    structure = eigenh.PencilStructure()
+    # of diag(-1e308, 1e308) overflowed to a shift of -inf and never ended;
+    # on H scaled to unit size both end with their minimum, and only a
+    # minimum outside the float range is an EigenError
+    h0, g, term, h = _guess_pencil(rank_one)
     if rank_one:
-        q = rng.standard_normal(n + m) + 1j * rng.standard_normal(n + m)
-        structure = eigenh.PencilStructure((1e300, q))
-    pencils = [(band_border(1e300 * h0, p, m), g, structure),
-               (band_border(np.diag([-1e308, 1e308])), band_border(np.eye(2)),
-                eigenh.PencilStructure())]
-    for h, gp, pattern in pencils:
-        with deadline(10.0), pytest.raises(eigenh.EigenError, match="pencil_extreme"):
-            eigenh.pencil_extreme(h, gp, pattern)
+        term = (1.0, term[1])
+        h = h0 + np.outer(term[1], term[1].conj())
+    pencils = [(_scaled(h0, g, term, 1e300), 1e300 * pencil_eigh(h, g)[0][0]),
+               ((band_border(np.diag([-1e308, 1e308])), band_border(np.eye(2)),
+                 eigenh.PencilStructure()), -1e308)]
+    for parts, expect in pencils:
+        with deadline(10.0):
+            mu, _ = eigenh.pencil_extreme(*parts)
+        assert abs(mu - expect) <= 2e-12 * abs(expect)
+    # G = I/4 puts the minimum at -4e308
+    with deadline(10.0), pytest.raises(eigenh.EigenError, match="pencil_extreme: non-finite minimum"):
+        eigenh.pencil_extreme(band_border(np.diag([-1e308, 1e308])), band_border(0.25 * np.eye(2)))
