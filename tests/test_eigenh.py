@@ -142,9 +142,10 @@ def _guess_pencil(rank_one):
     return h0, g, (1.5, q), h0 + 1.5 * np.outer(q, q.conj())
 
 
-def _scaled(h0, g, rank_one, c):
-    """The parts of ``c H`` and ``G`` with their structure."""
-    structure = eigenh.PencilStructure(None if rank_one is None else (c * rank_one[0], rank_one[1]))
+def _scaled(h0, g, term, c):
+    """The parts of ``c H`` and ``G`` with their structure; ``term`` is the
+    rank-one ``(alpha, q)`` of ``H`` or None."""
+    structure = eigenh.PencilStructure(None if term is None else (c * term[0], term[1]))
     return band_border(c * h0, 3, 1), band_border(g, 3, 1), structure
 
 
