@@ -358,7 +358,8 @@ def build_halfline_schrodinger(
     condition, whose imaginary part counts as 0); for negative imaginary
     part no bounded non-negative imaginary part can restore dissipativity,
     so such inputs are rejected outright.  A rank-one direction ``phi`` is
-    normalized; one of norm 0 or of infinite norm is refused.
+    normalized; one of norm 0, of infinite norm or not square-integrable is
+    refused.
     """
     check_parameter("halfline_schrodinger", "h", h)
     grid = make_grid("halfline", length=r)
@@ -367,7 +368,10 @@ def build_halfline_schrodinger(
         raise CatalogError("boundary vector has not decayed by the truncation radius")
     if isinstance(perturbation, RankOnePerturbation):
         check_parameter("halfline_schrodinger", "alpha", perturbation.alpha)
-        nrm = math.sqrt(norm_sq(perturbation.phi, 0.0, grid.right_endpoint))
+        try:
+            nrm = math.sqrt(norm_sq(perturbation.phi, 0.0, grid.right_endpoint))
+        except DivergentIntegralError as exc:
+            raise CatalogError(f"rank-one direction phi must be square-integrable: {exc}") from None
         if not 0.0 < nrm < math.inf:
             raise CatalogError(f"rank-one direction phi needs a finite non-zero norm, got {nrm!r}")
         if abs(nrm - 1.0) > 1e-10:

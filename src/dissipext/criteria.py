@@ -210,11 +210,8 @@ def _quarter_inv_form(problem: ExtensionProblem, m: "_Memberships") -> float:
         if m.shared is None:
             return 0.25 * forms.friedrichs_form_sq(problem.spec, phi)
         return 0.25 * m.shared.once(phi, forms.friedrichs_form_sq, problem.spec, phi)
-    if m.lv is None:
-        return 0.0
-    if m.inv_form is not None:
-        return 0.25 * m.inv_form
-    return 0.25 * forms.sqrt_scale_inv_form(problem.spec, m.lv)[0]
+    # the gate tests every deviation with terms: without one the form is 0
+    return 0.0 if m.inv_form is None else 0.25 * m.inv_form
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +368,10 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
     if gate is not None:
         return gate
     lhs = _im_action(problem)
-    spec = problem.spec
     if isinstance(pert, RankOnePerturbation):
         rhs = 0.25 * abs(pert.lam) ** 2 / pert.alpha
-    elif m.inv_form is not None and spec.weight is pert.v and m.lv is pert.k and spec.end == end:
-        # the gate's sqrt_scale_inv_form(spec, lv) was this very call
-        rhs = 0.25 * m.inv_form
     else:
-        rhs = 0.25 * forms.mult_inverse_norm_sq(pert.v, pert.k, end)
+        rhs = _quarter_inv_form(problem, m)
     return Verdict.from_sides(CRITERION_BOUNDED_V, lhs, rhs, problem)
 
 

@@ -4,10 +4,12 @@ Minimal eigenpair of ``H x = lam G x`` (``H`` Hermitian, ``G`` Hermitian
 positive definite) on a band-plus-border pattern, the oracle's solver
 (:func:`pencil_extreme`):
 
-1. Both matrices are held as :class:`BandBorder` parts: the lower band of
-   the leading block, of half-bandwidth at most 3, the dense border rows
-   and the corner, ``O(N)`` numbers.  Each part keeps its dtype; the
-   oracle's bands are real.
+1. The pencil is one :class:`Pencil` record.  Both matrices are held as
+   :class:`BandBorder` parts: the lower band of the leading block, of
+   half-bandwidth at most 3, the dense border rows and the corner, ``O(N)``
+   numbers.  Each part keeps its dtype; the oracle's bands are real.  The
+   record adds ``H``'s rank-one term and ``G``'s factor when the caller has
+   one.
 2. One ``L D L^H`` kernel without pivoting (:func:`_ldl`) factors
    ``H - sigma G`` on those parts.  Its core step is written out for
    half-bandwidth 3 and carries the entries it still updates in local
@@ -51,7 +53,7 @@ __all__ = [
     "EigenError",
     "NotPositiveDefiniteError",
     "BandBorder",
-    "PencilStructure",
+    "Pencil",
     "GramFactor",
     "band_factor",
     "BandPencil",
@@ -179,22 +181,28 @@ class BandBorder:
 
 
 @dataclass(frozen=True, eq=False)
-class PencilStructure:
-    """What a Hermitian pencil ``H x = lam G x`` has besides its parts.
+class Pencil:
+    """The Hermitian pencil ``H x = lam G x`` on one band-plus-border pattern.
 
-    ``H`` is its :class:`BandBorder` parts plus the dense term
-    ``alpha q q^H`` when ``rank_one = (alpha, q)`` (``alpha`` real and
-    non-zero, ``q`` of length ``N``); the parts never hold that term.
-    ``gram`` is ``G``'s :class:`GramFactor` when the caller has factored it
-    already; :class:`BandPencil` then does not factor ``G`` again.
+    ``h`` and ``g`` are the :class:`BandBorder` parts of ``H`` and ``G``.
+    ``H`` is ``h`` plus the dense term ``alpha q q^H`` when
+    ``rank_one = (alpha, q)`` (``alpha`` real and non-zero, ``q`` of length
+    ``N``); the parts never hold that term.  ``g_factor`` is ``G``'s
+    :class:`GramFactor` when the caller has factored it already;
+    :class:`BandPencil` then does not factor ``G`` again.  ``len()`` is ``N``.
     """
 
+    h: BandBorder
+    g: BandBorder
     rank_one: tuple[float, np.ndarray] | None = None
-    gram: GramFactor | None = None
+    g_factor: GramFactor | None = None
 
-    def matvec(self, h: BandBorder, x: np.ndarray) -> np.ndarray:
-        """``H x`` for the parts ``h`` plus the rank-one term."""
-        y = h.matvec(x)
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def h_matvec(self, x: np.ndarray) -> np.ndarray:
+        """``H x``: the parts' product plus the rank-one term."""
+        y = self.h.matvec(x)
         if self.rank_one is not None:
             alpha, q = self.rank_one
             y += alpha * q * np.vdot(q, x)
@@ -430,27 +438,26 @@ class GramFactor:
 class BandPencil:
     """``H - sigma G`` of a band-plus-border pencil, factored per shift.
 
-    ``h`` and ``g`` are :class:`BandBorder` parts of one pattern.  Without a
-    rank-one term the factored matrix is ``H - sigma G`` itself.  With
-    ``alpha q q^H`` it is the augmented matrix
+    Without a rank-one term the factored matrix of the :class:`Pencil` is
+    ``H - sigma G`` itself.  With ``alpha q q^H`` it is the augmented matrix
     ``[[h - sigma G, q], [q^H, -1/alpha]]``: ``q`` is one more border row,
     and the Schur complement of the last pivot is ``H - sigma G``.  Its
     inertia is therefore that of ``H - sigma G`` plus one negative
     eigenvalue when ``alpha > 0``.  Each shift costs ``O(N (3 + border)^2)``.
-    ``G`` is factored once, or not at all when ``structure.gram`` holds its
-    factor; :class:`GramFactor` raises :class:`NotPositiveDefiniteError`
+    ``G`` is factored once, or not at all when ``pencil.g_factor`` holds
+    its factor; :class:`GramFactor` raises :class:`NotPositiveDefiniteError`
     when it is not positive definite.
     """
 
-    def __init__(self, h: BandBorder, g: BandBorder, structure: PencilStructure):
-        self.gram = structure.gram if structure.gram is not None else GramFactor(g)
-        hb, hr, hc = h.parts
-        gb, gr, gc = g.parts
-        self._dim = len(h)
+    def __init__(self, pencil: Pencil):
+        self.g_factor = pencil.g_factor if pencil.g_factor is not None else GramFactor(pencil.g)
+        hb, hr, hc = pencil.h.parts
+        gb, gr, gc = pencil.g.parts
+        self._dim = len(pencil)
         self._pad: list = []
         self._negative_extra = 0
-        if structure.rank_one is not None:
-            alpha, q = structure.rank_one
+        if pencil.rank_one is not None:
+            alpha, q = pencil.rank_one
             qc = np.conj(q)
             n = len(hb)
             # the augmented row [q^H, -1/alpha]; G has zeros there
@@ -463,16 +470,11 @@ class BandPencil:
         self._h = _layout(hb, hr, hc)
         self._g = _layout(gb, gr, gc)
 
-    def count(self, sigma: float, cap: int | None = None) -> int:
-        """Number of eigenvalues of the pencil below ``sigma``.
-
-        With ``cap`` the count stops as soon as it exceeds ``cap``.
-        """
-        return self.factor(sigma, cap)[0]
-
     def factor(self, sigma: float, cap: int | None = None):
-        """``(count, solve)`` at ``sigma``: :meth:`count` and, when the pass
-        ran to the end, ``solve: b -> (H - sigma G)^{-1} b`` (else None)."""
+        """``(count, solve)`` at ``sigma``: the number of eigenvalues of the
+        pencil below ``sigma`` and, when the pass ran to the end,
+        ``solve: b -> (H - sigma G)^{-1} b`` (else None).  With ``cap`` the
+        pass stops as soon as the count exceeds ``cap``."""
         shifted = _lists(*(a - sigma * b for a, b in zip(self._h, self._g)))
         extra = self._negative_extra
         factor, d, neg = _ldl(*shifted, None if cap is None else cap + extra)
@@ -486,17 +488,18 @@ class BandPencil:
         return neg - extra, solve
 
 
-def _scale(h: BandBorder, g: BandBorder, structure: PencilStructure) -> float:
+def _scale(pencil: Pencil) -> float:
     """``max |H| / min G_ii``, the rank-one term included (1 where it is 0)."""
-    big = h.max_abs()
-    if structure.rank_one is not None:
-        alpha, q = structure.rank_one
+    big = pencil.h.max_abs()
+    if pencil.rank_one is not None:
+        alpha, q = pencil.rank_one
         big = max(big, abs(alpha) * float(np.max(np.abs(q))) ** 2)
-    return big / float(np.min(g.diagonal())) or 1.0
+    return big / float(np.min(pencil.g.diagonal())) or 1.0
 
 
-def unit_scaled(h: BandBorder, structure: PencilStructure) -> tuple[int, BandBorder, PencilStructure]:
-    """``(k, 2^-k h, structure)`` with the rank-one ``alpha`` scaled alike.
+def unit_scaled(pencil: Pencil) -> tuple[int, Pencil]:
+    """``(k, pencil)`` with ``H`` scaled by ``2^-k``: the parts ``h`` and the
+    rank-one ``alpha`` alike.
 
     ``2^k`` is the power of two (:func:`math.frexp`) of the largest entry of
     ``H``, within a factor 8 for the rank-one term, whose entries are not
@@ -504,25 +507,26 @@ def unit_scaled(h: BandBorder, structure: PencilStructure) -> tuple[int, BandBor
     arithmetic commutes exactly with the scaling wherever nothing under- or
     overflows.
     """
-    k = math.frexp(h.max_abs())[1]
-    if structure.rank_one is not None:
-        alpha, q = structure.rank_one
+    k = math.frexp(pencil.h.max_abs())[1]
+    rank_one = pencil.rank_one
+    if rank_one is not None:
+        alpha, q = rank_one
         k = max(k, math.frexp(alpha)[1] + 2 * math.frexp(float(np.max(np.abs(q))))[1])
     k = min(max(k, -1022), 1022)
     if not k:
-        return 0, h, structure
+        return 0, pencil
     unit = 2.0 ** -k
-    h = BandBorder(*(unit * part for part in h.parts))
-    if structure.rank_one is not None:
-        structure = replace(structure, rank_one=(unit * alpha, q))
-    return k, h, structure
+    if rank_one is not None:
+        rank_one = (unit * alpha, q)
+    h = BandBorder(*(unit * part for part in pencil.h.parts))
+    return k, replace(pencil, h=h, rank_one=rank_one)
 
 
-def rounding_floor(h: BandBorder, g: BandBorder, structure: PencilStructure | None = None) -> float:
+def rounding_floor(pencil: Pencil) -> float:
     """The absolute part of the bracket :func:`pencil_extreme` certifies,
     ``64 eps max |H| / min G_ii``: it does not tell apart eigenvalues of the
     pencil closer than this."""
-    return _FLOOR * _scale(h, g, structure or PencilStructure())
+    return _FLOOR * _scale(pencil)
 
 
 def _finite(value: float, what: str) -> float:
@@ -533,21 +537,16 @@ def _finite(value: float, what: str) -> float:
 
 
 def pencil_extreme(
-    h: BandBorder,
-    g: BandBorder,
-    structure: PencilStructure | None = None,
-    *,
-    guess: tuple[float, float] | None = None,
+    pencil: Pencil, *, guess: tuple[float, float] | None = None
 ) -> tuple[float, np.ndarray]:
-    """Minimal eigenpair of the Hermitian pencil ``H x = lam G x``.
+    """Minimal eigenpair of the Hermitian :class:`Pencil` ``H x = lam G x``.
 
-    ``h`` and ``g`` are :class:`BandBorder` parts of one pattern, on which
-    every step costs ``O(N)``.  ``structure`` adds the rank-one term of
-    ``H`` and ``G``'s factor.  ``guess = (mu, radius)`` is an estimate of
-    ``lam``, e.g. from a coarser discretization: the walk of step 1 starts
-    at ``mu`` with the step ``max(radius, floor)`` (the rounding floor of
-    step 4).  It saves factorizations when it is close
-    and costs a few when it is not; the result is certified either way.
+    Its parts share one pattern, on which every step costs ``O(N)``.
+    ``guess = (mu, radius)`` is an estimate of ``lam``, e.g. from a coarser
+    discretization: the walk of step 1 starts at ``mu`` with the step
+    ``max(radius, floor)`` (the rounding floor of step 4).  It saves
+    factorizations when it is close and costs a few when it is not; the
+    result is certified either way.
 
     1. Bracket: ``min H_ii / G_ii`` bounds ``lam`` from above; steps growing
        4x go down from it, or from the guess, until the inertia count is 0.
@@ -575,24 +574,23 @@ def pencil_extreme(
     float range, and as soon as a shift, the iterate's norm, ``mu`` or
     ``rho`` leaves the float range: steps 1 to 3 would not end there.
     """
-    if structure is None:
-        structure = PencilStructure()
-    finite = h.is_finite() and g.is_finite()
-    if structure.rank_one is not None:
-        alpha, q = structure.rank_one
+    finite = pencil.h.is_finite() and pencil.g.is_finite()
+    if pencil.rank_one is not None:
+        alpha, q = pencil.rank_one
         finite = finite and math.isfinite(alpha) and bool(np.all(np.isfinite(q)))
     if not finite:
         raise EigenError("pencil has non-finite entries")
-    k, h, structure = unit_scaled(h, structure)
+    k, pencil = unit_scaled(pencil)
     if guess is not None:
         guess = (math.ldexp(guess[0], -k), math.ldexp(guess[1], -k))
-    hdiag = h.diagonal()
-    if structure.rank_one is not None:
-        alpha, q = structure.rank_one
+    g = pencil.g
+    hdiag = pencil.h.diagonal()
+    if pencil.rank_one is not None:
+        alpha, q = pencil.rank_one
         hdiag = hdiag + alpha * np.abs(q) ** 2
-    pencil = BandPencil(h, g, structure)
+    shifted = BandPencil(pencil)
     hi = float(np.min(hdiag / g.diagonal()))
-    scale = _scale(h, g, structure)
+    scale = _scale(pencil)
     floor = _FLOOR * scale
     # walk down in steps growing 4x, from the upper bound or from the guess,
     # until the count is 0: every shift with a count of 0 is a certified
@@ -602,13 +600,13 @@ def pencil_extreme(
         top, step = guess[0], max(guess[1], floor)
     while True:
         sigma = _finite(top - step, "walk shift")
-        below, solve = pencil.factor(sigma, cap=0)
+        below, solve = shifted.factor(sigma, cap=0)
         if not below:
             lo = sigma
             break
         hi = top = sigma
         step *= 4.0
-    x = np.random.default_rng(7).standard_normal(len(h)).astype(complex)
+    x = np.random.default_rng(7).standard_normal(len(pencil)).astype(complex)
     width = hi - lo
     while True:
         for _ in range(_INVERSE_STEPS):
@@ -619,17 +617,17 @@ def pencil_extreme(
             x /= norm
         gx = g.matvec(x)
         xgx = np.vdot(x, gx).real
-        hx = structure.matvec(h, x)
+        hx = pencil.h_matvec(x)
         mu = _finite(float(np.vdot(x, hx).real / xgx), "Rayleigh quotient")
         hi = min(hi, mu)
         tol = _CERT_RTOL * abs(mu) + floor
         if hi - lo <= tol:
             break
         r = hx - mu * gx
-        rho = _finite(pencil.gram.norm(r) / math.sqrt(xgx), "residual bound")
+        rho = _finite(shifted.g_factor.norm(r) / math.sqrt(xgx), "residual bound")
         sigma = mu - max(rho, tol)
         if lo < sigma < hi:
-            below, at_sigma = pencil.factor(sigma, cap=0)
+            below, at_sigma = shifted.factor(sigma, cap=0)
             if below:
                 hi = sigma
             elif rho <= tol:
@@ -641,7 +639,7 @@ def pencil_extreme(
         step = max(rho, tol)
         while hi - lo > max(0.5 * width, tol):
             sigma = _finite(max(hi - step, 0.5 * (lo + hi)), "walk shift")
-            below, at_sigma = pencil.factor(sigma, cap=0)
+            below, at_sigma = shifted.factor(sigma, cap=0)
             if below:
                 hi, step = sigma, 4.0 * step
             else:

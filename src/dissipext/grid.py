@@ -96,15 +96,15 @@ class GridFunction:
         return fn
 
 
-def decay_certificate(f: AnalyticFunction, r: float, rel_tol: float = _DECAY_RTOL) -> bool:
-    """True iff ``f``'s envelope at ``r`` is below ``rel_tol`` times its largest
-    single-term peak on ``[0, r]`` (:func:`~dissipext.analytic.envelope`).
+def decay_certificate(f: AnalyticFunction, r: float) -> bool:
+    """True iff ``f``'s envelope at ``r`` is below ``_DECAY_RTOL`` times its
+    largest single-term peak on ``[0, r]`` (:func:`~dissipext.analytic.envelope`).
 
     Half-line truncation is only trustworthy for functions that have decayed
     by the cut; every half-line scenario checks this before evaluating.
     """
     scale = max((h for _, h in peaks(f, r)), default=0.0)
-    return scale == 0.0 or envelope(f, r) < rel_tol * scale
+    return scale == 0.0 or envelope(f, r) < _DECAY_RTOL * scale
 
 
 def span_decay_certificate(fns, r: float) -> bool:

@@ -24,8 +24,9 @@ and a mesh ladder computes them once (:func:`cross_validate`).  The infimum
 of the numerical range's imaginary part over that space is the minimal
 eigenvalue of the Hermitian pencil ``H x = mu G x`` with
 ``H = (M - M^H) / 2i`` the Gram-weighted imaginary part of the discretized
-action ``M``, which is not kept.  ``H``'s core block is real
-(:class:`DiscreteOperator`), and so is ``G``'s.  Both are band-plus-border
+action ``M``, which is not kept.  The assembly returns it as one
+:class:`eigenh.Pencil`.  ``H``'s core block is real
+(:func:`assemble_discrete`), and so is ``G``'s.  Both are band-plus-border
 parts (:class:`eigenh.BandBorder`: a real band of half-bandwidth 3 and the
 complex extension-vector border), beside the rank-one term of the rank-one
 Schroedinger scenario, so one mesh costs ``O(n)`` time and memory;
@@ -54,7 +55,6 @@ from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePertur
 
 __all__ = [
     "OracleError",
-    "DiscreteOperator",
     "OracleReport",
     "assemble_discrete",
     "pencil_min_eig",
@@ -73,32 +73,6 @@ class OracleError(Exception):
     """Discretization or eigensolver failure in the oracle."""
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteOperator:
-    """The pencil ``H x = mu G x`` of the action on one spline space plus ``v``.
-
-    With ``M[j,k] = <b_j, action(b_k)>``, ``h`` holds the Hermitian
-    ``H = (M - M^H) / 2i`` and ``gram`` the Gram matrix ``G``, both as
-    :class:`eigenh.BandBorder` parts whose border is the extension vector
-    ``v`` (the last index), so the pure core block is the band.  That block
-    of ``H`` is real and stored as float: with ``M = A + iB`` it is
-    ``(B + B^T) / 2 - i (A - A^T) / 2``, and ``A``, the real part of the
-    action on real splines, is symmetric, because every scenario's
-    first-order coefficient ``c1`` is imaginary and the second-order term is
-    symmetric after integration by parts on splines that vanish at the
-    span's ends.  So the assembly builds ``(B + B^T) / 2`` alone
-    (:func:`assemble_discrete`), and refuses an expression with
-    ``Re c1 != 0``.
-    ``structure`` carries the rank-one term ``alpha q q^H`` of ``H`` (as
-    ``(alpha, q)``; the parts never hold it) and the Gram matrix's factor
-    from the assembly's check; the pencil solver reads it.
-    """
-
-    h: eigenh.BandBorder
-    gram: eigenh.BandBorder
-    structure: eigenh.PencilStructure
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Mesh study of the discrete numerical-range infimum.
@@ -112,8 +86,6 @@ class OracleReport:
     infima: tuple[float, ...]
     extrapolated: float
     order: float | None
-    verdict_margin: float
-    verdict_dissipative: bool | None
     agree: bool | None
     resolution_limited: bool
     threshold: float
@@ -129,6 +101,9 @@ _SUBPANELS = 2
 
 # reference meshes a ladder and its neighbours use
 _CACHED_MESHES = 8
+
+#: the most core elements of one mesh; a rung's arrays grow linearly in it
+MAX_MESH = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +142,8 @@ def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
     scales the weights by ``L`` and the derivatives by ``1/L`` and ``1/L^2``."""
     if n < 8:
         raise OracleError("need at least 8 core elements")
+    if n > MAX_MESH:
+        raise OracleError(f"a mesh of {n} core elements exceeds the limit of {MAX_MESH}")
     ref = _reference_mesh(n).tables
     length = hi - lo
     return replace(ref, x=lo + length * ref.x, w=length * ref.w,
@@ -261,8 +238,15 @@ def assemble_discrete(
     n: int,
     *,
     mesh_free: _MeshFree | None = None,
-) -> DiscreteOperator:
+) -> eigenh.Pencil:
     """Project the extension operator onto ``n`` spline elements plus ``v``.
+
+    The result is the pencil ``H x = mu G x``: with ``M[j,k] = <b_j,
+    action(b_k)>``, ``H = (M - M^H) / 2i`` and the Gram matrix ``G`` are
+    :class:`eigenh.BandBorder` parts whose border is the extension vector
+    ``v`` (the last index), so the pure core block is the band.  The
+    rank-one term ``alpha q q^H`` of ``H`` is the pencil's ``rank_one``,
+    and ``G``'s factor from the assembly's check its ``g_factor``.
 
     The action is the problem's :meth:`~ExtensionProblem.expression`
     ``c2 f'' + c1 f' + m f`` plus its :meth:`~ExtensionProblem.deviation` on
@@ -270,13 +254,19 @@ def assemble_discrete(
     scenario.  On uniform knots of ``[lo, lo + L]`` the splines are an affine
     image of the reference splines (:func:`_reference_mesh`), so ``G``'s
     core is ``L G_ref`` and its factor is the reference factor with the
-    pivots scaled by ``L``; ``H``'s core (:class:`DiscreteOperator`) is
-    ``Im(c2) / L`` times the reference ``stiffness`` plus the band of
-    ``int Im(m + i V) b_k b_l`` when that weight is not 0, from per-interval
-    4x4 blocks on Gauss-Legendre panels aligned with the knots.  The
-    ``Im(c1)`` term is 0, since ``int (b_k b_l' + b_l b_k') = 0`` for splines
-    that vanish at both ends of the span; an expression whose ``c1`` has a
-    real part raises :class:`OracleError`.  The border rows come from the
+    pivots scaled by ``L``.  ``H``'s core block is real and stored as float:
+    with ``M = A + iB`` it is ``(B + B^T) / 2 - i (A - A^T) / 2``, and
+    ``A``, the real part of the action on real splines, is symmetric,
+    because every scenario's first-order coefficient ``c1`` is imaginary and
+    the second-order term is symmetric after integration by parts on splines
+    that vanish at the span's ends.  So the assembly builds
+    ``(B + B^T) / 2`` alone: ``Im(c2) / L`` times the reference
+    ``stiffness`` plus the band of ``int Im(m + i V) b_k b_l`` when that
+    weight is not 0, from per-interval 4x4 blocks on Gauss-Legendre panels
+    aligned with the knots.  The ``Im(c1)`` term is 0, since
+    ``int (b_k b_l' + b_l b_k') = 0`` for splines that vanish at both ends
+    of the span; an expression whose ``c1`` has a real part raises
+    :class:`OracleError`.  The border rows come from the
     same panels: ``<v, action(b_l)>`` is ``c2 int conj(v) b_l'' + c1 int
     conj(v) b_l' + int conj(v) (m + i V) b_l``.  The entries of ``v``
     against itself are closed form (:class:`_MeshFree`), as is the right
@@ -319,16 +309,16 @@ def assemble_discrete(
     if mult is not None and np.any(mult.imag != 0.0):
         band += tab.band(tab.blocks(ws * mult.imag, tab.val, tab.val))
     h = eigenh.BandBorder(band, (row / 2.0j)[None, :], np.array([[mesh_free.corner]], dtype=complex))
-    gram = eigenh.BandBorder(length * ref.mass, tab.vector(wv, tab.val)[None, :],
-                             np.array([[mesh_free.v_norm_sq]]))
+    g = eigenh.BandBorder(length * ref.mass, tab.vector(wv, tab.val)[None, :],
+                          np.array([[mesh_free.v_norm_sq]]))
     sub, pivots = ref.gram_core
-    factor = _check_gram(gram, (sub, [length * p for p in pivots]))
+    factor = _check_gram(g, (sub, [length * p for p in pivots]))
     rank_one = None
     if mesh_free.rank_one is not None:
         # alpha |phi><phi| of H on the whole span, with q_j = <e_j, phi>
         alpha, phi, phi_v = mesh_free.rank_one
         rank_one = (alpha, np.append(tab.vector(ws * phi(xs), tab.val), phi_v))
-    return DiscreteOperator(h, gram, eigenh.PencilStructure(rank_one, factor))
+    return eigenh.Pencil(h, g, rank_one, factor)
 
 
 def _check_gram(gram: eigenh.BandBorder, core: tuple) -> eigenh.GramFactor:
@@ -352,49 +342,44 @@ def _check_gram(gram: eigenh.BandBorder, core: tuple) -> eigenh.GramFactor:
 
 
 def pencil_min_eig(
-    h: eigenh.BandBorder,
-    g: eigenh.BandBorder,
-    structure: eigenh.PencilStructure | None = None,
-    *,
-    guess: tuple[float, float] | None = None,
+    pencil: eigenh.Pencil, *, guess: tuple[float, float] | None = None
 ) -> tuple[float, np.ndarray]:
-    """Minimal eigenvalue and eigenvector of ``H x = mu G x``.
+    """Minimal eigenvalue and eigenvector of the :class:`eigenh.Pencil`
+    ``H x = mu G x``, as :func:`assemble_discrete` returns it.
 
-    ``h`` and ``g`` are band-plus-border parts (:attr:`DiscreteOperator.h`
-    and :attr:`DiscreteOperator.gram`).  ``H`` is ``h`` plus the rank-one
-    term of ``structure`` (:attr:`DiscreteOperator.structure`), must be
-    Hermitian, and ``G`` Hermitian positive definite; the residual of the
-    returned pair satisfies ``||H x - mu G x|| <= 1e-9 ||H|| ||x||``.
-    ``guess`` is passed to :func:`eigenh.pencil_extreme`.
+    ``H`` must be Hermitian and ``G`` Hermitian positive definite; the
+    residual of the returned pair satisfies
+    ``||H x - mu G x|| <= 1e-9 ||H|| ||x||``.  ``guess`` is passed to
+    :func:`eigenh.pencil_extreme`.
     """
     # off the diagonal the parts are Hermitian by storage
+    h = pencil.h
     scale = max(h.max_abs(), 1e-300)
     skew = max(float(np.max(np.abs(h.band[:, 0].imag), initial=0.0)),
                float(np.max(np.abs(h.corner - h.corner.conj().T), initial=0.0)))
     if skew > 1e-10 * scale:
         raise OracleError("imaginary-part matrix is not Hermitian")
-    if structure is None:
-        structure = eigenh.PencilStructure()
     try:
-        mu, x = eigenh.pencil_extreme(h, g, structure, guess=guess)
+        mu, x = eigenh.pencil_extreme(pencil, guess=guess)
     except eigenh.NotPositiveDefiniteError as exc:
         raise OracleError(f"Gram matrix not positive definite: {exc}") from None
     # checked on 2^-k H (eigenh.unit_scaled), which decides as H does but
     # keeps ||H|| and the residual's square in the float range
-    k, h, structure = eigenh.unit_scaled(h, structure)
-    hnorm = _inf_norm(h, structure)
-    resid = float(np.linalg.norm(structure.matvec(h, x) - math.ldexp(mu, -k) * g.matvec(x)))
+    k, pencil = eigenh.unit_scaled(pencil)
+    hnorm = _inf_norm(pencil)
+    resid = float(np.linalg.norm(pencil.h_matvec(x) - math.ldexp(mu, -k) * pencil.g.matvec(x)))
     if hnorm > 0 and resid > 1e-9 * hnorm * float(np.linalg.norm(x)):
         raise OracleError(f"pencil residual {resid * 2.0 ** k:.2e} out of tolerance")
     return mu, x
 
 
-def _inf_norm(h: eigenh.BandBorder, structure: eigenh.PencilStructure) -> float:
+def _inf_norm(pencil: eigenh.Pencil) -> float:
     """``||H||_inf`` of ``H = h + alpha q q^H``: the rank-one row sums
     ``|alpha| |q_i| ||q||_1``, corrected on the stored pattern."""
-    if structure.rank_one is None:
+    h = pencil.h
+    if pencil.rank_one is None:
         return float(np.max(h.abs_row_sums()))
-    alpha, q = structure.rank_one
+    alpha, q = pencil.rank_one
     r = eigenh.BandBorder.outer(alpha, q, h)
     both = eigenh.BandBorder(*(a + b for a, b in zip(h.parts, r.parts)))
     full = abs(alpha) * np.abs(q) * float(np.sum(np.abs(q)))
@@ -450,13 +435,13 @@ def cross_validate(
     floor = 0.0
     for m in meshes:
         op = assemble_discrete(problem, m, mesh_free=mesh_free)
-        floor = max(floor, eigenh.rounding_floor(op.h, op.gram, op.structure))
+        floor = max(floor, eigenh.rounding_floor(op))
         guess = None
         if infima:
             prev = infima[-1]
             step = abs(prev - infima[-2]) if len(infima) > 1 else 0.0
             guess = (prev, 2.0 * step + 0.05 * abs(prev))
-        mu, _ = pencil_min_eig(op.h, op.gram, op.structure, guess=guess)
+        mu, _ = pencil_min_eig(op, guess=guess)
         infima.append(mu)
     extrap, order = _extrapolate(infima, floor)
     span = problem.grid.length - problem.grid.offset
@@ -474,8 +459,6 @@ def cross_validate(
         tuple(infima),
         extrap,
         order,
-        margin,
-        verdict.dissipative,
         agree,
         resolution_limited,
         threshold,

@@ -17,8 +17,8 @@ import numpy as np
 from dissipext import forms
 from dissipext.analytic import norm_sq
 from dissipext.catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
-from dissipext.eigenh import BandBorder
-from dissipext.oracle import DiscreteOperator, _active_cut, _core_tables
+from dissipext.eigenh import BandBorder, Pencil
+from dissipext.oracle import _active_cut, _core_tables
 from dissipext.splines import SplineTables
 
 
@@ -118,10 +118,10 @@ def expand(a: BandBorder) -> np.ndarray:
     return lower + np.tril(lower, -1).conj().T
 
 
-def dense_pencil(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+def dense_pencil(op: Pencil) -> tuple[np.ndarray, np.ndarray]:
     """Dense ``(H, G)`` of the oracle's pencil, ``H`` with its rank-one term."""
     h = expand(op.h)
-    if op.structure.rank_one is not None:
-        alpha, q = op.structure.rank_one
+    if op.rank_one is not None:
+        alpha, q = op.rank_one
         h += alpha * np.outer(q, np.conj(q))
-    return h, expand(op.gram)
+    return h, expand(op.g)

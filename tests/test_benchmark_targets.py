@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from dissipext import oracle
+from dissipext import criteria, oracle
 from test_oracle import _equivalence_problem
 
 _LAYERTRACE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -49,8 +49,20 @@ def test_make_grid_is_bound_where_builders_call_it():
 
 
 @pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication"])
-def test_pencil_dimension_is_the_first_argument_length(kind, rank_one_direction):
+def test_pencil_dimension_is_the_first_argument_length(kind, rank_one_direction, monkeypatch):
     # the tracer's oracle.pencil_dim_sum adds len() of pencil_min_eig's
-    # first argument: n core splines plus the extension vector
-    op = oracle.assemble_discrete(_equivalence_problem(kind, rank_one_direction), 32)
-    assert len(op.h) == len(op.gram) == 32 + 1
+    # first positional argument: n core splines plus the extension vector.
+    # A ladder that passed the pencil by keyword would break the count.
+    problem = _equivalence_problem(kind, rank_one_direction)
+    op = oracle.assemble_discrete(problem, 32)
+    assert len(op) == len(op.h) == len(op.g) == 32 + 1
+    positional = []
+    min_eig = oracle.pencil_min_eig
+
+    def recording(*args, **kwargs):
+        positional.append(args)
+        return min_eig(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "pencil_min_eig", recording)
+    oracle.cross_validate(problem, criteria.decide(problem), meshes=(16, 32))
+    assert [len(args[0]) for args in positional] == [16 + 1, 32 + 1]

@@ -433,6 +433,8 @@ RANK_ONE_ALPHA_CFG = ("[scenario]\nname = halfline_schrodinger\nh = 1i\nperturba
 # the oracle agrees on this config: extrapolated infimum 0.232 > 0
 KONZERT_TOL_CFG = "[scenario]\nname = konzert\ngamma = 0.25\nell = 0.5\n\n[oracle]\ntol = {}\n"
 POTSDAM_GRID_CFG = "[scenario]\nname = potsdam\nrho = 0\n\n[grid]\nR = {}\n"
+# the README's Shirley config as the oracle reads it
+SHIRLEY_ORACLE_CFG = SHIRLEY_CFG + "\n[grid]\noffset = 1e-6\n"
 
 
 @pytest.mark.parametrize(
@@ -475,6 +477,14 @@ POTSDAM_GRID_CFG = "[scenario]\nname = potsdam\nrho = 0\n\n[grid]\nR = {}\n"
          "[sweep] re"),
         # a rank-one direction of norm 0 cannot be normalized
         ("check", RANK_ONE_ALPHA_CFG.format("0.8") + "phi = 0\n", [], "phi"),
+        # nor one that is not square-integrable, at infinity or at 0
+        *(("check", RANK_ONE_ALPHA_CFG.format("0.8") + f"phi = {phi}\n", [], "phi")
+          for phi in ("1", "x^-0.5*exp(-x)")),
+        # a mesh too large to hold is refused before it is allocated
+        ("oracle", SHIRLEY_ORACLE_CFG, ["--meshes=64,128,1000000000000"],
+         f"limit of {oracle.MAX_MESH}"),
+        ("oracle", SHIRLEY_ORACLE_CFG + "\n[oracle]\nmeshes = 16,32,1000000000000\n", [],
+         f"limit of {oracle.MAX_MESH}"),
     ],
     ids=["gamma", "alpha", "oracle_tol", "oracle_meshes", "sweep_axis", "re_flag", "rho_overflow",
          "alpha_inf", "alpha_nan",
@@ -483,7 +493,9 @@ POTSDAM_GRID_CFG = "[scenario]\nname = potsdam\nrho = 0\n\n[grid]\nR = {}\n"
          "tol_nan", "tol_negative", "tol_minus_inf", "tol_inf",
          "tol_flag_nan", "tol_flag_negative", "tol_flag_minus_inf", "tol_flag_inf",
          "grid_R_check", "grid_R_sweep", "grid_R_oracle", "grid_offset_check", "oracle_tol_check",
-         "oracle_meshes_check", "sweep_axis_check", "rank_one_zero_phi"],
+         "oracle_meshes_check", "sweep_axis_check", "rank_one_zero_phi",
+         "rank_one_phi_not_decaying", "rank_one_phi_singular_at_0", "mesh_limit_flag",
+         "mesh_limit_config"],
 )
 def test_malformed_or_extreme_numbers_exit_2(tmp_path, capsys, command, text, flags, key):
     cfg = tmp_path / "bad.cfg"

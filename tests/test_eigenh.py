@@ -21,9 +21,9 @@ def _random_spd(rng, n):
 
 def test_pencil_trivial_examples():
     g = band_border(np.eye(2))
-    lam, _ = eigenh.pencil_extreme(band_border(np.eye(2)), g)
+    lam, _ = eigenh.pencil_extreme(eigenh.Pencil(band_border(np.eye(2)), g))
     assert lam == pytest.approx(1.0)
-    lam, x = eigenh.pencil_extreme(band_border(np.diag([-1.0, 2.0])), g)
+    lam, x = eigenh.pencil_extreme(eigenh.Pencil(band_border(np.diag([-1.0, 2.0])), g))
     assert lam == pytest.approx(-1.0)
     assert abs(abs(x[0]) - 1.0) < 1e-12
 
@@ -33,7 +33,7 @@ def test_pencil_random_50_self_consistency():
     rng = np.random.default_rng(50)
     h = _random_hermitian(rng, 50)
     g = _random_spd(rng, 50)
-    lam, x = eigenh.pencil_extreme(band_border(h), band_border(g))
+    lam, x = eigenh.pencil_extreme(eigenh.Pencil(band_border(h), band_border(g)))
     w_ref, _ = pencil_eigh(h, g)
     assert abs(lam - w_ref[0]) < 1e-9 * max(1.0, abs(w_ref[0]))
     resid = np.linalg.norm(h @ x - lam * (g @ x))
@@ -46,8 +46,9 @@ def test_pencil_unitary_invariance():
     h = _random_hermitian(rng, n)
     g = _random_spd(rng, n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    lam1, _ = eigenh.pencil_extreme(band_border(h), band_border(g))
-    lam2, _ = eigenh.pencil_extreme(band_border(q.conj().T @ h @ q), band_border(q.conj().T @ g @ q))
+    lam1, _ = eigenh.pencil_extreme(eigenh.Pencil(band_border(h), band_border(g)))
+    lam2, _ = eigenh.pencil_extreme(eigenh.Pencil(band_border(q.conj().T @ h @ q),
+                                                  band_border(q.conj().T @ g @ q)))
     assert abs(lam1 - lam2) < 1e-10 * max(1.0, abs(lam1))
 
 
@@ -55,7 +56,7 @@ def test_pencil_rayleigh_quotient_matches():
     rng = np.random.default_rng(13)
     h = _random_hermitian(rng, 31)
     g = _random_spd(rng, 31)
-    lam, x = eigenh.pencil_extreme(band_border(h), band_border(g))
+    lam, x = eigenh.pencil_extreme(eigenh.Pencil(band_border(h), band_border(g)))
     rayleigh = float(np.vdot(x, h @ x).real / np.vdot(x, g @ x).real)
     assert abs(rayleigh - lam) < 1e-10 * max(1.0, abs(lam))
 
@@ -94,17 +95,16 @@ def test_band_border_inertia_and_minimum(n, p, m, alpha, seed):
         q = rng.standard_normal(n + m) + 1j * rng.standard_normal(n + m)
         h = h0 + alpha * np.outer(q, q.conj())
         rank_one = (alpha, q)
-    structure = eigenh.PencilStructure(rank_one)
     w, _ = pencil_eigh(h, g)
-    hp, gp = (band_border(a, p, m) for a in (h0, g))
-    pencil = eigenh.BandPencil(hp, gp, structure)
+    pencil = eigenh.Pencil(*(band_border(a, p, m) for a in (h0, g)), rank_one)
+    shifted = eigenh.BandPencil(pencil)
     spread = max(1.0, float(np.max(np.abs(w))))
     # shifts strictly between eigenvalues, and outside the spectrum
     shifts = [w[0] - 1.0, w[-1] + 1.0]
     shifts += [0.5 * (a + b) for a, b in zip(w, w[1:]) if b - a > 1e-8 * spread]
     for sigma in shifts:
-        assert pencil.count(sigma) == int(np.sum(w < sigma))
-    lam, x = eigenh.pencil_extreme(hp, gp, structure)
+        assert shifted.factor(sigma)[0] == int(np.sum(w < sigma))
+    lam, x = eigenh.pencil_extreme(pencil)
     assert abs(lam - w[0]) <= 1e-10 * max(1.0, abs(w[0]))
     assert np.linalg.norm(h @ x - lam * (g @ x)) <= 1e-9 * np.linalg.norm(h, np.inf) * np.linalg.norm(x)
 
@@ -143,22 +143,22 @@ def _guess_pencil(rank_one):
 
 
 def _scaled(h0, g, term, c):
-    """The parts of ``c H`` and ``G`` with their structure; ``term`` is the
-    rank-one ``(alpha, q)`` of ``H`` or None."""
-    structure = eigenh.PencilStructure(None if term is None else (c * term[0], term[1]))
-    return band_border(c * h0, 3, 1), band_border(g, 3, 1), structure
+    """The pencil of ``c H`` and ``G``; ``term`` is the rank-one
+    ``(alpha, q)`` of ``H`` or None."""
+    rank_one = None if term is None else (c * term[0], term[1])
+    return eigenh.Pencil(band_border(c * h0, 3, 1), band_border(g, 3, 1), rank_one)
 
 
 @pytest.mark.parametrize("rank_one", [False, True])
 def test_pencil_guess_keeps_the_certified_minimum(rank_one):
     # a guess only moves where the downward walk starts
     h0, g, term, h = _guess_pencil(rank_one)
-    hp, gp, structure = _scaled(h0, g, term, 1.0)
-    lam, _ = eigenh.pencil_extreme(hp, gp, structure)
+    pencil = _scaled(h0, g, term, 1.0)
+    lam, _ = eigenh.pencil_extreme(pencil)
     assert abs(lam - pencil_eigh(h, g)[0][0]) <= 1e-10 * abs(lam)
     guesses = [(lam + 100.0, 1.0), (lam + 100.0, 200.0), (lam - 100.0, 1.0), (lam, 1e-3), (lam, 0.0)]
     for guess in guesses:
-        mu, x = eigenh.pencil_extreme(hp, gp, structure, guess=guess)
+        mu, x = eigenh.pencil_extreme(pencil, guess=guess)
         assert abs(mu - lam) <= 2e-12 * abs(lam), guess
         resid = np.linalg.norm(h @ x - mu * (g @ x))
         assert resid <= 1e-9 * np.linalg.norm(h, np.inf) * np.linalg.norm(x), guess
@@ -172,9 +172,9 @@ def test_scaled_pencil_gives_its_scaled_minimum(rank_one, c):
     # on an iterate norm that underflowed), with or without a scaled guess
     h0, g, term, h = _guess_pencil(rank_one)
     lam = pencil_eigh(h, g)[0][0]
-    hp, gp, structure = _scaled(h0, g, term, c)
+    pencil = _scaled(h0, g, term, c)
     for guess in (None, (c * (lam + 1.0), c * 0.5)):
-        mu, x = eigenh.pencil_extreme(hp, gp, structure, guess=guess)
+        mu, x = eigenh.pencil_extreme(pencil, guess=guess)
         assert abs(mu - c * lam) <= 2e-12 * abs(c * lam), guess
         resid = np.linalg.norm(h @ x - (mu / c) * (g @ x))
         assert resid <= 1e-9 * np.linalg.norm(h, np.inf) * np.linalg.norm(x), guess
@@ -185,9 +185,9 @@ def test_power_of_two_scaling_keeps_every_bit(rank_one):
     # float arithmetic commutes exactly with a power of two, so the minimum
     # of 2^j H is 2^j times that of H, bit for bit, and the vector is H's
     h0, g, term, _ = _guess_pencil(rank_one)
-    lam, x = eigenh.pencil_extreme(*_scaled(h0, g, term, 1.0))
+    lam, x = eigenh.pencil_extreme(_scaled(h0, g, term, 1.0))
     for j in (-600, -37, 1, 500):
-        mu, y = eigenh.pencil_extreme(*_scaled(h0, g, term, 2.0 ** j))
+        mu, y = eigenh.pencil_extreme(_scaled(h0, g, term, 2.0 ** j))
         assert mu == math.ldexp(lam, j)
         assert np.array_equal(x, y)
 
@@ -224,7 +224,7 @@ def test_gram_factor_on_a_shared_band_factor():
 def test_pencil_rejects_non_finite_entries():
     h = band_border(np.diag([1.0, np.nan]))
     with pytest.raises(eigenh.EigenError):
-        eigenh.pencil_extreme(h, band_border(np.eye(2)))
+        eigenh.pencil_extreme(eigenh.Pencil(h, band_border(np.eye(2))))
 
 
 @pytest.mark.parametrize("rank_one", [False, True])
@@ -239,12 +239,13 @@ def test_pencil_with_entries_near_the_float_range_ends(rank_one, deadline):
         term = (1.0, term[1])
         h = h0 + np.outer(term[1], term[1].conj())
     pencils = [(_scaled(h0, g, term, 1e300), 1e300 * pencil_eigh(h, g)[0][0]),
-               ((band_border(np.diag([-1e308, 1e308])), band_border(np.eye(2)),
-                 eigenh.PencilStructure()), -1e308)]
-    for parts, expect in pencils:
+               (eigenh.Pencil(band_border(np.diag([-1e308, 1e308])), band_border(np.eye(2))),
+                -1e308)]
+    for pencil, expect in pencils:
         with deadline(10.0):
-            mu, _ = eigenh.pencil_extreme(*parts)
+            mu, _ = eigenh.pencil_extreme(pencil)
         assert abs(mu - expect) <= 2e-12 * abs(expect)
     # G = I/4 puts the minimum at -4e308
     with deadline(10.0), pytest.raises(eigenh.EigenError, match="pencil_extreme: non-finite minimum"):
-        eigenh.pencil_extreme(band_border(np.diag([-1e308, 1e308])), band_border(0.25 * np.eye(2)))
+        eigenh.pencil_extreme(eigenh.Pencil(band_border(np.diag([-1e308, 1e308])),
+                                            band_border(0.25 * np.eye(2))))

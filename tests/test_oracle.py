@@ -83,7 +83,7 @@ def test_hermitian_part_exact():
 
 def test_gram_positive_definite():
     op = oracle.assemble_discrete(_konzert(0.0), 64)
-    w = np.linalg.eigvalsh(expand(op.gram))
+    w = np.linalg.eigvalsh(expand(op.g))
     assert float(w.min()) > 0.0
 
 
@@ -193,7 +193,7 @@ def test_assembly_independent_of_sample_grid(scenario, phi_x2_minus_x, phi_ix_ex
         direct = catalog.build_halfline_schrodinger(1 + 1j, pert)
     configured = cli_io.build_problem(cli_io.parse_config("[scenario]\n" + _GRID_CASES[scenario]))
     a_op, b_op = (oracle.assemble_discrete(p, 64) for p in (direct, configured))
-    for name in ("h", "gram"):
+    for name in ("h", "g"):
         for a, b in zip(getattr(a_op, name).parts, getattr(b_op, name).parts):
             assert np.array_equal(a, b), name
 
@@ -214,9 +214,9 @@ def test_assembly_needs_analytic_vector():
 
 def test_pencil_min_eig_examples():
     g = band_border(np.eye(2))
-    lam, _ = oracle.pencil_min_eig(band_border(np.eye(2)), g)
+    lam, _ = oracle.pencil_min_eig(eigenh.Pencil(band_border(np.eye(2)), g))
     assert lam == pytest.approx(1.0)
-    lam, _ = oracle.pencil_min_eig(band_border(np.diag([-1.0, 2.0])), g)
+    lam, _ = oracle.pencil_min_eig(eigenh.Pencil(band_border(np.diag([-1.0, 2.0])), g))
     assert lam == pytest.approx(-1.0)
 
 
@@ -226,7 +226,7 @@ def test_pencil_min_eig_residual_contract():
     h = 0.5 * (a + a.conj().T)
     b = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
     g = b @ b.conj().T + 50 * np.eye(50)
-    lam, x = oracle.pencil_min_eig(band_border(h), band_border(g))
+    lam, x = oracle.pencil_min_eig(eigenh.Pencil(band_border(h), band_border(g)))
     ref = pencil_eigh(h, g)[0][0]
     assert lam == pytest.approx(ref, abs=1e-9 * max(1, abs(ref)))
     assert np.linalg.norm(h @ x - lam * (g @ x)) <= 1e-9 * np.linalg.norm(h, 2) * np.linalg.norm(x)
@@ -254,7 +254,7 @@ def _assemble(kind, prob, n):
     deviated symmetric part alone."""
     op = oracle.assemble_discrete(prob, n)
     if kind == "rank_one_symmetric_part":
-        op = dataclasses.replace(op, structure=eigenh.PencilStructure(None, op.structure.gram))
+        op = dataclasses.replace(op, rank_one=None)
     return op
 
 
@@ -265,8 +265,8 @@ def test_band_solver_matches_dense_spectrum(kind, n, rank_one_direction):
     # the band-plus-border solver against the dense full-spectrum reference
     prob = _equivalence_problem(kind, rank_one_direction)
     op = _assemble(kind, prob, n)
-    assert (op.structure.rank_one is not None) == (kind == "rank_one")
-    mu, _ = oracle.pencil_min_eig(op.h, op.gram, op.structure)
+    assert (op.rank_one is not None) == (kind == "rank_one")
+    mu, _ = oracle.pencil_min_eig(op)
     w, _ = pencil_eigh(*dense_pencil(op))
     assert abs(mu - w[0]) <= 1e-10 * abs(w[0])
 
@@ -278,7 +278,7 @@ def test_band_assembly_matches_dense_reference(kind, rank_one_direction):
     # rank-one term and the multiplication i V block included
     prob = _equivalence_problem(kind, rank_one_direction)
     op = _assemble(kind, prob, 64)
-    assert op.h.band.dtype == op.gram.band.dtype == np.float64
+    assert op.h.band.dtype == op.g.band.dtype == np.float64
     m_ref, g_ref = assemble_dense(prob, 64, include_bounded_v=kind != "rank_one_symmetric_part")
     h_ref = (m_ref - m_ref.conj().T) / 2.0j
     h, g = dense_pencil(op)
@@ -389,7 +389,7 @@ def test_oracle_mesh_memory_is_linear():
     tracemalloc.start()
     try:
         op = oracle.assemble_discrete(prob, 1024)
-        oracle.pencil_min_eig(op.h, op.gram, op.structure)
+        oracle.pencil_min_eig(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -419,9 +419,9 @@ def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch
         assert cores == [reference_diagonal]
         cores.clear()
         other = oracle.assemble_discrete(second, n)
-        oracle.pencil_min_eig(op.h, op.gram, op.structure)
-        oracle.pencil_min_eig(other.h, other.gram, other.structure)
-        gram_diagonals = [g.band[:, 0].tolist() + [0.0] * 3 for g in (op.gram, other.gram)]
+        oracle.pencil_min_eig(op)
+        oracle.pencil_min_eig(other)
+        gram_diagonals = [g.band[:, 0].tolist() + [0.0] * 3 for g in (op.g, other.g)]
         assert len(cores) > 4
         assert not any(diag == reference_diagonal or diag in gram_diagonals for diag in cores)
 
@@ -435,9 +435,9 @@ def test_cached_gram_core_matches_a_fresh_factor(kind, rank_one_direction):
     prob = _equivalence_problem(kind, rank_one_direction)
     for n in (64, 256):
         op = oracle.assemble_discrete(prob, n)
-        cached, fresh = op.structure.gram.pivots, eigenh.GramFactor(op.gram).pivots
-        assert cached.shape == fresh.shape == (len(op.gram),)
-        scale = np.append(np.abs(fresh[:-1]), op.gram.corner[0, 0].real)
+        cached, fresh = op.g_factor.pivots, eigenh.GramFactor(op.g).pivots
+        assert cached.shape == fresh.shape == (len(op.g),)
+        scale = np.append(np.abs(fresh[:-1]), op.g.corner[0, 0].real)
         assert np.max(np.abs(cached - fresh) / scale) <= 1e-14
 
 
@@ -467,34 +467,35 @@ def test_ladder_rungs_equal_standalone_assembly(kind, rank_one_direction, monkey
     assert [n for n, _ in rungs] == [64, 128, 256]
     for n, op in rungs:
         alone = assemble(prob, n)
-        for name in ("h", "gram"):
+        for name in ("h", "g"):
             for a, b in zip(getattr(op, name).parts, getattr(alone, name).parts):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (n, name)
-        assert np.array_equal(op.structure.gram.pivots, alone.structure.gram.pivots)
+        assert np.array_equal(op.g_factor.pivots, alone.g_factor.pivots)
         if kind == "rank_one":
-            (alpha, q), (beta, r) = op.structure.rank_one, alone.structure.rank_one
+            (alpha, q), (beta, r) = op.rank_one, alone.rank_one
             assert alpha == beta and np.array_equal(q, r)
         else:
-            assert op.structure.rank_one is alone.structure.rank_one is None
+            assert op.rank_one is alone.rank_one is None
 
 
 def test_residual_norm_counts_the_rank_one_term(rank_one_direction):
     # ||H||_inf of the residual check, from the parts and (alpha, q) alone
     op = oracle.assemble_discrete(_equivalence_problem("rank_one", rank_one_direction), 32)
     h, _ = dense_pencil(op)
-    got = oracle._inf_norm(op.h, op.structure)
+    got = oracle._inf_norm(op)
     assert got == pytest.approx(np.linalg.norm(h, np.inf), rel=1e-13)
 
 
 def test_pencil_min_eig_rejects_bad_inputs():
     with pytest.raises(oracle.OracleError):
-        oracle.pencil_min_eig(band_border(np.eye(2)), band_border(np.diag([1.0, -1.0])))
+        oracle.pencil_min_eig(eigenh.Pencil(band_border(np.eye(2)),
+                                            band_border(np.diag([1.0, -1.0]))))
     eye = band_border(np.eye(4), 1, 2)
     # a complex diagonal, a complex corner diagonal, a non-Hermitian corner
     for band, corner in ((np.array([[1j, 0.0], [1.0, 0.0]]), np.eye(2)),
                          (eye.band, np.diag([1.0, 1j])), (eye.band, np.array([[1.0, 1.0], [0.0, 1.0]]))):
         with pytest.raises(oracle.OracleError):
-            oracle.pencil_min_eig(eigenh.BandBorder(band, eye.rows, corner), eye)
+            oracle.pencil_min_eig(eigenh.Pencil(eigenh.BandBorder(band, eye.rows, corner), eye))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +511,7 @@ def test_variational_monotonicity_nested_meshes(kind, rank_one_direction):
     n0 = 61  # m = 64 knot intervals; next level doubles them
     for n in (n0, 2 * (n0 + 3) - 3, 4 * (n0 + 3) - 3):
         op = _assemble(kind, prob, n)
-        mu, _ = oracle.pencil_min_eig(op.h, op.gram, op.structure)
+        mu, _ = oracle.pencil_min_eig(op)
         mus.append(mu)
     assert mus[1] <= mus[0] + 1e-10
     assert mus[2] <= mus[1] + 1e-10
@@ -551,9 +552,9 @@ def test_warm_ladder_matches_cold_pencils(seed, rank_one_direction, monkeypatch)
     guesses = []
     cold_min_eig = oracle.pencil_min_eig
 
-    def recording(h, g, structure=None, *, guess=None):
+    def recording(pencil, *, guess=None):
         guesses.append(guess)
-        return cold_min_eig(h, g, structure, guess=guess)
+        return cold_min_eig(pencil, guess=guess)
 
     monkeypatch.setattr(oracle, "pencil_min_eig", recording)
     rng = np.random.default_rng(seed)
@@ -564,7 +565,7 @@ def test_warm_ladder_matches_cold_pencils(seed, rank_one_direction, monkeypatch)
         assert guesses[0] is None and None not in guesses[1:]
         for m, mu in zip(report.meshes, report.infima):
             op = oracle.assemble_discrete(prob, m)
-            cold, _ = cold_min_eig(op.h, op.gram, op.structure)
+            cold, _ = cold_min_eig(op)
             tol = 1e-11 if abs(cold) < 1e-8 else 1e-12 * abs(cold)
             assert abs(mu - cold) <= tol, (kind, m, mu, cold)
 
@@ -639,7 +640,7 @@ def test_semibound_oracle_bound(rank_one_direction):
         )
         op = oracle.assemble_discrete(prob, 128)
         # the symmetric part alone: the pencil without its rank-one term
-        mu, _ = oracle.pencil_min_eig(op.h, op.gram, eigenh.PencilStructure(None, op.structure.gram))
+        mu, _ = oracle.pencil_min_eig(dataclasses.replace(op, rank_one=None))
         norm_v_sq = norm_sq(prob.v, 0.0, math.inf)
         eps = h.imag / norm_v_sq
         l_norm = math.sqrt(abs(lam) ** 2 / norm_v_sq)
