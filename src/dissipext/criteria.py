@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -124,34 +123,63 @@ def _overflow_source(problem: ExtensionProblem | None) -> str:
 # shared evaluation helpers
 
 
-class _Shared:
-    """The deviation-only values of one :func:`margin_conic` call.
-
-    Three of its four :func:`decide` calls carry the same deviation objects
-    (``dataclasses.replace(problem, v=...)`` passes them through), so each
-    such value is computed at the first of them and read at the others,
-    keyed by the identity of the object it is computed from.  ``implied``
-    is set once ``a`` and ``b`` have passed every membership, which the
-    points ``a + rho b`` then pass too.
+class _Deviation:
+    """The values of one :func:`decide` that depend on the deviation alone,
+    each evaluated at its first read and then kept.  ``range_test`` is the
+    ``ran V_F`` test ``sqrt_scale_inv_form(spec, lv)``, or ``(None, False)``
+    where none is made (a deviation ``V_F phi`` lies in the range by
+    construction, and one without terms has form 0); it sets ``lv =
+    problem.deviation()`` first, and the gate reads it before any criterion
+    reads ``lv``.  ``quarter`` is the rhs term ``(1/4) ||V_F^{-1/2} Lv||^2``,
+    from ``phi`` (the generator with terms, else None) when that is given,
+    and ``off_support`` the support test of ``k``.  :func:`margin_conic`
+    hands one record to its decides that carry one deviation, and sets
+    ``implied`` once their anchors have passed every membership.
     """
 
-    def __init__(self):
-        self.values: dict = {}
+    def __init__(self, problem: ExtensionProblem):
+        self._problem = problem
+        self.phi = problem.phi if problem.phi is not None and problem.phi.terms else None
         self.implied = False
+        self._range_test = self._quarter = self._off_support = None
 
-    def once(self, source, fn, *args):
-        """``fn(*args)``, evaluated at the first call for ``source``."""
-        key = (fn, id(source))
-        hit = self.values.get(key)
-        if hit is None:
-            # the entry holds ``source``, so that no other object takes its id
-            hit = self.values[key] = (source, fn(*args))
-        return hit[1]
+    @property
+    def range_test(self) -> tuple[float | None, bool]:
+        if self._range_test is None:
+            self.lv = lv = self._problem.deviation()
+            if self._problem.phi is None and lv is not None and lv.terms:
+                self._range_test = forms.sqrt_scale_inv_form(self._problem.spec, lv)
+            else:
+                self._range_test = None, False
+        return self._range_test
+
+    @property
+    def quarter(self) -> float:
+        if self._quarter is None:
+            if self.phi is not None:
+                self._quarter = 0.25 * forms.friedrichs_form_sq(self._problem.spec, self.phi)
+            else:
+                inv_form = self.range_test[0]
+                self._quarter = 0.0 if inv_form is None else 0.25 * inv_form
+        return self._quarter
+
+    @property
+    def off_support(self) -> bool:
+        if self._off_support is None:
+            pert = self._problem.perturbation
+            self._off_support = isinstance(pert, MultiplicationPerturbation) and forms.support_violation(
+                pert.v, pert.k, self._problem.grid.right_endpoint)
+        return self._off_support
 
 
-#: the :class:`_Shared` of the :func:`margin_conic` call in progress; None
-#: outside one, where each criterion reads it once and computes every value
-_SHARED: ContextVar[_Shared | None] = ContextVar("margin_conic_shared", default=None)
+#: the :class:`_Deviation` of the :func:`margin_conic` decide in progress;
+#: None outside one, where each criterion makes its own
+_SHARED: ContextVar[_Deviation | None] = ContextVar("margin_conic_deviation", default=None)
+
+
+def _deviation(problem: ExtensionProblem) -> _Deviation:
+    """The record of the :func:`margin_conic` decide in progress, or a new one."""
+    return _SHARED.get() or _Deviation(problem)
 
 
 def _im_action(problem: ExtensionProblem) -> float:
@@ -194,50 +222,16 @@ def _bounded_part(problem: ExtensionProblem) -> float:
     return forms.friedrichs_form_sq(problem.spec, problem.v)
 
 
-def _generator(problem: ExtensionProblem) -> AnalyticFunction | None:
-    """The deviation generator ``phi`` (None when absent or identically zero)."""
-    phi = problem.phi
-    if phi is None or not phi.terms:
-        return None
-    return phi
-
-
-def _quarter_inv_form(problem: ExtensionProblem, m: "_Memberships") -> float:
-    """``(1/4) ||V_F^{-1/2} Lv||^2`` from whichever deviation data is present;
-    the gate's value of ``sqrt_scale_inv_form(spec, Lv)`` when it has one."""
-    phi = _generator(problem)
-    if phi is not None:
-        if m.shared is None:
-            return 0.25 * forms.friedrichs_form_sq(problem.spec, phi)
-        return 0.25 * m.shared.once(phi, forms.friedrichs_form_sq, problem.spec, phi)
-    # the gate tests every deviation with terms: without one the form is 0
-    return 0.0 if m.inv_form is None else 0.25 * m.inv_form
-
-
 # ---------------------------------------------------------------------------
 # membership preconditions
 
 
-class _Memberships(NamedTuple):
-    """The gate's failures with the values it computed on the way, which the
-    criterion reads instead of evaluating them again: ``krein_v =
-    krein_form_sq(spec, v)`` (None outside ``D_K``), ``lv =
-    problem.deviation()`` and ``inv_form = sqrt_scale_inv_form(spec, lv)[0]``
-    (None where the range was not tested); ``shared`` is the :class:`_Shared`
-    of the :func:`margin_conic` call in progress, or None."""
-
-    failures: tuple[str, ...]
-    krein_v: float | None
-    lv: AnalyticFunction | None
-    inv_form: float | None
-    shared: _Shared | None
-
-
-def _memberships(problem: ExtensionProblem, shared: _Shared | None) -> _Memberships:
+def _memberships(problem: ExtensionProblem, dev: _Deviation) -> tuple[tuple[str, ...], float | None]:
+    """The failures, and ``krein_v = krein_form_sq(spec, v)`` (None outside
+    ``D_K``), which the criterion reads instead of evaluating it again."""
     failures: list[str] = []
-    spec = problem.spec
     try:
-        krein_v = forms.krein_form_sq(spec, problem.v)
+        krein_v = forms.krein_form_sq(problem.spec, problem.v)
     except forms.DomainError:
         krein_v = None
         failures.append(FAIL_V_NOT_IN_DK)
@@ -245,29 +239,17 @@ def _memberships(problem: ExtensionProblem, shared: _Shared | None) -> _Membersh
         # the rank-one form squares <phi, v> in float arithmetic, and v is
         # the boundary vector of h; every criterion runs this check first
         raise CatalogError(f"|<phi, v>|^2 overflows for h = {problem.h}") from None
-    if shared is None:
-        lv = problem.deviation()
-    else:
-        source = problem.phi if problem.lv is None else problem.lv
-        lv = shared.once(source, ExtensionProblem.deviation, problem)
-    inv_form = None
-    # a deviation V_F phi lies in the range by construction
-    if problem.phi is None and lv is not None and lv.terms:
-        if shared is None:
-            inv_form, diverged = forms.sqrt_scale_inv_form(spec, lv)
-        else:
-            inv_form, diverged = shared.once(lv, forms.sqrt_scale_inv_form, spec, lv)
-        if diverged:
-            failures.append(FAIL_L_NOT_IN_RANVF)
+    if dev.range_test[1]:
+        failures.append(FAIL_L_NOT_IN_RANVF)
     # D(S*) is a subspace: the points of a conic whose anchors lie in it do too
-    if problem.scenario == "halfline_schrodinger" and (shared is None or not shared.implied):
+    if problem.scenario == "halfline_schrodinger" and not dev.implied:
         try:
             norm_sq(problem.v.derivative().derivative(), 0.0, math.inf)
         except DivergentIntegralError:
             failures.append(FAIL_DOMAIN_NOT_IN_DSSTAR)
         except AnalyticError:
             pass
-    return _Memberships(tuple(failures), krein_v, lv, inv_form, shared)
+    return tuple(failures), krein_v
 
 
 def necessity_checks(problem: ExtensionProblem) -> list[str]:
@@ -277,22 +259,20 @@ def necessity_checks(problem: ExtensionProblem) -> list[str]:
     against the large square-root range, and (bounded scenarios) ``v``
     against the maximal domain of the symmetric part.
     """
-    return list(_memberships(problem, None).failures)
+    return list(_memberships(problem, _Deviation(problem))[0])
 
 
 def _gate(problem: ExtensionProblem, criterion: str,
-          shared: _Shared | None) -> tuple[Verdict | None, _Memberships]:
-    """The failure verdict of the memberships (None when all pass), and the
-    memberships with their values."""
-    m = _memberships(problem, shared)
-    failures = m.failures
+          dev: _Deviation) -> tuple[Verdict | None, float | None]:
+    """The failure verdict of the memberships (None when all pass), and ``krein_v``."""
+    failures, krein_v = _memberships(problem, dev)
     if not failures:
-        return None, m
+        return None, krein_v
     both = FAIL_V_NOT_IN_DK in failures and FAIL_L_NOT_IN_RANVF in failures
     if both and not problem.spec.friedrichs_equals_krein:
         # open case: neither membership holds and the extensions differ
-        return Verdict.outside_theory(failures), m
-    return Verdict.failure(criterion, failures), m
+        return Verdict.outside_theory(failures), krein_v
+    return Verdict.failure(criterion, failures), krein_v
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +299,15 @@ def verdict_strict_pos(problem: ExtensionProblem) -> Verdict:
     """
     if not (problem.spec.strict_lower_bound > 0.0):
         raise CriteriaError("criterion needs a strictly positive imaginary part")
-    gate, m = _gate(problem, CRITERION_STRICT_POS, _SHARED.get())
+    dev = _deviation(problem)
+    gate, krein_v = _gate(problem, CRITERION_STRICT_POS, dev)
     if gate is not None:
         return gate
     lhs = _im_action(problem)
-    if m.lv is not None:
+    if dev.lv is not None:
         pv = forms.projection_P(problem.spec, problem.v)
-        lhs += forms.inner(pv, m.lv, problem.grid.right_endpoint).imag
-    rhs = _quarter_inv_form(problem, m) + m.krein_v
+        lhs += forms.inner(pv, dev.lv, problem.grid.right_endpoint).imag
+    rhs = dev.quarter + krein_v
     return Verdict.from_sides(CRITERION_STRICT_POS, lhs, rhs, problem)
 
 
@@ -339,11 +320,12 @@ def verdict_unique_ext(problem: ExtensionProblem) -> Verdict:
     """
     if not problem.spec.friedrichs_equals_krein:
         raise CriteriaError("criterion needs coinciding extensions")
-    gate, m = _gate(problem, CRITERION_UNIQUE_EXT, _SHARED.get())
+    dev = _deviation(problem)
+    gate, krein_v = _gate(problem, CRITERION_UNIQUE_EXT, dev)
     if gate is not None:
         return gate
     lhs = _im_action(problem)
-    rhs = _quarter_inv_form(problem, m) + m.krein_v
+    rhs = dev.quarter + krein_v
     return Verdict.from_sides(CRITERION_UNIQUE_EXT, lhs, rhs, problem)
 
 
@@ -356,22 +338,17 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
     pert = problem.perturbation
     if pert is None:
         raise CriteriaError("criterion needs a bounded perturbation")
-    end, shared = problem.grid.right_endpoint, _SHARED.get()
-    if isinstance(pert, MultiplicationPerturbation):
-        if shared is None:
-            off = forms.support_violation(pert.v, pert.k, end)
-        else:
-            off = shared.once(pert, forms.support_violation, pert.v, pert.k, end)
-        if off:
-            raise SupportViolationError("deviation carries mass outside the multiplier support")
-    gate, m = _gate(problem, CRITERION_BOUNDED_V, shared)
+    dev = _deviation(problem)
+    if dev.off_support:
+        raise SupportViolationError("deviation carries mass outside the multiplier support")
+    gate, _ = _gate(problem, CRITERION_BOUNDED_V, dev)
     if gate is not None:
         return gate
     lhs = _im_action(problem)
     if isinstance(pert, RankOnePerturbation):
         rhs = 0.25 * abs(pert.lam) ** 2 / pert.alpha
     else:
-        rhs = _quarter_inv_form(problem, m)
+        rhs = dev.quarter
     return Verdict.from_sides(CRITERION_BOUNDED_V, lhs, rhs, problem)
 
 
@@ -409,13 +386,13 @@ def verdict_general(problem: ExtensionProblem, basis_dim: int = 24) -> Verdict:
 def _master_verdict(problem: ExtensionProblem, criterion: str) -> Verdict:
     """``general_lhs`` against ``(1/4)||V_F^{-1/2} Lv||^2 + ||V_K^{1/2} v||^2 -
     Im K(phi, v)`` with ``Lv = V_F phi``."""
-    gate, m = _gate(problem, criterion, _SHARED.get())
+    dev = _deviation(problem)
+    gate, krein_v = _gate(problem, criterion, dev)
     if gate is not None:
         return gate
-    spec, v, lv = problem.spec, problem.v, m.lv
+    spec, v, lv, phi = problem.spec, problem.v, dev.lv, dev.phi
     lhs = _general_lhs(problem, lv)
-    rhs = _quarter_inv_form(problem, m) + m.krein_v
-    phi = _generator(problem)
+    rhs = dev.quarter + krein_v
     if phi is None and lv is not None:
         if spec.friedrichs_equals_krein:
             # K(V^{-1} Lv, v) = <Lv, v>: the cross term needs no inverse
@@ -486,8 +463,13 @@ class MarginConic:
             return self._at(re, im, np.float_power(np.hypot(re, im), 2.0))
 
 
-def _margin_at(problem: ExtensionProblem, v: AnalyticFunction) -> float:
-    return decide(replace(problem, v=v)).margin
+def _margin_with(dev: _Deviation, problem: ExtensionProblem) -> float:
+    """``decide(problem).margin`` with ``dev`` as the record of its deviation."""
+    token = _SHARED.set(dev)
+    try:
+        return decide(problem).margin
+    finally:
+        _SHARED.reset(token)
 
 
 def margin_conic(problem: ExtensionProblem, at_inf: ExtensionProblem) -> MarginConic | None:
@@ -505,25 +487,21 @@ def margin_conic(problem: ExtensionProblem, at_inf: ExtensionProblem) -> MarginC
     The memberships are subspaces (``D_K``, ``D(S*)``) or do not depend on
     ``v`` (``ran V_F``), so when ``a`` and ``b`` pass, every point passes.
 
-    The decides at ``a``, ``a + b`` and ``a + i b`` carry one deviation, so
-    each deviation-only value that a catalog problem reaches (``Lv``, the
-    ``ran V_F`` test and its form ``||V_F^{-1/2} Lv||^2``,
-    ``||V_F^{1/2} phi||^2`` and the support test of ``k``) is evaluated at
-    the first of them and read at the others (:class:`_Shared`), and the
-    decides at ``a + b`` and ``a + i b`` skip the ``D(S*)`` test that ``a``
-    and ``b`` imply.  Those values live for this call only.
+    The decides at ``a``, ``a + b`` and ``a + i b`` carry one deviation and
+    read one :class:`_Deviation` record, so each value that depends on the
+    deviation alone is evaluated at the first of them and read at the
+    others; the decide at ``b`` has its own deviation, 0, and its own
+    record.  The record is marked ``implied`` once ``a`` and ``b`` pass, so
+    the decides at ``a + b`` and ``a + i b`` skip the ``D(S*)`` test.  It
+    lives for this call only.
     """
     a, b = problem.v, at_inf.v
-    shared = _Shared()
-    token = _SHARED.set(shared)
-    try:
-        c0 = decide(problem).margin
-        c2 = _margin_at(problem.without_deviation(), b)
-        if math.isnan(c0) or math.isnan(c2):
-            return None
-        shared.implied = True
-        c_re = _margin_at(problem, a + b) - c0 - c2
-        c_im = _margin_at(problem, a + 1j * b) - c0 - c2
-    finally:
-        _SHARED.reset(token)
+    dev = _Deviation(problem)
+    c0 = _margin_with(dev, problem)
+    c2 = decide(replace(problem.without_deviation(), v=b)).margin
+    if math.isnan(c0) or math.isnan(c2):
+        return None
+    dev.implied = True
+    c_re = _margin_with(dev, replace(problem, v=a + b)) - c0 - c2
+    c_im = _margin_with(dev, replace(problem, v=a + 1j * b)) - c0 - c2
     return MarginConic(c0, c_re, c_im, c2)

@@ -136,14 +136,19 @@ def _reference_mesh(n: int) -> _ReferenceMesh:
     return _ReferenceMesh(tab, stiffness, mass, eigenh.band_factor(mass))
 
 
-def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
-    """``n`` cubic splines on uniform knots of ``[lo, hi]``, supports inside:
-    the reference tables mapped by ``x = lo + L s``, ``L = hi - lo``, which
-    scales the weights by ``L`` and the derivatives by ``1/L`` and ``1/L^2``."""
+def _check_mesh(n: int) -> None:
+    """OracleError unless ``8 <= n <= MAX_MESH``."""
     if n < 8:
         raise OracleError("need at least 8 core elements")
     if n > MAX_MESH:
         raise OracleError(f"a mesh of {n} core elements exceeds the limit of {MAX_MESH}")
+
+
+def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
+    """``n`` cubic splines on uniform knots of ``[lo, hi]``, supports inside:
+    the reference tables mapped by ``x = lo + L s``, ``L = hi - lo``, which
+    scales the weights by ``L`` and the derivatives by ``1/L`` and ``1/L^2``."""
+    _check_mesh(n)
     ref = _reference_mesh(n).tables
     length = hi - lo
     return replace(ref, x=lo + length * ref.x, w=length * ref.w,
@@ -428,8 +433,12 @@ def cross_validate(
     mesh are reported as resolution-limited rather than as disagreements.
     """
     meshes = tuple(int(m) for m in meshes)
+    if not meshes:
+        raise OracleError("the mesh ladder is empty")
     if any(m2 <= m1 for m1, m2 in zip(meshes, meshes[1:])):
         raise OracleError("meshes must be strictly increasing")
+    for m in meshes:  # before any rung is paid for
+        _check_mesh(m)
     mesh_free = _mesh_free(problem)
     infima = []
     floor = 0.0

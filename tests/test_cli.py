@@ -1083,6 +1083,70 @@ def test_decide_evaluates_each_form_once(case, monkeypatch):
             assert calls and max(calls.values()) == 1, (run.__name__, calls)
 
 
+#: the contract configs and the sweep configs that are not among them
+HOMOGENEITY_CASES = dict(CONTRACT_CASES, **{f"sweep_{name}": text
+                                            for name, (text, _) in SWEEP_CASES.items()
+                                            if text not in CONTRACT_CASES.values()})
+
+
+def _scaled(problem: catalog.ExtensionProblem, t: complex) -> catalog.ExtensionProblem:
+    """``problem`` with ``v`` and the deviation times ``t``.  A Schroedinger
+    deviation is stored twice, in ``lv`` and in the perturbation (``lambda``
+    or ``k``), so both are scaled."""
+    pert = problem.perturbation
+    if isinstance(pert, catalog.RankOnePerturbation):
+        pert = dataclasses.replace(pert, lam=t * pert.lam)
+    elif isinstance(pert, catalog.MultiplicationPerturbation):
+        pert = dataclasses.replace(pert, k=t * pert.k)
+    phi, lv = problem.phi, problem.lv
+    return dataclasses.replace(problem, v=t * problem.v, perturbation=pert,
+                               phi=None if phi is None else t * phi,
+                               lv=None if lv is None else t * lv)
+
+
+@pytest.mark.parametrize("t", [2.0, 1e-3, cmath.exp(0.7j)], ids=["2", "1e-3", "unimodular"])
+@pytest.mark.parametrize("case", sorted(HOMOGENEITY_CASES))
+def test_margin_is_homogeneous_in_v_and_the_deviation(case, t):
+    # metamorphic: every side is a Hermitian form in the graph vector (v, Lv),
+    # so scaling both by t scales the sides by |t|^2 and keeps the criterion
+    problem = cli_io.build_problem(cli_io.parse_config(HOMOGENEITY_CASES[case]))
+    base, got = criteria.decide(problem), criteria.decide(_scaled(problem, t))
+    assert got.criterion == base.criterion
+    assert got.necessity_failures == base.necessity_failures
+    assert math.isfinite(base.margin)
+    tol = 1e-12 * (abs(got.lhs) + abs(got.rhs))
+    for side in ("margin", "lhs", "rhs"):
+        assert abs(getattr(got, side) - abs(t) ** 2 * getattr(base, side)) <= tol, side
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_margin_conic_sharing_is_invisible(case, monkeypatch):
+    # the decides of a conic share one record of the deviation's values,
+    # which changes no bit of its coefficients and is gone when it returns
+    cfg = cli_io.parse_config(SWEEP_CASES[case][0])
+    at_zero = cli_io.build_problem(cfg, rho_override=0j)
+    at_inf = cli_io.build_problem(cfg, rho_override=catalog.RHO_INF)
+    conic = criteria.margin_conic(at_zero, at_inf)
+    assert conic.c0 == criteria.decide(at_zero).margin
+    assert conic.c2 == criteria.decide(
+        dataclasses.replace(at_zero.without_deviation(), v=at_inf.v)).margin
+    assert criteria._SHARED.get() is None
+    assert criteria.margin_conic(at_zero, at_inf) == conic
+    # a decide that raises inside the record's scope leaves none set either
+    inner, calls = criteria._im_action, []
+
+    def raising_at_a_plus_b(problem):
+        calls.append(problem)
+        if len(calls) == 3:
+            raise RuntimeError("decide at a + b")
+        return inner(problem)
+
+    monkeypatch.setattr(criteria, "_im_action", raising_at_a_plus_b)
+    with pytest.raises(RuntimeError, match="a \\+ b"):
+        criteria.margin_conic(at_zero, at_inf)
+    assert criteria._SHARED.get() is None
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_no_library_eigensolver_on_verdict_or_oracle_path(case, monkeypatch):
     def banned(*args, **kwargs):
@@ -1191,10 +1255,14 @@ def test_oracle_rerun_is_byte_identical(case, tmp_path):
 # config values: each read once, by its reader in cli_io._KEYS
 
 
+def _readme() -> str:
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _readme_configs() -> dict:
     """The README's annotated configs by scenario, and its rank-one variant."""
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
-    configs = dict(re.findall(r"```ini\n# (\w+):.*?\n(.*?)```", readme, re.S))
+    configs = dict(re.findall(r"```ini\n# (\w+):.*?\n(.*?)```", _readme(), re.S))
     schrodinger = configs["halfline_schrodinger"]
     variant = [line[4:] for line in schrodinger.splitlines() if line.startswith("#   ")]
     configs["rank_one"] = schrodinger.split("perturbation")[0] + "\n".join(variant) + "\n"
@@ -1208,6 +1276,17 @@ _PARSED_KEYS = ("phi", "W", "ell", "V", "k", "rho", "h", "lambda")
 def test_readme_configs_are_found():
     assert sorted(_readme_configs()) == ["halfline_schrodinger", "konzert", "potsdam", "rank_one",
                                          "shirley"]
+
+
+def test_readme_python_example_matches_the_cli():
+    # the README's library example is its Shirley config: the same margin
+    # and the same ladder of infima as check and oracle give on that config
+    example = re.search(r"```python\n(.*?)```", _readme(), re.S).group(1)
+    scope = {}
+    exec(example, scope)
+    cfg = cli_io.parse_config(_readme_configs()["shirley"])
+    assert scope["verdict"].margin == cli_io.run_check(cfg)[1]["margin"]
+    assert list(scope["report"].infima) == cli_io.run_oracle(cfg)[1]["infima"]
 
 
 @pytest.mark.parametrize("case", sorted(PARSE_CASES))

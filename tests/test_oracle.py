@@ -611,6 +611,19 @@ def test_cross_validate_requires_increasing_meshes():
         oracle.cross_validate(prob, criteria.decide(prob), meshes=(128, 64))
 
 
+@pytest.mark.parametrize("meshes, match", [((), "empty"),
+                                           ((64, 128, 10 ** 12), "exceeds the limit"),
+                                           ((4, 64), "at least 8")])
+def test_cross_validate_refuses_a_bad_ladder_before_the_first_rung(monkeypatch, meshes, match):
+    prob = _konzert(1.0)
+    verdict = criteria.decide(prob)
+    rungs = []
+    monkeypatch.setattr(oracle, "assemble_discrete", lambda *args, **kw: rungs.append(args))
+    with pytest.raises(oracle.OracleError, match=match):
+        oracle.cross_validate(prob, verdict, meshes=meshes)
+    assert rungs == []
+
+
 def test_report_records_asymmetry_note():
     prob = _konzert(1.2)
     report = oracle.cross_validate(prob, criteria.decide(prob), meshes=(64, 128))
