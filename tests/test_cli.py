@@ -91,6 +91,39 @@ def test_malformed_numbers_are_expression_errors(src, pos):
     assert cli_io.parse_complex("٣") == 3.0
 
 
+#: the ExpressionError text and position of each input, or the terms of an
+#: input that parses; a rewrite of the tokenizer or the parser keeps them
+PARSER_OUTCOMES = {
+    "1.2.3": ("malformed number '1.2.3' at position 0", 0),
+    "x^1..5": ("malformed number '1..5' at position 2", 2),
+    "²": ("malformed number '²' at position 0", 0),
+    "２": (Term(2 + 0j, 0.0, 0.0),),
+    "٣": (Term(3 + 0j, 0.0, 0.0),),
+    "x²": ("unknown name 'x²' at position 0", 0),
+    "b²c": ("unknown name 'b²c' at position 0", 0),
+    "22²0": ("malformed number '22²0' at position 0", 0),
+    "é*x": ("unknown name 'é' at position 0", 0),
+    "∞": ("unexpected character '∞' at position 0", 0),
+    "x^^2": ("expected a numeric exponent at position 2", 2),
+    "1+": ("unexpected token 'end' at position 2", 2),
+    "(x": ("expected ')', found 'end' at position 2", 2),
+    "exp(-x": ("expected ')', found 'end' at position 6", 6),
+    "exp(x^2)": ("exp argument must be affine in x at position 0", 0),
+    "x^(2)": ("expected a numeric exponent at position 2", 2),
+    "indicator(1,0)": ("indicator needs real bounds with lo < hi at position 0", 0),
+    "(x+1)^17": ("fractional powers apply to the bare variable x only at position 0", 0),
+}
+
+
+@pytest.mark.parametrize("src", sorted(PARSER_OUTCOMES))
+def test_parser_outcomes_are_pinned(src):
+    try:
+        outcome = cli_io.parse_expression(src).terms
+    except cli_io.ExpressionError as exc:
+        outcome = (str(exc), exc.pos)
+    assert outcome == PARSER_OUTCOMES[src]
+
+
 def test_parse_complex_values():
     assert cli_io.parse_complex("0.5+0.375i") == 0.5 + 0.375j
     assert cli_io.parse_complex("-1+2i") == -1 + 2j
@@ -1304,6 +1337,57 @@ def test_each_value_is_parsed_once(case, monkeypatch):
         runs.clear()
         assert len(cli_io.run_sweep(cfg, (-1.0, 1.0, 1.0), (0.0, 1.0, 0.5))["rows"]) == 9
         assert runs == []
+
+
+#: the configs whose ``check`` and 3x3 ``sweep`` outputs are pinned bit for bit
+PINNED_CASES = {**PARSE_CASES, **{f"sweep_{k}": text for k, (text, _) in SWEEP_CASES.items()}}
+PINNED_COMMANDS = {"check": ["check"],
+                   "sweep": ["sweep", "--re=-1:1:1", "--im=0:1:0.5", "--format=json"]}
+PINNED_TABLE = os.path.join(os.path.dirname(__file__), "reference", "cli_outputs.json")
+
+
+def _pinned_output(case: str, command: str, workdir) -> dict:
+    """Exit code, stdout, stderr and written files of ``command`` on
+    ``PINNED_CASES[case]``, run in the empty directory ``workdir``."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with open("pinned.cfg", "w", encoding="utf-8") as fh:
+            fh.write(PINNED_CASES[case])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_io.main([PINNED_COMMANDS[command][0], "--config", "pinned.cfg",
+                                *PINNED_COMMANDS[command][1:]])
+        files = {}
+        for name in sorted(os.listdir(".")):
+            if name != "pinned.cfg":
+                with open(name, encoding="utf-8") as fh:
+                    files[name] = fh.read()
+    finally:
+        os.chdir(cwd)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+
+
+def _write_pinned_table(workdir) -> None:
+    """Write :data:`PINNED_TABLE` from the current outputs: only for a change
+    that means to move them, since the table is what the next one keeps."""
+    table = {}
+    for case in sorted(PINNED_CASES):
+        for command in PINNED_COMMANDS:
+            run_dir = os.path.join(workdir, f"{case}-{command}")
+            os.mkdir(run_dir)
+            table[f"{case} {command}"] = _pinned_output(case, command, run_dir)
+    with open(PINNED_TABLE, "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_COMMANDS))
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_cli_outputs_are_pinned(case, command, tmp_path):
+    with open(PINNED_TABLE, encoding="utf-8") as fh:
+        table = json.load(fh)
+    assert _pinned_output(case, command, tmp_path) == table[f"{case} {command}"]
 
 
 #: values a reader may accept; each key draws those its reader accepts
