@@ -87,12 +87,6 @@ class Term(NamedTuple):
         return self.lo is not None or self.hi is not None
 
 
-def _clip_window(t: Term, lo: float, hi: float) -> tuple[float, float]:
-    a = lo if t.lo is None else max(lo, t.lo)
-    b = hi if t.hi is None else min(hi, t.hi)
-    return a, b
-
-
 def _exp_at(rate: complex, x: float) -> complex:
     if x == math.inf:
         if rate == 0:
@@ -100,7 +94,8 @@ def _exp_at(rate: complex, x: float) -> complex:
         if rate.real < 0:
             return 0.0
         raise DivergentIntegralError("exp factor does not decay at infinity")
-    return complex(np.exp(rate * x))
+    z = rate * x
+    return complex(1.0, z.imag) if z == 0 else complex(np.exp(z))  # np.exp of a signed zero
 
 
 def _pow_at(a: complex, x: float) -> complex:
@@ -139,21 +134,23 @@ def _integral_pure_power(a: complex, lo: float, hi: float) -> complex:
     return (upper - lower) / ap1
 
 
+def _boundary(b: complex, x: float, k: int) -> complex:
+    """``x^k e^{bx} / b``, 0 at infinity (where ``Re b < 0``)."""
+    if x == math.inf:
+        return 0.0
+    if x == 0.0:
+        return 0.0 if k > 0 else _exp_at(b, 0.0) / b
+    return _pow_at(float(k), x) * _exp_at(b, x) / b if k > 0 else _exp_at(b, x) / b
+
+
 def _integral_int_power_exp(n: int, b: complex, lo: float, hi: float) -> complex:
-    # recursive integration by parts; exp(b*hi)=0 at hi=inf needs Re b < 0
+    # integration by parts, from x^0 up; exp(b*hi)=0 at hi=inf needs Re b < 0
     if hi == math.inf and b.real >= 0:
         raise DivergentIntegralError("exponential integral diverges at infinity")
-
-    def boundary(x: float, k: int) -> complex:
-        if x == math.inf:
-            return 0.0
-        if x == 0.0:
-            return 0.0 if k > 0 else _exp_at(b, 0.0) / b
-        return _pow_at(float(k), x) * _exp_at(b, x) / b if k > 0 else _exp_at(b, x) / b
-
-    if n == 0:
-        return boundary(hi, 0) - boundary(lo, 0)
-    return (boundary(hi, n) - boundary(lo, n)) - (n / b) * _integral_int_power_exp(n - 1, b, lo, hi)
+    total = _boundary(b, hi, 0) - _boundary(b, lo, 0)
+    for k in range(1, n + 1):
+        total = (_boundary(b, hi, k) - _boundary(b, lo, k)) - (k / b) * total
+    return total
 
 
 def _quad(f, points) -> complex:
@@ -175,7 +172,7 @@ def _term_integral(a: complex, b: complex, lo: float, hi: float) -> complex:
         return 0.0
     if b == 0:
         return _integral_pure_power(a, lo, hi)
-    if _is_small_int(a):
+    if a == 0 or _is_small_int(a):
         return _integral_int_power_exp(int(a.real), b, lo, hi)
     return _integral_quad(a, b, lo, hi)
 
@@ -199,6 +196,36 @@ def _where_scalar(keep, vals, other):
     return vals if keep else other
 
 
+def _products(f: "AnalyticFunction", g: "AnalyticFunction", conj: bool = False) -> dict:
+    """The merged sums ``{(power, rate, lo, hi): coeff}`` of ``f * g``, or of
+    ``f.conj() * g`` with ``conj``, those that cancel to 0 included."""
+    merged: dict = {}
+    for sc, sa, sb, slo, shi in f.terms:
+        if conj:  # the terms of f.conj(), whose keys stay apart
+            sc, sa, sb = 0.0 + sc.conjugate(), sa.conjugate(), sb.conjugate()
+        for tc, ta, tb, tlo, thi in g.terms:
+            lo = slo if tlo is None else (tlo if slo is None else max(slo, tlo))
+            hi = shi if thi is None else (thi if shi is None else min(shi, thi))
+            if lo is not None and hi is not None and hi <= lo:
+                continue
+            c = sc * tc
+            if c != 0:
+                key = (sa + ta, sb + tb, lo, hi)
+                merged[key] = merged.get(key, 0.0) + c
+    return merged
+
+
+def _integral(pairs, lo: float, hi: float) -> complex:
+    """The integral over ``(lo, hi)`` of the terms ``((power, rate, lo, hi), coeff)``."""
+    total = 0.0 + 0.0j
+    for (a, b, tlo, thi), c in pairs:
+        x0 = lo if tlo is None else max(lo, tlo)
+        x1 = hi if thi is None else min(hi, thi)
+        if x0 < x1 and c != 0:
+            total += c * _term_integral(a, b, x0, x1)
+    return total
+
+
 class AnalyticFunction:
     """A finite sum of :class:`Term`, closed under the operations needed here;
     built from any iterable of 5-tuples into the canonical form (module
@@ -216,9 +243,18 @@ class AnalyticFunction:
             merged[key] = merged.get(key, 0.0) + c
         self.terms = tuple([tuple.__new__(Term, (c, *key)) for key, c in merged.items() if c != 0])
 
+    @classmethod
+    def _merged(cls, merged: dict) -> "AnalyticFunction":
+        """The function of the merged sums ``{(power, rate, lo, hi): coeff}``."""
+        fn = object.__new__(cls)
+        fn.terms = tuple([tuple.__new__(Term, (c, *key)) for key, c in merged.items() if c != 0])
+        return fn
+
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "AnalyticFunction") -> "AnalyticFunction":
+        if not (self.terms and other.terms):  # a canonical sum merged with none is itself
+            return other if other.terms else self
         return AnalyticFunction(self.terms + other.terms)
 
     def __sub__(self, other: "AnalyticFunction") -> "AnalyticFunction":
@@ -226,24 +262,17 @@ class AnalyticFunction:
 
     def __mul__(self, other) -> "AnalyticFunction":
         if isinstance(other, AnalyticFunction):
-            prods = []
-            for sc, sa, sb, slo, shi in self.terms:
-                for tc, ta, tb, tlo, thi in other.terms:
-                    lo = slo if tlo is None else (tlo if slo is None else max(slo, tlo))
-                    hi = shi if thi is None else (thi if shi is None else min(shi, thi))
-                    if lo is not None and hi is not None and hi <= lo:
-                        continue
-                    prods.append((sc * tc, sa + ta, sb + tb, lo, hi))
-            return AnalyticFunction(prods)
+            return AnalyticFunction._merged(_products(self, other))
+        # the keys stay apart, and each sum begins from 0.0
         s = complex(other)
-        return AnalyticFunction([(c * s, a, b, lo, hi) for c, a, b, lo, hi in self.terms])
+        return AnalyticFunction._merged({(a, b, lo, hi): 0.0 + c * s for c, a, b, lo, hi in self.terms})
 
     __rmul__ = __mul__
 
     def conj(self) -> "AnalyticFunction":
         # conj(x^a e^{bx}) = x^conj(a) e^{conj(b) x} for x > 0
-        return AnalyticFunction([(c.conjugate(), a.conjugate(), b.conjugate(), lo, hi)
-                                 for c, a, b, lo, hi in self.terms])
+        return AnalyticFunction._merged({(a.conjugate(), b.conjugate(), lo, hi): 0.0 + c.conjugate()
+                                         for c, a, b, lo, hi in self.terms})
 
     def derivative(self) -> "AnalyticFunction":
         out = []
@@ -352,13 +381,11 @@ class AnalyticFunction:
 
     def integral(self, lo: float, hi: float) -> complex:
         """Definite integral over ``(lo, hi)``; ``hi`` may be ``math.inf``."""
-        total = 0.0 + 0.0j
-        for t in self.terms:
-            a, b = _clip_window(t, lo, hi)
-            if b <= a:
-                continue
-            total += t.coeff * _term_integral(t.power, t.rate, a, b)
-        return total
+        return _integral(((t[1:], t[0]) for t in self.terms), lo, hi)
+
+    def inner(self, other: "AnalyticFunction", lo: float, hi: float) -> complex:
+        """``(self.conj() * other).integral(lo, hi)`` bit for bit, without either product."""
+        return _integral(_products(self, other, conj=True).items(), lo, hi)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AnalyticFunction({len(self.terms)} terms)"
@@ -492,12 +519,12 @@ def norm_sq(f: AnalyticFunction, lo: float, hi: float,
         if off_support(f, w, lo, hi):
             raise DivergentIntegralError("integrand lives where the weight vanishes")
         winv = reciprocal(w)
-        product = None if winv is None else f.conj() * winv * f
+        products = None if winv is None else _products(f.conj() * winv, f)
     else:
-        product = f.conj() * f if weight is None else weight * (f.conj() * f)
-    if product is not None:
+        products = _products(f, f, conj=True) if weight is None else _products(weight, f.conj() * f)
+    if products is not None:
         try:
-            return float(product.integral(lo, hi).real)
+            return float(_integral(products.items(), lo, hi).real)
         except DivergentIntegralError:
             pass
     pts = _breakpoints((f, w), lo, hi)
@@ -562,8 +589,7 @@ def peaks(fn: AnalyticFunction, reach: float) -> list[tuple[float, float]]:
             continue
         p, r = t.power.real, t.rate.real
         xs = [a, b] + ([min(max(-p / r, a), b)] if r < 0.0 < p else [])
-        x = max(xs, key=lambda y: (_modulus(t, y), y))
-        height = _modulus(t, x)
+        height, x = max((_modulus(t, y), y) for y in xs)
         out.append((x, _modulus(t, min(1.0, b)) if math.isinf(height) and x == 0.0 else height))
     return out
 
@@ -666,6 +692,8 @@ def sign_check(fn: AnalyticFunction, lo: float, hi: float) -> SignCheck:
     decision: ``Re fn`` at the finite non-zero piece edges and 64 Chebyshev
     points per piece, with no zeros reported.
     """
+    if all(t.power.imag == 0.0 and t.rate.imag == 0.0 and t.coeff.real > 0.0 for t in fn.terms):
+        return SignCheck(True, ())  # what every piece below would give
     nonneg, zeros = True, []
     pts = _breakpoints((fn,), lo, hi)
     for a, b in zip(pts, pts[1:]):

@@ -187,6 +187,10 @@ def _decaying_vector(h: complex) -> AnalyticFunction:
     return AnalyticFunction((Term(a, 0.0, mu_p), Term(b, 0.0, mu_m)))
 
 
+# the trace-normalized pair: sigma(0) = tau'(0) = 1, sigma'(0) = tau(0) = 0
+_SIGMA, _TAU = _decaying_vector(0j), _decaying_vector(RHO_INF)
+
+
 def build_potsdam(
     w: AnalyticFunction | None,
     rho: complex,
@@ -197,9 +201,7 @@ def build_potsdam(
     """Half-line scenario with potential ``W`` and deviation ``V_F phi``."""
     grid = make_grid("halfline", length=r)
     spec = forms.dirichlet_laplacian_halfline(grid)
-    # trace-normalized pair: sigma(0) = tau'(0) = 1, sigma'(0) = tau(0) = 0
-    sigma, tau = _decaying_vector(0j), _decaying_vector(RHO_INF)
-    zeta = tau if is_inf(rho) else sigma + rho * tau
+    zeta = _TAU if is_inf(rho) else _SIGMA + rho * _TAU
     if not decay_certificate(zeta, r):
         raise CatalogError("extension vector has not decayed by the truncation radius")
     phi_fn = phi if phi is not None else AnalyticFunction(())

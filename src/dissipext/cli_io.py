@@ -36,6 +36,7 @@ parameters to margins (CSV or JSON, byte-identical across reruns), and
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -107,64 +108,77 @@ def _tokenize(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
     i, n = 0, len(src)
     while i < n:
-        ch = src[i]
+        ch, j = src[i], i + 1
         if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
+            pass
+        elif ch.isdigit() or (ch == "." and j < n and src[j].isdigit()):
             while j < n and (src[j].isdigit() or src[j] == "."):
                 j += 1
             if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
+                k = j + 1 + (src[j + 1:j + 2] in ("+", "-"))  # past the exponent's sign
                 if k < n and src[k].isdigit():
-                    j = k
+                    j = k + 1
                     while j < n and src[j].isdigit():
                         j += 1
-            if j < n and src[j] == "i":
-                toks.append(_Tok("imag", src[i:j], i))
-                j += 1
-            else:
-                toks.append(_Tok("num", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            imag = j < n and src[j] == "i"
+            toks.append(_Tok("imag" if imag else "num", src[i:j], i))
+            j += imag
+        elif ch.isalpha() or ch == "_":
             while j < n and (src[j].isalnum() or src[j] == "_"):
                 j += 1
             toks.append(_Tok("name", src[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^(),":
+        elif ch in "+-*^(),":
             toks.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
+        else:
+            raise ExpressionError(f"unexpected character {ch!r}", i)
+        i = j
     toks.append(_Tok("end", "", n))
     return toks
 
 
 def _number(tok: _Tok) -> float:
-    """The value of a ``num`` or ``imag`` token; an ExpressionError where
-    float() does not read its text (two points, or a digit like ``²``)."""
+    """The value of a ``num`` or ``imag`` token; an ExpressionError where float()
+    does not read its text (two points, or a digit like ``²``) or reads inf."""
     try:
-        return float(tok.text)
+        value = float(tok.text)
     except ValueError:
         raise ExpressionError(f"malformed number {tok.text!r}", tok.pos) from None
+    if math.isinf(value):
+        raise ExpressionError(f"number {tok.text!r} is beyond the float range", tok.pos)
+    return value
+
+
+def _function(value) -> AnalyticFunction:
+    """A parsed value as a function: a constant is its one term (none for 0)."""
+    return value if isinstance(value, AnalyticFunction) else AnalyticFunction((Term(value, 0.0),))
+
+
+def _combine(op: str, a, b, pos: int):
+    """``a + b``, ``a - b`` or ``a * b`` of two parsed values; an ExpressionError
+    at ``pos`` where a coefficient, power or rate is not finite."""
+    if op == "-":  # a + (-1) b, as the term sums form it
+        op, b = "+", b * (-1.0) if isinstance(b, AnalyticFunction) else 0.0 + b * complex(-1.0)
+    if isinstance(a, complex) and isinstance(b, complex):
+        # the merge of the two terms begins from 0.0; a constant 0 has no term
+        out = (a + b if a and b else a or b) if op == "+" else (0.0 + a * b if a and b else 0j)
+        finite, out = cmath.isfinite(out), out if out else 0j
+    else:
+        out = _function(a) + _function(b) if op == "+" else _function(a) * _function(b)
+        finite = all(map(cmath.isfinite, (z for t in out.terms for z in t[:3])))
+    if not finite:
+        raise ExpressionError("value beyond the float range", pos)
+    return out
 
 
 class _Parser:
-    """Recursive-descent parser of the closed scenario-function grammar."""
+    """Recursive-descent parser of the closed scenario-function grammar.  A
+    constant (numbers, ``i``, their sums and products) is a complex number:
+    the coefficient of its one term, formed by the same float operations."""
 
     def __init__(self, src: str):
         self.src = src
         self.toks = _tokenize(src)
         self.k = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.k]
 
     def take(self, kind: str | None = None) -> _Tok:
         tok = self.toks[self.k]
@@ -173,139 +187,122 @@ class _Parser:
         self.k += 1
         return tok
 
-    def parse(self) -> AnalyticFunction:
-        fn = self.expr()
-        tok = self.peek()
+    def accept(self, *kinds: str) -> _Tok | None:
+        tok = self.toks[self.k]
+        if tok.kind not in kinds:
+            return None
+        self.k += 1
+        return tok
+
+    def parse(self) -> AnalyticFunction | complex:
+        """The function of the source, or the complex number it folds to."""
+        value = self.expr()
+        tok = self.toks[self.k]
         if tok.kind != "end":
             raise ExpressionError(f"trailing input {tok.text!r}", tok.pos)
-        return fn
+        return value
 
-    def expr(self) -> AnalyticFunction:
+    def expr(self):
         out = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+        while op := self.accept("+", "-"):
+            out = _combine(op.kind, out, self.term(), op.pos)
         return out
 
-    def term(self) -> AnalyticFunction:
+    def term(self):
         out = self.unary()
-        while self.peek().kind == "*":
-            self.take()
-            out = out * self.unary()
+        while op := self.accept("*"):
+            out = _combine("*", out, self.unary(), op.pos)
         return out
 
-    def unary(self) -> AnalyticFunction:
-        if self.peek().kind == "-":
-            self.take()
-            return self.unary() * (-1.0)
-        if self.peek().kind == "+":
-            self.take()
-            return self.unary()
-        return self.postfix()
+    def unary(self):
+        if op := self.accept("-"):
+            return _combine("-", 0j, self.unary(), op.pos)
+        return self.unary() if self.accept("+") else self.postfix()
 
-    def postfix(self) -> AnalyticFunction:
-        tok = self.peek()
+    def postfix(self):
+        pos = self.toks[self.k].pos
         base = self.atom()
-        if self.peek().kind != "^":
+        if not (op := self.accept("^")):
             return base
-        self.take()
         expo = self._signed_number()
-        if len(base.terms) == 1 and base.terms[0] == Term(1.0 + 0j, 1.0, 0.0):
+        if isinstance(base, AnalyticFunction) and base.terms == (Term(1.0 + 0j, 1.0, 0.0),):
             return AnalyticFunction((Term(1.0, expo, 0.0),))
         if expo.imag == 0 and expo.real == round(expo.real) and 0 <= expo.real <= 16:
-            out = AnalyticFunction((Term(1.0 + 0j),))
+            out = 1.0 + 0j
             for _ in range(int(expo.real)):
-                out = out * base
+                out = _combine("*", out, base, op.pos)
             return out
-        raise ExpressionError(
-            "fractional powers apply to the bare variable x only", tok.pos
-        )
+        raise ExpressionError("fractional powers apply to the bare variable x only", pos)
 
     def _signed_number(self) -> complex:
         sign = 1.0
-        while self.peek().kind in ("+", "-"):
-            if self.take().kind == "-":
-                sign = -sign
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return sign * _number(tok)
-        if tok.kind == "imag":
-            self.take()
-            return sign * 1j * _number(tok)
-        raise ExpressionError("expected a numeric exponent", tok.pos)
+        while tok := self.accept("+", "-"):
+            sign = -sign if tok.kind == "-" else sign
+        tok = self.accept("num", "imag")
+        if tok is None:
+            raise ExpressionError("expected a numeric exponent", self.toks[self.k].pos)
+        return sign * _number(tok) if tok.kind == "num" else sign * 1j * _number(tok)
 
-    def atom(self) -> AnalyticFunction:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return AnalyticFunction((Term(complex(_number(tok)), 0.0),))
-        if tok.kind == "imag":
-            self.take()
-            return AnalyticFunction((Term(1j * _number(tok), 0.0),))
+    def atom(self):
+        tok = self.take()
+        if tok.kind in ("num", "imag"):
+            return 0.0 + (complex(_number(tok)) if tok.kind == "num" else 1j * _number(tok))
         if tok.kind == "(":
-            self.take()
             out = self.expr()
             self.take(")")
             return out
-        if tok.kind == "name":
-            if tok.text == "x":
-                self.take()
-                return AnalyticFunction((Term(1.0 + 0j, 1.0),))
-            if tok.text == "i":
-                self.take()
-                return AnalyticFunction((Term(1j, 0.0),))
-            if tok.text == "exp":
-                self.take()
-                self.take("(")
-                arg = self.expr()
-                self.take(")")
-                return self._exp_of(arg, tok.pos)
-            if tok.text == "indicator":
-                self.take()
-                self.take("(")
-                lo = self._signed_number()
-                self.take(",")
-                hi = self._signed_number()
-                self.take(")")
-                if lo.imag != 0 or hi.imag != 0 or hi.real <= lo.real:
-                    raise ExpressionError("indicator needs real bounds with lo < hi", tok.pos)
-                return indicator(lo.real, hi.real)
+        if tok.kind != "name":
+            raise ExpressionError(f"unexpected token {tok.text or 'end'!r}", tok.pos)
+        if tok.text in ("x", "i"):
+            return AnalyticFunction((Term(1.0 + 0j, 1.0),)) if tok.text == "x" else 1j
+        if tok.text not in ("exp", "indicator"):
             raise ExpressionError(f"unknown name {tok.text!r}", tok.pos)
-        raise ExpressionError(f"unexpected token {tok.text or 'end'!r}", tok.pos)
+        self.take("(")
+        if tok.text == "exp":
+            arg = self.expr()
+            self.take(")")
+            return self._exp_of(_function(arg), tok.pos)
+        lo = self._signed_number()
+        self.take(",")
+        hi = self._signed_number()
+        self.take(")")
+        if lo.imag != 0 or hi.imag != 0 or hi.real <= lo.real:
+            raise ExpressionError("indicator needs real bounds with lo < hi", tok.pos)
+        return indicator(lo.real, hi.real)
 
     def _exp_of(self, arg: AnalyticFunction, pos: int) -> AnalyticFunction:
-        c0 = 0.0 + 0.0j
-        c1 = 0.0 + 0.0j
+        c0 = c1 = 0.0 + 0.0j
         for t in arg.terms:
-            if t.windowed or t.rate != 0:
+            if t.windowed or t.rate != 0 or t.power not in (0, 1):
                 raise ExpressionError("exp argument must be affine in x", pos)
             if t.power == 0:
                 c0 += t.coeff
-            elif t.power == 1.0 + 0j:
-                c1 += t.coeff
             else:
-                raise ExpressionError("exp argument must be affine in x", pos)
-        return exponential(complex(np.exp(c0)), c1)
+                c1 += t.coeff
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = complex(np.exp(c0))
+        if not cmath.isfinite(scale):
+            raise ExpressionError("value beyond the float range", pos)
+        return exponential(scale, c1)
 
 
 def parse_expression(src: str) -> AnalyticFunction:
     """Parse one scenario function; raises :class:`ExpressionError`."""
-    return _Parser(src).parse()
+    return _function(_Parser(src).parse())
 
 
 def parse_complex(src: str) -> complex:
     """Parse a complex scalar like ``0.5+0.375i``; ``inf`` is the point at
-    infinity of the boundary-parameter sphere."""
+    infinity of the boundary-parameter sphere, and no other value is."""
     s = src.strip()
     if s == "inf":
         return RHO_INF
-    fn = parse_expression(s)
-    for t in fn.terms:
-        if t.power != 0 or t.rate != 0 or t.windowed:
+    value = _Parser(s).parse()
+    if isinstance(value, AnalyticFunction):
+        if any(t.power != 0 or t.rate != 0 or t.windowed for t in value.terms):
             raise ExpressionError("expected a constant", 0)
-    return complex(sum(t.coeff for t in fn.terms))
+        value = complex(sum(t.coeff for t in value.terms))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +404,13 @@ _KEYS = {
 _SECTIONS = {section for section, _ in _KEYS}
 
 
+#: the keys each kind reads, in the order of :data:`_KEYS`, with their readers,
+#: defaults and names; None stands for a perturbation that is neither
+_READS = {kind: {key: (reader, default, "[%s] %s" % key)
+                 for key, (reader, default, by) in _KEYS.items() if not kinds.isdisjoint(by)}
+          for kind, kinds in [*((k, {k}) for k in _KINDS), (None, set(_HALFLINE))]}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario configuration.
@@ -460,12 +464,11 @@ def parse_config(text: str) -> ScenarioConfig:
     where: dict[tuple[str, str], tuple[int, int, int]] = {}  # line, key column, value column
     headers: dict[str, tuple[int, int]] = {}  # a section's first header; a missing key cites it
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
+        stripped = raw_line.partition("#")[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         col = raw_line.index(stripped[0]) + 1
-        if stripped.startswith("["):
+        if stripped[0] == "[":
             if not stripped.endswith("]"):
                 raise ConfigError("unterminated section header", lineno, col)
             section = stripped[1:-1].strip()
@@ -475,17 +478,17 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         if section is None:
             raise ConfigError("key outside any section", lineno, col)
-        if "=" not in stripped:
+        key, eq, value = stripped.partition("=")
+        if not eq:
             raise ConfigError("expected key = value", lineno, col)
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if (section, key) not in _KEYS:
-            raise ConfigError(f"unknown key {key!r} in [{section}]", lineno, col)
-        if (section, key) in where:
-            raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno, col)
-        after = raw_line[raw_line.index("=") + 1:]
-        where[(section, key)] = (lineno, col, len(raw_line) - len(after.lstrip()) + 1)
-        raw[(section, key)] = value
+        sk = (section, key.strip())
+        if sk not in _KEYS:
+            raise ConfigError(f"unknown key {sk[1]!r} in [{section}]", lineno, col)
+        if sk in where:
+            raise ConfigError(f"duplicate key {sk[1]!r} in [{section}]", lineno, col)
+        after = raw_line.partition("=")[2]
+        where[sk] = (lineno, col, len(raw_line) - len(after.lstrip()) + 1)
+        raw[sk] = value.strip()
     name = raw.get(("scenario", "name"))
     if name is None:
         raise ConfigError(f"missing required key: [scenario] name (one of {', '.join(_SCENARIOS)})",
@@ -493,33 +496,30 @@ def parse_config(text: str) -> ScenarioConfig:
     if name not in _SCENARIOS:
         line, _, col = where[("scenario", "name")]
         raise ConfigError(f"unknown scenario {name!r}", line, col)
-    kinds, scope = {name}, f"for scenario {name}"
+    reads, scope = _READS.get(name), f"for scenario {name}"
     if name == "halfline_schrodinger":
         pert = raw.get(("scenario", "perturbation"), "rank_one")
-        # a perturbation that is neither is refused by its reader
-        kinds = {pert} if pert in _HALFLINE else set(_HALFLINE)
+        reads = _READS[pert if pert in _HALFLINE else None]
         scope += f" with perturbation = {pert}"
     for (s, k), (line, col, _) in where.items():
-        if kinds.isdisjoint(_KEYS[s, k][2]):
+        if (s, k) not in reads:
             context = scope if s == "scenario" else f"in [{s}]"
             raise ConfigError(f"unknown key {k!r} {context}", line, col)
     values: dict = {}
-    for (s, k), (reader, default, by) in _KEYS.items():
-        if kinds.isdisjoint(by):
-            continue
-        if (s, k) not in raw:
+    for key, (reader, default, what) in reads.items():
+        if key not in raw:
             if default is _REQUIRED:
-                raise ConfigError(f"missing required key: [{s}] {k} {scope}", *headers[s])
-            values[s, k] = default
+                raise ConfigError(f"missing required key: {what} {scope}", *headers[key[0]])
+            values[key] = default
             continue
         try:
-            values[s, k] = reader(raw[s, k], f"[{s}] {k}")
-            if s == "scenario":
-                catalog.check_parameter(name, k, values[s, k])
+            values[key] = value = reader(raw[key], what)
+            if key[0] == "scenario":
+                catalog.check_parameter(name, key[1], value)
         except (ConfigError, catalog.CatalogError) as exc:
-            line, _, col = where[s, k]
+            line, _, col = where[key]
             raise ConfigError(exc.args[0], line, col) from None
-    return ScenarioConfig(name, tuple((s, k, v) for (s, k), v in raw.items()), values)
+    return ScenarioConfig(name, tuple([(s, k, v) for (s, k), v in raw.items()]), values)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

@@ -195,7 +195,7 @@ def _im_action(problem: ExtensionProblem) -> float:
             t.power == 0 and not t.windowed for t in vfn.terms):
         return _boundary_form(vfn)
     act = problem.action_on(vfn)
-    return float((vfn.conj() * act).integral(0.0, problem.grid.right_endpoint).imag)
+    return float(forms.inner(vfn, act, problem.grid.right_endpoint).imag)
 
 
 def _boundary_form(v: AnalyticFunction) -> float:
@@ -208,10 +208,10 @@ def _boundary_form(v: AnalyticFunction) -> float:
     ``c mu``, and the term-sum integral, would cancel it.
     """
     pairs = [(complex(t.coeff), complex(t.rate)) for t in v.terms]
-    v0_re = math.fsum(c.real for c, _ in pairs)
-    v0_im = math.fsum(c.imag for c, _ in pairs)
-    d0_re = math.fsum(x for c, mu in pairs for x in (c.real * mu.real, -c.imag * mu.imag))
-    d0_im = math.fsum(x for c, mu in pairs for x in (c.real * mu.imag, c.imag * mu.real))
+    v0_re = math.fsum([c.real for c, _ in pairs])
+    v0_im = math.fsum([c.imag for c, _ in pairs])
+    d0_re = math.fsum([x for c, mu in pairs for x in (c.real * mu.real, -c.imag * mu.imag)])
+    d0_im = math.fsum([x for c, mu in pairs for x in (c.real * mu.imag, c.imag * mu.real)])
     return v0_re * d0_im - v0_im * d0_re
 
 

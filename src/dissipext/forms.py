@@ -171,7 +171,7 @@ def rank_one(alpha: float, phi0: AnalyticFunction, domain: Grid | None = None) -
 
 def inner(f: AnalyticFunction, g: AnalyticFunction, end: float) -> complex:
     """<f, g> over ``(0, end)``, in closed form."""
-    return (f.conj() * g).integral(0.0, end)
+    return f.inner(g, 0.0, end)
 
 
 def _form_norm_sq(spec: ImaginaryPartSpec, f: AnalyticFunction, domain: str) -> float:
@@ -291,7 +291,7 @@ def _laplacian_inverse(
                 if abs(tail_mass) > 1e-10 * (1.0 + abs(c_tot)):
                     raise RangeError("inverse solution does not decay on the half-line")
             u = a1 + xfn * (complex(c_tot) * one - a0)
-        inv = float((fn.conj() * u).integral(0.0, spec.end).real)
+        inv = float(inner(fn, u, spec.end).real)
     except DivergentIntegralError as exc:
         raise RangeError(str(exc)) from None
     except AnalyticError as exc:

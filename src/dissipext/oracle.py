@@ -223,7 +223,7 @@ def _mesh_free(problem: ExtensionProblem) -> _MeshFree:
     end = problem.grid.right_endpoint
     pert = problem.perturbation
     action = problem.action_on(vfn)
-    vv = (vfn.conj() * action).integral(0.0, end)
+    vv = forms.inner(vfn, action, end)
     lv = problem.deviation()
     if lv is not None:
         action = action + lv
