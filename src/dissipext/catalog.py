@@ -172,19 +172,16 @@ def _check_phi(spec: forms.ImaginaryPartSpec, phi: AnalyticFunction, what: str) 
 # potsdam: -i f'' + W on the half-line
 
 
+_MU_P, _MU_M = -(1.0 + 1.0j) / math.sqrt(2.0), -(1.0 - 1.0j) / math.sqrt(2.0)
+
+
 def _decaying_vector(h: complex) -> AnalyticFunction:
     """The combination of the decaying kernel pair ``exp(-(1 +- i) x / sqrt(2))``
     with ``f(0) = 1, f'(0) = h`` (``f(0) = 0, f'(0) = 1`` at ``h = inf``)."""
-    mu_p = -(1.0 + 1.0j) / math.sqrt(2.0)
-    mu_m = -(1.0 - 1.0j) / math.sqrt(2.0)
-    det = mu_m - mu_p
-    if is_inf(h):
-        val0, der0 = 0.0, 1.0
-    else:
-        val0, der0 = 1.0, h
-    a = (val0 * mu_m - der0) / det
-    b = (der0 - val0 * mu_p) / det
-    return AnalyticFunction((Term(a, 0.0, mu_p), Term(b, 0.0, mu_m)))
+    val0, der0 = (0.0, 1.0) if is_inf(h) else (1.0, h)
+    a = (val0 * _MU_M - der0) / (_MU_M - _MU_P)
+    b = (der0 - val0 * _MU_P) / (_MU_M - _MU_P)
+    return AnalyticFunction((Term(a, 0.0, _MU_P), Term(b, 0.0, _MU_M)))
 
 
 # the trace-normalized pair: sigma(0) = tau'(0) = 1, sigma'(0) = tau(0) = 0

@@ -68,6 +68,7 @@ SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 
 _SCENARIOS = ("potsdam", "shirley", "konzert", "halfline_schrodinger")
+_RANK_ONE_PHI = exponential(math.sqrt(2.0), -1.0)  # the direction of a rank-one config without phi
 
 
 class ConfigError(Exception):
@@ -552,10 +553,7 @@ def build_problem(cfg: ScenarioConfig, rho_override: complex | None = None) -> E
     if name == "konzert":
         return catalog.build_konzert(get("gamma"), get("ell"), offset=cfg.grid_offset)
     if get("perturbation") == "rank_one":
-        phi_fn = get("phi")
-        if phi_fn is None:
-            phi_fn = exponential(math.sqrt(2.0), -1.0)
-        pert = catalog.RankOnePerturbation(get("alpha"), phi_fn, get("lambda"))
+        pert = catalog.RankOnePerturbation(get("alpha"), get("phi") or _RANK_ONE_PHI, get("lambda"))
     else:
         pert = catalog.MultiplicationPerturbation(get("V"), get("k"))
     return catalog.build_halfline_schrodinger(rho_override, pert, r=cfg.grid_r)

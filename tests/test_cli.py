@@ -133,6 +133,45 @@ def test_parse_complex_values():
         cli_io.parse_complex("x + 1")
 
 
+_POTSDAM_09 = "[scenario]\nname = potsdam\nrho = {}\nphi = 0.9i*x*exp(-x)\n"
+
+
+@pytest.mark.parametrize("text, key, col", [
+    *((_POTSDAM_09.format(rho), "rho", 7) for rho in ("1e400", "-1e400", "1e308*10", "1e200*1e200",
+                                                    "1e400i", "-inf", "inf*1")),
+    (SHIRLEY_CFG.replace("rho = 0.5+0.375i", "rho = 2^1e400"), "rho", 7),
+    ("[scenario]\nname = halfline_schrodinger\nh = 1e400\n", "h", 5),
+    ("[scenario]\nname = potsdam\nrho = 1\nphi = 1e400i*x*exp(-x)\n", "phi", 7),
+    ("[scenario]\nname = potsdam\nrho = 1\nphi = exp(1000)*i*x*exp(-x)\n", "phi", 7),
+    ("[scenario]\nname = potsdam\nrho = 1\nphi = 1e200*x*1e200*exp(-x)\n", "phi", 7),
+])
+def test_values_beyond_the_float_range_are_config_errors(text, key, col, tmp_path, capsys):
+    # they were read as the point at infinity, or as inf or nan coefficients,
+    # and checked as such; only the word inf is the point at infinity
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_io.main(["check", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: bad ") and f"[scenario] {key}:" in err
+    line = text.splitlines().index(next(ln for ln in text.splitlines() if ln.startswith(key + " ")))
+    assert err.endswith(f"(line {line + 1}, col {col})\n")
+
+
+def test_float_range_errors_point_at_the_value():
+    for src, pos in (("1e400", 0), ("1-1e400i", 2), ("1e308*10", 5), ("1e200*1e200", 5),
+                     ("x*1e200*1e200", 7), ("exp(1000)", 0), ("2^1e400", 2)):
+        with pytest.raises(cli_io.ExpressionError, match="float range") as err:
+            cli_io.parse_expression(src)
+        assert err.value.pos == pos
+    # a finite value keeps its bits, and underflow gives what float arithmetic gives
+    assert cli_io.parse_complex("1e-400") == 0j
+    assert cli_io.parse_complex("1e308*1.5").real == 1e308 * 1.5
+    assert cli_io.parse_complex("-0.678054i").imag == -0.678054
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
