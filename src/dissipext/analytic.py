@@ -352,18 +352,14 @@ class AnalyticFunction:
         return self._sum(xs, zero if zero.any() else None, np.zeros(xs.shape, dtype=complex),
                          np.where)
 
-    def value_at_zero(self) -> complex:
-        out = 0.0 + 0.0j
-        for t in self.terms:
-            if t.lo is not None and t.lo > 0:
-                continue
-            out += t.coeff * _pow_at(t.power, 0.0)
-        return out
-
     def value_at(self, x: float) -> complex:
         """``self(x)`` at one point, bit for bit, on numpy scalars."""
         if x == 0.0:
-            return self.value_at_zero()
+            out = 0.0 + 0.0j
+            for t in self.terms:
+                if t.lo is None or not t.lo > 0:
+                    out += t.coeff * _pow_at(t.power, 0.0)
+            return out
         return complex(self._sum(np.float64(x), None, np.complex128(0.0), _where_scalar))
 
     def decays_at_infinity(self) -> bool:

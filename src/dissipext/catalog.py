@@ -82,8 +82,10 @@ class ExtensionProblem:
     """One extension of a dual pair, ready for the criteria and the oracle.
 
     ``v`` spans the added one-dimensional space; the deviation from the
-    maximal action is either ``V_F phi`` (``phi`` set) or the explicit
-    function ``lv``.  All of them are term sums on the domain ``grid``.
+    maximal action is the explicit function ``lv``, the Schroedinger
+    perturbation's ``lambda phi`` or ``k``, or ``V_F phi`` (``phi`` set),
+    each stored once and read through :meth:`deviation`.  All of them are
+    term sums on the domain :attr:`grid`, which is ``spec.domain``.
 
     :meth:`expression` and :meth:`deviation` are the one statement of the
     scenario's operator that the criteria and the oracle read.
@@ -91,7 +93,6 @@ class ExtensionProblem:
 
     scenario: str
     spec: forms.ImaginaryPartSpec
-    grid: Grid
     v: AnalyticFunction
     rho: complex | None = None
     phi: AnalyticFunction | None = None
@@ -101,6 +102,11 @@ class ExtensionProblem:
     perturbation: RankOnePerturbation | MultiplicationPerturbation | None = None
     w_potential: AnalyticFunction | None = None
     maximally_dissipative: bool | None = None
+
+    @property
+    def grid(self) -> Grid:
+        """The domain, the one that ``spec`` holds."""
+        return self.spec.domain
 
     def expression(self) -> tuple[complex, complex, AnalyticFunction]:
         """``(c2, c1, m)`` of the unbounded action ``c2 f'' + c1 f' + m f``.
@@ -125,10 +131,16 @@ class ExtensionProblem:
         return c2 * d1.derivative() + c1 * d1 + m * fn
 
     def deviation(self) -> AnalyticFunction | None:
-        """``Lv``: ``lv`` when given, else ``V_F phi`` (None when ``phi`` is
-        absent or zero)."""
+        """``Lv``: ``lv`` when given (Konzert, and hand-built problems), else
+        the perturbation's ``lambda phi`` or ``k``, else ``V_F phi`` (None
+        when ``phi`` is absent or zero)."""
         if self.lv is not None:
             return self.lv
+        pert = self.perturbation
+        if isinstance(pert, RankOnePerturbation):
+            return pert.lam * pert.phi
+        if isinstance(pert, MultiplicationPerturbation):
+            return pert.k
         phi = self.phi
         if phi is None or not phi.terms:
             return None
@@ -216,7 +228,6 @@ def build_potsdam(
     return ExtensionProblem(
         scenario="potsdam",
         spec=spec,
-        grid=grid,
         v=zeta,
         rho=rho,
         phi=phi_fn,
@@ -266,7 +277,6 @@ def build_shirley(
     return ExtensionProblem(
         scenario="shirley",
         spec=spec,
-        grid=grid,
         v=xi,
         rho=rho,
         phi=phi_fn,
@@ -300,7 +310,6 @@ def build_konzert(
     return ExtensionProblem(
         scenario="konzert",
         spec=spec,
-        grid=grid,
         v=v,
         lv=ell_fn,
         gamma=float(gamma),
@@ -377,18 +386,14 @@ def build_halfline_schrodinger(
             # the deviation scale refers to the normalized direction
             perturbation = replace(perturbation, phi=perturbation.phi * (1.0 / nrm))
         spec = forms.rank_one(perturbation.alpha, perturbation.phi, grid)
-        lv = perturbation.lam * perturbation.phi
         _check_square(perturbation.lam, "lambda")
     else:
         spec = forms.multiplication(perturbation.v, grid)  # checks V >= 0
-        lv = perturbation.k
     return ExtensionProblem(
         scenario="halfline_schrodinger",
         spec=spec,
-        grid=grid,
         v=eta,
         h=h,
-        lv=lv,
         perturbation=perturbation,
     )
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import catalog, criteria, eigenh, forms, oracle
+from . import __version__, catalog, criteria, eigenh, forms, oracle
 from .analytic import AnalyticFunction, AnalyticError, Term, exponential, indicator
 from .catalog import ExtensionProblem, RHO_INF
 from .grid import GridError, span_decay_certificate
@@ -56,7 +56,6 @@ __all__ = [
     "parse_complex",
     "ScenarioConfig",
     "parse_config",
-    "serialize_config",
     "build_problem",
     "run_check",
     "run_sweep",
@@ -65,7 +64,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 _SCENARIOS = ("potsdam", "shirley", "konzert", "halfline_schrodinger")
 _RANK_ONE_PHI = exponential(math.sqrt(2.0), -1.0)  # the direction of a rank-one config without phi
@@ -416,8 +415,9 @@ _READS = {kind: {key: (reader, default, "[%s] %s" % key)
 class ScenarioConfig:
     """Validated scenario configuration.
 
-    ``params`` keeps the raw value strings in canonical order, so that
-    serialize/parse round-trips exactly.  ``values`` maps each (section, key)
+    ``params`` keeps the raw value strings in canonical order: the sweep
+    payload's ``parameters`` and the error text of :meth:`sweep_axis` quote
+    them as the file gave them.  ``values`` maps each (section, key)
     the scenario reads to what its reader gave once in :func:`parse_config`,
     or to its default when absent; it takes no part in equality.
     """
@@ -521,19 +521,6 @@ def parse_config(text: str) -> ScenarioConfig:
             line, _, col = where[key]
             raise ConfigError(exc.args[0], line, col) from None
     return ScenarioConfig(name, tuple([(s, k, v) for (s, k), v in raw.items()]), values)
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    lines = []
-    current = None
-    for section, key, value in cfg.params:
-        if section != current:
-            if current is not None:
-                lines.append("")
-            lines.append(f"[{section}]")
-            current = section
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

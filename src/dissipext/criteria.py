@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import forms
-from .analytic import AnalyticError, AnalyticFunction, DivergentIntegralError, norm_sq
+from .analytic import AnalyticError, AnalyticFunction, DivergentIntegralError, norm_sq, off_support
 from .catalog import CatalogError, ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "FAIL_DOMAIN_NOT_IN_DSSTAR",
     "Verdict",
     "necessity_checks",
-    "general_lhs",
     "verdict_general",
     "verdict_ran_vf",
     "verdict_strict_pos",
@@ -167,8 +166,8 @@ class _Deviation:
     def off_support(self) -> bool:
         if self._off_support is None:
             pert = self._problem.perturbation
-            self._off_support = isinstance(pert, MultiplicationPerturbation) and forms.support_violation(
-                pert.v, pert.k, self._problem.grid.right_endpoint)
+            self._off_support = isinstance(pert, MultiplicationPerturbation) and off_support(
+                pert.k, pert.v, 0.0, self._problem.grid.right_endpoint)
         return self._off_support
 
 
@@ -195,7 +194,7 @@ def _im_action(problem: ExtensionProblem) -> float:
             t.power == 0 and not t.windowed for t in vfn.terms):
         return _boundary_form(vfn)
     act = problem.action_on(vfn)
-    return float(forms.inner(vfn, act, problem.grid.right_endpoint).imag)
+    return float(vfn.inner(act, 0.0, problem.grid.right_endpoint).imag)
 
 
 def _boundary_form(v: AnalyticFunction) -> float:
@@ -306,7 +305,7 @@ def verdict_strict_pos(problem: ExtensionProblem) -> Verdict:
     lhs = _im_action(problem)
     if dev.lv is not None:
         pv = forms.projection_P(problem.spec, problem.v)
-        lhs += forms.inner(pv, dev.lv, problem.grid.right_endpoint).imag
+        lhs += pv.inner(dev.lv, 0.0, problem.grid.right_endpoint).imag
     rhs = dev.quarter + krein_v
     return Verdict.from_sides(CRITERION_STRICT_POS, lhs, rhs, problem)
 
@@ -352,23 +351,19 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
     return Verdict.from_sides(CRITERION_BOUNDED_V, lhs, rhs, problem)
 
 
-def general_lhs(problem: ExtensionProblem) -> float:
-    """``Im <v, (action + L) v>`` including any bounded imaginary part."""
-    return _general_lhs(problem, problem.deviation())
-
-
 def _general_lhs(problem: ExtensionProblem, lv: AnalyticFunction | None) -> float:
-    """:func:`general_lhs` with ``lv = problem.deviation()`` given."""
+    """``Im <v, (action + L) v>`` including any bounded imaginary part, with
+    ``lv = problem.deviation()`` given."""
     lhs = _im_action(problem) + _bounded_part(problem)
     if lv is not None:
-        lhs += forms.inner(problem.v, lv, problem.grid.right_endpoint).imag
+        lhs += problem.v.inner(lv, 0.0, problem.grid.right_endpoint).imag
     return lhs
 
 
 def verdict_general(problem: ExtensionProblem, basis_dim: int = 24) -> Verdict:
     """Master criterion with the cross term in closed form.
 
-    lhs: :func:`general_lhs`; rhs: ``(1/4)||V_F^{-1/2} Lv||^2 +
+    lhs: ``Im <v, (action + L) v>``; rhs: ``(1/4)||V_F^{-1/2} Lv||^2 +
     ||V_K^{1/2} v||^2`` minus the cross term ``Im <U V_F^{1/2} phi,
     V_K^{1/2} v>``.  The deviation reaches the cross term only as
     ``Lv = V_F phi``, with ``phi`` given or ``phi = V_F^{-1} Lv`` from
@@ -384,7 +379,7 @@ def verdict_general(problem: ExtensionProblem, basis_dim: int = 24) -> Verdict:
 
 
 def _master_verdict(problem: ExtensionProblem, criterion: str) -> Verdict:
-    """``general_lhs`` against ``(1/4)||V_F^{-1/2} Lv||^2 + ||V_K^{1/2} v||^2 -
+    """``_general_lhs`` against ``(1/4)||V_F^{-1/2} Lv||^2 + ||V_K^{1/2} v||^2 -
     Im K(phi, v)`` with ``Lv = V_F phi``."""
     dev = _deviation(problem)
     gate, krein_v = _gate(problem, criterion, dev)
@@ -396,7 +391,7 @@ def _master_verdict(problem: ExtensionProblem, criterion: str) -> Verdict:
     if phi is None and lv is not None:
         if spec.friedrichs_equals_krein:
             # K(V^{-1} Lv, v) = <Lv, v>: the cross term needs no inverse
-            cross = forms.inner(lv, v, problem.grid.right_endpoint).imag
+            cross = lv.inner(v, 0.0, problem.grid.right_endpoint).imag
             return Verdict.from_sides(criterion, lhs, rhs - cross, problem)
         phi = forms.vf_solve(spec, lv).u
     if phi is not None:

@@ -10,7 +10,7 @@ positive definite) on a band-plus-border pattern, the oracle's solver
    numbers.  Each part keeps its dtype; the oracle's bands are real.  The
    record adds ``H``'s rank-one term and ``G``'s factor when the caller has
    one.
-2. One ``L D L^H`` kernel without pivoting (:func:`_ldl`) factors
+2. One ``L D L^H`` kernel without pivoting (:func:`_ldl_core`) factors
    ``H - sigma G`` on those parts.  Its core step is written out for
    half-bandwidth 3 and carries the entries it still updates in local
    variables, so it runs float arithmetic on a float band and complex
@@ -96,7 +96,7 @@ _INVERSE_STEPS = 2
 _CERT_RTOL = 1e-12
 #: absolute width of that bracket, in units of the pencil's scale
 _FLOOR = 64.0 * _EPS
-#: half-bandwidth of the core band, the one :func:`_ldl` is written for
+#: half-bandwidth of the core band, the one :func:`_ldl_core` is written for
 _P = 3
 _PAD = [0.0] * _P
 
@@ -210,68 +210,53 @@ class Pencil:
 
 
 def _padded(a: np.ndarray) -> np.ndarray:
-    """``a`` with three zero columns appended, the padding :func:`_ldl` reads."""
+    """``a`` with three zero columns appended, the padding :func:`_ldl_core` reads."""
     out = np.zeros((len(a), a.shape[1] + _P), dtype=a.dtype)
     out[:, : a.shape[1]] = a
     return out
 
 
 def _layout(band: np.ndarray, rows: np.ndarray, corner: np.ndarray):
-    """``(band, rows, corner)`` arrays in the layout of :func:`_ldl`: the
+    """``(band, rows, corner)`` arrays in the layout of :func:`_ldl_core`: the
     band transposed to its diagonal and three sub-diagonals, and it and the
     border rows padded with three zeros."""
     return _padded(band.T), _padded(rows), corner
 
 
 def _corner_lists(corner: np.ndarray) -> list:
-    """The dense lower triangle of ``corner`` as :func:`_ldl` reads it,
+    """The dense lower triangle of ``corner`` as :func:`_ldl_border` reads it,
     ``out[c][j] = C[c+j, c]``."""
     c = corner.tolist()
     m = len(c)
     return [[c[k + j][k] for j in range(m - k)] for k in range(m)]
 
 
-def _lists(band: np.ndarray, rows: np.ndarray, corner: np.ndarray) -> tuple[list, list, list]:
-    """Arrays of :func:`_layout` as the lists :func:`_ldl` reads."""
-    return band.tolist(), rows.tolist(), _corner_lists(corner)
-
-
-def _ldl(band: list, rows: list, corner: list, cap: int | None = None):
-    """``L D L^H`` of a Hermitian band-plus-border matrix, no pivoting.
+def _ldl_core(band: list, cap: int | None = None):
+    """``L D L^H`` of a Hermitian band-plus-border matrix, no pivoting: the
+    core pass of the kernel, which :func:`_ldl_border` completes.
 
     ``band`` is four lists, the diagonal and the three sub-diagonals of the
     ``n``-row core (``band[j][k] = A[k+j, k]``), each padded with three
-    zeros; ``rows[c][k]`` holds ``A[n+c, k]`` (also padded) and
-    ``corner[c][j]`` holds ``A[n+c+j, n+c]``.
+    zeros; the border pass reads ``rows[c][k]``, which holds ``A[n+c, k]``
+    (also padded), and ``corner[c][j]``, which holds ``A[n+c+j, n+c]``.
 
-    1. The core (:func:`_ldl_core`): each step is written out for
-       half-bandwidth 3, and the entries that the next three steps still
-       update ride along in local variables, so a step neither loops nor
-       indexes.  The arithmetic is that of the entries: a float band runs
-       float operations.
+    1. The core (this pass): each step is written out for half-bandwidth 3,
+       and the entries that the next three steps still update ride along in
+       local variables, so a step neither loops nor indexes.  The
+       arithmetic is that of the entries: a float band runs float
+       operations.
     2. The border rows (:func:`_ldl_border`): ``W = A[n:, :n] L^{-H}`` is a
        forward solve of each row, their multipliers are ``W D^{-1}``, and
        the corner becomes its Schur complement ``A[n:, n:] - W D^{-1} W^H``.
-    3. The corner, factored as a dense block in place.
+    3. The corner, factored as a dense block in place (:func:`_ldl_border`).
 
-    Returns ``(factor, D, neg)``: the conjugate ``conj(L)`` of the unit
-    lower factor as ``(sub, rows, corner)`` (three sub-diagonal lists of
-    length ``n``, the border rows, and the corner lists), the pivots ``D``,
-    and how many pivots are not positive, which by Sylvester's law is the
-    number of negative eigenvalues of ``A`` when none is zero.  With ``cap``
-    the pass stops as soon as more than ``cap`` pivots are not positive;
-    ``factor`` is then None.
+    Returns ``(sub, D, neg)``: the three sub-diagonal lists of the conjugate
+    ``conj(L)`` of the unit lower factor, each of length ``n``, the pivots
+    ``D``, and how many pivots are not positive, which by Sylvester's law is
+    the number of negative eigenvalues of ``A`` when none is zero.  With
+    ``cap`` the pass stops as soon as more than ``cap`` pivots are not
+    positive; ``sub`` is then None.
     """
-    sub, d, neg = _ldl_core(band, cap)
-    if sub is None:
-        return None, d, neg
-    return _ldl_border(sub, d, neg, rows, corner, cap)
-
-
-def _ldl_core(band: list, cap: int | None = None):
-    """Step 1 of :func:`_ldl`, the core alone: ``(sub, D, neg)`` with
-    ``sub`` the three sub-diagonal lists of ``conj(L)``, or None when the
-    pass stopped at ``cap``."""
     b0, b1, b2, b3 = band
     cap = math.inf if cap is None else cap
     d: list = []
@@ -304,9 +289,10 @@ def _ldl_core(band: list, cap: int | None = None):
 
 
 def _ldl_border(sub: tuple, d: list, neg: int, rows: list, corner: list, cap: int | None = None):
-    """Steps 2 and 3 of :func:`_ldl` on the core's factor ``sub``, its
-    pivots ``d`` (the list is extended by the corner's) and its count
-    ``neg``; returns what :func:`_ldl` returns."""
+    """Steps 2 and 3 of the kernel of :func:`_ldl_core` on the core's factor
+    ``sub``, its pivots ``d`` (extended here by the corner's) and its count
+    ``neg``.  Returns ``(factor, D, neg)`` of the whole matrix, ``factor``
+    being ``conj(L)`` as ``(sub, rows, corner)``, or None at ``cap``."""
     cap = math.inf if cap is None else cap
     w = [_lower_solve(sub, r) for r in rows]
     conj_rows = [[x.conjugate() / p for x, p in zip(wc, d)] for wc in w]
@@ -359,7 +345,7 @@ def _upper_solve(sub: tuple, b: list) -> list:
 
 
 def _forward(factor: tuple, b: list) -> list:
-    """``F^{-1} b`` for the factor ``F = conj(L)`` that :func:`_ldl` returns."""
+    """``F^{-1} b`` for the factor ``F = conj(L)`` that :func:`_ldl_border` returns."""
     sub, rows, corner = factor
     n = len(sub[0])
     y = _lower_solve(sub, b[:n] + _PAD)
@@ -375,7 +361,7 @@ def _forward(factor: tuple, b: list) -> list:
 
 
 def _backward(factor: tuple, z: list) -> list:
-    """``F^{-T} z`` for the factor ``F = conj(L)`` that :func:`_ldl` returns."""
+    """``F^{-T} z`` for the factor ``F = conj(L)`` that :func:`_ldl_border` returns."""
     sub, rows, corner = factor
     n = len(sub[0])
     core, tail = z[:n], z[n:]
@@ -389,7 +375,7 @@ def _backward(factor: tuple, z: list) -> list:
 
 
 def _ldl_solve(factor: tuple, d: list, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` with a factor of :func:`_ldl`: with ``F = conj(L)``,
+    """Solve ``A x = b`` with a factor of :func:`_ldl_border`: with ``F = conj(L)``,
     ``x = L^{-H} D^{-1} L^{-1} b = F^{-T} (conj(F^{-1} conj(b)) / D)``."""
     y = _forward(factor, np.conj(b).tolist())
     return np.array(_backward(factor, (np.conj(y) / d).tolist()))
@@ -413,9 +399,10 @@ class GramFactor:
     ``g`` holds the :class:`BandBorder` parts of ``G``.  ``core`` is the
     factor of ``g``'s band as :func:`band_factor` returns it
     (``(sub, pivots)``), computed here when not given; then the border rows
-    and the corner are factored against it.  ``factor`` is ``conj(L)`` as :func:`_ldl` returns it, and
-    ``pivots`` is ``D``.  Raises :class:`NotPositiveDefiniteError` at the
-    first pivot that is not positive.
+    and the corner are factored against it.  ``factor`` is ``conj(L)`` as
+    :func:`_ldl_border` returns it, and ``pivots`` is ``D``.  Raises
+    :class:`NotPositiveDefiniteError` at the first pivot that is not
+    positive.
     """
 
     def __init__(self, g: BandBorder, core: tuple[tuple, tuple] | None = None):
@@ -475,9 +462,13 @@ class BandPencil:
         pencil below ``sigma`` and, when the pass ran to the end,
         ``solve: b -> (H - sigma G)^{-1} b`` (else None).  With ``cap`` the
         pass stops as soon as the count exceeds ``cap``."""
-        shifted = _lists(*(a - sigma * b for a, b in zip(self._h, self._g)))
+        band, rows, corner = (a - sigma * b for a, b in zip(self._h, self._g))
         extra = self._negative_extra
-        factor, d, neg = _ldl(*shifted, None if cap is None else cap + extra)
+        cap = None if cap is None else cap + extra
+        sub, d, neg = _ldl_core(band.tolist(), cap)
+        factor = None
+        if sub is not None:
+            factor, d, neg = _ldl_border(sub, d, neg, rows.tolist(), _corner_lists(corner), cap)
         if factor is None:
             return neg - extra, None
         pad, dim = self._pad, self._dim

@@ -13,7 +13,8 @@ Every function is a term sum, so forms, derivatives, traces and inverses
 are evaluated exactly, and every membership is decided from the term sums:
 :func:`dissipext.analytic.norm_sq` decides whether ``int w|f|^2`` or ``int
 |k|^2/V`` is finite from leading orders at 0, at infinity, at window edges
-and at the zeros of ``V``, and :func:`support_violation` is window logic.
+and at the zeros of ``V``, and :func:`dissipext.analytic.off_support` is
+window logic.
 Each spec carries its domain (a :class:`~dissipext.grid.Grid`); the
 multiplication spec is the one place that checks ``V >= 0``
 (:func:`dissipext.analytic.sign_check`).
@@ -38,7 +39,6 @@ from .analytic import (
     DivergentIntegralError,
     Term,
     norm_sq,
-    off_support,
     reciprocal,
     sign_check,
     trace,
@@ -54,7 +54,6 @@ __all__ = [
     "dirichlet_laplacian_interval",
     "multiplication",
     "rank_one",
-    "inner",
     "check_traces",
     "friedrichs_form_sq",
     "krein_form_sq",
@@ -63,7 +62,6 @@ __all__ = [
     "VfSolution",
     "vf_solve",
     "sqrt_scale_inv_form",
-    "support_violation",
     "mult_inverse_norm_sq",
     "projection_P",
 ]
@@ -165,15 +163,6 @@ def rank_one(alpha: float, phi0: AnalyticFunction, domain: Grid | None = None) -
     return ImaginaryPartSpec("rank_one", domain or make_grid("halfline"), alpha=alpha, phi0=phi0)
 
 
-# ---------------------------------------------------------------------------
-# inner products
-
-
-def inner(f: AnalyticFunction, g: AnalyticFunction, end: float) -> complex:
-    """<f, g> over ``(0, end)``, in closed form."""
-    return f.inner(g, 0.0, end)
-
-
 def _form_norm_sq(spec: ImaginaryPartSpec, f: AnalyticFunction, domain: str) -> float:
     """``||f'||^2`` or ``int w |f|^2``; DomainError naming ``domain`` if infinite."""
     try:
@@ -215,7 +204,7 @@ def check_traces(spec: ImaginaryPartSpec, f: AnalyticFunction) -> None:
 def friedrichs_form_sq(spec: ImaginaryPartSpec, f) -> float:
     """``||V_F^{1/2} f||^2`` for ``f`` in the Friedrichs form domain."""
     if spec.family == "rank_one":
-        return spec.alpha * abs(inner(spec.phi0, f, spec.end)) ** 2
+        return spec.alpha * abs(spec.phi0.inner(f, 0.0, spec.end)) ** 2
     val = _form_norm_sq(spec, f, "Friedrichs")
     if spec.is_laplacian:
         check_traces(spec, f)
@@ -235,10 +224,10 @@ def krein_form_sq(spec: ImaginaryPartSpec, f) -> float:
 def friedrichs_form(spec: ImaginaryPartSpec, f, g) -> complex:
     """Polarized Friedrichs form ``<V_F^{1/2} f, V_F^{1/2} g>``."""
     if spec.is_laplacian:
-        return inner(f.derivative(), g.derivative(), spec.end)
+        return f.derivative().inner(g.derivative(), 0.0, spec.end)
     if spec.family == "multiplication":
         return (f.conj() * spec.weight * g).integral(0.0, spec.end)
-    return spec.alpha * np.conj(inner(spec.phi0, f, spec.end)) * inner(spec.phi0, g, spec.end)
+    return spec.alpha * np.conj(spec.phi0.inner(f, 0.0, spec.end)) * spec.phi0.inner(g, 0.0, spec.end)
 
 
 def krein_form(spec: ImaginaryPartSpec, f, g) -> complex:
@@ -291,7 +280,7 @@ def _laplacian_inverse(
                 if abs(tail_mass) > 1e-10 * (1.0 + abs(c_tot)):
                     raise RangeError("inverse solution does not decay on the half-line")
             u = a1 + xfn * (complex(c_tot) * one - a0)
-        inv = float(inner(fn, u, spec.end).real)
+        inv = float(fn.inner(u, 0.0, spec.end).real)
     except DivergentIntegralError as exc:
         raise RangeError(str(exc)) from None
     except AnalyticError as exc:
@@ -310,7 +299,7 @@ def vf_solve(spec: ImaginaryPartSpec, ell) -> VfSolution:
     term, a Laplacian antiderivative outside the class).
     """
     if spec.family == "rank_one":
-        c = inner(spec.phi0, ell, spec.end)
+        c = spec.phi0.inner(ell, 0.0, spec.end)
         try:
             rest_sq = norm_sq(ell - c * spec.phi0, 0.0, spec.end)
         except DivergentIntegralError as exc:
@@ -326,11 +315,6 @@ def vf_solve(spec: ImaginaryPartSpec, ell) -> VfSolution:
         inv = mult_inverse_norm_sq(spec.weight, ell, spec.end)
         return VfSolution(winv * ell, inv)
     return VfSolution(*_laplacian_inverse(spec, ell))
-
-
-def support_violation(weight: AnalyticFunction, k: AnalyticFunction, end: float) -> bool:
-    """True when ``k`` lives where the multiplier vanishes on ``(0, end)`` (window logic)."""
-    return off_support(k, weight, 0.0, end)
 
 
 def mult_inverse_norm_sq(weight: AnalyticFunction, k: AnalyticFunction, end: float) -> float:

@@ -223,17 +223,17 @@ def _mesh_free(problem: ExtensionProblem) -> _MeshFree:
     end = problem.grid.right_endpoint
     pert = problem.perturbation
     action = problem.action_on(vfn)
-    vv = forms.inner(vfn, action, end)
+    vv = vfn.inner(action, 0.0, end)
     lv = problem.deviation()
     if lv is not None:
         action = action + lv
-        vv += forms.inner(vfn, lv, end)
+        vv += vfn.inner(lv, 0.0, end)
     bounded = rank_one = None
     if isinstance(pert, MultiplicationPerturbation):
         bounded = pert.v
         vv += 1.0j * forms.friedrichs_form_sq(problem.spec, vfn)
     elif isinstance(pert, RankOnePerturbation):
-        rank_one = (pert.alpha, pert.phi, forms.inner(vfn, pert.phi, end))
+        rank_one = (pert.alpha, pert.phi, vfn.inner(pert.phi, 0.0, end))
     return _MeshFree(_active_cut(problem), c2, c1, m, action, bounded, vv.imag,
                      norm_sq(vfn, 0.0, end), rank_one)
 

@@ -67,7 +67,7 @@ def assemble_dense(problem: ExtensionProblem, n: int, *, include_bounded_v: bool
     lv = problem.deviation()
     if lv is not None:
         act_v = act_v + lv(xs)
-        vv += forms.inner(problem.v, lv, end)
+        vv += problem.v.inner(lv, 0.0, end)
     bounded = _bounded(problem, tab, include_bounded_v)
     if isinstance(pert, MultiplicationPerturbation):
         act_v = act_v + bounded * v_samp
@@ -81,7 +81,7 @@ def assemble_dense(problem: ExtensionProblem, n: int, *, include_bounded_v: bool
     mat[nb, :nb] = tab.vector(ws * np.conj(v_samp), act_local)
     mat[nb, nb] = vv
     if isinstance(pert, RankOnePerturbation):
-        q = np.append(tab.vector(ws * pert.phi(xs), tab.val), forms.inner(problem.v, pert.phi, end))
+        q = np.append(tab.vector(ws * pert.phi(xs), tab.val), problem.v.inner(pert.phi, 0.0, end))
         mat += 1.0j * pert.alpha * np.outer(q, np.conj(q))
     gram[:nb, :nb] = dense_matrix(tab, ws, tab.val, tab.val)
     gv = tab.vector(ws * v_samp, tab.val)

@@ -31,7 +31,7 @@ def reference_margin(problem: ExtensionProblem) -> float | None:
         norm_dphi_sq = float((dphi.conj() * dphi).integral(0.0, math.inf).real)
         if is_inf(rho):
             return -0.25 * norm_dphi_sq
-        return rho.real - 0.25 * norm_dphi_sq + float(dphi.value_at_zero().imag)
+        return rho.real - 0.25 * norm_dphi_sq + float(dphi.value_at(0.0).imag)
     if problem.scenario == "shirley":
         rho = problem.rho
         dphi = problem.phi.derivative()

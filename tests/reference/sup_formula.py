@@ -14,7 +14,7 @@ import numpy as np
 
 from dissipext import splines
 from dissipext.analytic import AnalyticFunction
-from dissipext.forms import FormsError, ImaginaryPartSpec, inner
+from dissipext.forms import FormsError, ImaginaryPartSpec
 
 from .assembly import dense_matrix
 
@@ -102,7 +102,7 @@ def krein_form_ando_nishio(spec: ImaginaryPartSpec | MatrixSpec, h, test_dim: in
         return _pencil_max(np.outer(bvec, np.conj(bvec)), spec.matrix)
     if spec.family == "rank_one":
         # the quotient is the same on every test direction not annihilated
-        return float(abs(inner(spec.phi0, h, spec.end)) ** 2 * spec.alpha)
+        return float(abs(spec.phi0.inner(h, 0.0, spec.end)) ** 2 * spec.alpha)
     knots = _graded_knots(spec.domain.offset, spec.domain.length)
     order = _widest_first(knots)
     if test_dim > len(order):

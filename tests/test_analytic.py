@@ -84,7 +84,7 @@ def test_derivative_of_indicator_rejected():
 def test_antiderivative_poly_exp():
     f = AnalyticFunction((Term(2.0, 3.0), Term(1.0, 1.0, -2.0)))
     big_f = f.antiderivative()
-    assert abs(big_f.value_at_zero()) < 1e-14
+    assert abs(big_f.value_at(0.0)) < 1e-14
     for x in (0.3, 1.0, 2.5):
         left = big_f.value_at(x)
         expect = 2.0 * x**4 / 4.0 + (0.25 - (x / 2 + 0.25) * np.exp(-2 * x))
@@ -102,10 +102,10 @@ def test_windowed_integrals_exact():
 
 
 def test_value_at_zero_limits():
-    assert constant(3.0).value_at_zero() == 3.0
-    assert power(1.0, 1.5).value_at_zero() == 0.0
+    assert constant(3.0).value_at(0.0) == 3.0
+    assert power(1.0, 1.5).value_at(0.0) == 0.0
     with pytest.raises(DivergentIntegralError):
-        power(1.0, -0.5).value_at_zero()
+        power(1.0, -0.5).value_at(0.0)
 
 
 def test_decays_at_infinity():

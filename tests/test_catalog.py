@@ -1,11 +1,12 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dissipext import catalog, criteria
+from dissipext import catalog, criteria, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator
 from dissipext.catalog import RHO_INF
 from reference.dense import pencil_eigh
@@ -19,11 +20,11 @@ from reference.margins import reference_dissipative, reference_margin, shirley_m
 
 def test_potsdam_trace_normalization():
     p = catalog.build_potsdam(None, 0.7 + 0.2j, None)
-    assert p.v.value_at_zero() == pytest.approx(1.0, abs=1e-12)
-    assert p.v.derivative().value_at_zero() == pytest.approx(0.7 + 0.2j, abs=1e-12)
+    assert p.v.value_at(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert p.v.derivative().value_at(0.0) == pytest.approx(0.7 + 0.2j, abs=1e-12)
     pinf = catalog.build_potsdam(None, RHO_INF, None)
-    assert pinf.v.value_at_zero() == pytest.approx(0.0, abs=1e-12)
-    assert pinf.v.derivative().value_at_zero() == pytest.approx(1.0, abs=1e-12)
+    assert pinf.v.value_at(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert pinf.v.derivative().value_at(0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_potsdam_defect_system_determinant():
@@ -82,7 +83,7 @@ def test_shirley_vector_traces():
     for rho in (0.5 + 0.375j, 2.0 + 0j, -1.0 + 0.25j):
         s = catalog.build_shirley(math.sqrt(3.0), rho, None)
         dv = s.v.derivative()
-        assert s.v.value_at_zero() == 0.0 and dv.value_at_zero() == 0.0
+        assert s.v.value_at(0.0) == 0.0 and dv.value_at(0.0) == 0.0
         assert s.v.value_at(1.0) == pytest.approx(rho, abs=1e-12)
         assert dv.value_at(1.0) == pytest.approx(1.0, abs=1e-12)
     sinf = catalog.build_shirley(2.0, RHO_INF, None)
@@ -211,8 +212,8 @@ def test_schrodinger_boundary_vector(rank_one_direction):
     q = catalog.build_halfline_schrodinger(
         0.5 + 2.0j, catalog.RankOnePerturbation(1.0, rank_one_direction, 0.0)
     )
-    assert q.v.value_at_zero() == pytest.approx(1.0, abs=1e-12)
-    assert q.v.derivative().value_at_zero() == pytest.approx(0.5 + 2.0j, abs=1e-12)
+    assert q.v.value_at(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert q.v.derivative().value_at(0.0) == pytest.approx(0.5 + 2.0j, abs=1e-12)
 
 
 def test_schrodinger_rank_one_margin(rank_one_direction):
@@ -257,6 +258,54 @@ def test_schrodinger_h_inf_only_zero_deviation(rank_one_direction):
         RHO_INF, catalog.RankOnePerturbation(1.0, rank_one_direction, 0.5)
     )
     assert reference_dissipative(qnz) is False
+
+
+def test_replaced_multiplication_deviation_decides_as_a_fresh_build():
+    # Lv is the perturbation's k, stored once: a replaced k is the deviation
+    v = indicator(0.0, 1.0)
+    built = catalog.build_halfline_schrodinger(
+        1 + 1j, catalog.MultiplicationPerturbation(v, 2.0 * indicator(0.0, 1.0)))
+    k = 1.0 * indicator(0.0, 1.0)
+    replaced = dataclasses.replace(built, perturbation=dataclasses.replace(built.perturbation, k=k))
+    fresh = catalog.build_halfline_schrodinger(1 + 1j, catalog.MultiplicationPerturbation(v, k))
+    assert criteria.decide(replaced) == criteria.decide(fresh)
+    assert criteria.decide(fresh).margin == 0.75
+
+
+def test_replaced_rank_one_deviation_is_what_the_oracle_assembles(rank_one_direction):
+    # Lv is the perturbation's lambda phi, stored once: the oracle reads a
+    # replaced lambda as a fresh build does
+    built = catalog.build_halfline_schrodinger(
+        1j, catalog.RankOnePerturbation(1.0, rank_one_direction, 2.0))
+    replaced = dataclasses.replace(
+        built, perturbation=dataclasses.replace(built.perturbation, lam=0.5 + 0.5j))
+    fresh = catalog.build_halfline_schrodinger(
+        1j, catalog.RankOnePerturbation(1.0, rank_one_direction, 0.5 + 0.5j))
+    got, want = (oracle.assemble_discrete(p, 32) for p in (replaced, fresh))
+    for name in ("h", "g"):
+        for a, b in zip(getattr(got, name).parts, getattr(want, name).parts):
+            assert np.array_equal(a, b), name
+    assert got.rank_one[0] == want.rank_one[0]
+    assert np.array_equal(got.rank_one[1], want.rank_one[1])
+    reports = [oracle.cross_validate(p, criteria.decide(p), meshes=(16, 32, 64))
+               for p in (replaced, fresh)]
+    assert reports[0].infima == reports[1].infima
+
+
+def _every_builder(rank_one_direction):
+    yield catalog.build_potsdam(None, 1.0 + 0j, None)
+    yield catalog.build_shirley(2.0, 1.0 + 0j, None)
+    yield catalog.build_konzert(0.25, None)
+    yield catalog.build_halfline_schrodinger(
+        1j, catalog.RankOnePerturbation(1.0, rank_one_direction, 0.5))
+    yield catalog.build_halfline_schrodinger(
+        1j, catalog.MultiplicationPerturbation(indicator(0.0, 1.0), indicator(0.0, 1.0)))
+
+
+def test_the_grid_is_the_specs_domain(rank_one_direction):
+    assert "grid" not in {f.name for f in dataclasses.fields(catalog.ExtensionProblem)}
+    for problem in _every_builder(rank_one_direction):
+        assert problem.grid is problem.spec.domain, problem.scenario
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def test_vf_solve_residual_invariant(interval, spec_interval):
         / float((ell.conj() * ell).integral(0, 1).real)
     )
     assert rel < 1e-6
-    assert abs(sol.u.value_at_zero()) < 1e-13 and abs(sol.u.value_at(1.0)) < 1e-13
+    assert abs(sol.u.value_at(0.0)) < 1e-13 and abs(sol.u.value_at(1.0)) < 1e-13
 
 
 def test_vf_solve_green_fallback_matches(interval, spec_interval, gauss):
@@ -343,7 +343,7 @@ def test_projection_idempotent_and_complementary(interval, spec_interval, gauss)
         float(np.sum(ws * np.abs(pp(xs) - p(xs)) ** 2))
     ) < 1e-10
     rest = v - p
-    assert abs(rest.value_at_zero()) < 1e-8 and abs(rest.value_at(1.0)) < 1e-8
+    assert abs(rest.value_at(0.0)) < 1e-8 and abs(rest.value_at(1.0)) < 1e-8
 
 
 def test_projection_trivial_kernel(konzert_weight, gauss):

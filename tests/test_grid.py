@@ -54,8 +54,8 @@ def test_tiny_halfline_length_needs_no_offset(length):
 
 def test_boundary_data_analytic_traces_win(interval_grid, phi_x2_minus_x):
     f, df = phi_x2_minus_x, phi_x2_minus_x.derivative()
-    assert f.value_at_zero() == 0.0 and f.value_at(interval_grid.length) == 0.0
-    assert df.value_at_zero() == -1.0 and df.value_at(1.0) == 1.0
+    assert f.value_at(0.0) == 0.0 and f.value_at(interval_grid.length) == 0.0
+    assert df.value_at(0.0) == -1.0 and df.value_at(1.0) == 1.0
     # the trace scale is 1 + sum |term values|: x^2 and -x are 1 and 1 at x = 1
     assert trace(f, 1.0) == (0.0, 3.0)
 
