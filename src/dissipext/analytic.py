@@ -26,6 +26,7 @@ window piece.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -40,6 +41,7 @@ __all__ = [
     "reciprocal",
     "off_support",
     "norm_sq",
+    "square_integrable",
     "trace",
     "is_real",
     "envelope",
@@ -119,18 +121,8 @@ def _integral_pure_power(a: complex, lo: float, hi: float) -> complex:
             raise DivergentIntegralError("integral of 1/x over an endpoint-touching range")
         return complex(np.log(hi / lo))
     ap1 = a + 1.0
-    if hi == math.inf:
-        if ap1.real >= 0:
-            raise DivergentIntegralError("power integral diverges at infinity")
-        upper = 0.0
-    else:
-        upper = _pow_at(ap1, hi)
-    if lo == 0.0:
-        if ap1.real <= 0:
-            raise DivergentIntegralError("power integral diverges at 0")
-        lower = 0.0
-    else:
-        lower = _pow_at(ap1, lo)
+    upper = 0.0 if hi == math.inf else _pow_at(ap1, hi)
+    lower = 0.0 if lo == 0.0 else _pow_at(ap1, lo)
     return (upper - lower) / ap1
 
 
@@ -145,8 +137,6 @@ def _boundary(b: complex, x: float, k: int) -> complex:
 
 def _integral_int_power_exp(n: int, b: complex, lo: float, hi: float) -> complex:
     # integration by parts, from x^0 up; exp(b*hi)=0 at hi=inf needs Re b < 0
-    if hi == math.inf and b.real >= 0:
-        raise DivergentIntegralError("exponential integral diverges at infinity")
     total = _boundary(b, hi, 0) - _boundary(b, lo, 0)
     for k in range(1, n + 1):
         total = (_boundary(b, hi, k) - _boundary(b, lo, k)) - (k / b) * total
@@ -158,23 +148,29 @@ def _quad(f, points) -> complex:
     return complex(mpmath.quad(f, [mpmath.inf if p == math.inf else p for p in points]))
 
 
-def _integral_quad(a: complex, b: complex, lo: float, hi: float) -> complex:
-    if lo == 0.0 and a.real <= -1:
-        raise DivergentIntegralError("power factor not integrable at 0")
-    if hi == math.inf and (b.real > 0 or (b.real == 0 and a.real >= -1)):
-        raise DivergentIntegralError("integrand does not decay at infinity")
-    return _quad(lambda t: mpmath.power(t, a) * mpmath.exp(b * t), [lo, hi])
+def _divergence(a: complex, b: complex, lo: float, hi: float) -> str | None:
+    """Why ``int_lo^hi x^a exp(b x) dx`` diverges, ``0 <= lo < hi <= inf``, or
+    None where it converges: at 0 iff ``Re a <= -1``, at infinity iff ``Re b
+    > 0``, or ``Re b = 0`` and ``Re a >= -1``.  The one statement of these
+    conditions, which :func:`_term_integral` and :func:`square_integrable` read."""
+    if lo == 0.0 and a.real <= -1.0:
+        return "power factor not integrable at 0"
+    if hi == math.inf and (b.real > 0.0 or (b.real == 0.0 and a.real >= -1.0)):
+        return "integrand does not decay at infinity"
+    return None
 
 
 def _term_integral(a: complex, b: complex, lo: float, hi: float) -> complex:
-    """Exact ``int_lo^hi x^a exp(b x) dx`` (quadrature fallback if needed)."""
-    if hi <= lo:
-        return 0.0
+    """Exact ``int_lo^hi x^a exp(b x) dx``, ``lo < hi`` (quadrature fallback if needed)."""
+    if a.real <= -1.0 or (b.real >= 0.0 and hi == math.inf):  # else it converges
+        reason = _divergence(a, b, lo, hi)
+        if reason is not None:
+            raise DivergentIntegralError(reason)
     if b == 0:
         return _integral_pure_power(a, lo, hi)
     if a == 0 or _is_small_int(a):
         return _integral_int_power_exp(int(a.real), b, lo, hi)
-    return _integral_quad(a, b, lo, hi)
+    return _quad(lambda t: mpmath.power(t, a) * mpmath.exp(b * t), [lo, hi])
 
 
 def _power_exp(a: complex, b: complex, xs: np.ndarray, logx, zero) -> np.ndarray:
@@ -454,6 +450,8 @@ def _order(terms: list[Term], x0: float) -> float:
 def off_support(f: AnalyticFunction, weight: AnalyticFunction, lo: float, hi: float) -> bool:
     """True when ``f`` has terms that do not cancel on a piece of ``(lo, hi)``
     where every term of ``weight`` is windowed out or cancels."""
+    if len(weight.terms) == 1 and not weight.terms[0].windowed and cmath.isfinite(weight.terms[0].coeff):
+        return False  # one term, live everywhere
     pts = _breakpoints((f, weight), lo, hi)
     return any(_live_terms(f, a, b) and not _live_terms(weight, a, b)
                for a, b in zip(pts, pts[1:]))
@@ -481,7 +479,7 @@ def _finite_order(f, weight, inverse: bool, pts: list[float]) -> float:
                 rw, pw = max((t.rate.real, t.power.real) for t in wt)
                 r = round(2.0 * rf + sign * rw, _DECIMALS)
                 s = round(2.0 * pf + sign * pw, _DECIMALS)
-                if r > 0.0 or (r == 0.0 and s >= -1.0):
+                if _divergence(s, r, 1.0, x0):  # over (1, inf): the end at infinity alone
                     raise DivergentIntegralError("integrand does not decay at infinity")
                 continue
             s = round(2.0 * _order(ft, x0) + sign * _order(wt, x0), _DECIMALS)
@@ -538,6 +536,28 @@ def norm_sq(f: AnalyticFunction, lo: float, hi: float,
         return v * wx
 
     return float(_quad(integrand, [e ** (1.0 / p) for e in pts]).real)
+
+
+def square_integrable(f: AnalyticFunction, lo: float, hi: float, order: int = 0) -> bool:
+    """Whether ``int_lo^hi |f^(order)|^2`` is finite.  With no integral when
+    each term ``x^a e^{bx}`` is unwindowed and the squares of its derivative's
+    powers ``a - j``, ``j <= order`` (none below 0 for an integer ``a >= 0``),
+    converge (:func:`_divergence`), for then so does every product of two;
+    else by whether :func:`norm_sq` of the derivative raises."""
+    for t in f.terms:
+        a, b = t.power.real, 2.0 * t.rate.real
+        low = max(a - order, 0.0) if _is_small_int(t.power) else a - order
+        if t.windowed or _divergence(2.0 * low, b, lo, hi) or _divergence(2.0 * a, b, lo, hi):
+            break
+    else:
+        return True
+    for _ in range(order):
+        f = f.derivative()
+    try:
+        norm_sq(f, lo, hi)
+    except DivergentIntegralError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

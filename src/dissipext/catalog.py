@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass, replace
 
 from . import forms
-from .analytic import AnalyticFunction, DivergentIntegralError, Term, is_real, norm_sq
-from .grid import DEFAULT_HALFLINE_R, Grid, decay_certificate, make_grid
+from .analytic import AnalyticFunction, DivergentIntegralError, Term, is_real, square_integrable
+from .grid import DEFAULT_HALFLINE_R, Grid, decay_certificate, make_grid, span_decay_certificate
 
 __all__ = [
     "CatalogError",
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 SHIRLEY_GAMMA_MIN = math.sqrt(3.0)
+_EMPTY = AnalyticFunction(())
 
 #: boundary parameter at infinity; its imaginary part counts as 0 by convention
 RHO_INF = complex(math.inf, 0.0)
@@ -125,10 +126,16 @@ class ExtensionProblem:
         return (-1.0j if self.scenario == "potsdam" else -1.0), 0.0, AnalyticFunction(())
 
     def action_on(self, fn: AnalyticFunction) -> AnalyticFunction:
-        """The unbounded action of :meth:`expression` on a term sum."""
+        """The unbounded action of :meth:`expression` on a term sum.  A part
+        whose coefficient is 0 is left out where its terms are finite: there
+        it has no term, and a sum with none adds as nothing."""
         c2, c1, m = self.expression()
         d1 = fn.derivative()
-        return c2 * d1.derivative() + c1 * d1 + m * fn
+        out = _EMPTY
+        for c, part in ((c2, d1.derivative()), (c1, d1)):
+            if c != 0 or not all(cmath.isfinite(t.coeff) for t in part.terms):
+                out = out + c * part
+        return out + m * fn
 
     def deviation(self) -> AnalyticFunction | None:
         """``Lv``: ``lv`` when given (Konzert, and hand-built problems), else
@@ -152,14 +159,13 @@ class ExtensionProblem:
         """The same extension with ``Lv = 0``: ``phi``, ``lv`` and the
         perturbation's deviation (``lambda`` or ``k``) set to zero.  Every
         criterion's margin is then a Hermitian form in ``v`` alone."""
-        zero = AnalyticFunction(())
         pert = self.perturbation
         if isinstance(pert, RankOnePerturbation):
             pert = replace(pert, lam=0j)
         elif isinstance(pert, MultiplicationPerturbation):
-            pert = replace(pert, k=zero)
-        return replace(self, phi=None if self.phi is None else zero,
-                       lv=None if self.lv is None else zero, perturbation=pert)
+            pert = replace(pert, k=_EMPTY)
+        return replace(self, phi=None if self.phi is None else _EMPTY,
+                       lv=None if self.lv is None else _EMPTY, perturbation=pert)
 
 
 def _check_square(value: complex, name: str) -> None:
@@ -198,6 +204,15 @@ def _decaying_vector(h: complex) -> AnalyticFunction:
 
 # the trace-normalized pair: sigma(0) = tau'(0) = 1, sigma'(0) = tau(0) = 0
 _SIGMA, _TAU = _decaying_vector(0j), _decaying_vector(RHO_INF)
+#: whether every combination of the pair has decayed by the default radius
+_PAIR_DECAYS = span_decay_certificate((_SIGMA, _TAU), DEFAULT_HALFLINE_R)
+
+
+def _pair_decays(v: AnalyticFunction, r: float) -> bool:
+    """``decay_certificate(v, r)`` for ``v`` a combination of the pair, which
+    the pair's certificate gives at the default radius where ``v`` is finite."""
+    return (_PAIR_DECAYS and r == DEFAULT_HALFLINE_R and all(cmath.isfinite(t.coeff) for t in v.terms)
+            or decay_certificate(v, r))
 
 
 def build_potsdam(
@@ -211,7 +226,7 @@ def build_potsdam(
     grid = make_grid("halfline", length=r)
     spec = forms.dirichlet_laplacian_halfline(grid)
     zeta = _TAU if is_inf(rho) else _SIGMA + rho * _TAU
-    if not decay_certificate(zeta, r):
+    if not _pair_decays(zeta, r):
         raise CatalogError("extension vector has not decayed by the truncation radius")
     phi_fn = phi if phi is not None else AnalyticFunction(())
     if phi is not None:
@@ -221,10 +236,8 @@ def build_potsdam(
     if w is not None:
         if not is_real(w):
             raise CatalogError("potential W must be real-valued")
-        try:
-            norm_sq(w, 0.0, math.inf)
-        except DivergentIntegralError:
-            raise CatalogError("potential W must be square-integrable") from None
+        if not square_integrable(w, 0.0, math.inf):
+            raise CatalogError("potential W must be square-integrable")
     return ExtensionProblem(
         scenario="potsdam",
         spec=spec,
@@ -303,10 +316,8 @@ def build_konzert(
                                 strict_lower_bound=gamma)
     v = AnalyticFunction((Term(1.0, gamma + 1.0),))
     ell_fn = ell if ell is not None else AnalyticFunction(())
-    try:
-        norm_sq(ell_fn, 0.0, 1.0)
-    except DivergentIntegralError:
-        raise CatalogError("deviation ell must be square-integrable on (0, 1)") from None
+    if not square_integrable(ell_fn, 0.0, 1.0):
+        raise CatalogError("deviation ell must be square-integrable on (0, 1)")
     return ExtensionProblem(
         scenario="konzert",
         spec=spec,
@@ -372,20 +383,21 @@ def build_halfline_schrodinger(
     check_parameter("halfline_schrodinger", "h", h)
     grid = make_grid("halfline", length=r)
     eta = _decaying_vector(h)
-    if not decay_certificate(eta, r):
+    if not _pair_decays(eta, r):
         raise CatalogError("boundary vector has not decayed by the truncation radius")
     if isinstance(perturbation, RankOnePerturbation):
         check_parameter("halfline_schrodinger", "alpha", perturbation.alpha)
-        try:
-            nrm = math.sqrt(norm_sq(perturbation.phi, 0.0, grid.right_endpoint))
+        try:  # the spec takes the norm of phi, and refuses one that is not 1
+            spec = forms.rank_one(perturbation.alpha, perturbation.phi, grid)
         except DivergentIntegralError as exc:
             raise CatalogError(f"rank-one direction phi must be square-integrable: {exc}") from None
-        if not 0.0 < nrm < math.inf:
-            raise CatalogError(f"rank-one direction phi needs a finite non-zero norm, got {nrm!r}")
-        if abs(nrm - 1.0) > 1e-10:
+        except forms.DirectionNormError as exc:
+            nrm = math.sqrt(exc.norm_sq)
+            if not 0.0 < nrm < math.inf:
+                raise CatalogError(f"rank-one direction phi needs a finite non-zero norm, got {nrm!r}") from None
             # the deviation scale refers to the normalized direction
             perturbation = replace(perturbation, phi=perturbation.phi * (1.0 / nrm))
-        spec = forms.rank_one(perturbation.alpha, perturbation.phi, grid)
+            spec = forms.rank_one(perturbation.alpha, perturbation.phi, grid)
         _check_square(perturbation.lam, "lambda")
     else:
         spec = forms.multiplication(perturbation.v, grid)  # checks V >= 0

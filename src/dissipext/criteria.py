@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import forms
-from .analytic import AnalyticError, AnalyticFunction, DivergentIntegralError, norm_sq, off_support
+from .analytic import AnalyticError, AnalyticFunction, off_support, square_integrable
 from .catalog import CatalogError, ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
 
 __all__ = [
@@ -125,31 +125,35 @@ def _overflow_source(problem: ExtensionProblem | None) -> str:
 class _Deviation:
     """The values of one :func:`decide` that depend on the deviation alone,
     each evaluated at its first read and then kept.  ``range_test`` is the
-    ``ran V_F`` test ``sqrt_scale_inv_form(spec, lv)``, or ``(None, False)``
-    where none is made (a deviation ``V_F phi`` lies in the range by
-    construction, and one without terms has form 0); it sets ``lv =
-    problem.deviation()`` first, and the gate reads it before any criterion
-    reads ``lv``.  ``quarter`` is the rhs term ``(1/4) ||V_F^{-1/2} Lv||^2``,
-    from ``phi`` (the generator with terms, else None) when that is given,
-    and ``off_support`` the support test of ``k``.  :func:`margin_conic`
-    hands one record to its decides that carry one deviation, and sets
-    ``implied`` once their anchors have passed every membership.
+    ``ran V_F`` test ``sqrt_scale_inv_form(spec, lv)``, or what the
+    construction decides without it: ``(None, False)`` for a deviation ``V_F
+    phi``, which lies in the range, and for one without terms (form 0), and
+    ``(|lambda|^2 / alpha, False)`` for the rank-one ``lambda phi0``, which
+    spans the range.  It sets ``lv = problem.deviation()`` first, and the
+    gate reads it before any criterion reads ``lv``.  ``quarter`` is the rhs
+    term ``(1/4) ||V_F^{-1/2} Lv||^2``, from ``phi`` (the generator with
+    terms, else None) when that is given, and ``off_support`` the support
+    test of ``k``.  :func:`margin_conic` hands one record to its decides
+    that carry one deviation.
     """
 
     def __init__(self, problem: ExtensionProblem):
         self._problem = problem
         self.phi = problem.phi if problem.phi is not None and problem.phi.terms else None
-        self.implied = False
         self._range_test = self._quarter = self._off_support = None
 
     @property
     def range_test(self) -> tuple[float | None, bool]:
         if self._range_test is None:
-            self.lv = lv = self._problem.deviation()
-            if self._problem.phi is None and lv is not None and lv.terms:
-                self._range_test = forms.sqrt_scale_inv_form(self._problem.spec, lv)
-            else:
+            problem, pert = self._problem, self._problem.perturbation
+            self.lv = lv = problem.deviation()
+            if problem.phi is not None or lv is None or not lv.terms:
                 self._range_test = None, False
+            elif (problem.lv is None and isinstance(pert, RankOnePerturbation)
+                  and pert.phi is problem.spec.phi0):
+                self._range_test = abs(pert.lam) ** 2 / problem.spec.alpha, False
+            else:
+                self._range_test = forms.sqrt_scale_inv_form(problem.spec, lv)
         return self._range_test
 
     @property
@@ -164,10 +168,12 @@ class _Deviation:
 
     @property
     def off_support(self) -> bool:
+        # the range test of k is norm_sq(k, V, inverse), which fails first of
+        # all where k is off support; so only a failed one is tested again
         if self._off_support is None:
             pert = self._problem.perturbation
-            self._off_support = isinstance(pert, MultiplicationPerturbation) and off_support(
-                pert.k, pert.v, 0.0, self._problem.grid.right_endpoint)
+            self._off_support = isinstance(pert, MultiplicationPerturbation) and (
+                self.range_test[1] and off_support(pert.k, pert.v, 0.0, self._problem.grid.right_endpoint))
         return self._off_support
 
 
@@ -225,12 +231,14 @@ def _bounded_part(problem: ExtensionProblem) -> float:
 # membership preconditions
 
 
-def _memberships(problem: ExtensionProblem, dev: _Deviation) -> tuple[tuple[str, ...], float | None]:
-    """The failures, and ``krein_v = krein_form_sq(spec, v)`` (None outside
-    ``D_K``), which the criterion reads instead of evaluating it again."""
+def _memberships(problem: ExtensionProblem, dev: _Deviation,
+                 krein=None) -> tuple[tuple[str, ...], object]:
+    """The failures, and ``krein_v = krein(spec, v)`` (None outside ``D_K``),
+    which the criterion reads instead of evaluating it again; ``krein`` is
+    :func:`forms.krein_form_sq` unless given."""
     failures: list[str] = []
     try:
-        krein_v = forms.krein_form_sq(problem.spec, problem.v)
+        krein_v = (krein or forms.krein_form_sq)(problem.spec, problem.v)
     except forms.DomainError:
         krein_v = None
         failures.append(FAIL_V_NOT_IN_DK)
@@ -240,13 +248,11 @@ def _memberships(problem: ExtensionProblem, dev: _Deviation) -> tuple[tuple[str,
         raise CatalogError(f"|<phi, v>|^2 overflows for h = {problem.h}") from None
     if dev.range_test[1]:
         failures.append(FAIL_L_NOT_IN_RANVF)
-    # D(S*) is a subspace: the points of a conic whose anchors lie in it do too
-    if problem.scenario == "halfline_schrodinger" and not dev.implied:
+    if problem.scenario == "halfline_schrodinger":
         try:
-            norm_sq(problem.v.derivative().derivative(), 0.0, math.inf)
-        except DivergentIntegralError:
-            failures.append(FAIL_DOMAIN_NOT_IN_DSSTAR)
-        except AnalyticError:
+            if not square_integrable(problem.v, 0.0, math.inf, order=2):
+                failures.append(FAIL_DOMAIN_NOT_IN_DSSTAR)
+        except AnalyticError:  # a windowed v has no term-sum derivative
             pass
     return tuple(failures), krein_v
 
@@ -261,10 +267,10 @@ def necessity_checks(problem: ExtensionProblem) -> list[str]:
     return list(_memberships(problem, _Deviation(problem))[0])
 
 
-def _gate(problem: ExtensionProblem, criterion: str,
-          dev: _Deviation) -> tuple[Verdict | None, float | None]:
+def _gate(problem: ExtensionProblem, criterion: str, dev: _Deviation,
+          krein=None) -> tuple[Verdict | None, object]:
     """The failure verdict of the memberships (None when all pass), and ``krein_v``."""
-    failures, krein_v = _memberships(problem, dev)
+    failures, krein_v = _memberships(problem, dev, krein)
     if not failures:
         return None, krein_v
     both = FAIL_V_NOT_IN_DK in failures and FAIL_L_NOT_IN_RANVF in failures
@@ -299,12 +305,12 @@ def verdict_strict_pos(problem: ExtensionProblem) -> Verdict:
     if not (problem.spec.strict_lower_bound > 0.0):
         raise CriteriaError("criterion needs a strictly positive imaginary part")
     dev = _deviation(problem)
-    gate, krein_v = _gate(problem, CRITERION_STRICT_POS, dev)
+    gate, krein = _gate(problem, CRITERION_STRICT_POS, dev, forms.krein_form_sq_and_projection)
     if gate is not None:
         return gate
+    krein_v, pv = krein
     lhs = _im_action(problem)
     if dev.lv is not None:
-        pv = forms.projection_P(problem.spec, problem.v)
         lhs += pv.inner(dev.lv, 0.0, problem.grid.right_endpoint).imag
     rhs = dev.quarter + krein_v
     return Verdict.from_sides(CRITERION_STRICT_POS, lhs, rhs, problem)
@@ -486,9 +492,7 @@ def margin_conic(problem: ExtensionProblem, at_inf: ExtensionProblem) -> MarginC
     read one :class:`_Deviation` record, so each value that depends on the
     deviation alone is evaluated at the first of them and read at the
     others; the decide at ``b`` has its own deviation, 0, and its own
-    record.  The record is marked ``implied`` once ``a`` and ``b`` pass, so
-    the decides at ``a + b`` and ``a + i b`` skip the ``D(S*)`` test.  It
-    lives for this call only.
+    record.  It lives for this call only.
     """
     a, b = problem.v, at_inf.v
     dev = _Deviation(problem)
@@ -496,7 +500,6 @@ def margin_conic(problem: ExtensionProblem, at_inf: ExtensionProblem) -> MarginC
     c2 = decide(replace(problem.without_deviation(), v=b)).margin
     if math.isnan(c0) or math.isnan(c2):
         return None
-    dev.implied = True
     c_re = _margin_with(dev, replace(problem, v=a + b)) - c0 - c2
     c_im = _margin_with(dev, replace(problem, v=a + 1j * b)) - c0 - c2
     return MarginConic(c0, c_re, c_im, c2)

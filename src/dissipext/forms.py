@@ -49,6 +49,7 @@ __all__ = [
     "FormsError",
     "DomainError",
     "RangeError",
+    "DirectionNormError",
     "ImaginaryPartSpec",
     "dirichlet_laplacian_halfline",
     "dirichlet_laplacian_interval",
@@ -57,6 +58,7 @@ __all__ = [
     "check_traces",
     "friedrichs_form_sq",
     "krein_form_sq",
+    "krein_form_sq_and_projection",
     "friedrichs_form",
     "krein_form",
     "VfSolution",
@@ -79,6 +81,14 @@ class DomainError(FormsError):
 
 class RangeError(FormsError):
     """Right-hand side is not in the range of the requested extension."""
+
+
+class DirectionNormError(FormsError):
+    """A rank-one direction whose squared norm ``norm_sq`` is not 1."""
+
+    def __init__(self, norm_sq: float):
+        super().__init__(f"rank_one direction must be normalized, got ||phi||^2={norm_sq}")
+        self.norm_sq = norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +134,8 @@ class ImaginaryPartSpec:
             if self.alpha is None or not 0.0 < self.alpha < math.inf or self.phi0 is None:
                 raise FormsError("rank_one family needs 0 < alpha < inf and a direction")
             nrm = norm_sq(self.phi0, 0.0, self.end)
-            if abs(nrm - 1.0) > 1e-10:
-                raise FormsError(f"rank_one direction must be normalized, got ||phi||^2={nrm}")
+            if not abs(nrm - 1.0) <= 1e-10:  # nan too
+                raise DirectionNormError(nrm)
 
     @property
     def friedrichs_equals_krein(self) -> bool:
@@ -187,9 +197,9 @@ def _traces(spec: ImaginaryPartSpec, f: AnalyticFunction) -> list[tuple[float, c
         raise FormsError("trace f(0) is undefined: a term is singular at 0") from None
 
 
-def _jump(spec: ImaginaryPartSpec, f: AnalyticFunction) -> complex:
-    """``f(b) - f(0)`` on the interval."""
-    (_, f0, _), (_, fb, _) = _traces(spec, f)
+def _jump(traces) -> complex:
+    """``f(b) - f(0)`` from the interval's :func:`_traces` of ``f``."""
+    (_, f0, _), (_, fb, _) = traces
     return fb - f0
 
 
@@ -217,8 +227,18 @@ def krein_form_sq(spec: ImaginaryPartSpec, f) -> float:
         return friedrichs_form_sq(spec, f)
     val = _form_norm_sq(spec, f, "small")
     if spec.family == "dirichlet_laplacian_interval":
-        val -= abs(_jump(spec, f)) ** 2
+        val -= abs(_jump(_traces(spec, f))) ** 2
     return val
+
+
+def krein_form_sq_and_projection(spec: ImaginaryPartSpec, v) -> tuple[float, AnalyticFunction]:
+    """``(krein_form_sq(spec, v), projection_P(spec, v))``, with the traces of
+    ``v`` evaluated once on the interval."""
+    if spec.family != "dirichlet_laplacian_interval":
+        return krein_form_sq(spec, v), projection_P(spec, v)
+    val = _form_norm_sq(spec, v, "small")
+    (_, v0, _), (b, vb, _) = _traces(spec, v)
+    return val - abs(vb - v0) ** 2, AnalyticFunction((Term(v0, 0.0), Term((vb - v0) / b, 1.0)))
 
 
 def friedrichs_form(spec: ImaginaryPartSpec, f, g) -> complex:
@@ -234,7 +254,7 @@ def krein_form(spec: ImaginaryPartSpec, f, g) -> complex:
     """Polarized Krein form ``<V_K^{1/2} f, V_K^{1/2} g>``."""
     val = friedrichs_form(spec, f, g)
     if spec.family == "dirichlet_laplacian_interval":
-        val -= np.conj(_jump(spec, f)) * _jump(spec, g)
+        val -= np.conj(_jump(_traces(spec, f))) * _jump(_traces(spec, g))
     return val
 
 

@@ -21,6 +21,7 @@ from dissipext.analytic import (
     peaks,
     power,
     sign_check,
+    square_integrable,
     tail_point,
     trace,
 )
@@ -302,6 +303,45 @@ def _agrees_with_quadrature(f, weight, inverse, hi):
 @given(f=_term_sums(), hi=st.sampled_from((1.0, math.inf)))
 def test_finiteness_decision_matches_quadrature(f, hi):
     _agrees_with_quadrature(f, None, False, hi)
+
+
+_D2_POWERS = (0.0, 1.0, 2.0, 3.0, 0.5, 1.2, 1.6, 2.5)
+_D2_RATES = (-1.0, -0.5 + 1.0j, 0.0, 2.0j)
+
+
+@st.composite
+def _derivative_sums(draw):
+    """Sums of ``c x^a e^{bx}`` with integer and non-integer ``a``, ``Re b <
+    0`` and ``Re b = 0``, and on some draws a windowed term."""
+    def term():
+        return Term(draw(st.sampled_from(_COEFFS)), draw(st.sampled_from(_D2_POWERS)),
+                    draw(st.sampled_from(_D2_RATES)))
+
+    fn = AnalyticFunction([term() for _ in range(draw(st.integers(1, 3)))])
+    if draw(st.booleans()):
+        fn = fn + AnalyticFunction([term()]) * indicator(*draw(st.sampled_from(_WINDOWS)))
+    return fn
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(f=_derivative_sums(), order=st.sampled_from((0, 2)), hi=st.sampled_from((1.0, math.inf)))
+def test_square_integrable_matches_norm_sq(f, order, hi):
+    # the decision from the terms is "norm_sq of the derivative does not
+    # raise", and a windowed sum has no derivative to decide on
+    g = f
+    try:
+        for _ in range(order):
+            g = g.derivative()
+    except AnalyticError:
+        with pytest.raises(AnalyticError):
+            square_integrable(f, 0.0, hi, order)
+        return
+    try:
+        norm_sq(g, 0.0, hi)
+        finite = True
+    except DivergentIntegralError:
+        finite = False
+    assert square_integrable(f, 0.0, hi, order) is finite
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

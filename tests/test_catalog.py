@@ -245,6 +245,10 @@ def test_rank_one_direction_is_normalized(rank_one_direction, h):
         return criteria.decide(catalog.build_halfline_schrodinger(h, pert)).margin
 
     assert margin(2.0 * rank_one_direction) == margin(rank_one_direction)
+    # a norm within 1e-10 of 1 whose square is not: normalized like any other
+    # (the builder skipped it, and the spec then refused it)
+    assert margin((1.0 + 0.75e-10) * rank_one_direction) == pytest.approx(
+        margin(rank_one_direction), rel=1e-12)
     with pytest.raises(catalog.CatalogError, match="finite non-zero norm"):
         margin(0.0 * rank_one_direction)
 

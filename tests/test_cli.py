@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dissipext
-from dissipext import catalog, cli_io, criteria, eigenh, forms, oracle
+from dissipext import analytic, catalog, cli_io, criteria, eigenh, forms, oracle
 from dissipext.analytic import Term, exponential
 from dissipext.grid import span_decay_certificate
 from reference.margins import shirley_margin_exact
@@ -1092,7 +1092,8 @@ _DEVIATION_FORMS = ("friedrichs_form_sq", "sqrt_scale_inv_form", "mult_inverse_n
 def test_sweep_evaluates_the_deviations_forms_once(case, monkeypatch):
     # margin_conic evaluates each form of the deviation (phi, Lv or k) at
     # the first of its decides and reads it at the others, and keeps
-    # nothing past its call: the same sweep again counts the same
+    # nothing past its call: the same sweep again counts the same.  The
+    # rank-one lambda phi0 spans ran V_F, so none of its forms is evaluated
     cfg = cli_io.parse_config(SWEEP_CASES[case][0])
     anchor = cli_io.build_problem(cfg, rho_override=0j)
     deviation = {fn.terms for fn in (anchor.phi, anchor.deviation(),
@@ -1118,7 +1119,10 @@ def test_sweep_evaluates_the_deviations_forms_once(case, monkeypatch):
         calls.clear()
         cli_io.run_sweep(cfg, (-1.0, 1.0, 0.5), (0.0, 2.0, 0.5))
         counts.append(dict(calls))
-    assert counts[0] and set(counts[0].values()) == {1}, counts[0]
+    if case == "rank_one":
+        assert counts[0] == {}, counts[0]
+    else:
+        assert counts[0] and set(counts[0].values()) == {1}, counts[0]
     assert counts[1] == counts[0]
 
 
@@ -1158,6 +1162,53 @@ def test_decide_evaluates_each_form_once(case, monkeypatch):
             calls.clear()
             run(p)
             assert calls and max(calls.values()) == 1, (run.__name__, calls)
+
+
+def _count_calls(monkeypatch, module, name, record):
+    """Wrap ``module.name`` wherever a package module binds that function,
+    passing each call's arguments to ``record`` first."""
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        record(args)
+        return inner(*args, **kwargs)
+
+    for mod in (analytic, catalog, criteria, forms):
+        if getattr(mod, name, None) is inner:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES) + ["rank_one_unnormalized"])
+def test_decide_takes_what_the_construction_decides(case, monkeypatch):
+    # the rank-one lambda phi0 spans ran V_F, the Schroedinger v lies in
+    # D(S*) by its terms, the support test of k is the range test's, the
+    # traces of each function are evaluated once, and the spec takes the
+    # norm of phi once
+    text = (CONTRACT_CASES[case] if case in CONTRACT_CASES
+            else CONTRACT_CASES["rank_one"] + "phi = exp(-x)\n")
+    cfg = cli_io.parse_config(text)
+    calls = []
+    for module, name in ((analytic, "norm_sq"), (analytic, "off_support"), (forms, "_traces"),
+                         (forms, "sqrt_scale_inv_form"), (forms, "vf_solve")):
+        _count_calls(monkeypatch, module, name, lambda args, name=name: calls.append(
+            (name, args[1].terms if name in ("_traces", "sqrt_scale_inv_form", "vf_solve")
+             else args[0].terms)))
+    problem = cli_io.build_problem(cfg)
+    built, calls[:] = list(calls), []
+    criteria.decide(problem)
+    names = [name for name, _ in calls]
+    if problem.scenario == "halfline_schrodinger":
+        v2 = problem.v.derivative().derivative().terms
+        assert ("norm_sq", v2) not in calls
+    if case.startswith("rank_one"):
+        phi = cfg.get("phi") or cli_io._RANK_ONE_PHI
+        assert built.count(("norm_sq", phi.terms)) == 1, built
+        assert "sqrt_scale_inv_form" not in names and "vf_solve" not in names, calls
+    if case == "multiplication":
+        assert names.count("off_support") == 1, calls
+    if case == "shirley":
+        traced = [terms for name, terms in calls if name == "_traces"]
+        assert traced and len(traced) == len(set(traced)), calls
 
 
 #: the contract configs and the sweep configs that are not among them

@@ -294,6 +294,23 @@ def test_necessity_passes_on_catalog_instances(shirley_instance, rank_one_direct
     assert criteria.necessity_checks(q) == []
 
 
+@pytest.mark.parametrize("pert", ["rank_one", "multiplication"])
+def test_v_outside_the_maximal_domain_fails_its_membership(pert, rank_one_direction):
+    # a term x^1.2 e^-x gives v'' ~ x^-0.8, not square-integrable at 0, so v
+    # leaves D(S*); with x^1.6 e^-x, v'' ~ x^-0.4 is, and v stays in it
+    from dissipext.analytic import indicator
+
+    perturbation = (catalog.RankOnePerturbation(0.8, rank_one_direction, 0.5) if pert == "rank_one"
+                    else catalog.MultiplicationPerturbation(indicator(0.0, 1.0), indicator(0.0, 1.0)))
+    base = catalog.build_halfline_schrodinger(1j, perturbation)
+    for a, failures in ((1.2, (criteria.FAIL_DOMAIN_NOT_IN_DSSTAR,)), (1.6, ())):
+        problem = dataclasses.replace(base, v=base.v + AnalyticFunction((Term(1.0, a, -1.0),)))
+        assert tuple(criteria.necessity_checks(problem)) == failures
+        verdict = criteria.decide(problem)
+        assert verdict.necessity_failures == failures
+        assert math.isnan(verdict.margin) is bool(failures)
+
+
 def test_outside_theory_requires_distinct_extensions():
     # half-line scenario with both memberships failing: no verdict at all
     # v = x^0.25 e^{-x} has ||v'|| infinite at 0; lv = x^-0.7 is not

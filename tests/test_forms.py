@@ -299,6 +299,19 @@ def test_vf_solve_rank_one_range(interval, gauss):
         forms.vf_solve(spec, off)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 20.0), lam=st.complex_numbers(max_magnitude=50.0),
+       decay=st.floats(0.2, 5.0), k=st.integers(0, 3), turn=st.floats(-2.0, 2.0))
+def test_rank_one_deviation_form_is_lambda_squared_over_alpha(alpha, lam, decay, k, turn):
+    # lambda phi0 spans ran V_F, and ||V_F^{-1/2} lambda phi0||^2 = |lambda|^2 / alpha,
+    # which the decide takes without the range test
+    phi = AnalyticFunction((Term(1.0, float(k), complex(-decay, turn)),))
+    problem = catalog.build_halfline_schrodinger(1j, catalog.RankOnePerturbation(alpha, phi, lam))
+    val, diverged = forms.sqrt_scale_inv_form(problem.spec, problem.deviation())
+    assert math.isfinite(val) and not diverged
+    assert val == pytest.approx(abs(lam) ** 2 / alpha, rel=1e-9, abs=1e-300)
+
+
 def test_sqrt_scale_halfline_exact():
     # x e^{-x} lies in the square-root range with value 5/4 even though the
     # operator-range solve rejects it (non-decaying solution)
