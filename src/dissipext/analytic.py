@@ -17,8 +17,8 @@ summed, and none with a zero coefficient.
 :func:`norm_sq` decides whether ``int w |f|^2`` or ``int |k|^2 / V`` is
 finite from leading orders of the term sums, so every membership test of
 the package rests on them rather than on samples.  The input checks are
-decided from the terms too: :func:`trace` gives a boundary value with its
-cancellation scale, :func:`is_real` compares a sum with its conjugate,
+decided from the terms too: :func:`trace_scale` gives the cancellation
+scale of a boundary value, :func:`is_real` compares a sum with its conjugate,
 :func:`envelope` and :func:`tail_point` bound where a sum has decayed, and
 :func:`sign_check` decides ``Re f >= 0`` from the critical points of each
 window piece.
@@ -42,7 +42,7 @@ __all__ = [
     "off_support",
     "norm_sq",
     "square_integrable",
-    "trace",
+    "trace_scale",
     "is_real",
     "envelope",
     "peaks",
@@ -568,11 +568,11 @@ def _covers(t: Term, x: float) -> bool:
     return (t.lo is None or t.lo <= x) and (t.hi is None or x <= t.hi)
 
 
-def trace(fn: AnalyticFunction, x: float) -> tuple[complex, float]:
-    """``fn(x)`` and its cancellation scale ``1 + sum |term values|``;
+def trace_scale(fn: AnalyticFunction, x: float) -> float:
+    """The cancellation scale ``1 + sum |term values|`` of ``fn(x)``;
     :class:`AnalyticError` where a term is singular (at 0)."""
-    return fn.value_at(x), 1.0 + sum(abs(t.coeff * _pow_at(t.power, x) * _exp_at(t.rate, x))
-                                     for t in fn.terms if _covers(t, x))
+    return 1.0 + sum(abs(t.coeff * _pow_at(t.power, x) * _exp_at(t.rate, x))
+                     for t in fn.terms if _covers(t, x))
 
 
 def is_real(fn: AnalyticFunction) -> bool:

@@ -41,7 +41,7 @@ from .analytic import (
     norm_sq,
     reciprocal,
     sign_check,
-    trace,
+    trace_scale,
 )
 from .grid import Grid, make_grid
 
@@ -187,27 +187,27 @@ def _form_norm_sq(spec: ImaginaryPartSpec, f: AnalyticFunction, domain: str) -> 
 # Friedrichs and Krein square-root forms
 
 
-def _traces(spec: ImaginaryPartSpec, f: AnalyticFunction) -> list[tuple[float, complex, float]]:
-    """``(x, f(x), scale)`` at 0 and, on an interval, at ``b``; a trace the
-    term sum leaves undefined (a term singular at 0) is a FormsError."""
+def _traces(spec: ImaginaryPartSpec, f: AnalyticFunction) -> list[tuple[float, complex]]:
+    """``(x, f(x))`` at 0 and, on an interval, at ``b``; a trace the term
+    sum leaves undefined (a term singular at 0) is a FormsError."""
     ends = [0.0] if spec.family == "dirichlet_laplacian_halfline" else [0.0, spec.domain.length]
     try:
-        return [(x, *trace(f, x)) for x in ends]
+        return [(x, f.value_at(x)) for x in ends]
     except AnalyticError:
         raise FormsError("trace f(0) is undefined: a term is singular at 0") from None
 
 
 def _jump(traces) -> complex:
     """``f(b) - f(0)`` from the interval's :func:`_traces` of ``f``."""
-    (_, f0, _), (_, fb, _) = traces
+    (_, f0), (_, fb) = traces
     return fb - f0
 
 
 def check_traces(spec: ImaginaryPartSpec, f: AnalyticFunction) -> None:
     """DomainError unless ``f`` meets the Laplacian's Dirichlet conditions to
-    ``1e-8`` of the trace scale ``1 + sum |term values|``."""
-    for x, value, scale in _traces(spec, f):
-        if abs(value) > _TRACE_TOL * scale:
+    ``1e-8`` of the trace scale (:func:`~dissipext.analytic.trace_scale`)."""
+    for x, value in _traces(spec, f):
+        if abs(value) > _TRACE_TOL * trace_scale(f, x):
             raise DomainError(f"boundary value f({x:g})={value} violates the boundary condition")
 
 
@@ -237,7 +237,7 @@ def krein_form_sq_and_projection(spec: ImaginaryPartSpec, v) -> tuple[float, Ana
     if spec.family != "dirichlet_laplacian_interval":
         return krein_form_sq(spec, v), projection_P(spec, v)
     val = _form_norm_sq(spec, v, "small")
-    (_, v0, _), (b, vb, _) = _traces(spec, v)
+    (_, v0), (b, vb) = _traces(spec, v)
     return val - abs(vb - v0) ** 2, AnalyticFunction((Term(v0, 0.0), Term((vb - v0) / b, 1.0)))
 
 
@@ -379,7 +379,7 @@ def projection_P(spec: ImaginaryPartSpec, v: AnalyticFunction) -> AnalyticFuncti
     if not (spec.strict_lower_bound > 0.0):
         raise FormsError("projection defined only for strictly positive parts")
     if spec.family == "dirichlet_laplacian_interval":
-        (_, v0, _), (b, vb, _) = _traces(spec, v)
+        (_, v0), (b, vb) = _traces(spec, v)
         return AnalyticFunction((Term(v0, 0.0), Term((vb - v0) / b, 1.0)))
     if spec.friedrichs_equals_krein:
         return AnalyticFunction(())

@@ -5,11 +5,12 @@ B-spline elements (supports inside the domain, triple zeros where they touch
 the boundary, hence inside every scenario's operator core) plus one column
 for the extension vector itself.  The elements, their quadrature panels and
 the banded assembly come from the package's one spline layer,
-:mod:`dissipext.splines`, on a uniform knot vector.  On ``[lo, lo + L]``
-the splines are an affine image of those on ``[0, 1]`` (de Boor, *A
-Practical Guide to Splines*, ch. IX), so everything that does not depend on
-the problem is computed once per mesh and cached (:func:`_reference_mesh`):
-the tables, the bands of the Gram matrix ``G_ref`` and of the symmetrized
+:mod:`dissipext.splines`.  :func:`_reference_mesh` chooses the reference
+knot vector on ``[0, 1]``; a span ``[lo, lo + L]`` has its image under
+``x = lo + L s`` as knots, and for any reference vector its splines are an
+affine image of the reference ones (de Boor, *A Practical Guide to
+Splines*, ch. IX).  So what no problem changes is cached per mesh: the
+tables, the bands of the Gram matrix ``G_ref`` and of the symmetrized
 ``int b_k b_l''`` matrix ``S2_ref``, and ``G_ref``'s ``L D L^H`` factor.  A
 rung's Gram core is ``L G_ref`` and its factor the cached one with the
 pivots scaled by ``L``; only the border is factored per problem.  The action
@@ -108,8 +109,8 @@ MAX_MESH = 2 ** 14
 
 @dataclass(frozen=True, eq=False)
 class _ReferenceMesh:
-    """What the assembly reads of ``n`` splines on the reference knots,
-    uniform on ``[0, 1]``: their ``tables``, the lower bands of the
+    """What the assembly reads of ``n`` splines on the reference knots on
+    ``[0, 1]``: their ``tables`` (with the knots), the lower bands of the
     symmetrized second-order matrix ``stiffness`` (``(S + S^T) / 2`` with
     ``S[k, l] = int b_k b_l''``) and of the Gram matrix ``mass``, and
     ``gram_core``, ``mass``'s factor (:func:`eigenh.band_factor`).  None of
@@ -124,14 +125,13 @@ class _ReferenceMesh:
 
 @functools.lru_cache(maxsize=_CACHED_MESHES)
 def _reference_mesh(n: int) -> _ReferenceMesh:
-    """The :class:`_ReferenceMesh` of ``n`` splines.  The knots are an
-    affine image of the reference knots on every span, so the key is the
-    reference knot vector, which ``n`` alone fixes while it is uniform."""
+    """The :class:`_ReferenceMesh` of ``n`` splines: the one place that chooses
+    the reference knot vector, keyed by what fixes it, ``n`` alone."""
     tab = splines.spline_tables(np.linspace(0.0, 1.0, n + 4), _SUBPANELS)
     second = tab.blocks(tab.w, tab.val, tab.d2)
     stiffness = (tab.band(second) + tab.band(second.swapaxes(1, 2))) / 2.0
     mass = tab.band(tab.blocks(tab.w, tab.val, tab.val))
-    for a in (tab.index, tab.x, tab.w, tab.val, tab.d1, tab.d2, stiffness, mass):
+    for a in (tab.knots, tab.index, tab.x, tab.w, tab.val, tab.d1, tab.d2, stiffness, mass):
         a.flags.writeable = False
     return _ReferenceMesh(tab, stiffness, mass, eigenh.band_factor(mass))
 
@@ -145,13 +145,13 @@ def _check_mesh(n: int) -> None:
 
 
 def _core_tables(lo: float, hi: float, n: int) -> splines.SplineTables:
-    """``n`` cubic splines on uniform knots of ``[lo, hi]``, supports inside:
-    the reference tables mapped by ``x = lo + L s``, ``L = hi - lo``, which
-    scales the weights by ``L`` and the derivatives by ``1/L`` and ``1/L^2``."""
+    """``n`` cubic splines on ``[lo, hi]``, supports inside: the reference
+    tables under ``x = lo + L s``, ``L = hi - lo``, which moves the knots and
+    nodes and scales the weights by ``L``, the derivatives by ``1/L^order``."""
     _check_mesh(n)
     ref = _reference_mesh(n).tables
     length = hi - lo
-    return replace(ref, x=lo + length * ref.x, w=length * ref.w,
+    return replace(ref, knots=lo + length * ref.knots, x=lo + length * ref.x, w=length * ref.w,
                    d1=ref.d1 / length, d2=ref.d2 / (length * length))
 
 
@@ -256,9 +256,8 @@ def assemble_discrete(
     The action is the problem's :meth:`~ExtensionProblem.expression`
     ``c2 f'' + c1 f' + m f`` plus its :meth:`~ExtensionProblem.deviation` on
     ``v``, plus the bounded imaginary part ``i V`` of the Schroedinger
-    scenario.  On uniform knots of ``[lo, lo + L]`` the splines are an affine
-    image of the reference splines (:func:`_reference_mesh`), so ``G``'s
-    core is ``L G_ref`` and its factor is the reference factor with the
+    scenario.  ``G``'s core on ``[lo, lo + L]`` is ``L G_ref``
+    (:func:`_reference_mesh`) and its factor is the reference factor with the
     pivots scaled by ``L``.  ``H``'s core block is real and stored as float:
     with ``M = A + iB`` it is ``(B + B^T) / 2 - i (A - A^T) / 2``, and
     ``A``, the real part of the action on real splines, is symmetric,

@@ -1,7 +1,7 @@
 """Cubic B-spline tables on knot-aligned Gauss panels.
 
 This is the one spline layer of the package.  The oracle's core span
-(``oracle.assemble_discrete``, uniform knots) and, in the tests' reference
+(``oracle.assemble_discrete``) and, in the tests' reference
 kit, the dual-pair split on that span and the graded family of the
 Ando-Nishio sup formula (clamped knots) all evaluate their splines here.
 
@@ -37,7 +37,7 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 @dataclass(frozen=True, eq=False)
 class SplineTables:
-    """Quadrature and spline tables of one knot vector.
+    """Quadrature and spline tables of the knot vector ``knots``.
 
     ``x`` and ``w`` have shape ``(panels, q)``; ``val``, ``d1`` and ``d2``
     have shape ``(panels, 4, q)`` with slot ``a`` of panel ``j`` holding
@@ -45,6 +45,7 @@ class SplineTables:
     """
 
     nbasis: int
+    knots: np.ndarray = field(repr=False)
     index: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
@@ -159,4 +160,4 @@ def spline_tables(knots, subpanels: int) -> SplineTables:
     index[absent] = -1
     for table in (val, d1, d2):
         table[absent] = 0.0
-    return SplineTables(nbasis, index, x, w, val, d1, d2)
+    return SplineTables(nbasis, t, index, x, w, val, d1, d2)

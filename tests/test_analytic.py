@@ -23,7 +23,7 @@ from dissipext.analytic import (
     sign_check,
     square_integrable,
     tail_point,
-    trace,
+    trace_scale,
 )
 
 
@@ -367,9 +367,9 @@ def test_edge_vanishing_weight_matches_quadrature(f, c, vanish):
 
 def test_trace_scale_and_singular_trace():
     f = AnalyticFunction((Term(1.0, 0.0), Term(-1.0, 0.0, -1.0)))  # 1 - e^-x
-    assert trace(f, 0.0) == (0.0, 3.0)
+    assert f.value_at(0.0) == 0.0 and trace_scale(f, 0.0) == 3.0
     with pytest.raises(AnalyticError):
-        trace(power(1.0, -0.5), 0.0)
+        trace_scale(power(1.0, -0.5), 0.0)
 
 
 def test_is_real_is_exact():

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from dissipext import criteria, oracle
-from test_oracle import _equivalence_problem
+from reference.problems import equivalence_problem
 
 _LAYERTRACE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "perfbench", "layertrace.py")
@@ -53,7 +53,7 @@ def test_pencil_dimension_is_the_first_argument_length(kind, rank_one_direction,
     # the tracer's oracle.pencil_dim_sum adds len() of pencil_min_eig's
     # first positional argument: n core splines plus the extension vector.
     # A ladder that passed the pencil by keyword would break the count.
-    problem = _equivalence_problem(kind, rank_one_direction)
+    problem = equivalence_problem(kind, rank_one_direction)
     op = oracle.assemble_discrete(problem, 32)
     assert len(op) == len(op.h) == len(op.g) == 32 + 1
     positional = []

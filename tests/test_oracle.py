@@ -9,9 +9,10 @@ import pytest
 from dissipext import catalog, cli_io, criteria, eigenh, oracle, splines
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, norm_sq
 from reference.assembly import assemble_dense, core_rounding_scale, dense_pencil, expand
+from reference.bspline import cox_de_boor
 from reference.dense import band_border, pencil_eigh
 from reference.margins import semibound_estimate
-from test_splines import cox_de_boor
+from reference.problems import equivalence_problem
 
 
 def _konzert(c):
@@ -23,17 +24,12 @@ def _konzert(c):
 
 
 def _dense_core(lo, hi, n):
-    """The oracle's ``n`` core splines sampled densely on its quadrature rule:
-    uniform knots, two 8-point Gauss sub-panels per knot interval."""
-    knots = np.linspace(lo, hi, n + 4)
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(lo, hi, 2 * (n + 3) + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * nodes).ravel()
-    ws = (half[:, None] * weights).ravel()
-    val = np.array([cox_de_boor(knots, k, xs) for k in range(n)])
-    d1 = np.array([cox_de_boor(knots, k, xs, 1) for k in range(n)])
+    """The oracle's ``n`` core splines on ``[lo, hi]`` by the textbook
+    recursion on its knots, sampled densely at its own nodes and weights."""
+    tab = oracle._core_tables(lo, hi, n)
+    xs, ws = tab.x.ravel(), tab.w.ravel()
+    val = np.array([cox_de_boor(tab.knots, k, xs) for k in range(n)])
+    d1 = np.array([cox_de_boor(tab.knots, k, xs, 1) for k in range(n)])
     return xs, ws, val, d1
 
 
@@ -232,22 +228,6 @@ def test_pencil_min_eig_residual_contract():
     assert np.linalg.norm(h @ x - lam * (g @ x)) <= 1e-9 * np.linalg.norm(h, 2) * np.linalg.norm(x)
 
 
-def _equivalence_problem(kind, rank_one_direction):
-    if kind == "konzert":
-        return _konzert(1.2)
-    if kind == "shirley":
-        return catalog.build_shirley(math.sqrt(3.0), 0.5 + 0.375j,
-                                     AnalyticFunction((Term(1.0, 2.0), Term(-1.0, 1.0))))
-    if kind == "potsdam":
-        return catalog.build_potsdam(exponential(0.5, -1.0), 1.0 + 0j,
-                                     AnalyticFunction((Term(1j, 1.0, -1.0),)))
-    if kind.startswith("rank_one"):
-        pert = catalog.RankOnePerturbation(1.0, rank_one_direction, 3.0)
-        return catalog.build_halfline_schrodinger(1 + 0.5j, pert)
-    pert = catalog.MultiplicationPerturbation(indicator(0.0, 1.0), 3.0 * indicator(0.0, 1.0))
-    return catalog.build_halfline_schrodinger(1 + 0.2j, pert)
-
-
 def _assemble(kind, prob, n):
     """The oracle's pencil of ``prob`` on ``n`` splines; for
     ``rank_one_symmetric_part`` without its rank-one term, which leaves the
@@ -263,7 +243,7 @@ def _assemble(kind, prob, n):
                                   "rank_one_symmetric_part"])
 def test_band_solver_matches_dense_spectrum(kind, n, rank_one_direction):
     # the band-plus-border solver against the dense full-spectrum reference
-    prob = _equivalence_problem(kind, rank_one_direction)
+    prob = equivalence_problem(kind, rank_one_direction)
     op = _assemble(kind, prob, n)
     assert (op.rank_one is not None) == (kind == "rank_one")
     mu, _ = oracle.pencil_min_eig(op)
@@ -276,7 +256,7 @@ def test_band_solver_matches_dense_spectrum(kind, n, rank_one_direction):
 def test_band_assembly_matches_dense_reference(kind, rank_one_direction):
     # the band parts of H and G against the dense np.add.at assembly,
     # rank-one term and the multiplication i V block included
-    prob = _equivalence_problem(kind, rank_one_direction)
+    prob = equivalence_problem(kind, rank_one_direction)
     op = _assemble(kind, prob, 64)
     assert op.h.band.dtype == op.g.band.dtype == np.float64
     m_ref, g_ref = assemble_dense(prob, 64, include_bounded_v=kind != "rank_one_symmetric_part")
@@ -339,11 +319,28 @@ def test_core_tables_map_the_reference_tables(lo, hi):
     # the cached tables on [0, 1], mapped onto the span, are the tables of
     # the span's own knots up to rounding
     got = oracle._core_tables(lo, hi, 40)
-    want = splines.spline_tables(np.linspace(lo, hi, 44), 2)
+    want = splines.spline_tables(got.knots, 2)
     assert got.nbasis == want.nbasis and np.array_equal(got.index, want.index)
     for name in ("x", "w", "val", "d1", "d2"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_reference_mesh_is_its_knots_tables(n):
+    # the knot vector the cached tables carry is the one they were built
+    # from, and every span maps it from lo onto hi; nothing here depends on
+    # which reference vector on [0, 1] the oracle chooses
+    ref = oracle._reference_mesh(n).tables
+    want = splines.spline_tables(ref.knots, oracle._SUBPANELS)
+    assert ref.nbasis == want.nbasis == n
+    for name in ("index", "x", "w", "val", "d1", "d2"):
+        assert np.array_equal(getattr(ref, name), getattr(want, name)), name
+    assert ref.knots[0] == 0.0 and ref.knots[-1] == 1.0
+    for lo, hi in ((1e-6, 1.0), (0.0, 17.5)):
+        knots = oracle._core_tables(lo, hi, n).knots
+        assert len(knots) == n + 4 and np.all(np.diff(knots) > 0)
+        assert knots[0] == lo and abs(knots[-1] - hi) <= 4 * np.spacing(hi)
 
 
 def test_reference_tables_are_read_only():
@@ -351,6 +348,8 @@ def test_reference_tables_are_read_only():
     for a in (tab.index, tab.val, oracle._reference_mesh(16).tables.d1):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        oracle._reference_mesh(16).tables.knots[0] = 1.0
 
 
 def test_reference_bands_and_factor_are_immutable():
@@ -384,7 +383,7 @@ def test_oracle_payload_independent_of_table_cache():
 def test_oracle_mesh_memory_is_linear():
     # band-plus-border storage: no (n+1)^2 matrix, which alone would take
     # 16.8 MB at n = 1024
-    prob = _equivalence_problem("potsdam", None)  # the README Potsdam config
+    prob = equivalence_problem("potsdam", None)  # the README Potsdam config
     oracle.assemble_discrete(prob, 64)
     tracemalloc.start()
     try:
@@ -409,7 +408,7 @@ def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch
         return ldl_core(band, cap)
 
     monkeypatch.setattr(eigenh, "_ldl_core", recording)
-    prob = _equivalence_problem(kind, rank_one_direction)
+    prob = equivalence_problem(kind, rank_one_direction)
     second = _konzert(0.7)
     oracle._reference_mesh.cache_clear()
     for n in (16, 32):
@@ -432,7 +431,7 @@ def test_cached_gram_core_matches_a_fresh_factor(kind, rank_one_direction):
     # the border added, against a factorization of the whole assembled G.
     # The last pivot is the Schur complement ||v||^2 - w^H D^-1 w of the
     # corner: its rounding is relative to the corner entry it cancels.
-    prob = _equivalence_problem(kind, rank_one_direction)
+    prob = equivalence_problem(kind, rank_one_direction)
     for n in (64, 256):
         op = oracle.assemble_discrete(prob, n)
         cached, fresh = op.g_factor.pivots, eigenh.GramFactor(op.g).pivots
@@ -462,7 +461,7 @@ def test_ladder_rungs_equal_standalone_assembly(kind, rank_one_direction, monkey
         return op
 
     monkeypatch.setattr(oracle, "assemble_discrete", recording)
-    prob = _equivalence_problem(kind, rank_one_direction)
+    prob = equivalence_problem(kind, rank_one_direction)
     oracle.cross_validate(prob, criteria.decide(prob))
     assert [n for n, _ in rungs] == [64, 128, 256]
     for n, op in rungs:
@@ -480,7 +479,7 @@ def test_ladder_rungs_equal_standalone_assembly(kind, rank_one_direction, monkey
 
 def test_residual_norm_counts_the_rank_one_term(rank_one_direction):
     # ||H||_inf of the residual check, from the parts and (alpha, q) alone
-    op = oracle.assemble_discrete(_equivalence_problem("rank_one", rank_one_direction), 32)
+    op = oracle.assemble_discrete(equivalence_problem("rank_one", rank_one_direction), 32)
     h, _ = dense_pencil(op)
     got = oracle._inf_norm(op)
     assert got == pytest.approx(np.linalg.norm(h, np.inf), rel=1e-13)
@@ -506,7 +505,7 @@ def test_pencil_min_eig_rejects_bad_inputs():
                                   "rank_one_symmetric_part"])
 def test_variational_monotonicity_nested_meshes(kind, rank_one_direction):
     # dyadically nested knot refinements can only lower the infimum
-    prob = _equivalence_problem(kind, rank_one_direction)
+    prob = equivalence_problem(kind, rank_one_direction)
     mus = []
     n0 = 61  # m = 64 knot intervals; next level doubles them
     for n in (n0, 2 * (n0 + 3) - 3, 4 * (n0 + 3) - 3):
