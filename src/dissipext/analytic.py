@@ -38,6 +38,7 @@ __all__ = [
     "DivergentIntegralError",
     "Term",
     "AnalyticFunction",
+    "evaluate_all",
     "reciprocal",
     "off_support",
     "norm_sq",
@@ -112,6 +113,10 @@ def _pow_at(a: complex, x: float) -> complex:
         if math.isnan(a.real):  # no value, and no singularity to reject
             return complex(math.nan)
         raise DivergentIntegralError("x^a singular at 0")
+    if x == 1.0 and isinstance(a, complex) and cmath.isfinite(a):
+        # the bits of exp(a * log 1) below: a * 0.0 in complex arithmetic is
+        # a zero, whose exp is 1 with the imaginary zero's sign
+        return complex(1.0, a.real * 0.0 + a.imag * 0.0)
     return complex(np.exp(a * np.log(x)))
 
 
@@ -186,6 +191,11 @@ def _power_exp(a: complex, b: complex, xs: np.ndarray, logx, zero) -> np.ndarray
     if zero is not None:
         vals = np.where(zero, 0.0 if a.real > 0 else np.nan, vals)
     return vals
+
+
+def _log(xs, zero):
+    """``log xs``, with 0 for ``log 0`` where ``zero`` masks ``xs == 0``."""
+    return np.log(xs if zero is None else np.where(zero, 1.0, xs))
 
 
 def _where_scalar(keep, vals, other):
@@ -311,29 +321,38 @@ class AnalyticFunction:
 
     # -- evaluation ------------------------------------------------------
 
-    def _sum(self, xs, zero, out, where):
+    def _sum(self, xs, zero, out, where, shared=None):
         """Add each term at ``xs`` (an array, or a numpy scalar other than 0)
         to ``out``; ``zero`` as for :func:`_power_exp`, ``where`` is
         ``np.where`` or its scalar form.
 
         ``x^a e^{bx}`` is computed once per ``(a, b)``, unwindowed; a term
-        whose pair is the conjugate of one already evaluated takes its
-        conjugate, which is bitwise what exp gives, since cos is even and
-        sin odd.
+        whose pair is the conjugate of one already evaluated in this sum
+        takes its conjugate, which is bitwise what exp gives, since cos is
+        even and sin odd.  ``shared``, when given, holds ``log xs`` under
+        the key None and the factors that sums evaluated at ``xs`` before
+        computed (:func:`evaluate_all`); this sum takes a factor from it
+        where it would compute it, and adds those it computes, so its bits
+        do not depend on the other sums.
         """
-        logx = None
+        logx = None if shared is None else shared[None]
         factors: dict[tuple[complex, complex], np.ndarray] = {}
         for c, a, b, lo, hi in self.terms:
-            vals = factors.get((a, b))
+            key = (a, b)
+            vals = factors.get(key)
             if vals is None:
                 mirror = factors.get((a.conjugate(), b.conjugate()))
                 if mirror is not None:
                     vals = np.conj(mirror)
+                elif shared is not None and key in shared:
+                    vals = shared[key]
                 else:
                     if a != 0 and logx is None:
-                        logx = np.log(xs if zero is None else np.where(zero, 1.0, xs))
+                        logx = _log(xs, zero)
                     vals = _power_exp(a, b, xs, logx, zero)
-                factors[(a, b)] = vals
+                    if shared is not None:
+                        shared[key] = vals
+                factors[key] = vals
             vals = c * vals
             if lo is not None:
                 vals = where(xs >= lo, vals, 0.0)
@@ -381,6 +400,17 @@ class AnalyticFunction:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AnalyticFunction({len(self.terms)} terms)"
+
+
+def evaluate_all(fns, x) -> list[np.ndarray]:
+    """``[f(x) for f in fns]`` bit for bit, with ``log x`` and each factor
+    ``x^a e^{bx}`` computed once for all of them (see ``_sum``)."""
+    xs = np.asarray(x, dtype=float)
+    zero = xs == 0.0
+    zero = zero if zero.any() else None
+    powers = any(t.power != 0 for fn in fns for t in fn.terms)
+    shared = {None: _log(xs, zero) if powers else None}
+    return [fn._sum(xs, zero, np.zeros(xs.shape, dtype=complex), np.where, shared) for fn in fns]
 
 
 def reciprocal(fn: AnalyticFunction) -> AnalyticFunction | None:

@@ -31,6 +31,14 @@ positive definite) on a band-plus-border pattern, the oracle's solver
    bounds and Rayleigh quotients close the bracket.  Each shift and each
    product costs ``O(N)``.
 
+A pencil computes each value once: ``max |H|`` (:meth:`BandBorder.max_abs`,
+which the power-of-two scaling carries over exactly), the scaled pencil
+(:func:`unit_scaled`, shared with a caller's check of the result), and the
+conjugated parts its products read (:meth:`BandBorder.matvec`).  Inverse
+iteration draws its seeded start vector once per size, and the ``G x`` of
+each step is the next solve's right-hand side.  A solve stays in Python
+lists from its forward pass to its backward pass.
+
 This is the package's only eigensolver; there is no dense one.
 :func:`cholesky` and :func:`eigh` are stubs that raise :class:`EigenError`:
 they stay only as layers the benchmark's tracer names, until ROADMAP item 2
@@ -43,6 +51,7 @@ numpy supplies array arithmetic only; no library eigensolver is called.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -114,7 +123,8 @@ class BandBorder:
     ``A[n:, n:]``.  ``A`` is Hermitian and given by these parts alone (the
     factorization reads the lower triangle of ``corner``).  Each part keeps
     its dtype: a real band is factored in float arithmetic.  ``len()`` is
-    ``N``.
+    ``N``.  The parts are not changed after construction: :meth:`max_abs`
+    and :meth:`matvec` compute what they read from them once.
     """
 
     band: np.ndarray
@@ -150,24 +160,48 @@ class BandBorder:
         return np.concatenate([self.band[:, 0].real, self.corner.diagonal().real])
 
     def max_abs(self) -> float:
-        """Largest modulus of a stored entry."""
-        return max((float(np.max(np.abs(x))) for x in self.parts if x.size), default=0.0)
+        """Largest modulus of a stored entry, computed once."""
+        return self._max_abs
+
+    @functools.cached_property
+    def _max_abs(self) -> float:
+        return _largest_modulus(self.parts)
+
+    def scaled(self, k: int) -> BandBorder:
+        """These parts times ``2^-k``, ``|k| <= 1022``.  The largest modulus
+        is carried over as ``2^-k`` times this one's: the scaling is exact
+        for it, so that is the value :meth:`max_abs` would compute again."""
+        unit = 2.0 ** -k
+        out = BandBorder(*(unit * part for part in self.parts))
+        out.__dict__["_max_abs"] = math.ldexp(self.max_abs(), -k)
+        return out
 
     def is_finite(self) -> bool:
         return all(bool(np.all(np.isfinite(x))) for x in self.parts)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A x`` for the Hermitian ``A`` of these parts, in ``O(N (p + m))``."""
-        band, rows, corner = self.parts
+    @functools.cached_property
+    def _product_parts(self) -> tuple:
+        """What every :meth:`matvec` reads: the diagonal, each sub-diagonal
+        ``j`` with its conjugate (itself on a real band), and ``rows^H``."""
+        band, rows, _ = self.parts
         n = len(band)
-        core, tail = x[:n], x[n:]
-        y = band[:, 0] * core
+        subs = []
         for j in range(1, min(band.shape[1], n)):
             lower = band[: n - j, j]
+            subs.append((j, lower, np.conj(lower) if np.iscomplexobj(lower) else lower))
+        return band[:, 0], subs, rows.conj().T
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` for the Hermitian ``A`` of these parts, in ``O(N (p + m))``."""
+        diag, subs, rows_h = self._product_parts
+        n = len(diag)
+        core, tail = x[:n], x[n:]
+        y = diag * core
+        for j, lower, upper in subs:
             y[j:] += lower * core[: n - j]
-            y[: n - j] += np.conj(lower) * core[j:]
-        y += rows.conj().T @ tail
-        return np.concatenate([y, rows @ core + corner @ tail])
+            y[: n - j] += upper * core[j:]
+        y += rows_h @ tail
+        return np.concatenate([y, self.rows @ core + self.corner @ tail])
 
     def abs_row_sums(self) -> np.ndarray:
         """``sum_j |A[i, j]|`` over the stored pattern of the Hermitian ``A``."""
@@ -178,6 +212,11 @@ class BandBorder:
             s[j:] += band[: n - j, j]
             s[: n - j] += band[: n - j, j]
         return np.concatenate([s, rows.sum(axis=1) + corner.sum(axis=1)])
+
+
+def _largest_modulus(parts) -> float:
+    """Largest modulus of an entry of the arrays ``parts`` (0 when empty)."""
+    return max((float(np.max(np.abs(x))) for x in parts if x.size), default=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +238,22 @@ class Pencil:
 
     def __len__(self) -> int:
         return len(self.h)
+
+    @functools.cached_property
+    def _unit_scaled(self) -> tuple[int, Pencil | None]:
+        # unit_scaled's k and pencil, computed once; None for this pencil
+        # itself, which the cache would otherwise hold in a reference cycle
+        k = math.frexp(self.h.max_abs())[1]
+        rank_one = self.rank_one
+        if rank_one is not None:
+            alpha, q = rank_one
+            k = max(k, math.frexp(alpha)[1] + 2 * math.frexp(float(np.max(np.abs(q))))[1])
+        k = min(max(k, -1022), 1022)
+        if not k:
+            return 0, None
+        if rank_one is not None:
+            rank_one = (2.0 ** -k * alpha, q)
+        return k, replace(self, h=self.h.scaled(k), rank_one=rank_one)
 
     def h_matvec(self, x: np.ndarray) -> np.ndarray:
         """``H x``: the parts' product plus the rank-one term."""
@@ -374,11 +429,16 @@ def _backward(factor: tuple, z: list) -> list:
     return _upper_solve(sub, core) + tail
 
 
-def _ldl_solve(factor: tuple, d: list, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` with a factor of :func:`_ldl_border`: with ``F = conj(L)``,
-    ``x = L^{-H} D^{-1} L^{-1} b = F^{-T} (conj(F^{-1} conj(b)) / D)``."""
-    y = _forward(factor, np.conj(b).tolist())
-    return np.array(_backward(factor, (np.conj(y) / d).tolist()))
+def _ldl_solve(factor: tuple, d: list, conj_b: list) -> list:
+    """``x = A^{-1} b`` as a list, from ``conj(b)`` as a list, with a factor
+    of :func:`_ldl_border`: with ``F = conj(L)``,
+    ``x = L^{-H} D^{-1} L^{-1} b = F^{-T} (conj(F^{-1} conj(b)) / D)``.
+    ``D^{-1}`` is applied as ``conj(y) * (1 / d)``, a product with the
+    reciprocal as in numpy's complex-by-real division, which the pinned
+    outputs were computed with; Python's ``complex / float`` divides and
+    rounds differently."""
+    y = _forward(factor, conj_b)
+    return _backward(factor, [yk.conjugate() * (1.0 / dk) for yk, dk in zip(y, d)])
 
 
 def band_factor(band: np.ndarray) -> tuple[tuple, tuple]:
@@ -474,7 +534,7 @@ class BandPencil:
         pad, dim = self._pad, self._dim
 
         def solve(b: np.ndarray) -> np.ndarray:
-            return _ldl_solve(factor, d, np.append(b, pad))[:dim]
+            return np.array(_ldl_solve(factor, d, np.conj(b).tolist() + pad)[:dim])
 
         return neg - extra, solve
 
@@ -496,21 +556,12 @@ def unit_scaled(pencil: Pencil) -> tuple[int, Pencil]:
     ``H``, within a factor 8 for the rank-one term, whose entries are not
     formed; ``|k| <= 1022``, where ``2^-k`` is a normal float.  Float
     arithmetic commutes exactly with the scaling wherever nothing under- or
-    overflows.
+    overflows.  Computed once per pencil, and the scaled parts keep
+    ``max |H|`` (:meth:`BandBorder.scaled`), so :func:`pencil_extreme` and a
+    caller's check on its result share one scaled pencil.
     """
-    k = math.frexp(pencil.h.max_abs())[1]
-    rank_one = pencil.rank_one
-    if rank_one is not None:
-        alpha, q = rank_one
-        k = max(k, math.frexp(alpha)[1] + 2 * math.frexp(float(np.max(np.abs(q))))[1])
-    k = min(max(k, -1022), 1022)
-    if not k:
-        return 0, pencil
-    unit = 2.0 ** -k
-    if rank_one is not None:
-        rank_one = (unit * alpha, q)
-    h = BandBorder(*(unit * part for part in pencil.h.parts))
-    return k, replace(pencil, h=h, rank_one=rank_one)
+    k, scaled = pencil._unit_scaled
+    return k, pencil if scaled is None else scaled
 
 
 def rounding_floor(pencil: Pencil) -> float:
@@ -518,6 +569,15 @@ def rounding_floor(pencil: Pencil) -> float:
     ``64 eps max |H| / min G_ii``: it does not tell apart eigenvalues of the
     pencil closer than this."""
     return _FLOOR * _scale(pencil)
+
+
+@functools.lru_cache(maxsize=8)
+def _start_vector(n: int) -> np.ndarray:
+    """The seeded start of inverse iteration on a pencil of size ``n``, drawn
+    once per size; read-only, since every pencil of that size shares it."""
+    x = np.random.default_rng(7).standard_normal(n).astype(complex)
+    x.flags.writeable = False
+    return x
 
 
 def _finite(value: float, what: str) -> float:
@@ -597,16 +657,17 @@ def pencil_extreme(
             break
         hi = top = sigma
         step *= 4.0
-    x = np.random.default_rng(7).standard_normal(len(pencil)).astype(complex)
     width = hi - lo
+    # G x of the last step of a round is the first product of the next round
+    gx = g.matvec(_start_vector(len(pencil)))
     while True:
         for _ in range(_INVERSE_STEPS):
-            x = solve(g.matvec(x))
+            x = solve(gx)
             norm = np.linalg.norm(x)
             if not 0.0 < norm < math.inf:
                 raise EigenError(f"pencil_extreme: iterate norm {norm!r} out of float range")
             x /= norm
-        gx = g.matvec(x)
+            gx = g.matvec(x)
         xgx = np.vdot(x, gx).real
         hx = pencil.h_matvec(x)
         mu = _finite(float(np.vdot(x, hx).real / xgx), "Rayleigh quotient")

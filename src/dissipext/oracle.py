@@ -21,7 +21,10 @@ integrals.  The right edge of a half-line core span is where the problem's
 functions decay, read from their term sums
 (:func:`~dissipext.analytic.tail_point`), so a truncation radius beyond
 their decay does not move it.  These closed forms do not depend on the mesh,
-and a mesh ladder computes them once (:func:`cross_validate`).  The infimum
+and a mesh ladder computes them once (:func:`cross_validate`).  A rung
+evaluates the problem's functions at its nodes together
+(:func:`~dissipext.analytic.evaluate_all`), so each factor ``x^a e^{bx}``
+and ``log x`` is computed once per rung.  The infimum
 of the numerical range's imaginary part over that space is the minimal
 eigenvalue of the Hermitian pencil ``H x = mu G x`` with
 ``H = (M - M^H) / 2i`` the Gram-weighted imaginary part of the discretized
@@ -51,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eigenh, forms, splines
-from .analytic import AnalyticFunction, norm_sq, tail_point
+from .analytic import AnalyticFunction, evaluate_all, norm_sq, tail_point
 from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
 
 __all__ = [
@@ -287,12 +290,15 @@ def assemble_discrete(
     xs, ws = tab.x, tab.w
     c2, c1 = mesh_free.c2, mesh_free.c1
 
-    v_samp = problem.v(xs)
-    act_v = mesh_free.action(xs)
-    # the multiplier m + i V at the nodes, None where it is 0
-    mult = mesh_free.m(xs) if mesh_free.m.terms else None
-    if mesh_free.bounded is not None:
-        bounded = 1.0j * mesh_free.bounded(xs).real
+    # the functions the rung reads at the nodes, evaluated together; the
+    # multiplier m, V and phi are None where the problem has none
+    fns = [problem.v, mesh_free.action, mesh_free.m if mesh_free.m.terms else None,
+           mesh_free.bounded, None if mesh_free.rank_one is None else mesh_free.rank_one[1]]
+    at_nodes = iter(evaluate_all([fn for fn in fns if fn is not None], xs))
+    v_samp, act_v, mult, bounded, phi_samp = (None if fn is None else next(at_nodes) for fn in fns)
+    # mult becomes the multiplier m + i V at the nodes, None where it is 0
+    if bounded is not None:
+        bounded = 1.0j * bounded.real
         act_v = act_v + bounded * v_samp
         mult = bounded if mult is None else mult + bounded
 
@@ -320,8 +326,8 @@ def assemble_discrete(
     rank_one = None
     if mesh_free.rank_one is not None:
         # alpha |phi><phi| of H on the whole span, with q_j = <e_j, phi>
-        alpha, phi, phi_v = mesh_free.rank_one
-        rank_one = (alpha, np.append(tab.vector(ws * phi(xs), tab.val), phi_v))
+        alpha, _, phi_v = mesh_free.rank_one
+        rank_one = (alpha, np.append(tab.vector(ws * phi_samp, tab.val), phi_v))
     return eigenh.Pencil(h, g, rank_one, factor)
 
 
@@ -367,8 +373,9 @@ def pencil_min_eig(
         mu, x = eigenh.pencil_extreme(pencil, guess=guess)
     except eigenh.NotPositiveDefiniteError as exc:
         raise OracleError(f"Gram matrix not positive definite: {exc}") from None
-    # checked on 2^-k H (eigenh.unit_scaled), which decides as H does but
-    # keeps ||H|| and the residual's square in the float range
+    # checked on 2^-k H, the scaled pencil the solver ran on
+    # (eigenh.unit_scaled), which decides as H does but keeps ||H|| and the
+    # residual's square in the float range
     k, pencil = eigenh.unit_scaled(pencil)
     hnorm = _inf_norm(pencil)
     resid = float(np.linalg.norm(pencil.h_matvec(x) - math.ldexp(mu, -k) * pencil.g.matvec(x)))

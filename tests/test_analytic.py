@@ -15,6 +15,7 @@ from dissipext.analytic import (
     exponential,
     indicator,
     envelope,
+    evaluate_all,
     is_real,
     monomial,
     norm_sq,
@@ -24,6 +25,7 @@ from dissipext.analytic import (
     square_integrable,
     tail_point,
     trace_scale,
+    _pow_at,
 )
 
 
@@ -174,6 +176,33 @@ def test_value_at_is_call_bit_for_bit(drawn, x):
     f = AnalyticFunction(_with_mirrors(drawn))
     with np.errstate(all="ignore"):
         assert _bits(f.value_at(x)) == _bits(complex(f(np.asarray(x))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sums=st.lists(st.lists(_term, max_size=5), min_size=1, max_size=4),
+       xs=st.lists(st.one_of(st.sampled_from((0.0,) + _EDGES), st.floats(1e-6, 40.0)),
+                   min_size=1, max_size=8))
+def test_evaluate_all_is_each_call_bit_for_bit(sums, xs):
+    # the sums share log x and each x^a e^{bx}, and still give their own bits
+    fns = [AnalyticFunction(_with_mirrors(drawn)) for drawn in sums]
+    with np.errstate(all="ignore"):
+        together = evaluate_all(fns, np.array(xs))
+        for fn, got in zip(fns, together):
+            want = fn(np.array(xs))
+            assert [_bits(z) for z in got] == [_bits(z) for z in want]
+
+
+def test_power_at_one_is_the_numpy_value_bit_for_bit():
+    # x^a at x = 1 is closed form for finite complex a, with the sign of
+    # the imaginary zero that exp(a * log 1) gives in numpy
+    parts = (0.0, -0.0, 1.5, -1.5, 1e300, -1e300, math.nan)
+    powers = [complex(re, im) for re in parts for im in parts] + [1.5, -0.0, math.nan]
+    for a in powers:
+        want = complex(np.exp(a * np.log(1.0)))
+        got = _pow_at(a, 1.0)
+        assert repr(got) == repr(want), a
+        assert [math.copysign(1.0, v) for v in (got.real, got.imag)] == \
+            [math.copysign(1.0, v) for v in (want.real, want.imag)], a
 
 
 # ---------------------------------------------------------------------------

@@ -1379,6 +1379,26 @@ def test_oracle_rerun_is_byte_identical(case, tmp_path):
     assert runs[0][0] in (0, 1)
 
 
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_oracle_infima_independent_of_shared_caches(case):
+    # the per-mesh tables and the per-size start vector are shared by every
+    # ladder, read-only, and normalizing an iterate in place never reaches
+    # them: a ladder run twice, and once more from cleared caches, gives
+    # the same bits
+    problem = cli_io.build_problem(cli_io.parse_config(CONTRACT_CASES[case]))
+    verdict = criteria.decide(problem)
+
+    def bits():
+        report = oracle.cross_validate(problem, verdict, meshes=(64, 128, 256))
+        return [mu.hex() for mu in report.infima] + [report.extrapolated.hex()]
+
+    runs = [bits(), bits()]
+    oracle._reference_mesh.cache_clear()
+    eigenh._start_vector.cache_clear()
+    runs.append(bits())
+    assert runs[0] == runs[1] == runs[2]
+
+
 # ---------------------------------------------------------------------------
 # config values: each read once, by its reader in cli_io._KEYS
 

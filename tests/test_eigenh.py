@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -249,3 +251,23 @@ def test_pencil_with_entries_near_the_float_range_ends(rank_one, deadline):
     with deadline(10.0), pytest.raises(eigenh.EigenError, match="pencil_extreme: non-finite minimum"):
         eigenh.pencil_extreme(eigenh.Pencil(band_border(np.diag([-1e308, 1e308])),
                                             band_border(0.25 * np.eye(2))))
+
+
+@pytest.mark.parametrize("top", [0.75, 3.0])
+def test_scaled_pencil_is_cached_without_a_reference_cycle(top):
+    # unit_scaled is computed once per pencil and its scaled parts keep
+    # max|H| exactly; a pencil is freed as soon as it is dropped, also when
+    # it is its own scaled pencil (k = 0 for max|H| in [0.5, 1))
+    pencil = eigenh.Pencil(band_border(np.diag([top, -0.5]), 1, 0), band_border(np.eye(2), 1, 0))
+    eigenh.pencil_extreme(pencil)
+    k, scaled = eigenh.unit_scaled(pencil)
+    assert eigenh.unit_scaled(pencil)[1] is scaled
+    assert (scaled is pencil) == (k == 0) == (top == 0.75)
+    assert scaled.h.max_abs() == float(np.max(np.abs(scaled.h.band)))
+    ref = weakref.ref(pencil)
+    gc.disable()
+    try:
+        del pencil, scaled
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dissipext import catalog, cli_io, criteria, eigenh, oracle, splines
+from dissipext import analytic, catalog, cli_io, criteria, eigenh, oracle, splines
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, indicator, norm_sq
 from reference.assembly import assemble_dense, core_rounding_scale, dense_pencil, expand
 from reference.bspline import cox_de_boor
@@ -423,6 +423,54 @@ def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch
         gram_diagonals = [g.band[:, 0].tolist() + [0.0] * 3 for g in (op.g, other.g)]
         assert len(cores) > 4
         assert not any(diag == reference_diagonal or diag in gram_diagonals for diag in cores)
+
+
+@pytest.mark.parametrize("kind", ["potsdam", "rank_one"])
+def test_each_rung_computes_its_pencil_values_once(kind, rank_one_direction, monkeypatch):
+    # per rung one x^a e^{bx} per distinct (power, rate), shared by all the
+    # functions read at the nodes, and one max|H|, which the scaled pencil
+    # and the checks share; one start vector per size and process; and per
+    # inverse-iteration round after the first three products, since the
+    # G x of a round's last step is the next round's first
+    prob = equivalence_problem(kind, rank_one_direction)
+    verdict = criteria.decide(prob)
+    events = []
+
+    def record(owner, name, tag):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            events.append((tag, args[:2]))
+            out = inner(*args, **kwargs)
+            events.append((tag + " end", ()))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    record(analytic, "_power_exp", "factor")
+    record(eigenh, "_largest_modulus", "max")
+    record(eigenh.BandBorder, "matvec", "matvec")
+    record(eigenh, "_ldl_solve", "solve")
+    record(eigenh, "pencil_extreme", "extreme")
+    record(oracle, "assemble_discrete", "rung")
+    eigenh._start_vector.cache_clear()
+    for _ in range(2):
+        events.clear()
+        oracle.cross_validate(prob, verdict, meshes=(64, 128, 256))
+        starts = [i for i, (tag, _) in enumerate(events) if tag == "rung"]
+        assert len(starts) == 3
+        for lo, hi in zip(starts, starts[1:] + [len(events)]):
+            rung = [(tag, args) for tag, args in events[lo:hi] if not tag.endswith(" end")]
+            factors = [args for tag, args in rung if tag == "factor"]
+            assert factors and len(factors) == len(set(factors)), factors
+            assert [tag for tag, _ in rung].count("max") == 1
+            begin = next(i for i in range(lo, hi) if events[i][0] == "extreme")
+            end = events.index(("extreme end", ()), begin)
+            inside = [tag for tag, _ in events[begin:end]]
+            rounds, rest = divmod(inside.count("solve"), eigenh._INVERSE_STEPS)
+            assert rounds and not rest
+            assert inside.count("matvec") == 3 * rounds + 1
+    assert eigenh._start_vector.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("kind", ["konzert", "shirley", "potsdam", "rank_one", "multiplication"])
