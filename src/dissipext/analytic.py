@@ -402,15 +402,17 @@ class AnalyticFunction:
         return f"AnalyticFunction({len(self.terms)} terms)"
 
 
-def evaluate_all(fns, x) -> list[np.ndarray]:
-    """``[f(x) for f in fns]`` bit for bit, with ``log x`` and each factor
-    ``x^a e^{bx}`` computed once for all of them (see ``_sum``)."""
+def evaluate_all(fns, x) -> list[np.ndarray | None]:
+    """``[f(x) for f in fns]`` bit for bit (None for None), with ``log x``
+    and each factor ``x^a e^{bx}`` computed once for all of them (``_sum``)."""
     xs = np.asarray(x, dtype=float)
     zero = xs == 0.0
     zero = zero if zero.any() else None
-    powers = any(t.power != 0 for fn in fns for t in fn.terms)
+    powers = any(t.power != 0 for fn in fns if fn is not None for t in fn.terms)
     shared = {None: _log(xs, zero) if powers else None}
-    return [fn._sum(xs, zero, np.zeros(xs.shape, dtype=complex), np.where, shared) for fn in fns]
+    return [None if fn is None
+            else fn._sum(xs, zero, np.zeros(xs.shape, dtype=complex), np.where, shared)
+            for fn in fns]
 
 
 def reciprocal(fn: AnalyticFunction) -> AnalyticFunction | None:

@@ -292,10 +292,9 @@ def assemble_discrete(
 
     # the functions the rung reads at the nodes, evaluated together; the
     # multiplier m, V and phi are None where the problem has none
-    fns = [problem.v, mesh_free.action, mesh_free.m if mesh_free.m.terms else None,
-           mesh_free.bounded, None if mesh_free.rank_one is None else mesh_free.rank_one[1]]
-    at_nodes = iter(evaluate_all([fn for fn in fns if fn is not None], xs))
-    v_samp, act_v, mult, bounded, phi_samp = (None if fn is None else next(at_nodes) for fn in fns)
+    v_samp, act_v, mult, bounded, phi_samp = evaluate_all(
+        [problem.v, mesh_free.action, mesh_free.m if mesh_free.m.terms else None,
+         mesh_free.bounded, None if mesh_free.rank_one is None else mesh_free.rank_one[1]], xs)
     # mult becomes the multiplier m + i V at the nodes, None where it is 0
     if bounded is not None:
         bounded = 1.0j * bounded.real

@@ -183,11 +183,13 @@ def test_value_at_is_call_bit_for_bit(drawn, x):
        xs=st.lists(st.one_of(st.sampled_from((0.0,) + _EDGES), st.floats(1e-6, 40.0)),
                    min_size=1, max_size=8))
 def test_evaluate_all_is_each_call_bit_for_bit(sums, xs):
-    # the sums share log x and each x^a e^{bx}, and still give their own bits
+    # the sums share log x and each x^a e^{bx}, and still give their own
+    # bits; an absent function (None) stays None
     fns = [AnalyticFunction(_with_mirrors(drawn)) for drawn in sums]
     with np.errstate(all="ignore"):
-        together = evaluate_all(fns, np.array(xs))
-        for fn, got in zip(fns, together):
+        *together, absent = evaluate_all(fns + [None], np.array(xs))
+        assert absent is None
+        for fn, got in zip(fns, together, strict=True):
             want = fn(np.array(xs))
             assert [_bits(z) for z in got] == [_bits(z) for z in want]
 
