@@ -48,6 +48,8 @@ __all__ = [
 
 SHIRLEY_GAMMA_MIN = math.sqrt(3.0)
 _EMPTY = AnalyticFunction(())
+#: the left offset of an interval scenario's domain, when none is given
+_DEFAULT_OFFSET = 1e-6
 
 #: boundary parameter at infinity; its imaginary part counts as 0 by convention
 RHO_INF = complex(math.inf, 0.0)
@@ -63,7 +65,9 @@ class CatalogError(Exception):
 
 @dataclass(frozen=True)
 class RankOnePerturbation:
-    """Bounded imaginary part ``alpha |phi><phi|`` with deviation ``lambda phi``."""
+    """Bounded imaginary part ``alpha |phi><phi|`` with deviation ``lambda phi``.
+    After the build the imaginary part is the problem's ``spec`` (``alpha``,
+    the normalized ``phi0``), and this supplies only the deviation."""
 
     alpha: float
     phi: AnalyticFunction
@@ -72,7 +76,8 @@ class RankOnePerturbation:
 
 @dataclass(frozen=True)
 class MultiplicationPerturbation:
-    """Bounded imaginary part ``V(x)`` with deviation function ``k``."""
+    """Bounded imaginary part ``V(x)`` with deviation function ``k``.  After
+    the build ``V`` is the problem's ``spec``, and this supplies only ``k``."""
 
     v: AnalyticFunction
     k: AnalyticFunction
@@ -115,7 +120,7 @@ class ExtensionProblem:
         ``m`` is the real potential ``W`` (potsdam), ``-gamma x^-2``
         (shirley), ``i gamma x^-1`` (konzert) or 0.  The bounded imaginary
         part of the Schroedinger scenario is not part of it: it is
-        ``spec`` (and ``perturbation``).
+        ``spec``.
         """
         if self.scenario == "konzert":
             return 0.0, 1.0j, AnalyticFunction((Term(1.0j * self.gamma, -1.0),))
@@ -274,7 +279,7 @@ def build_shirley(
     rho: complex,
     phi: AnalyticFunction | None,
     *,
-    offset: float = 1e-6,
+    offset: float = _DEFAULT_OFFSET,
 ) -> ExtensionProblem:
     """Interval scenario with the inverse-square potential and ``V_F phi``."""
     check_parameter("shirley", "gamma", gamma)
@@ -305,7 +310,7 @@ def build_konzert(
     gamma: float,
     ell: AnalyticFunction | None,
     *,
-    offset: float = 1e-6,
+    offset: float = _DEFAULT_OFFSET,
 ) -> ExtensionProblem:
     """Interval first-order scenario; deviation is an explicit L^2 function."""
     check_parameter("konzert", "gamma", gamma)

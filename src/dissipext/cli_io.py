@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__, catalog, criteria, eigenh, forms, oracle
 from .analytic import AnalyticFunction, AnalyticError, Term, exponential, indicator
 from .catalog import ExtensionProblem, RHO_INF
-from .grid import GridError, span_decay_certificate
+from .grid import DEFAULT_HALFLINE_R, GridError, span_decay_certificate
 
 __all__ = [
     "ConfigError",
@@ -394,10 +394,10 @@ _KEYS = {
     ("output", "path"): (_text, None, _KINDS),
     # an interval's left offset (the singular scenarios are the intervals),
     # and a half-line's truncation radius
-    ("grid", "offset"): (_read_number, 1e-6, ("shirley", "konzert")),
-    ("grid", "R"): (_read_number, 40.0, ("potsdam", *_HALFLINE)),
-    ("oracle", "meshes"): (_ints, (64, 128, 256), _KINDS),
-    ("oracle", "tol"): (_read_number, 1e-6, _KINDS),
+    ("grid", "offset"): (_read_number, catalog._DEFAULT_OFFSET, ("shirley", "konzert")),
+    ("grid", "R"): (_read_number, DEFAULT_HALFLINE_R, ("potsdam", *_HALFLINE)),
+    ("oracle", "meshes"): (_ints, oracle._DEFAULT_MESHES, _KINDS),
+    ("oracle", "tol"): (_read_number, oracle._DEFAULT_TOL, _KINDS),
     ("sweep", "re"): (_axis_numbers, None, _KINDS),
     ("sweep", "im"): (_axis_numbers, None, _KINDS),
 }

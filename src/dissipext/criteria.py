@@ -26,6 +26,7 @@ two extensions differ, no criterion applies and the verdict is returned as
 
 from __future__ import annotations
 
+import functools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import forms
 from .analytic import AnalyticError, AnalyticFunction, off_support, square_integrable
-from .catalog import CatalogError, ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
+from .catalog import CatalogError, ExtensionProblem, RankOnePerturbation
 
 __all__ = [
     "CriteriaError",
@@ -123,58 +124,44 @@ def _overflow_source(problem: ExtensionProblem | None) -> str:
 
 
 class _Deviation:
-    """The values of one :func:`decide` that depend on the deviation alone,
-    each evaluated at its first read and then kept.  ``range_test`` is the
-    ``ran V_F`` test ``sqrt_scale_inv_form(spec, lv)``, or what the
-    construction decides without it: ``(None, False)`` for a deviation ``V_F
-    phi``, which lies in the range, and for one without terms (form 0), and
-    ``(|lambda|^2 / alpha, False)`` for the rank-one ``lambda phi0``, which
-    spans the range.  It sets ``lv = problem.deviation()`` first, and the
-    gate reads it before any criterion reads ``lv``.  ``quarter`` is the rhs
-    term ``(1/4) ||V_F^{-1/2} Lv||^2``, from ``phi`` (the generator with
-    terms, else None) when that is given, and ``off_support`` the support
-    test of ``k``.  :func:`margin_conic` hands one record to its decides
-    that carry one deviation.
-    """
+    """The values of one :func:`decide` that depend on the deviation alone.
+    Every gate reads ``lv = problem.deviation()`` and ``range_test``, the
+    ``ran V_F`` test ``sqrt_scale_inv_form(spec, lv)`` or what the
+    construction decides without it: ``(None, False)`` for ``V_F phi``,
+    which lies in the range, and for a deviation without terms (form 0),
+    and ``(|lambda|^2 / alpha, False)`` for the rank-one ``lambda phi0``,
+    which spans it.  ``quarter``, the rhs term ``(1/4) ||V_F^{-1/2} Lv||^2``
+    (from ``phi``, the generator with terms or None, when given), and
+    ``off_support``, the support test of ``k``, are kept from their first
+    read.  :func:`margin_conic` hands one record to its decides that carry
+    one deviation."""
 
     def __init__(self, problem: ExtensionProblem):
         self._problem = problem
+        spec, pert = problem.spec, problem.perturbation
         self.phi = problem.phi if problem.phi is not None and problem.phi.terms else None
-        self._range_test = self._quarter = self._off_support = None
+        self.lv = lv = problem.deviation()
+        if problem.phi is not None or lv is None or not lv.terms:
+            self.range_test = None, False
+        elif problem.lv is None and isinstance(pert, RankOnePerturbation) and pert.phi is spec.phi0:
+            self.range_test = abs(pert.lam) ** 2 / spec.alpha, False
+        else:
+            self.range_test = forms.sqrt_scale_inv_form(spec, lv)
 
-    @property
-    def range_test(self) -> tuple[float | None, bool]:
-        if self._range_test is None:
-            problem, pert = self._problem, self._problem.perturbation
-            self.lv = lv = problem.deviation()
-            if problem.phi is not None or lv is None or not lv.terms:
-                self._range_test = None, False
-            elif (problem.lv is None and isinstance(pert, RankOnePerturbation)
-                  and pert.phi is problem.spec.phi0):
-                self._range_test = abs(pert.lam) ** 2 / problem.spec.alpha, False
-            else:
-                self._range_test = forms.sqrt_scale_inv_form(problem.spec, lv)
-        return self._range_test
-
-    @property
+    @functools.cached_property
     def quarter(self) -> float:
-        if self._quarter is None:
-            if self.phi is not None:
-                self._quarter = 0.25 * forms.friedrichs_form_sq(self._problem.spec, self.phi)
-            else:
-                inv_form = self.range_test[0]
-                self._quarter = 0.0 if inv_form is None else 0.25 * inv_form
-        return self._quarter
+        if self.phi is not None:
+            return 0.25 * forms.friedrichs_form_sq(self._problem.spec, self.phi)
+        inv_form = self.range_test[0]
+        return 0.0 if inv_form is None else 0.25 * inv_form
 
-    @property
+    @functools.cached_property
     def off_support(self) -> bool:
         # the range test of k is norm_sq(k, V, inverse), which fails first of
         # all where k is off support; so only a failed one is tested again
-        if self._off_support is None:
-            pert = self._problem.perturbation
-            self._off_support = isinstance(pert, MultiplicationPerturbation) and (
-                self.range_test[1] and off_support(pert.k, pert.v, 0.0, self._problem.grid.right_endpoint))
-        return self._off_support
+        spec = self._problem.spec
+        return spec.family == "multiplication" and self.range_test[1] and off_support(
+            self.lv, spec.weight, 0.0, spec.end)
 
 
 #: the :class:`_Deviation` of the :func:`margin_conic` decide in progress;
@@ -340,8 +327,7 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
     lhs: ``Im<v, S* v>`` (the boundary form of the symmetric part);
     rhs: ``(1/4)||V^{-1/2} Lv||^2`` in the bounded part's metric.
     """
-    pert = problem.perturbation
-    if pert is None:
+    if problem.perturbation is None:
         raise CriteriaError("criterion needs a bounded perturbation")
     dev = _deviation(problem)
     if dev.off_support:
@@ -349,12 +335,7 @@ def verdict_bounded_v(problem: ExtensionProblem) -> Verdict:
     gate, _ = _gate(problem, CRITERION_BOUNDED_V, dev)
     if gate is not None:
         return gate
-    lhs = _im_action(problem)
-    if isinstance(pert, RankOnePerturbation):
-        rhs = 0.25 * abs(pert.lam) ** 2 / pert.alpha
-    else:
-        rhs = dev.quarter
-    return Verdict.from_sides(CRITERION_BOUNDED_V, lhs, rhs, problem)
+    return Verdict.from_sides(CRITERION_BOUNDED_V, _im_action(problem), dev.quarter, problem)
 
 
 def _general_lhs(problem: ExtensionProblem, lv: AnalyticFunction | None) -> float:

@@ -33,11 +33,12 @@ positive definite) on a band-plus-border pattern, the oracle's solver
 
 A pencil computes each value once: ``max |H|`` (:meth:`BandBorder.max_abs`,
 which the power-of-two scaling carries over exactly), the scaled pencil
-(:func:`unit_scaled`, shared with a caller's check of the result), and the
-conjugated parts its products read (:meth:`BandBorder.matvec`).  Inverse
-iteration draws its seeded start vector once per size, and the ``G x`` of
-each step is the next solve's right-hand side.  A solve stays in Python
-lists from its forward pass to its backward pass.
+(:func:`_unit_scaled`, on which the solver runs and checks its residual),
+and the conjugated parts its products read (:meth:`BandBorder.matvec`).
+Inverse iteration draws its seeded start vector once per size; the ``G x``
+of each step is the next solve's right-hand side, and the last round's
+``H x`` and ``G x`` give the residual.  A solve stays in Python lists from
+its forward pass to its backward pass.
 
 This is the package's only eigensolver; there is no dense one.
 :func:`cholesky` and :func:`eigh` are stubs that raise :class:`EigenError`:
@@ -68,7 +69,6 @@ __all__ = [
     "BandPencil",
     "pencil_extreme",
     "rounding_floor",
-    "unit_scaled",
 ]
 
 _EPS = np.finfo(float).eps
@@ -214,6 +214,19 @@ class BandBorder:
         return np.concatenate([s, rows.sum(axis=1) + corner.sum(axis=1)])
 
 
+def _inf_norm(pencil: Pencil) -> float:
+    """``||H||_inf`` of ``H = h + alpha q q^H``: the rank-one row sums
+    ``|alpha| |q_i| ||q||_1``, corrected on the stored pattern."""
+    h = pencil.h
+    if pencil.rank_one is None:
+        return float(np.max(h.abs_row_sums()))
+    alpha, q = pencil.rank_one
+    r = BandBorder.outer(alpha, q, h)
+    both = BandBorder(*(a + b for a, b in zip(h.parts, r.parts)))
+    full = abs(alpha) * np.abs(q) * float(np.sum(np.abs(q)))
+    return float(np.max(both.abs_row_sums() - r.abs_row_sums() + full))
+
+
 def _largest_modulus(parts) -> float:
     """Largest modulus of an entry of the arrays ``parts`` (0 when empty)."""
     return max((float(np.max(np.abs(x))) for x in parts if x.size), default=0.0)
@@ -238,22 +251,6 @@ class Pencil:
 
     def __len__(self) -> int:
         return len(self.h)
-
-    @functools.cached_property
-    def _unit_scaled(self) -> tuple[int, Pencil | None]:
-        # unit_scaled's k and pencil, computed once; None for this pencil
-        # itself, which the cache would otherwise hold in a reference cycle
-        k = math.frexp(self.h.max_abs())[1]
-        rank_one = self.rank_one
-        if rank_one is not None:
-            alpha, q = rank_one
-            k = max(k, math.frexp(alpha)[1] + 2 * math.frexp(float(np.max(np.abs(q))))[1])
-        k = min(max(k, -1022), 1022)
-        if not k:
-            return 0, None
-        if rank_one is not None:
-            rank_one = (2.0 ** -k * alpha, q)
-        return k, replace(self, h=self.h.scaled(k), rank_one=rank_one)
 
     def h_matvec(self, x: np.ndarray) -> np.ndarray:
         """``H x``: the parts' product plus the rank-one term."""
@@ -548,7 +545,7 @@ def _scale(pencil: Pencil) -> float:
     return big / float(np.min(pencil.g.diagonal())) or 1.0
 
 
-def unit_scaled(pencil: Pencil) -> tuple[int, Pencil]:
+def _unit_scaled(pencil: Pencil) -> tuple[int, Pencil]:
     """``(k, pencil)`` with ``H`` scaled by ``2^-k``: the parts ``h`` and the
     rank-one ``alpha`` alike.
 
@@ -556,12 +553,18 @@ def unit_scaled(pencil: Pencil) -> tuple[int, Pencil]:
     ``H``, within a factor 8 for the rank-one term, whose entries are not
     formed; ``|k| <= 1022``, where ``2^-k`` is a normal float.  Float
     arithmetic commutes exactly with the scaling wherever nothing under- or
-    overflows.  Computed once per pencil, and the scaled parts keep
-    ``max |H|`` (:meth:`BandBorder.scaled`), so :func:`pencil_extreme` and a
-    caller's check on its result share one scaled pencil.
-    """
-    k, scaled = pencil._unit_scaled
-    return k, pencil if scaled is None else scaled
+    overflows.  The scaled parts keep ``max |H|`` (:meth:`BandBorder.scaled`)."""
+    k = math.frexp(pencil.h.max_abs())[1]
+    rank_one = pencil.rank_one
+    if rank_one is not None:
+        alpha, q = rank_one
+        k = max(k, math.frexp(alpha)[1] + 2 * math.frexp(float(np.max(np.abs(q))))[1])
+    k = min(max(k, -1022), 1022)
+    if not k:
+        return 0, pencil
+    if rank_one is not None:
+        rank_one = (2.0 ** -k * alpha, q)
+    return k, replace(pencil, h=pencil.h.scaled(k), rank_one=rank_one)
 
 
 def rounding_floor(pencil: Pencil) -> float:
@@ -612,18 +615,19 @@ def pencil_extreme(
        as wide as in the round before.
     4. Once ``rho`` or the bracket is below ``_CERT_RTOL |mu|`` plus a
        rounding floor, the Rayleigh quotient is returned with ``x``,
-       ``G``-normalized.
+       ``G``-normalized, if ``||H x - mu G x|| <= 1e-9 ||H||_inf ||x||``.
 
     The steps run on ``2^-k H``, with ``2^k`` the power of two of ``H``'s
-    largest entry (:func:`unit_scaled`), and on the guess scaled alike; the
+    largest entry (:func:`_unit_scaled`), and on the guess scaled alike; the
     minimum is scaled back.  Float arithmetic commutes exactly with a power
     of two where nothing under- or overflows, so an ordinary pencil gives
     the bits it gives unscaled, and a pencil whose entries are only scaled
     (near ``1e300`` or ``1e-300``) gives its scaled minimum.
 
     :class:`EigenError` on non-finite entries, on a minimum outside the
-    float range, and as soon as a shift, the iterate's norm, ``mu`` or
-    ``rho`` leaves the float range: steps 1 to 3 would not end there.
+    float range or a residual above that bound, and as soon as a shift, the
+    iterate's norm, ``mu`` or ``rho`` leaves the float range: steps 1 to 3
+    would not end there.
     """
     finite = pencil.h.is_finite() and pencil.g.is_finite()
     if pencil.rank_one is not None:
@@ -631,7 +635,7 @@ def pencil_extreme(
         finite = finite and math.isfinite(alpha) and bool(np.all(np.isfinite(q)))
     if not finite:
         raise EigenError("pencil has non-finite entries")
-    k, pencil = unit_scaled(pencil)
+    k, pencil = _unit_scaled(pencil)
     if guess is not None:
         guess = (math.ldexp(guess[0], -k), math.ldexp(guess[1], -k))
     g = pencil.g
@@ -697,4 +701,8 @@ def pencil_extreme(
             else:
                 lo, solve = sigma, at_sigma
         width = hi - lo
+    # on 2^-k H, which keeps ||H|| and the residual's square in float range
+    resid = float(np.linalg.norm(hx - mu * gx))
+    if resid > 1e-9 * _inf_norm(pencil) * float(np.linalg.norm(x)):
+        raise EigenError(f"pencil residual {resid * 2.0 ** k / math.sqrt(xgx):.2e} out of tolerance")
     return _finite(mu * 2.0 ** k, "minimum"), x / math.sqrt(xgx)

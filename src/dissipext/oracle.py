@@ -55,7 +55,7 @@ import numpy as np
 
 from . import eigenh, forms, splines
 from .analytic import AnalyticFunction, evaluate_all, norm_sq, tail_point
-from .catalog import ExtensionProblem, MultiplicationPerturbation, RankOnePerturbation
+from .catalog import ExtensionProblem
 
 __all__ = [
     "OracleError",
@@ -108,6 +108,10 @@ _CACHED_MESHES = 8
 
 #: the most core elements of one mesh; a rung's arrays grow linearly in it
 MAX_MESH = 2 ** 14
+
+#: the mesh ladder and sign tolerance of :func:`cross_validate` when none is given
+_DEFAULT_MESHES = (64, 128, 256)
+_DEFAULT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +171,10 @@ def _active_cut(problem: ExtensionProblem) -> float:
 
     For the bounded-imaginary-part scenario the symmetric action contributes
     nothing to the imaginary part on core elements, so only elements meeting
-    the perturbation supports can lower the infimum and resolution is
-    concentrated there.  The unbounded half-line scenario also needs the
-    decay range of the extension vector and deviation generator.  The cut
+    the supports of ``V`` (or ``phi0``) and of the deviation can lower the
+    infimum and resolution is concentrated there.  The unbounded half-line
+    scenario also needs the decay range of the extension vector and
+    deviation generator.  The cut
     is the last point where a candidate's envelope reaches ``1e-8`` of its
     largest term peak (:func:`~dissipext.analytic.tail_point`), widened to
     ``1.25 cut + 2`` within ``R``.  Interval problems use the full domain.
@@ -178,12 +183,7 @@ def _active_cut(problem: ExtensionProblem) -> float:
     if not grid.is_halfline:
         return grid.length
     if problem.scenario == "halfline_schrodinger":
-        # the deviation is lambda phi or k: it has the support of these
-        pert = problem.perturbation
-        if isinstance(pert, RankOnePerturbation):
-            candidates = [pert.phi]
-        else:
-            candidates = [pert.v, pert.k]
+        candidates = [problem.spec.weight, problem.spec.phi0, problem.deviation()]
     else:
         candidates = [problem.v, problem.phi, problem.w_potential]
     tails = [tail_point(fn, grid.length, 1e-8) for fn in candidates if fn is not None]
@@ -197,11 +197,11 @@ class _MeshFree:
 
     ``hi`` is the right edge of the core span (:func:`_active_cut`);
     ``c2, c1, m`` the :meth:`~ExtensionProblem.expression`; ``action`` the
-    term sum of ``(action + L) v``; ``bounded`` the multiplication
-    perturbation's ``V`` (None without one);
+    term sum of ``(action + L) v``; ``bounded`` the multiplication spec's
+    ``V`` (None without one);
     ``corner`` is ``Im <v, (action + L + i V) v>`` and ``v_norm_sq``
-    ``||v||^2``, both closed form; ``rank_one`` is ``(alpha, phi, <v, phi>)``
-    of the rank-one perturbation, or None.
+    ``||v||^2``, both closed form; ``rank_one`` is
+    ``(alpha, phi0, <v, phi0>)`` of the rank-one spec, or None.
     """
 
     hi: float
@@ -224,7 +224,7 @@ def _mesh_free(problem: ExtensionProblem) -> _MeshFree:
     if c1.real != 0.0:
         raise OracleError(f"expression has Re c1 = {c1.real!r}: the core block of H would not be real")
     end = problem.grid.right_endpoint
-    pert = problem.perturbation
+    spec = problem.spec
     action = problem.action_on(vfn)
     vv = vfn.inner(action, 0.0, end)
     lv = problem.deviation()
@@ -232,11 +232,11 @@ def _mesh_free(problem: ExtensionProblem) -> _MeshFree:
         action = action + lv
         vv += vfn.inner(lv, 0.0, end)
     bounded = rank_one = None
-    if isinstance(pert, MultiplicationPerturbation):
-        bounded = pert.v
-        vv += 1.0j * forms.friedrichs_form_sq(problem.spec, vfn)
-    elif isinstance(pert, RankOnePerturbation):
-        rank_one = (pert.alpha, pert.phi, vfn.inner(pert.phi, 0.0, end))
+    if spec.family == "rank_one":
+        rank_one = (spec.alpha, spec.phi0, vfn.inner(spec.phi0, 0.0, end))
+    elif problem.scenario == "halfline_schrodinger":
+        bounded = spec.weight
+        vv += 1.0j * forms.friedrichs_form_sq(spec, vfn)
     return _MeshFree(_active_cut(problem), c2, c1, m, action, bounded, vv.imag,
                      norm_sq(vfn, 0.0, end), rank_one)
 
@@ -356,44 +356,20 @@ def pencil_min_eig(
     """Minimal eigenvalue and eigenvector of the :class:`eigenh.Pencil`
     ``H x = mu G x``, as :func:`assemble_discrete` returns it.
 
-    ``H`` must be Hermitian and ``G`` Hermitian positive definite; the
-    residual of the returned pair satisfies
-    ``||H x - mu G x|| <= 1e-9 ||H|| ||x||``.  ``guess`` is passed to
-    :func:`eigenh.pencil_extreme`.
+    ``H`` must be Hermitian and ``G`` Hermitian positive definite;
+    :func:`eigenh.pencil_extreme` solves it from ``guess`` and checks the
+    residual ``||H x - mu G x|| <= 1e-9 ||H|| ||x||`` on its scaled pencil.
     """
     # off the diagonal the parts are Hermitian by storage
     h = pencil.h
-    scale = max(h.max_abs(), 1e-300)
     skew = max(float(np.max(np.abs(h.band[:, 0].imag), initial=0.0)),
                float(np.max(np.abs(h.corner - h.corner.conj().T), initial=0.0)))
-    if skew > 1e-10 * scale:
+    if skew > 1e-10 * max(h.max_abs(), 1e-300):
         raise OracleError("imaginary-part matrix is not Hermitian")
     try:
-        mu, x = eigenh.pencil_extreme(pencil, guess=guess)
+        return eigenh.pencil_extreme(pencil, guess=guess)
     except eigenh.NotPositiveDefiniteError as exc:
         raise OracleError(f"Gram matrix not positive definite: {exc}") from None
-    # checked on 2^-k H, the scaled pencil the solver ran on
-    # (eigenh.unit_scaled), which decides as H does but keeps ||H|| and the
-    # residual's square in the float range
-    k, pencil = eigenh.unit_scaled(pencil)
-    hnorm = _inf_norm(pencil)
-    resid = float(np.linalg.norm(pencil.h_matvec(x) - math.ldexp(mu, -k) * pencil.g.matvec(x)))
-    if hnorm > 0 and resid > 1e-9 * hnorm * float(np.linalg.norm(x)):
-        raise OracleError(f"pencil residual {resid * 2.0 ** k:.2e} out of tolerance")
-    return mu, x
-
-
-def _inf_norm(pencil: eigenh.Pencil) -> float:
-    """``||H||_inf`` of ``H = h + alpha q q^H``: the rank-one row sums
-    ``|alpha| |q_i| ||q||_1``, corrected on the stored pattern."""
-    h = pencil.h
-    if pencil.rank_one is None:
-        return float(np.max(h.abs_row_sums()))
-    alpha, q = pencil.rank_one
-    r = eigenh.BandBorder.outer(alpha, q, h)
-    both = eigenh.BandBorder(*(a + b for a, b in zip(h.parts, r.parts)))
-    full = abs(alpha) * np.abs(q) * float(np.sum(np.abs(q)))
-    return float(np.max(both.abs_row_sums() - r.abs_row_sums() + full))
 
 
 def _extrapolate(infima: list[float], floor: float = 0.0) -> tuple[float, float | None]:
@@ -419,9 +395,9 @@ def _extrapolate(infima: list[float], floor: float = 0.0) -> tuple[float, float 
 def cross_validate(
     problem: ExtensionProblem,
     verdict,
-    meshes=(64, 128, 256),
+    meshes=_DEFAULT_MESHES,
     *,
-    tol: float = 1e-6,
+    tol: float = _DEFAULT_TOL,
 ) -> OracleReport:
     """Run the discrete infimum over a mesh ladder and compare signs.
 

@@ -459,10 +459,14 @@ def test_interior_zero_of_weight_is_a_breakpoint():
     square = AnalyticFunction((Term(1.0, 2.0), Term(-0.6, 1.0), Term(0.09, 0.0))) * indicator(0.0, 1.0)
     with pytest.raises(DivergentIntegralError):
         norm_sq(monomial(1.0, 1) * indicator(0.0, 1.0), 0.0, math.inf, square, inverse=True)
-    # k = (x - 0.3) cancels the double zero: int_0^1 1 dx; next to the zero
-    # V as a sum of terms keeps only about eps / (x - 0.3)^2 of its digits
+    # k = (x - 0.3) cancels the double zero of the exact V: int_0^1 1 dx.
+    # The float coefficients 1, -0.6, 0.09 have discriminant -1.33e-17, so
+    # this V has no zero, and the integral of the float problem is
+    # 0.99999999426655548834516756... (50 digits, in closed form by arctan
+    # and log); it is met to about 2e-15, with no loss of digits near 0.3
     k = AnalyticFunction((Term(1.0, 1.0), Term(-0.3, 0.0))) * indicator(0.0, 1.0)
-    assert norm_sq(k, 0.0, math.inf, square, inverse=True) == pytest.approx(1.0, rel=1e-7)
+    assert norm_sq(k, 0.0, math.inf, square, inverse=True) == pytest.approx(
+        0.99999999426655548834516756, rel=1e-13)
 
 
 @st.composite

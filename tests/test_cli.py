@@ -3,6 +3,7 @@ import cmath
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import json
 import math
@@ -1675,3 +1676,19 @@ def test_each_range_is_stated_once(kind, key, raw, build):
     with pytest.raises(cli_io.ConfigError) as read:
         cli_io.parse_config(text)
     assert str(read.value) == f"{built.value} (line {lineno}, col {len(key) + 4})"
+
+
+DEFAULT_OWNERS = [
+    (("grid", "offset"), [(catalog.build_shirley, "offset"), (catalog.build_konzert, "offset")]),
+    (("grid", "R"), [(catalog.build_potsdam, "r"), (catalog.build_halfline_schrodinger, "r")]),
+    (("oracle", "meshes"), [(oracle.cross_validate, "meshes")]),
+    (("oracle", "tol"), [(oracle.cross_validate, "tol")]),
+]
+
+
+@pytest.mark.parametrize("key, owners", DEFAULT_OWNERS, ids=["%s_%s" % key for key, _ in DEFAULT_OWNERS])
+def test_config_defaults_are_the_library_defaults(key, owners):
+    # a key the config leaves out takes the default of the function it feeds
+    default = cli_io._KEYS[key][1]
+    for fn, name in owners:
+        assert inspect.signature(fn).parameters[name].default == default, fn.__name__

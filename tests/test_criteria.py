@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipext import catalog, criteria, forms
+from dissipext import catalog, criteria, forms, oracle
 from dissipext.analytic import AnalyticFunction, Term, constant, exponential, power
 from dissipext.catalog import RHO_INF
 from reference.margins import semibound_estimate
@@ -170,6 +170,24 @@ def test_bounded_v_symmetric_condition_rejects_all(rank_one_direction):
         1.0 + 0j, catalog.RankOnePerturbation(1.0, rank_one_direction, 0.0)
     )
     assert criteria.verdict_bounded_v(q0).dissipative is True
+
+
+def test_replaced_rank_one_direction_is_only_a_deviation():
+    # the spec is the imaginary part alpha |phi0><phi0|; a direction 2 phi0
+    # replaced into the perturbation doubles the deviation lambda phi, as
+    # lambda' = 2 lambda does, and leaves the imaginary part as it is
+    # (the README rank-one config: margin 0 at lambda = 2, -3 at lambda = 4)
+    phi = exponential(1.0, -1.0)
+    built = catalog.build_halfline_schrodinger(1 + 1j, catalog.RankOnePerturbation(1.0, phi, 2.0))
+    pert, spec = built.perturbation, built.spec
+    replaced = dataclasses.replace(built, perturbation=dataclasses.replace(pert, phi=2.0 * pert.phi))
+    doubled = catalog.build_halfline_schrodinger(1 + 1j, dataclasses.replace(pert, lam=4.0))
+    expect = criteria.decide(doubled).margin
+    assert expect == pytest.approx(-3.0, rel=1e-12)
+    assert criteria.decide(replaced).margin == pytest.approx(expect, rel=1e-12)
+    alpha, q = oracle.assemble_discrete(replaced, 32).rank_one
+    assert alpha == spec.alpha
+    assert np.array_equal(q, oracle.assemble_discrete(built, 32).rank_one[1])
 
 
 def test_bounded_v_support_violation_raises():

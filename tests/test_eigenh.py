@@ -254,20 +254,21 @@ def test_pencil_with_entries_near_the_float_range_ends(rank_one, deadline):
 
 
 @pytest.mark.parametrize("top", [0.75, 3.0])
-def test_scaled_pencil_is_cached_without_a_reference_cycle(top):
-    # unit_scaled is computed once per pencil and its scaled parts keep
-    # max|H| exactly; a pencil is freed as soon as it is dropped, also when
-    # it is its own scaled pencil (k = 0 for max|H| in [0.5, 1))
-    pencil = eigenh.Pencil(band_border(np.diag([top, -0.5]), 1, 0), band_border(np.eye(2), 1, 0))
+def test_scaled_parts_keep_max_abs_and_a_solved_pencil_is_freed(top):
+    # BandBorder.scaled carries max|H| over exactly, and the solver keeps no
+    # reference to a pencil it ran on: one is freed as soon as it is dropped,
+    # also when it is its own scaled pencil (k = 0 for max|H| in [0.5, 1))
+    h = band_border(np.diag([top, -0.5]), 1, 0)
+    for k in (-3, 0, 2):
+        scaled = h.scaled(k)
+        assert scaled.max_abs() == math.ldexp(h.max_abs(), -k)
+        assert scaled.max_abs() == float(np.max(np.abs(scaled.band)))
+    pencil = eigenh.Pencil(h, band_border(np.eye(2), 1, 0))
     eigenh.pencil_extreme(pencil)
-    k, scaled = eigenh.unit_scaled(pencil)
-    assert eigenh.unit_scaled(pencil)[1] is scaled
-    assert (scaled is pencil) == (k == 0) == (top == 0.75)
-    assert scaled.h.max_abs() == float(np.max(np.abs(scaled.h.band)))
     ref = weakref.ref(pencil)
     gc.disable()
     try:
-        del pencil, scaled
+        del pencil
         assert ref() is None
     finally:
         gc.enable()

@@ -429,9 +429,10 @@ def test_each_pencil_factors_its_gram_once(kind, rank_one_direction, monkeypatch
 def test_each_rung_computes_its_pencil_values_once(kind, rank_one_direction, monkeypatch):
     # per rung one x^a e^{bx} per distinct (power, rate), shared by all the
     # functions read at the nodes, and one max|H|, which the scaled pencil
-    # and the checks share; one start vector per size and process; and per
+    # and the checks share; one start vector per size and process; per
     # inverse-iteration round after the first three products, since the
-    # G x of a round's last step is the next round's first
+    # G x of a round's last step is the next round's first; and no product
+    # outside the solver, whose residual check reads the last round's
     prob = equivalence_problem(kind, rank_one_direction)
     verdict = criteria.decide(prob)
     events = []
@@ -470,6 +471,7 @@ def test_each_rung_computes_its_pencil_values_once(kind, rank_one_direction, mon
             rounds, rest = divmod(inside.count("solve"), eigenh._INVERSE_STEPS)
             assert rounds and not rest
             assert inside.count("matvec") == 3 * rounds + 1
+            assert [tag for tag, _ in rung].count("matvec") == inside.count("matvec")
     assert eigenh._start_vector.cache_info().misses == 3
 
 
@@ -529,7 +531,7 @@ def test_residual_norm_counts_the_rank_one_term(rank_one_direction):
     # ||H||_inf of the residual check, from the parts and (alpha, q) alone
     op = oracle.assemble_discrete(equivalence_problem("rank_one", rank_one_direction), 32)
     h, _ = dense_pencil(op)
-    got = oracle._inf_norm(op)
+    got = eigenh._inf_norm(op)
     assert got == pytest.approx(np.linalg.norm(h, np.inf), rel=1e-13)
 
 
